@@ -32,11 +32,6 @@ from .models import (
     ModelKind,
     ModelParams,
     predict,
-    predict_indp,
-    predict_linr,
-    predict_prsp,
-    predict_pwr,
-    predict_wrst,
     true_params_indp,
     true_params_prsp,
 )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import JointDist
-from .models import PARAM_DIM, ModelKind, ModelParams, true_params_indp, true_params_prsp
+from .models import PARAM_DIM, ModelKind, ModelParams, true_params_prsp
 from .optim import FitResult, OptimSettings, fit
 from .oracle import DEFAULT_GRID, EvidenceGrid, standard_vector
 
@@ -159,12 +159,11 @@ def _bench_one(
         fit_seed = _derived_seed(seed, dist_id)
 
         warm_starts: dict[ModelKind, ModelParams] = {}
-        for kind, extractor in ((ModelKind.INDP, true_params_indp), (ModelKind.PRSP, true_params_prsp)):
-            if kind in kinds:
-                try:
-                    warm_starts[kind] = extractor(d)
-                except ValueError:
-                    pass  # boundary joint: fall back to seeded starts only
+        if ModelKind.PRSP in kinds:
+            try:
+                warm_starts[ModelKind.PRSP] = true_params_prsp(d)
+            except ValueError:
+                pass  # boundary joint: fall back to seeded starts only
 
         fits: dict[ModelKind, FitResult] = {}
         for kind in kinds:
@@ -276,7 +275,11 @@ def write_report_csv(path, reports: list[DistReport]) -> None:
 
 
 def read_report_csv(path) -> list[DistReport]:
-    """Reconstruct reports from a report CSV (enough to re-run summarize)."""
+    """Reconstruct reports from a report CSV (enough to re-run summarize).
+
+    Raises ValueError naming the distribution whose model list (in row order)
+    differs from the first distribution's.
+    """
     by_dist: dict[int, list[ModelScore]] = {}
     eps: dict[int, dict[str, float]] = {}
     with open(path, newline="") as f:
@@ -298,7 +301,13 @@ def read_report_csv(path) -> list[DistReport]:
             by_dist.setdefault(dist_id, []).append(ModelScore(kind, epsilon, score, params, converged))
             eps.setdefault(dist_id, {})[kind.value] = epsilon
     reports = []
+    first = None
     for dist_id in sorted(by_dist):
+        # summarize pairs scores by position, so every distribution must list the same models in order
+        models = ",".join(s.kind.value for s in by_dist[dist_id])
+        first = first or (dist_id, models)
+        if models != first[1]:
+            raise ValueError(f"{path}: dist {dist_id} lists models {models}, but dist {first[0]} lists {first[1]}")
         reports.append(
             DistReport(
                 dist_id,

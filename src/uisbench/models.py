@@ -10,16 +10,20 @@ given a parameter vector:
 * ``INDP`` -- exact updating under a marginally independent prior, which
   reduces to a bilinear blend of the four conditionals b_ij = P(C | E1=i, E2=j).
 * ``PRSP`` -- odds-ratio combination with piecewise-linear interpolation of
-  each rule's single-evidence posterior, with seven free probabilities.
+  each rule's single-evidence posterior, with seven free probabilities. Each
+  rule j maps its evidence value through the piecewise-linear curve anchored
+  at (0, P(C|not Ej)), (pEj, pc), (1, P(C|Ej)); the rule's odds multiplier
+  against the prior is then applied to the prior odds. At the prior point
+  (e1, e2) = (pE1, pE2) both multipliers are 1 and the output is pc.
 * ``PWR`` -- linear regression of log odds: logit(c) = a1*logit(e1) +
   a2*logit(e2) + b.
 * ``WRST`` -- evidence-ignoring constant (fitted as the mean of the targets).
 * ``BST`` -- the perfect reference (prediction == target); it carries no
   parameters and no predictor.
 
-Scalar predictors wrap :func:`predict_grid`, the vectorised evaluator used in
-the optimizer hot path, so the two paths are bit-identical by construction.
-All predictors are pure functions.
+The scalar :func:`predict` wraps :func:`predict_grid`, the vectorised
+evaluator used in the optimizer hot path, so the two paths are bit-identical
+by construction. All predictors are pure functions.
 """
 
 from __future__ import annotations
@@ -39,11 +43,6 @@ __all__ = [
     "logit",
     "predict",
     "predict_grid",
-    "predict_linr",
-    "predict_indp",
-    "predict_prsp",
-    "predict_pwr",
-    "predict_wrst",
     "true_params_indp",
     "true_params_prsp",
 ]
@@ -175,45 +174,8 @@ def predict_grid(kind: ModelKind, values, e1, e2):
     return _predict_rows(kind, row, e1f, e2f)[0].reshape(shape)
 
 
-def _scalar(params: ModelParams, expected: ModelKind, ev) -> float:
-    if params.kind is not expected:
-        raise ValueError(f"expected {expected.value} parameters, got {params.kind.value}")
-    return float(predict_grid(expected, params.values, ev.e1, ev.e2))
-
-
-def predict_linr(params: ModelParams, ev) -> float:
-    """a1*e1 + a2*e2 + b, not clipped to [0, 1]."""
-    return _scalar(params, ModelKind.LINR, ev)
-
-
-def predict_indp(params: ModelParams, ev) -> float:
-    """Bilinear blend of the four conditionals; always in [0, 1]."""
-    return _scalar(params, ModelKind.INDP, ev)
-
-
-def predict_prsp(params: ModelParams, ev) -> float:
-    """Odds-ratio combination of the two interpolated single-rule posteriors.
-
-    Each rule j maps its evidence value through the piecewise-linear curve
-    anchored at (0, P(C|not Ej)), (pEj, pc), (1, P(C|Ej)); the rule's odds
-    multiplier against the prior is then applied to the prior odds. At the
-    prior point ev = (pE1, pE2) both multipliers are 1 and the output is pc.
-    """
-    return _scalar(params, ModelKind.PRSP, ev)
-
-
-def predict_pwr(params: ModelParams, ev) -> float:
-    """Inverse logit of a1*logit(e1) + a2*logit(e2) + b; always in (0, 1)."""
-    return _scalar(params, ModelKind.PWR, ev)
-
-
-def predict_wrst(params: ModelParams, ev) -> float:
-    """The constant parameter, whatever the evidence says."""
-    return _scalar(params, ModelKind.WRST, ev)
-
-
 def predict(params: ModelParams, ev) -> float:
-    """Dispatch to the predictor for ``params.kind``."""
+    """The model's predicted posterior of C for one evidence pair."""
     if params.kind is ModelKind.BST:
         raise ValueError("BST has no predictor; it is scored as prediction == target")
     return float(predict_grid(params.kind, params.values, ev.e1, ev.e2))

@@ -1,31 +1,33 @@
-"""Fitting model parameters against a standard vector by multistart search.
+"""Fitting model parameters against a standard vector.
 
 The objective is the root-mean-square error between a model's predictions and
-the oracle's standard answers over the evidence grid. Minimisation uses a
-deflected-gradient (quasi-Newton) descent: the step direction is the negative
-gradient deflected through a running inverse-curvature estimate, updated with
-a standard secant-condition (BFGS-style) rank update after each accepted step
-and reset to the identity every N+1 iterations, where N is the number of free
-parameters. Gradients are central finite differences in the search
-coordinates; steps are accepted through a backtracking line search that halves
-the step until the objective decreases.
+the oracle's standard answers over the evidence grid. Each model has one fit
+path. WRST, LINR and INDP are solved exactly, so their fitted error is the
+model's minimum: WRST's constant is the mean of the targets, LINR is ordinary
+least squares, and INDP, whose predictions are linear in its parameters, is
+least squares on the box [0, 1] (see ``_indp_exact``).
 
-Bounded parameters (INDP, PRSP) are searched through a logistic
+PRSP and PWR are fitted by a deflected-gradient (quasi-Newton) descent: the
+step direction is the negative gradient deflected through a running
+inverse-curvature estimate, updated with a standard secant-condition
+(BFGS-style) rank update after each accepted step and reset to the identity
+every N+1 iterations, where N is the number of free parameters. Gradients are
+central finite differences in the search coordinates; steps are accepted
+through a backtracking line search that halves the step until the objective
+decreases. PRSP's bounded parameters are searched through a logistic
 reparameterisation so the search itself is unconstrained; search coordinates
-are clamped to |x| <= 30 to keep the sigmoid out of saturation. WRST has the
-closed-form solution (the mean of the targets) and LINR additionally gets the
-exact least-squares solution as a start, so its fit can never be worse than
-the closed form.
+are clamped to |x| <= 30 to keep the sigmoid out of saturation.
 
-Every fit runs from several starts: the caller-supplied warm start when there
-is one, a constant-baseline start at the mean of the targets (every model can
-represent a constant, which guarantees a fit is never worse than WRST), and
-``n_starts`` seeded random starts. ``fit`` is a pure function of its
-arguments; independent fits may run concurrently.
+Every search runs from several starts: the caller-supplied warm start when
+there is one, a constant-baseline start at the mean of the targets (every
+model can represent a constant, which guarantees a fit is never worse than
+WRST), and ``n_starts`` seeded random starts. ``fit`` is a pure function of
+its arguments; independent fits may run concurrently.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,16 +37,18 @@ from .models import PARAM_DIM, ModelKind, ModelParams, _predict_rows, logit, pre
 __all__ = ["OptimSettings", "FitResult", "objective", "ols_linr", "fit"]
 
 _SEARCH_CLAMP = 30.0
-_BOUNDED_KINDS = (ModelKind.INDP, ModelKind.PRSP)
+_BOUNDED_KINDS = (ModelKind.PRSP,)
 _KIND_INDEX = {kind: i for i, kind in enumerate(ModelKind)}
+# the 81 active patterns of INDP's four parameters: nan is free, else held there
+_INDP_PATTERNS = np.array(list(itertools.product((np.nan, 0.0, 1.0), repeat=4)))
 
 
 @dataclass(frozen=True)
 class OptimSettings:
-    """Knobs of the multistart search; all must be positive.
+    """Knobs of the multistart search (PRSP and PWR); all must be positive.
 
-    The inverse-curvature reset period is not a knob: it is fixed at N+1
-    iterations for an N-parameter model.
+    The closed-form fits ignore them. The inverse-curvature reset period is
+    not a knob: it is fixed at N+1 iterations for an N-parameter model.
     """
 
     n_starts: int = 5
@@ -94,13 +98,39 @@ def objective(params: ModelParams, targets) -> float:
 def ols_linr(targets) -> ModelParams:
     """Exact least-squares LINR solution via the normal equations.
 
-    Cross-checks the iterative optimizer; raises ``numpy.linalg.LinAlgError``
-    when the grid is degenerate (design matrix singular).
+    This is LINR's fit. Raises ``numpy.linalg.LinAlgError`` when the grid is
+    degenerate (design matrix singular).
     """
     e1, e2, c = _target_arrays(targets)
     design = np.column_stack([e1, e2, np.ones_like(e1)])
     beta = np.linalg.solve(design.T @ design, design.T @ c)
     return ModelParams(ModelKind.LINR, tuple(beta))
+
+
+def _indp_exact(e1: np.ndarray, e2: np.ndarray, c: np.ndarray) -> ModelParams:
+    """Exact INDP fit: least squares on the bilinear design with every parameter in [0, 1].
+
+    Each of the 81 active patterns holds every parameter free, at 0 or at 1.
+    The free columns' normal equations give a candidate, kept if its free
+    values lie in [0, 1]; the kept candidate with the lowest squared error
+    wins. The problem is convex and on a product grid of two or more levels
+    every column subset has full rank, so that is the global minimum (Lawson
+    & Hanson, *Solving Least Squares Problems*, 1974).
+    """
+    design = _predict_rows(ModelKind.INDP, np.eye(4), e1, e2).T  # column j: the table with only b_j = 1
+    best, best_sse = None, np.inf
+    for pattern in _INDP_PATTERNS:
+        free = np.isnan(pattern)
+        b = np.where(free, 0.0, pattern)
+        if free.any():
+            cols = design[:, free]
+            b[free] = np.linalg.solve(cols.T @ cols, cols.T @ (c - design @ b))
+            if np.any(b[free] < 0.0) or np.any(b[free] > 1.0):
+                continue
+        sse = float(np.sum((c - design @ b) ** 2))
+        if sse < best_sse:
+            best, best_sse = b, sse
+    return ModelParams(ModelKind.INDP, tuple(best))
 
 
 def _to_model_values(kind: ModelKind, x: np.ndarray) -> np.ndarray:
@@ -196,18 +226,11 @@ def _search(f, f_rows, x0: np.ndarray, settings: OptimSettings):
 
 
 def _constant_start(kind: ModelKind, mean_target: float) -> tuple[float, ...]:
-    """Parameters at which the model predicts the target mean everywhere."""
-    m = mean_target
-    if kind is ModelKind.LINR:
-        return (0.0, 0.0, m)
-    m = min(max(m, 1e-6), 1.0 - 1e-6)
+    """PWR or PRSP parameters at which the model predicts the target mean everywhere."""
+    m = min(max(mean_target, 1e-6), 1.0 - 1e-6)
     if kind is ModelKind.PWR:
         return (0.0, 0.0, float(logit(m)))
-    if kind is ModelKind.INDP:
-        return (m, m, m, m)
-    if kind is ModelKind.PRSP:
-        return (m, 0.5, m, m, 0.5, m, m)
-    raise ValueError(f"no constant start for {kind.value}")
+    return (m, 0.5, m, m, 0.5, m, m)
 
 
 def fit(
@@ -219,11 +242,14 @@ def fit(
 ) -> FitResult:
     """Minimise the RMS objective for ``kind`` over the given standard vector.
 
-    ``warm_start`` is an optional parameter vector of the same kind used as an
-    extra start (callers typically pass the parameters read off the underlying
-    joint). Non-convergence within the iteration budget is not an error; the
-    best point found is returned with ``converged=False``. A fit error is
-    raised only if no start produces a finite objective.
+    WRST, LINR and INDP are solved exactly: ``settings``, ``seed`` and
+    ``warm_start`` do not affect them, and the result has zero iterations and
+    ``converged=True``. PRSP and PWR run the multistart search; ``warm_start``
+    is then an extra start (callers typically pass the parameters read off the
+    underlying joint). Non-convergence within the iteration budget is not an
+    error; the best point found is returned with ``converged=False``. A fit
+    error is raised only if no start produces a finite objective. A warm start
+    of another kind is rejected for every model.
     """
     settings = settings or OptimSettings()
     if kind is ModelKind.BST:
@@ -232,11 +258,14 @@ def fit(
         raise ValueError(f"warm start is {warm_start.kind.value}, expected {kind.value}")
 
     e1, e2, c = _target_arrays(targets)
-
-    if kind is ModelKind.WRST:
-        const = float(np.mean(c))
-        eps = float(np.sqrt(np.mean((c - const) ** 2)))
-        return FitResult(ModelParams(kind, (const,)), eps, 0, True, 0)
+    if kind in (ModelKind.WRST, ModelKind.LINR, ModelKind.INDP):
+        if kind is ModelKind.WRST:
+            params = ModelParams(kind, (float(np.mean(c)),))
+        elif kind is ModelKind.LINR:
+            params = ols_linr(targets)
+        else:
+            params = _indp_exact(e1, e2, c)
+        return FitResult(params, objective(params, targets), 0, True, 0)
 
     def f_rows(points: np.ndarray) -> np.ndarray:
         pred = _predict_rows(kind, _to_model_values(kind, points), e1, e2)
@@ -249,8 +278,6 @@ def fit(
     starts: list[np.ndarray] = []
     if warm_start is not None:
         starts.append(_to_search_coords(kind, warm_start.values))
-    if kind is ModelKind.LINR:
-        starts.append(_to_search_coords(kind, ols_linr(targets).values))
     starts.append(_to_search_coords(kind, _constant_start(kind, float(np.mean(c)))))
 
     dim = PARAM_DIM[kind]

@@ -15,7 +15,7 @@ import pytest
 from uisbench.bench import run_bench, summarize
 from uisbench.cli import main
 from uisbench.dist import condition_c, marginal, sample_cond_indep, sample_uniform
-from uisbench.models import ModelKind, predict_prsp, true_params_indp, true_params_prsp
+from uisbench.models import ModelKind, predict, true_params_indp, true_params_prsp
 from uisbench.optim import fit, objective, ols_linr
 from uisbench.oracle import DEFAULT_GRID, EvidencePair, mce_update, standard_answer, standard_vector
 
@@ -131,7 +131,7 @@ def test_criterion_4_prsp_corner_exactness():
         for e1 in (0.0, 1.0):
             for e2 in (0.0, 1.0):
                 want = condition_c(d, e1 == 1.0, e2 == 1.0)
-                worst = max(worst, abs(predict_prsp(params, EvidencePair(e1, e2)) - want))
+                worst = max(worst, abs(predict(params, EvidencePair(e1, e2)) - want))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and elapsed < 5.0
     _criterion(4, ok, f"max corner error {worst:.2e} over 400 corners in {elapsed:.2f}s")

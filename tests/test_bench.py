@@ -17,6 +17,7 @@ from uisbench.bench import (
     write_report_csv,
     write_summary_json,
 )
+from uisbench.cli import main
 from uisbench.dist import new_joint, sample_uniform
 from uisbench.models import ModelKind, ModelParams
 from uisbench.optim import OptimSettings
@@ -132,6 +133,21 @@ def _handmade_reports(etas, kind=ModelKind.INDP):
     return reports
 
 
+def _three_model_report_csv(tmp_path):
+    """report.csv of three distributions, each listing LINR, WRST and INDP in that order."""
+    reports = []
+    for i in range(3):
+        scores = (
+            ModelScore(ModelKind.LINR, 0.1, EtaScore(0.0), ModelParams(ModelKind.LINR, (0.1, 0.2, 0.3)), True),
+            ModelScore(ModelKind.WRST, 0.2, EtaScore(-1.0), ModelParams(ModelKind.WRST, (0.5,)), True),
+            ModelScore(ModelKind.INDP, 0.05, EtaScore(0.5 + 0.1 * i), ModelParams(ModelKind.INDP, (0.5,) * 4), True),
+        )
+        reports.append(DistReport(i, scores, 0.1, 0.2))
+    path = tmp_path / "report.csv"
+    write_report_csv(path, reports)
+    return path
+
+
 class TestSummarize:
     def test_constant_etas_give_inf_ratio(self):
         table = summarize(_handmade_reports([1.0, 1.0, 1.0]))
@@ -205,6 +221,22 @@ class TestArtifacts:
         path = tmp_path / "report.csv"
         write_report_csv(path, reports)
         assert not any(line.startswith("0,") for line in path.read_text().splitlines()[1:])
+
+    def test_reordered_model_rows_rejected(self, tmp_path):
+        path = _three_model_report_csv(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[4], lines[6] = lines[6], lines[4]  # dist 1: LINR and INDP swap places
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="dist 1 lists models INDP,WRST,LINR, but dist 0 lists LINR,WRST,INDP"):
+            read_report_csv(path)
+
+    def test_missing_model_row_rejected_by_report_command(self, tmp_path, capsys):
+        path = _three_model_report_csv(tmp_path)
+        lines = path.read_text().splitlines()
+        del lines[5]  # dist 1's WRST row
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--report", str(path)]) == 1
+        assert "dist 1 lists models LINR,INDP" in capsys.readouterr().err
 
     def test_summary_json_schema_and_sentinel(self, tmp_path):
         table = summarize(_handmade_reports([1.0, 1.0]))

@@ -9,11 +9,6 @@ from uisbench.models import (
     logit,
     predict,
     predict_grid,
-    predict_indp,
-    predict_linr,
-    predict_prsp,
-    predict_pwr,
-    predict_wrst,
     sigmoid,
     true_params_indp,
     true_params_prsp,
@@ -67,41 +62,41 @@ class TestLogitSigmoid:
 class TestLinr:
     def test_constant(self):
         p = ModelParams(ModelKind.LINR, (0.0, 0.0, 0.3))
-        assert predict_linr(p, EvidencePair(0.9, 0.1)) == 0.3
+        assert predict(p, EvidencePair(0.9, 0.1)) == 0.3
 
     def test_identity_on_e1(self):
         p = ModelParams(ModelKind.LINR, (1.0, 0.0, 0.0))
-        assert predict_linr(p, EvidencePair(0.25, 0.8)) == 0.25
+        assert predict(p, EvidencePair(0.25, 0.8)) == 0.25
 
     def test_arithmetic(self):
         p = ModelParams(ModelKind.LINR, (0.5, 0.5, 0.1))
-        assert predict_linr(p, EvidencePair(0.5, 0.5)) == pytest.approx(0.6, abs=1e-15)
+        assert predict(p, EvidencePair(0.5, 0.5)) == pytest.approx(0.6, abs=1e-15)
 
     def test_output_not_clipped(self):
         p = ModelParams(ModelKind.LINR, (2.0, 2.0, 0.0))
-        assert predict_linr(p, EvidencePair(0.9, 0.9)) == pytest.approx(3.6, abs=1e-12)
+        assert predict(p, EvidencePair(0.9, 0.9)) == pytest.approx(3.6, abs=1e-12)
 
 
 class TestIndp:
     def test_corner_returns_b00(self):
         p = ModelParams(ModelKind.INDP, (0.1, 0.2, 0.3, 0.4))
-        assert predict_indp(p, EvidencePair(0.0, 0.0)) == 0.1
+        assert predict(p, EvidencePair(0.0, 0.0)) == 0.1
 
     def test_center_averages_corners(self):
         p = ModelParams(ModelKind.INDP, (0.1, 0.2, 0.3, 0.4))
-        assert predict_indp(p, EvidencePair(0.5, 0.5)) == pytest.approx(0.25, abs=1e-15)
+        assert predict(p, EvidencePair(0.5, 0.5)) == pytest.approx(0.25, abs=1e-15)
 
     def test_exact_on_marginally_independent_priors(self):
         for d in sample_marginal_indep(31, 20):
             p = true_params_indp(d)
             for ev in DEFAULT_GRID.pairs():
-                assert abs(predict_indp(p, ev) - standard_answer(d, ev)) < 1e-9
+                assert abs(predict(p, ev) - standard_answer(d, ev)) < 1e-9
 
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             p = ModelParams(ModelKind.INDP, tuple(rng.uniform(0, 1, 4)))
-            v = predict_indp(p, EvidencePair(*rng.uniform(0, 1, 2)))
+            v = predict(p, EvidencePair(*rng.uniform(0, 1, 2)))
             assert 0.0 <= v <= 1.0
 
 
@@ -109,20 +104,20 @@ class TestPrsp:
     def test_uninformative_rules_return_prior(self):
         p = ModelParams(ModelKind.PRSP, (0.3, 0.5, 0.3, 0.3, 0.5, 0.3, 0.3))
         for ev in (EvidencePair(0.0, 1.0), EvidencePair(0.2, 0.9)):
-            assert predict_prsp(p, ev) == pytest.approx(0.3, abs=1e-12)
+            assert predict(p, ev) == pytest.approx(0.3, abs=1e-12)
 
     def test_prior_point_returns_prior(self):
         p = ModelParams(ModelKind.PRSP, (0.37, 0.6, 0.9, 0.1, 0.2, 0.8, 0.3))
-        assert predict_prsp(p, EvidencePair(0.6, 0.2)) == pytest.approx(0.37, abs=1e-12)
+        assert predict(p, EvidencePair(0.6, 0.2)) == pytest.approx(0.37, abs=1e-12)
 
     def test_hand_computed_interior_point(self):
         # p1 = 0.2 + (0.25/0.5)(0.4-0.2) = 0.3; p2 = 0.4 + (0.25/0.5)(0.7-0.4) = 0.55
         # odds = (2/3) * (9/14) * (11/6) = 11/14 -> 11/25
         p = ModelParams(ModelKind.PRSP, (0.4, 0.5, 0.8, 0.2, 0.5, 0.7, 0.3))
-        assert predict_prsp(p, EvidencePair(0.25, 0.75)) == pytest.approx(0.44, abs=1e-12)
+        assert predict(p, EvidencePair(0.25, 0.75)) == pytest.approx(0.44, abs=1e-12)
 
     def test_true_params_exact_at_hard_corners(self):
-        assert predict_prsp(true_params_prsp(CI_EXAMPLE), EvidencePair(1.0, 1.0)) == pytest.approx(
+        assert predict(true_params_prsp(CI_EXAMPLE), EvidencePair(1.0, 1.0)) == pytest.approx(
             16 / 17, abs=1e-12
         )
         for d in sample_cond_indep(32, 25):
@@ -130,7 +125,7 @@ class TestPrsp:
             for e1 in (0.0, 1.0):
                 for e2 in (0.0, 1.0):
                     want = condition_c(d, e1 == 1.0, e2 == 1.0)
-                    assert abs(predict_prsp(p, EvidencePair(e1, e2)) - want) < 1e-9
+                    assert abs(predict(p, EvidencePair(e1, e2)) - want) < 1e-9
 
     def test_degenerate_rule_posterior_rejected(self):
         # raw values bypass ModelParams validation; the predictor must still object
@@ -141,36 +136,36 @@ class TestPrsp:
 class TestPwr:
     def test_zero_coefficients_give_half(self):
         p = ModelParams(ModelKind.PWR, (0.0, 0.0, 0.0))
-        assert predict_pwr(p, EvidencePair(0.9, 0.2)) == 0.5
+        assert predict(p, EvidencePair(0.9, 0.2)) == 0.5
 
     def test_identity_in_logit_space(self):
         p = ModelParams(ModelKind.PWR, (1.0, 0.0, 0.0))
-        assert predict_pwr(p, EvidencePair(0.75, 0.4)) == pytest.approx(0.75, abs=1e-12)
+        assert predict(p, EvidencePair(0.75, 0.4)) == pytest.approx(0.75, abs=1e-12)
 
     def test_hand_odds_arithmetic(self):
         # odds 3 * 3 = 9 -> 0.9
         p = ModelParams(ModelKind.PWR, (1.0, 1.0, 0.0))
-        assert predict_pwr(p, EvidencePair(0.75, 0.75)) == pytest.approx(0.9, abs=1e-12)
+        assert predict(p, EvidencePair(0.75, 0.75)) == pytest.approx(0.9, abs=1e-12)
 
     def test_boundary_evidence_rejected(self):
         p = ModelParams(ModelKind.PWR, (1.0, 1.0, 0.0))
         with pytest.raises(ValueError, match="strictly inside"):
-            predict_pwr(p, EvidencePair(0.0, 0.5))
+            predict(p, EvidencePair(0.0, 0.5))
         with pytest.raises(ValueError, match="strictly inside"):
-            predict_pwr(p, EvidencePair(0.5, 1.0))
+            predict(p, EvidencePair(0.5, 1.0))
 
     def test_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             p = ModelParams(ModelKind.PWR, tuple(rng.uniform(-3, 3, 3)))
-            v = predict_pwr(p, EvidencePair(*rng.uniform(0.01, 0.99, 2)))
+            v = predict(p, EvidencePair(*rng.uniform(0.01, 0.99, 2)))
             assert 0.0 < v < 1.0
 
 
 class TestWrstAndDispatch:
     def test_constant(self):
         p = ModelParams(ModelKind.WRST, (0.42,))
-        assert predict_wrst(p, EvidencePair(0.0, 1.0)) == 0.42
+        assert predict(p, EvidencePair(0.0, 1.0)) == 0.42
 
     def test_dispatcher_matches_direct(self):
         ev = EvidencePair(0.25, 0.75)
@@ -186,11 +181,6 @@ class TestWrstAndDispatch:
     def test_bst_has_no_predictor(self):
         with pytest.raises(ValueError, match="BST"):
             predict(ModelParams(ModelKind.BST, ()), EvidencePair(0.5, 0.5))
-
-    def test_kind_mismatch_rejected(self):
-        p = ModelParams(ModelKind.LINR, (0.1, 0.2, 0.3))
-        with pytest.raises(ValueError, match="expected INDP"):
-            predict_indp(p, EvidencePair(0.5, 0.5))
 
 
 class TestTrueParams:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 
 from uisbench.dist import new_joint, sample_cond_indep, sample_uniform
 from uisbench.models import ModelKind, ModelParams, true_params_indp, true_params_prsp
@@ -26,6 +27,26 @@ def constant_targets(value, grid=DEFAULT_GRID):
 
 def planted_linear_targets(a1, a2, b, grid=DEFAULT_GRID):
     return [(ev, a1 * ev.e1 + a2 * ev.e2 + b) for ev in grid.pairs()]
+
+
+def indp_design(targets):
+    e1 = np.array([ev.e1 for ev, _ in targets])
+    e2 = np.array([ev.e2 for ev, _ in targets])
+    return np.column_stack([(1 - e1) * (1 - e2), (1 - e1) * e2, e1 * (1 - e2), e1 * e2])
+
+
+def planted_indp_targets(table, grid=DEFAULT_GRID):
+    """Targets of the bilinear INDP formula; a table outside [0, 1] forces active bounds."""
+    pairs = grid.pairs()
+    return list(zip(pairs, indp_design([(ev, 0.0) for ev in pairs]) @ np.array(table)))
+
+
+def bvls_epsilon(targets):
+    """RMS error of scipy's bounded-variable least squares on INDP's design, box [0, 1]."""
+    design = indp_design(targets)
+    c = np.array([v for _, v in targets])
+    x = lsq_linear(design, c, bounds=(0.0, 1.0), method="bvls", tol=1e-15).x
+    return float(np.sqrt(np.mean((design @ x - c) ** 2)))
 
 
 class TestSettings:
@@ -93,6 +114,9 @@ class TestFit:
         warm = ModelParams(ModelKind.INDP, (0.5, 0.5, 0.5, 0.5))
         with pytest.raises(ValueError, match="warm start"):
             fit(ModelKind.PRSP, constant_targets(0.5), warm_start=warm)
+        linr = ModelParams(ModelKind.LINR, (0.0, 0.0, 0.5))
+        with pytest.raises(ValueError, match="warm start"):  # exact kinds ignore it but still check it
+            fit(ModelKind.INDP, constant_targets(0.5), warm_start=linr)
 
     def test_wrst_on_constant_targets(self):
         r = fit(ModelKind.WRST, standard_vector(UNIFORM))
@@ -163,6 +187,33 @@ class TestFit:
             assert r.start_index >= 0
 
 
+class TestExactFits:
+    def test_indp_matches_bounded_least_squares(self):
+        dists = sample_uniform(60, 15) + sample_cond_indep(61, 15)
+        cases = [standard_vector(d) for d in dists]
+        cases += [planted_indp_targets(t) for t in ((-0.2, 1.3, 0.5, 0.4), (1.5, -0.5, 2.0, 0.2))]
+        for sv in cases:
+            r = fit(ModelKind.INDP, sv)
+            assert r.epsilon <= bvls_epsilon(sv) + 1e-12
+            assert (r.iterations, r.converged, r.start_index) == (0, True, 0)
+
+    def test_indp_finds_tables_on_the_bounds(self):
+        # the first two are the constant targets 0 and 1
+        for table in ((0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0), (0.0, 1.0, 0.3, 1.0), (1.0, 0.0, 0.0, 0.6)):
+            sv = planted_indp_targets(table)
+            r = fit(ModelKind.INDP, sv)
+            assert r.epsilon <= bvls_epsilon(sv) + 1e-12
+            assert np.allclose(r.params.values, table, atol=1e-9)
+
+    def test_exact_fits_ignore_settings_seed_and_warm_start(self):
+        for d in sample_uniform(62, 2) + sample_cond_indep(63, 2):
+            sv = standard_vector(d)
+            for kind in (ModelKind.LINR, ModelKind.INDP):
+                assert fit(kind, sv, OptimSettings(max_iters=1)) == fit(kind, sv)
+                assert fit(kind, sv, seed=5) == fit(kind, sv)
+            assert fit(ModelKind.INDP, sv, warm_start=true_params_indp(d)) == fit(ModelKind.INDP, sv)
+
+
 class TestSearchInternals:
     def test_descent_on_quadratic(self):
         target = np.array([1.0, -2.0, 0.5])
@@ -226,7 +277,7 @@ class TestSearchInternals:
     def test_bounded_transform_roundtrip(self):
         from uisbench.optim import _to_search_coords
 
-        values = np.array([0.2, 0.5, 0.9, 0.0001])
-        x = _to_search_coords(ModelKind.INDP, values)
-        assert np.allclose(_to_model_values(ModelKind.INDP, x), values, atol=1e-12)
+        values = np.array([0.2, 0.5, 0.9, 0.0001, 0.3, 0.7, 0.999])
+        x = _to_search_coords(ModelKind.PRSP, values)
+        assert np.allclose(_to_model_values(ModelKind.PRSP, x), values, atol=1e-12)
         assert np.all(np.abs(x) <= 30.0)

@@ -10,7 +10,7 @@ from uisbench.dist import (
     new_joint,
     sample_uniform,
 )
-from uisbench.models import predict_indp, true_params_indp
+from uisbench.models import predict, true_params_indp
 from uisbench.oracle import (
     DEFAULT_GRID,
     ConvergenceError,
@@ -153,7 +153,7 @@ class TestStandardAnswer:
         for d in sample_marginal_indep(14, 30):
             params = true_params_indp(d)
             for ev in DEFAULT_GRID.pairs():
-                assert abs(standard_answer(d, ev) - predict_indp(params, ev)) < 1e-9
+                assert abs(standard_answer(d, ev) - predict(params, ev)) < 1e-9
 
     def test_uniform_symmetry(self):
         assert standard_answer(UNIFORM, EvidencePair(0.75, 0.25)) == pytest.approx(0.5, abs=1e-12)
