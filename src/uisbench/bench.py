@@ -109,6 +109,7 @@ class SummaryRow:
     mu_over_sigma: float
     n_included: int
     n_degenerate: int
+    n_converged: int
 
 
 @dataclass(frozen=True)
@@ -222,6 +223,7 @@ def run_bench(
 def summarize(reports: list[DistReport]) -> SummaryTable:
     """Mean, sample standard deviation and their ratio of eta per model.
 
+    Also counts, per model, the included distributions whose fit converged.
     Degenerate distributions never contribute; failed reports are skipped.
     Raises ValueError unless at least two non-degenerate reports remain.
     A zero sigma is reported as a signed-infinity ratio.
@@ -241,7 +243,8 @@ def summarize(reports: list[DistReport]) -> SummaryTable:
         mu = float(np.mean(values))
         sigma = float(np.std(values, ddof=1))
         ratio = mu / sigma if sigma > 0.0 else math.copysign(math.inf, mu)
-        rows.append(SummaryRow(kind, mu, sigma, ratio, len(included), n_degenerate))
+        n_converged = sum(r.scores[pos].converged for r in included)
+        rows.append(SummaryRow(kind, mu, sigma, ratio, len(included), n_degenerate, n_converged))
     return SummaryTable(tuple(rows))
 
 
@@ -333,6 +336,7 @@ def write_summary_json(path, table: SummaryTable) -> None:
             "mu_over_sigma": _ratio_json(row.mu_over_sigma),
             "n_included": row.n_included,
             "n_degenerate": row.n_degenerate,
+            "n_converged": row.n_converged,
         }
         for row in table.rows
     }

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .bench import (
@@ -88,6 +88,10 @@ def _load_config(path: str | None) -> RunConfig:
     if "models" in raw:
         updates["models"] = _parse_models(",".join(raw["models"]))
     if "optim" in raw:
+        valid = sorted(f.name for f in fields(OptimSettings))
+        unknown = set(raw["optim"]) - set(valid)
+        if unknown:
+            raise ValueError(f"unknown optim config keys: {sorted(unknown)}; valid keys: {valid}")
         updates["optim"] = OptimSettings(**raw["optim"])
     return replace(config, **updates)
 

@@ -113,15 +113,38 @@ def _rule_posterior(e, p_e, q1, q0, pc):
     return np.where(e <= p_e, below, above)
 
 
-def _predict_rows(kind: ModelKind, values: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+def _rule_posterior_jac(e, p_e, q1, q0, pc):
+    """Partial derivatives of :func:`_rule_posterior` with respect to (pc, p_e, q1, q0).
+
+    At a kink (e == p_e) they are those of the ``e <= p_e`` branch, the one the
+    posterior itself takes there.
+    """
+    below = e <= p_e
+    s = e / p_e  # below the kink, the weight of pc
+    t = (e - p_e) / (1.0 - p_e)  # above it, the weight of q1
+    d_pc = np.where(below, s, 1.0 - t)
+    d_pe = np.where(below, -(s / p_e) * (pc - q0), ((e - 1.0) / (1.0 - p_e) ** 2) * (q1 - pc))
+    d_q1 = np.where(below, 0.0, t)
+    d_q0 = np.where(below, 1.0 - s, 0.0)
+    return d_pc, d_pe, d_q1, d_q0
+
+
+def _predict_rows(kind: ModelKind, values: np.ndarray, e1: np.ndarray, e2: np.ndarray, jacobian: bool = False):
     """Evaluate rows of parameter vectors over flat evidence arrays.
 
     ``values`` has shape (m, n_params); ``e1`` and ``e2`` shape (k,). Returns
     an (m, k) prediction matrix. This is the single source for every model
     formula; it performs no domain checks (out-of-domain rows yield nan/inf),
-    which lets the optimizer evaluate whole batches of perturbed parameter
-    vectors in one call.
+    which lets the optimizer evaluate whole batches of parameter vectors in
+    one call.
+
+    With ``jacobian`` (PRSP and PWR only, the models fitted iteratively) it
+    returns ``(pred, jac)``, where ``jac[i, j, p]`` is the derivative of
+    ``pred[i, j]`` with respect to ``values[i, p]``. PRSP's is one-sided at a
+    kink, following :func:`_rule_posterior_jac`.
     """
+    if jacobian and kind not in (ModelKind.PRSP, ModelKind.PWR):
+        raise ValueError(f"{kind.value} has no Jacobian; it is fitted in closed form")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if kind is ModelKind.LINR:
             a1, a2, b = values[:, 0:1], values[:, 1:2], values[:, 2:3]
@@ -140,10 +163,27 @@ def _predict_rows(kind: ModelKind, values: np.ndarray, e1: np.ndarray, e2: np.nd
             p2 = _rule_posterior(e2, pe2, q21, q20, pc)
             prior_odds = pc / (1.0 - pc)
             odds = prior_odds * ((p1 / (1.0 - p1)) / prior_odds) * ((p2 / (1.0 - p2)) / prior_odds)
-            return odds / (1.0 + odds)
+            pred = odds / (1.0 + odds)
+            if not jacobian:
+                return pred
+            # logit pred = logit p1 + logit p2 - logit pc, and d logit p / dp = 1 / (p (1 - p))
+            w1, w2, wc = (1.0 / (p * (1.0 - p)) for p in (p1, p2, pc))
+            d1_pc, d1_pe, d1_q1, d1_q0 = _rule_posterior_jac(e1, pe1, q11, q10, pc)
+            d2_pc, d2_pe, d2_q1, d2_q0 = _rule_posterior_jac(e2, pe2, q21, q20, pc)
+            dlogit = (
+                w1 * d1_pc + w2 * d2_pc - wc,
+                w1 * d1_pe, w1 * d1_q1, w1 * d1_q0,
+                w2 * d2_pe, w2 * d2_q1, w2 * d2_q0,
+            )
+            return pred, (pred * (1.0 - pred))[..., None] * np.stack(np.broadcast_arrays(*dlogit), axis=-1)
         if kind is ModelKind.PWR:
             a1, a2, b = values[:, 0:1], values[:, 1:2], values[:, 2:3]
-            return sigmoid(a1 * logit(e1) + a2 * logit(e2) + b)
+            l1, l2 = logit(e1), logit(e2)
+            pred = sigmoid(a1 * l1 + a2 * l2 + b)
+            if not jacobian:
+                return pred
+            slope = pred * (1.0 - pred)
+            return pred, np.stack((slope * l1, slope * l2, slope), axis=-1)
         if kind is ModelKind.WRST:
             return values[:, 0:1] + np.zeros_like(e1)
     raise ValueError(f"{kind.value} has no predictor")

@@ -7,22 +7,23 @@ model's minimum: WRST's constant is the mean of the targets, LINR is ordinary
 least squares, and INDP, whose predictions are linear in its parameters, is
 least squares on the box [0, 1] (see ``_indp_exact``).
 
-PRSP and PWR are fitted by a deflected-gradient (quasi-Newton) descent: the
-step direction is the negative gradient deflected through a running
-inverse-curvature estimate, updated with a standard secant-condition
-(BFGS-style) rank update after each accepted step and reset to the identity
-every N+1 iterations, where N is the number of free parameters. Gradients are
-central finite differences in the search coordinates; steps are accepted
-through a backtracking line search that halves the step until the objective
-decreases. PRSP's bounded parameters are searched through a logistic
-reparameterisation so the search itself is unconstrained; search coordinates
-are clamped to |x| <= 30 to keep the sigmoid out of saturation.
+PRSP and PWR are fitted by Levenberg–Marquardt on the vector of grid
+residuals (Levenberg 1944; Marquardt 1963; Moré, "The Levenberg–Marquardt
+algorithm: implementation and theory", 1978). Their Jacobians are analytic and
+come from the models' own formulas (``_predict_rows(..., jacobian=True)``);
+PRSP's is one-sided where a rule's kink pEj sits on a grid level. PRSP's
+parameters must lie in (0, 1), so they are searched through a logistic
+reparameterisation with search coordinates clamped to |x| <= 30; the chain
+rule through the sigmoid gives a clamped coordinate zero derivative.
 
-Every search runs from several starts: the caller-supplied warm start when
-there is one, a constant-baseline start at the mean of the targets (every
+Every start is one row of a single batch, so one ``_predict_rows`` call
+advances them all (see ``_lm``). The starts are the caller-supplied warm start
+when there is one, a constant-baseline start at the mean of the targets (every
 model can represent a constant, which guarantees a fit is never worse than
-WRST), and ``n_starts`` seeded random starts. ``fit`` is a pure function of
-its arguments; independent fits may run concurrently.
+WRST), ``n_starts`` seeded random starts and, for PRSP, one start per cell of
+its kink partition: PRSP is smooth only while each pEj stays between two
+consecutive grid levels, and LM does not cross kinks well. ``fit`` is a pure
+function of its arguments; independent fits may run concurrently.
 """
 
 from __future__ import annotations
@@ -39,29 +40,53 @@ __all__ = ["OptimSettings", "FitResult", "objective", "ols_linr", "fit"]
 _SEARCH_CLAMP = 30.0
 _BOUNDED_KINDS = (ModelKind.PRSP,)
 _KIND_INDEX = {kind: i for i, kind in enumerate(ModelKind)}
-# the 81 active patterns of INDP's four parameters: nan is free, else held there
-_INDP_PATTERNS = np.array(list(itertools.product((np.nan, 0.0, 1.0), repeat=4)))
+# Levenberg–Marquardt damping: starting value, floor (keeps the damped system
+# positive definite after a long run of accepted steps) and the overflow that
+# stops a row; and the cap on one step in max-norm of the search coordinates
+_LAMBDA_START, _LAMBDA_MIN, _LAMBDA_MAX = 1e-3, 1e-12, 1e16
+_MAX_STEP = 1.0
+
+
+def _indp_groups() -> list[tuple[np.ndarray, np.ndarray]]:
+    """INDP's 81 active patterns grouped by free columns.
+
+    Per free mask, one row per way to hold the other parameters at 0 or 1; the
+    free entries are left at 0.
+    """
+    groups = []
+    for free in itertools.product((True, False), repeat=4):
+        free = np.array(free)
+        n_held = int((~free).sum())
+        held = np.zeros((2**n_held, 4))
+        held[:, ~free] = list(itertools.product((0.0, 1.0), repeat=n_held))
+        groups.append((free, held))
+    return groups
+
+
+_INDP_GROUPS = _indp_groups()
 
 
 @dataclass(frozen=True)
 class OptimSettings:
-    """Knobs of the multistart search (PRSP and PWR); all must be positive.
+    """Settings of the Levenberg–Marquardt fit of PRSP and PWR; all must be positive.
 
-    The closed-form fits ignore them. The inverse-curvature reset period is
-    not a knob: it is fixed at N+1 iterations for an N-parameter model.
+    ``n_starts`` seeded random starts join the fixed ones; ``max_iters`` caps
+    the steps tried per start; a start stops on ``grad_tol`` (norm of the RMS
+    gradient in search coordinates) or ``obj_rel_tol`` (relative drop of the
+    sum of squared residuals in one accepted step). The closed-form fits
+    ignore them.
     """
 
     n_starts: int = 5
     max_iters: int = 500
     grad_tol: float = 1e-8
     obj_rel_tol: float = 1e-12
-    fd_step: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.n_starts < 1 or self.max_iters < 1:
             raise ValueError("n_starts and max_iters must be positive")
-        if min(self.grad_tol, self.obj_rel_tol, self.fd_step) <= 0.0:
-            raise ValueError("tolerances and fd_step must be positive")
+        if min(self.grad_tol, self.obj_rel_tol) <= 0.0:
+            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,24 +138,23 @@ def _indp_exact(e1: np.ndarray, e2: np.ndarray, c: np.ndarray) -> ModelParams:
     Each of the 81 active patterns holds every parameter free, at 0 or at 1.
     The free columns' normal equations give a candidate, kept if its free
     values lie in [0, 1]; the kept candidate with the lowest squared error
-    wins. The problem is convex and on a product grid of two or more levels
-    every column subset has full rank, so that is the global minimum (Lawson
-    & Hanson, *Solving Least Squares Problems*, 1974).
+    wins. Patterns sharing their free columns are solved together, one
+    right-hand side each. The problem is convex and on a product grid of two or
+    more levels every column subset has full rank, so that is the global
+    minimum (Lawson & Hanson, *Solving Least Squares Problems*, 1974).
     """
     design = _predict_rows(ModelKind.INDP, np.eye(4), e1, e2).T  # column j: the table with only b_j = 1
-    best, best_sse = None, np.inf
-    for pattern in _INDP_PATTERNS:
-        free = np.isnan(pattern)
-        b = np.where(free, 0.0, pattern)
+    candidates = []
+    for free, held in _INDP_GROUPS:
+        b = held.copy()
         if free.any():
             cols = design[:, free]
-            b[free] = np.linalg.solve(cols.T @ cols, cols.T @ (c - design @ b))
-            if np.any(b[free] < 0.0) or np.any(b[free] > 1.0):
-                continue
-        sse = float(np.sum((c - design @ b) ** 2))
-        if sse < best_sse:
-            best, best_sse = b, sse
-    return ModelParams(ModelKind.INDP, tuple(best))
+            b[:, free] = np.linalg.solve(cols.T @ cols, cols.T @ (c[:, None] - design @ held.T)).T
+        candidates.append(b)
+    b = np.concatenate(candidates)
+    sse = np.sum((c - b @ design.T) ** 2, axis=1)
+    feasible = np.all((b >= 0.0) & (b <= 1.0), axis=1)
+    return ModelParams(ModelKind.INDP, tuple(b[np.argmin(np.where(feasible, sse, np.inf))]))
 
 
 def _to_model_values(kind: ModelKind, x: np.ndarray) -> np.ndarray:
@@ -147,82 +171,79 @@ def _to_search_coords(kind: ModelKind, values) -> np.ndarray:
     return x.copy()
 
 
-def _fd_grad(f_rows, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient; all 2n perturbed points in one batch."""
-    n = x.size
-    points = np.repeat(x[None, :], 2 * n, axis=0)
-    idx = np.arange(n)
-    points[idx, idx] += h
-    points[n + idx, idx] -= h
-    vals = f_rows(points)
-    return (vals[:n] - vals[n:]) / (2.0 * h)
+def _residuals(kind: ModelKind, x: np.ndarray, e1: np.ndarray, e2: np.ndarray, c: np.ndarray):
+    """Residuals ``c - pred`` at the search points ``x`` (m, n) and their Jacobian (m, k, n) in ``x``."""
+    values = _to_model_values(kind, x)
+    pred, jac = _predict_rows(kind, values, e1, e2, jacobian=True)
+    if kind in _BOUNDED_KINDS:
+        # chain rule through the sigmoid; the clamp makes a coordinate beyond it flat
+        jac = jac * np.where(np.abs(x) < _SEARCH_CLAMP, values * (1.0 - values), 0.0)[:, None, :]
+    return c - pred, -jac
 
 
-def _search(f, f_rows, x0: np.ndarray, settings: OptimSettings):
-    """Deflected-gradient descent from one start.
+def _sse(r: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """Per-row sum of squared residuals; inf where a residual or a derivative is not finite."""
+    sse = np.sum(r * r, axis=-1)
+    finite = np.isfinite(sse) & np.all(np.isfinite(jac), axis=(1, 2))
+    return np.where(finite, sse, np.inf)
 
-    ``f`` evaluates a single search vector, ``f_rows`` a batch of them (used
-    for finite-difference gradients). Returns (x, fx, iterations, converged,
-    history) where history is the sequence of accepted objective values,
-    starting with f(x0).
+
+def _lm(residuals, x0: np.ndarray, settings: OptimSettings):
+    """Levenberg–Marquardt on every row of ``x0`` at once; each row is one start.
+
+    ``residuals`` maps an (m, n) batch of points to residuals (m, k) and their
+    Jacobian (m, k, n). Every row keeps its own damping, scaled by the diagonal
+    of JᵀJ. A step is capped at ``_MAX_STEP`` in max-norm and accepted only if
+    it lowers the row's sum of squared residuals (SSE). A row stops, and leaves
+    the batch, when an accepted step lowers its SSE by a relative amount under
+    ``obj_rel_tol``, when the norm of its RMS gradient falls under
+    ``grad_tol``, when its damping overflows (no step lowers the SSE) or after
+    ``max_iters`` steps; only the last is reported as not converged. Rows
+    interact through no computation, so a start's result does not depend on
+    the other starts in the batch.
+
+    Returns the final points, their SSE, the steps tried and the converged flags.
     """
-    x = np.asarray(x0, dtype=np.float64).copy()
-    n = x.size
-    fx = f(x)
-    history = [fx]
-    if not np.isfinite(fx):
-        return x, np.inf, 0, False, history
-
-    reset_period = n + 1
-    curv = np.eye(n)
-    g = _fd_grad(f_rows, x, settings.fd_step)
-    converged = False
-    iterations = 0
+    x = np.array(x0, dtype=np.float64)
+    r, jac = residuals(x)
+    sse = _sse(r, jac)
+    k = r.shape[1]
+    lam = np.full(len(x), _LAMBDA_START)
+    iters = np.zeros(len(x), dtype=int)
+    converged = np.zeros(len(x), dtype=bool)
+    active = np.flatnonzero(np.isfinite(sse))  # a start with no finite SSE is never moved
     for it in range(1, settings.max_iters + 1):
-        iterations = it
-        if not np.all(np.isfinite(g)):
-            break
-        if float(np.linalg.norm(g)) < settings.grad_tol:
-            converged = True
-            break
-        if it % reset_period == 0:
-            curv = np.eye(n)
-        direction = -(curv @ g)
-        if float(direction @ g) >= 0.0:
-            curv = np.eye(n)
-            direction = -g
-
-        step = 1.0
-        accepted = False
-        for _ in range(50):
-            x_new = x + step * direction
-            f_new = f(x_new)
-            if np.isfinite(f_new) and f_new < fx:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            converged = True  # no descent along the deflected direction
+        ja, ra = jac[active], r[active]
+        jt = ja.transpose(0, 2, 1)
+        jtj = jt @ ja
+        jtr = (jt @ ra[..., None])[..., 0]
+        # |grad RMS| = |Jᵀr| / sqrt(k SSE), taken as 0 at an exact fit
+        flat = (sse[active] == 0.0) | (np.linalg.norm(jtr, axis=-1) < settings.grad_tol * np.sqrt(k * sse[active]))
+        converged[active[flat]] = True
+        keep = ~flat
+        active, jtj, jtr = active[keep], jtj[keep], jtr[keep]
+        if active.size == 0:
             break
 
-        g_new = _fd_grad(f_rows, x_new, settings.fd_step)
-        s = x_new - x
-        y = g_new - g
-        ys = float(y @ s)
-        if ys > 1e-12:
-            rho = 1.0 / ys
-            left = np.eye(n) - rho * np.outer(s, y)
-            curv = left @ curv @ left.T + rho * np.outer(s, s)
-        else:
-            curv = np.eye(n)
+        diag = np.diagonal(jtj, axis1=1, axis2=2)
+        scale = np.where(diag > 0.0, diag, 1.0)  # a flat coordinate gets no step
+        damped = jtj + (lam[active, None] * scale)[..., None] * np.eye(x.shape[1])
+        step = -np.linalg.solve(damped, jtr[..., None])[..., 0]
+        step *= np.minimum(1.0, _MAX_STEP / np.max(np.abs(step), axis=-1))[:, None]
+        x_try = x[active] + step
+        r_try, jac_try = residuals(x_try)
+        sse_try = _sse(r_try, jac_try)
+        iters[active] = it
 
-        rel_drop = (fx - f_new) / max(abs(fx), 1e-300)
-        x, fx, g = x_new, f_new, g_new
-        history.append(fx)
-        if rel_drop < settings.obj_rel_tol:
-            converged = True
-            break
-    return x, fx, iterations, converged, history
+        sse_old = sse[active]
+        accepted = sse_try < sse_old
+        acc = active[accepted]
+        x[acc], r[acc], jac[acc], sse[acc] = x_try[accepted], r_try[accepted], jac_try[accepted], sse_try[accepted]
+        lam[active] = np.where(accepted, np.maximum(lam[active] / 10.0, _LAMBDA_MIN), lam[active] * 10.0)
+        done = np.where(accepted, (sse_old - sse_try) / sse_old < settings.obj_rel_tol, lam[active] > _LAMBDA_MAX)
+        converged[active[done]] = True
+        active = active[~done]
+    return x, sse, iters, converged
 
 
 def _constant_start(kind: ModelKind, mean_target: float) -> tuple[float, ...]:
@@ -231,6 +252,22 @@ def _constant_start(kind: ModelKind, mean_target: float) -> tuple[float, ...]:
     if kind is ModelKind.PWR:
         return (0.0, 0.0, float(logit(m)))
     return (m, 0.5, m, m, 0.5, m, m)
+
+
+def _kink_starts(base, e1: np.ndarray, e2: np.ndarray) -> list[tuple[float, ...]]:
+    """PRSP starts: ``base`` with (pE1, pE2) moved into each cell of the kink partition.
+
+    A rule's posterior has its kink at pEj, so its fit is smooth only while
+    pEj stays between two consecutive grid levels of ej; these starts put
+    (pE1, pE2) at the midpoints of every pair of such intervals, row-major.
+    """
+    mids = [(levels[:-1] + levels[1:]) / 2.0 for levels in (np.unique(e1), np.unique(e2))]
+    out = []
+    for m1, m2 in itertools.product(*mids):
+        values = list(base)
+        values[1], values[4] = float(m1), float(m2)
+        out.append(tuple(values))
+    return out
 
 
 def fit(
@@ -244,12 +281,17 @@ def fit(
 
     WRST, LINR and INDP are solved exactly: ``settings``, ``seed`` and
     ``warm_start`` do not affect them, and the result has zero iterations and
-    ``converged=True``. PRSP and PWR run the multistart search; ``warm_start``
-    is then an extra start (callers typically pass the parameters read off the
-    underlying joint). Non-convergence within the iteration budget is not an
-    error; the best point found is returned with ``converged=False``. A fit
-    error is raised only if no start produces a finite objective. A warm start
-    of another kind is rejected for every model.
+    ``converged=True``. PRSP and PWR run batched Levenberg–Marquardt (see
+    ``_lm``) from these starts, in this order, which ``start_index`` counts:
+    ``warm_start`` when given (callers typically pass the parameters read off
+    the underlying joint), the constant start, ``settings.n_starts`` seeded
+    random starts and, for PRSP only, one kink start per cell between
+    consecutive grid levels of e1 and e2 (16 on the default grid). The start
+    with the lowest error wins and reports its steps tried and convergence.
+    Non-convergence within ``max_iters`` is not an error; the best point found
+    is returned with ``converged=False``. A fit error is raised only if no
+    start produces a finite objective. A warm start of another kind is
+    rejected for every model.
     """
     settings = settings or OptimSettings()
     if kind is ModelKind.BST:
@@ -267,33 +309,24 @@ def fit(
             params = _indp_exact(e1, e2, c)
         return FitResult(params, objective(params, targets), 0, True, 0)
 
-    def f_rows(points: np.ndarray) -> np.ndarray:
-        pred = _predict_rows(kind, _to_model_values(kind, points), e1, e2)
-        rms = np.sqrt(np.mean((c - pred) ** 2, axis=-1))
-        return np.where(np.isfinite(rms), rms, np.inf)
-
-    def f(x: np.ndarray) -> float:
-        return float(f_rows(x[None, :])[0])
-
+    constant = _constant_start(kind, float(np.mean(c)))
     starts: list[np.ndarray] = []
     if warm_start is not None:
         starts.append(_to_search_coords(kind, warm_start.values))
-    starts.append(_to_search_coords(kind, _constant_start(kind, float(np.mean(c)))))
+    starts.append(_to_search_coords(kind, constant))
 
     dim = PARAM_DIM[kind]
     rng = np.random.default_rng([int(seed), _KIND_INDEX[kind]])
     spread = 2.0 if kind in _BOUNDED_KINDS else 1.0
     for _ in range(settings.n_starts):
         starts.append(rng.uniform(-spread, spread, size=dim))
+    if kind is ModelKind.PRSP:
+        base = warm_start.values if warm_start is not None else constant
+        starts += [_to_search_coords(kind, v) for v in _kink_starts(base, e1, e2)]
 
-    best = None
-    for idx, x0 in enumerate(starts):
-        x, fx, iters, converged, _ = _search(f, f_rows, x0, settings)
-        if np.isfinite(fx) and (best is None or fx < best[1]):
-            best = (x, fx, iters, converged, idx)
-    if best is None:
+    x, sse, iters, converged = _lm(lambda x: _residuals(kind, x, e1, e2, c), np.array(starts), settings)
+    idx = int(np.argmin(sse))  # the first start on a tie
+    if not np.isfinite(sse[idx]):
         raise RuntimeError(f"{kind.value} fit failed: no start produced a finite objective")
-
-    x, fx, iters, converged, idx = best
-    params = ModelParams(kind, tuple(_to_model_values(kind, x)))
-    return FitResult(params, fx, iters, converged, idx)
+    params = ModelParams(kind, tuple(_to_model_values(kind, x[idx])))
+    return FitResult(params, float(np.sqrt(sse[idx] / c.size)), int(iters[idx]), bool(converged[idx]), idx)

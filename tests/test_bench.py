@@ -190,6 +190,16 @@ class TestSummarize:
         assert table.rows[0].n_degenerate == 1
         assert table.rows[0].mu == summarize(good).rows[0].mu
 
+    def test_converged_counted_over_included(self):
+        reports = _handmade_reports([0.5, -0.5, 0.25, 0.1])
+        params = ModelParams(ModelKind.INDP, (0.5,) * 4)
+        reports[1] = DistReport(1, (ModelScore(ModelKind.INDP, 0.05, EtaScore(-0.5), params, False),), 0.1, 0.2)
+        degenerate = DistReport(
+            9, (ModelScore(ModelKind.INDP, 0.0, EtaScore(0.0, degenerate=True), params, True),), 1e-14, 0.2
+        )
+        failed = DistReport(10, (), None, None, error="RuntimeError: no finite start")
+        assert summarize(reports + [degenerate, failed]).rows[0].n_converged == 3
+
 
 class TestArtifacts:
     def test_report_csv_roundtrip(self, tmp_path):
@@ -244,7 +254,7 @@ class TestArtifacts:
         write_summary_json(path, table)
         data = json.loads(path.read_text())
         assert data["INDP"]["mu_over_sigma"] == "+inf"
-        assert set(data["INDP"]) == {"mu", "sigma", "mu_over_sigma", "n_included", "n_degenerate"}
+        assert set(data["INDP"]) == {"mu", "sigma", "mu_over_sigma", "n_included", "n_degenerate", "n_converged"}
 
     def test_format_summary_table(self):
         reports = run_bench(sample_uniform(69, 2), settings=FAST)

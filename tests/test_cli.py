@@ -120,6 +120,17 @@ class TestBench:
             main(["bench", "--dists", str(dists), "--models", "LINR,NOPE"])
         assert exc.value.code == 2
 
+    def test_unknown_optim_key_named(self, tmp_path, capsys):
+        dists = self.make_dists(tmp_path)
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"optim": {"fd_step": 1e-6}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--dists", str(dists), "--out", str(tmp_path / "o"), "--config", str(cfg)])
+        assert exc.value.code != 0
+        err = capsys.readouterr().err
+        assert "fd_step" in err and "max_iters" in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_file_is_error(self, tmp_path, capsys):
         assert main(["bench", "--dists", str(tmp_path / "missing.csv")]) == 1
         assert "error" in capsys.readouterr().err

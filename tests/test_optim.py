@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
+from uisbench.bench import run_bench
 from uisbench.dist import new_joint, sample_cond_indep, sample_uniform
-from uisbench.models import ModelKind, ModelParams, true_params_indp, true_params_prsp
+from uisbench.models import ModelKind, ModelParams, _predict_rows, predict_grid, true_params_indp, true_params_prsp
 from uisbench.optim import (
     FitResult,
     OptimSettings,
-    _fd_grad,
-    _search,
+    _lm,
+    _residuals,
     _to_model_values,
+    _to_search_coords,
     fit,
     objective,
     ols_linr,
@@ -53,13 +55,13 @@ class TestSettings:
     def test_defaults(self):
         s = OptimSettings()
         assert (s.n_starts, s.max_iters) == (5, 500)
-        assert (s.grad_tol, s.obj_rel_tol, s.fd_step) == (1e-8, 1e-12, 1e-6)
+        assert (s.grad_tol, s.obj_rel_tol) == (1e-8, 1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             OptimSettings(n_starts=0)
         with pytest.raises(ValueError):
-            OptimSettings(fd_step=0.0)
+            OptimSettings(grad_tol=0.0)
 
 
 class TestObjective:
@@ -214,69 +216,128 @@ class TestExactFits:
             assert fit(ModelKind.INDP, sv, warm_start=true_params_indp(d)) == fit(ModelKind.INDP, sv)
 
 
+def grid_arrays(grid=DEFAULT_GRID):
+    pairs = grid.pairs()
+    return np.array([ev.e1 for ev in pairs]), np.array([ev.e2 for ev in pairs])
+
+
+def central_difference(f, x, h):
+    """d f(x) / d x[:, p] for every column p, stacked last: (m, k, n)."""
+    cols = []
+    for p in range(x.shape[1]):
+        up, down = x.copy(), x.copy()
+        up[:, p] += h
+        down[:, p] -= h
+        cols.append((f(up) - f(down)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+# PRSP's epsilon on the first 8 uniform acceptance distributions (gen seed 1987,
+# bench seed 11, default settings), as fitted by the finite-difference search
+# this optimizer replaced
+PRSP_EPS_BEFORE_LM = (
+    0.026260366946675943, 0.035694696724610724, 0.03517185998978955, 0.07074510406386808,
+    0.07211377364963509, 0.002595406858735568, 0.014438672401330073, 0.08138510863078559,
+)
+
+
 class TestSearchInternals:
-    def test_descent_on_quadratic(self):
-        target = np.array([1.0, -2.0, 0.5])
+    def test_jacobian_matches_central_differences(self):
+        e1, e2 = grid_arrays()
+        c = np.linspace(0.1, 0.9, e1.size)
+        rng = np.random.default_rng(9)
+        for kind, dim in ((ModelKind.PRSP, 7), (ModelKind.PWR, 3)):
+            x = rng.uniform(-2.5, 2.5, (40, dim))
+            if kind is ModelKind.PRSP:
+                x[:4, 0], x[4:8, 2], x[8:12, 3] = 35.0, -31.0, 29.0  # two clamped, one just inside
+                values = _to_model_values(kind, x)
+                for pe, e in ((values[:, 1:2], e1), (values[:, 4:5], e2)):  # both segments of both rules
+                    assert np.any(e < pe) and np.any(e > pe)
+                    assert np.min(np.abs(e - pe)) > 1e-3  # no kink inside the difference stencil
+            _, jac = _residuals(kind, x, e1, e2, c)
+            fd = central_difference(lambda pts: _residuals(kind, pts, e1, e2, c)[0], x, 1e-6)
+            assert np.allclose(jac, fd, rtol=1e-6, atol=1e-8)
+            if kind is ModelKind.PRSP:
+                assert not np.any(jac[:4, :, 0]) and not np.any(jac[4:8, :, 2])
+                assert np.any(jac[8:12, :, 3])
 
-        def f(x):
-            return float(np.sum((x - target) ** 2))
+    def test_prsp_jacobian_one_sided_on_a_grid_level(self):
+        # pE1 = 0.5 and pE2 = 0.25 sit on grid levels: there the kink takes the e <= pE branch
+        e1, e2 = grid_arrays()
+        values = np.array([[0.4, 0.5, 0.8, 0.2, 0.25, 0.8, 0.3]])  # the two slopes differ at both kinks
+        _, jac = _predict_rows(ModelKind.PRSP, values, e1, e2, jacobian=True)
+        h = 1e-7
+        for p in (1, 4):
+            up, down = values.copy(), values.copy()
+            up[0, p] += h
+            down[0, p] -= h
+            base = _predict_rows(ModelKind.PRSP, values, e1, e2)
+            forward = (_predict_rows(ModelKind.PRSP, up, e1, e2) - base) / h
+            backward = (base - _predict_rows(ModelKind.PRSP, down, e1, e2)) / h
+            on_level = (e1 if p == 1 else e2) == values[0, p]
+            assert np.allclose(jac[0, :, p], forward[0], rtol=1e-5, atol=1e-6)
+            assert not np.allclose(jac[0, on_level, p], backward[0, on_level], rtol=1e-3, atol=1e-3)
 
-        def f_rows(points):
-            return np.sum((points - target) ** 2, axis=-1)
+    def test_closed_form_kinds_have_no_jacobian(self):
+        e1, e2 = grid_arrays()
+        with pytest.raises(ValueError, match="no Jacobian"):
+            _predict_rows(ModelKind.INDP, np.full((1, 4), 0.5), e1, e2, jacobian=True)
 
-        x, fx, iters, converged, history = _search(f, f_rows, np.zeros(3), OptimSettings())
-        assert converged
-        assert np.allclose(x, target, atol=1e-4)
-        assert all(b <= a for a, b in zip(history, history[1:]))
-
-    def test_descent_on_real_objective(self):
+    def test_start_result_independent_of_batch(self):
         d = sample_uniform(51, 1)[0]
         sv = standard_vector(d)
-        e1 = np.array([ev.e1 for ev, _ in sv])
-        e2 = np.array([ev.e2 for ev, _ in sv])
+        e1, e2 = grid_arrays()
         c = np.array([v for _, v in sv])
-        from uisbench.models import _predict_rows
-
-        def f_rows(points):
-            pred = _predict_rows(ModelKind.PRSP, _to_model_values(ModelKind.PRSP, points), e1, e2)
-            return np.sqrt(np.mean((c - pred) ** 2, axis=-1))
-
-        def f(x):
-            return float(f_rows(x[None, :])[0])
-
         rng = np.random.default_rng(8)
-        for _ in range(3):
-            x0 = rng.uniform(-2, 2, 7)
-            _, _, _, _, history = _search(f, f_rows, x0, OptimSettings(max_iters=150))
-            assert all(b <= a for a, b in zip(history, history[1:]))
+        for kind, x0 in (
+            (ModelKind.PRSP, np.vstack([_to_search_coords(ModelKind.PRSP, true_params_prsp(d).values),
+                                        rng.uniform(-2, 2, (5, 7))])),
+            (ModelKind.PWR, rng.uniform(-1, 1, (5, 3))),
+        ):
+            def residuals(x, kind=kind):
+                return _residuals(kind, x, e1, e2, c)
 
-    def test_finite_difference_consistency(self):
-        # the derivative estimate must be stable when the step is halved
-        d = sample_uniform(52, 1)[0]
-        sv = standard_vector(d)
-        e1 = np.array([ev.e1 for ev, _ in sv])
-        e2 = np.array([ev.e2 for ev, _ in sv])
+            batch = _lm(residuals, x0, OptimSettings())
+            reverse = _lm(residuals, x0[::-1], OptimSettings())
+            for i in range(len(x0)):
+                alone = _lm(residuals, x0[i : i + 1], OptimSettings())
+                for together in ((out[i] for out in batch), (out[len(x0) - 1 - i] for out in reverse)):
+                    x, sse, iters, converged = together
+                    assert np.allclose(x, alone[0][0], rtol=0.0, atol=1e-12)
+                    assert abs(sse - alone[1][0]) <= 1e-12
+                    assert (iters, converged) == (alone[2][0], alone[3][0])
+
+    def test_lm_never_raises_the_error_of_a_start(self):
+        sv = standard_vector(sample_uniform(52, 1)[0])
+        e1, e2 = grid_arrays()
         c = np.array([v for _, v in sv])
-        from uisbench.models import _predict_rows
+        x0 = np.random.default_rng(3).uniform(-2, 2, (8, 7))
+        x, sse, iters, _ = _lm(lambda x: _residuals(ModelKind.PRSP, x, e1, e2, c), x0, OptimSettings(max_iters=30))
+        start_sse = np.sum(_residuals(ModelKind.PRSP, x0, e1, e2, c)[0] ** 2, axis=-1)
+        assert np.all(sse <= start_sse) and np.all(iters <= 30)
+        assert np.allclose(np.sum(_residuals(ModelKind.PRSP, x, e1, e2, c)[0] ** 2, axis=-1), sse, rtol=0, atol=0)
 
-        rng = np.random.default_rng(9)
-        for kind in (ModelKind.LINR, ModelKind.INDP, ModelKind.PRSP, ModelKind.PWR, ModelKind.WRST):
-            def f_rows(points, kind=kind):
-                pred = _predict_rows(kind, _to_model_values(kind, points), e1, e2)
-                return np.sqrt(np.mean((c - pred) ** 2, axis=-1))
+    def test_recovers_planted_pwr_coefficients(self):
+        e1, e2 = grid_arrays()
+        for coeffs in ((0.7, -0.4, 0.3), (1.8, 0.5, -1.2)):
+            targets = list(zip(DEFAULT_GRID.pairs(), predict_grid(ModelKind.PWR, coeffs, e1, e2)))
+            r = fit(ModelKind.PWR, targets)
+            assert r.epsilon < 1e-10 and r.converged
+            assert np.allclose(r.params.values, coeffs, atol=1e-8)
 
-            from uisbench.models import PARAM_DIM
+    def test_recovers_planted_prsp_values(self):
+        e1, e2 = grid_arrays()
+        for values in ((0.4, 0.3, 0.8, 0.2, 0.6, 0.7, 0.25), (0.7, 0.85, 0.9, 0.3, 0.1, 0.95, 0.5)):
+            targets = list(zip(DEFAULT_GRID.pairs(), predict_grid(ModelKind.PRSP, values, e1, e2)))
+            assert fit(ModelKind.PRSP, targets).epsilon < 1e-10
 
-            for _ in range(20):
-                x = rng.uniform(-1.5, 1.5, PARAM_DIM[kind])
-                g1 = _fd_grad(f_rows, x, 1e-6)
-                g2 = _fd_grad(f_rows, x, 5e-7)
-                denom = max(float(np.linalg.norm(g1)), 1e-8)
-                assert float(np.linalg.norm(g1 - g2)) / denom < 1e-3
+    def test_prsp_no_worse_than_the_search_it_replaced(self):
+        kinds = (ModelKind.LINR, ModelKind.WRST, ModelKind.PRSP)
+        reports = run_bench(sample_uniform(1987, len(PRSP_EPS_BEFORE_LM)), kinds=kinds, seed=11)
+        for report, before in zip(reports, PRSP_EPS_BEFORE_LM):
+            assert report.scores[2].epsilon <= before + 1e-9
 
     def test_bounded_transform_roundtrip(self):
-        from uisbench.optim import _to_search_coords
-
         values = np.array([0.2, 0.5, 0.9, 0.0001, 0.3, 0.7, 0.999])
         x = _to_search_coords(ModelKind.PRSP, values)
         assert np.allclose(_to_model_values(ModelKind.PRSP, x), values, atol=1e-12)
