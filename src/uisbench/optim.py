@@ -22,8 +22,13 @@ when there is one, a constant-baseline start at the mean of the targets (every
 model can represent a constant, which guarantees a fit is never worse than
 WRST), ``n_starts`` seeded random starts and, for PRSP, one start per cell of
 its kink partition: PRSP is smooth only while each pEj stays between two
-consecutive grid levels, and LM does not cross kinks well. ``fit`` is a pure
-function of its arguments; independent fits may run concurrently.
+consecutive grid levels, and LM does not cross kinks well. Some PRSP start
+often creeps along a kink or a flat valley until the step budget runs out, so
+the batch would end anywhere from a few dozen steps to the full budget; PRSP's
+batch therefore always takes all ``max_iters`` steps, which fixes a fit's cost
+whatever the data. PWR's starts all stop within a few dozen steps, and its
+batch ends when the last one stops. ``fit`` is a pure function of its
+arguments; independent fits may run concurrently.
 """
 
 from __future__ import annotations
@@ -71,7 +76,8 @@ class OptimSettings:
     """Settings of the Levenberg–Marquardt fit of PRSP and PWR; all must be positive.
 
     ``n_starts`` seeded random starts join the fixed ones; ``max_iters`` caps
-    the steps tried per start; a start stops on ``grad_tol`` (norm of the RMS
+    the steps tried per start (PRSP's starts always take all of them); a start
+    stops, or for PRSP is marked converged, on ``grad_tol`` (norm of the RMS
     gradient in search coordinates) or ``obj_rel_tol`` (relative drop of the
     sum of squared residuals in one accepted step). The closed-form fits
     ignore them.
@@ -188,7 +194,7 @@ def _sse(r: np.ndarray, jac: np.ndarray) -> np.ndarray:
     return np.where(finite, sse, np.inf)
 
 
-def _lm(residuals, x0: np.ndarray, settings: OptimSettings):
+def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = False):
     """Levenberg–Marquardt on every row of ``x0`` at once; each row is one start.
 
     ``residuals`` maps an (m, n) batch of points to residuals (m, k) and their
@@ -202,7 +208,14 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings):
     interact through no computation, so a start's result does not depend on
     the other starts in the batch.
 
-    Returns the final points, their SSE, the steps tried and the converged flags.
+    With ``full_budget`` no row leaves: every row takes all ``max_iters``
+    steps, and a stop criterion only marks it converged and fixes its step
+    count. A step's cost is mostly per call rather than per row, so this
+    fixes the cost of the call whatever the data; a row that keeps stepping
+    can only lower its SSE.
+
+    Returns the final points, their SSE, the steps tried (up to the stop) and
+    the converged flags.
     """
     x = np.array(x0, dtype=np.float64)
     r, jac = residuals(x)
@@ -220,29 +233,32 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings):
         # |grad RMS| = |Jᵀr| / sqrt(k SSE), taken as 0 at an exact fit
         flat = (sse[active] == 0.0) | (np.linalg.norm(jtr, axis=-1) < settings.grad_tol * np.sqrt(k * sse[active]))
         converged[active[flat]] = True
-        keep = ~flat
-        active, jtj, jtr = active[keep], jtj[keep], jtr[keep]
-        if active.size == 0:
-            break
+        if not full_budget:
+            keep = ~flat
+            active, jtj, jtr = active[keep], jtj[keep], jtr[keep]
+            if active.size == 0:
+                break
 
         diag = np.diagonal(jtj, axis1=1, axis2=2)
         scale = np.where(diag > 0.0, diag, 1.0)  # a flat coordinate gets no step
         damped = jtj + (lam[active, None] * scale)[..., None] * np.eye(x.shape[1])
         step = -np.linalg.solve(damped, jtr[..., None])[..., 0]
-        step *= np.minimum(1.0, _MAX_STEP / np.max(np.abs(step), axis=-1))[:, None]
+        step *= (_MAX_STEP / np.maximum(np.max(np.abs(step), axis=-1), _MAX_STEP))[:, None]
         x_try = x[active] + step
         r_try, jac_try = residuals(x_try)
         sse_try = _sse(r_try, jac_try)
-        iters[active] = it
+        iters[active[~converged[active]]] = it
 
         sse_old = sse[active]
         accepted = sse_try < sse_old
         acc = active[accepted]
         x[acc], r[acc], jac[acc], sse[acc] = x_try[accepted], r_try[accepted], jac_try[accepted], sse_try[accepted]
-        lam[active] = np.where(accepted, np.maximum(lam[active] / 10.0, _LAMBDA_MIN), lam[active] * 10.0)
-        done = np.where(accepted, (sse_old - sse_try) / sse_old < settings.obj_rel_tol, lam[active] > _LAMBDA_MAX)
+        lam_new = np.where(accepted, np.maximum(lam[active] / 10.0, _LAMBDA_MIN), lam[active] * 10.0)
+        done = np.where(accepted, sse_old - sse_try < settings.obj_rel_tol * sse_old, lam_new > _LAMBDA_MAX)
+        lam[active] = np.minimum(lam_new, _LAMBDA_MAX)  # a row that keeps stepping stays finite
         converged[active[done]] = True
-        active = active[~done]
+        if not full_budget:
+            active = active[~done]
     return x, sse, iters, converged
 
 
@@ -286,8 +302,10 @@ def fit(
     ``warm_start`` when given (callers typically pass the parameters read off
     the underlying joint), the constant start, ``settings.n_starts`` seeded
     random starts and, for PRSP only, one kink start per cell between
-    consecutive grid levels of e1 and e2 (16 on the default grid). The start
-    with the lowest error wins and reports its steps tried and convergence.
+    consecutive grid levels of e1 and e2 (16 on the default grid). PRSP's
+    starts all take ``max_iters`` steps (``full_budget`` of ``_lm``). The start
+    with the lowest error wins and reports its steps tried up to its stop
+    criterion and its convergence.
     Non-convergence within ``max_iters`` is not an error; the best point found
     is returned with ``converged=False``. A fit error is raised only if no
     start produces a finite objective. A warm start of another kind is
@@ -324,7 +342,9 @@ def fit(
         base = warm_start.values if warm_start is not None else constant
         starts += [_to_search_coords(kind, v) for v in _kink_starts(base, e1, e2)]
 
-    x, sse, iters, converged = _lm(lambda x: _residuals(kind, x, e1, e2, c), np.array(starts), settings)
+    x, sse, iters, converged = _lm(
+        lambda x: _residuals(kind, x, e1, e2, c), np.array(starts), settings, full_budget=kind is ModelKind.PRSP
+    )
     idx = int(np.argmin(sse))  # the first start on a tie
     if not np.isfinite(sse[idx]):
         raise RuntimeError(f"{kind.value} fit failed: no start produced a finite objective")
