@@ -159,10 +159,10 @@ def _bench_one(
         targets = standard_vector(d, grid)
         fit_seed = _derived_seed(seed, dist_id)
 
-        warm_starts: dict[ModelKind, ModelParams] = {}
+        prsp_warm = None
         if ModelKind.PRSP in kinds:
             try:
-                warm_starts[ModelKind.PRSP] = true_params_prsp(d)
+                prsp_warm = true_params_prsp(d)
             except ValueError:
                 pass  # boundary joint: fall back to seeded starts only
 
@@ -170,7 +170,8 @@ def _bench_one(
         for kind in kinds:
             if kind is ModelKind.BST:
                 continue
-            fits[kind] = fit(kind, targets, settings, fit_seed, warm_start=warm_starts.get(kind))
+            warm = prsp_warm if kind is ModelKind.PRSP else None
+            fits[kind] = fit(kind, targets, settings, fit_seed, warm_start=warm)
 
         eps_linr = fits[ModelKind.LINR].epsilon
         eps_wrst = fits[ModelKind.WRST].epsilon

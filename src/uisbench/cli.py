@@ -26,7 +26,14 @@ from .bench import (
 from .dist import read_dists_csv, sample_cond_indep, sample_uniform, write_dists_csv
 from .models import ModelKind
 from .optim import OptimSettings
-from .oracle import DEFAULT_GRID, EvidenceGrid, EvidencePair, InfeasibleEvidenceError, standard_answer
+from .oracle import (
+    DEFAULT_GRID,
+    ConvergenceError,
+    EvidenceGrid,
+    EvidencePair,
+    InfeasibleEvidenceError,
+    standard_answer,
+)
 
 __all__ = ["RunConfig", "main"]
 
@@ -46,14 +53,12 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_dists < 1:
-            raise ValueError(f"n_dists must be >= 1, got {self.n_dists}")
+        for name, low in (("seed", 0), ("n_dists", 1), ("jobs", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 def _parse_models(text: str) -> tuple[ModelKind, ...]:
@@ -177,7 +182,7 @@ def cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     for i, d in enumerate(dists):
         try:
             print(f"{i} {standard_answer(d, ev):.12g}")
-        except InfeasibleEvidenceError as exc:
+        except (InfeasibleEvidenceError, ConvergenceError) as exc:
             print(f"dist {i}: {exc}", file=sys.stderr)
             status = 1
     return status

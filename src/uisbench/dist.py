@@ -2,7 +2,8 @@
 
 Atoms are indexed by ``i = 4*[E1] + 2*[E2] + [C]``, so ``p000`` is the mass of
 (E1=0, E2=0, C=0) and ``p111`` that of (E1=1, E2=1, C=1). The same bit order is
-used in the distribution CSV format.
+used in the distribution CSV format. Equivalently, ``atoms.reshape(2, 2, 2)``
+is the (E1, E2, C) cube, with each event on the axis given by ``EVENT_AXES``.
 
 Two seeded generators produce the experimental families:
 
@@ -26,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "EVENTS",
+    "EVENT_AXES",
     "JointDist",
     "CondIndepParams",
     "atom_index",
@@ -42,13 +44,9 @@ __all__ = [
 
 EVENTS = ("E1", "E2", "C")
 
-# Bit masks over atom indices 0..7, per the 4*[E1] + 2*[E2] + [C] convention.
-_INDICES = np.arange(8)
-EVENT_MASKS = {
-    "E1": (_INDICES & 4).astype(bool),
-    "E2": (_INDICES & 2).astype(bool),
-    "C": (_INDICES & 1).astype(bool),
-}
+# Axis of each event in the cube atoms.reshape(2, 2, 2): by the
+# 4*[E1] + 2*[E2] + [C] convention, cube[e1, e2, c] is atom atom_index(e1, e2, c).
+EVENT_AXES = {"E1": 0, "E2": 1, "C": 2}
 
 _SUM_TOLERANCE = 1e-9
 _RENORM_EPS = 1e-13  # below this the sum is left alone, keeping round-trips exact
@@ -124,10 +122,10 @@ class CondIndepParams:
 def marginal(d: JointDist, event: str) -> float:
     """Marginal probability that ``event`` (one of E1, E2, C) is true."""
     try:
-        mask = EVENT_MASKS[event]
+        axis = EVENT_AXES[event]
     except KeyError:
         raise ValueError(f"unknown event {event!r}, expected one of {EVENTS}") from None
-    return float(d.atoms[mask].sum())
+    return float(d.atoms.reshape(2, 2, 2).take(1, axis).sum())
 
 
 def condition_c(d: JointDist, e1: bool, e2: bool) -> float:

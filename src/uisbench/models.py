@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dist import EVENT_MASKS, JointDist, condition_c, marginal
+from .dist import EVENT_AXES, JointDist, condition_c, marginal
 
 __all__ = [
     "ModelKind",
@@ -231,9 +231,10 @@ def true_params_indp(d: JointDist) -> ModelParams:
 
 
 def _cond_given(d: JointDist, event: str, present: bool) -> float:
-    mask = EVENT_MASKS[event] if present else ~EVENT_MASKS[event]
-    weight = float(d.atoms[mask].sum())
-    joint = float(d.atoms[mask & EVENT_MASKS["C"]].sum())
+    # the (other evidence, C) square of the cube where ``event`` is ``present``
+    square = d.atoms.reshape(2, 2, 2).take(int(present), EVENT_AXES[event])
+    weight = float(square.sum())
+    joint = float(square[:, 1].sum())
     return joint / weight
 
 

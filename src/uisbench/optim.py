@@ -50,6 +50,9 @@ _KIND_INDEX = {kind: i for i, kind in enumerate(ModelKind)}
 # stops a row; and the cap on one step in max-norm of the search coordinates
 _LAMBDA_START, _LAMBDA_MIN, _LAMBDA_MAX = 1e-3, 1e-12, 1e16
 _MAX_STEP = 1.0
+# Stop tests of one start (see ``_lm``): norm of the RMS gradient in search
+# coordinates, and relative drop of the SSE in one accepted step
+_GRAD_TOL, _OBJ_REL_TOL = 1e-8, 1e-12
 
 
 def _indp_groups() -> list[tuple[np.ndarray, np.ndarray]]:
@@ -73,26 +76,21 @@ _INDP_GROUPS = _indp_groups()
 
 @dataclass(frozen=True)
 class OptimSettings:
-    """Settings of the Levenberg–Marquardt fit of PRSP and PWR; all must be positive.
+    """Settings of the Levenberg–Marquardt fit of PRSP and PWR; both are positive integers.
 
     ``n_starts`` seeded random starts join the fixed ones; ``max_iters`` caps
-    the steps tried per start (PRSP's starts always take all of them); a start
-    stops, or for PRSP is marked converged, on ``grad_tol`` (norm of the RMS
-    gradient in search coordinates) or ``obj_rel_tol`` (relative drop of the
-    sum of squared residuals in one accepted step). The closed-form fits
-    ignore them.
+    the steps tried per start (PRSP's starts always take all of them). The
+    closed-form fits ignore them.
     """
 
     n_starts: int = 5
     max_iters: int = 500
-    grad_tol: float = 1e-8
-    obj_rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.n_starts < 1 or self.max_iters < 1:
-            raise ValueError("n_starts and max_iters must be positive")
-        if min(self.grad_tol, self.obj_rel_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
+        for name in ("n_starts", "max_iters"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -202,8 +200,8 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = 
     of JᵀJ. A step is capped at ``_MAX_STEP`` in max-norm and accepted only if
     it lowers the row's sum of squared residuals (SSE). A row stops, and leaves
     the batch, when an accepted step lowers its SSE by a relative amount under
-    ``obj_rel_tol``, when the norm of its RMS gradient falls under
-    ``grad_tol``, when its damping overflows (no step lowers the SSE) or after
+    ``_OBJ_REL_TOL``, when the norm of its RMS gradient falls under
+    ``_GRAD_TOL``, when its damping overflows (no step lowers the SSE) or after
     ``max_iters`` steps; only the last is reported as not converged. Rows
     interact through no computation, so a start's result does not depend on
     the other starts in the batch.
@@ -231,7 +229,7 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = 
         jtj = jt @ ja
         jtr = (jt @ ra[..., None])[..., 0]
         # |grad RMS| = |Jᵀr| / sqrt(k SSE), taken as 0 at an exact fit
-        flat = (sse[active] == 0.0) | (np.linalg.norm(jtr, axis=-1) < settings.grad_tol * np.sqrt(k * sse[active]))
+        flat = (sse[active] == 0.0) | (np.linalg.norm(jtr, axis=-1) < _GRAD_TOL * np.sqrt(k * sse[active]))
         converged[active[flat]] = True
         if not full_budget:
             keep = ~flat
@@ -254,7 +252,7 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = 
         acc = active[accepted]
         x[acc], r[acc], jac[acc], sse[acc] = x_try[accepted], r_try[accepted], jac_try[accepted], sse_try[accepted]
         lam_new = np.where(accepted, np.maximum(lam[active] / 10.0, _LAMBDA_MIN), lam[active] * 10.0)
-        done = np.where(accepted, sse_old - sse_try < settings.obj_rel_tol * sse_old, lam_new > _LAMBDA_MAX)
+        done = np.where(accepted, sse_old - sse_try < _OBJ_REL_TOL * sse_old, lam_new > _LAMBDA_MAX)
         lam[active] = np.minimum(lam_new, _LAMBDA_MAX)  # a row that keeps stepping stays finite
         converged[active[done]] = True
         if not full_budget:

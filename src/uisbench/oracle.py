@@ -2,18 +2,21 @@
 
 Given target posterior marginals (e1, e2) for the two evidence events, the
 posterior is the distribution closest in KL divergence to the prior among all
-distributions with those marginals. It is computed by iterative proportional
-fitting (IPF): alternately rescale the E1=true/false atom blocks to hit e1,
-then the E2 blocks to hit e2, until both marginals are within tolerance. Both
-constraints are imposed jointly as a single projection, which is what makes
-the answer invariant to the order the constraints are listed in.
+distributions with those marginals (the I-projection of Csiszár, 1975). It is
+computed by iterative proportional fitting (IPF) on the atoms viewed as the
+(E1, E2, C) cube ``atoms.reshape(2, 2, 2)``: alternately rescale the E1=1 and
+E1=0 halves of the cube to hit e1, then the E2 halves to hit e2, until both
+marginals are within tolerance. Both constraints are imposed jointly as a
+single projection, which is what makes the answer invariant to the order the
+constraints are listed in.
 
-The converged posterior has the exponential-tilt form
+Every rescaling multiplies a whole (E1, E2) cell by one factor, so the
+converged posterior has the exponential-tilt form
 ``atom'(x) = atom(x) * a^[E1(x)] * b^[E2(x)]`` for positive scalars a, b; in
 particular atoms that are zero in the prior stay zero, and P(C | E1, E2) is
 unchanged within each hard-evidence cell. Hard evidence (a target of exactly
-0 or 1) is handled exactly by zeroing the excluded block, which makes the
-update coincide with ordinary Bayesian conditioning.
+0 or 1) empties the excluded half in the first sweep, which makes the update
+coincide with ordinary Bayesian conditioning.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import EVENT_MASKS, JointDist, marginal
+from .dist import EVENT_AXES, JointDist, marginal
 
 __all__ = [
     "EvidencePair",
@@ -85,28 +88,6 @@ class EvidenceGrid:
 DEFAULT_GRID = EvidenceGrid((0.001, 0.25, 0.5, 0.75, 0.999))
 
 
-def _scale_block(atoms: np.ndarray, mask: np.ndarray, target: float, name: str) -> None:
-    """Rescale the two blocks of ``atoms`` so the masked mass equals ``target``."""
-    in_mass = float(atoms[mask].sum())
-    out_mass = float(atoms[~mask].sum())
-    if in_mass <= 0.0:
-        if target > 0.0:
-            raise InfeasibleEvidenceError(
-                f"target P({name})={target!r} unreachable: P({name}) is 0 on the current support"
-            )
-        atoms[~mask] *= 1.0 / out_mass
-        return
-    if out_mass <= 0.0:
-        if target < 1.0:
-            raise InfeasibleEvidenceError(
-                f"target P({name})={target!r} unreachable: P({name}) is 1 on the current support"
-            )
-        atoms[mask] *= 1.0 / in_mass
-        return
-    atoms[mask] *= target / in_mass
-    atoms[~mask] *= (1.0 - target) / out_mass
-
-
 def mce_update(
     d: JointDist,
     ev: EvidencePair,
@@ -124,25 +105,28 @@ def mce_update(
     if set(sweep_order) != {"E1", "E2"}:
         raise ValueError(f"sweep_order must be a permutation of ('E1', 'E2'), got {sweep_order!r}")
     targets = {"E1": float(ev.e1), "E2": float(ev.e2)}
-    for name, target in targets.items():
-        mask = EVENT_MASKS[name]
-        if target > 0.0 and float(d.atoms[mask].sum()) <= 0.0:
-            raise InfeasibleEvidenceError(
-                f"target P({name})={target!r} unreachable: P({name})=0 under the prior"
-            )
-        if target < 1.0 and float(d.atoms[~mask].sum()) <= 0.0:
-            raise InfeasibleEvidenceError(
-                f"target P({name})={target!r} unreachable: P({name})=1 under the prior"
-            )
-
     atoms = np.array(d.atoms, dtype=np.float64)
+    # halves[name][v] is the view of the atoms where event ``name`` is v; a sum
+    # over one view adds its atoms in index order (a sum over several axes of
+    # the cube would not, and would move answers in the last digit)
+    cube = atoms.reshape(2, 2, 2)
+    halves = {name: cube.swapaxes(0, EVENT_AXES[name]) for name in targets}
     residual = np.inf
     for _ in range(max_sweeps):
         for name in sweep_order:
-            _scale_block(atoms, EVENT_MASKS[name], targets[name], name)
+            target = targets[name]
+            for value, want in ((1, target), (0, 1.0 - target)):
+                half = halves[name][value]
+                mass = float(half.sum())
+                if mass > 0.0:
+                    half *= want / mass
+                elif want > 0.0:  # scaling keeps an empty half empty
+                    raise InfeasibleEvidenceError(
+                        f"target P({name})={target!r} unreachable: P({name}) is {1 - value} on the current support"
+                    )
         residual = max(
-            abs(float(atoms[EVENT_MASKS["E1"]].sum()) - targets["E1"]),
-            abs(float(atoms[EVENT_MASKS["E2"]].sum()) - targets["E2"]),
+            abs(float(halves["E1"][1].sum()) - targets["E1"]),
+            abs(float(halves["E2"][1].sum()) - targets["E2"]),
         )
         if residual <= tol:
             return JointDist(atoms)
@@ -151,21 +135,11 @@ def mce_update(
     )
 
 
-def standard_answer(
-    d: JointDist,
-    ev: EvidencePair,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> float:
+def standard_answer(d: JointDist, ev: EvidencePair) -> float:
     """Posterior P(C) after the minimum-cross-entropy update: the target each model is scored against."""
-    return marginal(mce_update(d, ev, tol=tol, max_sweeps=max_sweeps), "C")
+    return marginal(mce_update(d, ev), "C")
 
 
-def standard_vector(
-    d: JointDist,
-    grid: EvidenceGrid = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> list[tuple[EvidencePair, float]]:
+def standard_vector(d: JointDist, grid: EvidenceGrid = DEFAULT_GRID) -> list[tuple[EvidencePair, float]]:
     """Standard answers over the full evidence grid, row-major (e1 outer)."""
-    return [(ev, standard_answer(d, ev, tol=tol, max_sweeps=max_sweeps)) for ev in grid.pairs()]
+    return [(ev, standard_answer(d, ev)) for ev in grid.pairs()]

@@ -58,6 +58,25 @@ class TestGen:
             main(["gen", "--n", "0", "--out", str(tmp_path / "d.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("n_dists", {"n_dists": 5.0}),
+            ("seed", {"seed": 1.5}),
+            ("jobs", {"jobs": True}),
+            ("n_starts", {"optim": {"n_starts": 2.5}}),
+            ("max_iters", {"optim": {"max_iters": "500"}}),
+        ],
+    )
+    def test_non_integer_setting_named(self, tmp_path, capsys, key, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d.csv")])
+        assert exc.value.code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
     def test_config_file_defaults_and_flag_override(self, tmp_path):
         cfg = write_cfg(tmp_path, {"n_dists": 3, "seed": 5, "family": "uniform"})
         out = tmp_path / "d.csv"
@@ -189,6 +208,18 @@ class TestOracle:
         write_dists_csv(path, [new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])])
         assert main(["oracle", "--dists", str(path), "--e1", "0.5", "--e2", "0.5"]) == 1
         assert "E1" in capsys.readouterr().err
+
+    def test_non_convergence_named_and_later_dists_answered(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        # P(E1=1, E2=1) = 0, so e1 = e2 = 0.75 is approached but never reached
+        path.write_text("id,p000,p001,p010,p011,p100,p101,p110,p111\n"
+                        "0,0.2,0.2,0.1,0.1,0.2,0.2,0,0\n"
+                        "1,0.125,0.125,0.125,0.125,0.125,0.125,0.125,0.125\n")
+        assert main(["oracle", "--dists", str(path), "--e1", "0.75", "--e2", "0.75"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["1 0.5"]
+        assert captured.err.startswith("dist 0: ") and "residual" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestReport:
