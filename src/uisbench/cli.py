@@ -59,6 +59,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        if self.out is not None and type(self.out) is not str:
+            raise ValueError(f"out must be a string, got {self.out!r}")
 
 
 def _parse_models(text: str) -> tuple[ModelKind, ...]:
@@ -89,9 +91,15 @@ def _load_config(path: str | None) -> RunConfig:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     updates: dict = {k: raw[k] for k in ("seed", "n_dists", "family", "out", "jobs") if k in raw}
     if "grid" in raw:
-        updates["grid"] = EvidenceGrid(tuple(float(v) for v in raw["grid"]))
+        levels = raw["grid"]
+        if type(levels) is not list or any(type(v) not in (int, float) for v in levels):
+            raise ValueError(f"grid must be a list of numbers, got {levels!r}")
+        updates["grid"] = EvidenceGrid(tuple(float(v) for v in levels))
     if "models" in raw:
-        updates["models"] = _parse_models(",".join(raw["models"]))
+        names = raw["models"]
+        if type(names) is not list or any(type(v) is not str for v in names):
+            raise ValueError(f"models must be a list of model names, got {names!r}")
+        updates["models"] = _parse_models(",".join(names))
     if "optim" in raw:
         valid = sorted(f.name for f in fields(OptimSettings))
         unknown = set(raw["optim"]) - set(valid)

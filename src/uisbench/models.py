@@ -158,24 +158,36 @@ def _predict_rows(kind: ModelKind, values: np.ndarray, e1: np.ndarray, e2: np.nd
                 + b11 * e1 * e2
             )
         if kind is ModelKind.PRSP:
-            pc, pe1, q11, q10, pe2, q21, q20 = (values[:, i : i + 1] for i in range(7))
-            p1 = _rule_posterior(e1, pe1, q11, q10, pc)
-            p2 = _rule_posterior(e2, pe2, q21, q20, pc)
+            # Rule j depends on ej alone, so it is evaluated on the distinct levels of
+            # ej and gathered out to the cells: each cell gets the same operations on
+            # the same operands as a per-cell evaluation, hence the same bits. ``take``
+            # keeps the gathered arrays C-ordered, so row sums of the residuals keep
+            # numpy's pairwise order whatever the number of rows.
+            pc = values[:, 0:1]
             prior_odds = pc / (1.0 - pc)
-            odds = prior_odds * ((p1 / (1.0 - p1)) / prior_odds) * ((p2 / (1.0 - p2)) / prior_odds)
+            odds = prior_odds
+            rules = []
+            for e, cols in ((e1, range(1, 4)), (e2, range(4, 7))):
+                levels, cell = np.unique(e, return_inverse=True)
+                pe, q1, q0 = (values[:, i : i + 1] for i in cols)
+                p = _rule_posterior(levels, pe, q1, q0, pc)
+                odds = odds * ((p / (1.0 - p)) / prior_odds).take(cell, axis=1)
+                rules.append((cols, levels, cell, p, pe, q1, q0))
             pred = odds / (1.0 + odds)
             if not jacobian:
                 return pred
             # logit pred = logit p1 + logit p2 - logit pc, and d logit p / dp = 1 / (p (1 - p))
-            w1, w2, wc = (1.0 / (p * (1.0 - p)) for p in (p1, p2, pc))
-            d1_pc, d1_pe, d1_q1, d1_q0 = _rule_posterior_jac(e1, pe1, q11, q10, pc)
-            d2_pc, d2_pe, d2_q1, d2_q0 = _rule_posterior_jac(e2, pe2, q21, q20, pc)
-            dlogit = (
-                w1 * d1_pc + w2 * d2_pc - wc,
-                w1 * d1_pe, w1 * d1_q1, w1 * d1_q0,
-                w2 * d2_pe, w2 * d2_q1, w2 * d2_q0,
-            )
-            return pred, (pred * (1.0 - pred))[..., None] * np.stack(np.broadcast_arrays(*dlogit), axis=-1)
+            jac = np.empty(pred.shape + (7,))
+            d_pc = []
+            for cols, levels, cell, p, pe, q1, q0 in rules:
+                w = 1.0 / (p * (1.0 - p))
+                dp_pc, *dp_rest = _rule_posterior_jac(levels, pe, q1, q0, pc)
+                d_pc.append((w * dp_pc).take(cell, axis=1))
+                for col, dp in zip(cols, dp_rest):  # (pEj, q(C|Ej), q(C|not Ej))
+                    jac[..., col] = (w * dp).take(cell, axis=1)
+            jac[..., 0] = d_pc[0] + d_pc[1] - 1.0 / (pc * (1.0 - pc))
+            jac *= (pred * (1.0 - pred))[..., None]
+            return pred, jac
         if kind is ModelKind.PWR:
             a1, a2, b = values[:, 0:1], values[:, 1:2], values[:, 2:3]
             l1, l2 = logit(e1), logit(e2)

@@ -17,18 +17,22 @@ reparameterisation with search coordinates clamped to |x| <= 30; the chain
 rule through the sigmoid gives a clamped coordinate zero derivative.
 
 Every start is one row of a single batch, so one ``_predict_rows`` call
-advances them all (see ``_lm``). The starts are the caller-supplied warm start
-when there is one, a constant-baseline start at the mean of the targets (every
-model can represent a constant, which guarantees a fit is never worse than
-WRST), ``n_starts`` seeded random starts and, for PRSP, one start per cell of
-its kink partition: PRSP is smooth only while each pEj stays between two
-consecutive grid levels, and LM does not cross kinks well. Some PRSP start
+advances them all (see ``_lm``). ``fit_batch`` puts the starts of several
+standard vectors on the same grid into one batch: a step's cost is mostly
+numpy's per-call overhead rather than per row, and rows do not interact, so
+each vector gets bit for bit the result ``fit`` gives it alone. The starts are
+the caller-supplied warm start when there is one, a constant-baseline start at
+the mean of the targets (every model can represent a constant, which
+guarantees a fit is never worse than WRST), ``n_starts`` seeded random starts
+and, for PRSP, one start per cell of its kink partition: PRSP is smooth only
+while each pEj stays between two consecutive grid levels, and LM does not
+cross kinks well. Some PRSP start
 often creeps along a kink or a flat valley until the step budget runs out, so
 the batch would end anywhere from a few dozen steps to the full budget; PRSP's
 batch therefore always takes all ``max_iters`` steps, which fixes a fit's cost
 whatever the data. PWR's starts all stop within a few dozen steps, and its
-batch ends when the last one stops. ``fit`` is a pure function of its
-arguments; independent fits may run concurrently.
+batch ends when the last one stops. ``fit`` and ``fit_batch`` are pure
+functions of their arguments; independent fits may run concurrently.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 
 from .models import PARAM_DIM, ModelKind, ModelParams, _predict_rows, logit, predict_grid, sigmoid
 
-__all__ = ["OptimSettings", "FitResult", "objective", "ols_linr", "fit"]
+__all__ = ["OptimSettings", "FitResult", "objective", "ols_linr", "fit", "fit_batch"]
 
 _SEARCH_CLAMP = 30.0
 _BOUNDED_KINDS = (ModelKind.PRSP,)
@@ -176,13 +180,16 @@ def _to_search_coords(kind: ModelKind, values) -> np.ndarray:
 
 
 def _residuals(kind: ModelKind, x: np.ndarray, e1: np.ndarray, e2: np.ndarray, c: np.ndarray):
-    """Residuals ``c - pred`` at the search points ``x`` (m, n) and their Jacobian (m, k, n) in ``x``."""
+    """Residuals ``c - pred`` at the search points ``x`` (m, n) and their Jacobian (m, k, n) in ``x``.
+
+    ``c`` holds each row's targets, shape (m, k), so rows of different fits can share a call.
+    """
     values = _to_model_values(kind, x)
     pred, jac = _predict_rows(kind, values, e1, e2, jacobian=True)
     if kind in _BOUNDED_KINDS:
         # chain rule through the sigmoid; the clamp makes a coordinate beyond it flat
-        jac = jac * np.where(np.abs(x) < _SEARCH_CLAMP, values * (1.0 - values), 0.0)[:, None, :]
-    return c - pred, -jac
+        jac *= np.where(np.abs(x) < _SEARCH_CLAMP, values * (1.0 - values), 0.0)[:, None, :]
+    return c - pred, np.negative(jac, out=jac)  # in place: the batch's largest array is not copied
 
 
 def _sse(r: np.ndarray, jac: np.ndarray) -> np.ndarray:
@@ -192,19 +199,33 @@ def _sse(r: np.ndarray, jac: np.ndarray) -> np.ndarray:
     return np.where(finite, sse, np.inf)
 
 
+def _evaluate(residuals, x: np.ndarray, rows: np.ndarray):
+    """Per row of ``x``: the SSE and the normal equations JᵀJ and Jᵀr; also the residual count.
+
+    The Jacobian, the batch's largest array, is freed on return.
+    """
+    r, jac = residuals(x, rows)
+    jt = jac.transpose(0, 2, 1)
+    return _sse(r, jac), jt @ jac, (jt @ r[..., None])[..., 0], r.shape[1]
+
+
 def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = False):
     """Levenberg–Marquardt on every row of ``x0`` at once; each row is one start.
 
-    ``residuals`` maps an (m, n) batch of points to residuals (m, k) and their
-    Jacobian (m, k, n). Every row keeps its own damping, scaled by the diagonal
+    ``residuals`` maps an (m, n) batch of points and the indices of their rows
+    in ``x0`` to residuals (m, k) and their Jacobian (m, k, n); the indices let
+    each row keep its own targets, so the starts of several fits can share a
+    batch (see ``fit_batch``). A row's state between steps is its point, SSE and
+    normal equations (JᵀJ, Jᵀr), never its Jacobian, which is the batch's
+    largest array. Every row keeps its own damping, scaled by the diagonal
     of JᵀJ. A step is capped at ``_MAX_STEP`` in max-norm and accepted only if
     it lowers the row's sum of squared residuals (SSE). A row stops, and leaves
     the batch, when an accepted step lowers its SSE by a relative amount under
     ``_OBJ_REL_TOL``, when the norm of its RMS gradient falls under
     ``_GRAD_TOL``, when its damping overflows (no step lowers the SSE) or after
     ``max_iters`` steps; only the last is reported as not converged. Rows
-    interact through no computation, so a start's result does not depend on
-    the other starts in the batch.
+    interact through no computation, so a start's result does not depend, to
+    the bit, on the other starts in the batch or on its position in it.
 
     With ``full_budget`` no row leaves: every row takes all ``max_iters``
     steps, and a stop criterion only marks it converged and fixes its step
@@ -216,41 +237,34 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = 
     the converged flags.
     """
     x = np.array(x0, dtype=np.float64)
-    r, jac = residuals(x)
-    sse = _sse(r, jac)
-    k = r.shape[1]
+    sse, jtj, jtr, k = _evaluate(residuals, x, np.arange(len(x)))
     lam = np.full(len(x), _LAMBDA_START)
     iters = np.zeros(len(x), dtype=int)
     converged = np.zeros(len(x), dtype=bool)
     active = np.flatnonzero(np.isfinite(sse))  # a start with no finite SSE is never moved
     for it in range(1, settings.max_iters + 1):
-        ja, ra = jac[active], r[active]
-        jt = ja.transpose(0, 2, 1)
-        jtj = jt @ ja
-        jtr = (jt @ ra[..., None])[..., 0]
         # |grad RMS| = |Jᵀr| / sqrt(k SSE), taken as 0 at an exact fit
-        flat = (sse[active] == 0.0) | (np.linalg.norm(jtr, axis=-1) < _GRAD_TOL * np.sqrt(k * sse[active]))
+        flat = (sse[active] == 0.0) | (np.linalg.norm(jtr[active], axis=-1) < _GRAD_TOL * np.sqrt(k * sse[active]))
         converged[active[flat]] = True
         if not full_budget:
-            keep = ~flat
-            active, jtj, jtr = active[keep], jtj[keep], jtr[keep]
+            active = active[~flat]
             if active.size == 0:
                 break
 
-        diag = np.diagonal(jtj, axis1=1, axis2=2)
+        a_jtj = jtj[active]
+        diag = np.diagonal(a_jtj, axis1=1, axis2=2)
         scale = np.where(diag > 0.0, diag, 1.0)  # a flat coordinate gets no step
-        damped = jtj + (lam[active, None] * scale)[..., None] * np.eye(x.shape[1])
-        step = -np.linalg.solve(damped, jtr[..., None])[..., 0]
+        damped = a_jtj + (lam[active, None] * scale)[..., None] * np.eye(x.shape[1])
+        step = -np.linalg.solve(damped, jtr[active][..., None])[..., 0]
         step *= (_MAX_STEP / np.maximum(np.max(np.abs(step), axis=-1), _MAX_STEP))[:, None]
         x_try = x[active] + step
-        r_try, jac_try = residuals(x_try)
-        sse_try = _sse(r_try, jac_try)
+        sse_try, jtj_try, jtr_try, _ = _evaluate(residuals, x_try, active)
         iters[active[~converged[active]]] = it
 
         sse_old = sse[active]
         accepted = sse_try < sse_old
         acc = active[accepted]
-        x[acc], r[acc], jac[acc], sse[acc] = x_try[accepted], r_try[accepted], jac_try[accepted], sse_try[accepted]
+        x[acc], sse[acc], jtj[acc], jtr[acc] = x_try[accepted], sse_try[accepted], jtj_try[accepted], jtr_try[accepted]
         lam_new = np.where(accepted, np.maximum(lam[active] / 10.0, _LAMBDA_MIN), lam[active] * 10.0)
         done = np.where(accepted, sse_old - sse_try < _OBJ_REL_TOL * sse_old, lam_new > _LAMBDA_MAX)
         lam[active] = np.minimum(lam_new, _LAMBDA_MAX)  # a row that keeps stepping stays finite
@@ -284,6 +298,95 @@ def _kink_starts(base, e1: np.ndarray, e2: np.ndarray) -> list[tuple[float, ...]
     return out
 
 
+def _starts(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, c: np.ndarray, settings: OptimSettings,
+            seed: int, warm_start: ModelParams | None) -> np.ndarray:
+    """One fit's starts in search coordinates, one per row, in ``start_index`` order (see ``fit``)."""
+    constant = _constant_start(kind, float(np.mean(c)))
+    starts: list[np.ndarray] = []
+    if warm_start is not None:
+        starts.append(_to_search_coords(kind, warm_start.values))
+    starts.append(_to_search_coords(kind, constant))
+
+    dim = PARAM_DIM[kind]
+    rng = np.random.default_rng([int(seed), _KIND_INDEX[kind]])
+    spread = 2.0 if kind in _BOUNDED_KINDS else 1.0
+    for _ in range(settings.n_starts):
+        starts.append(rng.uniform(-spread, spread, size=dim))
+    if kind is ModelKind.PRSP:
+        base = warm_start.values if warm_start is not None else constant
+        starts += [_to_search_coords(kind, v) for v in _kink_starts(base, e1, e2)]
+    return np.array(starts)
+
+
+def fit_batch(
+    kind: ModelKind,
+    target_vectors,
+    settings: OptimSettings | None,
+    seeds,
+    warm_starts,
+) -> list[FitResult | Exception]:
+    """Fit ``kind`` to each standard vector of ``target_vectors``; see ``fit`` for one fit.
+
+    ``seeds`` and ``warm_starts`` (``None`` for none) give one entry per
+    vector. Returns one entry per vector: its ``FitResult``, or the exception
+    ``fit`` raises on that vector alone. For PRSP and PWR the starts of every
+    vector run as the rows of one ``_lm`` batch, which pays numpy's per-call
+    cost once per step for all of them; rows do not interact, so each result
+    is bit for bit the one ``fit`` returns. The vectors of such a batch must
+    share their evidence pairs.
+    """
+    settings = settings or OptimSettings()
+    if kind is ModelKind.BST:
+        raise ValueError("BST requires no fit; its error is zero by definition")
+    n = len(target_vectors)
+    if not len(seeds) == len(warm_starts) == n:
+        raise ValueError(f"need one seed and one warm start per target vector, got {len(seeds)} and "
+                         f"{len(warm_starts)} for {n} vectors")
+
+    results: list[FitResult | Exception | None] = [None] * n
+    searched = []  # (vector index, e1, e2, targets, starts) of the vectors the LM batch fits
+    for i, (targets, seed, warm_start) in enumerate(zip(target_vectors, seeds, warm_starts)):
+        try:
+            if warm_start is not None and warm_start.kind is not kind:
+                raise ValueError(f"warm start is {warm_start.kind.value}, expected {kind.value}")
+            e1, e2, c = _target_arrays(targets)
+            if kind is ModelKind.WRST:
+                params = ModelParams(kind, (float(np.mean(c)),))
+            elif kind is ModelKind.LINR:
+                params = ols_linr(targets)
+            elif kind is ModelKind.INDP:
+                params = _indp_exact(e1, e2, c)
+            else:
+                searched.append((i, e1, e2, c, _starts(kind, e1, e2, c, settings, seed, warm_start)))
+                continue
+            results[i] = FitResult(params, objective(params, targets), 0, True, 0)
+        except ValueError as exc:  # numpy's LinAlgError included
+            results[i] = exc
+    if not searched:
+        return results
+
+    _, e1, e2, _, _ = searched[0]
+    if not all(np.array_equal(s[1], e1) and np.array_equal(s[2], e2) for s in searched):
+        raise ValueError("the target vectors of one batch must share their evidence pairs")
+    counts = [len(s[4]) for s in searched]
+    c_rows = np.repeat(np.stack([s[3] for s in searched]), counts, axis=0)
+    x, sse, iters, converged = _lm(
+        lambda x, rows: _residuals(kind, x, e1, e2, c_rows[rows]),
+        np.concatenate([s[4] for s in searched]),
+        settings,
+        full_budget=kind is ModelKind.PRSP,
+    )
+    for (i, _, _, c, _), lo, hi in zip(searched, np.cumsum([0] + counts[:-1]), np.cumsum(counts)):
+        idx = int(np.argmin(sse[lo:hi]))  # the first start on a tie
+        if not np.isfinite(sse[lo + idx]):
+            results[i] = RuntimeError(f"{kind.value} fit failed: no start produced a finite objective")
+            continue
+        params = ModelParams(kind, tuple(_to_model_values(kind, x[lo + idx])))
+        results[i] = FitResult(params, float(np.sqrt(sse[lo + idx] / c.size)), int(iters[lo + idx]),
+                               bool(converged[lo + idx]), idx)
+    return results
+
+
 def fit(
     kind: ModelKind,
     targets,
@@ -307,44 +410,9 @@ def fit(
     Non-convergence within ``max_iters`` is not an error; the best point found
     is returned with ``converged=False``. A fit error is raised only if no
     start produces a finite objective. A warm start of another kind is
-    rejected for every model.
+    rejected for every model. This is ``fit_batch`` on one vector.
     """
-    settings = settings or OptimSettings()
-    if kind is ModelKind.BST:
-        raise ValueError("BST requires no fit; its error is zero by definition")
-    if warm_start is not None and warm_start.kind is not kind:
-        raise ValueError(f"warm start is {warm_start.kind.value}, expected {kind.value}")
-
-    e1, e2, c = _target_arrays(targets)
-    if kind in (ModelKind.WRST, ModelKind.LINR, ModelKind.INDP):
-        if kind is ModelKind.WRST:
-            params = ModelParams(kind, (float(np.mean(c)),))
-        elif kind is ModelKind.LINR:
-            params = ols_linr(targets)
-        else:
-            params = _indp_exact(e1, e2, c)
-        return FitResult(params, objective(params, targets), 0, True, 0)
-
-    constant = _constant_start(kind, float(np.mean(c)))
-    starts: list[np.ndarray] = []
-    if warm_start is not None:
-        starts.append(_to_search_coords(kind, warm_start.values))
-    starts.append(_to_search_coords(kind, constant))
-
-    dim = PARAM_DIM[kind]
-    rng = np.random.default_rng([int(seed), _KIND_INDEX[kind]])
-    spread = 2.0 if kind in _BOUNDED_KINDS else 1.0
-    for _ in range(settings.n_starts):
-        starts.append(rng.uniform(-spread, spread, size=dim))
-    if kind is ModelKind.PRSP:
-        base = warm_start.values if warm_start is not None else constant
-        starts += [_to_search_coords(kind, v) for v in _kink_starts(base, e1, e2)]
-
-    x, sse, iters, converged = _lm(
-        lambda x: _residuals(kind, x, e1, e2, c), np.array(starts), settings, full_budget=kind is ModelKind.PRSP
-    )
-    idx = int(np.argmin(sse))  # the first start on a tie
-    if not np.isfinite(sse[idx]):
-        raise RuntimeError(f"{kind.value} fit failed: no start produced a finite objective")
-    params = ModelParams(kind, tuple(_to_model_values(kind, x[idx])))
-    return FitResult(params, float(np.sqrt(sse[idx] / c.size)), int(iters[idx]), bool(converged[idx]), idx)
+    result = fit_batch(kind, [targets], settings, [seed], [warm_start])[0]
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uisbench.bench import (
+    _BATCH_DISTS,
     DistReport,
     EtaScore,
     ModelScore,
@@ -18,8 +19,8 @@ from uisbench.bench import (
     write_summary_json,
 )
 from uisbench.cli import main
-from uisbench.dist import new_joint, sample_uniform
-from uisbench.models import ModelKind, ModelParams
+from uisbench.dist import new_joint, sample_cond_indep, sample_uniform
+from uisbench.models import ModelKind, ModelParams, _predict_rows
 from uisbench.optim import OptimSettings
 
 UNIFORM = new_joint([0.125] * 8)
@@ -123,6 +124,36 @@ class TestRunBench:
     def test_reports_ordered_by_dist_id(self):
         reports = run_bench(sample_uniform(64, 4), settings=FAST, jobs=2)
         assert [r.dist_id for r in reports] == [0, 1, 2, 3]
+
+    def test_uneven_chunks_jobs_invariant(self):
+        # 11 distributions: chunks of 8+3, 6+5 and 4+4+3 for jobs 1, 2 and 3
+        dists = sample_uniform(70, 6) + sample_cond_indep(71, 5)
+        serial = run_bench(dists, settings=FAST, seed=6)
+        assert [r.dist_id for r in serial] == list(range(11))
+        assert all(r.error is None for r in serial)
+        for jobs in (2, 3):
+            assert run_bench(dists, settings=FAST, seed=6, jobs=jobs) == serial
+
+    def test_prsp_steps_once_per_chunk(self, monkeypatch):
+        import uisbench.optim as optim
+
+        calls = []
+
+        def counted(kind, values, *args, **kwargs):
+            calls.append(kind)
+            return _predict_rows(kind, values, *args, **kwargs)
+
+        monkeypatch.setattr(optim, "_predict_rows", counted)
+        run_bench(sample_uniform(72, 14), settings=FAST, seed=1)
+        assert calls.count(ModelKind.PRSP) == math.ceil(14 / _BATCH_DISTS) * (FAST.max_iters + 1)
+
+    def test_failure_mid_chunk_leaves_the_others_alone(self):
+        good = sample_uniform(73, 7)
+        bad = new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # P(E1)=0: the oracle raises
+        with_bad = run_bench(good[:3] + [bad] + good[4:], settings=FAST, seed=8)
+        without = run_bench(good, settings=FAST, seed=8)
+        assert with_bad[3].error == "InfeasibleEvidenceError: target P(E1)=0.001 unreachable: P(E1) is 0 on the current support"
+        assert with_bad[:3] + with_bad[4:] == without[:3] + without[4:]
 
 
 def _handmade_reports(etas, kind=ModelKind.INDP):

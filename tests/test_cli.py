@@ -150,6 +150,25 @@ class TestBench:
         assert "fd_step" in err and "max_iters" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("out", {"out": 5}),  # was a TypeError traceback
+            ("models", {"models": "LINR,WRST"}),  # was split into letters: unknown model 'L'
+            ("grid", {"grid": [0.25, True]}),  # was run with the levels (0.25, 1.0)
+        ],
+    )
+    def test_mistyped_config_value_named(self, tmp_path, capsys, key, raw):
+        dists = self.make_dists(tmp_path)
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--dists", str(dists), "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be" in err and "unknown model" not in err
+
     def test_missing_file_is_error(self, tmp_path, capsys):
         assert main(["bench", "--dists", str(tmp_path / "missing.csv")]) == 1
         assert "error" in capsys.readouterr().err

@@ -6,6 +6,9 @@ from uisbench.models import (
     ModelKind,
     ModelParams,
     PARAM_DIM,
+    _predict_rows,
+    _rule_posterior,
+    _rule_posterior_jac,
     logit,
     predict,
     predict_grid,
@@ -131,6 +134,60 @@ class TestPrsp:
         # raw values bypass ModelParams validation; the predictor must still object
         with pytest.raises(ValueError, match="0 or 1"):
             predict_grid(ModelKind.PRSP, (0.5, 0.5, 0.8, 0.0, 0.5, 0.8, 0.2), 0.0, 0.5)
+
+
+def prsp_per_cell(values, e1, e2):
+    """PRSP's predictions and Jacobian with every rule evaluated cell by cell."""
+    pc, pe1, q11, q10, pe2, q21, q20 = (values[:, i : i + 1] for i in range(7))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p1 = _rule_posterior(e1, pe1, q11, q10, pc)
+        p2 = _rule_posterior(e2, pe2, q21, q20, pc)
+        prior_odds = pc / (1.0 - pc)
+        odds = prior_odds * ((p1 / (1.0 - p1)) / prior_odds) * ((p2 / (1.0 - p2)) / prior_odds)
+        pred = odds / (1.0 + odds)
+        w1, w2, wc = (1.0 / (p * (1.0 - p)) for p in (p1, p2, pc))
+        d1_pc, d1_pe, d1_q1, d1_q0 = _rule_posterior_jac(e1, pe1, q11, q10, pc)
+        d2_pc, d2_pe, d2_q1, d2_q0 = _rule_posterior_jac(e2, pe2, q21, q20, pc)
+        dlogit = (
+            w1 * d1_pc + w2 * d2_pc - wc,
+            w1 * d1_pe, w1 * d1_q1, w1 * d1_q0,
+            w2 * d2_pe, w2 * d2_q1, w2 * d2_q0,
+        )
+        jac = (pred * (1.0 - pred))[..., None] * np.stack(np.broadcast_arrays(*dlogit), axis=-1)
+    return pred, jac
+
+
+class TestPrspLevelwiseKernel:
+    """The rules are evaluated on the distinct evidence levels; the bits must be those of a per-cell evaluation."""
+
+    def rows(self):
+        rng = np.random.default_rng(21)
+        values = rng.uniform(0.02, 0.98, (12, 7))
+        values[:4, 1] = (0.001, 0.25, 0.5, 0.999)  # pE1 on a grid level: the one-sided branch
+        values[4:8, 4] = (0.75, 0.5, 0.25, 0.001)  # pE2 on a grid level
+        return values
+
+    def check(self, values, e1, e2):
+        pred, jac = _predict_rows(ModelKind.PRSP, values, e1, e2, jacobian=True)
+        want_pred, want_jac = prsp_per_cell(values, e1, e2)
+        assert np.array_equal(pred, want_pred) and np.array_equal(jac, want_jac)
+        assert np.array_equal(_predict_rows(ModelKind.PRSP, values, e1, e2), want_pred)
+        assert pred.flags.c_contiguous  # keeps numpy's pairwise row sums independent of the row count
+
+    def test_grid_cells(self):
+        pairs = DEFAULT_GRID.pairs()
+        e1 = np.array([ev.e1 for ev in pairs])
+        e2 = np.array([ev.e2 for ev in pairs])
+        self.check(self.rows(), e1, e2)
+
+    def test_repeated_off_grid_evidence(self):
+        rng = np.random.default_rng(22)
+        g1, g2 = np.meshgrid(rng.uniform(0.0, 1.0, 6), rng.uniform(0.0, 1.0, 3), indexing="ij")
+        values = self.rows()
+        self.check(values, g1.reshape(-1), g2.reshape(-1))
+        for row in values:  # the path predict_grid takes
+            want = prsp_per_cell(row[None, :], g1.reshape(-1), g2.reshape(-1))[0][0].reshape(g1.shape)
+            assert np.array_equal(predict_grid(ModelKind.PRSP, row, g1, g2), want)
 
 
 class TestPwr:

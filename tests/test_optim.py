@@ -15,6 +15,7 @@ from uisbench.optim import (
     _to_model_values,
     _to_search_coords,
     fit,
+    fit_batch,
     objective,
     ols_linr,
 )
@@ -217,6 +218,50 @@ class TestExactFits:
             assert fit(ModelKind.INDP, sv, warm_start=true_params_indp(d)) == fit(ModelKind.INDP, sv)
 
 
+class TestFitBatch:
+    def cases(self):
+        """(targets, seed, PRSP warm start) of a uniform, a cond_indep and a planted-PRSP standard vector."""
+        u, ci = sample_uniform(56, 1)[0], sample_cond_indep(57, 1)[0]
+        e1, e2 = grid_arrays()
+        planted = list(zip(DEFAULT_GRID.pairs(), predict_grid(ModelKind.PRSP, (0.4, 0.3, 0.8, 0.2, 0.6, 0.7, 0.25), e1, e2)))
+        return [(standard_vector(u), 3, true_params_prsp(u)), (standard_vector(ci), 4, true_params_prsp(ci)), (planted, 5, None)]
+
+    def test_equals_lone_fits_in_any_order(self):
+        cases = self.cases()
+        settings = OptimSettings(max_iters=200)
+        for kind in (ModelKind.PRSP, ModelKind.PWR, ModelKind.INDP, ModelKind.LINR, ModelKind.WRST):
+            warm = [w if kind is ModelKind.PRSP else None for _, _, w in cases]
+            lone = [fit(kind, t, settings, s, w) for (t, s, _), w in zip(cases, warm)]
+            for order in ((0, 1, 2), (2, 0, 1)):
+                batch = fit_batch(
+                    kind, [cases[i][0] for i in order], settings, [cases[i][1] for i in order], [warm[i] for i in order]
+                )
+                for i, got in zip(order, batch):
+                    want = lone[i]
+                    assert got.params == want.params
+                    assert got.epsilon == want.epsilon
+                    assert got.iterations == want.iterations
+                    assert got.converged == want.converged
+                    assert got.start_index == want.start_index
+
+    def test_failed_vector_gets_its_own_exception(self):
+        (sv, seed, warm), *_ = self.cases()
+        wrong = ModelParams(ModelKind.INDP, (0.5, 0.5, 0.5, 0.5))
+        settings = OptimSettings(max_iters=20)
+        results = fit_batch(ModelKind.PRSP, [sv, [], sv], settings, [seed] * 3, [warm, None, wrong])
+        assert results[0] == fit(ModelKind.PRSP, sv, settings, seed, warm)
+        assert isinstance(results[1], ValueError) and "non-empty" in str(results[1])
+        assert isinstance(results[2], ValueError) and "warm start is INDP" in str(results[2])
+        with pytest.raises(ValueError, match="BST"):
+            fit_batch(ModelKind.BST, [sv], settings, [seed], [None])
+
+    def test_vectors_must_share_the_grid(self):
+        sv = standard_vector(sample_uniform(58, 1)[0])
+        other = [(EvidencePair(ev.e1, ev.e2 / 2.0), v) for ev, v in sv]
+        with pytest.raises(ValueError, match="share their evidence"):
+            fit_batch(ModelKind.PWR, [sv, other], None, [0, 0], [None, None])
+
+
 def grid_arrays(grid=DEFAULT_GRID):
     pairs = grid.pairs()
     return np.array([ev.e1 for ev in pairs]), np.array([ev.e2 for ev in pairs])
@@ -295,7 +340,7 @@ class TestSearchInternals:
                                         rng.uniform(-2, 2, (5, 7))])),
             (ModelKind.PWR, rng.uniform(-1, 1, (5, 3))),
         ):
-            def residuals(x, kind=kind):
+            def residuals(x, rows, kind=kind):
                 return _residuals(kind, x, e1, e2, c)
 
             batch = _lm(residuals, x0, OptimSettings())
@@ -304,8 +349,8 @@ class TestSearchInternals:
                 alone = _lm(residuals, x0[i : i + 1], OptimSettings())
                 for together in ((out[i] for out in batch), (out[len(x0) - 1 - i] for out in reverse)):
                     x, sse, iters, converged = together
-                    assert np.allclose(x, alone[0][0], rtol=0.0, atol=1e-12)
-                    assert abs(sse - alone[1][0]) <= 1e-12
+                    assert np.array_equal(x, alone[0][0])
+                    assert sse == alone[1][0]
                     assert (iters, converged) == (alone[2][0], alone[3][0])
 
     def test_lm_never_raises_the_error_of_a_start(self):
@@ -313,7 +358,7 @@ class TestSearchInternals:
         e1, e2 = grid_arrays()
         c = np.array([v for _, v in sv])
         x0 = np.random.default_rng(3).uniform(-2, 2, (8, 7))
-        x, sse, iters, _ = _lm(lambda x: _residuals(ModelKind.PRSP, x, e1, e2, c), x0, OptimSettings(max_iters=30))
+        x, sse, iters, _ = _lm(lambda x, rows: _residuals(ModelKind.PRSP, x, e1, e2, c), x0, OptimSettings(max_iters=30))
         start_sse = np.sum(_residuals(ModelKind.PRSP, x0, e1, e2, c)[0] ** 2, axis=-1)
         assert np.all(sse <= start_sse) and np.all(iters <= 30)
         assert np.allclose(np.sum(_residuals(ModelKind.PRSP, x, e1, e2, c)[0] ** 2, axis=-1), sse, rtol=0, atol=0)
@@ -325,7 +370,7 @@ class TestSearchInternals:
         x0 = np.random.default_rng(4).uniform(-2, 2, (6, 7))
         batches = []
 
-        def residuals(x):
+        def residuals(x, rows):
             batches.append(len(x))
             return _residuals(ModelKind.PRSP, x, e1, e2, c)
 
