@@ -54,8 +54,12 @@ __all__ = [
 ]
 
 DEGENERATE_EPS = 1e-12
-# distributions whose PRSP and PWR fits share one Levenberg–Marquardt batch:
-# a step's cost is mostly per call, so more rows per call are nearly free
+# distributions whose PRSP and PWR fits share one Levenberg–Marquardt batch. A
+# call costs numpy's fixed overhead plus a share per row, and at eight PRSP fits'
+# 184 rows the rows cost several times the overhead. Rows leave as they stop,
+# but a quarter (cond_indep) to a half (uniform) of PRSP fits have a start that
+# creeps to max_iters; batched, a chunk's creeping starts share one tail of calls
+# instead of paying one each
 _BATCH_DISTS = 8
 _BATCHED_KINDS = (ModelKind.PRSP, ModelKind.PWR)  # fitted by Levenberg–Marquardt; the rest in closed form
 _MAX_PARAMS = max(PARAM_DIM.values())
@@ -68,6 +72,8 @@ REPORT_CSV_COLUMNS = (
     "clamped",
     "degenerate",
     "converged",
+    "iterations",
+    "start_index",
 ) + tuple(f"param{i}" for i in range(_MAX_PARAMS))
 
 
@@ -91,6 +97,8 @@ class ModelScore:
     eta: EtaScore
     params: ModelParams
     converged: bool
+    iterations: int = 0  # steps of the winning start; 0 for BST and the closed-form fits
+    start_index: int = 0  # the winning start (see ``optim.fit``)
 
 
 @dataclass(frozen=True)
@@ -213,7 +221,8 @@ def _bench_chunk(
                 scores.append(ModelScore(kind, 0.0, eta(0.0, eps_linr, eps_wrst), ModelParams(kind, ()), True))
             else:
                 r = fits[dist_id][kind]
-                scores.append(ModelScore(kind, r.epsilon, eta(r.epsilon, eps_linr, eps_wrst), r.params, r.converged))
+                scores.append(ModelScore(kind, r.epsilon, eta(r.epsilon, eps_linr, eps_wrst), r.params, r.converged,
+                                         r.iterations, r.start_index))
         reports.append(DistReport(dist_id, tuple(scores), eps_linr, eps_wrst))
     return reports
 
@@ -310,6 +319,8 @@ def write_report_csv(path, reports: list[DistReport]) -> None:
                     "true" if s.eta.clamped else "false",
                     "true" if s.eta.degenerate else "false",
                     "true" if s.converged else "false",
+                    str(s.iterations),
+                    str(s.start_index),
                 ] + padded
                 f.write(",".join(row) + "\n")
 
@@ -334,11 +345,14 @@ def read_report_csv(path) -> list[DistReport]:
                 epsilon = float(row[2])
                 score = EtaScore(float(row[3]), clamped=row[4] == "true", degenerate=row[5] == "true")
                 converged = row[6] == "true"
-                values = tuple(float(v) for v in row[7:] if v != "")
+                iterations, start_index = int(row[7]), int(row[8])
+                values = tuple(float(v) for v in row[9:] if v != "")
                 params = ModelParams(kind, values)
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}: row {row_no}: {exc}") from None
-            by_dist.setdefault(dist_id, []).append(ModelScore(kind, epsilon, score, params, converged))
+            by_dist.setdefault(dist_id, []).append(
+                ModelScore(kind, epsilon, score, params, converged, iterations, start_index)
+            )
             eps.setdefault(dist_id, {})[kind.value] = epsilon
     reports = []
     first = None

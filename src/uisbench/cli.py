@@ -68,15 +68,31 @@ def _parse_models(text: str) -> tuple[ModelKind, ...]:
     for token in text.split(","):
         token = token.strip().upper()
         try:
-            kinds.append(ModelKind(token))
+            kind = ModelKind(token)
         except ValueError:
             valid = ",".join(k.value for k in ModelKind)
             raise ValueError(f"unknown model {token!r}; valid models: {valid}") from None
+        if kind in kinds:
+            raise ValueError(f"model {token} is listed more than once")
+        kinds.append(kind)
     return tuple(kinds)
 
 
 def _parse_grid(text: str) -> EvidenceGrid:
     return EvidenceGrid(tuple(float(v) for v in text.split(",")))
+
+
+def _flag_type(parse):
+    """``parse`` as an argparse ``type=``: argparse prints the message of an
+    ``ArgumentTypeError`` but replaces that of a ``ValueError`` with its own."""
+
+    def parse_flag(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse_flag
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -226,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="fit models on a distribution file and summarize eta")
     bench.add_argument("--dists", required=True, help="distribution CSV produced by gen")
-    bench.add_argument("--models", type=_parse_models, default=None, help="comma-separated model list")
-    bench.add_argument("--grid", type=_parse_grid, default=None, help="comma-separated evidence levels")
+    bench.add_argument("--models", type=_flag_type(_parse_models), default=None, help="comma-separated model list")
+    bench.add_argument("--grid", type=_flag_type(_parse_grid), default=None, help="comma-separated evidence levels")
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--jobs", type=int, default=None, help="parallel workers (output is identical)")
     bench.add_argument("--out", default=None, help="output directory (default .)")

@@ -18,21 +18,24 @@ rule through the sigmoid gives a clamped coordinate zero derivative.
 
 Every start is one row of a single batch, so one ``_predict_rows`` call
 advances them all (see ``_lm``). ``fit_batch`` puts the starts of several
-standard vectors on the same grid into one batch: a step's cost is mostly
-numpy's per-call overhead rather than per row, and rows do not interact, so
-each vector gets bit for bit the result ``fit`` gives it alone. The starts are
-the caller-supplied warm start when there is one, a constant-baseline start at
-the mean of the targets (every model can represent a constant, which
-guarantees a fit is never worse than WRST), ``n_starts`` seeded random starts
-and, for PRSP, one start per cell of its kink partition: PRSP is smooth only
-while each pEj stays between two consecutive grid levels, and LM does not
-cross kinks well. Some PRSP start
-often creeps along a kink or a flat valley until the step budget runs out, so
-the batch would end anywhere from a few dozen steps to the full budget; PRSP's
-batch therefore always takes all ``max_iters`` steps, which fixes a fit's cost
-whatever the data. PWR's starts all stop within a few dozen steps, and its
-batch ends when the last one stops. ``fit`` and ``fit_batch`` are pure
-functions of their arguments; independent fits may run concurrently.
+standard vectors on the same grid into one batch, which pays numpy's per-call
+overhead once per step for all of them; rows do not interact, so each vector
+gets bit for bit the result ``fit`` gives it alone. The starts are the
+caller-supplied warm start when there is one, a constant-baseline start at the
+mean of the targets (every model can represent a constant, which guarantees a
+fit is never worse than WRST), ``n_starts`` seeded random starts and, for PRSP,
+one start per cell of its kink partition: PRSP is smooth only while each pEj
+stays between two consecutive grid levels, and LM does not cross kinks well.
+
+PRSP and PWR share one stop rule: each start leaves the batch at its own stop,
+so the batch shrinks as it steps and ends when its last start stops. A fit's
+cost therefore depends on its data. On the two 109-distribution acceptance
+runs the median PRSP start stops after 13 (uniform) or 21 (cond_indep) steps
+and about 6% of them creep along a kink or a flat valley to ``max_iters``; a
+batch holding one of those makes ``max_iters + 1`` calls, most of which carry
+only the creeping rows. PWR's starts all stop within a few dozen steps.
+``fit`` and ``fit_batch`` are pure functions of their arguments; independent
+fits may run concurrently.
 """
 
 from __future__ import annotations
@@ -83,8 +86,8 @@ class OptimSettings:
     """Settings of the Levenberg–Marquardt fit of PRSP and PWR; both are positive integers.
 
     ``n_starts`` seeded random starts join the fixed ones; ``max_iters`` caps
-    the steps tried per start (PRSP's starts always take all of them). The
-    closed-form fits ignore them.
+    the steps tried per start, and a start that reaches it is reported as not
+    converged. The closed-form fits ignore them.
     """
 
     n_starts: int = 5
@@ -209,7 +212,7 @@ def _evaluate(residuals, x: np.ndarray, rows: np.ndarray):
     return _sse(r, jac), jt @ jac, (jt @ r[..., None])[..., 0], r.shape[1]
 
 
-def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = False):
+def _lm(residuals, x0: np.ndarray, settings: OptimSettings):
     """Levenberg–Marquardt on every row of ``x0`` at once; each row is one start.
 
     ``residuals`` maps an (m, n) batch of points and the indices of their rows
@@ -223,15 +226,11 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = 
     the batch, when an accepted step lowers its SSE by a relative amount under
     ``_OBJ_REL_TOL``, when the norm of its RMS gradient falls under
     ``_GRAD_TOL``, when its damping overflows (no step lowers the SSE) or after
-    ``max_iters`` steps; only the last is reported as not converged. Rows
-    interact through no computation, so a start's result does not depend, to
-    the bit, on the other starts in the batch or on its position in it.
-
-    With ``full_budget`` no row leaves: every row takes all ``max_iters``
-    steps, and a stop criterion only marks it converged and fixes its step
-    count. A step's cost is mostly per call rather than per row, so this
-    fixes the cost of the call whatever the data; a row that keeps stepping
-    can only lower its SSE.
+    ``max_iters`` steps; only the last is reported as not converged. The
+    batch shrinks as its rows stop, and the call ends when the last one does.
+    Rows interact through no computation, so a start's result does not
+    depend, to the bit, on the other starts in the batch or on its position in
+    it.
 
     Returns the final points, their SSE, the steps tried (up to the stop) and
     the converged flags.
@@ -246,10 +245,9 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = 
         # |grad RMS| = |Jᵀr| / sqrt(k SSE), taken as 0 at an exact fit
         flat = (sse[active] == 0.0) | (np.linalg.norm(jtr[active], axis=-1) < _GRAD_TOL * np.sqrt(k * sse[active]))
         converged[active[flat]] = True
-        if not full_budget:
-            active = active[~flat]
-            if active.size == 0:
-                break
+        active = active[~flat]
+        if active.size == 0:
+            break
 
         a_jtj = jtj[active]
         diag = np.diagonal(a_jtj, axis1=1, axis2=2)
@@ -259,7 +257,7 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = 
         step *= (_MAX_STEP / np.maximum(np.max(np.abs(step), axis=-1), _MAX_STEP))[:, None]
         x_try = x[active] + step
         sse_try, jtj_try, jtr_try, _ = _evaluate(residuals, x_try, active)
-        iters[active[~converged[active]]] = it
+        iters[active] = it
 
         sse_old = sse[active]
         accepted = sse_try < sse_old
@@ -267,10 +265,9 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = 
         x[acc], sse[acc], jtj[acc], jtr[acc] = x_try[accepted], sse_try[accepted], jtj_try[accepted], jtr_try[accepted]
         lam_new = np.where(accepted, np.maximum(lam[active] / 10.0, _LAMBDA_MIN), lam[active] * 10.0)
         done = np.where(accepted, sse_old - sse_try < _OBJ_REL_TOL * sse_old, lam_new > _LAMBDA_MAX)
-        lam[active] = np.minimum(lam_new, _LAMBDA_MAX)  # a row that keeps stepping stays finite
+        lam[active] = lam_new
         converged[active[done]] = True
-        if not full_budget:
-            active = active[~done]
+        active = active[~done]
     return x, sse, iters, converged
 
 
@@ -374,7 +371,6 @@ def fit_batch(
         lambda x, rows: _residuals(kind, x, e1, e2, c_rows[rows]),
         np.concatenate([s[4] for s in searched]),
         settings,
-        full_budget=kind is ModelKind.PRSP,
     )
     for (i, _, _, c, _), lo, hi in zip(searched, np.cumsum([0] + counts[:-1]), np.cumsum(counts)):
         idx = int(np.argmin(sse[lo:hi]))  # the first start on a tie
@@ -403,10 +399,9 @@ def fit(
     ``warm_start`` when given (callers typically pass the parameters read off
     the underlying joint), the constant start, ``settings.n_starts`` seeded
     random starts and, for PRSP only, one kink start per cell between
-    consecutive grid levels of e1 and e2 (16 on the default grid). PRSP's
-    starts all take ``max_iters`` steps (``full_budget`` of ``_lm``). The start
-    with the lowest error wins and reports its steps tried up to its stop
-    criterion and its convergence.
+    consecutive grid levels of e1 and e2 (16 on the default grid). Each start
+    steps until its own stop criterion or ``max_iters``. The start with the
+    lowest error wins and reports its steps tried and its convergence.
     Non-convergence within ``max_iters`` is not an error; the best point found
     is returned with ``converged=False``. A fit error is raised only if no
     start produces a finite objective. A warm start of another kind is

@@ -21,7 +21,7 @@ from uisbench.bench import (
 from uisbench.cli import main
 from uisbench.dist import new_joint, sample_cond_indep, sample_uniform
 from uisbench.models import ModelKind, ModelParams, _predict_rows
-from uisbench.optim import OptimSettings
+from uisbench.optim import OptimSettings, fit_batch
 
 UNIFORM = new_joint([0.125] * 8)
 ALL_KINDS = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP, ModelKind.PWR, ModelKind.BST)
@@ -135,17 +135,28 @@ class TestRunBench:
             assert run_bench(dists, settings=FAST, seed=6, jobs=jobs) == serial
 
     def test_prsp_steps_once_per_chunk(self, monkeypatch):
+        import uisbench.bench as bench
         import uisbench.optim as optim
 
-        calls = []
+        batches = []  # per PRSP batch, the number of rows of each _predict_rows call
+
+        def batched(kind, *args):
+            if kind is ModelKind.PRSP:
+                batches.append([])
+            return fit_batch(kind, *args)
 
         def counted(kind, values, *args, **kwargs):
-            calls.append(kind)
+            if kind is ModelKind.PRSP:
+                batches[-1].append(len(values))
             return _predict_rows(kind, values, *args, **kwargs)
 
+        monkeypatch.setattr(bench, "fit_batch", batched)
         monkeypatch.setattr(optim, "_predict_rows", counted)
         run_bench(sample_uniform(72, 14), settings=FAST, seed=1)
-        assert calls.count(ModelKind.PRSP) == math.ceil(14 / _BATCH_DISTS) * (FAST.max_iters + 1)
+        starts = 2 + FAST.n_starts + 16  # warm and constant start, seeded and kink starts
+        sizes = [min(_BATCH_DISTS, 14 - lo) for lo in range(0, 14, _BATCH_DISTS)]
+        assert [calls[0] for calls in batches] == [n * starts for n in sizes]
+        assert all(a >= b for calls in batches for a, b in zip(calls, calls[1:]))
 
     def test_failure_mid_chunk_leaves_the_others_alone(self):
         good = sample_uniform(73, 7)
@@ -239,22 +250,28 @@ class TestArtifacts:
         write_report_csv(path, reports)
         back = read_report_csv(path)
         assert summarize(back) == summarize(reports)
-        for orig, re in zip(reports, back):
-            for a, b in zip(orig.scores, re.scores):
-                assert a.kind == b.kind
-                assert a.epsilon == b.epsilon
-                assert a.eta == b.eta
-                assert a.params == b.params
+        assert back == reports
+        assert any(s.iterations > 0 and s.start_index > 0 for r in back for s in r.scores)
 
     def test_report_csv_header_and_shape(self, tmp_path):
         reports = run_bench(sample_uniform(67, 2), settings=FAST)
         path = tmp_path / "report.csv"
         write_report_csv(path, reports)
         lines = path.read_text().splitlines()
-        assert lines[0] == "dist_id,model,epsilon,eta,clamped,degenerate,converged," + ",".join(
+        assert lines[0] == "dist_id,model,epsilon,eta,clamped,degenerate,converged,iterations,start_index," + ",".join(
             f"param{i}" for i in range(7)
         )
         assert len(lines) == 1 + 2 * 5
+        rows = {(row[0], row[1]): row for row in (line.split(",") for line in lines[1:])}
+        for dist_id, report in enumerate(reports):
+            for s in report.scores:
+                row = rows[(str(dist_id), s.kind.value)]
+                assert len(row) == 9 + 7
+                assert row[7:9] == [str(s.iterations), str(s.start_index)]
+                if s.kind in (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP):
+                    assert row[7:9] == ["0", "0"]
+                else:
+                    assert int(row[7]) > 0
 
     def test_failed_reports_carry_no_rows(self, tmp_path):
         bad = new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])

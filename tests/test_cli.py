@@ -133,11 +133,38 @@ class TestBench:
         assert summary["BST"]["mu"] == 1.0
         assert summary["WRST"]["mu"] == -1.0
 
-    def test_unknown_model_is_usage_error(self, tmp_path):
+    def test_unknown_model_is_usage_error(self, tmp_path, capsys):
         dists = self.make_dists(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--dists", str(dists), "--models", "LINR,NOPE"])
         assert exc.value.code == 2
+        assert "unknown model 'NOPE'; valid models: LINR,INDP,PRSP,PWR,WRST,BST" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--models", "LINR,WRST,linr", "model LINR is listed more than once"),
+            ("--grid", "0.5,0.2", "grid levels must be strictly increasing"),
+        ],
+    )
+    def test_bad_flag_value_named(self, tmp_path, capsys, flag, value, message):
+        dists = self.make_dists(tmp_path)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--dists", str(dists), flag, value, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_model_in_config_named(self, tmp_path, capsys):
+        dists = self.make_dists(tmp_path)
+        capsys.readouterr()
+        cfg = write_cfg(tmp_path, {"models": ["LINR", "WRST", "LINR"]})
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--dists", str(dists), "--out", str(tmp_path / "o"), "--config", cfg])
+        assert exc.value.code == 2
+        assert "model LINR is listed more than once" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_optim_key_named(self, tmp_path, capsys):
         dists = self.make_dists(tmp_path)
