@@ -56,10 +56,8 @@ __all__ = [
 DEGENERATE_EPS = 1e-12
 # distributions whose PRSP and PWR fits share one Levenberg–Marquardt batch. A
 # call costs numpy's fixed overhead plus a share per row, and at eight PRSP fits'
-# 184 rows the rows cost several times the overhead. Rows leave as they stop,
-# but a quarter (cond_indep) to a half (uniform) of PRSP fits have a start that
-# creeps to max_iters; batched, a chunk's creeping starts share one tail of calls
-# instead of paying one each
+# 184 rows the rows cost about four times the overhead, so a chunk of eight
+# costs far less than eight lone fits but far more than one
 _BATCH_DISTS = 8
 _BATCHED_KINDS = (ModelKind.PRSP, ModelKind.PWR)  # fitted by Levenberg–Marquardt; the rest in closed form
 _MAX_PARAMS = max(PARAM_DIM.values())

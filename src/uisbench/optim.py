@@ -27,15 +27,20 @@ fit is never worse than WRST), ``n_starts`` seeded random starts and, for PRSP,
 one start per cell of its kink partition: PRSP is smooth only while each pEj
 stays between two consecutive grid levels, and LM does not cross kinks well.
 
-PRSP and PWR share one stop rule: each start leaves the batch at its own stop,
-so the batch shrinks as it steps and ends when its last start stops. A fit's
-cost therefore depends on its data. On the two 109-distribution acceptance
-runs the median PRSP start stops after 13 (uniform) or 21 (cond_indep) steps
-and about 6% of them creep along a kink or a flat valley to ``max_iters``; a
-batch holding one of those makes ``max_iters + 1`` calls, most of which carry
-only the creeping rows. PWR's starts all stop within a few dozen steps.
-``fit`` and ``fit_batch`` are pure functions of their arguments; independent
-fits may run concurrently.
+PRSP's batch takes all ``max_iters`` steps whatever its rows do
+(``full_budget`` of ``_lm``): a start that meets its stop criterion is marked
+converged and keeps stepping, which can only lower its error. On the two
+109-distribution acceptance runs the median PRSP start stops after 13
+(uniform) or 21 (cond_indep) steps and about 6% creep along a kink or a flat
+valley to ``max_iters``, so the budget evaluates several times the rows a
+batch that shrank as its starts stop would, and at a chunk's 184 rows an
+evaluation takes about 1.1 ms against 0.2 ms for one row. The budget buys a cost that does not
+depend on the data: which starts creep, and for how long, varies widely
+between distributions, and with each start leaving at its own stop a
+14-distribution bench run cost up to 2.4 times as much on one sample as on
+another. PWR's starts all stop within a few dozen steps, and its batch ends
+when the last one stops. ``fit`` and ``fit_batch`` are pure functions of
+their arguments; independent fits may run concurrently.
 """
 
 from __future__ import annotations
@@ -87,7 +92,8 @@ class OptimSettings:
 
     ``n_starts`` seeded random starts join the fixed ones; ``max_iters`` caps
     the steps tried per start, and a start that reaches it is reported as not
-    converged. The closed-form fits ignore them.
+    converged (PRSP's starts always take all of them; see ``_lm``). The
+    closed-form fits ignore them.
     """
 
     n_starts: int = 5
@@ -212,7 +218,7 @@ def _evaluate(residuals, x: np.ndarray, rows: np.ndarray):
     return _sse(r, jac), jt @ jac, (jt @ r[..., None])[..., 0], r.shape[1]
 
 
-def _lm(residuals, x0: np.ndarray, settings: OptimSettings):
+def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = False):
     """Levenberg–Marquardt on every row of ``x0`` at once; each row is one start.
 
     ``residuals`` maps an (m, n) batch of points and the indices of their rows
@@ -232,6 +238,12 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings):
     depend, to the bit, on the other starts in the batch or on its position in
     it.
 
+    With ``full_budget`` no row leaves: every row takes all ``max_iters``
+    steps, and a stop criterion only marks it converged and fixes its step
+    count. The call then makes ``max_iters + 1`` evaluations of the whole
+    batch whatever the data, which fixes its cost; a row that keeps stepping
+    can only lower its SSE.
+
     Returns the final points, their SSE, the steps tried (up to the stop) and
     the converged flags.
     """
@@ -245,9 +257,10 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings):
         # |grad RMS| = |Jᵀr| / sqrt(k SSE), taken as 0 at an exact fit
         flat = (sse[active] == 0.0) | (np.linalg.norm(jtr[active], axis=-1) < _GRAD_TOL * np.sqrt(k * sse[active]))
         converged[active[flat]] = True
-        active = active[~flat]
-        if active.size == 0:
-            break
+        if not full_budget:
+            active = active[~flat]
+            if active.size == 0:
+                break
 
         a_jtj = jtj[active]
         diag = np.diagonal(a_jtj, axis1=1, axis2=2)
@@ -257,7 +270,7 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings):
         step *= (_MAX_STEP / np.maximum(np.max(np.abs(step), axis=-1), _MAX_STEP))[:, None]
         x_try = x[active] + step
         sse_try, jtj_try, jtr_try, _ = _evaluate(residuals, x_try, active)
-        iters[active] = it
+        iters[active[~converged[active]]] = it
 
         sse_old = sse[active]
         accepted = sse_try < sse_old
@@ -265,9 +278,10 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings):
         x[acc], sse[acc], jtj[acc], jtr[acc] = x_try[accepted], sse_try[accepted], jtj_try[accepted], jtr_try[accepted]
         lam_new = np.where(accepted, np.maximum(lam[active] / 10.0, _LAMBDA_MIN), lam[active] * 10.0)
         done = np.where(accepted, sse_old - sse_try < _OBJ_REL_TOL * sse_old, lam_new > _LAMBDA_MAX)
-        lam[active] = lam_new
+        lam[active] = np.minimum(lam_new, _LAMBDA_MAX)  # a row that keeps stepping stays finite
         converged[active[done]] = True
-        active = active[~done]
+        if not full_budget:
+            active = active[~done]
     return x, sse, iters, converged
 
 
@@ -371,6 +385,7 @@ def fit_batch(
         lambda x, rows: _residuals(kind, x, e1, e2, c_rows[rows]),
         np.concatenate([s[4] for s in searched]),
         settings,
+        full_budget=kind is ModelKind.PRSP,
     )
     for (i, _, _, c, _), lo, hi in zip(searched, np.cumsum([0] + counts[:-1]), np.cumsum(counts)):
         idx = int(np.argmin(sse[lo:hi]))  # the first start on a tie
@@ -399,9 +414,11 @@ def fit(
     ``warm_start`` when given (callers typically pass the parameters read off
     the underlying joint), the constant start, ``settings.n_starts`` seeded
     random starts and, for PRSP only, one kink start per cell between
-    consecutive grid levels of e1 and e2 (16 on the default grid). Each start
-    steps until its own stop criterion or ``max_iters``. The start with the
-    lowest error wins and reports its steps tried and its convergence.
+    consecutive grid levels of e1 and e2 (16 on the default grid). A PWR
+    start steps until its own stop criterion or ``max_iters``; PRSP's starts
+    all take ``max_iters`` steps (``full_budget`` of ``_lm``). The start with
+    the lowest error wins and reports its steps tried up to its stop criterion
+    and its convergence.
     Non-convergence within ``max_iters`` is not an error; the best point found
     is returned with ``converged=False``. A fit error is raised only if no
     start produces a finite objective. A warm start of another kind is

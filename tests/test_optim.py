@@ -363,7 +363,27 @@ class TestSearchInternals:
         assert np.all(sse <= start_sse) and np.all(iters <= 30)
         assert np.allclose(np.sum(_residuals(ModelKind.PRSP, x, e1, e2, c)[0] ** 2, axis=-1), sse, rtol=0, atol=0)
 
-    def test_prsp_batch_shrinks_as_rows_stop(self, monkeypatch):
+    def test_full_budget_steps_every_row_and_keeps_its_stop(self):
+        sv = standard_vector(sample_uniform(53, 1)[0])
+        e1, e2 = grid_arrays()
+        c = np.array([v for _, v in sv])
+        x0 = np.random.default_rng(4).uniform(-2, 2, (6, 7))
+        batches = []
+
+        def residuals(x, rows):
+            batches.append(len(x))
+            return _residuals(ModelKind.PRSP, x, e1, e2, c)
+
+        settings = OptimSettings(max_iters=60)
+        _, sse_stop, iters_stop, conv_stop = _lm(residuals, x0, settings)
+        batches.clear()
+        _, sse_full, iters_full, conv_full = _lm(residuals, x0, settings, full_budget=True)
+        assert batches == [len(x0)] * (settings.max_iters + 1)
+        assert conv_stop.any()  # some row stops early, yet the full batch takes every step
+        assert np.array_equal(iters_full, iters_stop) and np.array_equal(conv_full, conv_stop)
+        assert np.all(sse_full <= sse_stop + 1e-15)
+
+    def test_prsp_fit_cost_independent_of_data(self, monkeypatch):
         import uisbench.optim as optim
 
         calls = []
@@ -375,21 +395,18 @@ class TestSearchInternals:
         monkeypatch.setattr(optim, "_predict_rows", counted)
         e1, e2 = grid_arrays()
         planted = list(zip(DEFAULT_GRID.pairs(), predict_grid(ModelKind.PRSP, (0.4, 0.3, 0.8, 0.2, 0.6, 0.7, 0.25), e1, e2)))
-        settings = OptimSettings()
+        settings = OptimSettings(max_iters=40)
         starts = 2 + settings.n_starts + 16  # warm or constant start, seeded and kink starts
         for d in (sample_uniform(54, 1)[0], sample_cond_indep(55, 1)[0]):
             calls.clear()
             fit(ModelKind.PRSP, standard_vector(d), settings, warm_start=true_params_prsp(d))
-            assert calls[0] == starts and all(a >= b for a, b in zip(calls, calls[1:]))
-            assert len(calls) < (settings.max_iters + 1) // 5  # every start stops well inside the budget
-        for targets in (planted, constant_targets(0.5)):
+            assert calls == [starts] * (settings.max_iters + 1)
+        for targets in (planted, constant_targets(0.5)):  # exact fits stop at once, the batch does not
             calls.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # zero steps and a zero error divide by nothing
                 r = fit(ModelKind.PRSP, targets, settings)
-            assert r.epsilon < 1e-10 and r.converged
-            assert calls[0] == starts - 1 and all(a >= b for a, b in zip(calls, calls[1:]))
-            assert len(calls) < settings.max_iters + 1
+            assert r.epsilon < 1e-10 and r.converged and calls == [starts - 1] * (settings.max_iters + 1)
 
     def test_recovers_planted_pwr_coefficients(self):
         e1, e2 = grid_arrays()
