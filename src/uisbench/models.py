@@ -129,7 +129,13 @@ def _rule_posterior_jac(e, p_e, q1, q0, pc):
     return d_pc, d_pe, d_q1, d_q0
 
 
-def _predict_rows(kind: ModelKind, values: np.ndarray, e1: np.ndarray, e2: np.ndarray, jacobian: bool = False):
+def _evidence_levels(e1: np.ndarray, e2: np.ndarray):
+    """Per evidence array, its distinct levels and each cell's index into them (``np.unique``)."""
+    return tuple(np.unique(e, return_inverse=True) for e in (e1, e2))
+
+
+def _predict_rows(kind: ModelKind, values: np.ndarray, e1: np.ndarray, e2: np.ndarray, jacobian: bool = False,
+                  levels=None):
     """Evaluate rows of parameter vectors over flat evidence arrays.
 
     ``values`` has shape (m, n_params); ``e1`` and ``e2`` shape (k,). Returns
@@ -141,7 +147,9 @@ def _predict_rows(kind: ModelKind, values: np.ndarray, e1: np.ndarray, e2: np.nd
     With ``jacobian`` (PRSP and PWR only, the models fitted iteratively) it
     returns ``(pred, jac)``, where ``jac[i, j, p]`` is the derivative of
     ``pred[i, j]`` with respect to ``values[i, p]``. PRSP's is one-sided at a
-    kink, following :func:`_rule_posterior_jac`.
+    kink, following :func:`_rule_posterior_jac`. ``levels`` is
+    ``_evidence_levels(e1, e2)``, which PRSP needs; a caller that evaluates
+    the same evidence many times passes it in, and it is computed when absent.
     """
     if jacobian and kind not in (ModelKind.PRSP, ModelKind.PWR):
         raise ValueError(f"{kind.value} has no Jacobian; it is fitted in closed form")
@@ -167,21 +175,22 @@ def _predict_rows(kind: ModelKind, values: np.ndarray, e1: np.ndarray, e2: np.nd
             prior_odds = pc / (1.0 - pc)
             odds = prior_odds
             rules = []
-            for e, cols in ((e1, range(1, 4)), (e2, range(4, 7))):
-                levels, cell = np.unique(e, return_inverse=True)
+            if levels is None:
+                levels = _evidence_levels(e1, e2)
+            for (lev, cell), cols in zip(levels, (range(1, 4), range(4, 7))):
                 pe, q1, q0 = (values[:, i : i + 1] for i in cols)
-                p = _rule_posterior(levels, pe, q1, q0, pc)
+                p = _rule_posterior(lev, pe, q1, q0, pc)
                 odds = odds * ((p / (1.0 - p)) / prior_odds).take(cell, axis=1)
-                rules.append((cols, levels, cell, p, pe, q1, q0))
+                rules.append((cols, lev, cell, p, pe, q1, q0))
             pred = odds / (1.0 + odds)
             if not jacobian:
                 return pred
             # logit pred = logit p1 + logit p2 - logit pc, and d logit p / dp = 1 / (p (1 - p))
             jac = np.empty(pred.shape + (7,))
             d_pc = []
-            for cols, levels, cell, p, pe, q1, q0 in rules:
+            for cols, lev, cell, p, pe, q1, q0 in rules:
                 w = 1.0 / (p * (1.0 - p))
-                dp_pc, *dp_rest = _rule_posterior_jac(levels, pe, q1, q0, pc)
+                dp_pc, *dp_rest = _rule_posterior_jac(lev, pe, q1, q0, pc)
                 d_pc.append((w * dp_pc).take(cell, axis=1))
                 for col, dp in zip(cols, dp_rest):  # (pEj, q(C|Ej), q(C|not Ej))
                     jac[..., col] = (w * dp).take(cell, axis=1)

@@ -17,10 +17,10 @@ reparameterisation with search coordinates clamped to |x| <= 30; the chain
 rule through the sigmoid gives a clamped coordinate zero derivative.
 
 Every start is one row of a single batch, so one ``_predict_rows`` call
-advances them all (see ``_lm``). ``fit_batch`` puts the starts of several
-standard vectors on the same grid into one batch, which pays numpy's per-call
-overhead once per step for all of them; rows do not interact, so each vector
-gets bit for bit the result ``fit`` gives it alone. The starts are the
+evaluates all their trial points (see ``_lm``). ``fit_batch`` puts the starts
+of several standard vectors on the same grid into one batch, which pays
+numpy's per-call overhead once per step for all of them; rows do not
+interact, so each vector gets bit for bit the result ``fit`` gives it alone. The starts are the
 caller-supplied warm start when there is one, a constant-baseline start at the
 mean of the targets (every model can represent a constant, which guarantees a
 fit is never worse than WRST), ``n_starts`` seeded random starts and, for PRSP,
@@ -32,15 +32,20 @@ PRSP's batch takes all ``max_iters`` steps whatever its rows do
 converged and keeps stepping, which can only lower its error. On the two
 109-distribution acceptance runs the median PRSP start stops after 13
 (uniform) or 21 (cond_indep) steps and about 6% creep along a kink or a flat
-valley to ``max_iters``, so the budget evaluates several times the rows a
-batch that shrank as its starts stop would, and at a chunk's 184 rows an
-evaluation takes about 1.1 ms against 0.2 ms for one row. The budget buys a cost that does not
-depend on the data: which starts creep, and for how long, varies widely
-between distributions, and with each start leaving at its own stop a
-14-distribution bench run cost up to 2.4 times as much on one sample as on
-another. PWR's starts all stop within a few dozen steps, and its batch ends
-when the last one stops. ``fit`` and ``fit_batch`` are pure functions of
-their arguments; independent fits may run concurrently.
+valley to ``max_iters``. The budget buys a cost that does not depend on the
+data: which starts creep, and for how long, varies widely between
+distributions, and with each start leaving at its own stop a 14-distribution
+bench run cost up to 2.4 times as much on one sample as on another. Most of
+the budget's trial points are rejected (91% of PRSP row-steps on the uniform
+acceptance run, 89% on cond_indep), so ``_lm`` takes Jacobians lazily: each
+step evaluates the residuals of the whole batch, and the Jacobian and normal
+equations only of the rows whose error fell. On a 2-vCPU VM the residuals of
+a chunk's 184 rows take about 0.21 ms (0.09 ms for one row), their Jacobian
+and normal equations 0.84 ms, and those of 15 rows 0.29 ms; a step of the
+chunk's batch takes about 0.63 ms in all. PWR's starts all stop within a
+few dozen steps, and its batch ends when the last one stops. ``fit`` and
+``fit_batch`` are pure functions of their arguments; independent fits may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import PARAM_DIM, ModelKind, ModelParams, _predict_rows, logit, predict_grid, sigmoid
+from .models import PARAM_DIM, ModelKind, ModelParams, _evidence_levels, _predict_rows, logit, predict_grid, sigmoid
 
 __all__ = ["OptimSettings", "FitResult", "objective", "ols_linr", "fit", "fit_batch"]
 
@@ -92,7 +97,8 @@ class OptimSettings:
 
     ``n_starts`` seeded random starts join the fixed ones; ``max_iters`` caps
     the steps tried per start, and a start that reaches it is reported as not
-    converged (PRSP's starts always take all of them; see ``_lm``). The
+    converged (PRSP's starts always take all of them; see ``_lm``). A step
+    costs one residual evaluation, plus one Jacobian when it is accepted. The
     closed-form fits ignore them.
     """
 
@@ -188,47 +194,54 @@ def _to_search_coords(kind: ModelKind, values) -> np.ndarray:
     return x.copy()
 
 
-def _residuals(kind: ModelKind, x: np.ndarray, e1: np.ndarray, e2: np.ndarray, c: np.ndarray):
-    """Residuals ``c - pred`` at the search points ``x`` (m, n) and their Jacobian (m, k, n) in ``x``.
+def _residuals(kind: ModelKind, x: np.ndarray, e1: np.ndarray, e2: np.ndarray, c: np.ndarray, jacobian: bool = True,
+               levels=None):
+    """Residuals ``c - pred`` at the search points ``x`` (m, n) and, with ``jacobian``, their Jacobian (m, k, n) in ``x``.
 
-    ``c`` holds each row's targets, shape (m, k), so rows of different fits can share a call.
+    ``c`` holds each row's targets, shape (m, k), so rows of different fits can share a call. ``levels`` is
+    ``models._evidence_levels(e1, e2)``, which the caller may compute once for many calls.
     """
     values = _to_model_values(kind, x)
-    pred, jac = _predict_rows(kind, values, e1, e2, jacobian=True)
+    if not jacobian:
+        return c - _predict_rows(kind, values, e1, e2, levels=levels)
+    pred, jac = _predict_rows(kind, values, e1, e2, jacobian=True, levels=levels)
     if kind in _BOUNDED_KINDS:
         # chain rule through the sigmoid; the clamp makes a coordinate beyond it flat
         jac *= np.where(np.abs(x) < _SEARCH_CLAMP, values * (1.0 - values), 0.0)[:, None, :]
     return c - pred, np.negative(jac, out=jac)  # in place: the batch's largest array is not copied
 
 
-def _sse(r: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """Per-row sum of squared residuals; inf where a residual or a derivative is not finite."""
+def _sse(r: np.ndarray) -> np.ndarray:
+    """Per-row sum of squared residuals; inf where it is not finite."""
     sse = np.sum(r * r, axis=-1)
-    finite = np.isfinite(sse) & np.all(np.isfinite(jac), axis=(1, 2))
-    return np.where(finite, sse, np.inf)
+    return np.where(np.isfinite(sse), sse, np.inf)
 
 
 def _evaluate(residuals, x: np.ndarray, rows: np.ndarray):
     """Per row of ``x``: the SSE and the normal equations JᵀJ and Jᵀr; also the residual count.
 
-    The Jacobian, the batch's largest array, is freed on return.
+    The SSE is inf where a residual or a derivative is not finite. The
+    Jacobian, the batch's largest array, is freed on return.
     """
-    r, jac = residuals(x, rows)
+    r, jac = residuals(x, rows, True)
     jt = jac.transpose(0, 2, 1)
-    return _sse(r, jac), jt @ jac, (jt @ r[..., None])[..., 0], r.shape[1]
+    sse = np.where(np.all(np.isfinite(jac), axis=(1, 2)), _sse(r), np.inf)
+    return sse, jt @ jac, (jt @ r[..., None])[..., 0], r.shape[1]
 
 
 def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = False):
     """Levenberg–Marquardt on every row of ``x0`` at once; each row is one start.
 
-    ``residuals`` maps an (m, n) batch of points and the indices of their rows
-    in ``x0`` to residuals (m, k) and their Jacobian (m, k, n); the indices let
-    each row keep its own targets, so the starts of several fits can share a
-    batch (see ``fit_batch``). A row's state between steps is its point, SSE and
-    normal equations (JᵀJ, Jᵀr), never its Jacobian, which is the batch's
-    largest array. Every row keeps its own damping, scaled by the diagonal
-    of JᵀJ. A step is capped at ``_MAX_STEP`` in max-norm and accepted only if
-    it lowers the row's sum of squared residuals (SSE). A row stops, and leaves
+    ``residuals(x, rows, jacobian)`` maps an (m, n) batch of points and the
+    indices of their rows in ``x0`` to residuals (m, k), and with
+    ``jacobian`` to the pair of residuals and their Jacobian (m, k, n); the
+    indices let each row keep its own targets, so the starts of several fits
+    can share a batch (see ``fit_batch``). A row's state between steps is its
+    point, SSE and normal equations (JᵀJ, Jᵀr), never its Jacobian, which is
+    the batch's largest array. Every row keeps its own damping, scaled by the
+    diagonal of JᵀJ. A step is capped at ``_MAX_STEP`` in max-norm and
+    accepted only if it lowers the row's sum of squared residuals (SSE) and
+    the derivatives at the new point are finite. A row stops, and leaves
     the batch, when an accepted step lowers its SSE by a relative amount under
     ``_OBJ_REL_TOL``, when the norm of its RMS gradient falls under
     ``_GRAD_TOL``, when its damping overflows (no step lowers the SSE) or after
@@ -238,20 +251,29 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = 
     depend, to the bit, on the other starts in the batch or on its position in
     it.
 
+    The Jacobian is evaluated lazily (Moré 1978): each step evaluates only the
+    residuals of every active row at its trial point, and then the Jacobian
+    and normal equations of the rows whose SSE fell, the only points a next
+    step starts from. A start's Jacobian is thus taken once at ``x0`` and once
+    per accepted step.
+
     With ``full_budget`` no row leaves: every row takes all ``max_iters``
     steps, and a stop criterion only marks it converged and fixes its step
-    count. The call then makes ``max_iters + 1`` evaluations of the whole
-    batch whatever the data, which fixes its cost; a row that keeps stepping
-    can only lower its SSE.
+    count. The call then evaluates the residuals of the whole batch
+    ``max_iters + 1`` times whatever the data; only the Jacobians, one per
+    accepted step, vary with it. A row that keeps stepping can only lower its
+    SSE.
 
     Returns the final points, their SSE, the steps tried (up to the stop) and
     the converged flags.
     """
     x = np.array(x0, dtype=np.float64)
-    sse, jtj, jtr, k = _evaluate(residuals, x, np.arange(len(x)))
-    lam = np.full(len(x), _LAMBDA_START)
-    iters = np.zeros(len(x), dtype=int)
-    converged = np.zeros(len(x), dtype=bool)
+    n = len(x)
+    sse, jtj, jtr, k = _evaluate(residuals, x, np.arange(n))
+    lam = np.full(n, _LAMBDA_START)
+    iters = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    eye = np.eye(x.shape[1])
     active = np.flatnonzero(np.isfinite(sse))  # a start with no finite SSE is never moved
     for it in range(1, settings.max_iters + 1):
         # |grad RMS| = |Jᵀr| / sqrt(k SSE), taken as 0 at an exact fit
@@ -261,25 +283,31 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = 
             active = active[~flat]
             if active.size == 0:
                 break
+        rows = slice(None) if active.size == n else active  # every row: whole arrays, no copies
 
-        a_jtj = jtj[active]
+        a_jtj, a_lam, sse_old = jtj[rows], lam[rows], sse[rows]
         diag = np.diagonal(a_jtj, axis1=1, axis2=2)
         scale = np.where(diag > 0.0, diag, 1.0)  # a flat coordinate gets no step
-        damped = a_jtj + (lam[active, None] * scale)[..., None] * np.eye(x.shape[1])
-        step = -np.linalg.solve(damped, jtr[active][..., None])[..., 0]
+        damped = a_jtj + (a_lam[:, None] * scale)[..., None] * eye
+        step = -np.linalg.solve(damped, jtr[rows][..., None])[..., 0]
         step *= (_MAX_STEP / np.maximum(np.max(np.abs(step), axis=-1), _MAX_STEP))[:, None]
-        x_try = x[active] + step
-        sse_try, jtj_try, jtr_try, _ = _evaluate(residuals, x_try, active)
-        iters[active[~converged[active]]] = it
+        x_try = x[rows] + step
+        sse_try = _sse(residuals(x_try, active, False))
+        iters[active[~converged[rows]]] = it
 
-        sse_old = sse[active]
-        accepted = sse_try < sse_old
-        acc = active[accepted]
-        x[acc], sse[acc], jtj[acc], jtr[acc] = x_try[accepted], sse_try[accepted], jtj_try[accepted], jtr_try[accepted]
-        lam_new = np.where(accepted, np.maximum(lam[active] / 10.0, _LAMBDA_MIN), lam[active] * 10.0)
+        # only a point whose SSE fell can be accepted, so only there are derivatives needed
+        fell = np.flatnonzero(sse_try < sse_old)
+        if fell.size:
+            sse_try[fell], jtj_fell, jtr_fell, _ = _evaluate(residuals, x_try[fell], active[fell])
+        accepted = sse_try < sse_old  # not where a derivative is not finite: its SSE is now inf
+        lam_new = np.where(accepted, np.maximum(a_lam / 10.0, _LAMBDA_MIN), a_lam * 10.0)
         done = np.where(accepted, sse_old - sse_try < _OBJ_REL_TOL * sse_old, lam_new > _LAMBDA_MAX)
-        lam[active] = np.minimum(lam_new, _LAMBDA_MAX)  # a row that keeps stepping stays finite
+        lam[rows] = np.minimum(lam_new, _LAMBDA_MAX)  # a row that keeps stepping stays finite
         converged[active[done]] = True
+        if fell.size:  # after the last use of sse_old, which may be a view of sse
+            moved = active[accepted]
+            x[moved], sse[moved] = x_try[accepted], sse_try[accepted]
+            jtj[moved], jtr[moved] = jtj_fell[accepted[fell]], jtr_fell[accepted[fell]]
         if not full_budget:
             active = active[~done]
     return x, sse, iters, converged
@@ -381,8 +409,9 @@ def fit_batch(
         raise ValueError("the target vectors of one batch must share their evidence pairs")
     counts = [len(s[4]) for s in searched]
     c_rows = np.repeat(np.stack([s[3] for s in searched]), counts, axis=0)
+    levels = _evidence_levels(e1, e2)
     x, sse, iters, converged = _lm(
-        lambda x, rows: _residuals(kind, x, e1, e2, c_rows[rows]),
+        lambda x, rows, jacobian: _residuals(kind, x, e1, e2, c_rows[rows], jacobian, levels),
         np.concatenate([s[4] for s in searched]),
         settings,
         full_budget=kind is ModelKind.PRSP,
@@ -416,7 +445,9 @@ def fit(
     random starts and, for PRSP only, one kink start per cell between
     consecutive grid levels of e1 and e2 (16 on the default grid). A PWR
     start steps until its own stop criterion or ``max_iters``; PRSP's starts
-    all take ``max_iters`` steps (``full_budget`` of ``_lm``). The start with
+    all take ``max_iters`` steps (``full_budget`` of ``_lm``). Every step
+    evaluates a start's residuals, and its Jacobian only where the step is
+    accepted. The start with
     the lowest error wins and reports its steps tried up to its stop criterion
     and its convergence.
     Non-convergence within ``max_iters`` is not an error; the best point found

@@ -3,7 +3,8 @@
 The dual-solver here re-derives the minimum-cross-entropy posterior by a
 completely different route (convex minimisation of the log-partition dual via
 scipy) so the IPF implementation can be checked against something it shares
-no code with.
+no code with. ``reference_lm`` is the Levenberg–Marquardt loop that evaluates
+the Jacobian at every trial point, which ``optim._lm`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 import scipy.optimize
 
 from uisbench.dist import JointDist, atom_index, new_joint
+from uisbench.optim import _GRAD_TOL, _LAMBDA_MAX, _LAMBDA_MIN, _LAMBDA_START, _MAX_STEP, _OBJ_REL_TOL
 
 GRID_LEVELS = (0.001, 0.25, 0.5, 0.75, 0.999)
 
@@ -75,3 +77,69 @@ def dual_tilt_posterior(d: JointDist, e1: float, e2: float) -> np.ndarray:
                                   options={"gtol": 1e-13, "maxiter": 500})
     w = p * np.exp(feats @ res.x)
     return w / w.sum()
+
+
+def _reference_evaluate(residuals, x, rows):
+    r, jac = residuals(x, rows, True)
+    sse = np.sum(r * r, axis=-1)
+    finite = np.isfinite(sse) & np.all(np.isfinite(jac), axis=(1, 2))
+    jt = jac.transpose(0, 2, 1)
+    return np.where(finite, sse, np.inf), jt @ jac, (jt @ r[..., None])[..., 0], r.shape[1]
+
+
+def reference_lm(residuals, x0, settings, full_budget=False):
+    """``optim._lm`` with the Jacobian and normal equations evaluated at every trial point.
+
+    Takes the same arguments and returns the same four arrays, plus the
+    number of accepted row-steps: the count of Jacobians a lazy ``_lm`` takes
+    after the one at ``x0``.
+    """
+    x = np.array(x0, dtype=np.float64)
+    sse, jtj, jtr, k = _reference_evaluate(residuals, x, np.arange(len(x)))
+    lam = np.full(len(x), _LAMBDA_START)
+    iters = np.zeros(len(x), dtype=int)
+    converged = np.zeros(len(x), dtype=bool)
+    n_accepted = 0
+    active = np.flatnonzero(np.isfinite(sse))
+    for it in range(1, settings.max_iters + 1):
+        flat = (sse[active] == 0.0) | (np.linalg.norm(jtr[active], axis=-1) < _GRAD_TOL * np.sqrt(k * sse[active]))
+        converged[active[flat]] = True
+        if not full_budget:
+            active = active[~flat]
+            if active.size == 0:
+                break
+
+        a_jtj = jtj[active]
+        diag = np.diagonal(a_jtj, axis1=1, axis2=2)
+        scale = np.where(diag > 0.0, diag, 1.0)
+        damped = a_jtj + (lam[active, None] * scale)[..., None] * np.eye(x.shape[1])
+        step = -np.linalg.solve(damped, jtr[active][..., None])[..., 0]
+        step *= (_MAX_STEP / np.maximum(np.max(np.abs(step), axis=-1), _MAX_STEP))[:, None]
+        x_try = x[active] + step
+        sse_try, jtj_try, jtr_try, _ = _reference_evaluate(residuals, x_try, active)
+        iters[active[~converged[active]]] = it
+
+        sse_old = sse[active]
+        accepted = sse_try < sse_old
+        n_accepted += int(accepted.sum())
+        acc = active[accepted]
+        x[acc], sse[acc], jtj[acc], jtr[acc] = x_try[accepted], sse_try[accepted], jtj_try[accepted], jtr_try[accepted]
+        lam_new = np.where(accepted, np.maximum(lam[active] / 10.0, _LAMBDA_MIN), lam[active] * 10.0)
+        done = np.where(accepted, sse_old - sse_try < _OBJ_REL_TOL * sse_old, lam_new > _LAMBDA_MAX)
+        lam[active] = np.minimum(lam_new, _LAMBDA_MAX)
+        converged[active[done]] = True
+        if not full_budget:
+            active = active[~done]
+    return x, sse, iters, converged, n_accepted
+
+
+def assert_full_budget_calls(calls, batch, max_iters, n_accepted):
+    """Check one full-budget ``_lm`` batch's evaluations, given as (rows, with Jacobian) per call.
+
+    The residuals of all ``batch`` rows are evaluated ``max_iters + 1``
+    times: once with the Jacobian at the starts, then once per step. The
+    Jacobian rows add up to the batch plus its accepted row-steps.
+    """
+    assert calls[0] == (batch, True)
+    assert [rows for rows, jacobian in calls[1:] if not jacobian] == [batch] * max_iters
+    assert sum(rows for rows, jacobian in calls if jacobian) == batch + n_accepted

@@ -6,13 +6,14 @@ optimizer settings and are shared across criteria through module-scoped
 fixtures.
 """
 
+import hashlib
 import json
 import time
 
 import numpy as np
 import pytest
 
-from uisbench.bench import run_bench, summarize
+from uisbench.bench import run_bench, summarize, write_report_csv, write_summary_json
 from uisbench.cli import main
 from uisbench.dist import condition_c, marginal, sample_cond_indep, sample_uniform
 from uisbench.models import ModelKind, predict, true_params_indp, true_params_prsp
@@ -239,3 +240,30 @@ def test_criterion_9_cli_determinism(tmp_path):
         ok,
         "gen reruns and bench reruns (jobs=1,2) produce byte-identical CSV/JSON artifacts",
     )
+
+
+# sha256 of report.csv and summary.json of the two acceptance runs (BENCH_KINDS, default settings)
+ARTIFACT_SHA256 = {
+    "uniform": {
+        "report.csv": "3ffed8bc25fc5c4e78534eb6d200fdab9716737578a63a1f301f23b257350437",
+        "summary.json": "5e647faba3c067f9e3dd49ad8e3607ce5f2581230ba1b5246578a143063f972e",
+    },
+    "cond_indep": {
+        "report.csv": "dc9944d387e05bdb03896cb274d94ca3315b17ccaaa3c27c75e86011b2eac208",
+        "summary.json": "11d37f16711aa7d1fbe34e355796a129a490bf0507a5db4bb5af69b4c77e01d8",
+    },
+}
+
+
+def test_acceptance_artifacts_unchanged(uniform_run, cond_indep_run, tmp_path):
+    """The acceptance runs' ``report.csv`` and ``summary.json`` are byte-identical to the recorded ones.
+
+    A speed-up must leave every score to the bit. A change that moves scores
+    on purpose updates ``ARTIFACT_SHA256`` and records its per-distribution ε
+    comparison with the previous artifacts in CHANGES.md.
+    """
+    for name, (_, reports, _) in (("uniform", uniform_run), ("cond_indep", cond_indep_run)):
+        write_report_csv(tmp_path / "report.csv", reports)
+        write_summary_json(tmp_path / "summary.json", summarize(reports))
+        for artifact, digest in ARTIFACT_SHA256[name].items():
+            assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == digest, f"{name} {artifact}"

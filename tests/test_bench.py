@@ -10,6 +10,8 @@ from uisbench.bench import (
     DistReport,
     EtaScore,
     ModelScore,
+    SummaryRow,
+    SummaryTable,
     eta,
     format_summary_table,
     read_report_csv,
@@ -21,7 +23,9 @@ from uisbench.bench import (
 from uisbench.cli import main
 from uisbench.dist import new_joint, sample_cond_indep, sample_uniform
 from uisbench.models import ModelKind, ModelParams, _predict_rows
-from uisbench.optim import OptimSettings, fit_batch
+from uisbench.optim import OptimSettings, _lm, fit_batch
+
+from conftest import assert_full_budget_calls, reference_lm
 
 UNIFORM = new_joint([0.125] * 8)
 ALL_KINDS = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP, ModelKind.PWR, ModelKind.BST)
@@ -138,7 +142,8 @@ class TestRunBench:
         import uisbench.bench as bench
         import uisbench.optim as optim
 
-        batches = []  # per PRSP batch, the number of rows of each _predict_rows call
+        batches = []  # per PRSP batch, (rows, with Jacobian) of each _predict_rows call
+        lm_args = []  # per PRSP batch, the arguments of its _lm call
 
         def batched(kind, *args):
             if kind is ModelKind.PRSP:
@@ -147,16 +152,26 @@ class TestRunBench:
 
         def counted(kind, values, *args, **kwargs):
             if kind is ModelKind.PRSP:
-                batches[-1].append(len(values))
+                batches[-1].append((len(values), kwargs.get("jacobian", False)))
             return _predict_rows(kind, values, *args, **kwargs)
+
+        def recorded(residuals, x0, settings, **kwargs):
+            if kwargs.get("full_budget"):  # PRSP's batch
+                lm_args.append((residuals, x0, settings, kwargs))
+            return _lm(residuals, x0, settings, **kwargs)
 
         monkeypatch.setattr(bench, "fit_batch", batched)
         monkeypatch.setattr(optim, "_predict_rows", counted)
+        monkeypatch.setattr(optim, "_lm", recorded)
         run_bench(sample_uniform(72, 14), settings=FAST, seed=1)
+        seen = [list(calls) for calls in batches]  # before the reference adds its own calls
         starts = 2 + FAST.n_starts + 16  # warm and constant start, seeded and kink starts
         sizes = [min(_BATCH_DISTS, 14 - lo) for lo in range(0, 14, _BATCH_DISTS)]
-        # one batch per chunk, which takes the full step budget at its full size
-        assert batches == [[n * starts] * (FAST.max_iters + 1) for n in sizes]
+        # one batch per chunk, whose residuals take the full step budget at its full size
+        assert len(seen) == len(lm_args) == len(sizes)
+        for calls, n, (residuals, x0, settings, kwargs) in zip(seen, sizes, lm_args):
+            n_accepted = reference_lm(residuals, x0, settings, **kwargs)[4]
+            assert_full_budget_calls(calls, n * starts, FAST.max_iters, n_accepted)
 
     def test_failure_mid_chunk_leaves_the_others_alone(self):
         good = sample_uniform(73, 7)
@@ -309,3 +324,13 @@ class TestArtifacts:
         text = format_summary_table(summarize(reports))
         assert "LINR" in text and "mu" in text and "sigma" in text
         assert "n_included=2" in text
+
+    def test_summary_table_keeps_wide_values_apart(self):
+        # a near-zero sigma gives a mu/sigma wider than its column, next to a -inf
+        rows = (
+            SummaryRow(ModelKind.WRST, -1.0, 0.0, -math.inf, 3, 0, 3),
+            SummaryRow(ModelKind.PRSP, 0.37, 1e-15, 370037376181768.12, 3, 0, 3),
+        )
+        lines = format_summary_table(SummaryTable(rows)).splitlines()
+        assert lines[3].split() == ["mu/sigma", "-inf", "370037376181768.12"]
+        assert lines[0].split() == ["WRST", "PRSP"]

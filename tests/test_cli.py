@@ -156,6 +156,18 @@ class TestBench:
         assert f"argument {flag}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_one_level_grid_is_usage_error(self, tmp_path, capsys, source):
+        # was fitted anyway: every distribution failed with a singular matrix and the run exited 1
+        dists = self.make_dists(tmp_path)
+        capsys.readouterr()
+        args = ["--grid", "0.5"] if source == "flag" else ["--config", write_cfg(tmp_path, {"grid": [0.5]})]
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--dists", str(dists), "--out", str(tmp_path / "o")] + args)
+        assert exc.value.code == 2
+        assert "grid needs at least 2 levels, got (0.5,)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_repeated_model_in_config_named(self, tmp_path, capsys):
         dists = self.make_dists(tmp_path)
         capsys.readouterr()

@@ -12,6 +12,7 @@ from uisbench.optim import (
     OptimSettings,
     _lm,
     _residuals,
+    _starts,
     _to_model_values,
     _to_search_coords,
     fit,
@@ -21,7 +22,7 @@ from uisbench.optim import (
 )
 from uisbench.oracle import DEFAULT_GRID, EvidencePair, standard_vector
 
-from conftest import sample_marginal_indep
+from conftest import assert_full_budget_calls, reference_lm, sample_marginal_indep
 
 UNIFORM = new_joint([0.125] * 8)
 
@@ -340,8 +341,8 @@ class TestSearchInternals:
                                         rng.uniform(-2, 2, (5, 7))])),
             (ModelKind.PWR, rng.uniform(-1, 1, (5, 3))),
         ):
-            def residuals(x, rows, kind=kind):
-                return _residuals(kind, x, e1, e2, c)
+            def residuals(x, rows, jacobian, kind=kind):
+                return _residuals(kind, x, e1, e2, c, jacobian)
 
             batch = _lm(residuals, x0, OptimSettings())
             reverse = _lm(residuals, x0[::-1], OptimSettings())
@@ -358,27 +359,78 @@ class TestSearchInternals:
         e1, e2 = grid_arrays()
         c = np.array([v for _, v in sv])
         x0 = np.random.default_rng(3).uniform(-2, 2, (8, 7))
-        x, sse, iters, _ = _lm(lambda x, rows: _residuals(ModelKind.PRSP, x, e1, e2, c), x0, OptimSettings(max_iters=30))
+        x, sse, iters, _ = _lm(lambda x, rows, jacobian: _residuals(ModelKind.PRSP, x, e1, e2, c, jacobian), x0,
+                               OptimSettings(max_iters=30))
         start_sse = np.sum(_residuals(ModelKind.PRSP, x0, e1, e2, c)[0] ** 2, axis=-1)
         assert np.all(sse <= start_sse) and np.all(iters <= 30)
         assert np.allclose(np.sum(_residuals(ModelKind.PRSP, x, e1, e2, c)[0] ** 2, axis=-1), sse, rtol=0, atol=0)
+
+    def test_lm_matches_the_eager_reference(self):
+        # two fits' starts in one batch, as fit_batch builds it, alone and with a start of non-finite SSE
+        e1, e2 = grid_arrays()
+        dists = (sample_uniform(64, 1)[0], sample_cond_indep(65, 1)[0])
+        c = [np.array([v for _, v in standard_vector(d)]) for d in dists]
+        settings = OptimSettings(max_iters=150)
+        for kind in (ModelKind.PRSP, ModelKind.PWR):
+            warm = [true_params_prsp(d) if kind is ModelKind.PRSP else None for d in dists]
+            x0 = [_starts(kind, e1, e2, ci, settings, 7, w) for ci, w in zip(c, warm)]
+            c_rows = np.repeat(np.stack(c), [len(x) for x in x0], axis=0)
+            x0 = np.concatenate(x0)
+            with_nan = x0.copy()
+            with_nan[3] = np.nan
+
+            def residuals(x, rows, jacobian, kind=kind):
+                return _residuals(kind, x, e1, e2, c_rows[rows], jacobian)
+
+            for starts in (x0, with_nan):
+                for full_budget in (False, True):
+                    got = _lm(residuals, starts, settings, full_budget)
+                    for a, b in zip(got, reference_lm(residuals, starts, settings, full_budget)):
+                        assert np.array_equal(a, b, equal_nan=True)
+            assert got[2][3] == 0 and np.isnan(got[0][3]).all()  # never moved
+
+    def test_lm_rejects_a_point_with_non_finite_derivatives(self):
+        # residuals x - (1, -1), whose Jacobian is not finite where x0 > 0.5: steps toward
+        # the minimum lower the SSE there but are rejected until the damping keeps them short
+        target = np.array([1.0, -1.0])
+        past_wall = []  # per Jacobian evaluation, its points with x0 > 0.5
+
+        def residuals(x, rows, jacobian):
+            r = x - target
+            if not jacobian:
+                return r
+            past_wall.append(int(np.sum(x[:, 0] > 0.5)))
+            return r, np.where((x[:, 0] > 0.5)[:, None, None], np.nan, np.eye(2))
+
+        x0 = np.array([[0.0, 0.0], [2.0, 0.0], [0.4, -0.5]])  # the second has no finite SSE: never moved
+        settings = OptimSettings(max_iters=80)
+        for full_budget in (False, True):
+            past_wall.clear()
+            x, sse, iters, converged = _lm(residuals, x0, settings, full_budget)
+            assert sum(past_wall[1:]) > 0  # after the starts, only trial points whose SSE fell get a Jacobian
+            for got, want in zip((x, sse, iters, converged), reference_lm(residuals, x0, settings, full_budget)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(x[1], x0[1]) and iters[1] == 0 and not converged[1]
+            assert np.all(x[[0, 2], 0] <= 0.5) and np.all(iters[[0, 2]] > 0)
 
     def test_full_budget_steps_every_row_and_keeps_its_stop(self):
         sv = standard_vector(sample_uniform(53, 1)[0])
         e1, e2 = grid_arrays()
         c = np.array([v for _, v in sv])
         x0 = np.random.default_rng(4).uniform(-2, 2, (6, 7))
-        batches = []
+        calls = []  # (rows, with Jacobian) per evaluation
 
-        def residuals(x, rows):
-            batches.append(len(x))
-            return _residuals(ModelKind.PRSP, x, e1, e2, c)
+        def residuals(x, rows, jacobian):
+            calls.append((len(x), jacobian))
+            return _residuals(ModelKind.PRSP, x, e1, e2, c, jacobian)
 
         settings = OptimSettings(max_iters=60)
         _, sse_stop, iters_stop, conv_stop = _lm(residuals, x0, settings)
-        batches.clear()
+        calls.clear()
         _, sse_full, iters_full, conv_full = _lm(residuals, x0, settings, full_budget=True)
-        assert batches == [len(x0)] * (settings.max_iters + 1)
+        seen = list(calls)
+        n_accepted = reference_lm(residuals, x0, settings, full_budget=True)[4]
+        assert_full_budget_calls(seen, len(x0), settings.max_iters, n_accepted)
         assert conv_stop.any()  # some row stops early, yet the full batch takes every step
         assert np.array_equal(iters_full, iters_stop) and np.array_equal(conv_full, conv_stop)
         assert np.all(sse_full <= sse_stop + 1e-15)
@@ -386,13 +438,27 @@ class TestSearchInternals:
     def test_prsp_fit_cost_independent_of_data(self, monkeypatch):
         import uisbench.optim as optim
 
-        calls = []
+        calls = []  # (rows, with Jacobian) per _predict_rows call
+        batches = []  # the arguments of each _lm call
 
         def counted(kind, values, *args, **kwargs):
-            calls.append(len(values))
+            calls.append((len(values), kwargs.get("jacobian", False)))
             return _predict_rows(kind, values, *args, **kwargs)
 
+        def recorded(*args, **kwargs):
+            batches.append((args, kwargs))
+            return _lm(*args, **kwargs)
+
+        def check_calls():
+            """The batch's residual calls are fixed; its Jacobian rows follow its accepted steps."""
+            seen = list(calls)  # before the reference adds its own calls
+            (residuals, x0, settings), kwargs = batches.pop()
+            n_accepted = reference_lm(residuals, x0, settings, **kwargs)[4]
+            assert_full_budget_calls(seen, len(x0), settings.max_iters, n_accepted)
+            return len(x0)
+
         monkeypatch.setattr(optim, "_predict_rows", counted)
+        monkeypatch.setattr(optim, "_lm", recorded)
         e1, e2 = grid_arrays()
         planted = list(zip(DEFAULT_GRID.pairs(), predict_grid(ModelKind.PRSP, (0.4, 0.3, 0.8, 0.2, 0.6, 0.7, 0.25), e1, e2)))
         settings = OptimSettings(max_iters=40)
@@ -400,13 +466,13 @@ class TestSearchInternals:
         for d in (sample_uniform(54, 1)[0], sample_cond_indep(55, 1)[0]):
             calls.clear()
             fit(ModelKind.PRSP, standard_vector(d), settings, warm_start=true_params_prsp(d))
-            assert calls == [starts] * (settings.max_iters + 1)
+            assert check_calls() == starts
         for targets in (planted, constant_targets(0.5)):  # exact fits stop at once, the batch does not
             calls.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # zero steps and a zero error divide by nothing
                 r = fit(ModelKind.PRSP, targets, settings)
-            assert r.epsilon < 1e-10 and r.converged and calls == [starts - 1] * (settings.max_iters + 1)
+            assert r.epsilon < 1e-10 and r.converged and check_calls() == starts - 1
 
     def test_recovers_planted_pwr_coefficients(self):
         e1, e2 = grid_arrays()
