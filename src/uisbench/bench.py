@@ -15,11 +15,13 @@ and excluded from aggregates rather than silently included. Scores outside
 
 Aggregation reports the mean, the sample (n-1) standard deviation and their
 ratio per model. Distributions are processed in consecutive chunks of at most
-``_BATCH_DISTS``; within a chunk the PRSP (and PWR) starts of every
-distribution run as the rows of one Levenberg–Marquardt batch
-(``optim.fit_batch``). Rows do not interact and model fits use RNG substreams
-derived from (seed, distribution index), so reports do not depend on the
-chunking, execution order or worker count.
+``_BATCH_DISTS`` (128), so a serial run of up to 128 distributions is one
+chunk; within a chunk the PRSP (and PWR) starts of every distribution run as
+the rows of one Levenberg–Marquardt batch (``optim.fit_batch``), from which
+each PRSP start leaves once it freezes at the damping cap. Rows do not
+interact and model fits use RNG substreams derived from (seed, distribution
+index), so reports do not depend on the chunking, execution order or worker
+count.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "SummaryRow",
     "SummaryTable",
     "eta",
+    "check_bench_args",
     "run_bench",
     "summarize",
     "write_report_csv",
@@ -54,12 +57,14 @@ __all__ = [
 ]
 
 DEGENERATE_EPS = 1e-12
-# distributions whose PRSP and PWR fits share one Levenberg–Marquardt batch. A
-# step costs numpy's fixed overhead plus a share per row: on a 2-vCPU VM a PRSP
-# step takes about 0.22 ms for one fit's 23 rows and 0.63 ms for eight fits' 184
-# (residuals of every row, Jacobians of the few accepted), so a chunk of eight
-# costs far less than eight lone fits but far more than one
-_BATCH_DISTS = 8
+# distributions whose PRSP and PWR fits share one Levenberg–Marquardt batch, so
+# that a run of up to 128 (both acceptance runs have 109) pays numpy's per-step
+# overhead once. Frozen starts leave the batch, so its later steps cost little:
+# on a 2-vCPU VM 128 uniform distributions took 1.9 s in one chunk and 6.2 s in
+# chunks of 8. Memory grows with the chunk: that run peaked at 56 MB resident
+# (41 MB in chunks of 8, 37 MB before the run), mostly the first Jacobian of its
+# 2,944 PRSP starts with its temporaries, about 17 MB at once
+_BATCH_DISTS = 128
 _BATCHED_KINDS = (ModelKind.PRSP, ModelKind.PWR)  # fitted by Levenberg–Marquardt; the rest in closed form
 _MAX_PARAMS = max(PARAM_DIM.values())
 
@@ -230,6 +235,17 @@ def _bench_chunk_star(args) -> list[DistReport]:
     return _bench_chunk(*args)
 
 
+def check_bench_args(dists: list[JointDist], kinds, grid: EvidenceGrid) -> None:
+    """Raise ``ValueError`` naming what ``run_bench`` cannot run on; see there."""
+    if not dists:
+        raise ValueError("dists must be non-empty")
+    for required in (ModelKind.LINR, ModelKind.WRST):
+        if required not in kinds:
+            raise ValueError(f"kinds must include {required.value}; eta is defined relative to it")
+    if len(grid.levels) < 2:
+        raise ValueError(f"grid needs at least 2 levels, got {grid.levels}; a one-level grid makes the fits singular")
+
+
 def run_bench(
     dists: list[JointDist],
     kinds: tuple[ModelKind, ...] = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP, ModelKind.PWR),
@@ -246,22 +262,18 @@ def run_bench(
     of at most ``_BATCH_DISTS``, whose PRSP and PWR fits share one
     Levenberg–Marquardt batch per model. With ``jobs > 1`` chunks are
     processed in parallel, at most ``ceil(len(dists) / jobs)`` distributions
-    each so that every worker gets one; reports are returned ordered by
-    distribution index and are identical to a serial run.
+    each so that every worker gets one, by at most one worker per chunk;
+    reports are returned ordered by distribution index and are identical to a
+    serial run.
     """
     kinds = tuple(kinds)
-    if not dists:
-        raise ValueError("dists must be non-empty")
-    for required in (ModelKind.LINR, ModelKind.WRST):
-        if required not in kinds:
-            raise ValueError(f"kinds must include {required.value}; eta is defined relative to it")
-    if len(grid.levels) < 2:
-        raise ValueError(f"grid needs at least 2 levels, got {grid.levels}; a one-level grid makes the fits singular")
+    check_bench_args(dists, kinds, grid)
     settings = settings or OptimSettings()
     size = _BATCH_DISTS if jobs <= 1 else min(_BATCH_DISTS, math.ceil(len(dists) / jobs))
     items = [(dists[lo : lo + size], lo, kinds, grid, settings, seed) for lo in range(0, len(dists), size)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(items))  # the pool starts all its workers at once, busy or not
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_bench_chunk_star, items))
     else:
         chunks = [_bench_chunk(*item) for item in items]

@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .bench import (
+    check_bench_args,
     format_summary_table,
     read_report_csv,
     run_bench,
@@ -101,6 +102,8 @@ def _load_config(path: str | None) -> RunConfig:
         return config
     with open(path) as f:
         raw = json.load(f)
+    if type(raw) is not dict:
+        raise ValueError(f"{path}: config must be a JSON object, got {raw!r}")
     known = {"seed", "n_dists", "family", "grid", "models", "optim", "out", "jobs"}
     unknown = set(raw) - known
     if unknown:
@@ -117,6 +120,8 @@ def _load_config(path: str | None) -> RunConfig:
             raise ValueError(f"models must be a list of model names, got {names!r}")
         updates["models"] = _parse_models(",".join(names))
     if "optim" in raw:
+        if type(raw["optim"]) is not dict:
+            raise ValueError(f"optim must be a JSON object of settings, got {raw['optim']!r}")
         valid = sorted(f.name for f in fields(OptimSettings))
         unknown = set(raw["optim"]) - set(valid)
         if unknown:
@@ -146,15 +151,21 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         raise AssertionError("unreachable") from exc
 
 
+def _write(write, path, data) -> bool:
+    """``write(path, data)``; an ``OSError`` is reported on stderr, and the result says whether it wrote."""
+    try:
+        write(path, data)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     config = _resolve_config(args, parser)
     out = Path(config.out or "dists.csv")
     sampler = sample_uniform if config.family == "uniform" else sample_cond_indep
-    dists = sampler(config.seed, config.n_dists)
-    try:
-        write_dists_csv(out, dists)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+    if not _write(write_dists_csv, out, sampler(config.seed, config.n_dists)):
         return 1
     print(out)
     return 0
@@ -168,13 +179,19 @@ def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        reports = run_bench(dists, config.models, config.grid, config.optim, config.seed, config.jobs)
+        check_bench_args(dists, config.models, config.grid)
     except ValueError as exc:
         parser.error(str(exc))
-
     out_dir = Path(config.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_report_csv(out_dir / "report.csv", reports)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)  # before the run, which a bad path would waste
+    except OSError as exc:
+        print(f"error: cannot write {out_dir}: {exc}", file=sys.stderr)
+        return 1
+
+    reports = run_bench(dists, config.models, config.grid, config.optim, config.seed, config.jobs)
+    if not _write(write_report_csv, out_dir / "report.csv", reports):
+        return 1
 
     failed = [r for r in reports if r.error is not None]
     for r in failed:
@@ -187,7 +204,8 @@ def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_summary_json(out_dir / "summary.json", table)
+    if not _write(write_summary_json, out_dir / "summary.json", table):
+        return 1
     print(format_summary_table(table))
     return 1 if failed else 0
 
@@ -219,8 +237,8 @@ def cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json is not None:
-        write_summary_json(args.json, table)
+    if args.json is not None and not _write(write_summary_json, args.json, table):
+        return 1
     print(format_summary_table(table))
     return 0
 

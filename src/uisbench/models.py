@@ -130,8 +130,15 @@ def _rule_posterior_jac(e, p_e, q1, q0, pc):
 
 
 def _evidence_levels(e1: np.ndarray, e2: np.ndarray):
-    """Per evidence array, its distinct levels and each cell's index into them (``np.unique``)."""
-    return tuple(np.unique(e, return_inverse=True) for e in (e1, e2))
+    """PRSP's two rules side by side: their evidence levels, parameter columns and cell indices.
+
+    Returns the distinct levels of ``e1`` followed by those of ``e2``, shape
+    (L1 + L2,); the columns of (pEj, q(C|Ej), q(C|not Ej)) of each level's
+    rule, shape (3, L1 + L2); and, per rule, each cell's index into the levels.
+    """
+    (lev1, cell1), (lev2, cell2) = (np.unique(e, return_inverse=True) for e in (e1, e2))
+    cols = np.repeat([[1, 4], [2, 5], [3, 6]], [lev1.size, lev2.size], axis=1)
+    return np.concatenate([lev1, lev2]), cols, (cell1, cell2 + lev1.size)
 
 
 def _predict_rows(kind: ModelKind, values: np.ndarray, e1: np.ndarray, e2: np.ndarray, jacobian: bool = False,
@@ -166,35 +173,32 @@ def _predict_rows(kind: ModelKind, values: np.ndarray, e1: np.ndarray, e2: np.nd
                 + b11 * e1 * e2
             )
         if kind is ModelKind.PRSP:
-            # Rule j depends on ej alone, so it is evaluated on the distinct levels of
-            # ej and gathered out to the cells: each cell gets the same operations on
-            # the same operands as a per-cell evaluation, hence the same bits. ``take``
-            # keeps the gathered arrays C-ordered, so row sums of the residuals keep
-            # numpy's pairwise order whatever the number of rows.
+            # Rule j depends on ej alone, so both rules are evaluated in one pass on
+            # the distinct levels of e1 and e2 side by side, and gathered out to the
+            # cells: each cell gets the same operations on the same operands as a
+            # per-cell, per-rule evaluation, hence the same bits. ``take`` keeps the
+            # gathered arrays C-ordered, so row sums of the residuals keep numpy's
+            # pairwise order whatever the number of rows.
+            lev, cols, (cell1, cell2) = _evidence_levels(e1, e2) if levels is None else levels
             pc = values[:, 0:1]
             prior_odds = pc / (1.0 - pc)
-            odds = prior_odds
-            rules = []
-            if levels is None:
-                levels = _evidence_levels(e1, e2)
-            for (lev, cell), cols in zip(levels, (range(1, 4), range(4, 7))):
-                pe, q1, q0 = (values[:, i : i + 1] for i in cols)
-                p = _rule_posterior(lev, pe, q1, q0, pc)
-                odds = odds * ((p / (1.0 - p)) / prior_odds).take(cell, axis=1)
-                rules.append((cols, lev, cell, p, pe, q1, q0))
+            pe, q1, q0 = (values[:, c] for c in cols)
+            p = _rule_posterior(lev, pe, q1, q0, pc)
+            multiplier = (p / (1.0 - p)) / prior_odds
+            odds = prior_odds * multiplier.take(cell1, axis=1) * multiplier.take(cell2, axis=1)
             pred = odds / (1.0 + odds)
             if not jacobian:
                 return pred
             # logit pred = logit p1 + logit p2 - logit pc, and d logit p / dp = 1 / (p (1 - p))
             jac = np.empty(pred.shape + (7,))
-            d_pc = []
-            for cols, lev, cell, p, pe, q1, q0 in rules:
-                w = 1.0 / (p * (1.0 - p))
-                dp_pc, *dp_rest = _rule_posterior_jac(lev, pe, q1, q0, pc)
-                d_pc.append((w * dp_pc).take(cell, axis=1))
-                for col, dp in zip(cols, dp_rest):  # (pEj, q(C|Ej), q(C|not Ej))
-                    jac[..., col] = (w * dp).take(cell, axis=1)
-            jac[..., 0] = d_pc[0] + d_pc[1] - 1.0 / (pc * (1.0 - pc))
+            w = 1.0 / (p * (1.0 - p))
+            dp_pc, *dp_rest = _rule_posterior_jac(lev, pe, q1, q0, pc)
+            d_pc = w * dp_pc
+            jac[..., 0] = d_pc.take(cell1, axis=1) + d_pc.take(cell2, axis=1) - 1.0 / (pc * (1.0 - pc))
+            for col, dp in enumerate(dp_rest, 1):  # (pEj, q(C|Ej), q(C|not Ej)) of rule 1, then rule 2
+                dp = w * dp
+                jac[..., col] = dp.take(cell1, axis=1)
+                jac[..., col + 3] = dp.take(cell2, axis=1)
             jac *= (pred * (1.0 - pred))[..., None]
             return pred, jac
         if kind is ModelKind.PWR:

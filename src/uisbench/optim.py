@@ -27,25 +27,29 @@ fit is never worse than WRST), ``n_starts`` seeded random starts and, for PRSP,
 one start per cell of its kink partition: PRSP is smooth only while each pEj
 stays between two consecutive grid levels, and LM does not cross kinks well.
 
-PRSP's batch takes all ``max_iters`` steps whatever its rows do
-(``full_budget`` of ``_lm``): a start that meets its stop criterion is marked
-converged and keeps stepping, which can only lower its error. On the two
-109-distribution acceptance runs the median PRSP start stops after 13
-(uniform) or 21 (cond_indep) steps and about 6% creep along a kink or a flat
-valley to ``max_iters``. The budget buys a cost that does not depend on the
-data: which starts creep, and for how long, varies widely between
-distributions, and with each start leaving at its own stop a 14-distribution
-bench run cost up to 2.4 times as much on one sample as on another. Most of
-the budget's trial points are rejected (91% of PRSP row-steps on the uniform
-acceptance run, 89% on cond_indep), so ``_lm`` takes Jacobians lazily: each
-step evaluates the residuals of the whole batch, and the Jacobian and normal
+A PRSP start that meets its stop criterion is marked converged and keeps
+stepping (``full_budget`` of ``_lm``), which can only lower its error. It
+leaves the batch when it freezes, once a step tried at the damping cap is
+rejected: from then on its state no longer changes and every step would try
+the same point again. The batch ends when its last start freezes or after
+``max_iters`` steps. On the two 109-distribution acceptance runs, each fitted
+as one batch of 2,507 starts, the median PRSP start stops after 13 (uniform)
+or 21 (cond_indep) steps and about 6% creep along a kink or a flat valley to
+``max_iters``, so the batch takes all 500 steps; but only 21% (uniform) and
+25% (cond_indep) of its 1,253,500 row-steps are of starts not yet frozen, and
+the rest are skipped. Under half of the steps taken are accepted (44% on
+both runs), so ``_lm`` takes Jacobians lazily: each step evaluates the
+residuals of the rows still in the batch, and the Jacobian and normal
 equations only of the rows whose error fell. On a 2-vCPU VM the residuals of
-a chunk's 184 rows take about 0.21 ms (0.09 ms for one row), their Jacobian
-and normal equations 0.84 ms, and those of 15 rows 0.29 ms; a step of the
-chunk's batch takes about 0.63 ms in all. PWR's starts all stop within a
-few dozen steps, and its batch ends when the last one stops. ``fit`` and
-``fit_batch`` are pure functions of their arguments; independent fits may run
-concurrently.
+one row take about 0.03 ms, of a 14-distribution run's 322 rows 0.14 ms and
+of an acceptance run's 2,507 rows 2.2 ms; their Jacobian and normal
+equations 0.09, 1.2 and 10 ms. Which starts creep, and for how long, varies
+between distributions, so a fit's cost depends on its data: over ten
+samples of 14 distributions, perfbench's bench throughput (``dists_per_kref``)
+ranged 40–49 (uniform) and 40–50 (cond_indep).
+PWR's starts all stop within a few dozen steps, and its batch ends when the
+last one stops. ``fit`` and ``fit_batch`` are pure functions of their
+arguments; independent fits may run concurrently.
 """
 
 from __future__ import annotations
@@ -97,8 +101,9 @@ class OptimSettings:
 
     ``n_starts`` seeded random starts join the fixed ones; ``max_iters`` caps
     the steps tried per start, and a start that reaches it is reported as not
-    converged (PRSP's starts always take all of them; see ``_lm``). A step
-    costs one residual evaluation, plus one Jacobian when it is accepted. The
+    converged (PRSP's starts keep stepping past their stop criterion until
+    they freeze at the damping cap or reach it; see ``_lm``). A step costs one
+    residual evaluation, plus one Jacobian when it is accepted. The
     closed-form fits ignore them.
     """
 
@@ -257,12 +262,13 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = 
     step starts from. A start's Jacobian is thus taken once at ``x0`` and once
     per accepted step.
 
-    With ``full_budget`` no row leaves: every row takes all ``max_iters``
-    steps, and a stop criterion only marks it converged and fixes its step
-    count. The call then evaluates the residuals of the whole batch
-    ``max_iters + 1`` times whatever the data; only the Jacobians, one per
-    accepted step, vary with it. A row that keeps stepping can only lower its
-    SSE.
+    With ``full_budget`` a stop criterion only marks a row converged and fixes
+    its step count; the row keeps stepping, which can only lower its SSE. It
+    leaves the batch only when it freezes: a step tried at the damping cap
+    ``_LAMBDA_MAX`` is rejected. Its point, SSE, normal equations and damping
+    then no longer change, so every later step would solve the same system
+    and reject the same trial point again; dropping it changes no result.
+    The call ends when the last row freezes or after ``max_iters`` steps.
 
     Returns the final points, their SSE, the steps tried (up to the stop) and
     the converged flags.
@@ -281,8 +287,8 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = 
         converged[active[flat]] = True
         if not full_budget:
             active = active[~flat]
-            if active.size == 0:
-                break
+        if active.size == 0:
+            break
         rows = slice(None) if active.size == n else active  # every row: whole arrays, no copies
 
         a_jtj, a_lam, sse_old = jtj[rows], lam[rows], sse[rows]
@@ -302,14 +308,17 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = 
         accepted = sse_try < sse_old  # not where a derivative is not finite: its SSE is now inf
         lam_new = np.where(accepted, np.maximum(a_lam / 10.0, _LAMBDA_MIN), a_lam * 10.0)
         done = np.where(accepted, sse_old - sse_try < _OBJ_REL_TOL * sse_old, lam_new > _LAMBDA_MAX)
+        # with full_budget a row leaves once a step at the damping cap is rejected: its state no
+        # longer changes, so each later step would try the same point. Read a_lam, which may be a
+        # view of lam, before lam is written; a row whose damping was only just capped stays
+        leaving = ~accepted & (a_lam == _LAMBDA_MAX) if full_budget else done
         lam[rows] = np.minimum(lam_new, _LAMBDA_MAX)  # a row that keeps stepping stays finite
         converged[active[done]] = True
         if fell.size:  # after the last use of sse_old, which may be a view of sse
             moved = active[accepted]
             x[moved], sse[moved] = x_try[accepted], sse_try[accepted]
             jtj[moved], jtr[moved] = jtj_fell[accepted[fell]], jtr_fell[accepted[fell]]
-        if not full_budget:
-            active = active[~done]
+        active = active[~leaving]
     return x, sse, iters, converged
 
 
@@ -444,12 +453,13 @@ def fit(
     the underlying joint), the constant start, ``settings.n_starts`` seeded
     random starts and, for PRSP only, one kink start per cell between
     consecutive grid levels of e1 and e2 (16 on the default grid). A PWR
-    start steps until its own stop criterion or ``max_iters``; PRSP's starts
-    all take ``max_iters`` steps (``full_budget`` of ``_lm``). Every step
-    evaluates a start's residuals, and its Jacobian only where the step is
-    accepted. The start with
-    the lowest error wins and reports its steps tried up to its stop criterion
-    and its convergence.
+    start steps until its own stop criterion or ``max_iters``; a PRSP start
+    keeps stepping past its stop criterion until a step at the damping cap is
+    rejected, after which it could not move again, or ``max_iters``
+    (``full_budget`` of ``_lm``). Every step evaluates a start's residuals,
+    and its Jacobian only where the step is accepted. The start with the
+    lowest error wins and reports its steps tried up to its stop criterion and
+    its convergence.
     Non-convergence within ``max_iters`` is not an error; the best point found
     is returned with ``converged=False``. A fit error is raised only if no
     start produces a finite objective. A warm start of another kind is

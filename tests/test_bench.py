@@ -129,14 +129,53 @@ class TestRunBench:
         reports = run_bench(sample_uniform(64, 4), settings=FAST, jobs=2)
         assert [r.dist_id for r in reports] == [0, 1, 2, 3]
 
+    def uneven_dists(self):
+        return sample_uniform(70, 6) + sample_cond_indep(71, 5)
+
     def test_uneven_chunks_jobs_invariant(self):
-        # 11 distributions: chunks of 8+3, 6+5 and 4+4+3 for jobs 1, 2 and 3
-        dists = sample_uniform(70, 6) + sample_cond_indep(71, 5)
+        # 11 distributions: one chunk of 11 for jobs 1, and chunks of 6+5 and 4+4+3 for jobs 2 and 3
+        dists = self.uneven_dists()
         serial = run_bench(dists, settings=FAST, seed=6)
         assert [r.dist_id for r in serial] == list(range(11))
         assert all(r.error is None for r in serial)
         for jobs in (2, 3):
             assert run_bench(dists, settings=FAST, seed=6, jobs=jobs) == serial
+
+    def test_serial_chunks_match_one_chunk(self, monkeypatch):
+        import uisbench.bench as bench
+
+        dists = self.uneven_dists()
+        one_chunk = run_bench(dists, settings=FAST, seed=6)
+        monkeypatch.setattr(bench, "_BATCH_DISTS", 4)  # serial chunks of 4+4+3
+        assert run_bench(dists, settings=FAST, seed=6) == one_chunk
+
+    def test_workers_capped_at_the_chunks(self, monkeypatch):
+        import uisbench.bench as bench
+
+        workers = []
+
+        class Serial:
+            """Records the requested workers and maps in this process, so no worker starts."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", Serial)
+        dists = sample_uniform(74, 3)
+        serial = run_bench(dists, settings=FAST, seed=2)
+        assert run_bench(dists, settings=FAST, seed=2, jobs=500) == serial  # chunks of 1: three workers
+        assert run_bench(dists, settings=FAST, seed=2, jobs=2) == serial  # chunks of 2+1
+        assert run_bench(dists[:1], settings=FAST, seed=2, jobs=4) == serial[:1]  # one chunk: no pool
+        assert workers == [3, 2]
 
     def test_prsp_steps_once_per_chunk(self, monkeypatch):
         import uisbench.bench as bench
@@ -163,15 +202,18 @@ class TestRunBench:
         monkeypatch.setattr(bench, "fit_batch", batched)
         monkeypatch.setattr(optim, "_predict_rows", counted)
         monkeypatch.setattr(optim, "_lm", recorded)
-        run_bench(sample_uniform(72, 14), settings=FAST, seed=1)
-        seen = [list(calls) for calls in batches]  # before the reference adds its own calls
         starts = 2 + FAST.n_starts + 16  # warm and constant start, seeded and kink starts
-        sizes = [min(_BATCH_DISTS, 14 - lo) for lo in range(0, 14, _BATCH_DISTS)]
-        # one batch per chunk, whose residuals take the full step budget at its full size
-        assert len(seen) == len(lm_args) == len(sizes)
-        for calls, n, (residuals, x0, settings, kwargs) in zip(seen, sizes, lm_args):
-            n_accepted = reference_lm(residuals, x0, settings, **kwargs)[4]
-            assert_full_budget_calls(calls, n * starts, FAST.max_iters, n_accepted)
+        for chunk, sizes in ((_BATCH_DISTS, [14]), (8, [8, 6])):  # the whole run is one chunk by default
+            monkeypatch.setattr(bench, "_BATCH_DISTS", chunk)
+            batches.clear()
+            lm_args.clear()
+            run_bench(sample_uniform(72, 14), settings=FAST, seed=1)
+            seen = [list(calls) for calls in batches]  # before the reference adds its own calls
+            # one batch per chunk, whose residuals are evaluated for its rows not yet frozen
+            assert len(seen) == len(lm_args) == len(sizes)
+            for calls, n, (residuals, x0, settings, kwargs) in zip(seen, sizes, lm_args):
+                *_, n_accepted, live = reference_lm(residuals, x0, settings, **kwargs)
+                assert_full_budget_calls(calls, n * starts, live, n_accepted)
 
     def test_failure_mid_chunk_leaves_the_others_alone(self):
         good = sample_uniform(73, 7)

@@ -195,6 +195,8 @@ class TestBench:
             ("out", {"out": 5}),  # was a TypeError traceback
             ("models", {"models": "LINR,WRST"}),  # was split into letters: unknown model 'L'
             ("grid", {"grid": [0.25, True]}),  # was run with the levels (0.25, 1.0)
+            ("config", 5),  # was "'int' object is not iterable"
+            ("optim", {"optim": ["n_starts"]}),  # was "argument after ** must be a mapping, not list"
         ],
     )
     def test_mistyped_config_value_named(self, tmp_path, capsys, key, raw):
@@ -207,6 +209,18 @@ class TestBench:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"{key} must be" in err and "unknown model" not in err
+
+    def test_unwritable_out_is_error_before_the_run(self, tmp_path, capsys, monkeypatch):
+        import uisbench.cli as cli
+
+        dists = self.make_dists(tmp_path)
+        out = tmp_path / "o"
+        out.write_text("a file, not a directory\n")  # was a FileExistsError traceback after the whole run
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "run_bench", lambda *args: pytest.fail("ran the bench"))
+        assert main(["bench", "--dists", str(dists), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
 
     def test_missing_file_is_error(self, tmp_path, capsys):
         assert main(["bench", "--dists", str(tmp_path / "missing.csv")]) == 1
@@ -293,6 +307,16 @@ class TestReport:
         assert code == 0
         assert capsys.readouterr().out == bench_out
         assert (tmp_path / "s2.json").read_bytes() == (tmp_path / "o" / "summary.json").read_bytes()
+
+    def test_unwritable_json_is_error(self, tmp_path, capsys):
+        path = tmp_path / "report.csv"
+        main(["gen", "--family", "uniform", "--n", "3", "--seed", "2", "--out", str(tmp_path / "d.csv")])
+        main(["bench", "--dists", str(tmp_path / "d.csv"), "--out", str(tmp_path), "--config", write_cfg(tmp_path)])
+        capsys.readouterr()
+        target = tmp_path / "missing" / "s.json"  # was a FileNotFoundError traceback
+        assert main(["report", "--report", str(path), "--json", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
 
     def test_missing_report_is_error(self, tmp_path, capsys):
         assert main(["report", "--report", str(tmp_path / "nope.csv")]) == 1

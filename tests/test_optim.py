@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -370,8 +371,8 @@ class TestSearchInternals:
         e1, e2 = grid_arrays()
         dists = (sample_uniform(64, 1)[0], sample_cond_indep(65, 1)[0])
         c = [np.array([v for _, v in standard_vector(d)]) for d in dists]
-        settings = OptimSettings(max_iters=150)
-        for kind in (ModelKind.PRSP, ModelKind.PWR):
+        budgets = (OptimSettings(max_iters=150), OptimSettings())  # both long enough for PRSP rows to freeze
+        for kind, settings in itertools.product((ModelKind.PRSP, ModelKind.PWR), budgets):
             warm = [true_params_prsp(d) if kind is ModelKind.PRSP else None for d in dists]
             x0 = [_starts(kind, e1, e2, ci, settings, 7, w) for ci, w in zip(c, warm)]
             c_rows = np.repeat(np.stack(c), [len(x) for x in x0], axis=0)
@@ -385,9 +386,12 @@ class TestSearchInternals:
             for starts in (x0, with_nan):
                 for full_budget in (False, True):
                     got = _lm(residuals, starts, settings, full_budget)
-                    for a, b in zip(got, reference_lm(residuals, starts, settings, full_budget)):
+                    *want, _, live = reference_lm(residuals, starts, settings, full_budget)
+                    for a, b in zip(got, want):
                         assert np.array_equal(a, b, equal_nan=True)
             assert got[2][3] == 0 and np.isnan(got[0][3]).all()  # never moved
+            if kind is ModelKind.PRSP:  # rows freeze at the damping cap and leave, yet every result matches
+                assert len(live) == settings.max_iters and 0 < live[-1] < len(x0) - 1
 
     def test_lm_rejects_a_point_with_non_finite_derivatives(self):
         # residuals x - (1, -1), whose Jacobian is not finite where x0 > 0.5: steps toward
@@ -429,13 +433,14 @@ class TestSearchInternals:
         calls.clear()
         _, sse_full, iters_full, conv_full = _lm(residuals, x0, settings, full_budget=True)
         seen = list(calls)
-        n_accepted = reference_lm(residuals, x0, settings, full_budget=True)[4]
-        assert_full_budget_calls(seen, len(x0), settings.max_iters, n_accepted)
+        *_, n_accepted, live = reference_lm(residuals, x0, settings, full_budget=True)
+        assert_full_budget_calls(seen, len(x0), live, n_accepted)
+        assert len(live) == settings.max_iters and live[-1] > 0  # some rows step to the end of the budget
         assert conv_stop.any()  # some row stops early, yet the full batch takes every step
         assert np.array_equal(iters_full, iters_stop) and np.array_equal(conv_full, conv_stop)
         assert np.all(sse_full <= sse_stop + 1e-15)
 
-    def test_prsp_fit_cost_independent_of_data(self, monkeypatch):
+    def test_prsp_fit_steps_its_rows_until_they_freeze(self, monkeypatch):
         import uisbench.optim as optim
 
         calls = []  # (rows, with Jacobian) per _predict_rows call
@@ -450,12 +455,12 @@ class TestSearchInternals:
             return _lm(*args, **kwargs)
 
         def check_calls():
-            """The batch's residual calls are fixed; its Jacobian rows follow its accepted steps."""
+            """The batch's residual calls follow its rows not yet frozen; its Jacobian rows its accepted steps."""
             seen = list(calls)  # before the reference adds its own calls
             (residuals, x0, settings), kwargs = batches.pop()
-            n_accepted = reference_lm(residuals, x0, settings, **kwargs)[4]
-            assert_full_budget_calls(seen, len(x0), settings.max_iters, n_accepted)
-            return len(x0)
+            *_, n_accepted, live = reference_lm(residuals, x0, settings, **kwargs)
+            assert_full_budget_calls(seen, len(x0), live, n_accepted)
+            return len(x0), live
 
         monkeypatch.setattr(optim, "_predict_rows", counted)
         monkeypatch.setattr(optim, "_lm", recorded)
@@ -466,13 +471,15 @@ class TestSearchInternals:
         for d in (sample_uniform(54, 1)[0], sample_cond_indep(55, 1)[0]):
             calls.clear()
             fit(ModelKind.PRSP, standard_vector(d), settings, warm_start=true_params_prsp(d))
-            assert check_calls() == starts
-        for targets in (planted, constant_targets(0.5)):  # exact fits stop at once, the batch does not
+            assert check_calls()[0] == starts
+        for targets in (planted, constant_targets(0.5)):  # exact fits stop at once and freeze later
             calls.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # zero steps and a zero error divide by nothing
                 r = fit(ModelKind.PRSP, targets, settings)
-            assert r.epsilon < 1e-10 and r.converged and check_calls() == starts - 1
+            n, live = check_calls()
+            assert r.epsilon < 1e-10 and r.converged and n == starts - 1
+            assert live[-1] < n  # a start at its exact fit is rejected up to the damping cap, and leaves
 
     def test_recovers_planted_pwr_coefficients(self):
         e1, e2 = grid_arrays()
