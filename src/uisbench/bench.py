@@ -17,11 +17,10 @@ Aggregation reports the mean, the sample (n-1) standard deviation and their
 ratio per model. Distributions are processed in consecutive chunks of at most
 ``_BATCH_DISTS`` (128), so a serial run of up to 128 distributions is one
 chunk; within a chunk the PRSP (and PWR) starts of every distribution run as
-the rows of one Levenberg–Marquardt batch (``optim.fit_batch``), from which
-each PRSP start leaves once it freezes at the damping cap. Rows do not
-interact and model fits use RNG substreams derived from (seed, distribution
-index), so reports do not depend on the chunking, execution order or worker
-count.
+the rows of one Levenberg–Marquardt batch (``optim.fit_batch``), which each
+start leaves at its own stop. Rows do not interact and model fits use RNG
+substreams derived from (seed, distribution index), so reports do not depend
+on the chunking, execution order or worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import JointDist
-from .models import PARAM_DIM, ModelKind, ModelParams, true_params_prsp
+from .models import PARAM_DIM, _PWR_EVIDENCE_ERROR, ModelKind, ModelParams, true_params_prsp
 from .optim import FitResult, OptimSettings, fit, fit_batch
 from .oracle import DEFAULT_GRID, EvidenceGrid, standard_vector
 
@@ -59,9 +58,9 @@ __all__ = [
 DEGENERATE_EPS = 1e-12
 # distributions whose PRSP and PWR fits share one Levenberg–Marquardt batch, so
 # that a run of up to 128 (both acceptance runs have 109) pays numpy's per-step
-# overhead once. Frozen starts leave the batch, so its later steps cost little:
-# on a 2-vCPU VM 128 uniform distributions took 1.9 s in one chunk and 6.2 s in
-# chunks of 8. Memory grows with the chunk: that run peaked at 56 MB resident
+# overhead once. Stopped starts leave the batch, so its later steps cost little:
+# on a 2-vCPU VM 128 uniform distributions took about 2 s in one chunk and 4–6 s
+# in chunks of 8. Memory grows with the chunk: that run peaked at 59 MB resident
 # (41 MB in chunks of 8, 37 MB before the run), mostly the first Jacobian of its
 # 2,944 PRSP starts with its temporaries, about 17 MB at once
 _BATCH_DISTS = 128
@@ -244,6 +243,10 @@ def check_bench_args(dists: list[JointDist], kinds, grid: EvidenceGrid) -> None:
             raise ValueError(f"kinds must include {required.value}; eta is defined relative to it")
     if len(grid.levels) < 2:
         raise ValueError(f"grid needs at least 2 levels, got {grid.levels}; a one-level grid makes the fits singular")
+    if ModelKind.PWR in kinds:
+        for level in grid.levels:
+            if level in (0.0, 1.0):
+                raise ValueError(f"grid level {level} cannot be used with PWR: {_PWR_EVIDENCE_ERROR}")
 
 
 def run_bench(
@@ -258,7 +261,8 @@ def run_bench(
 
     ``kinds`` must include LINR and WRST (eta is defined relative to them),
     and ``grid`` needs at least two levels: on one, LINR's and INDP's least
-    squares are singular. Distributions are processed in consecutive chunks
+    squares are singular. With PWR no level may be 0 or 1, where its logit is
+    infinite. Distributions are processed in consecutive chunks
     of at most ``_BATCH_DISTS``, whose PRSP and PWR fits share one
     Levenberg–Marquardt batch per model. With ``jobs > 1`` chunks are
     processed in parallel, at most ``ceil(len(dists) / jobs)`` distributions
@@ -339,10 +343,18 @@ def write_report_csv(path, reports: list[DistReport]) -> None:
                 f.write(",".join(row) + "\n")
 
 
+def _read_flag(field: str, text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"{field} must be true or false, got {text!r}")
+    return text == "true"
+
+
 def read_report_csv(path) -> list[DistReport]:
     """Reconstruct reports from a report CSV (enough to re-run summarize).
 
-    Raises ValueError naming the distribution whose model list (in row order)
+    Raises ValueError naming the row and field of a bad value, including a
+    row without one value per column or a flag other than ``true`` and
+    ``false``, and naming the distribution whose model list (in row order)
     differs from the first distribution's.
     """
     by_dist: dict[int, list[ModelScore]] = {}
@@ -354,15 +366,17 @@ def read_report_csv(path) -> list[DistReport]:
             raise ValueError(f"{path}: bad header, expected {','.join(REPORT_CSV_COLUMNS)}")
         for row_no, row in enumerate(reader):
             try:
+                if len(row) != len(REPORT_CSV_COLUMNS):
+                    raise ValueError(f"expected {len(REPORT_CSV_COLUMNS)} columns, got {len(row)}")
                 dist_id = int(row[0])
                 kind = ModelKind(row[1])
                 epsilon = float(row[2])
-                score = EtaScore(float(row[3]), clamped=row[4] == "true", degenerate=row[5] == "true")
-                converged = row[6] == "true"
+                clamped, degenerate, converged = (_read_flag(REPORT_CSV_COLUMNS[i], row[i]) for i in (4, 5, 6))
+                score = EtaScore(float(row[3]), clamped=clamped, degenerate=degenerate)
                 iterations, start_index = int(row[7]), int(row[8])
                 values = tuple(float(v) for v in row[9:] if v != "")
                 params = ModelParams(kind, values)
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}: row {row_no}: {exc}") from None
             by_dist.setdefault(dist_id, []).append(
                 ModelScore(kind, epsilon, score, params, converged, iterations, start_index)

@@ -219,6 +219,8 @@ def cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if not dists:
+        parser.error("dists must be non-empty")
     ev = EvidencePair(args.e1, args.e2)
     status = 0
     for i, d in enumerate(dists):

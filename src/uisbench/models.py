@@ -65,6 +65,7 @@ PARAM_DIM = {
     ModelKind.WRST: 1,  # the constant
     ModelKind.BST: 0,
 }
+_PWR_EVIDENCE_ERROR = "PWR needs evidence strictly inside (0, 1); logit is infinite at 0 and 1"
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,7 @@ def predict_grid(kind: ModelKind, values, e1, e2):
     if kind is ModelKind.PWR and (
         np.any(e1f <= 0.0) or np.any(e1f >= 1.0) or np.any(e2f <= 0.0) or np.any(e2f >= 1.0)
     ):
-        raise ValueError("PWR needs evidence strictly inside (0, 1); logit is infinite at 0 and 1")
+        raise ValueError(_PWR_EVIDENCE_ERROR)
     if kind is ModelKind.PRSP:
         pc, pe1, q11, q10, pe2, q21, q20 = row[0]
         for p in (_rule_posterior(e1f, pe1, q11, q10, pc), _rule_posterior(e2f, pe2, q21, q20, pc)):

@@ -27,29 +27,25 @@ fit is never worse than WRST), ``n_starts`` seeded random starts and, for PRSP,
 one start per cell of its kink partition: PRSP is smooth only while each pEj
 stays between two consecutive grid levels, and LM does not cross kinks well.
 
-A PRSP start that meets its stop criterion is marked converged and keeps
-stepping (``full_budget`` of ``_lm``), which can only lower its error. It
-leaves the batch when it freezes, once a step tried at the damping cap is
-rejected: from then on its state no longer changes and every step would try
-the same point again. The batch ends when its last start freezes or after
-``max_iters`` steps. On the two 109-distribution acceptance runs, each fitted
-as one batch of 2,507 starts, the median PRSP start stops after 13 (uniform)
-or 21 (cond_indep) steps and about 6% creep along a kink or a flat valley to
-``max_iters``, so the batch takes all 500 steps; but only 21% (uniform) and
-25% (cond_indep) of its 1,253,500 row-steps are of starts not yet frozen, and
-the rest are skipped. Under half of the steps taken are accepted (44% on
-both runs), so ``_lm`` takes Jacobians lazily: each step evaluates the
-residuals of the rows still in the batch, and the Jacobian and normal
+Every start of PRSP and PWR follows one stop rule (see ``_lm``): it leaves the
+batch at its first stop test or after ``max_iters`` steps, and the batch ends
+with its last start. On the two 109-distribution acceptance runs, each fitted
+as one batch of 2,507 PRSP starts, the median start stops after 13 (uniform)
+or 21 (cond_indep) steps, but 143 and 164 starts creep along a kink or a flat
+valley to ``max_iters``, so the batch takes all 500 steps; 11% (uniform) and
+17% (cond_indep) of its 1,253,500 row-steps are taken. About three in five of
+them are accepted (60% and 56%), and on a batch that large residuals cost a
+fifth of a Jacobian, so ``_lm`` takes Jacobians lazily: each step evaluates
+the residuals of the rows still in the batch, and the Jacobian and normal
 equations only of the rows whose error fell. On a 2-vCPU VM the residuals of
-one row take about 0.03 ms, of a 14-distribution run's 322 rows 0.14 ms and
-of an acceptance run's 2,507 rows 2.2 ms; their Jacobian and normal
-equations 0.09, 1.2 and 10 ms. Which starts creep, and for how long, varies
-between distributions, so a fit's cost depends on its data: over ten
-samples of 14 distributions, perfbench's bench throughput (``dists_per_kref``)
-ranged 40–49 (uniform) and 40–50 (cond_indep).
-PWR's starts all stop within a few dozen steps, and its batch ends when the
-last one stops. ``fit`` and ``fit_batch`` are pure functions of their
-arguments; independent fits may run concurrently.
+one row take about 0.03 ms, of a 14-distribution run's 322 rows 0.14 ms and of
+an acceptance run's 2,507 rows 2.2 ms; their Jacobian and normal equations
+0.09, 1.2 and 10 ms. Which starts creep, and for how long, varies between
+distributions, so a fit's cost depends on its data: over ten samples of 14
+distributions, perfbench's bench throughput (``dists_per_kref``) ranged 45–57
+(uniform) and 41–64 (cond_indep). PWR's starts all stop within a few dozen
+steps. ``fit`` and ``fit_batch`` are pure functions of their arguments;
+independent fits may run concurrently.
 """
 
 from __future__ import annotations
@@ -100,11 +96,10 @@ class OptimSettings:
     """Settings of the Levenberg–Marquardt fit of PRSP and PWR; both are positive integers.
 
     ``n_starts`` seeded random starts join the fixed ones; ``max_iters`` caps
-    the steps tried per start, and a start that reaches it is reported as not
-    converged (PRSP's starts keep stepping past their stop criterion until
-    they freeze at the damping cap or reach it; see ``_lm``). A step costs one
-    residual evaluation, plus one Jacobian when it is accepted. The
-    closed-form fits ignore them.
+    the steps tried per start, and a start that reaches it before a stop test
+    is reported as not converged (see ``_lm``). A step costs one residual
+    evaluation, plus one Jacobian when it is accepted. The closed-form fits
+    ignore them.
     """
 
     n_starts: int = 5
@@ -234,7 +229,7 @@ def _evaluate(residuals, x: np.ndarray, rows: np.ndarray):
     return sse, jt @ jac, (jt @ r[..., None])[..., 0], r.shape[1]
 
 
-def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = False):
+def _lm(residuals, x0: np.ndarray, settings: OptimSettings):
     """Levenberg–Marquardt on every row of ``x0`` at once; each row is one start.
 
     ``residuals(x, rows, jacobian)`` maps an (m, n) batch of points and the
@@ -249,29 +244,21 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = 
     the derivatives at the new point are finite. A row stops, and leaves
     the batch, when an accepted step lowers its SSE by a relative amount under
     ``_OBJ_REL_TOL``, when the norm of its RMS gradient falls under
-    ``_GRAD_TOL``, when its damping overflows (no step lowers the SSE) or after
-    ``max_iters`` steps; only the last is reported as not converged. The
-    batch shrinks as its rows stop, and the call ends when the last one does.
-    Rows interact through no computation, so a start's result does not
-    depend, to the bit, on the other starts in the batch or on its position in
-    it.
+    ``_GRAD_TOL``, when its damping passes ``_LAMBDA_MAX`` (no step lowers the
+    SSE) or after ``max_iters`` steps; only the last is reported as not
+    converged. The batch shrinks as its rows stop, and the call ends when the
+    last one does (Moré 1978). Rows interact through no computation, so a
+    start's result does not depend, to the bit, on the other starts in the
+    batch or on its position in it.
 
-    The Jacobian is evaluated lazily (Moré 1978): each step evaluates only the
-    residuals of every active row at its trial point, and then the Jacobian
-    and normal equations of the rows whose SSE fell, the only points a next
-    step starts from. A start's Jacobian is thus taken once at ``x0`` and once
-    per accepted step.
+    The Jacobian is evaluated lazily: each step evaluates only the residuals
+    of every active row at its trial point, and then the Jacobian and normal
+    equations of the rows whose SSE fell, the only points a next step starts
+    from. A start's Jacobian is thus taken once at ``x0`` and once per
+    accepted step.
 
-    With ``full_budget`` a stop criterion only marks a row converged and fixes
-    its step count; the row keeps stepping, which can only lower its SSE. It
-    leaves the batch only when it freezes: a step tried at the damping cap
-    ``_LAMBDA_MAX`` is rejected. Its point, SSE, normal equations and damping
-    then no longer change, so every later step would solve the same system
-    and reject the same trial point again; dropping it changes no result.
-    The call ends when the last row freezes or after ``max_iters`` steps.
-
-    Returns the final points, their SSE, the steps tried (up to the stop) and
-    the converged flags.
+    Returns the final points, their SSE, the steps tried and the converged
+    flags.
     """
     x = np.array(x0, dtype=np.float64)
     n = len(x)
@@ -285,21 +272,19 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = 
         # |grad RMS| = |Jᵀr| / sqrt(k SSE), taken as 0 at an exact fit
         flat = (sse[active] == 0.0) | (np.linalg.norm(jtr[active], axis=-1) < _GRAD_TOL * np.sqrt(k * sse[active]))
         converged[active[flat]] = True
-        if not full_budget:
-            active = active[~flat]
+        active = active[~flat]
         if active.size == 0:
             break
-        rows = slice(None) if active.size == n else active  # every row: whole arrays, no copies
 
-        a_jtj, a_lam, sse_old = jtj[rows], lam[rows], sse[rows]
+        a_jtj, a_lam, sse_old = jtj[active], lam[active], sse[active]
         diag = np.diagonal(a_jtj, axis1=1, axis2=2)
         scale = np.where(diag > 0.0, diag, 1.0)  # a flat coordinate gets no step
         damped = a_jtj + (a_lam[:, None] * scale)[..., None] * eye
-        step = -np.linalg.solve(damped, jtr[rows][..., None])[..., 0]
+        step = -np.linalg.solve(damped, jtr[active][..., None])[..., 0]
         step *= (_MAX_STEP / np.maximum(np.max(np.abs(step), axis=-1), _MAX_STEP))[:, None]
-        x_try = x[rows] + step
+        x_try = x[active] + step
         sse_try = _sse(residuals(x_try, active, False))
-        iters[active[~converged[rows]]] = it
+        iters[active] = it
 
         # only a point whose SSE fell can be accepted, so only there are derivatives needed
         fell = np.flatnonzero(sse_try < sse_old)
@@ -308,17 +293,13 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings, full_budget: bool = 
         accepted = sse_try < sse_old  # not where a derivative is not finite: its SSE is now inf
         lam_new = np.where(accepted, np.maximum(a_lam / 10.0, _LAMBDA_MIN), a_lam * 10.0)
         done = np.where(accepted, sse_old - sse_try < _OBJ_REL_TOL * sse_old, lam_new > _LAMBDA_MAX)
-        # with full_budget a row leaves once a step at the damping cap is rejected: its state no
-        # longer changes, so each later step would try the same point. Read a_lam, which may be a
-        # view of lam, before lam is written; a row whose damping was only just capped stays
-        leaving = ~accepted & (a_lam == _LAMBDA_MAX) if full_budget else done
-        lam[rows] = np.minimum(lam_new, _LAMBDA_MAX)  # a row that keeps stepping stays finite
+        lam[active] = lam_new
         converged[active[done]] = True
-        if fell.size:  # after the last use of sse_old, which may be a view of sse
+        if fell.size:
             moved = active[accepted]
             x[moved], sse[moved] = x_try[accepted], sse_try[accepted]
             jtj[moved], jtr[moved] = jtj_fell[accepted[fell]], jtr_fell[accepted[fell]]
-        active = active[~leaving]
+        active = active[~done]
     return x, sse, iters, converged
 
 
@@ -423,7 +404,6 @@ def fit_batch(
         lambda x, rows, jacobian: _residuals(kind, x, e1, e2, c_rows[rows], jacobian, levels),
         np.concatenate([s[4] for s in searched]),
         settings,
-        full_budget=kind is ModelKind.PRSP,
     )
     for (i, _, _, c, _), lo, hi in zip(searched, np.cumsum([0] + counts[:-1]), np.cumsum(counts)):
         idx = int(np.argmin(sse[lo:hi]))  # the first start on a tie
@@ -452,15 +432,11 @@ def fit(
     ``warm_start`` when given (callers typically pass the parameters read off
     the underlying joint), the constant start, ``settings.n_starts`` seeded
     random starts and, for PRSP only, one kink start per cell between
-    consecutive grid levels of e1 and e2 (16 on the default grid). A PWR
-    start steps until its own stop criterion or ``max_iters``; a PRSP start
-    keeps stepping past its stop criterion until a step at the damping cap is
-    rejected, after which it could not move again, or ``max_iters``
-    (``full_budget`` of ``_lm``). Every step evaluates a start's residuals,
-    and its Jacobian only where the step is accepted. The start with the
-    lowest error wins and reports its steps tried up to its stop criterion and
-    its convergence.
-    Non-convergence within ``max_iters`` is not an error; the best point found
+    consecutive grid levels of e1 and e2 (16 on the default grid). Every
+    start steps until its own stop test or ``max_iters`` (see ``_lm``). Every
+    step evaluates a start's residuals, and its Jacobian only where the step
+    is accepted. The start with the lowest error wins and reports its steps
+    tried and its convergence. Non-convergence within ``max_iters`` is not an error; the best point found
     is returned with ``converged=False``. A fit error is raised only if no
     start produces a finite objective. A warm start of another kind is
     rejected for every model. This is ``fit_batch`` on one vector.

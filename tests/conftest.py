@@ -4,8 +4,8 @@ The dual-solver here re-derives the minimum-cross-entropy posterior by a
 completely different route (convex minimisation of the log-partition dual via
 scipy) so the IPF implementation can be checked against something it shares
 no code with. ``reference_lm`` is the Levenberg–Marquardt loop that evaluates
-the Jacobian at every trial point and keeps stepping every row, which
-``optim._lm`` must match bit for bit.
+the Jacobian at every trial point, which ``optim._lm`` must match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -88,33 +88,26 @@ def _reference_evaluate(residuals, x, rows):
     return np.where(finite, sse, np.inf), jt @ jac, (jt @ r[..., None])[..., 0], r.shape[1]
 
 
-def reference_lm(residuals, x0, settings, full_budget=False):
+def reference_lm(residuals, x0, settings):
     """``optim._lm`` with the Jacobian and normal equations evaluated at every trial point.
 
-    It keeps every row it has not stopped in the batch, frozen rows included.
     Takes the same arguments and returns the same four arrays, plus the number
-    of accepted row-steps (the count of Jacobians a lazy ``_lm`` takes after
-    the one at ``x0``) and, per step, the number of stepped rows not yet
-    frozen. A row freezes when a step it tried at the damping cap is rejected:
-    its point, SSE, normal equations and damping no longer change, so it tries
-    the same point again at every later step.
+    of accepted row-steps: the count of Jacobians a lazy ``_lm`` takes after
+    the one at ``x0``.
     """
     x = np.array(x0, dtype=np.float64)
     sse, jtj, jtr, k = _reference_evaluate(residuals, x, np.arange(len(x)))
     lam = np.full(len(x), _LAMBDA_START)
     iters = np.zeros(len(x), dtype=int)
     converged = np.zeros(len(x), dtype=bool)
-    frozen = np.zeros(len(x), dtype=bool)
-    n_accepted, live = 0, []
+    n_accepted = 0
     active = np.flatnonzero(np.isfinite(sse))
     for it in range(1, settings.max_iters + 1):
         flat = (sse[active] == 0.0) | (np.linalg.norm(jtr[active], axis=-1) < _GRAD_TOL * np.sqrt(k * sse[active]))
         converged[active[flat]] = True
-        if not full_budget:
-            active = active[~flat]
-            if active.size == 0:
-                break
-        live.append(int(np.count_nonzero(~frozen[active])))
+        active = active[~flat]
+        if active.size == 0:
+            break
 
         a_jtj = jtj[active]
         diag = np.diagonal(a_jtj, axis1=1, axis2=2)
@@ -124,32 +117,33 @@ def reference_lm(residuals, x0, settings, full_budget=False):
         step *= (_MAX_STEP / np.maximum(np.max(np.abs(step), axis=-1), _MAX_STEP))[:, None]
         x_try = x[active] + step
         sse_try, jtj_try, jtr_try, _ = _reference_evaluate(residuals, x_try, active)
-        iters[active[~converged[active]]] = it
+        iters[active] = it
 
         sse_old = sse[active]
         accepted = sse_try < sse_old
         n_accepted += int(accepted.sum())
-        frozen[active[~accepted & (lam[active] == _LAMBDA_MAX)]] = True
         acc = active[accepted]
         x[acc], sse[acc], jtj[acc], jtr[acc] = x_try[accepted], sse_try[accepted], jtj_try[accepted], jtr_try[accepted]
-        lam_new = np.where(accepted, np.maximum(lam[active] / 10.0, _LAMBDA_MIN), lam[active] * 10.0)
-        done = np.where(accepted, sse_old - sse_try < _OBJ_REL_TOL * sse_old, lam_new > _LAMBDA_MAX)
-        lam[active] = np.minimum(lam_new, _LAMBDA_MAX)
+        lam[active] = np.where(accepted, np.maximum(lam[active] / 10.0, _LAMBDA_MIN), lam[active] * 10.0)
+        done = np.where(accepted, sse_old - sse_try < _OBJ_REL_TOL * sse_old, lam[active] > _LAMBDA_MAX)
         converged[active[done]] = True
-        if not full_budget:
-            active = active[~done]
-    return x, sse, iters, converged, n_accepted, live
+        active = active[~done]
+    return x, sse, iters, converged, n_accepted
 
 
-def assert_full_budget_calls(calls, batch, live, n_accepted):
-    """Check one full-budget ``_lm`` batch's evaluations, given as (rows, with Jacobian) per call.
+def assert_batch_calls(calls, residuals, x0, settings):
+    """Check one ``_lm`` batch's evaluations, given as (rows, with Jacobian) per call.
 
-    The first call evaluates all ``batch`` rows with the Jacobian, at the
-    starts. Then each step evaluates the residuals of its rows not yet frozen,
-    ``live`` per step as ``reference_lm`` counts them, and the batch ends when
-    none is left. The Jacobian rows add up to the batch plus its accepted
-    row-steps.
+    The first call evaluates every row of ``x0`` with the Jacobian, at the
+    starts. Then step ``it`` evaluates the residuals of exactly the rows not
+    yet stopped, those that ``reference_lm`` steps ``it`` times or more, and
+    the batch ends with its last row. The Jacobian rows add up to the batch
+    plus its accepted row-steps.
     """
-    assert calls[0] == (batch, True)
-    assert [rows for rows, jacobian in calls[1:] if not jacobian] == [n for n in live if n]
-    assert sum(rows for rows, jacobian in calls if jacobian) == batch + n_accepted
+    calls = list(calls)  # before the reference adds its own
+    *_, iters, _, n_accepted = reference_lm(residuals, x0, settings)
+    assert calls[0] == (len(x0), True)
+    assert [rows for rows, jacobian in calls[1:] if not jacobian] == [
+        int(np.count_nonzero(iters >= it)) for it in range(1, iters.max() + 1)
+    ]
+    assert sum(rows for rows, jacobian in calls if jacobian) == len(x0) + n_accepted

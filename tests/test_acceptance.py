@@ -245,12 +245,12 @@ def test_criterion_9_cli_determinism(tmp_path):
 # sha256 of report.csv and summary.json of the two acceptance runs (BENCH_KINDS, default settings)
 ARTIFACT_SHA256 = {
     "uniform": {
-        "report.csv": "3ffed8bc25fc5c4e78534eb6d200fdab9716737578a63a1f301f23b257350437",
-        "summary.json": "5e647faba3c067f9e3dd49ad8e3607ce5f2581230ba1b5246578a143063f972e",
+        "report.csv": "a5ef44b57ac99ca0788f431f1912f0b04ad4a7b24e74f2f06a66ccdc5af7660e",
+        "summary.json": "233f4c43ddedd4c52f58b862f7e33263c17c017862e7f12ca8ace564be0ff79b",
     },
     "cond_indep": {
-        "report.csv": "dc9944d387e05bdb03896cb274d94ca3315b17ccaaa3c27c75e86011b2eac208",
-        "summary.json": "11d37f16711aa7d1fbe34e355796a129a490bf0507a5db4bb5af69b4c77e01d8",
+        "report.csv": "c67c55871fe84092d6960740050d9d6a00d99616ee9efdb141ae717511f2a13a",
+        "summary.json": "f1ec6c2b0828c33141b0149b4b64651611e241cf39c59261a0a1ee2ab2f1ec07",
     },
 }
 

@@ -24,8 +24,9 @@ from uisbench.cli import main
 from uisbench.dist import new_joint, sample_cond_indep, sample_uniform
 from uisbench.models import ModelKind, ModelParams, _predict_rows
 from uisbench.optim import OptimSettings, _lm, fit_batch
+from uisbench.oracle import EvidenceGrid
 
-from conftest import assert_full_budget_calls, reference_lm
+from conftest import assert_batch_calls
 
 UNIFORM = new_joint([0.125] * 8)
 ALL_KINDS = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP, ModelKind.PWR, ModelKind.BST)
@@ -87,6 +88,15 @@ class TestRunBench:
     def test_requires_dists(self):
         with pytest.raises(ValueError, match="non-empty"):
             run_bench([])
+
+    def test_pwr_rejects_hard_evidence_levels(self):
+        d = sample_uniform(59, 2)
+        for levels, hard in (((0.0, 0.5), 0.0), ((0.5, 1.0), 1.0)):
+            with pytest.raises(ValueError, match=f"grid level {hard} cannot be used with PWR"):
+                run_bench(d, grid=EvidenceGrid(levels))
+        no_pwr = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP)
+        reports = run_bench(d, kinds=no_pwr, grid=EvidenceGrid((0.0, 0.5, 1.0)), settings=FAST)
+        assert all(r.error is None for r in reports)
 
     def test_uniform_prior_is_degenerate(self):
         reports = run_bench([UNIFORM], kinds=(ModelKind.LINR, ModelKind.WRST), settings=FAST)
@@ -194,10 +204,10 @@ class TestRunBench:
                 batches[-1].append((len(values), kwargs.get("jacobian", False)))
             return _predict_rows(kind, values, *args, **kwargs)
 
-        def recorded(residuals, x0, settings, **kwargs):
-            if kwargs.get("full_budget"):  # PRSP's batch
-                lm_args.append((residuals, x0, settings, kwargs))
-            return _lm(residuals, x0, settings, **kwargs)
+        def recorded(residuals, x0, settings):
+            if x0.shape[1] == 7:  # PRSP's batch
+                lm_args.append((residuals, x0, settings))
+            return _lm(residuals, x0, settings)
 
         monkeypatch.setattr(bench, "fit_batch", batched)
         monkeypatch.setattr(optim, "_predict_rows", counted)
@@ -209,11 +219,11 @@ class TestRunBench:
             lm_args.clear()
             run_bench(sample_uniform(72, 14), settings=FAST, seed=1)
             seen = [list(calls) for calls in batches]  # before the reference adds its own calls
-            # one batch per chunk, whose residuals are evaluated for its rows not yet frozen
+            # one batch per chunk, whose residuals are evaluated for its rows not yet stopped
             assert len(seen) == len(lm_args) == len(sizes)
-            for calls, n, (residuals, x0, settings, kwargs) in zip(seen, sizes, lm_args):
-                *_, n_accepted, live = reference_lm(residuals, x0, settings, **kwargs)
-                assert_full_budget_calls(calls, n * starts, live, n_accepted)
+            for calls, n, (residuals, x0, settings) in zip(seen, sizes, lm_args):
+                assert len(x0) == n * starts
+                assert_batch_calls(calls, residuals, x0, settings)
 
     def test_failure_mid_chunk_leaves_the_others_alone(self):
         good = sample_uniform(73, 7)
@@ -344,6 +354,28 @@ class TestArtifacts:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="dist 1 lists models INDP,WRST,LINR, but dist 0 lists LINR,WRST,INDP"):
             read_report_csv(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda row: row.replace(",false,false,true,", ",false,false,True,"), "row 8: converged must be true or false, got 'True'"),
+            (lambda row: row.replace(",false,false,true,", ",yes,false,true,"), "row 8: clamped must be true or false, got 'yes'"),
+            (lambda row: row.replace(",false,false,true,", ",false,0,true,"), "row 8: degenerate must be true or false, got '0'"),
+            (lambda row: row + ",", "row 8: expected 16 columns, got 17"),
+            (lambda row: row + "\n", "row 9: expected 16 columns, got 0"),  # a trailing blank line
+        ],
+    )
+    def test_malformed_row_named(self, tmp_path, capsys, edit, message):
+        # a True flag was read as false, and a blank line failed with an IndexError
+        path = _three_model_report_csv(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[-1] = edit(lines[-1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_report_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+        assert main(["report", "--report", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_missing_model_row_rejected_by_report_command(self, tmp_path, capsys):
         path = _three_model_report_csv(tmp_path)

@@ -168,6 +168,21 @@ class TestBench:
         assert "grid needs at least 2 levels, got (0.5,)" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_hard_evidence_level_with_pwr_is_usage_error(self, tmp_path, capsys, source):
+        # was fitted anyway: every distribution failed with "PWR fit failed: no start produced a finite objective"
+        dists = self.make_dists(tmp_path)
+        capsys.readouterr()
+        args = ["--grid", "0,0.5,1"] if source == "flag" else ["--config", write_cfg(tmp_path, {"grid": [0, 0.5, 1]})]
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--dists", str(dists), "--out", str(tmp_path / "o")] + args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "grid level 0.0 cannot be used with PWR: PWR needs evidence strictly inside (0, 1)" in err
+        assert not (tmp_path / "o").exists()
+        without_pwr = ["--models", "LINR,WRST,INDP,PRSP", "--config", write_cfg(tmp_path)]
+        assert main(["bench", "--dists", str(dists), "--out", str(tmp_path / "o"), "--grid", "0,0.5,1"] + without_pwr) == 0
+
     def test_repeated_model_in_config_named(self, tmp_path, capsys):
         dists = self.make_dists(tmp_path)
         capsys.readouterr()
@@ -274,6 +289,14 @@ class TestOracle:
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--dists", str(path), "--e1", "1.5", "--e2", "0.5"])
         assert exc.value.code == 2
+
+    def test_empty_dists_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        write_dists_csv(path, [])  # header only: was answered with nothing and exit 0
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--dists", str(path), "--e1", "0.5", "--e2", "0.5"])
+        assert exc.value.code == 2
+        assert "dists must be non-empty" in capsys.readouterr().err
 
     def test_infeasible_evidence_named(self, tmp_path, capsys):
         path = tmp_path / "d.csv"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
-from uisbench.bench import run_bench
+from uisbench.bench import _derived_seed, run_bench
 from uisbench.dist import new_joint, sample_cond_indep, sample_uniform
 from uisbench.models import ModelKind, ModelParams, _predict_rows, predict_grid, true_params_indp, true_params_prsp
 from uisbench.optim import (
@@ -23,7 +23,7 @@ from uisbench.optim import (
 )
 from uisbench.oracle import DEFAULT_GRID, EvidencePair, standard_vector
 
-from conftest import assert_full_budget_calls, reference_lm, sample_marginal_indep
+from conftest import assert_batch_calls, reference_lm, sample_marginal_indep
 
 UNIFORM = new_joint([0.125] * 8)
 
@@ -288,6 +288,11 @@ PRSP_EPS_BEFORE_LM = (
     0.07211377364963509, 0.002595406858735568, 0.014438672401330073, 0.08138510863078559,
 )
 
+# PRSP's epsilon on uniform acceptance distributions 68 and 45 (gen seed 1987,
+# bench seed 11, default settings) when each start stepped on past its stop
+# until its damping capped; these two rose most once starts left at their stop
+PRSP_EPS_STEPPED_PAST_STOP = {68: 0.078855414251281106, 45: 0.10151948224445308}
+
 
 class TestSearchInternals:
     def test_jacobian_matches_central_differences(self):
@@ -371,7 +376,7 @@ class TestSearchInternals:
         e1, e2 = grid_arrays()
         dists = (sample_uniform(64, 1)[0], sample_cond_indep(65, 1)[0])
         c = [np.array([v for _, v in standard_vector(d)]) for d in dists]
-        budgets = (OptimSettings(max_iters=150), OptimSettings())  # both long enough for PRSP rows to freeze
+        budgets = (OptimSettings(max_iters=150), OptimSettings())  # one PRSP row steps to the end of each
         for kind, settings in itertools.product((ModelKind.PRSP, ModelKind.PWR), budgets):
             warm = [true_params_prsp(d) if kind is ModelKind.PRSP else None for d in dists]
             x0 = [_starts(kind, e1, e2, ci, settings, 7, w) for ci, w in zip(c, warm)]
@@ -384,14 +389,13 @@ class TestSearchInternals:
                 return _residuals(kind, x, e1, e2, c_rows[rows], jacobian)
 
             for starts in (x0, with_nan):
-                for full_budget in (False, True):
-                    got = _lm(residuals, starts, settings, full_budget)
-                    *want, _, live = reference_lm(residuals, starts, settings, full_budget)
-                    for a, b in zip(got, want):
-                        assert np.array_equal(a, b, equal_nan=True)
+                got = _lm(residuals, starts, settings)
+                *want, _ = reference_lm(residuals, starts, settings)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b, equal_nan=True)
             assert got[2][3] == 0 and np.isnan(got[0][3]).all()  # never moved
-            if kind is ModelKind.PRSP:  # rows freeze at the damping cap and leave, yet every result matches
-                assert len(live) == settings.max_iters and 0 < live[-1] < len(x0) - 1
+            if kind is ModelKind.PRSP:  # rows leave at their stops, and the batch ends with its last row
+                assert got[2].max() == settings.max_iters and 0 < np.count_nonzero(got[3]) < len(x0) - 1
 
     def test_lm_rejects_a_point_with_non_finite_derivatives(self):
         # residuals x - (1, -1), whose Jacobian is not finite where x0 > 0.5: steps toward
@@ -408,39 +412,14 @@ class TestSearchInternals:
 
         x0 = np.array([[0.0, 0.0], [2.0, 0.0], [0.4, -0.5]])  # the second has no finite SSE: never moved
         settings = OptimSettings(max_iters=80)
-        for full_budget in (False, True):
-            past_wall.clear()
-            x, sse, iters, converged = _lm(residuals, x0, settings, full_budget)
-            assert sum(past_wall[1:]) > 0  # after the starts, only trial points whose SSE fell get a Jacobian
-            for got, want in zip((x, sse, iters, converged), reference_lm(residuals, x0, settings, full_budget)):
-                assert np.array_equal(got, want)
-            assert np.array_equal(x[1], x0[1]) and iters[1] == 0 and not converged[1]
-            assert np.all(x[[0, 2], 0] <= 0.5) and np.all(iters[[0, 2]] > 0)
+        x, sse, iters, converged = _lm(residuals, x0, settings)
+        assert sum(past_wall[1:]) > 0  # after the starts, only trial points whose SSE fell get a Jacobian
+        for got, want in zip((x, sse, iters, converged), reference_lm(residuals, x0, settings)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(x[1], x0[1]) and iters[1] == 0 and not converged[1]
+        assert np.all(x[[0, 2], 0] <= 0.5) and np.all(iters[[0, 2]] > 0)
 
-    def test_full_budget_steps_every_row_and_keeps_its_stop(self):
-        sv = standard_vector(sample_uniform(53, 1)[0])
-        e1, e2 = grid_arrays()
-        c = np.array([v for _, v in sv])
-        x0 = np.random.default_rng(4).uniform(-2, 2, (6, 7))
-        calls = []  # (rows, with Jacobian) per evaluation
-
-        def residuals(x, rows, jacobian):
-            calls.append((len(x), jacobian))
-            return _residuals(ModelKind.PRSP, x, e1, e2, c, jacobian)
-
-        settings = OptimSettings(max_iters=60)
-        _, sse_stop, iters_stop, conv_stop = _lm(residuals, x0, settings)
-        calls.clear()
-        _, sse_full, iters_full, conv_full = _lm(residuals, x0, settings, full_budget=True)
-        seen = list(calls)
-        *_, n_accepted, live = reference_lm(residuals, x0, settings, full_budget=True)
-        assert_full_budget_calls(seen, len(x0), live, n_accepted)
-        assert len(live) == settings.max_iters and live[-1] > 0  # some rows step to the end of the budget
-        assert conv_stop.any()  # some row stops early, yet the full batch takes every step
-        assert np.array_equal(iters_full, iters_stop) and np.array_equal(conv_full, conv_stop)
-        assert np.all(sse_full <= sse_stop + 1e-15)
-
-    def test_prsp_fit_steps_its_rows_until_they_freeze(self, monkeypatch):
+    def test_prsp_fit_steps_each_row_until_its_stop(self, monkeypatch):
         import uisbench.optim as optim
 
         calls = []  # (rows, with Jacobian) per _predict_rows call
@@ -450,17 +429,15 @@ class TestSearchInternals:
             calls.append((len(values), kwargs.get("jacobian", False)))
             return _predict_rows(kind, values, *args, **kwargs)
 
-        def recorded(*args, **kwargs):
-            batches.append((args, kwargs))
-            return _lm(*args, **kwargs)
+        def recorded(*args):
+            batches.append(args)
+            return _lm(*args)
 
         def check_calls():
-            """The batch's residual calls follow its rows not yet frozen; its Jacobian rows its accepted steps."""
-            seen = list(calls)  # before the reference adds its own calls
-            (residuals, x0, settings), kwargs = batches.pop()
-            *_, n_accepted, live = reference_lm(residuals, x0, settings, **kwargs)
-            assert_full_budget_calls(seen, len(x0), live, n_accepted)
-            return len(x0), live
+            """The batch's residual calls follow its rows not yet stopped; its Jacobian rows its accepted steps."""
+            residuals, x0, settings = batches.pop()
+            assert_batch_calls(calls, residuals, x0, settings)
+            return len(x0)
 
         monkeypatch.setattr(optim, "_predict_rows", counted)
         monkeypatch.setattr(optim, "_lm", recorded)
@@ -471,15 +448,14 @@ class TestSearchInternals:
         for d in (sample_uniform(54, 1)[0], sample_cond_indep(55, 1)[0]):
             calls.clear()
             fit(ModelKind.PRSP, standard_vector(d), settings, warm_start=true_params_prsp(d))
-            assert check_calls()[0] == starts
-        for targets in (planted, constant_targets(0.5)):  # exact fits stop at once and freeze later
+            assert check_calls() == starts
+        for targets in (planted, constant_targets(0.5)):  # exact fits: some start stops at once
             calls.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # zero steps and a zero error divide by nothing
                 r = fit(ModelKind.PRSP, targets, settings)
-            n, live = check_calls()
-            assert r.epsilon < 1e-10 and r.converged and n == starts - 1
-            assert live[-1] < n  # a start at its exact fit is rejected up to the damping cap, and leaves
+            assert check_calls() == starts - 1
+            assert r.epsilon < 1e-10 and r.converged
 
     def test_recovers_planted_pwr_coefficients(self):
         e1, e2 = grid_arrays()
@@ -500,6 +476,13 @@ class TestSearchInternals:
         reports = run_bench(sample_uniform(1987, len(PRSP_EPS_BEFORE_LM)), kinds=kinds, seed=11)
         for report, before in zip(reports, PRSP_EPS_BEFORE_LM):
             assert report.scores[2].epsilon <= before + 1e-9
+
+    def test_prsp_no_worse_than_stepping_past_the_stop(self):
+        dists = sample_uniform(1987, max(PRSP_EPS_STEPPED_PAST_STOP) + 1)
+        for i, before in PRSP_EPS_STEPPED_PAST_STOP.items():
+            d = dists[i]
+            r = fit(ModelKind.PRSP, standard_vector(d), seed=_derived_seed(11, i), warm_start=true_params_prsp(d))
+            assert r.epsilon <= before + 1e-9  # the same fit as the bench's, bit for bit
 
     def test_bounded_transform_roundtrip(self):
         values = np.array([0.2, 0.5, 0.9, 0.0001, 0.3, 0.7, 0.999])
