@@ -164,12 +164,18 @@ def _substream(seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(k)])
 
 
+def _check_count(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n!r}")
+
+
 def sample_uniform(seed: int, n: int) -> list[JointDist]:
     """Draw ``n`` joints uniformly from the 7-simplex of 8-atom distributions.
 
     Uses the standard flat-Dirichlet construction: eight independent
     unit-exponential draws, normalised to sum 1.
     """
+    _check_count(n)
     out = []
     for k in range(n):
         g = _substream(seed, k).exponential(size=8)
@@ -184,6 +190,7 @@ def sample_cond_indep(seed: int, n: int) -> list[JointDist]:
     [0.01, 0.99]; the interval is kept away from {0, 1} so the expanded
     joints are never degenerate.
     """
+    _check_count(n)
     out = []
     for k in range(n):
         v = _substream(seed, k).uniform(0.01, 0.99, size=5)

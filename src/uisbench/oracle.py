@@ -17,6 +17,15 @@ particular atoms that are zero in the prior stay zero, and P(C | E1, E2) is
 unchanged within each hard-evidence cell. Hard evidence (a target of exactly
 0 or 1) empties the excluded half in the first sweep, which makes the update
 coincide with ordinary Bayesian conditioning.
+
+:func:`standard_vector` runs the IPF of all its grid cells at once, as the
+rows of an (n, 2, 2, 2) cube in :func:`_ipf_rows`. Each row does the scalar
+loop's arithmetic in the same order, so the answers are bit for bit those of
+one :func:`mce_update` per cell; a row leaves the batch at its own stop. On
+the default grid that is about 4x faster than 25 scalar loops (2-vCPU VM).
+Single queries (:func:`mce_update`, :func:`standard_answer` and
+``uisbench oracle``) keep the scalar loop: routed through the kernel as a
+batch of one, 256 of them took about 90 ms against 35-50 ms.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import EVENT_AXES, JointDist, marginal
+from .dist import _RENORM_EPS, _SUM_TOLERANCE, EVENT_AXES, JointDist, marginal
 
 __all__ = [
     "EvidencePair",
@@ -88,6 +97,15 @@ class EvidenceGrid:
 DEFAULT_GRID = EvidenceGrid((0.001, 0.25, 0.5, 0.75, 0.999))
 
 
+def _check_ipf_args(tol, max_sweeps, sweep_order) -> None:
+    if tuple(sweep_order) not in (("E1", "E2"), ("E2", "E1")):
+        raise ValueError(f"sweep_order must be a permutation of ('E1', 'E2'), got {sweep_order!r}")
+    if not max_sweeps >= 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps!r}")
+    if not 0.0 <= tol < float("inf"):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+
+
 def mce_update(
     d: JointDist,
     ev: EvidencePair,
@@ -102,8 +120,7 @@ def mce_update(
     :class:`ConvergenceError` when the sweep budget is exhausted, reporting
     the residual.
     """
-    if set(sweep_order) != {"E1", "E2"}:
-        raise ValueError(f"sweep_order must be a permutation of ('E1', 'E2'), got {sweep_order!r}")
+    _check_ipf_args(tol, max_sweeps, sweep_order)
     targets = {"E1": float(ev.e1), "E2": float(ev.e2)}
     atoms = np.array(d.atoms, dtype=np.float64)
     # halves[name][v] is the view of the atoms where event ``name`` is v; a sum
@@ -140,6 +157,130 @@ def standard_answer(d: JointDist, ev: EvidencePair) -> float:
     return marginal(mce_update(d, ev), "C")
 
 
+def _halves(cube: np.ndarray, axis: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The halves of the event on ``axis`` for each row of ``cube`` (rows, 2, 2, 2).
+
+    ``h[:, v]`` is each row's E=v half. The four views, each (rows, 2, 1, 1),
+    are the atoms of every half in the order ``half.sum()`` adds them.
+    """
+    h = cube.swapaxes(1, axis + 1)
+    return h, (h[:, :, :1, :1], h[:, :, :1, 1:], h[:, :, 1:, :1], h[:, :, 1:, 1:])
+
+
+def _mass(quarters: tuple[np.ndarray, ...]) -> np.ndarray:
+    a, b, c, d = quarters
+    return ((a + b) + c) + d
+
+
+def _ipf_rows(
+    atoms: np.ndarray,
+    e1: np.ndarray,
+    e2: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    sweep_order: tuple[str, str] = ("E1", "E2"),
+) -> tuple[np.ndarray, list[Exception | None]]:
+    """:func:`mce_update` on each row of ``atoms`` (n, 8) at once, bit for bit.
+
+    Returns the posterior atoms (n, 8), renormalised as :class:`JointDist`
+    does, and per row ``None`` or the error ``mce_update`` would raise for it;
+    a failed row's atoms are NaN. Every row runs the scalar loop's arithmetic
+    in the same order. A row leaves the batch once its residual is within
+    ``tol`` or it has failed, and the batch is compacted only on sweeps where
+    some row leaves.
+    """
+    _check_ipf_args(tol, max_sweeps, sweep_order)
+    cube = np.array(atoms, dtype=np.float64).reshape(-1, 2, 2, 2)
+    n = len(cube)
+    axes = [EVENT_AXES[name] for name in sweep_order]
+    # per event in sweep order: its targets (rows,) and the masses (rows, 2, 1, 1)
+    # its (E=0, E=1) halves must reach
+    targets = [np.asarray((e1, e2)[axis], dtype=np.float64).reshape(n) for axis in axes]
+    want = [np.stack([1.0 - t, t], axis=1).reshape(n, 2, 1, 1) for t in targets]
+    post = np.full((n, 8), np.nan)
+    errors: list[Exception | None] = [None] * n
+    rows = np.arange(n)
+    residual = np.full(n, np.inf)
+    views = [_halves(cube, axis) for axis in axes]
+    mass = _mass(views[0][1])  # the first event's masses, carried over from the residual
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_sweeps):
+            if not len(rows):
+                break
+            failed = None
+            for k, (h, quarters) in enumerate(views):
+                if k:
+                    mass = _mass(quarters)
+                positive = mass > 0.0
+                factor = want[k] / mass
+                if not positive.all():
+                    # an empty half keeps factor 1; wanting mass there fails the row
+                    factor = np.where(positive, factor, 1.0)
+                    unreachable = ~positive & (want[k] > 0.0)
+                    bad = unreachable.any(axis=(1, 2, 3))
+                    if failed is None:
+                        failed = np.zeros(len(rows), dtype=bool)
+                    for i in np.flatnonzero(bad & ~failed):
+                        name, value = sweep_order[k], 1 if unreachable[i, 1, 0, 0] else 0
+                        errors[rows[i]] = InfeasibleEvidenceError(
+                            f"target P({name})={float(targets[k][i])!r} unreachable: "
+                            f"P({name}) is {1 - value} on the current support"
+                        )
+                    failed |= bad
+                h *= factor
+            last = abs(_mass(views[1][1])[:, 1, 0, 0] - targets[1])
+            mass = _mass(views[0][1])
+            first = abs(mass[:, 1, 0, 0] - targets[0])
+            r1, r2 = (first, last) if axes[0] == 0 else (last, first)
+            residual = np.where(r2 > r1, r2, r1)  # Python's max(r1, r2), NaN included
+            converged = leave = residual <= tol
+            if failed is not None:
+                converged = converged & ~failed
+                leave = converged | failed
+            if leave.any():
+                post[rows[converged]] = cube[converged].reshape(-1, 8)
+                stay = ~leave
+                cube, rows, residual = cube[stay], rows[stay], residual[stay]
+                targets = [t[stay] for t in targets]
+                want = [w[stay] for w in want]
+                views = [_halves(cube, axis) for axis in axes]
+                mass = _mass(views[0][1])
+    for i, r in zip(rows, residual):
+        errors[i] = ConvergenceError(
+            f"marginal residual {float(r):.3e} above tol {tol:g} after {max_sweeps} sweeps"
+        )
+
+    # JointDist's checks and renormalisation; np.sum adds eight atoms pairwise
+    a = post.T
+    total = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+    done = np.array([e is None for e in errors], dtype=bool)
+    valid = (np.isfinite(post) & (post >= 0.0)).all(axis=1) & ~(abs(total - 1.0) > _SUM_TOLERANCE)
+    for i in np.flatnonzero(done & ~valid):
+        try:
+            JointDist(post[i])
+        except ValueError as exc:
+            errors[i] = exc
+            post[i] = np.nan
+    renorm = abs(total - 1.0) > _RENORM_EPS
+    post[renorm] /= total[renorm, None]
+    return post, errors
+
+
 def standard_vector(d: JointDist, grid: EvidenceGrid = DEFAULT_GRID) -> list[tuple[EvidencePair, float]]:
-    """Standard answers over the full evidence grid, row-major (e1 outer)."""
-    return [(ev, standard_answer(d, ev)) for ev in grid.pairs()]
+    """Standard answers over the full evidence grid, row-major (e1 outer).
+
+    One :func:`_ipf_rows` call runs every grid cell as a row of one batch. The
+    answers are bit for bit those of :func:`standard_answer` per cell, and the
+    error of the first failing cell in row-major order is raised, as a loop
+    over the cells would. On the default grid this is about 4x faster than 25
+    scalar loops; single queries keep the scalar loop (see the module notes).
+    """
+    pairs = grid.pairs()
+    post, errors = _ipf_rows(
+        np.broadcast_to(d.atoms, (len(pairs), 8)), [ev.e1 for ev in pairs], [ev.e2 for ev in pairs]
+    )
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    p_c = ((post[:, 1] + post[:, 3]) + post[:, 5]) + post[:, 7]  # marginal(post, "C")'s order
+    return [(ev, float(c)) for ev, c in zip(pairs, p_c)]

@@ -166,6 +166,11 @@ class TestSampling:
         assert sample_uniform(1, 0) == []
         assert sample_cond_indep(1, 0) == []
 
+    def test_negative_count_rejected(self):
+        for sampler in (sample_uniform, sample_cond_indep):
+            with pytest.raises(ValueError, match="n must be non-negative, got -1"):
+                sampler(1, -1)
+
     def test_deterministic(self):
         a = sample_uniform(42, 20)
         b = sample_uniform(42, 20)

@@ -8,6 +8,7 @@ from uisbench.dist import (
     expand,
     marginal,
     new_joint,
+    sample_cond_indep,
     sample_uniform,
 )
 from uisbench.models import predict, true_params_indp
@@ -17,6 +18,7 @@ from uisbench.oracle import (
     EvidenceGrid,
     EvidencePair,
     InfeasibleEvidenceError,
+    _ipf_rows,
     mce_update,
     standard_answer,
     standard_vector,
@@ -26,6 +28,35 @@ from conftest import dual_tilt_posterior, sample_marginal_indep
 
 UNIFORM = new_joint([0.125] * 8)
 CI_EXAMPLE = expand(CondIndepParams(0.5, 0.8, 0.2, 0.8, 0.2))
+CELLS = [(e1, e2) for e1 in (0, 1) for e2 in (0, 1)]
+
+
+def planted_zero_atoms(seed: int, n: int) -> list:
+    """Joints with zero atoms planted in three patterns.
+
+    The first two empty one whole (E1, E2) cell, so interior evidence on the
+    far side of it is unreachable without an empty half and IPF runs out its
+    10,000 sweeps (ConvergenceError). Each of those costs about a second per
+    grid, so there are only two. The rest alternate between one to three zero
+    atoms in distinct cells, where every grid converges, and an emptied half
+    of E1 or E2 plus one more zero atom, where interior evidence is
+    infeasible.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(n):
+        atoms = rng.exponential(size=8)
+        if k < 2:
+            e1, e2 = CELLS[3 - k]
+            atoms[atom_index(e1, e2, 0)] = atoms[atom_index(e1, e2, 1)] = 0.0
+        elif k % 2:
+            for e1, e2 in rng.permutation(CELLS)[: rng.integers(1, 4)]:
+                atoms[atom_index(e1, e2, rng.integers(2))] = 0.0
+        else:
+            atoms.reshape(2, 2, 2).swapaxes(0, rng.integers(2))[rng.integers(2)] = 0.0
+            atoms[atom_index(*rng.permutation(CELLS)[0], rng.integers(2))] = 0.0
+        out.append(new_joint(atoms / atoms.sum()))
+    return out
 
 
 class TestEvidenceTypes:
@@ -139,6 +170,80 @@ class TestMceUpdate:
             assert np.max(np.abs(post.atoms - ref)) < 1e-8
 
 
+def _update_batch(d, ev, **kw):
+    return _ipf_rows(d.atoms[None], [ev.e1], [ev.e2], **kw)
+
+
+@pytest.mark.parametrize("update", [mce_update, _update_batch])
+class TestIpfArguments:
+    """``mce_update`` and ``_ipf_rows`` share one check of their IPF arguments."""
+
+    @pytest.mark.parametrize("order", [("E1", "E2", "E1"), ("E1",), ("E1", "E1"), ("E1", "C"), ()])
+    def test_sweep_order_must_be_a_permutation(self, update, order):
+        with pytest.raises(ValueError, match=r"sweep_order must be a permutation of \('E1', 'E2'\)"):
+            update(UNIFORM, EvidencePair(0.5, 0.5), sweep_order=order)
+
+    def test_either_order_accepted(self, update):
+        for order in (("E1", "E2"), ("E2", "E1"), ["E2", "E1"]):
+            update(UNIFORM, EvidencePair(0.5, 0.5), sweep_order=order)
+
+    @pytest.mark.parametrize("max_sweeps", [0, -1])
+    def test_max_sweeps_below_one_rejected(self, update, max_sweeps):
+        with pytest.raises(ValueError, match=f"max_sweeps must be at least 1, got {max_sweeps}"):
+            update(UNIFORM, EvidencePair(0.5, 0.5), max_sweeps=max_sweeps)
+
+    @pytest.mark.parametrize("tol", [-1e-12, float("nan"), float("inf")])
+    def test_negative_or_non_finite_tol_rejected(self, update, tol):
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            update(UNIFORM, EvidencePair(0.5, 0.5), tol=tol)
+
+    def test_zero_tol_accepted(self, update):
+        update(UNIFORM, EvidencePair(0.5, 0.5), tol=0.0)
+
+
+def _outcome(fn):
+    """What ``fn()`` returns, or the type and message of what it raises."""
+    try:
+        return fn()
+    except (InfeasibleEvidenceError, ConvergenceError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestIpfRows:
+    """The batched kernel equals ``mce_update`` row by row, bit for bit."""
+
+    def _assert_rows_match(self, dists, pairs, **kw):
+        """Each row's atoms or error equal ``mce_update``'s; returns the number of errors."""
+        cases = [(d, EvidencePair(e1, e2)) for d in dists for e1, e2 in pairs]
+        post, errors = _ipf_rows(
+            np.array([d.atoms for d, _ in cases]), [ev.e1 for _, ev in cases], [ev.e2 for _, ev in cases], **kw
+        )
+        n_errors = 0
+        for (d, ev), atoms, exc in zip(cases, post, errors):
+            want = _outcome(lambda: mce_update(d, ev, **kw).atoms.tolist())
+            assert (atoms.tolist() if exc is None else (type(exc), str(exc))) == want, ev
+            n_errors += isinstance(want, tuple)
+        return n_errors
+
+    @pytest.mark.parametrize("order", [("E1", "E2"), ("E2", "E1")])
+    def test_convergence_errors_at_small_max_sweeps(self, order):
+        dists = sample_uniform(31, 20) + sample_cond_indep(32, 20)
+        pairs = [(ev.e1, ev.e2) for ev in DEFAULT_GRID.pairs()]
+        for max_sweeps in (1, 2, 3, 5, 8):
+            n_errors = self._assert_rows_match(dists, pairs, max_sweeps=max_sweeps, sweep_order=order)
+            if max_sweeps <= 3:
+                assert n_errors > 0
+
+    def test_loose_tol_and_planted_zero_atoms(self):
+        dists = planted_zero_atoms(33, 40)[2:]  # no empty cell: each row ends within a few sweeps or fails at once
+        pairs = [(0.0, 0.0), (0.0, 0.7), (1.0, 0.3), (0.4, 1.0), (0.25, 0.75), (0.9, 0.1)]
+        assert self._assert_rows_match(dists, pairs, tol=1e-6, max_sweeps=50) > 0
+
+    def test_empty_batch(self):
+        post, errors = _ipf_rows(np.zeros((0, 8)), [], [])
+        assert post.shape == (0, 8) and errors == []
+
+
 class TestStandardAnswer:
     def test_hard_corners_equal_conditioning(self):
         for d in sample_uniform(13, 250):
@@ -175,6 +280,30 @@ class TestStandardVector:
             0.015508951237150534,
         ]
         assert [c for _, c in standard_vector(sample_uniform(1987, 1)[0])] == pinned
+
+    @pytest.mark.parametrize(
+        "levels, raised",
+        [
+            (DEFAULT_GRID.levels, {InfeasibleEvidenceError, ConvergenceError}),
+            ((0, 0.3, 1), {InfeasibleEvidenceError}),
+            ((0, 0.5), {InfeasibleEvidenceError, ConvergenceError}),
+            ((0.2, 0.4, 0.6, 0.8, 1.0), {InfeasibleEvidenceError, ConvergenceError}),
+        ],
+        ids=["default", "0-0.3-1", "0-0.5", "0.2-to-1"],
+    )
+    def test_equals_a_per_cell_loop(self, levels, raised):
+        # the batched IPF against one scalar update per cell: every answer
+        # equal with ==, and every failing distribution raising the error of
+        # its first failing cell in row-major order, same type and message
+        grid = EvidenceGrid(levels)
+        dists = sample_uniform(17, 200) + sample_cond_indep(18, 200) + planted_zero_atoms(19, 300)
+        kinds = set()
+        for k, d in enumerate(dists):
+            want = _outcome(lambda: [(ev, standard_answer(d, ev)) for ev in grid.pairs()])
+            assert _outcome(lambda: standard_vector(d, grid)) == want, k
+            if isinstance(want, tuple):
+                kinds.add(want[0])
+        assert kinds == raised
 
     def test_default_grid_has_25_entries_row_major(self):
         sv = standard_vector(sample_uniform(15, 1)[0])
