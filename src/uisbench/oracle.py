@@ -23,6 +23,11 @@ rows of an (n, 2, 2, 2) cube in :func:`_ipf_rows`. Each row does the scalar
 loop's arithmetic in the same order, so the answers are bit for bit those of
 one :func:`mce_update` per cell; a row leaves the batch at its own stop. On
 the default grid that is about 4x faster than 25 scalar loops (2-vCPU VM).
+The batch runs at most ``_BATCH_SWEEPS`` sweeps, and a cell still running
+then goes to the scalar loop in row-major order. So a grid with cells out of
+reach runs only the first of them to the full sweep budget, as 25 scalar
+loops would, rather than all of them at once at the batch's higher cost per
+sweep.
 Single queries (:func:`mce_update`, :func:`standard_answer` and
 ``uisbench oracle``) keep the scalar loop: routed through the kernel as a
 batch of one, 256 of them took about 90 ms against 35-50 ms.
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import _RENORM_EPS, _SUM_TOLERANCE, EVENT_AXES, JointDist, marginal
+from .dist import _RENORM_EPS, EVENT_AXES, JointDist, marginal
 
 __all__ = [
     "EvidencePair",
@@ -49,6 +54,11 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 10000
+# standard_vector's batch stops here and hands cells still running to the
+# scalar loop: fewer than 1 in 4,000 cells of sampled joints need more sweeps,
+# while a cell whose evidence is out of reach runs all DEFAULT_MAX_SWEEPS, and
+# a lone row sweeps faster in the scalar loop than in the batch
+_BATCH_SWEEPS = 100
 
 
 class InfeasibleEvidenceError(ValueError):
@@ -97,13 +107,19 @@ class EvidenceGrid:
 DEFAULT_GRID = EvidenceGrid((0.001, 0.25, 0.5, 0.75, 0.999))
 
 
-def _check_ipf_args(tol, max_sweeps, sweep_order) -> None:
-    if tuple(sweep_order) not in (("E1", "E2"), ("E2", "E1")):
-        raise ValueError(f"sweep_order must be a permutation of ('E1', 'E2'), got {sweep_order!r}")
+def _check_max_sweeps(max_sweeps) -> None:
     if not max_sweeps >= 1:
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps!r}")
-    if not 0.0 <= tol < float("inf"):
-        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+
+
+def _unreachable(name: str, target: float, value: int) -> InfeasibleEvidenceError:
+    return InfeasibleEvidenceError(
+        f"target P({name})={target!r} unreachable: P({name}) is {1 - value} on the current support"
+    )
+
+
+def _not_converged(residual: float, tol: float, max_sweeps: int) -> ConvergenceError:
+    return ConvergenceError(f"marginal residual {residual:.3e} above tol {tol:g} after {max_sweeps} sweeps")
 
 
 def mce_update(
@@ -120,7 +136,11 @@ def mce_update(
     :class:`ConvergenceError` when the sweep budget is exhausted, reporting
     the residual.
     """
-    _check_ipf_args(tol, max_sweeps, sweep_order)
+    if tuple(sweep_order) not in (("E1", "E2"), ("E2", "E1")):
+        raise ValueError(f"sweep_order must be a permutation of ('E1', 'E2'), got {sweep_order!r}")
+    _check_max_sweeps(max_sweeps)
+    if not 0.0 <= tol < float("inf"):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     targets = {"E1": float(ev.e1), "E2": float(ev.e2)}
     atoms = np.array(d.atoms, dtype=np.float64)
     # halves[name][v] is the view of the atoms where event ``name`` is v; a sum
@@ -138,18 +158,14 @@ def mce_update(
                 if mass > 0.0:
                     half *= want / mass
                 elif want > 0.0:  # scaling keeps an empty half empty
-                    raise InfeasibleEvidenceError(
-                        f"target P({name})={target!r} unreachable: P({name}) is {1 - value} on the current support"
-                    )
+                    raise _unreachable(name, target, value)
         residual = max(
             abs(float(halves["E1"][1].sum()) - targets["E1"]),
             abs(float(halves["E2"][1].sum()) - targets["E2"]),
         )
         if residual <= tol:
             return JointDist(atoms)
-    raise ConvergenceError(
-        f"marginal residual {residual:.3e} above tol {tol:g} after {max_sweeps} sweeps"
-    )
+    raise _not_converged(residual, tol, max_sweeps)
 
 
 def standard_answer(d: JointDist, ev: EvidencePair) -> float:
@@ -173,36 +189,31 @@ def _mass(quarters: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def _ipf_rows(
-    atoms: np.ndarray,
-    e1: np.ndarray,
-    e2: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    sweep_order: tuple[str, str] = ("E1", "E2"),
+    atoms: np.ndarray, e1: np.ndarray, e2: np.ndarray, max_sweeps: int = DEFAULT_MAX_SWEEPS
 ) -> tuple[np.ndarray, list[Exception | None]]:
-    """:func:`mce_update` on each row of ``atoms`` (n, 8) at once, bit for bit.
+    """:func:`mce_update` at its default ``tol`` on each row of ``atoms`` (n, 8) at once, bit for bit.
 
     Returns the posterior atoms (n, 8), renormalised as :class:`JointDist`
     does, and per row ``None`` or the error ``mce_update`` would raise for it;
     a failed row's atoms are NaN. Every row runs the scalar loop's arithmetic
-    in the same order. A row leaves the batch once its residual is within
-    ``tol`` or it has failed, and the batch is compacted only on sweeps where
-    some row leaves.
+    in the same order, E1 then E2. A row leaves the batch once its residual
+    is within ``DEFAULT_TOL`` or it has failed, and the batch is compacted
+    only on sweeps where some row leaves.
     """
-    _check_ipf_args(tol, max_sweeps, sweep_order)
+    _check_max_sweeps(max_sweeps)
     cube = np.array(atoms, dtype=np.float64).reshape(-1, 2, 2, 2)
     n = len(cube)
-    axes = [EVENT_AXES[name] for name in sweep_order]
-    # per event in sweep order: its targets (rows,) and the masses (rows, 2, 1, 1)
-    # its (E=0, E=1) halves must reach
-    targets = [np.asarray((e1, e2)[axis], dtype=np.float64).reshape(n) for axis in axes]
+    names = ("E1", "E2")
+    # per event: its targets (rows,) and the masses (rows, 2, 1, 1) its
+    # (E=0, E=1) halves must reach
+    targets = [np.asarray(t, dtype=np.float64).reshape(n) for t in (e1, e2)]
     want = [np.stack([1.0 - t, t], axis=1).reshape(n, 2, 1, 1) for t in targets]
     post = np.full((n, 8), np.nan)
     errors: list[Exception | None] = [None] * n
     rows = np.arange(n)
     residual = np.full(n, np.inf)
-    views = [_halves(cube, axis) for axis in axes]
-    mass = _mass(views[0][1])  # the first event's masses, carried over from the residual
+    views = [_halves(cube, EVENT_AXES[name]) for name in names]
+    mass = _mass(views[0][1])  # E1's masses, carried over from the residual
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_sweeps):
             if not len(rows):
@@ -221,19 +232,15 @@ def _ipf_rows(
                     if failed is None:
                         failed = np.zeros(len(rows), dtype=bool)
                     for i in np.flatnonzero(bad & ~failed):
-                        name, value = sweep_order[k], 1 if unreachable[i, 1, 0, 0] else 0
-                        errors[rows[i]] = InfeasibleEvidenceError(
-                            f"target P({name})={float(targets[k][i])!r} unreachable: "
-                            f"P({name}) is {1 - value} on the current support"
-                        )
+                        value = 1 if unreachable[i, 1, 0, 0] else 0
+                        errors[rows[i]] = _unreachable(names[k], float(targets[k][i]), value)
                     failed |= bad
                 h *= factor
-            last = abs(_mass(views[1][1])[:, 1, 0, 0] - targets[1])
+            r2 = abs(_mass(views[1][1])[:, 1, 0, 0] - targets[1])
             mass = _mass(views[0][1])
-            first = abs(mass[:, 1, 0, 0] - targets[0])
-            r1, r2 = (first, last) if axes[0] == 0 else (last, first)
+            r1 = abs(mass[:, 1, 0, 0] - targets[0])
             residual = np.where(r2 > r1, r2, r1)  # Python's max(r1, r2), NaN included
-            converged = leave = residual <= tol
+            converged = leave = residual <= DEFAULT_TOL
             if failed is not None:
                 converged = converged & ~failed
                 leave = converged | failed
@@ -243,24 +250,24 @@ def _ipf_rows(
                 cube, rows, residual = cube[stay], rows[stay], residual[stay]
                 targets = [t[stay] for t in targets]
                 want = [w[stay] for w in want]
-                views = [_halves(cube, axis) for axis in axes]
+                views = [_halves(cube, EVENT_AXES[name]) for name in names]
                 mass = _mass(views[0][1])
     for i, r in zip(rows, residual):
-        errors[i] = ConvergenceError(
-            f"marginal residual {float(r):.3e} above tol {tol:g} after {max_sweeps} sweeps"
-        )
+        errors[i] = _not_converged(float(r), DEFAULT_TOL, max_sweeps)
 
-    # JointDist's checks and renormalisation; np.sum adds eight atoms pairwise
+    # JointDist's check and renormalisation; np.sum adds eight atoms pairwise
     a = post.T
     total = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
-    done = np.array([e is None for e in errors], dtype=bool)
-    valid = (np.isfinite(post) & (post >= 0.0)).all(axis=1) & ~(abs(total - 1.0) > _SUM_TOLERANCE)
-    for i in np.flatnonzero(done & ~valid):
-        try:
-            JointDist(post[i])
-        except ValueError as exc:
-            errors[i] = exc
-            post[i] = np.nan
+    # a factor that overflowed to inf leaves NaN where it met a zero atom; the
+    # row can still converge when that half's target is 0, and JointDist then
+    # rejects it in mce_update
+    for i in np.flatnonzero(~np.isfinite(total)):
+        if errors[i] is None:
+            try:
+                JointDist(post[i])
+            except ValueError as exc:
+                errors[i] = exc
+                post[i] = np.nan
     renorm = abs(total - 1.0) > _RENORM_EPS
     post[renorm] /= total[renorm, None]
     return post, errors
@@ -269,18 +276,26 @@ def _ipf_rows(
 def standard_vector(d: JointDist, grid: EvidenceGrid = DEFAULT_GRID) -> list[tuple[EvidencePair, float]]:
     """Standard answers over the full evidence grid, row-major (e1 outer).
 
-    One :func:`_ipf_rows` call runs every grid cell as a row of one batch. The
-    answers are bit for bit those of :func:`standard_answer` per cell, and the
-    error of the first failing cell in row-major order is raised, as a loop
-    over the cells would. On the default grid this is about 4x faster than 25
-    scalar loops; single queries keep the scalar loop (see the module notes).
+    One :func:`_ipf_rows` call runs every grid cell as a row of one batch for
+    up to ``_BATCH_SWEEPS`` sweeps; a cell still running then is redone by
+    :func:`standard_answer`, in row-major order. The answers are bit for bit
+    those of :func:`standard_answer` per cell, and the error of the first
+    failing cell in row-major order is raised, as a loop over the cells
+    would. On the default grid this is about 4x faster than 25 scalar loops;
+    single queries keep the scalar loop (see the module notes).
     """
     pairs = grid.pairs()
     post, errors = _ipf_rows(
-        np.broadcast_to(d.atoms, (len(pairs), 8)), [ev.e1 for ev in pairs], [ev.e2 for ev in pairs]
+        np.broadcast_to(d.atoms, (len(pairs), 8)),
+        [ev.e1 for ev in pairs],
+        [ev.e2 for ev in pairs],
+        max_sweeps=_BATCH_SWEEPS,
     )
-    for exc in errors:
-        if exc is not None:
-            raise exc
     p_c = ((post[:, 1] + post[:, 3]) + post[:, 5]) + post[:, 7]  # marginal(post, "C")'s order
-    return [(ev, float(c)) for ev, c in zip(pairs, p_c)]
+    answers = [float(c) for c in p_c]
+    for k, (ev, exc) in enumerate(zip(pairs, errors)):
+        if isinstance(exc, ConvergenceError):
+            answers[k] = standard_answer(d, ev)
+        elif exc is not None:
+            raise exc
+    return list(zip(pairs, answers))
