@@ -32,7 +32,7 @@ from .oracle import (
     ConvergenceError,
     EvidenceGrid,
     EvidencePair,
-    InfeasibleEvidenceError,
+    _batch_answers,
     standard_answer,
 )
 
@@ -222,11 +222,17 @@ def cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if not dists:
         parser.error("dists must be non-empty")
     ev = EvidencePair(args.e1, args.e2)
+    answers, errors = _batch_answers([d.atoms for d in dists], [ev.e1] * len(dists), [ev.e2] * len(dists))
     status = 0
-    for i, d in enumerate(dists):
-        try:
-            print(f"{i} {standard_answer(d, ev):.12g}")
-        except (InfeasibleEvidenceError, ConvergenceError) as exc:
+    for i, (d, answer, exc) in enumerate(zip(dists, answers, errors)):
+        if isinstance(exc, ConvergenceError):  # still running at the batch's cap
+            try:
+                answer, exc = standard_answer(d, ev), None
+            except (ValueError, ConvergenceError) as redo_exc:
+                exc = redo_exc
+        if exc is None:
+            print(f"{i} {answer:.12g}")
+        else:
             print(f"dist {i}: {exc}", file=sys.stderr)
             status = 1
     return status

@@ -72,9 +72,10 @@ class JointDist:
         atoms = np.asarray(self.atoms, dtype=np.float64)
         if atoms.shape != (8,):
             raise ValueError(f"expected 8 atoms, got shape {atoms.shape}")
-        for i, a in enumerate(atoms):
-            if not np.isfinite(a) or a < 0.0:
-                raise ValueError(f"atom {i} must be a finite non-negative real, got {a!r}")
+        bad = ~(np.isfinite(atoms) & (atoms >= 0.0))
+        if bad.any():
+            i = int(bad.argmax())  # the first bad atom
+            raise ValueError(f"atom {i} must be a finite non-negative real, got {atoms[i]!r}")
         total = float(atoms.sum())
         if abs(total - 1.0) > _SUM_TOLERANCE:
             raise ValueError(f"atoms must sum to 1 within {_SUM_TOLERANCE:g}, got {total!r}")

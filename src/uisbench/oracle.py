@@ -18,19 +18,21 @@ unchanged within each hard-evidence cell. Hard evidence (a target of exactly
 0 or 1) empties the excluded half in the first sweep, which makes the update
 coincide with ordinary Bayesian conditioning.
 
-:func:`standard_vector` runs the IPF of all its grid cells at once, as the
-rows of an (n, 2, 2, 2) cube in :func:`_ipf_rows`. Each row does the scalar
-loop's arithmetic in the same order, so the answers are bit for bit those of
-one :func:`mce_update` per cell; a row leaves the batch at its own stop. On
-the default grid that is about 4x faster than 25 scalar loops (2-vCPU VM).
-The batch runs at most ``_BATCH_SWEEPS`` sweeps, and a cell still running
-then goes to the scalar loop in row-major order. So a grid with cells out of
-reach runs only the first of them to the full sweep budget, as 25 scalar
-loops would, rather than all of them at once at the batch's higher cost per
-sweep.
-Single queries (:func:`mce_update`, :func:`standard_answer` and
-``uisbench oracle``) keep the scalar loop: routed through the kernel as a
-batch of one, 256 of them took about 90 ms against 35-50 ms.
+Many queries run as the rows of one (n, 2, 2, 2) cube in :func:`_ipf_rows`.
+Each row does the scalar loop's arithmetic in the same order, so the answers
+are bit for bit those of one :func:`mce_update` per row; a row leaves the
+batch at its own stop. :func:`_batch_answers` runs such a batch for at most
+``_BATCH_SWEEPS`` sweeps and its callers redo a row still running then with
+the scalar loop, in order. So rows out of reach cost what the scalar loop
+makes them cost, rather than all running to the full sweep budget at the
+batch's higher cost per sweep. Two callers share it:
+:func:`standard_vector` runs a distribution's grid cells as one batch, about
+4x faster than 25 scalar loops on the default grid, and ``uisbench oracle``
+runs every distribution of its file at the one evidence pair as one batch,
+about 5x faster than a scalar loop per distribution over 256 of them
+(2-vCPU VM). :func:`mce_update` and :func:`standard_answer` answer a single
+query with the scalar loop: routed through the kernel as a batch of one,
+256 single queries took about 90 ms against 35-50 ms.
 """
 
 from __future__ import annotations
@@ -273,26 +275,36 @@ def _ipf_rows(
     return post, errors
 
 
+def _batch_answers(atoms, e1, e2) -> tuple[list[float], list[Exception | None]]:
+    """:func:`standard_answer` on each row of ``atoms`` (n, 8) at ``(e1[k], e2[k])``, as one capped batch.
+
+    One :func:`_ipf_rows` call runs every row for at most ``_BATCH_SWEEPS``
+    sweeps. Returns per row the posterior P(C), summed in :func:`marginal`'s
+    order, and ``None`` or the row's error. A row still running at the cap
+    carries a :class:`ConvergenceError` (and a NaN answer): the caller redoes
+    it with :func:`standard_answer`, which runs the full sweep budget. Every
+    other answer and error is bit for bit that of :func:`standard_answer`.
+    """
+    post, errors = _ipf_rows(atoms, e1, e2, max_sweeps=_BATCH_SWEEPS)
+    p_c = ((post[:, 1] + post[:, 3]) + post[:, 5]) + post[:, 7]
+    return [float(c) for c in p_c], errors
+
+
 def standard_vector(d: JointDist, grid: EvidenceGrid = DEFAULT_GRID) -> list[tuple[EvidencePair, float]]:
     """Standard answers over the full evidence grid, row-major (e1 outer).
 
-    One :func:`_ipf_rows` call runs every grid cell as a row of one batch for
-    up to ``_BATCH_SWEEPS`` sweeps; a cell still running then is redone by
-    :func:`standard_answer`, in row-major order. The answers are bit for bit
-    those of :func:`standard_answer` per cell, and the error of the first
-    failing cell in row-major order is raised, as a loop over the cells
-    would. On the default grid this is about 4x faster than 25 scalar loops;
-    single queries keep the scalar loop (see the module notes).
+    One :func:`_batch_answers` call runs every grid cell as a row of one
+    batch for up to ``_BATCH_SWEEPS`` sweeps; a cell still running then is
+    redone by :func:`standard_answer`, in row-major order. The answers are
+    bit for bit those of :func:`standard_answer` per cell, and the error of
+    the first failing cell in row-major order is raised, as a loop over the
+    cells would. On the default grid this is about 4x faster than 25 scalar loops
+    (see the module notes).
     """
     pairs = grid.pairs()
-    post, errors = _ipf_rows(
-        np.broadcast_to(d.atoms, (len(pairs), 8)),
-        [ev.e1 for ev in pairs],
-        [ev.e2 for ev in pairs],
-        max_sweeps=_BATCH_SWEEPS,
+    answers, errors = _batch_answers(
+        np.broadcast_to(d.atoms, (len(pairs), 8)), [ev.e1 for ev in pairs], [ev.e2 for ev in pairs]
     )
-    p_c = ((post[:, 1] + post[:, 3]) + post[:, 5]) + post[:, 7]  # marginal(post, "C")'s order
-    answers = [float(c) for c in p_c]
     for k, (ev, exc) in enumerate(zip(pairs, errors)):
         if isinstance(exc, ConvergenceError):
             answers[k] = standard_answer(d, ev)

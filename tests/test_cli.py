@@ -3,8 +3,20 @@ import json
 import numpy as np
 import pytest
 
+from uisbench import cli
 from uisbench.cli import main
-from uisbench.dist import CondIndepParams, expand, new_joint, read_dists_csv, write_dists_csv
+from uisbench.dist import (
+    CondIndepParams,
+    expand,
+    new_joint,
+    read_dists_csv,
+    sample_cond_indep,
+    sample_uniform,
+    write_dists_csv,
+)
+from uisbench.oracle import ConvergenceError, EvidencePair, standard_answer
+
+from conftest import planted_zero_atoms
 
 FAST_CFG = {"optim": {"n_starts": 2, "max_iters": 120}}
 
@@ -315,6 +327,89 @@ class TestOracle:
         assert captured.out.splitlines() == ["1 0.5"]
         assert captured.err.startswith("dist 0: ") and "residual" in captured.err
         assert "Traceback" not in captured.err
+
+
+def _oracle_loop(dists, e1, e2):
+    """``uisbench oracle``'s (stdout, stderr, exit code) from one standard_answer per distribution."""
+    ev = EvidencePair(e1, e2)
+    out, err = [], []
+    for i, d in enumerate(dists):
+        try:
+            out.append(f"{i} {standard_answer(d, ev):.12g}\n")
+        except (ValueError, ConvergenceError) as exc:
+            err.append(f"dist {i}: {exc}\n")
+    return "".join(out), "".join(err), 1 if err else 0
+
+
+def _oracle_pairs(seed):
+    """35 evidence pairs: the four hard corners, 16 half-hard pairs, 14 interior pairs and (0.001, 0.999)."""
+    corners = [(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)]
+    half_hard = [p for h in (0.0, 1.0) for v in (0.001, 0.3, 0.5, 0.999) for p in ((h, v), (v, h))]
+    interior = [tuple(float(v) for v in pair) for pair in np.random.default_rng(seed).uniform(0.01, 0.99, (14, 2))]
+    return corners + half_hard + interior + [(0.001, 0.999)]
+
+
+# P(E1=0) is denormal, so at (0, 0) the factor for that half overflows and
+# turns its zero atoms into NaN: the posterior fails JointDist's check
+NAN_POSTERIOR_ROW = [1e-320, 1e-320, 0, 0, 0.25, 0.25, 0.25, 0.25]
+
+
+class TestBatchedOracle:
+    """``uisbench oracle`` runs its file as one batch; it prints what a loop of standard_answer would."""
+
+    def _run(self, capsys, path, e1, e2):
+        code = main(["oracle", "--dists", str(path), "--e1", repr(e1), "--e2", repr(e2)])
+        captured = capsys.readouterr()
+        return captured.out, captured.err, code
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_a_per_distribution_loop(self, tmp_path, capsys, seed):
+        uniform, cond_indep = sample_uniform(1987 + seed, 128), sample_cond_indep(1986 + seed, 128)
+        # planted distributions past the first two: none has an emptied cell,
+        # whose out-of-reach rows would each run 10,000 sweeps in both paths
+        dists = [d for pair in zip(uniform, cond_indep) for d in pair] + planted_zero_atoms(40 + seed, 24)[2:]
+        dists.append(new_joint(NAN_POSTERIOR_ROW))
+        path = tmp_path / "d.csv"
+        write_dists_csv(path, dists)
+        dists = read_dists_csv(path)
+        errors = ""
+        for e1, e2 in _oracle_pairs(seed):
+            want = _oracle_loop(dists, e1, e2)
+            assert self._run(capsys, path, e1, e2) == want, (e1, e2)
+            errors += want[1]
+        assert "unreachable" in errors and "np.float64(nan)" in errors
+
+    def test_nan_posterior_named_and_later_dists_answered(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        write_dists_csv(path, [new_joint([0.125] * 8), new_joint(NAN_POSTERIOR_ROW), new_joint([0.125] * 8)])
+        out, err, code = self._run(capsys, path, 0.0, 0.0)
+        assert (out, err, code) == (
+            "0 0.5\n2 0.5\n", "dist 1: atom 0 must be a finite non-negative real, got np.float64(nan)\n", 1
+        )
+
+    def test_scalar_loop_redoes_only_rows_the_batch_leaves_running(self, tmp_path, capsys, monkeypatch):
+        # at (0.75, 0.75) dists 2 and 3 have an emptied (E1, E2) cell and run
+        # all 10,000 sweeps, dist 4 needs more than the batch's 100 sweeps but
+        # converges, dist 5 fails at once (P(E1) = 0) and the sampled ones
+        # end within a few sweeps
+        slow = np.array([0.1, 0.1, 0.3, 0.1, 1e-5, 1e-5, 0.2, 0.2])
+        dists = sample_uniform(5, 2) + planted_zero_atoms(19, 2) + [new_joint(slow / slow.sum())]
+        dists += [new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])] + sample_uniform(6, 2)
+        path = tmp_path / "d.csv"
+        write_dists_csv(path, dists)
+        dists = read_dists_csv(path)
+        calls = []
+
+        def counting(d, ev):
+            calls.append(next(i for i, x in enumerate(dists) if x.atoms.tolist() == d.atoms.tolist()))
+            return standard_answer(d, ev)
+
+        monkeypatch.setattr(cli, "standard_answer", counting)
+        out, err, code = self._run(capsys, path, 0.75, 0.75)
+        assert calls == [2, 3, 4]
+        assert (out, err, code) == _oracle_loop(dists, 0.75, 0.75)
+        assert [line.split()[0] for line in out.splitlines()] == ["0", "1", "4", "6", "7"]
 
 
 class TestReport:

@@ -39,6 +39,25 @@ class TestNewJoint:
         with pytest.raises(ValueError, match="atom 4"):
             new_joint(atoms)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({2: float("nan")}, "atom 2 must be a finite non-negative real, got np.float64(nan)"),
+            ({5: float("inf")}, "atom 5 must be a finite non-negative real, got np.float64(inf)"),
+            ({1: float("-inf")}, "atom 1 must be a finite non-negative real, got np.float64(-inf)"),
+            ({7: -0.25}, "atom 7 must be a finite non-negative real, got np.float64(-0.25)"),
+            ({6: float("nan"), 3: -1e-300}, "atom 3 must be a finite non-negative real, got np.float64(-1e-300)"),
+        ],
+        ids=["nan", "inf", "-inf", "negative", "first-of-two"],
+    )
+    def test_bad_atom_message_names_the_first(self, bad, message):
+        atoms = [0.125] * 8
+        for i, value in bad.items():
+            atoms[i] = value
+        with pytest.raises(ValueError) as exc:
+            new_joint(atoms)
+        assert str(exc.value) == message
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="8 atoms"):
             new_joint([0.5, 0.5])

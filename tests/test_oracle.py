@@ -26,41 +26,10 @@ from uisbench.oracle import (
     standard_vector,
 )
 
-from conftest import dual_tilt_posterior, sample_marginal_indep
+from conftest import dual_tilt_posterior, planted_zero_atoms, sample_marginal_indep
 
 UNIFORM = new_joint([0.125] * 8)
 CI_EXAMPLE = expand(CondIndepParams(0.5, 0.8, 0.2, 0.8, 0.2))
-CELLS = [(e1, e2) for e1 in (0, 1) for e2 in (0, 1)]
-
-
-def planted_zero_atoms(seed: int, n: int) -> list:
-    """Joints with zero atoms planted in three patterns.
-
-    The first two empty one whole (E1, E2) cell, so interior evidence on the
-    far side of it is unreachable without an empty half and IPF runs out its
-    10,000 sweeps (ConvergenceError). Each of those costs about 0.2 s per
-    grid in each path, so there are only two. The rest alternate between one to three zero
-    atoms in distinct cells, where every grid converges, and an emptied half
-    of E1 or E2 plus one more zero atom, where interior evidence is
-    infeasible.
-    """
-    rng = np.random.default_rng(seed)
-    out = []
-    for k in range(n):
-        atoms = rng.exponential(size=8)
-        if k < 2:
-            e1, e2 = CELLS[3 - k]
-            atoms[atom_index(e1, e2, 0)] = atoms[atom_index(e1, e2, 1)] = 0.0
-        elif k % 2:
-            for e1, e2 in rng.permutation(CELLS)[: rng.integers(1, 4)]:
-                atoms[atom_index(e1, e2, rng.integers(2))] = 0.0
-        else:
-            atoms.reshape(2, 2, 2).swapaxes(0, rng.integers(2))[rng.integers(2)] = 0.0
-            atoms[atom_index(*rng.permutation(CELLS)[0], rng.integers(2))] = 0.0
-        out.append(new_joint(atoms / atoms.sum()))
-    return out
-
-
 class TestEvidenceTypes:
     def test_pair_range(self):
         EvidencePair(0.0, 1.0)
