@@ -16,11 +16,11 @@ and excluded from aggregates rather than silently included. Scores outside
 Aggregation reports the mean, the sample (n-1) standard deviation and their
 ratio per model. Distributions are processed in consecutive chunks of at most
 ``_BATCH_DISTS`` (128), so a serial run of up to 128 distributions is one
-chunk; within a chunk the PRSP (and PWR) starts of every distribution run as
-the rows of one Levenberg–Marquardt batch (``optim.fit_batch``), which each
-start leaves at its own stop. Rows do not interact and model fits use RNG
-substreams derived from (seed, distribution index), so reports do not depend
-on the chunking, execution order or worker count.
+chunk; a chunk is one oracle batch and then one ``optim.fit_batch`` call per
+model over the rows of its answer matrix, in which the PRSP (and PWR) starts
+run as the rows of one Levenberg–Marquardt batch. Rows do not interact and
+model fits use RNG substreams derived from (seed, distribution index), so
+reports do not depend on the chunking, execution order or worker count.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ import numpy as np
 
 from .dist import JointDist
 from .models import PARAM_DIM, _PWR_EVIDENCE_ERROR, ModelKind, ModelParams, true_params_prsp
-from .optim import FitResult, OptimSettings, fit, fit_batch
-from .oracle import DEFAULT_GRID, EvidenceGrid, standard_vector
+# fit is not called here, but perfbench's tracer wraps it (test_every_traced_attribute_exists; ROADMAP item 1)
+from .optim import FitResult, OptimSettings, fit, fit_batch  # noqa: F401
+from .oracle import DEFAULT_GRID, EvidenceGrid, _batch_answers, standard_vector
 
 __all__ = [
     "DEGENERATE_EPS",
@@ -64,7 +65,6 @@ DEGENERATE_EPS = 1e-12
 # (41 MB in chunks of 8, 37 MB before the run), mostly the first Jacobian of its
 # 2,944 PRSP starts with its temporaries, about 17 MB at once
 _BATCH_DISTS = 128
-_BATCHED_KINDS = (ModelKind.PRSP, ModelKind.PWR)  # fitted by Levenberg–Marquardt; the rest in closed form
 _MAX_PARAMS = max(PARAM_DIM.values())
 
 REPORT_CSV_COLUMNS = (
@@ -165,6 +165,13 @@ def _derived_seed(seed: int, dist_index: int) -> int:
     return int(np.random.SeedSequence([int(seed), int(dist_index)]).generate_state(1, np.uint64)[0])
 
 
+def _prsp_warm_start(d: JointDist) -> ModelParams | None:
+    try:
+        return true_params_prsp(d)
+    except ValueError:
+        return None  # boundary joint: fall back to seeded starts only
+
+
 def _bench_chunk(
     dists: list[JointDist],
     first_id: int,
@@ -175,58 +182,47 @@ def _bench_chunk(
 ) -> list[DistReport]:
     """Reports of consecutive distributions, numbered from ``first_id``.
 
-    Each distribution's standard vector and closed-form fits are computed
-    alone; then each of PRSP and PWR is fitted by one ``fit_batch`` over the
-    distributions that have not failed. A failure is recorded in its
-    distribution's report and leaves the others untouched.
+    One ``_batch_answers`` call gives the (n, L²) answer matrix, and
+    ``standard_vector`` redoes a distribution with an error in any cell: it
+    gives the exact answers or raises the first failing cell's error. Each
+    model is then one ``fit_batch`` over the distributions not yet failed.
     """
+    e1, e2 = np.array([(ev.e1, ev.e2) for ev in grid.pairs()]).T
+    n, k = len(dists), len(e1)
+    answers, failed = _batch_answers(np.repeat([d.atoms for d in dists], k, axis=0), np.tile(e1, n), np.tile(e2, n))
+    targets = np.reshape(answers, (n, k))
     errors: dict[int, str] = {}
-    targets, seeds, prsp_warm = {}, {}, {}
-    fits: dict[int, dict[ModelKind, FitResult]] = {}
-    for dist_id, d in enumerate(dists, first_id):
-        try:
-            targets[dist_id] = standard_vector(d, grid)
-            seeds[dist_id] = _derived_seed(seed, dist_id)
-            prsp_warm[dist_id] = None
-            if ModelKind.PRSP in kinds:
-                try:
-                    prsp_warm[dist_id] = true_params_prsp(d)
-                except ValueError:
-                    pass  # boundary joint: fall back to seeded starts only
-            fits[dist_id] = {
-                kind: fit(kind, targets[dist_id], settings, seeds[dist_id])
-                for kind in kinds
-                if kind not in _BATCHED_KINDS and kind is not ModelKind.BST
-            }
-        except Exception as exc:  # recorded, not fatal to the run
-            errors[dist_id] = f"{type(exc).__name__}: {exc}"
+    for i, d in enumerate(dists):
+        if any(exc is not None for exc in failed[i * k : (i + 1) * k]):
+            try:
+                targets[i] = [c for _, c in standard_vector(d, grid)]
+            except Exception as exc:  # recorded, not fatal to the run
+                errors[i] = f"{type(exc).__name__}: {exc}"
 
-    for kind in dict.fromkeys(k for k in kinds if k in _BATCHED_KINDS):
-        ids = [i for i in fits if i not in errors]
-        warm = [prsp_warm[i] if kind is ModelKind.PRSP else None for i in ids]
-        results = fit_batch(kind, [targets[i] for i in ids], settings, [seeds[i] for i in ids], warm)
-        for dist_id, result in zip(ids, results):
+    fits: dict[ModelKind, dict[int, FitResult]] = {}
+    for kind in kinds:
+        ok = [i for i in range(n) if i not in errors]
+        if kind is ModelKind.BST or not ok:
+            continue
+        warm = [_prsp_warm_start(dists[i]) if kind is ModelKind.PRSP else None for i in ok]
+        seeds = [_derived_seed(seed, first_id + i) for i in ok]
+        fits[kind] = dict(zip(ok, fit_batch(kind, e1, e2, targets[ok], settings, seeds, warm)))
+        for i, result in fits[kind].items():
             if isinstance(result, Exception):
-                errors[dist_id] = f"{type(result).__name__}: {result}"
-            else:
-                fits[dist_id][kind] = result
+                errors[i] = f"{type(result).__name__}: {result}"
 
     reports = []
-    for dist_id in range(first_id, first_id + len(dists)):
-        if dist_id in errors:
-            reports.append(DistReport(dist_id, (), None, None, error=errors[dist_id]))
+    for i in range(n):
+        if i in errors:
+            reports.append(DistReport(first_id + i, (), None, None, error=errors[i]))
             continue
-        eps_linr = fits[dist_id][ModelKind.LINR].epsilon
-        eps_wrst = fits[dist_id][ModelKind.WRST].epsilon
+        eps_linr, eps_wrst = fits[ModelKind.LINR][i].epsilon, fits[ModelKind.WRST][i].epsilon
         scores = []
         for kind in kinds:
-            if kind is ModelKind.BST:
-                scores.append(ModelScore(kind, 0.0, eta(0.0, eps_linr, eps_wrst), ModelParams(kind, ()), True))
-            else:
-                r = fits[dist_id][kind]
-                scores.append(ModelScore(kind, r.epsilon, eta(r.epsilon, eps_linr, eps_wrst), r.params, r.converged,
-                                         r.iterations, r.start_index))
-        reports.append(DistReport(dist_id, tuple(scores), eps_linr, eps_wrst))
+            r = FitResult(ModelParams(kind, ()), 0.0, 0, True, 0) if kind is ModelKind.BST else fits[kind][i]
+            scores.append(ModelScore(kind, r.epsilon, eta(r.epsilon, eps_linr, eps_wrst), r.params, r.converged,
+                                     r.iterations, r.start_index))
+        reports.append(DistReport(first_id + i, tuple(scores), eps_linr, eps_wrst))
     return reports
 
 
@@ -238,6 +234,9 @@ def check_bench_args(dists: list[JointDist], kinds, grid: EvidenceGrid) -> None:
     """Raise ``ValueError`` naming what ``run_bench`` cannot run on; see there."""
     if not dists:
         raise ValueError("dists must be non-empty")
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            raise ValueError(f"model {kind.value} is listed more than once")
     for required in (ModelKind.LINR, ModelKind.WRST):
         if required not in kinds:
             raise ValueError(f"kinds must include {required.value}; eta is defined relative to it")
@@ -262,13 +261,12 @@ def run_bench(
     ``kinds`` must include LINR and WRST (eta is defined relative to them),
     and ``grid`` needs at least two levels: on one, LINR's and INDP's least
     squares are singular. With PWR no level may be 0 or 1, where its logit is
-    infinite. Distributions are processed in consecutive chunks
-    of at most ``_BATCH_DISTS``, whose PRSP and PWR fits share one
-    Levenberg–Marquardt batch per model. With ``jobs > 1`` chunks are
-    processed in parallel, at most ``ceil(len(dists) / jobs)`` distributions
-    each so that every worker gets one, by at most one worker per chunk;
-    reports are returned ordered by distribution index and are identical to a
-    serial run.
+    infinite. A model may be listed once. Distributions are processed in
+    consecutive chunks of at most ``_BATCH_DISTS``, each one oracle batch and
+    one ``fit_batch`` call per model. With ``jobs > 1`` chunks are processed in
+    parallel, at most ``ceil(len(dists) / jobs)`` distributions each so that
+    every worker gets one, by at most one worker per chunk; reports are
+    returned ordered by distribution index and are identical to a serial run.
     """
     kinds = tuple(kinds)
     check_bench_args(dists, kinds, grid)
@@ -353,12 +351,11 @@ def read_report_csv(path) -> list[DistReport]:
     """Reconstruct reports from a report CSV (enough to re-run summarize).
 
     Raises ValueError naming the row and field of a bad value, including a
-    row without one value per column or a flag other than ``true`` and
-    ``false``, and naming the distribution whose model list (in row order)
-    differs from the first distribution's.
+    row without one value per column, a flag other than ``true`` and
+    ``false`` or an empty ``paramN`` before a filled one, and naming the
+    distribution whose model list (in row order) differs from the first's.
     """
     by_dist: dict[int, list[ModelScore]] = {}
-    eps: dict[int, dict[str, float]] = {}
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -374,14 +371,16 @@ def read_report_csv(path) -> list[DistReport]:
                 clamped, degenerate, converged = (_read_flag(REPORT_CSV_COLUMNS[i], row[i]) for i in (4, 5, 6))
                 score = EtaScore(float(row[3]), clamped=clamped, degenerate=degenerate)
                 iterations, start_index = int(row[7]), int(row[8])
-                values = tuple(float(v) for v in row[9:] if v != "")
-                params = ModelParams(kind, values)
+                last = max(i for i, v in enumerate(row) if v)  # the empty fields after it pad the parameters
+                values = row[9 : last + 1]
+                if "" in values:
+                    raise ValueError(f"param{values.index('')} is empty, but a later parameter is set")
+                params = ModelParams(kind, tuple(float(v) for v in values))
             except ValueError as exc:
                 raise ValueError(f"{path}: row {row_no}: {exc}") from None
             by_dist.setdefault(dist_id, []).append(
                 ModelScore(kind, epsilon, score, params, converged, iterations, start_index)
             )
-            eps.setdefault(dist_id, {})[kind.value] = epsilon
     reports = []
     first = None
     for dist_id in sorted(by_dist):
@@ -390,14 +389,8 @@ def read_report_csv(path) -> list[DistReport]:
         first = first or (dist_id, models)
         if models != first[1]:
             raise ValueError(f"{path}: dist {dist_id} lists models {models}, but dist {first[0]} lists {first[1]}")
-        reports.append(
-            DistReport(
-                dist_id,
-                tuple(by_dist[dist_id]),
-                eps[dist_id].get("LINR"),
-                eps[dist_id].get("WRST"),
-            )
-        )
+        eps = {s.kind: s.epsilon for s in by_dist[dist_id]}
+        reports.append(DistReport(dist_id, tuple(by_dist[dist_id]), eps.get(ModelKind.LINR), eps.get(ModelKind.WRST)))
     return reports
 
 

@@ -2,10 +2,11 @@
 
 The objective is the root-mean-square error between a model's predictions and
 the oracle's standard answers over the evidence grid. Each model has one fit
-path. WRST, LINR and INDP are solved exactly, so their fitted error is the
-model's minimum: WRST's constant is the mean of the targets, LINR is ordinary
-least squares, and INDP, whose predictions are linear in its parameters, is
-least squares on the box [0, 1] (see ``_indp_exact``).
+path, ``fit_batch`` over the rows of an answer matrix, and ``fit`` is its
+one-row case. WRST, LINR and INDP are solved exactly, so their fitted error is
+the model's minimum: WRST's constant is the mean of the targets, LINR is
+ordinary least squares, and INDP, whose predictions are linear in its
+parameters, is least squares on the box [0, 1] (see ``_indp_exact``).
 
 PRSP and PWR are fitted by Levenberg–Marquardt on the vector of grid
 residuals (Levenberg 1944; Marquardt 1963; Moré, "The Levenberg–Marquardt
@@ -18,9 +19,9 @@ rule through the sigmoid gives a clamped coordinate zero derivative.
 
 Every start is one row of a single batch, so one ``_predict_rows`` call
 evaluates all their trial points (see ``_lm``). ``fit_batch`` puts the starts
-of several standard vectors on the same grid into one batch, which pays
-numpy's per-call overhead once per step for all of them; rows do not
-interact, so each vector gets bit for bit the result ``fit`` gives it alone. The starts are the
+of every row of its answer matrix into one batch, which pays numpy's per-call
+overhead once per step for all of them; rows do not interact, so each vector
+gets bit for bit the result ``fit`` gives it alone. The starts are the
 caller-supplied warm start when there is one, a constant-baseline start at the
 mean of the targets (every model can represent a constant, which guarantees a
 fit is never worse than WRST), ``n_starts`` seeded random starts and, for PRSP,
@@ -143,41 +144,31 @@ def objective(params: ModelParams, targets) -> float:
     return float(np.sqrt(np.mean((c - pred) ** 2)))
 
 
-def ols_linr(targets) -> ModelParams:
-    """Exact least-squares LINR solution via the normal equations.
-
-    This is LINR's fit. Raises ``numpy.linalg.LinAlgError`` when the grid is
-    degenerate (design matrix singular).
-    """
-    e1, e2, c = _target_arrays(targets)
-    design = np.column_stack([e1, e2, np.ones_like(e1)])
-    beta = np.linalg.solve(design.T @ design, design.T @ c)
-    return ModelParams(ModelKind.LINR, tuple(beta))
-
-
-def _indp_exact(e1: np.ndarray, e2: np.ndarray, c: np.ndarray) -> ModelParams:
-    """Exact INDP fit: least squares on the bilinear design with every parameter in [0, 1].
+def _indp_exact(e1: np.ndarray, e2: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Exact INDP fit of each row of ``c`` (n, k): least squares on the bilinear design with every parameter in [0, 1].
 
     Each of the 81 active patterns holds every parameter free, at 0 or at 1.
     The free columns' normal equations give a candidate, kept if its free
     values lie in [0, 1]; the kept candidate with the lowest squared error
     wins. Patterns sharing their free columns are solved together, one
-    right-hand side each. The problem is convex and on a product grid of two or
-    more levels every column subset has full rank, so that is the global
-    minimum (Lawson & Hanson, *Solving Least Squares Problems*, 1974).
+    right-hand side each, in one stack of solves over the rows. The problem is
+    convex and on a product grid of two or more levels every column subset has
+    full rank, so that is the global minimum (Lawson & Hanson, *Solving Least
+    Squares Problems*, 1974).
     """
     design = _predict_rows(ModelKind.INDP, np.eye(4), e1, e2).T  # column j: the table with only b_j = 1
     candidates = []
     for free, held in _INDP_GROUPS:
-        b = held.copy()
+        b = np.repeat(held[None], len(c), axis=0)
         if free.any():
             cols = design[:, free]
-            b[:, free] = np.linalg.solve(cols.T @ cols, cols.T @ (c[:, None] - design @ held.T)).T
+            rhs = cols.T @ (c[..., None] - design @ held.T)
+            b[..., free] = np.linalg.solve(cols.T @ cols, rhs).transpose(0, 2, 1)
         candidates.append(b)
-    b = np.concatenate(candidates)
-    sse = np.sum((c - b @ design.T) ** 2, axis=1)
-    feasible = np.all((b >= 0.0) & (b <= 1.0), axis=1)
-    return ModelParams(ModelKind.INDP, tuple(b[np.argmin(np.where(feasible, sse, np.inf))]))
+    b = np.concatenate(candidates, axis=1)
+    sse = np.sum((c[:, None] - b @ design.T) ** 2, axis=-1)
+    feasible = np.all((b >= 0.0) & (b <= 1.0), axis=-1)
+    return b[np.arange(len(c)), np.argmin(np.where(feasible, sse, np.inf), axis=1)]
 
 
 def _to_model_values(kind: ModelKind, x: np.ndarray) -> np.ndarray:
@@ -339,8 +330,7 @@ def _starts(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, c: np.ndarray, sett
     dim = PARAM_DIM[kind]
     rng = np.random.default_rng([int(seed), _KIND_INDEX[kind]])
     spread = 2.0 if kind in _BOUNDED_KINDS else 1.0
-    for _ in range(settings.n_starts):
-        starts.append(rng.uniform(-spread, spread, size=dim))
+    starts += list(rng.uniform(-spread, spread, size=(settings.n_starts, dim)))  # the same draws as one per start
     if kind is ModelKind.PRSP:
         base = warm_start.values if warm_start is not None else constant
         starts += [_to_search_coords(kind, v) for v in _kink_starts(base, e1, e2)]
@@ -349,69 +339,69 @@ def _starts(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, c: np.ndarray, sett
 
 def fit_batch(
     kind: ModelKind,
-    target_vectors,
+    e1,
+    e2,
+    targets,
     settings: OptimSettings | None,
     seeds,
     warm_starts,
 ) -> list[FitResult | Exception]:
-    """Fit ``kind`` to each standard vector of ``target_vectors``; see ``fit`` for one fit.
+    """Fit ``kind`` to each row of ``targets`` (n, k), the standard answers at the evidence pairs (e1[j], e2[j]).
 
-    ``seeds`` and ``warm_starts`` (``None`` for none) give one entry per
-    vector. Returns one entry per vector: its ``FitResult``, or the exception
-    ``fit`` raises on that vector alone. For PRSP and PWR the starts of every
-    vector run as the rows of one ``_lm`` batch, which pays numpy's per-call
-    cost once per step for all of them; rows do not interact, so each result
-    is bit for bit the one ``fit`` returns. The vectors of such a batch must
-    share their evidence pairs.
+    ``seeds`` and ``warm_starts`` (``None`` for none) give one entry per row.
+    Returns one entry per row: its ``FitResult``, or the exception ``fit``
+    raises on that row alone. Non-finite targets, and evidence on which a
+    closed-form fit is singular (``numpy.linalg.LinAlgError``), raise for the
+    whole call. WRST, LINR and INDP are solved for every row at once by
+    stacked per-row operations, their errors from one residual matrix. For
+    PRSP and PWR the starts of every row run as the rows of one ``_lm`` batch,
+    which pays numpy's per-call cost once per step for all of them. No
+    operation mixes rows, so each result is bit for bit the one ``fit`` returns.
     """
     settings = settings or OptimSettings()
     if kind is ModelKind.BST:
         raise ValueError("BST requires no fit; its error is zero by definition")
-    n = len(target_vectors)
-    if not len(seeds) == len(warm_starts) == n:
-        raise ValueError(f"need one seed and one warm start per target vector, got {len(seeds)} and "
-                         f"{len(warm_starts)} for {n} vectors")
+    e1, e2, c = (np.asarray(a, dtype=np.float64) for a in (e1, e2, targets))
+    if c.ndim != 2 or not c.shape[1] == e1.size == e2.size or not len(seeds) == len(warm_starts) == len(c):
+        raise ValueError(f"need targets of shape (n, {e1.size}) and one seed and one warm start per row, got "
+                         f"{c.shape}, {len(seeds)} and {len(warm_starts)}")
+    if not np.isfinite(c).all():
+        raise ValueError("targets must be finite")
 
-    results: list[FitResult | Exception | None] = [None] * n
-    searched = []  # (vector index, e1, e2, targets, starts) of the vectors the LM batch fits
-    for i, (targets, seed, warm_start) in enumerate(zip(target_vectors, seeds, warm_starts)):
-        try:
-            if warm_start is not None and warm_start.kind is not kind:
-                raise ValueError(f"warm start is {warm_start.kind.value}, expected {kind.value}")
-            e1, e2, c = _target_arrays(targets)
-            if kind is ModelKind.WRST:
-                params = ModelParams(kind, (float(np.mean(c)),))
-            elif kind is ModelKind.LINR:
-                params = ols_linr(targets)
-            elif kind is ModelKind.INDP:
-                params = _indp_exact(e1, e2, c)
-            else:
-                searched.append((i, e1, e2, c, _starts(kind, e1, e2, c, settings, seed, warm_start)))
-                continue
-            results[i] = FitResult(params, objective(params, targets), 0, True, 0)
-        except ValueError as exc:  # numpy's LinAlgError included
-            results[i] = exc
+    results: list[FitResult | Exception | None] = [None] * len(c)
+    for i, w in enumerate(warm_starts):
+        if w is not None and w.kind is not kind:
+            results[i] = ValueError(f"warm start is {w.kind.value}, expected {kind.value}")
+    if kind not in (ModelKind.PRSP, ModelKind.PWR):
+        if kind is ModelKind.WRST:
+            values = np.mean(c, axis=1, keepdims=True)
+        elif kind is ModelKind.LINR:  # one 3×3 solve per row, stacked
+            design = np.column_stack([e1, e2, np.ones_like(e1)])
+            values = np.linalg.solve(design.T @ design, design.T @ c[..., None])[..., 0]
+        else:
+            values = _indp_exact(e1, e2, c)
+        eps = np.sqrt(np.mean((c - _predict_rows(kind, values, e1, e2)) ** 2, axis=1)).tolist()
+        return [r or FitResult(ModelParams(kind, tuple(v)), e, 0, True, 0) for r, v, e in zip(results, values, eps)]
+
+    searched = [i for i, r in enumerate(results) if r is None]
     if not searched:
         return results
-
-    _, e1, e2, _, _ = searched[0]
-    if not all(np.array_equal(s[1], e1) and np.array_equal(s[2], e2) for s in searched):
-        raise ValueError("the target vectors of one batch must share their evidence pairs")
-    counts = [len(s[4]) for s in searched]
-    c_rows = np.repeat(np.stack([s[3] for s in searched]), counts, axis=0)
+    starts = [_starts(kind, e1, e2, c[i], settings, seeds[i], warm_starts[i]) for i in searched]
+    counts = [len(s) for s in starts]
+    c_rows = np.repeat(c[searched], counts, axis=0)
     levels = _evidence_levels(e1, e2)
     x, sse, iters, converged = _lm(
         lambda x, rows, jacobian: _residuals(kind, x, e1, e2, c_rows[rows], jacobian, levels),
-        np.concatenate([s[4] for s in searched]),
+        np.concatenate(starts),
         settings,
     )
-    for (i, _, _, c, _), lo, hi in zip(searched, np.cumsum([0] + counts[:-1]), np.cumsum(counts)):
+    for i, lo, hi in zip(searched, np.cumsum([0] + counts[:-1]), np.cumsum(counts)):
         idx = int(np.argmin(sse[lo:hi]))  # the first start on a tie
         if not np.isfinite(sse[lo + idx]):
             results[i] = RuntimeError(f"{kind.value} fit failed: no start produced a finite objective")
             continue
         params = ModelParams(kind, tuple(_to_model_values(kind, x[lo + idx])))
-        results[i] = FitResult(params, float(np.sqrt(sse[lo + idx] / c.size)), int(iters[lo + idx]),
+        results[i] = FitResult(params, float(np.sqrt(sse[lo + idx] / c.shape[1])), int(iters[lo + idx]),
                                bool(converged[lo + idx]), idx)
     return results
 
@@ -438,10 +428,16 @@ def fit(
     is accepted. The start with the lowest error wins and reports its steps
     tried and its convergence. Non-convergence within ``max_iters`` is not an error; the best point found
     is returned with ``converged=False``. A fit error is raised only if no
-    start produces a finite objective. A warm start of another kind is
-    rejected for every model. This is ``fit_batch`` on one vector.
+    start produces a finite objective. An empty vector, and a warm start of
+    another kind, are rejected for every model. This is ``fit_batch`` on one row.
     """
-    result = fit_batch(kind, [targets], settings, [seed], [warm_start])[0]
+    e1, e2, c = _target_arrays(targets)
+    result = fit_batch(kind, e1, e2, c[None], settings, [seed], [warm_start])[0]
     if isinstance(result, Exception):
         raise result
     return result
+
+
+def ols_linr(targets) -> ModelParams:
+    """LINR's exact least-squares fit; raises ``numpy.linalg.LinAlgError`` when the design matrix is singular."""
+    return fit(ModelKind.LINR, targets).params

@@ -25,14 +25,15 @@ batch at its own stop. :func:`_batch_answers` runs such a batch for at most
 ``_BATCH_SWEEPS`` sweeps and its callers redo a row still running then with
 the scalar loop, in order. So rows out of reach cost what the scalar loop
 makes them cost, rather than all running to the full sweep budget at the
-batch's higher cost per sweep. Two callers share it:
-:func:`standard_vector` runs a distribution's grid cells as one batch, about
-4x faster than 25 scalar loops on the default grid, and ``uisbench oracle``
-runs every distribution of its file at the one evidence pair as one batch,
-about 5x faster than a scalar loop per distribution over 256 of them
-(2-vCPU VM). :func:`mce_update` and :func:`standard_answer` answer a single
-query with the scalar loop: routed through the kernel as a batch of one,
-256 single queries took about 90 ms against 35-50 ms.
+batch's higher cost per sweep. :func:`standard_vector` runs a distribution's
+grid cells as one batch, about 4x faster than 25 scalar loops on the default
+grid, and ``bench`` the cells of a whole chunk of distributions, redoing one
+with a failing cell by :func:`standard_vector`; ``uisbench oracle`` runs every
+distribution of its file at the one evidence pair as one batch, about 5x
+faster than a scalar loop per distribution over 256 of them (2-vCPU VM).
+:func:`mce_update` and :func:`standard_answer` answer a single query with the
+scalar loop: routed through the kernel as a batch of one, 256 single queries
+took about 90 ms against 35-50 ms.
 """
 
 from __future__ import annotations
@@ -110,7 +111,9 @@ DEFAULT_GRID = EvidenceGrid((0.001, 0.25, 0.5, 0.75, 0.999))
 
 
 def _check_max_sweeps(max_sweeps) -> None:
-    if not max_sweeps >= 1:
+    if type(max_sweeps) is not int:  # as OptimSettings: a bool or a float is no sweep count
+        raise ValueError(f"max_sweeps must be an integer, got {max_sweeps!r}")
+    if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps!r}")
 
 

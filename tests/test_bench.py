@@ -1,12 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uisbench.bench import (
     _BATCH_DISTS,
+    _derived_seed,
     DistReport,
     EtaScore,
     ModelScore,
@@ -22,9 +24,9 @@ from uisbench.bench import (
 )
 from uisbench.cli import main
 from uisbench.dist import new_joint, sample_cond_indep, sample_uniform
-from uisbench.models import ModelKind, ModelParams, _predict_rows
-from uisbench.optim import OptimSettings, _lm, fit_batch
-from uisbench.oracle import EvidenceGrid
+from uisbench.models import ModelKind, ModelParams, _predict_rows, true_params_prsp
+from uisbench.optim import OptimSettings, _lm, fit, fit_batch
+from uisbench.oracle import DEFAULT_GRID, ConvergenceError, EvidenceGrid, _batch_answers, standard_vector
 
 from conftest import assert_batch_calls
 
@@ -84,6 +86,11 @@ class TestRunBench:
             run_bench(d, kinds=(ModelKind.WRST, ModelKind.INDP))
         with pytest.raises(ValueError, match="WRST"):
             run_bench(d, kinds=(ModelKind.LINR, ModelKind.INDP))
+
+    def test_model_listed_twice_rejected(self):
+        kinds = (ModelKind.LINR, ModelKind.WRST, ModelKind.PWR, ModelKind.LINR)
+        with pytest.raises(ValueError, match="model LINR is listed more than once"):
+            run_bench(sample_uniform(60, 1), kinds=kinds)
 
     def test_requires_dists(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -225,6 +232,44 @@ class TestRunBench:
                 assert len(x0) == n * starts
                 assert_batch_calls(calls, residuals, x0, settings)
 
+    def test_cell_past_the_batch_cap_scores_as_alone(self):
+        # three grid cells of this distribution still run when the chunk's oracle
+        # batch stops at 100 sweeps; standard_vector redoes it and they converge
+        d = sample_uniform(3, 22)[21]
+        pairs = DEFAULT_GRID.pairs()
+        _, cell_errors = _batch_answers(np.broadcast_to(d.atoms, (25, 8)), [ev.e1 for ev in pairs], [ev.e2 for ev in pairs])
+        assert [k for k, exc in enumerate(cell_errors) if isinstance(exc, ConvergenceError)] == [6, 12, 18]
+        reports = run_bench(sample_uniform(75, 2) + [d], kinds=ALL_KINDS, settings=FAST, seed=3)
+        assert all(r.error is None for r in reports)
+        sv = standard_vector(d)
+        for s in reports[2].scores:
+            if s.kind is ModelKind.BST:
+                continue
+            want = fit(s.kind, sv, FAST, _derived_seed(3, 2), true_params_prsp(d) if s.kind is ModelKind.PRSP else None)
+            assert (s.params, s.epsilon, s.iterations, s.converged, s.start_index) == (
+                want.params, want.epsilon, want.iterations, want.converged, want.start_index
+            )
+
+    def test_one_oracle_batch_and_one_fit_batch_per_model_per_chunk(self, monkeypatch):
+        import uisbench.bench as bench
+
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name if name != "fit_batch" else args[0])
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(bench, name, wrapper)
+
+        for name in ("_batch_answers", "fit_batch", "fit", "standard_vector"):
+            counted(name, getattr(bench, name))
+        monkeypatch.setattr(bench, "_BATCH_DISTS", 4)
+        redone = sample_uniform(3, 22)[21]  # its chunk's batch leaves three cells running
+        run_bench(sample_uniform(76, 5) + [redone], kinds=ALL_KINDS, settings=FAST, seed=1)
+        fitted = [k for k in ALL_KINDS if k is not ModelKind.BST]
+        assert calls == ["_batch_answers"] + fitted + ["_batch_answers", "standard_vector"] + fitted
+
     def test_failure_mid_chunk_leaves_the_others_alone(self):
         good = sample_uniform(73, 7)
         bad = new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # P(E1)=0: the oracle raises
@@ -354,6 +399,19 @@ class TestArtifacts:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="dist 1 lists models INDP,WRST,LINR, but dist 0 lists LINR,WRST,INDP"):
             read_report_csv(path)
+
+    def test_gap_in_parameters_rejected(self, tmp_path):
+        # an empty param0 before filled ones was skipped, shifting LINR's coefficients
+        path = _three_model_report_csv(tmp_path)
+        lines = path.read_text().splitlines()
+        row = lines[1].split(",")
+        assert row[1] == "LINR" and row[9:] == ["0.10000000000000001", "0.20000000000000001", "0.29999999999999999"] + [""] * 4
+        row[9:13] = ["", "0.10000000000000001", "0.20000000000000001", "0.29999999999999999"]
+        lines[1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_report_csv(path)
+        assert str(exc.value) == f"{path}: row 0: param0 is empty, but a later parameter is set"
 
     @pytest.mark.parametrize(
         "edit, message",

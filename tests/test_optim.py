@@ -235,8 +235,9 @@ class TestFitBatch:
             warm = [w if kind is ModelKind.PRSP else None for _, _, w in cases]
             lone = [fit(kind, t, settings, s, w) for (t, s, _), w in zip(cases, warm)]
             for order in ((0, 1, 2), (2, 0, 1)):
+                answers = [[v for _, v in cases[i][0]] for i in order]
                 batch = fit_batch(
-                    kind, [cases[i][0] for i in order], settings, [cases[i][1] for i in order], [warm[i] for i in order]
+                    kind, *grid_arrays(), answers, settings, [cases[i][1] for i in order], [warm[i] for i in order]
                 )
                 for i, got in zip(order, batch):
                     want = lone[i]
@@ -248,20 +249,34 @@ class TestFitBatch:
 
     def test_failed_vector_gets_its_own_exception(self):
         (sv, seed, warm), *_ = self.cases()
+        e1, e2 = grid_arrays()
+        c = [v for _, v in sv]
         wrong = ModelParams(ModelKind.INDP, (0.5, 0.5, 0.5, 0.5))
         settings = OptimSettings(max_iters=20)
-        results = fit_batch(ModelKind.PRSP, [sv, [], sv], settings, [seed] * 3, [warm, None, wrong])
+        results = fit_batch(ModelKind.PRSP, e1, e2, [c, c, c], settings, [seed] * 3, [warm, None, wrong])
         assert results[0] == fit(ModelKind.PRSP, sv, settings, seed, warm)
-        assert isinstance(results[1], ValueError) and "non-empty" in str(results[1])
+        assert results[1] == fit(ModelKind.PRSP, sv, settings, seed)
         assert isinstance(results[2], ValueError) and "warm start is INDP" in str(results[2])
+        # the exact fits check the warm start row by row too
+        results = fit_batch(ModelKind.LINR, e1, e2, [c, c], settings, [seed] * 2, [wrong, None])
+        assert isinstance(results[0], ValueError) and "warm start is INDP" in str(results[0])
+        assert results[1] == fit(ModelKind.LINR, sv)
         with pytest.raises(ValueError, match="BST"):
-            fit_batch(ModelKind.BST, [sv], settings, [seed], [None])
+            fit_batch(ModelKind.BST, e1, e2, [c], settings, [seed], [None])
+        with pytest.raises(ValueError, match=r"need targets of shape \(n, 25\)"):
+            fit_batch(ModelKind.PWR, e1, e2, [c[:-1]], settings, [seed], [None])
 
-    def test_vectors_must_share_the_grid(self):
-        sv = standard_vector(sample_uniform(58, 1)[0])
-        other = [(EvidencePair(ev.e1, ev.e2 / 2.0), v) for ev, v in sv]
-        with pytest.raises(ValueError, match="share their evidence"):
-            fit_batch(ModelKind.PWR, [sv, other], None, [0, 0], [None, None])
+    def test_non_finite_targets_rejected(self):
+        sv = constant_targets(0.5)
+        sv[7] = (sv[7][0], float("nan"))
+        for kind in (ModelKind.INDP, ModelKind.PWR):
+            with pytest.raises(ValueError, match="targets must be finite"):
+                fit(kind, sv)
+
+    def test_empty_vector_rejected_by_fit(self):
+        for kind in (ModelKind.PRSP, ModelKind.LINR):
+            with pytest.raises(ValueError, match="non-empty"):
+                fit(kind, [])
 
 
 def grid_arrays(grid=DEFAULT_GRID):

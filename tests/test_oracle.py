@@ -163,6 +163,13 @@ class TestIpfArguments:
         with pytest.raises(ValueError, match=f"max_sweeps must be at least 1, got {max_sweeps}"):
             update(UNIFORM, EvidencePair(0.5, 0.5), max_sweeps=max_sweeps)
 
+    @pytest.mark.parametrize("update", [mce_update, _update_batch])
+    @pytest.mark.parametrize("max_sweeps", [2.5, float("inf"), True, "3"])
+    def test_max_sweeps_must_be_an_int(self, update, max_sweeps):
+        # 2.5 and inf raised a bare TypeError from range, and True ran one sweep
+        with pytest.raises(ValueError, match=f"max_sweeps must be an integer, got {max_sweeps!r}"):
+            update(UNIFORM, EvidencePair(0.5, 0.5), max_sweeps=max_sweeps)
+
     @pytest.mark.parametrize("tol", [-1e-12, float("nan"), float("inf")])
     def test_negative_or_non_finite_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be finite and non-negative"):
