@@ -35,9 +35,10 @@ import numpy as np
 
 from .dist import JointDist
 from .models import PARAM_DIM, _PWR_EVIDENCE_ERROR, ModelKind, ModelParams, true_params_prsp
-# fit is not called here, but perfbench's tracer wraps it (test_every_traced_attribute_exists; ROADMAP item 1)
+# fit and standard_vector are not called here, but perfbench's tracer wraps them
+# (test_every_traced_attribute_exists; ROADMAP item 1)
 from .optim import FitResult, OptimSettings, fit, fit_batch  # noqa: F401
-from .oracle import DEFAULT_GRID, EvidenceGrid, _batch_answers, standard_vector
+from .oracle import DEFAULT_GRID, EvidenceGrid, _batch_answers, standard_vector  # noqa: F401
 
 __all__ = [
     "DEGENERATE_EPS",
@@ -182,22 +183,20 @@ def _bench_chunk(
 ) -> list[DistReport]:
     """Reports of consecutive distributions, numbered from ``first_id``.
 
-    One ``_batch_answers`` call gives the (n, L²) answer matrix, and
-    ``standard_vector`` redoes a distribution with an error in any cell: it
-    gives the exact answers or raises the first failing cell's error. Each
-    model is then one ``fit_batch`` over the distributions not yet failed.
+    One ``_batch_answers`` call gives the (n, L²) answer matrix; a
+    distribution with an error in any cell fails with its first failing
+    cell's error, as ``standard_vector`` would raise. Each model is then one
+    ``fit_batch`` over the distributions not yet failed.
     """
     e1, e2 = np.array([(ev.e1, ev.e2) for ev in grid.pairs()]).T
     n, k = len(dists), len(e1)
     answers, failed = _batch_answers(np.repeat([d.atoms for d in dists], k, axis=0), np.tile(e1, n), np.tile(e2, n))
     targets = np.reshape(answers, (n, k))
     errors: dict[int, str] = {}
-    for i, d in enumerate(dists):
-        if any(exc is not None for exc in failed[i * k : (i + 1) * k]):
-            try:
-                targets[i] = [c for _, c in standard_vector(d, grid)]
-            except Exception as exc:  # recorded, not fatal to the run
-                errors[i] = f"{type(exc).__name__}: {exc}"
+    for i in range(n):
+        exc = next(filter(None, failed[i * k : (i + 1) * k]), None)  # the first failing cell's
+        if exc is not None:  # recorded, not fatal to the run
+            errors[i] = f"{type(exc).__name__}: {exc}"
 
     fits: dict[ModelKind, dict[int, FitResult]] = {}
     for kind in kinds:
@@ -347,6 +346,13 @@ def _read_flag(field: str, text: str) -> bool:
     return text == "true"
 
 
+def _read_number(field: str, parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+
+
 def read_report_csv(path) -> list[DistReport]:
     """Reconstruct reports from a report CSV (enough to re-run summarize).
 
@@ -365,17 +371,17 @@ def read_report_csv(path) -> list[DistReport]:
             try:
                 if len(row) != len(REPORT_CSV_COLUMNS):
                     raise ValueError(f"expected {len(REPORT_CSV_COLUMNS)} columns, got {len(row)}")
-                dist_id = int(row[0])
+                dist_id = _read_number("dist_id", int, row[0])
                 kind = ModelKind(row[1])
-                epsilon = float(row[2])
+                epsilon = _read_number("epsilon", float, row[2])
                 clamped, degenerate, converged = (_read_flag(REPORT_CSV_COLUMNS[i], row[i]) for i in (4, 5, 6))
-                score = EtaScore(float(row[3]), clamped=clamped, degenerate=degenerate)
-                iterations, start_index = int(row[7]), int(row[8])
+                score = EtaScore(_read_number("eta", float, row[3]), clamped=clamped, degenerate=degenerate)
+                iterations, start_index = (_read_number(REPORT_CSV_COLUMNS[i], int, row[i]) for i in (7, 8))
                 last = max(i for i, v in enumerate(row) if v)  # the empty fields after it pad the parameters
                 values = row[9 : last + 1]
                 if "" in values:
                     raise ValueError(f"param{values.index('')} is empty, but a later parameter is set")
-                params = ModelParams(kind, tuple(float(v) for v in values))
+                params = ModelParams(kind, tuple(_read_number(f"param{i}", float, v) for i, v in enumerate(values)))
             except ValueError as exc:
                 raise ValueError(f"{path}: row {row_no}: {exc}") from None
             by_dist.setdefault(dist_id, []).append(

@@ -2,7 +2,7 @@
 
 The dual-solver here re-derives the minimum-cross-entropy posterior by a
 completely different route (convex minimisation of the log-partition dual via
-scipy) so the IPF implementation can be checked against something it shares
+scipy) so the closed-form oracle can be checked against something it shares
 no code with. ``reference_lm`` is the Levenberg–Marquardt loop that evaluates
 the Jacobian at every trial point, which ``optim._lm`` must match bit for
 bit.
@@ -59,13 +59,13 @@ _CELLS = [(e1, e2) for e1 in (0, 1) for e2 in (0, 1)]
 def planted_zero_atoms(seed: int, n: int) -> list:
     """Joints with zero atoms planted in three patterns.
 
-    The first two empty one whole (E1, E2) cell, so interior evidence on the
-    far side of it is unreachable without an empty half and IPF runs out its
-    10,000 sweeps (ConvergenceError). Each of those costs about 0.2 s per
-    grid in each path, so there are only two. The rest alternate between one to three zero
-    atoms in distinct cells, where every grid converges, and an emptied half
-    of E1 or E2 plus one more zero atom, where interior evidence is
-    infeasible.
+    The first two empty one whole (E1, E2) cell, (1, 1) and then (1, 0), so
+    the support reaches only e1 + e2 <= 1 and e1 <= e2: on the default grid
+    each has 5 cells on that face, answered from the face's cells, and 10
+    beyond it, infeasible though no half of E1 or E2 is empty. The rest
+    alternate between one to three zero atoms in distinct cells, where every
+    grid is answered, and an emptied half of E1 or E2 plus one more zero atom,
+    where interior evidence is infeasible.
     """
     rng = np.random.default_rng(seed)
     out = []

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,14 +15,12 @@ from uisbench.dist import (
     sample_uniform,
 )
 from uisbench.models import predict, true_params_indp
-from uisbench import oracle
 from uisbench.oracle import (
     DEFAULT_GRID,
-    ConvergenceError,
     EvidenceGrid,
     EvidencePair,
     InfeasibleEvidenceError,
-    _ipf_rows,
+    _posterior_rows,
     mce_update,
     standard_answer,
     standard_vector,
@@ -75,19 +75,17 @@ class TestMceUpdate:
 
     def test_infeasible_zero_marginal(self):
         d = new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # P(E1)=0
-        for order in (("E1", "E2"), ("E2", "E1")):
-            with pytest.raises(InfeasibleEvidenceError, match=r"P\(E1\) is 0"):
-                mce_update(d, EvidencePair(0.5, 0.5), sweep_order=order)
-            mce_update(d, EvidencePair(0.0, 0.5), sweep_order=order)  # reachable: target matches support
+        with pytest.raises(InfeasibleEvidenceError, match=r"P\(E1\) is 0"):
+            mce_update(d, EvidencePair(0.5, 0.5))
+        mce_update(d, EvidencePair(0.0, 0.5))  # reachable: target matches support
 
     def test_infeasible_unit_marginal(self):
         atoms = np.zeros(8)
         atoms[atom_index(1, 0, 0)] = 0.5
         atoms[atom_index(1, 1, 0)] = 0.5
         d = new_joint(atoms)  # P(E1)=1
-        for order in (("E1", "E2"), ("E2", "E1")):
-            with pytest.raises(InfeasibleEvidenceError, match=r"P\(E1\) is 1"):
-                mce_update(d, EvidencePair(0.25, 0.5), sweep_order=order)
+        with pytest.raises(InfeasibleEvidenceError, match=r"P\(E1\) is 1"):
+            mce_update(d, EvidencePair(0.25, 0.5))
 
     def test_infeasible_joint_support_detected(self):
         # P(E1=1, E2=0) = 0: once E2 is pinned to 0, no E1 mass remains
@@ -99,11 +97,6 @@ class TestMceUpdate:
         with pytest.raises(InfeasibleEvidenceError):
             mce_update(d, EvidencePair(0.5, 0.0))
 
-    def test_non_convergence_reports_residual(self):
-        d = sample_uniform(8, 1)[0]
-        with pytest.raises(ConvergenceError, match="residual"):
-            mce_update(d, EvidencePair(0.9, 0.1), tol=1e-12, max_sweeps=1)
-
     def test_zero_atoms_stay_zero(self):
         atoms = np.array(sample_uniform(9, 1)[0].atoms)
         atoms[3] = 0.0
@@ -112,15 +105,13 @@ class TestMceUpdate:
         assert post.atoms[3] == 0.0
 
     def test_order_invariance(self):
-        for k, d in enumerate(sample_uniform(10, 50)):
-            ev = EvidencePair(0.75, 0.001)
-            a = mce_update(d, ev, sweep_order=("E1", "E2"))
-            b = mce_update(d, ev, sweep_order=("E2", "E1"))
-            assert np.max(np.abs(a.atoms - b.atoms)) < 1e-9
-
-    def test_bad_sweep_order_rejected(self):
-        with pytest.raises(ValueError, match="sweep_order"):
-            mce_update(UNIFORM, EvidencePair(0.5, 0.5), sweep_order=("E1", "E1"))
+        # the two constraints are one projection: swapping E1 and E2 in the
+        # prior and in the targets leaves P(C) where it was
+        for d in sample_uniform(10, 50):
+            for e1, e2 in ((0.75, 0.001), (0.3, 0.9), (1.0, 0.25)):
+                a = standard_answer(d, EvidencePair(e1, e2))
+                b = standard_answer(_swap_events(d), EvidencePair(e2, e1))
+                assert abs(a - b) < 1e-9
 
     def test_exponential_tilt_form(self):
         # atom ratios must be constant within each (E1, E2) block
@@ -141,94 +132,86 @@ class TestMceUpdate:
             assert np.max(np.abs(post.atoms - ref)) < 1e-8
 
 
-def _update_batch(d, ev, **kw):
-    return _ipf_rows(d.atoms[None], [ev.e1], [ev.e2], **kw)
-
-
-class TestIpfArguments:
-    """``mce_update`` rejects bad IPF arguments by name; ``_ipf_rows`` shares the ``max_sweeps`` check."""
-
-    @pytest.mark.parametrize("order", [("E1", "E2", "E1"), ("E1",), ("E1", "E1"), ("E1", "C"), ()])
-    def test_sweep_order_must_be_a_permutation(self, order):
-        with pytest.raises(ValueError, match=r"sweep_order must be a permutation of \('E1', 'E2'\)"):
-            mce_update(UNIFORM, EvidencePair(0.5, 0.5), sweep_order=order)
-
-    def test_either_order_accepted(self):
-        for order in (("E1", "E2"), ("E2", "E1"), ["E2", "E1"]):
-            mce_update(UNIFORM, EvidencePair(0.5, 0.5), sweep_order=order)
-
-    @pytest.mark.parametrize("update", [mce_update, _update_batch])
-    @pytest.mark.parametrize("max_sweeps", [0, -1])
-    def test_max_sweeps_below_one_rejected(self, update, max_sweeps):
-        with pytest.raises(ValueError, match=f"max_sweeps must be at least 1, got {max_sweeps}"):
-            update(UNIFORM, EvidencePair(0.5, 0.5), max_sweeps=max_sweeps)
-
-    @pytest.mark.parametrize("update", [mce_update, _update_batch])
-    @pytest.mark.parametrize("max_sweeps", [2.5, float("inf"), True, "3"])
-    def test_max_sweeps_must_be_an_int(self, update, max_sweeps):
-        # 2.5 and inf raised a bare TypeError from range, and True ran one sweep
-        with pytest.raises(ValueError, match=f"max_sweeps must be an integer, got {max_sweeps!r}"):
-            update(UNIFORM, EvidencePair(0.5, 0.5), max_sweeps=max_sweeps)
-
-    @pytest.mark.parametrize("tol", [-1e-12, float("nan"), float("inf")])
-    def test_negative_or_non_finite_tol_rejected(self, tol):
-        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
-            mce_update(UNIFORM, EvidencePair(0.5, 0.5), tol=tol)
-
-    def test_zero_tol_accepted(self):
-        mce_update(UNIFORM, EvidencePair(0.5, 0.5), tol=0.0)
+def _swap_events(d: JointDist) -> JointDist:
+    """``d`` with the roles of E1 and E2 exchanged."""
+    return JointDist(d.atoms.reshape(2, 2, 2).swapaxes(0, 1).reshape(8))
 
 
 def _outcome(fn):
     """What ``fn()`` returns, or the type and message of what it raises."""
     try:
         return fn()
-    except (InfeasibleEvidenceError, ConvergenceError, ValueError) as exc:
+    except ValueError as exc:  # InfeasibleEvidenceError included
         return type(exc), str(exc)
 
 
-class TestIpfRows:
-    """The batched kernel equals ``mce_update`` row by row, bit for bit."""
+def _cells_answer(d: JointDist, q) -> float:
+    """P(C) of the posterior with cell table ``q`` (2, 2) that keeps P(C | E1, E2) of ``d``."""
+    return sum(q[i][j] * condition_c(d, i, j) for i in (0, 1) for j in (0, 1) if q[i][j] > 0)
 
-    def _assert_rows_match(self, dists, pairs, **kw):
-        """Each row's atoms or error equal ``mce_update``'s; returns the number of errors."""
-        cases = [(d, EvidencePair(e1, e2)) for d in dists for e1, e2 in pairs]
-        post, errors = _ipf_rows(
-            np.array([d.atoms for d, _ in cases]), [ev.e1 for _, ev in cases], [ev.e2 for _, ev in cases], **kw
-        )
-        n_errors = 0
-        for (d, ev), atoms, exc in zip(cases, post, errors):
-            want = _outcome(lambda: mce_update(d, ev, **kw).atoms.tolist())
-            assert (atoms.tolist() if exc is None else (type(exc), str(exc))) == want, ev
-            n_errors += isinstance(want, tuple)
-        return n_errors
 
-    def test_convergence_errors_at_small_max_sweeps(self):
-        dists = sample_uniform(31, 20) + sample_cond_indep(32, 20)
-        pairs = [(ev.e1, ev.e2) for ev in DEFAULT_GRID.pairs()]
-        for max_sweeps in (1, 2, 3, 5, 8):
-            n_errors = self._assert_rows_match(dists, pairs, max_sweeps=max_sweeps)
-            if max_sweeps <= 3:
-                assert n_errors > 0
+class TestClosedForm:
+    """Targets on the boundary of what the support reaches, and cells at the limits of floating point."""
 
-    def test_planted_zero_atoms(self):
-        dists = planted_zero_atoms(33, 40)[2:]  # no empty cell: each row ends within a few sweeps or fails at once
-        pairs = [(0.0, 0.0), (0.0, 0.7), (1.0, 0.3), (0.4, 1.0), (0.25, 0.75), (0.9, 0.1)]
-        assert self._assert_rows_match(dists, pairs) > 0
+    def test_face_answered_and_outside_rejected(self):
+        # joint 0 has its (1, 1) cell emptied, so the support reaches e1 + e2 <= 1;
+        # joint 1 its (1, 0) cell, so e1 <= e2. With one cell empty the margins
+        # fix the table, and on the face a second cell is empty too
+        d0, d1 = planted_zero_atoms(19, 2)
+        for d, empty, side, face, inside in (
+            (d0, "(1, 1)", lambda a, b: np.sign(1.0 - (a + b)), lambda a, b: [[0, b], [a, 0]],
+             lambda a, b: [[1 - a - b, b], [a, 0]]),
+            (d1, "(1, 0)", lambda a, b: np.sign(b - a), lambda a, b: [[1 - a, 0], [0, a]],
+             lambda a, b: [[1 - b, b - a], [0, a]]),
+        ):
+            counts = {-1: 0, 0: 0, 1: 0}
+            for ev in DEFAULT_GRID.pairs():
+                where = side(ev.e1, ev.e2)
+                counts[where] += 1
+                if where < 0:
+                    with pytest.raises(InfeasibleEvidenceError, match=re.escape(f"P(E1, E2) is 0 at {empty} on")):
+                        standard_answer(d, ev)
+                else:
+                    q = (face if where == 0 else inside)(ev.e1, ev.e2)
+                    assert abs(standard_answer(d, ev) - _cells_answer(d, q)) < 1e-12, ev
+            assert counts == {-1: 10, 0: 5, 1: 10}
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_converged_row_with_nan_atoms_fails_as_in_mce_update(self):
-        # the E1=0 half's mass is denormal, so its factor overflows to inf and
-        # turns the half's zero atoms into NaN; at (0, 0) the row still
-        # converges, and mce_update's JointDist rejects the posterior
-        d = JointDist(np.array([1e-320, 1e-320, 0, 0, 0.25, 0.25, 0.25, 0.25]))
-        assert self._assert_rows_match([d], [(0.0, 0.0), (0.5, 0.5)]) == 2
-        grid = EvidenceGrid((0.0, 0.5))
-        want = _outcome(lambda: [(ev, standard_answer(d, ev)) for ev in grid.pairs()])
-        assert want[0] is ValueError and _outcome(lambda: standard_vector(d, grid)) == want
+    def test_target_on_the_face_within_rounding(self):
+        # each pair sums to 1, but (1 - e1) - e2 is -5.6e-17, -1.1e-16 and +5.6e-17:
+        # within 1e-15 of the face e1 + e2 = 1, so answered there
+        d = planted_zero_atoms(19, 1)[0]  # its (1, 1) cell is empty
+        for e1, e2 in ((0.54, 0.46), (0.07, 0.93), (0.7, 0.3)):
+            want = _cells_answer(d, [[0.0, e2], [e1, 0.0]])
+            assert abs(standard_answer(d, EvidencePair(e1, e2)) - want) < 1e-12
+        with pytest.raises(InfeasibleEvidenceError):
+            standard_answer(d, EvidencePair(0.54, 0.46 + 1e-12))
+        # with the (0, 0) cell empty, 1 + 0.3 - 1 is not 0.3; the target is Jeffrey's rule in E1 = 1
+        atoms = np.array(sample_uniform(20, 1)[0].atoms)
+        atoms[:2] = 0.0
+        d = new_joint(atoms / atoms.sum())
+        want = 0.3 * condition_c(d, True, True) + 0.7 * condition_c(d, True, False)
+        assert abs(standard_answer(d, EvidencePair(1.0, 0.3)) - want) < 1e-15
+
+    def test_denormal_and_tiny_cells(self):
+        # scaling a half of E1 is absorbed by the tilt, so the E1=0 half at
+        # denormal scale answers as at a normal one; m00 * m11 alone would round
+        # to 11 units of the last denormal place, 2% off
+        half0, half1 = np.array([3.0, 1.0, 2.0, 4.0]), np.array([0.1, 0.2, 0.3, 0.4])
+        tiny = new_joint(np.concatenate([half0 * 2.0**-1070, half1]))
+        normal = new_joint(np.concatenate([half0 / 20, half1 / 2]))
+        for ev in DEFAULT_GRID.pairs():
+            assert abs(standard_answer(tiny, ev) - standard_answer(normal, ev)) < 1e-12, ev
+        # cells (0, 1) and (1, 0) at 1e-200: the odds ratio is about 1e400, past
+        # a double, and the table is at its limit q11 = min(e1, e2)
+        atoms = np.array([0.2, 0.3, 1e-200, 1e-200, 1e-200, 1e-200, 0.4, 0.1])
+        d = new_joint(atoms)
+        for ev in DEFAULT_GRID.pairs():
+            x = min(ev.e1, ev.e2)
+            want = _cells_answer(d, [[1.0 - max(ev.e1, ev.e2), ev.e2 - x], [ev.e1 - x, x]])
+            assert abs(standard_answer(d, ev) - want) < 1e-12, ev
 
     def test_empty_batch(self):
-        post, errors = _ipf_rows(np.zeros((0, 8)), [], [])
+        post, errors = _posterior_rows(np.zeros((0, 8)), [], [])
         assert post.shape == (0, 8) and errors == []
 
 
@@ -260,27 +243,26 @@ class TestStandardVector:
         # event's atoms in another order moves answers, and the scores in
         # report.csv with them, in the last digit
         pinned = [
-            0.94623905196505043, 0.8854560944739307, 0.82444073913050231, 0.76344343907590284, 0.70271984311895141,
-            0.71139834588023831, 0.66133016657282451, 0.61391393984361797, 0.57019340584322598, 0.53122721153963615,
-            0.47562621483936313, 0.43915716414640077, 0.40742324208390074, 0.38076511701527904, 0.3590756887657921,
-            0.23987213908906707, 0.22067985444958638, 0.206008341318726, 0.19503252091798978, 0.18694222128241922,
-            0.0050907945383923091, 0.0076559115531887852, 0.0102611644754418, 0.012884472688661964,
-            0.015508951237150534,
+            0.94623905196505043, 0.88545609447398876, 0.82444073912967109, 0.76344343907590273, 0.7027198431189513,
+            0.71139834588024209, 0.66133016657312482, 0.61391393984287013, 0.57019340584258005, 0.53122721153958286,
+            0.47562621483939155, 0.43915716414633732, 0.4074232420837266, 0.3807651170152398, 0.35907568876572116,
+            0.23987213908909039, 0.22067985444951443, 0.20600834131870707, 0.19503252091786444, 0.18694222128240859,
+            0.0050907945383923837, 0.0076559115527706769, 0.010261164475441672, 0.012884472688661941, 0.015508951237150514,
         ]
         assert [c for _, c in standard_vector(sample_uniform(1987, 1)[0])] == pinned
 
     @pytest.mark.parametrize(
         "levels, raised",
         [
-            (DEFAULT_GRID.levels, {InfeasibleEvidenceError, ConvergenceError}),
+            (DEFAULT_GRID.levels, {InfeasibleEvidenceError}),
             ((0, 0.3, 1), {InfeasibleEvidenceError}),
-            ((0, 0.5), {InfeasibleEvidenceError, ConvergenceError}),
-            ((0.2, 0.4, 0.6, 0.8, 1.0), {InfeasibleEvidenceError, ConvergenceError}),
+            ((0, 0.5), {InfeasibleEvidenceError}),
+            ((0.2, 0.4, 0.6, 0.8, 1.0), {InfeasibleEvidenceError}),
         ],
         ids=["default", "0-0.3-1", "0-0.5", "0.2-to-1"],
     )
     def test_equals_a_per_cell_loop(self, levels, raised):
-        # the batched IPF against one scalar update per cell: every answer
+        # the grid as one batch against one single update per cell: every answer
         # equal with ==, and every failing distribution raising the error of
         # its first failing cell in row-major order, same type and message
         grid = EvidenceGrid(levels)
@@ -293,20 +275,20 @@ class TestStandardVector:
                 kinds.add(want[0])
         assert kinds == raised
 
-    def test_scalar_loop_redoes_only_cells_the_batch_leaves_running(self, monkeypatch):
-        # P(E1, E2) = 0: the 15 default-grid cells with e1 + e2 >= 1 are out of
-        # reach and each would run all 10,000 sweeps; only the first of them
-        # in row-major order is run to the end, as a loop over the cells would
-        calls = []
-
-        def counting(d, ev, **kw):
-            calls.append(ev)
-            return mce_update(d, ev, **kw)
-
-        monkeypatch.setattr(oracle, "mce_update", counting)
-        with pytest.raises(ConvergenceError, match="after 10000 sweeps"):
-            standard_vector(planted_zero_atoms(19, 1)[0])
-        assert calls == [EvidencePair(0.001, 0.999)]
+    def test_denormal_cells_answered_where_the_support_reaches(self):
+        # the (0, 1) cell is empty and the (0, 0) cell holds two denormal atoms;
+        # P(C | cell) is 0.5 in both non-empty cells, and (0, 0.5) needs mass in (0, 1)
+        d = JointDist(np.array([1e-320, 1e-320, 0, 0, 0.25, 0.25, 0.25, 0.25]))
+        grid = EvidenceGrid((0.0, 0.5))
+        assert [(ev.e1, ev.e2, _outcome(lambda: standard_answer(d, ev))) for ev in grid.pairs()] == [
+            (0.0, 0.0, 0.5),
+            (0.0, 0.5, (InfeasibleEvidenceError, "target P(E2)=0.5 unreachable: P(E2) is 0 on the current support")),
+            (0.5, 0.0, 0.5),
+            (0.5, 0.5, 0.5),
+        ]
+        assert _outcome(lambda: standard_vector(d, grid)) == _outcome(
+            lambda: [(ev, standard_answer(d, ev)) for ev in grid.pairs()]
+        )
 
     def test_default_grid_has_25_entries_row_major(self):
         sv = standard_vector(sample_uniform(15, 1)[0])

@@ -1,8 +1,10 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
-RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+RUN_PY = PERFBENCH / "run.py"
 
 
 def _feeds_keys() -> list[str]:
@@ -21,3 +23,20 @@ def test_every_traced_attribute_exists():
     for key in keys:
         module, attr = key.rsplit(".", 1)
         assert hasattr(importlib.import_module(module), attr), key
+
+
+def test_every_program_name_perfbench_uses_exists():
+    # perfbench reaches the program as ``uis``, the uisbench package with its
+    # cli module imported; a name that no longer resolves fails a workload
+    # with an AttributeError, or an except clause that names it
+    uis = importlib.import_module("uisbench")
+    importlib.import_module("uisbench.cli")
+    names = set()
+    for path in (RUN_PY, PERFBENCH / "checks.py"):
+        names |= {(path.name, dotted) for dotted in re.findall(r"\buis((?:\.\w+)+)", path.read_text())}
+    assert ("run.py", ".oracle.ConvergenceError") in names
+    for file, dotted in sorted(names):
+        obj = uis
+        for part in dotted.split(".")[1:]:
+            assert hasattr(obj, part), f"{file}: uis{dotted}"
+            obj = getattr(obj, part)
