@@ -210,6 +210,50 @@ class TestClosedForm:
             want = _cells_answer(d, [[1.0 - max(ev.e1, ev.e2), ev.e2 - x], [ev.e1 - x, x]])
             assert abs(standard_answer(d, ev) - want) < 1e-12, ev
 
+
+class TestIpfRows:
+    """``_posterior_rows``, the batched I-projection, equals ``mce_update`` row by row, bit for bit."""
+
+    def _assert_rows_match(self, dists, pairs):
+        """Each row's atoms or error equal ``mce_update``'s; returns the number of errors."""
+        cases = [(d, EvidencePair(e1, e2)) for d in dists for e1, e2 in pairs]
+        post, errors = _posterior_rows(
+            np.array([d.atoms for d, _ in cases]), [ev.e1 for _, ev in cases], [ev.e2 for _, ev in cases]
+        )
+        n_errors = 0
+        for (d, ev), atoms, exc in zip(cases, post, errors):
+            want = _outcome(lambda: mce_update(d, ev).atoms.tolist())
+            assert (atoms.tolist() if exc is None else (type(exc), str(exc))) == want, ev
+            # a failed row's atoms are NaN; an answered row's are finite
+            assert np.isnan(atoms).all() if exc is not None else np.isfinite(atoms).all(), ev
+            n_errors += isinstance(want, tuple)
+        return n_errors
+
+    def test_planted_zero_atoms(self):
+        # answered and failing rows side by side in one batch, on joints with
+        # emptied atoms, cells and halves: no row's outcome leaks into another's
+        dists = planted_zero_atoms(33, 40)
+        pairs = [(0.0, 0.0), (0.0, 0.7), (1.0, 0.3), (0.4, 1.0), (0.25, 0.75), (0.9, 0.1), (0.5, 0.5)]
+        n_errors = self._assert_rows_match(dists, pairs)
+        assert 0 < n_errors < len(dists) * len(pairs)
+
+    def test_converged_row_with_nan_atoms_fails_as_in_mce_update(self):
+        # the (0, 1) cell is empty and the (0, 0) cell holds two denormal atoms;
+        # the denormal scale must not turn the half's zero atoms into NaN. P(C | cell)
+        # is 0.5 in both non-empty cells, and (0, 0.5) needs mass in (0, 1)
+        d = JointDist(np.array([1e-320, 1e-320, 0, 0, 0.25, 0.25, 0.25, 0.25]))
+        grid = EvidenceGrid((0.0, 0.5))
+        assert self._assert_rows_match([d], [(ev.e1, ev.e2) for ev in grid.pairs()]) == 1
+        assert [(ev.e1, ev.e2, _outcome(lambda: standard_answer(d, ev))) for ev in grid.pairs()] == [
+            (0.0, 0.0, 0.5),
+            (0.0, 0.5, (InfeasibleEvidenceError, "target P(E2)=0.5 unreachable: P(E2) is 0 on the current support")),
+            (0.5, 0.0, 0.5),
+            (0.5, 0.5, 0.5),
+        ]
+        assert _outcome(lambda: standard_vector(d, grid)) == _outcome(
+            lambda: [(ev, standard_answer(d, ev)) for ev in grid.pairs()]
+        )
+
     def test_empty_batch(self):
         post, errors = _posterior_rows(np.zeros((0, 8)), [], [])
         assert post.shape == (0, 8) and errors == []
@@ -274,21 +318,6 @@ class TestStandardVector:
             if isinstance(want, tuple):
                 kinds.add(want[0])
         assert kinds == raised
-
-    def test_denormal_cells_answered_where_the_support_reaches(self):
-        # the (0, 1) cell is empty and the (0, 0) cell holds two denormal atoms;
-        # P(C | cell) is 0.5 in both non-empty cells, and (0, 0.5) needs mass in (0, 1)
-        d = JointDist(np.array([1e-320, 1e-320, 0, 0, 0.25, 0.25, 0.25, 0.25]))
-        grid = EvidenceGrid((0.0, 0.5))
-        assert [(ev.e1, ev.e2, _outcome(lambda: standard_answer(d, ev))) for ev in grid.pairs()] == [
-            (0.0, 0.0, 0.5),
-            (0.0, 0.5, (InfeasibleEvidenceError, "target P(E2)=0.5 unreachable: P(E2) is 0 on the current support")),
-            (0.5, 0.0, 0.5),
-            (0.5, 0.5, 0.5),
-        ]
-        assert _outcome(lambda: standard_vector(d, grid)) == _outcome(
-            lambda: [(ev, standard_answer(d, ev)) for ev in grid.pairs()]
-        )
 
     def test_default_grid_has_25_entries_row_major(self):
         sv = standard_vector(sample_uniform(15, 1)[0])
