@@ -153,9 +153,12 @@ def _predict_rows(kind: ModelKind, values: np.ndarray, e1: np.ndarray, e2: np.nd
     one call.
 
     With ``jacobian`` (PRSP and PWR only, the models fitted iteratively) it
-    returns ``(pred, jac)``, where ``jac[i, j, p]`` is the derivative of
-    ``pred[i, j]`` with respect to ``values[i, p]``. PRSP's is one-sided at a
-    kink, following :func:`_rule_posterior_jac`. ``levels`` is
+    returns ``(pred, jac)``, where ``jac(rows)`` completes the Jacobian of the
+    given rows (an index array or slice, all rows by default) from what this
+    forward pass kept: ``jac(rows)[i, j, p]`` is the derivative of
+    ``pred[rows][i, j]`` with respect to ``values[rows][i, p]``, a new array
+    with the bits of a forward pass over those rows alone. PRSP's is one-sided
+    at a kink, following :func:`_rule_posterior_jac`. ``levels`` is
     ``_evidence_levels(e1, e2)``, which PRSP needs; a caller that evaluates
     the same evidence many times passes it in, and it is computed when absent.
     """
@@ -180,39 +183,56 @@ def _predict_rows(kind: ModelKind, values: np.ndarray, e1: np.ndarray, e2: np.nd
             # per-cell, per-rule evaluation, hence the same bits. ``take`` keeps the
             # gathered arrays C-ordered, so row sums of the residuals keep numpy's
             # pairwise order whatever the number of rows.
-            lev, cols, (cell1, cell2) = _evidence_levels(e1, e2) if levels is None else levels
+            lev, cols, cells = _evidence_levels(e1, e2) if levels is None else levels
             pc = values[:, 0:1]
             prior_odds = pc / (1.0 - pc)
-            pe, q1, q0 = (values[:, c] for c in cols)
-            p = _rule_posterior(lev, pe, q1, q0, pc)
+            rule_values = values[:, cols]  # (m, 3, L1 + L2): pEj, q(C|Ej), q(C|not Ej) of each level's rule
+            p = _rule_posterior(lev, *rule_values.swapaxes(0, 1), pc)
             multiplier = (p / (1.0 - p)) / prior_odds
-            odds = prior_odds * multiplier.take(cell1, axis=1) * multiplier.take(cell2, axis=1)
+            odds = prior_odds * multiplier.take(cells[0], axis=1) * multiplier.take(cells[1], axis=1)
             pred = odds / (1.0 + odds)
             if not jacobian:
                 return pred
-            # logit pred = logit p1 + logit p2 - logit pc, and d logit p / dp = 1 / (p (1 - p))
-            jac = np.empty(pred.shape + (7,))
-            w = 1.0 / (p * (1.0 - p))
-            dp_pc, *dp_rest = _rule_posterior_jac(lev, pe, q1, q0, pc)
-            d_pc = w * dp_pc
-            jac[..., 0] = d_pc.take(cell1, axis=1) + d_pc.take(cell2, axis=1) - 1.0 / (pc * (1.0 - pc))
-            for col, dp in enumerate(dp_rest, 1):  # (pEj, q(C|Ej), q(C|not Ej)) of rule 1, then rule 2
-                dp = w * dp
-                jac[..., col] = dp.take(cell1, axis=1)
-                jac[..., col + 3] = dp.take(cell2, axis=1)
-            jac *= (pred * (1.0 - pred))[..., None]
-            return pred, jac
+
+            def prsp_jac(rows=slice(None)):
+                return _prsp_jacobian(lev, cells, pc[rows], rule_values[rows], p[rows], pred[rows])
+
+            return pred, prsp_jac
         if kind is ModelKind.PWR:
             a1, a2, b = values[:, 0:1], values[:, 1:2], values[:, 2:3]
             l1, l2 = logit(e1), logit(e2)
             pred = sigmoid(a1 * l1 + a2 * l2 + b)
             if not jacobian:
                 return pred
-            slope = pred * (1.0 - pred)
-            return pred, np.stack((slope * l1, slope * l2, slope), axis=-1)
+
+            def pwr_jac(rows=slice(None)):
+                rows_pred = pred[rows]
+                with np.errstate(invalid="ignore", over="ignore"):
+                    slope = rows_pred * (1.0 - rows_pred)
+                    return np.stack((slope * l1, slope * l2, slope), axis=-1)
+
+            return pred, pwr_jac
         if kind is ModelKind.WRST:
             return values[:, 0:1] + np.zeros_like(e1)
     raise ValueError(f"{kind.value} has no predictor")
+
+
+def _prsp_jacobian(lev, cells, pc, rule_values, p, pred):
+    """PRSP's Jacobian (m, k, 7) from rows of its forward pass: pc, the rules' parameters and posteriors, and pred."""
+    # logit pred = logit p1 + logit p2 - logit pc, and d logit p / dp = 1 / (p (1 - p))
+    cell1, cell2 = cells
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = 1.0 / (p * (1.0 - p))
+        dp_pc, *dp_rest = _rule_posterior_jac(lev, *rule_values.swapaxes(0, 1), pc)
+        d_pc = w * dp_pc
+        jac = np.empty(pred.shape + (7,))
+        jac[..., 0] = d_pc.take(cell1, axis=1) + d_pc.take(cell2, axis=1) - 1.0 / (pc * (1.0 - pc))
+        for col, dp in enumerate(dp_rest, 1):  # (pEj, q(C|Ej), q(C|not Ej)) of rule 1, then rule 2
+            dp = w * dp
+            jac[..., col] = dp.take(cell1, axis=1)
+            jac[..., col + 3] = dp.take(cell2, axis=1)
+        jac *= (pred * (1.0 - pred))[..., None]
+    return jac
 
 
 def predict_grid(kind: ModelKind, values, e1, e2):

@@ -35,18 +35,19 @@ as one batch of 2,507 PRSP starts, the median start stops after 13 (uniform)
 or 21 (cond_indep) steps, but 143 and 164 starts creep along a kink or a flat
 valley to ``max_iters``, so the batch takes all 500 steps; 11% (uniform) and
 17% (cond_indep) of its 1,253,500 row-steps are taken. About three in five of
-them are accepted (60% and 56%), and on a batch that large residuals cost a
-fifth of a Jacobian, so ``_lm`` takes Jacobians lazily: each step evaluates
-the residuals of the rows still in the batch, and the Jacobian and normal
-equations only of the rows whose error fell. On a 2-vCPU VM the residuals of
-one row take about 0.03 ms, of a 14-distribution run's 322 rows 0.14 ms and of
-an acceptance run's 2,507 rows 2.2 ms; their Jacobian and normal equations
-0.09, 1.2 and 10 ms. Which starts creep, and for how long, varies between
-distributions, so a fit's cost depends on its data: over ten samples of 14
-distributions, perfbench's bench throughput (``dists_per_kref``) ranged 45–57
-(uniform) and 41–64 (cond_indep). PWR's starts all stop within a few dozen
-steps. ``fit`` and ``fit_batch`` are pure functions of their arguments;
-independent fits may run concurrently.
+them are accepted (60% and 56%). Each step makes one ``_predict_rows`` call,
+over the trial points of the rows still in the batch; its forward pass keeps
+what the Jacobian needs, and ``_lm`` completes the Jacobian and normal
+equations from it only for the rows whose error fell, the only points a next
+step starts from. On a 2-vCPU VM the forward pass with its residuals takes
+about 0.04 ms for one row, 0.18 ms for a 14-distribution run's 322 rows and
+2.2 ms for an acceptance run's 2,507; completing the Jacobian and normal
+equations of as many rows takes 0.05–0.08, 1.0 and 7 ms. Which starts creep,
+and for how long, varies between distributions, so a fit's cost depends on
+its data: over ten samples of 14 distributions, perfbench's bench throughput
+(``dists_per_kref``) ranged 69–89 (uniform) and 56–96 (cond_indep). PWR's
+starts all stop within a few dozen steps. ``fit`` and ``fit_batch`` are pure
+functions of their arguments; independent fits may run concurrently.
 """
 
 from __future__ import annotations
@@ -98,8 +99,9 @@ class OptimSettings:
 
     ``n_starts`` seeded random starts join the fixed ones; ``max_iters`` caps
     the steps tried per start, and a start that reaches it before a stop test
-    is reported as not converged (see ``_lm``). A step costs one residual
-    evaluation, plus one Jacobian when it is accepted. The closed-form fits
+    is reported as not converged (see ``_lm``). A step costs one model
+    evaluation at the trial point; when the step is accepted, the Jacobian and
+    normal equations are completed from that evaluation. The closed-form fits
     ignore them.
     """
 
@@ -185,21 +187,30 @@ def _to_search_coords(kind: ModelKind, values) -> np.ndarray:
     return x.copy()
 
 
-def _residuals(kind: ModelKind, x: np.ndarray, e1: np.ndarray, e2: np.ndarray, c: np.ndarray, jacobian: bool = True,
-               levels=None):
-    """Residuals ``c - pred`` at the search points ``x`` (m, n) and, with ``jacobian``, their Jacobian (m, k, n) in ``x``.
+def _search_model(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, levels=None):
+    """The model as ``_lm`` steps on it: search points ``x`` (m, n) map to ``(pred, jac)``.
 
-    ``c`` holds each row's targets, shape (m, k), so rows of different fits can share a call. ``levels`` is
-    ``models._evidence_levels(e1, e2)``, which the caller may compute once for many calls.
+    ``pred`` (m, k) is the model's prediction at ``_to_model_values(kind, x)``, from one ``_predict_rows``
+    call. ``jac(rows)`` completes, from that call's forward pass, the Jacobian in ``x`` of the given rows,
+    (len(rows), k, n), a new array. ``levels`` is ``models._evidence_levels(e1, e2)``, which the caller may
+    compute once for many calls.
     """
-    values = _to_model_values(kind, x)
-    if not jacobian:
-        return c - _predict_rows(kind, values, e1, e2, levels=levels)
-    pred, jac = _predict_rows(kind, values, e1, e2, jacobian=True, levels=levels)
-    if kind in _BOUNDED_KINDS:
+    def model(x: np.ndarray):
+        values = _to_model_values(kind, x)
+        pred, jac = _predict_rows(kind, values, e1, e2, jacobian=True, levels=levels)
+        if kind not in _BOUNDED_KINDS:
+            return pred, jac
         # chain rule through the sigmoid; the clamp makes a coordinate beyond it flat
-        jac *= np.where(np.abs(x) < _SEARCH_CLAMP, values * (1.0 - values), 0.0)[:, None, :]
-    return c - pred, np.negative(jac, out=jac)  # in place: the batch's largest array is not copied
+        chain = np.where(np.abs(x) < _SEARCH_CLAMP, values * (1.0 - values), 0.0)
+
+        def search_jac(rows=slice(None)):
+            out = jac(rows)
+            out *= chain[rows][:, None, :]
+            return out
+
+        return pred, search_jac
+
+    return model
 
 
 def _sse(r: np.ndarray) -> np.ndarray:
@@ -208,28 +219,25 @@ def _sse(r: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(sse), sse, np.inf)
 
 
-def _evaluate(residuals, x: np.ndarray, rows: np.ndarray):
-    """Per row of ``x``: the SSE and the normal equations JᵀJ and Jᵀr; also the residual count.
+def _normal_equations(dpred: np.ndarray, r: np.ndarray):
+    """Per row: whether the derivatives are finite, and the normal equations JᵀJ and Jᵀr.
 
-    The SSE is inf where a residual or a derivative is not finite. The
-    Jacobian, the batch's largest array, is freed on return.
+    ``dpred`` is the derivative of the predictions, so J, that of the residuals ``r``, is its negative;
+    it is negated in place, as the batch's largest array is not copied.
     """
-    r, jac = residuals(x, rows, True)
+    jac = np.negative(dpred, out=dpred)
     jt = jac.transpose(0, 2, 1)
-    sse = np.where(np.all(np.isfinite(jac), axis=(1, 2)), _sse(r), np.inf)
-    return sse, jt @ jac, (jt @ r[..., None])[..., 0], r.shape[1]
+    return np.all(np.isfinite(jac), axis=(1, 2)), jt @ jac, (jt @ r[..., None])[..., 0]
 
 
-def _lm(residuals, x0: np.ndarray, settings: OptimSettings):
+def _lm(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings):
     """Levenberg–Marquardt on every row of ``x0`` at once; each row is one start.
 
-    ``residuals(x, rows, jacobian)`` maps an (m, n) batch of points and the
-    indices of their rows in ``x0`` to residuals (m, k), and with
-    ``jacobian`` to the pair of residuals and their Jacobian (m, k, n); the
-    indices let each row keep its own targets, so the starts of several fits
-    can share a batch (see ``fit_batch``). A row's state between steps is its
-    point, SSE and normal equations (JᵀJ, Jᵀr), never its Jacobian, which is
-    the batch's largest array. Every row keeps its own damping, scaled by the
+    ``model`` is a map as ``_search_model`` returns: an (m, n) batch of points
+    to the predictions (m, k) and a function completing the Jacobian of any of
+    their rows. ``c`` holds each start's targets, one row per row of ``x0``,
+    so the starts of several fits can share a batch (see ``fit_batch``); the
+    residuals are ``c - pred``. Every row keeps its own damping, scaled by the
     diagonal of JᵀJ. A step is capped at ``_MAX_STEP`` in max-norm and
     accepted only if it lowers the row's sum of squared residuals (SSE) and
     the derivatives at the new point are finite. A row stops, and leaves
@@ -242,99 +250,123 @@ def _lm(residuals, x0: np.ndarray, settings: OptimSettings):
     start's result does not depend, to the bit, on the other starts in the
     batch or on its position in it.
 
-    The Jacobian is evaluated lazily: each step evaluates only the residuals
-    of every active row at its trial point, and then the Jacobian and normal
-    equations of the rows whose SSE fell, the only points a next step starts
-    from. A start's Jacobian is thus taken once at ``x0`` and once per
-    accepted step.
+    Each step makes one model evaluation, at the trial points of the rows
+    still in the batch, and completes the Jacobian and normal equations only
+    of the rows whose SSE fell, the only points a next step starts from. A
+    start's Jacobian is thus taken once at ``x0`` and once per accepted step,
+    and the model is evaluated once at ``x0`` and once per step. A row's state
+    between steps is its point, SSE, damping, targets and normal equations
+    (JᵀJ, Jᵀr), never its Jacobian, which is the batch's largest array. The
+    state is kept for the rows still in the batch only, and compacted on a
+    step where some row stops. What a forward pass keeps for the completion
+    is dropped at the end of its step.
 
     Returns the final points, their SSE, the steps tried and the converged
     flags.
     """
-    x = np.array(x0, dtype=np.float64)
-    n = len(x)
-    sse, jtj, jtr, k = _evaluate(residuals, x, np.arange(n))
-    lam = np.full(n, _LAMBDA_START)
-    iters = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
-    eye = np.eye(x.shape[1])
-    active = np.flatnonzero(np.isfinite(sse))  # a start with no finite SSE is never moved
-    for it in range(1, settings.max_iters + 1):
+    x_end = np.array(x0, dtype=np.float64)
+    pred, jac = model(x_end)
+    r = c - pred
+    finite, jtj, jtr = _normal_equations(jac(), r)
+    sse_end = np.where(finite, _sse(r), np.inf)
+    del pred, jac, r
+    iters = np.zeros(len(x_end), dtype=int)
+    converged = np.zeros(len(x_end), dtype=bool)
+    k = c.shape[1]
+    eye = np.eye(x_end.shape[1])
+
+    def flat(sse, jtr):
         # |grad RMS| = |Jᵀr| / sqrt(k SSE), taken as 0 at an exact fit
-        flat = (sse[active] == 0.0) | (np.linalg.norm(jtr[active], axis=-1) < _GRAD_TOL * np.sqrt(k * sse[active]))
-        converged[active[flat]] = True
-        active = active[~flat]
-        if active.size == 0:
+        return (sse == 0.0) | (np.linalg.norm(jtr, axis=-1) < _GRAD_TOL * np.sqrt(k * sse))
+
+    # the state of the rows still in the batch; ``live`` is their index in x0
+    keep = np.isfinite(sse_end)  # a start with no finite SSE is never moved
+    live, x, sse, jtj, jtr, c = (a[keep] for a in (np.arange(len(x_end)), x_end, sse_end, jtj, jtr, c))
+    lam = np.full(len(live), _LAMBDA_START)
+    stop = flat(sse, jtr)
+    for it in range(settings.max_iters + 1):
+        if stop.any():  # the stopped rows leave the batch
+            out = live[stop]
+            x_end[out], sse_end[out], iters[out], converged[out] = x[stop], sse[stop], it, True
+            keep = ~stop
+            live, x, sse, jtj, jtr, lam, c = (a[keep] for a in (live, x, sse, jtj, jtr, lam, c))
+        if live.size == 0 or it == settings.max_iters:
             break
 
-        a_jtj, a_lam, sse_old = jtj[active], lam[active], sse[active]
-        diag = np.diagonal(a_jtj, axis1=1, axis2=2)
+        diag = np.diagonal(jtj, axis1=1, axis2=2)
         scale = np.where(diag > 0.0, diag, 1.0)  # a flat coordinate gets no step
-        damped = a_jtj + (a_lam[:, None] * scale)[..., None] * eye
-        step = -np.linalg.solve(damped, jtr[active][..., None])[..., 0]
+        damped = jtj + (lam[:, None] * scale)[..., None] * eye
+        step = -np.linalg.solve(damped, jtr[..., None])[..., 0]
         step *= (_MAX_STEP / np.maximum(np.max(np.abs(step), axis=-1), _MAX_STEP))[:, None]
-        x_try = x[active] + step
-        sse_try = _sse(residuals(x_try, active, False))
-        iters[active] = it
+        x_try = x + step
+        pred, jac = model(x_try)
+        r = c - pred
+        sse_try = _sse(r)
 
-        # only a point whose SSE fell can be accepted, so only there are derivatives needed
-        fell = np.flatnonzero(sse_try < sse_old)
-        if fell.size:
-            sse_try[fell], jtj_fell, jtr_fell, _ = _evaluate(residuals, x_try[fell], active[fell])
-        accepted = sse_try < sse_old  # not where a derivative is not finite: its SSE is now inf
-        lam_new = np.where(accepted, np.maximum(a_lam / 10.0, _LAMBDA_MIN), a_lam * 10.0)
-        done = np.where(accepted, sse_old - sse_try < _OBJ_REL_TOL * sse_old, lam_new > _LAMBDA_MAX)
-        lam[active] = lam_new
-        converged[active[done]] = True
-        if fell.size:
-            moved = active[accepted]
-            x[moved], sse[moved] = x_try[accepted], sse_try[accepted]
-            jtj[moved], jtr[moved] = jtj_fell[accepted[fell]], jtr_fell[accepted[fell]]
-        active = active[~done]
-    return x, sse, iters, converged
-
-
-def _constant_start(kind: ModelKind, mean_target: float) -> tuple[float, ...]:
-    """PWR or PRSP parameters at which the model predicts the target mean everywhere."""
-    m = min(max(mean_target, 1e-6), 1.0 - 1e-6)
-    if kind is ModelKind.PWR:
-        return (0.0, 0.0, float(logit(m)))
-    return (m, 0.5, m, m, 0.5, m, m)
-
-
-def _kink_starts(base, e1: np.ndarray, e2: np.ndarray) -> list[tuple[float, ...]]:
-    """PRSP starts: ``base`` with (pE1, pE2) moved into each cell of the kink partition.
-
-    A rule's posterior has its kink at pEj, so its fit is smooth only while
-    pEj stays between two consecutive grid levels of ej; these starts put
-    (pE1, pE2) at the midpoints of every pair of such intervals, row-major.
-    """
-    mids = [(levels[:-1] + levels[1:]) / 2.0 for levels in (np.unique(e1), np.unique(e2))]
-    out = []
-    for m1, m2 in itertools.product(*mids):
-        values = list(base)
-        values[1], values[4] = float(m1), float(m2)
-        out.append(tuple(values))
-    return out
+        # only a point whose SSE fell can be accepted, so only there are derivatives needed; one
+        # whose derivatives are not finite is rejected
+        accepted = np.flatnonzero(sse_try < sse)
+        if accepted.size:
+            finite, jtj_new, jtr_new = _normal_equations(jac(accepted), r[accepted])
+            if not finite.all():
+                accepted, jtj_new, jtr_new = accepted[finite], jtj_new[finite], jtr_new[finite]
+        del pred, jac, r
+        lam_accepted = np.maximum(lam[accepted] / 10.0, _LAMBDA_MIN)
+        lam *= 10.0
+        lam[accepted] = lam_accepted
+        stop = lam > _LAMBDA_MAX  # a rejected step's stop: no step lowers the SSE
+        if accepted.size:
+            sse_old, sse_new = sse[accepted], sse_try[accepted]
+            done = sse_old - sse_new < _OBJ_REL_TOL * sse_old
+            if it + 1 < settings.max_iters:  # the next step's gradient test, which the last step has not
+                done |= flat(sse_new, jtr_new)
+            stop[accepted] = done
+            x[accepted], sse[accepted], jtj[accepted], jtr[accepted] = x_try[accepted], sse_new, jtj_new, jtr_new
+    # the rows still in the batch ran out of steps
+    x_end[live], sse_end[live], iters[live] = x, sse, settings.max_iters
+    return x_end, sse_end, iters, converged
 
 
 def _starts(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, c: np.ndarray, settings: OptimSettings,
-            seed: int, warm_start: ModelParams | None) -> np.ndarray:
-    """One fit's starts in search coordinates, one per row, in ``start_index`` order (see ``fit``)."""
-    constant = _constant_start(kind, float(np.mean(c)))
-    starts: list[np.ndarray] = []
-    if warm_start is not None:
-        starts.append(_to_search_coords(kind, warm_start.values))
-    starts.append(_to_search_coords(kind, constant))
+            seeds, warm_starts) -> tuple[np.ndarray, np.ndarray]:
+    """The starts of every row of ``c`` in search coordinates, and how many each row has.
 
+    Row i of ``c`` gets a block of consecutive starts in ``start_index`` order
+    (see ``fit``): ``warm_starts[i]`` when it is not ``None``; the constant
+    start, at which the model predicts the mean of the row's targets (clipped
+    to [1e-6, 1 - 1e-6]) everywhere; ``n_starts`` uniform draws from the row's
+    own stream ``default_rng([seeds[i], kind])``, so a row's starts do not
+    depend on the other rows; and, for PRSP, one kink start per cell of the
+    kink partition. A rule's posterior has its kink at pEj, so PRSP's fit is
+    smooth only while pEj stays between two consecutive grid levels of ej;
+    the kink starts are the warm start, or else the constant start, with
+    (pE1, pE2) moved to the midpoints of every pair of such intervals,
+    row-major.
+    """
     dim = PARAM_DIM[kind]
-    rng = np.random.default_rng([int(seed), _KIND_INDEX[kind]])
+    m = np.clip(np.mean(c, axis=1), 1e-6, 1.0 - 1e-6)
+    if kind is ModelKind.PWR:
+        constant = np.column_stack([np.zeros_like(m), np.zeros_like(m), logit(m)])
+    else:
+        half = np.full_like(m, 0.5)
+        constant = np.column_stack([m, half, m, m, half, m, m])
+    has_warm = np.array([w is not None for w in warm_starts])
+    base = constant.copy()
+    if has_warm.any():
+        base[has_warm] = [w.values for w in warm_starts if w is not None]
     spread = 2.0 if kind in _BOUNDED_KINDS else 1.0
-    starts += list(rng.uniform(-spread, spread, size=(settings.n_starts, dim)))  # the same draws as one per start
+    drawn = [np.random.default_rng([int(s), _KIND_INDEX[kind]]).uniform(-spread, spread, size=(settings.n_starts, dim))
+             for s in seeds]
+    blocks = [_to_search_coords(kind, base)[:, None], _to_search_coords(kind, constant)[:, None], np.array(drawn)]
     if kind is ModelKind.PRSP:
-        base = warm_start.values if warm_start is not None else constant
-        starts += [_to_search_coords(kind, v) for v in _kink_starts(base, e1, e2)]
-    return np.array(starts)
+        mids = [(levels[:-1] + levels[1:]) / 2.0 for levels in (np.unique(e1), np.unique(e2))]
+        kinks = np.repeat(base[:, None], mids[0].size * mids[1].size, axis=1)
+        kinks[..., 1], kinks[..., 4] = (g.reshape(-1) for g in np.meshgrid(*mids, indexing="ij"))
+        blocks.append(_to_search_coords(kind, kinks))
+    starts = np.concatenate(blocks, axis=1)
+    used = np.ones(starts.shape[:2], dtype=bool)
+    used[:, 0] = has_warm  # the first column is the warm start, where there is one
+    return starts[used], used.sum(axis=1)
 
 
 def fit_batch(
@@ -386,16 +418,11 @@ def fit_batch(
     searched = [i for i, r in enumerate(results) if r is None]
     if not searched:
         return results
-    starts = [_starts(kind, e1, e2, c[i], settings, seeds[i], warm_starts[i]) for i in searched]
-    counts = [len(s) for s in starts]
-    c_rows = np.repeat(c[searched], counts, axis=0)
-    levels = _evidence_levels(e1, e2)
-    x, sse, iters, converged = _lm(
-        lambda x, rows, jacobian: _residuals(kind, x, e1, e2, c_rows[rows], jacobian, levels),
-        np.concatenate(starts),
-        settings,
-    )
-    for i, lo, hi in zip(searched, np.cumsum([0] + counts[:-1]), np.cumsum(counts)):
+    x0, counts = _starts(kind, e1, e2, c[searched], settings, [seeds[i] for i in searched],
+                         [warm_starts[i] for i in searched])
+    model = _search_model(kind, e1, e2, _evidence_levels(e1, e2))
+    x, sse, iters, converged = _lm(model, x0, np.repeat(c[searched], counts, axis=0), settings)
+    for i, lo, hi in zip(searched, np.cumsum(counts) - counts, np.cumsum(counts)):
         idx = int(np.argmin(sse[lo:hi]))  # the first start on a tie
         if not np.isfinite(sse[lo + idx]):
             results[i] = RuntimeError(f"{kind.value} fit failed: no start produced a finite objective")
@@ -424,10 +451,12 @@ def fit(
     random starts and, for PRSP only, one kink start per cell between
     consecutive grid levels of e1 and e2 (16 on the default grid). Every
     start steps until its own stop test or ``max_iters`` (see ``_lm``). Every
-    step evaluates a start's residuals, and its Jacobian only where the step
-    is accepted. The start with the lowest error wins and reports its steps
-    tried and its convergence. Non-convergence within ``max_iters`` is not an error; the best point found
-    is returned with ``converged=False``. A fit error is raised only if no
+    step evaluates the model once at a start's trial point, and completes the
+    Jacobian from that evaluation only where the step is accepted. The start
+    with the lowest error wins and reports its steps tried and its
+    convergence; when several starts reach the same minimum, which one wins
+    is decided at rounding level. Non-convergence within ``max_iters`` is not
+    an error; the best point found is returned with ``converged=False``. A fit error is raised only if no
     start produces a finite objective. An empty vector, and a warm start of
     another kind, are rejected for every model. This is ``fit_batch`` on one row.
     """

@@ -3,9 +3,9 @@
 The dual-solver here re-derives the minimum-cross-entropy posterior by a
 completely different route (convex minimisation of the log-partition dual via
 scipy) so the closed-form oracle can be checked against something it shares
-no code with. ``reference_lm`` is the Levenberg–Marquardt loop that evaluates
-the Jacobian at every trial point, which ``optim._lm`` must match bit for
-bit.
+no code with. ``reference_lm`` is the Levenberg–Marquardt loop that takes
+the whole Jacobian at every trial point, which ``optim._lm`` must match bit
+for bit.
 """
 
 from __future__ import annotations
@@ -111,23 +111,26 @@ def dual_tilt_posterior(d: JointDist, e1: float, e2: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _reference_evaluate(residuals, x, rows):
-    r, jac = residuals(x, rows, True)
+def _reference_evaluate(model, x, c):
+    pred, jac = model(x)
+    r = c - pred
+    jac = -jac()
     sse = np.sum(r * r, axis=-1)
     finite = np.isfinite(sse) & np.all(np.isfinite(jac), axis=(1, 2))
     jt = jac.transpose(0, 2, 1)
     return np.where(finite, sse, np.inf), jt @ jac, (jt @ r[..., None])[..., 0], r.shape[1]
 
 
-def reference_lm(residuals, x0, settings):
-    """``optim._lm`` with the Jacobian and normal equations evaluated at every trial point.
+def reference_lm(model, x0, c, settings):
+    """``optim._lm`` with the whole Jacobian and normal equations taken at every trial point.
 
     Takes the same arguments and returns the same four arrays, plus the number
-    of accepted row-steps: the count of Jacobians a lazy ``_lm`` takes after
-    the one at ``x0``.
+    of accepted row-steps: the count of Jacobian rows ``_lm`` completes after
+    those at ``x0``. It keeps the state of every row and steps the rows not
+    yet stopped by their indices.
     """
     x = np.array(x0, dtype=np.float64)
-    sse, jtj, jtr, k = _reference_evaluate(residuals, x, np.arange(len(x)))
+    sse, jtj, jtr, k = _reference_evaluate(model, x, c)
     lam = np.full(len(x), _LAMBDA_START)
     iters = np.zeros(len(x), dtype=int)
     converged = np.zeros(len(x), dtype=bool)
@@ -147,7 +150,7 @@ def reference_lm(residuals, x0, settings):
         step = -np.linalg.solve(damped, jtr[active][..., None])[..., 0]
         step *= (_MAX_STEP / np.maximum(np.max(np.abs(step), axis=-1), _MAX_STEP))[:, None]
         x_try = x[active] + step
-        sse_try, jtj_try, jtr_try, _ = _reference_evaluate(residuals, x_try, active)
+        sse_try, jtj_try, jtr_try, _ = _reference_evaluate(model, x_try, c[active])
         iters[active] = it
 
         sse_old = sse[active]
@@ -162,19 +165,39 @@ def reference_lm(residuals, x0, settings):
     return x, sse, iters, converged, n_accepted
 
 
-def assert_batch_calls(calls, residuals, x0, settings):
-    """Check one ``_lm`` batch's evaluations, given as (rows, with Jacobian) per call.
+def counting(predict_rows, events):
+    """Wrap ``_predict_rows`` to append (kind, "forward", rows) to ``events`` per call, and
+    (kind, "jacobian", rows) per completion of a Jacobian from its forward pass."""
+    def counted(kind, values, *args, **kwargs):
+        out = predict_rows(kind, values, *args, **kwargs)
+        events.append((kind, "forward", len(values)))
+        if not kwargs.get("jacobian"):
+            return out
+        pred, jac = out
 
-    The first call evaluates every row of ``x0`` with the Jacobian, at the
-    starts. Then step ``it`` evaluates the residuals of exactly the rows not
+        def counted_jac(rows=slice(None)):
+            completed = jac(rows)
+            events.append((kind, "jacobian", len(completed)))
+            return completed
+
+        return pred, counted_jac
+
+    return counted
+
+
+def assert_batch_calls(calls, model, x0, c, settings):
+    """Check one ``_lm`` batch's evaluations, given as ("forward" or "jacobian", rows) per event.
+
+    The first call evaluates every row of ``x0``, whose Jacobian is completed
+    for every row. Then step ``it`` makes exactly one call, over the rows not
     yet stopped, those that ``reference_lm`` steps ``it`` times or more, and
-    the batch ends with its last row. The Jacobian rows add up to the batch
-    plus its accepted row-steps.
+    the batch ends with its last row. The completed Jacobian rows add up to
+    the batch plus its accepted row-steps.
     """
     calls = list(calls)  # before the reference adds its own
-    *_, iters, _, n_accepted = reference_lm(residuals, x0, settings)
-    assert calls[0] == (len(x0), True)
-    assert [rows for rows, jacobian in calls[1:] if not jacobian] == [
+    *_, iters, _, n_accepted = reference_lm(model, x0, c, settings)
+    assert calls[:2] == [("forward", len(x0)), ("jacobian", len(x0))]
+    assert [rows for event, rows in calls[2:] if event == "forward"] == [
         int(np.count_nonzero(iters >= it)) for it in range(1, iters.max() + 1)
     ]
-    assert sum(rows for rows, jacobian in calls if jacobian) == len(x0) + n_accepted
+    assert sum(rows for event, rows in calls if event == "jacobian") == len(x0) + n_accepted

@@ -26,7 +26,7 @@ from uisbench.models import ModelKind, ModelParams, _predict_rows
 from uisbench.optim import OptimSettings, _lm, fit_batch
 from uisbench.oracle import EvidenceGrid
 
-from conftest import assert_batch_calls
+from conftest import assert_batch_calls, counting
 
 UNIFORM = new_joint([0.125] * 8)
 ALL_KINDS = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP, ModelKind.PWR, ModelKind.BST)
@@ -196,39 +196,39 @@ class TestRunBench:
         import uisbench.bench as bench
         import uisbench.optim as optim
 
-        batches = []  # per PRSP batch, (rows, with Jacobian) of each _predict_rows call
+        events = []  # fit_batch calls, and the _predict_rows calls and Jacobian completions within them
         lm_args = []  # per PRSP batch, the arguments of its _lm call
 
         def batched(kind, *args):
-            if kind is ModelKind.PRSP:
-                batches.append([])
+            events.append((kind, "fit_batch", 0))
             return fit_batch(kind, *args)
 
-        def counted(kind, values, *args, **kwargs):
-            if kind is ModelKind.PRSP:
-                batches[-1].append((len(values), kwargs.get("jacobian", False)))
-            return _predict_rows(kind, values, *args, **kwargs)
-
-        def recorded(residuals, x0, settings):
+        def recorded(model, x0, c, settings):
             if x0.shape[1] == 7:  # PRSP's batch
-                lm_args.append((residuals, x0, settings))
-            return _lm(residuals, x0, settings)
+                lm_args.append((model, x0, c, settings))
+            return _lm(model, x0, c, settings)
 
         monkeypatch.setattr(bench, "fit_batch", batched)
-        monkeypatch.setattr(optim, "_predict_rows", counted)
+        monkeypatch.setattr(optim, "_predict_rows", counting(_predict_rows, events))
         monkeypatch.setattr(optim, "_lm", recorded)
         starts = 2 + FAST.n_starts + 16  # warm and constant start, seeded and kink starts
         for chunk, sizes in ((_BATCH_DISTS, [14]), (8, [8, 6])):  # the whole run is one chunk by default
             monkeypatch.setattr(bench, "_BATCH_DISTS", chunk)
-            batches.clear()
+            events.clear()
             lm_args.clear()
             run_bench(sample_uniform(72, 14), settings=FAST, seed=1)
-            seen = [list(calls) for calls in batches]  # before the reference adds its own calls
-            # one batch per chunk, whose residuals are evaluated for its rows not yet stopped
-            assert len(seen) == len(lm_args) == len(sizes)
-            for calls, n, (residuals, x0, settings) in zip(seen, sizes, lm_args):
+            batches = []  # per PRSP batch, (event, rows) of its evaluations
+            for kind, event, rows in list(events):  # before the reference adds its own events
+                if kind is ModelKind.PRSP:
+                    if event == "fit_batch":
+                        batches.append([])
+                    else:
+                        batches[-1].append((event, rows))
+            # one batch per chunk, which evaluates its rows not yet stopped once per step
+            assert len(batches) == len(lm_args) == len(sizes)
+            for calls, n, (model, x0, c, settings) in zip(batches, sizes, lm_args):
                 assert len(x0) == n * starts
-                assert_batch_calls(calls, residuals, x0, settings)
+                assert_batch_calls(calls, model, x0, c, settings)
 
     def test_one_oracle_batch_and_one_fit_batch_per_model_per_chunk(self, monkeypatch):
         import uisbench.bench as bench

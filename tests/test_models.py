@@ -169,6 +169,7 @@ class TestPrspLevelwiseKernel:
 
     def check(self, values, e1, e2):
         pred, jac = _predict_rows(ModelKind.PRSP, values, e1, e2, jacobian=True)
+        jac = jac()
         want_pred, want_jac = prsp_per_cell(values, e1, e2)
         assert np.array_equal(pred, want_pred) and np.array_equal(jac, want_jac)
         assert np.array_equal(_predict_rows(ModelKind.PRSP, values, e1, e2), want_pred)

@@ -11,8 +11,9 @@ from uisbench.models import ModelKind, ModelParams, _predict_rows, predict_grid,
 from uisbench.optim import (
     FitResult,
     OptimSettings,
+    _KIND_INDEX,
     _lm,
-    _residuals,
+    _search_model,
     _starts,
     _to_model_values,
     _to_search_coords,
@@ -23,7 +24,7 @@ from uisbench.optim import (
 )
 from uisbench.oracle import DEFAULT_GRID, EvidencePair, standard_vector
 
-from conftest import assert_batch_calls, reference_lm, sample_marginal_indep
+from conftest import assert_batch_calls, counting, reference_lm, sample_marginal_indep
 
 UNIFORM = new_joint([0.125] * 8)
 
@@ -273,6 +274,46 @@ class TestFitBatch:
             with pytest.raises(ValueError, match="targets must be finite"):
                 fit(kind, sv)
 
+    def test_array_built_starts_equal_each_rows_lone_fit(self, monkeypatch):
+        import uisbench.optim as optim
+
+        batches = []  # the starts of each _lm call
+
+        def recorded(model, x0, c, settings):
+            batches.append(x0)
+            return _lm(model, x0, c, settings)
+
+        monkeypatch.setattr(optim, "_lm", recorded)
+        (sv_u, seed_u, warm_u), (sv_ci, seed_ci, _), (planted, seed_p, _) = self.cases()
+        wrong = ModelParams(ModelKind.INDP, (0.5, 0.5, 0.5, 0.5))
+        settings = OptimSettings(n_starts=3, max_iters=5)
+        for kind, warm in ((ModelKind.PRSP, warm_u), (ModelKind.PWR, ModelParams(ModelKind.PWR, (0.6, -0.3, 0.2)))):
+            # with and without a warm start, and a warm start of another kind between them
+            rows = [(sv_u, seed_u, warm), (sv_ci, seed_ci, None), (sv_u, 9, wrong), (planted, seed_p, warm)]
+            batches.clear()
+            results = fit_batch(kind, *grid_arrays(), [[v for _, v in t] for t, _, _ in rows], settings,
+                                [s for _, s, _ in rows], [w for _, _, w in rows])
+            (batch,) = batches
+            assert isinstance(results[2], ValueError) and "warm start is INDP" in str(results[2])
+            lone_starts = []
+            for (targets, seed, w), got in zip(rows, results):
+                if w is wrong:
+                    continue
+                batches.clear()
+                assert got == fit(kind, targets, settings, seed, w)
+                (starts,) = batches
+                lone_starts.append(starts)
+                # start_index order: the warm start if any, the constant start, then the row's own seeded draws
+                spread = 2.0 if kind is ModelKind.PRSP else 1.0
+                draws = np.random.default_rng([seed, _KIND_INDEX[kind]]).uniform(-spread, spread, (3, starts.shape[1]))
+                first = 1 if w is None else 2
+                assert np.array_equal(starts[first : first + 3], draws)
+                if w is not None:
+                    assert np.array_equal(starts[0], _to_search_coords(kind, w.values))
+            assert len(lone_starts[0]) == len(lone_starts[1]) + 1 == len(lone_starts[2])
+            assert len(lone_starts[0]) == 2 + 3 + (16 if kind is ModelKind.PRSP else 0)
+            assert np.array_equal(batch, np.concatenate(lone_starts))
+
     def test_empty_vector_rejected_by_fit(self):
         for kind in (ModelKind.PRSP, ModelKind.LINR):
             with pytest.raises(ValueError, match="non-empty"):
@@ -322,8 +363,9 @@ class TestSearchInternals:
                 for pe, e in ((values[:, 1:2], e1), (values[:, 4:5], e2)):  # both segments of both rules
                     assert np.any(e < pe) and np.any(e > pe)
                     assert np.min(np.abs(e - pe)) > 1e-3  # no kink inside the difference stencil
-            _, jac = _residuals(kind, x, e1, e2, c)
-            fd = central_difference(lambda pts: _residuals(kind, pts, e1, e2, c)[0], x, 1e-6)
+            model = _search_model(kind, e1, e2)
+            jac = model(x)[1]()
+            fd = central_difference(lambda pts: model(pts)[0], x, 1e-6)
             assert np.allclose(jac, fd, rtol=1e-6, atol=1e-8)
             if kind is ModelKind.PRSP:
                 assert not np.any(jac[:4, :, 0]) and not np.any(jac[4:8, :, 2])
@@ -333,7 +375,7 @@ class TestSearchInternals:
         # pE1 = 0.5 and pE2 = 0.25 sit on grid levels: there the kink takes the e <= pE branch
         e1, e2 = grid_arrays()
         values = np.array([[0.4, 0.5, 0.8, 0.2, 0.25, 0.8, 0.3]])  # the two slopes differ at both kinks
-        _, jac = _predict_rows(ModelKind.PRSP, values, e1, e2, jacobian=True)
+        jac = _predict_rows(ModelKind.PRSP, values, e1, e2, jacobian=True)[1]()
         h = 1e-7
         for p in (1, 4):
             up, down = values.copy(), values.copy()
@@ -345,6 +387,35 @@ class TestSearchInternals:
             on_level = (e1 if p == 1 else e2) == values[0, p]
             assert np.allclose(jac[0, :, p], forward[0], rtol=1e-5, atol=1e-6)
             assert not np.allclose(jac[0, on_level, p], backward[0, on_level], rtol=1e-3, atol=1e-3)
+
+    def test_jacobian_completed_for_any_rows_equals_a_pass_over_them(self):
+        e1, e2 = grid_arrays()
+        rng = np.random.default_rng(23)
+        for kind, dim in ((ModelKind.PRSP, 7), (ModelKind.PWR, 3)):
+            x = rng.uniform(-2.5, 2.5, (9, dim))
+            x[1, 0] = 35.0  # beyond the clamp, where PRSP's derivative is 0
+            x[2, -1] = np.nan
+            x[3, 0] = -np.inf
+            values = rng.uniform(0.02, 0.98, (9, dim))
+            if kind is ModelKind.PRSP:
+                values[4, 1], values[5, 4] = 0.25, 0.999  # pE1 and pE2 on a grid level: the one-sided branch
+                x[4, 1] = x[5, 4] = 0.0  # pE1 and pE2 at 0.5, a grid level
+            values[6] = np.nan
+            values[7, 0] = np.inf
+            model = _search_model(kind, e1, e2)
+            pass_values = _predict_rows(kind, values, e1, e2, jacobian=True)
+            pass_x = model(x)
+            for rows in (np.arange(9), np.arange(9)[::-1], np.array([6, 0, 4]), np.array([5]), np.array([3, 7, 2, 1])):
+                for (pred, jac), alone in ((pass_values, lambda: _predict_rows(kind, values[rows], e1, e2, jacobian=True)),
+                                           (pass_x, lambda: model(x[rows]))):
+                    alone_pred, alone_jac = alone()
+                    assert np.array_equal(pred[rows], alone_pred, equal_nan=True)
+                    assert np.array_equal(jac(rows), alone_jac(), equal_nan=True)
+            assert np.array_equal(pass_values[1](slice(None)), pass_values[1](np.arange(9)), equal_nan=True)
+            jac = pass_x[1]()
+            assert not np.isfinite(jac[2]).all() and not np.isfinite(pass_values[1]()[6]).all()
+            if kind is ModelKind.PRSP:
+                assert not np.any(jac[1, :, 0]) and np.all(np.isfinite(jac[1]))
 
     def test_closed_form_kinds_have_no_jacobian(self):
         e1, e2 = grid_arrays()
@@ -362,13 +433,11 @@ class TestSearchInternals:
                                         rng.uniform(-2, 2, (5, 7))])),
             (ModelKind.PWR, rng.uniform(-1, 1, (5, 3))),
         ):
-            def residuals(x, rows, jacobian, kind=kind):
-                return _residuals(kind, x, e1, e2, c, jacobian)
-
-            batch = _lm(residuals, x0, OptimSettings())
-            reverse = _lm(residuals, x0[::-1], OptimSettings())
+            model, c_rows = _search_model(kind, e1, e2), np.tile(c, (len(x0), 1))
+            batch = _lm(model, x0, c_rows, OptimSettings())
+            reverse = _lm(model, x0[::-1], c_rows, OptimSettings())
             for i in range(len(x0)):
-                alone = _lm(residuals, x0[i : i + 1], OptimSettings())
+                alone = _lm(model, x0[i : i + 1], c[None], OptimSettings())
                 for together in ((out[i] for out in batch), (out[len(x0) - 1 - i] for out in reverse)):
                     x, sse, iters, converged = together
                     assert np.array_equal(x, alone[0][0])
@@ -380,11 +449,11 @@ class TestSearchInternals:
         e1, e2 = grid_arrays()
         c = np.array([v for _, v in sv])
         x0 = np.random.default_rng(3).uniform(-2, 2, (8, 7))
-        x, sse, iters, _ = _lm(lambda x, rows, jacobian: _residuals(ModelKind.PRSP, x, e1, e2, c, jacobian), x0,
-                               OptimSettings(max_iters=30))
-        start_sse = np.sum(_residuals(ModelKind.PRSP, x0, e1, e2, c)[0] ** 2, axis=-1)
+        model = _search_model(ModelKind.PRSP, e1, e2)
+        x, sse, iters, _ = _lm(model, x0, np.tile(c, (len(x0), 1)), OptimSettings(max_iters=30))
+        start_sse = np.sum((c - model(x0)[0]) ** 2, axis=-1)
         assert np.all(sse <= start_sse) and np.all(iters <= 30)
-        assert np.allclose(np.sum(_residuals(ModelKind.PRSP, x, e1, e2, c)[0] ** 2, axis=-1), sse, rtol=0, atol=0)
+        assert np.allclose(np.sum((c - model(x)[0]) ** 2, axis=-1), sse, rtol=0, atol=0)
 
     def test_lm_matches_the_eager_reference(self):
         # two fits' starts in one batch, as fit_batch builds it, alone and with a start of non-finite SSE
@@ -394,18 +463,14 @@ class TestSearchInternals:
         budgets = (OptimSettings(max_iters=150), OptimSettings())  # one PRSP row steps to the end of each
         for kind, settings in itertools.product((ModelKind.PRSP, ModelKind.PWR), budgets):
             warm = [true_params_prsp(d) if kind is ModelKind.PRSP else None for d in dists]
-            x0 = [_starts(kind, e1, e2, ci, settings, 7, w) for ci, w in zip(c, warm)]
-            c_rows = np.repeat(np.stack(c), [len(x) for x in x0], axis=0)
-            x0 = np.concatenate(x0)
+            x0, counts = _starts(kind, e1, e2, np.stack(c), settings, [7, 7], warm)
+            c_rows = np.repeat(np.stack(c), counts, axis=0)
             with_nan = x0.copy()
             with_nan[3] = np.nan
-
-            def residuals(x, rows, jacobian, kind=kind):
-                return _residuals(kind, x, e1, e2, c_rows[rows], jacobian)
-
+            model = _search_model(kind, e1, e2)
             for starts in (x0, with_nan):
-                got = _lm(residuals, starts, settings)
-                *want, _ = reference_lm(residuals, starts, settings)
+                got = _lm(model, starts, c_rows, settings)
+                *want, _ = reference_lm(model, starts, c_rows, settings)
                 for a, b in zip(got, want):
                     assert np.array_equal(a, b, equal_nan=True)
             assert got[2][3] == 0 and np.isnan(got[0][3]).all()  # never moved
@@ -413,23 +478,23 @@ class TestSearchInternals:
                 assert got[2].max() == settings.max_iters and 0 < np.count_nonzero(got[3]) < len(x0) - 1
 
     def test_lm_rejects_a_point_with_non_finite_derivatives(self):
-        # residuals x - (1, -1), whose Jacobian is not finite where x0 > 0.5: steps toward
-        # the minimum lower the SSE there but are rejected until the damping keeps them short
-        target = np.array([1.0, -1.0])
-        past_wall = []  # per Jacobian evaluation, its points with x0 > 0.5
+        # predictions x against targets (1, -1), whose Jacobian is not finite where x0 > 0.5: steps
+        # toward the minimum lower the SSE there but are rejected until the damping keeps them short
+        c = np.tile([1.0, -1.0], (3, 1))
+        past_wall = []  # per Jacobian completion, its points with x0 > 0.5
 
-        def residuals(x, rows, jacobian):
-            r = x - target
-            if not jacobian:
-                return r
-            past_wall.append(int(np.sum(x[:, 0] > 0.5)))
-            return r, np.where((x[:, 0] > 0.5)[:, None, None], np.nan, np.eye(2))
+        def model(x):
+            def jac(rows=slice(None)):
+                past_wall.append(int(np.sum(x[rows, 0] > 0.5)))
+                return np.where((x[rows, 0] > 0.5)[:, None, None], np.nan, np.eye(2))
+
+            return x.copy(), jac
 
         x0 = np.array([[0.0, 0.0], [2.0, 0.0], [0.4, -0.5]])  # the second has no finite SSE: never moved
         settings = OptimSettings(max_iters=80)
-        x, sse, iters, converged = _lm(residuals, x0, settings)
+        x, sse, iters, converged = _lm(model, x0, c, settings)
         assert sum(past_wall[1:]) > 0  # after the starts, only trial points whose SSE fell get a Jacobian
-        for got, want in zip((x, sse, iters, converged), reference_lm(residuals, x0, settings)):
+        for got, want in zip((x, sse, iters, converged), reference_lm(model, x0, c, settings)):
             assert np.array_equal(got, want)
         assert np.array_equal(x[1], x0[1]) and iters[1] == 0 and not converged[1]
         assert np.all(x[[0, 2], 0] <= 0.5) and np.all(iters[[0, 2]] > 0)
@@ -437,35 +502,31 @@ class TestSearchInternals:
     def test_prsp_fit_steps_each_row_until_its_stop(self, monkeypatch):
         import uisbench.optim as optim
 
-        calls = []  # (rows, with Jacobian) per _predict_rows call
+        events = []  # (kind, event, rows) per _predict_rows call and Jacobian completion
         batches = []  # the arguments of each _lm call
-
-        def counted(kind, values, *args, **kwargs):
-            calls.append((len(values), kwargs.get("jacobian", False)))
-            return _predict_rows(kind, values, *args, **kwargs)
 
         def recorded(*args):
             batches.append(args)
             return _lm(*args)
 
         def check_calls():
-            """The batch's residual calls follow its rows not yet stopped; its Jacobian rows its accepted steps."""
-            residuals, x0, settings = batches.pop()
-            assert_batch_calls(calls, residuals, x0, settings)
+            """The batch's calls follow its rows not yet stopped; its completed Jacobian rows its accepted steps."""
+            model, x0, c, settings = batches.pop()
+            assert_batch_calls([(event, rows) for _, event, rows in events], model, x0, c, settings)
             return len(x0)
 
-        monkeypatch.setattr(optim, "_predict_rows", counted)
+        monkeypatch.setattr(optim, "_predict_rows", counting(_predict_rows, events))
         monkeypatch.setattr(optim, "_lm", recorded)
         e1, e2 = grid_arrays()
         planted = list(zip(DEFAULT_GRID.pairs(), predict_grid(ModelKind.PRSP, (0.4, 0.3, 0.8, 0.2, 0.6, 0.7, 0.25), e1, e2)))
         settings = OptimSettings(max_iters=40)
         starts = 2 + settings.n_starts + 16  # warm or constant start, seeded and kink starts
         for d in (sample_uniform(54, 1)[0], sample_cond_indep(55, 1)[0]):
-            calls.clear()
+            events.clear()
             fit(ModelKind.PRSP, standard_vector(d), settings, warm_start=true_params_prsp(d))
             assert check_calls() == starts
         for targets in (planted, constant_targets(0.5)):  # exact fits: some start stops at once
-            calls.clear()
+            events.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # zero steps and a zero error divide by nothing
                 r = fit(ModelKind.PRSP, targets, settings)
