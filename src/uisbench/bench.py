@@ -61,10 +61,11 @@ DEGENERATE_EPS = 1e-12
 # distributions whose PRSP and PWR fits share one Levenberg–Marquardt batch, so
 # that a run of up to 128 (both acceptance runs have 109) pays numpy's per-step
 # overhead once. Stopped starts leave the batch, so its later steps cost little:
-# on a 2-vCPU VM 128 uniform distributions took about 2 s in one chunk and 4–6 s
-# in chunks of 8. Memory grows with the chunk: that run peaked at 59 MB resident
-# (41 MB in chunks of 8, 37 MB before the run), mostly the first Jacobian of its
-# 2,944 PRSP starts with its temporaries, about 17 MB at once
+# on a 2-vCPU VM 128 uniform distributions (gen seed 1987, bench seed 11) took
+# 0.7–0.9 s in one chunk and 2.6–3.2 s in chunks of 8. Memory grows with the
+# chunk: that run peaked at 57 MB resident (42 MB in chunks of 8, 37 MB before
+# the run), mostly the first Jacobian of its 2,944 PRSP starts with its
+# temporaries
 _BATCH_DISTS = 128
 _MAX_PARAMS = max(PARAM_DIM.values())
 

@@ -24,7 +24,7 @@ from .bench import (
     write_report_csv,
     write_summary_json,
 )
-from .dist import read_dists_csv, sample_cond_indep, sample_uniform, write_dists_csv
+from .dist import read_atoms_csv, read_dists_csv, sample_cond_indep, sample_uniform, write_dists_csv
 from .models import ModelKind
 from .optim import OptimSettings
 # standard_answer is not called here, but perfbench's tracer wraps it (test_every_traced_attribute_exists)
@@ -209,21 +209,19 @@ def cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         if not (0.0 <= value <= 1.0):
             parser.error(f"{name} must lie in [0, 1], got {value}")
     try:
-        dists = read_dists_csv(args.dists)
+        atoms = read_atoms_csv(args.dists)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not dists:
+    n = len(atoms)
+    if not n:
         parser.error("dists must be non-empty")
-    answers, errors = _batch_answers([d.atoms for d in dists], [args.e1] * len(dists), [args.e2] * len(dists))
-    status = 0
-    for i, (answer, exc) in enumerate(zip(answers, errors)):
-        if exc is None:
-            print(f"{i} {answer:.12g}")
-        else:
-            print(f"dist {i}: {exc}", file=sys.stderr)
-            status = 1
-    return status
+    answers, errors = _batch_answers(atoms, [args.e1] * n, [args.e2] * n)
+    answered = (f"{i} {answer:.12g}\n" for i, (answer, exc) in enumerate(zip(answers, errors)) if exc is None)
+    sys.stdout.write("".join(answered))
+    failed = "".join(f"dist {i}: {exc}\n" for i, exc in enumerate(errors) if exc is not None)
+    sys.stderr.write(failed)
+    return 1 if failed else 0
 
 
 def cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

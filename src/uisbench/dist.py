@@ -12,6 +12,10 @@ Two seeded generators produce the experimental families:
 * :func:`sample_cond_indep` draws five conditional parameters and expands them,
   so E1 and E2 are exactly independent given C and given not-C.
 
+One vectorised check, :func:`_checked_rows`, holds the rules a joint must
+meet. A single :class:`JointDist`, a sampled batch and a distribution file read
+by :func:`read_atoms_csv` all go through it, the last two as one (n, 8) array.
+
 Everything here is immutable after construction and every operation is a pure
 function, so the module is safe to use from concurrent workers. Distribution
 ``k`` of a batch is drawn from an RNG substream derived from ``(seed, k)``,
@@ -38,6 +42,7 @@ __all__ = [
     "sample_uniform",
     "sample_cond_indep",
     "write_dists_csv",
+    "read_atoms_csv",
     "read_dists_csv",
     "DIST_CSV_COLUMNS",
 ]
@@ -57,6 +62,44 @@ def atom_index(e1: bool, e2: bool, c: bool) -> int:
     return 4 * bool(e1) + 2 * bool(e2) + bool(c)
 
 
+class _RowError(ValueError):
+    """A fault of one row of an atoms array; ``row`` is its index."""
+
+    def __init__(self, row: int, message: str) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+def _checked_rows(atoms: np.ndarray) -> np.ndarray:
+    """The rows of ``atoms`` (n, 8) checked by :class:`JointDist`'s rules, as a new read-only array.
+
+    Every atom must be finite and non-negative, and each row must sum to 1
+    within 1e-9. A row whose sum is off by more than 1e-13 is divided by it;
+    every other row is kept bit for bit, so a written file reads back exactly.
+    Zero atoms stay exactly zero. Raises :class:`_RowError` for the first
+    faulty row, naming its first bad atom, or else its sum.
+    """
+    out = atoms.copy()
+    if len(atoms):
+        # ufunc reductions, not the array methods: this runs for every JointDist
+        totals = np.add.reduce(atoms, axis=1)
+        off = np.abs(totals - 1.0)
+        worst = np.maximum.reduce(off)
+        # a NaN atom makes the minimum NaN and an infinite one the sum, so either fails
+        if not (np.minimum.reduce(atoms, axis=None) >= 0.0 and worst <= _SUM_TOLERANCE):
+            bad = ~(np.isfinite(atoms) & (atoms >= 0.0))
+            row = int((bad.any(axis=1) | ~(off <= _SUM_TOLERANCE)).argmax())
+            if bad[row].any():
+                i = int(bad[row].argmax())
+                raise _RowError(row, f"atom {i} must be a finite non-negative real, got {atoms[row, i]!r}")
+            raise _RowError(row, f"atoms must sum to 1 within {_SUM_TOLERANCE:g}, got {float(totals[row])!r}")
+        if worst > _RENORM_EPS:
+            renorm = off > _RENORM_EPS
+            out[renorm] /= totals[renorm, None]
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class JointDist:
     """A full joint distribution over (E1, E2, C): eight non-negative atoms.
@@ -72,20 +115,21 @@ class JointDist:
         atoms = np.asarray(self.atoms, dtype=np.float64)
         if atoms.shape != (8,):
             raise ValueError(f"expected 8 atoms, got shape {atoms.shape}")
-        bad = ~(np.isfinite(atoms) & (atoms >= 0.0))
-        if bad.any():
-            i = int(bad.argmax())  # the first bad atom
-            raise ValueError(f"atom {i} must be a finite non-negative real, got {atoms[i]!r}")
-        total = float(atoms.sum())
-        if abs(total - 1.0) > _SUM_TOLERANCE:
-            raise ValueError(f"atoms must sum to 1 within {_SUM_TOLERANCE:g}, got {total!r}")
-        atoms = atoms / total if abs(total - 1.0) > _RENORM_EPS else atoms.copy()
-        atoms.flags.writeable = False
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atoms", _checked_rows(atoms[None])[0])
 
     def atom(self, e1: bool, e2: bool, c: bool) -> float:
         """Probability mass of the single outcome (E1=e1, E2=e2, C=c)."""
         return float(self.atoms[atom_index(e1, e2, c)])
+
+
+def _wrapped(checked: np.ndarray) -> list[JointDist]:
+    """One :class:`JointDist` per row of an array from :func:`_checked_rows`, without checking it again."""
+    out = []
+    for row in checked:
+        d = object.__new__(JointDist)
+        object.__setattr__(d, "atoms", row)  # a view of a read-only array, so read-only too
+        out.append(d)
+    return out
 
 
 def new_joint(atoms) -> JointDist:
@@ -148,6 +192,11 @@ def expand(p: CondIndepParams) -> JointDist:
     atom(e1, e2, c) = P(c) * P(e1|c) * P(e2|c), so the result satisfies
     conditional independence of E1 and E2 given C and given not-C exactly.
     """
+    return JointDist(_expanded_atoms(p))
+
+
+def _expanded_atoms(p: CondIndepParams) -> np.ndarray:
+    """The eight atoms of :func:`expand`, unchecked."""
     atoms = np.empty(8)
     for e1 in (0, 1):
         for e2 in (0, 1):
@@ -158,7 +207,7 @@ def expand(p: CondIndepParams) -> JointDist:
                 pe2 = (p.pe2_given_c if c else p.pe2_given_not_c)
                 pe2 = pe2 if e2 else 1.0 - pe2
                 atoms[atom_index(e1, e2, c)] = pc * pe1 * pe2
-    return JointDist(atoms)
+    return atoms
 
 
 def _substream(seed: int, k: int) -> np.random.Generator:
@@ -177,11 +226,8 @@ def sample_uniform(seed: int, n: int) -> list[JointDist]:
     unit-exponential draws, normalised to sum 1.
     """
     _check_count(n)
-    out = []
-    for k in range(n):
-        g = _substream(seed, k).exponential(size=8)
-        out.append(JointDist(g / g.sum()))
-    return out
+    g = np.array([_substream(seed, k).exponential(size=8) for k in range(n)]).reshape(n, 8)
+    return _wrapped(_checked_rows(g / g.sum(axis=1, keepdims=True)))
 
 
 def sample_cond_indep(seed: int, n: int) -> list[JointDist]:
@@ -192,11 +238,8 @@ def sample_cond_indep(seed: int, n: int) -> list[JointDist]:
     joints are never degenerate.
     """
     _check_count(n)
-    out = []
-    for k in range(n):
-        v = _substream(seed, k).uniform(0.01, 0.99, size=5)
-        out.append(expand(CondIndepParams(*v)))
-    return out
+    params = (CondIndepParams(*_substream(seed, k).uniform(0.01, 0.99, size=5)) for k in range(n))
+    return _wrapped(_checked_rows(np.array([_expanded_atoms(p) for p in params]).reshape(n, 8)))
 
 
 # --- CSV interchange -------------------------------------------------------
@@ -216,13 +259,17 @@ def write_dists_csv(path, dists: list[JointDist]) -> None:
             f.write(str(k) + "," + ",".join(f"{a:.17g}" for a in d.atoms) + "\n")
 
 
-def read_dists_csv(path) -> list[JointDist]:
-    """Read distributions written by :func:`write_dists_csv`.
+def read_atoms_csv(path) -> np.ndarray:
+    """Read the atoms of the distributions written by :func:`write_dists_csv`.
 
-    Rows must carry consecutive ids starting at 0; parse and validation
-    errors name the offending row.
+    Returns one read-only (n, 8) array whose rows are checked and renormalised
+    as :class:`JointDist` does it, row ``k`` being bit for bit
+    ``new_joint(...).atoms`` of the file's row ``k``. Rows must carry
+    consecutive ids starting at 0. The first faulty row in file order is
+    named, whether it fails to parse or to validate.
     """
-    dists: list[JointDist] = []
+    rows: list[list[float]] = []
+    fault = None
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -234,7 +281,19 @@ def read_dists_csv(path) -> list[JointDist]:
                     raise ValueError(f"expected 9 columns, got {len(row)}")
                 if int(row[0]) != row_no:
                     raise ValueError(f"id {row[0]!r} out of order, expected {row_no}")
-                dists.append(new_joint([float(x) for x in row[1:]]))
+                rows.append([float(x) for x in row[1:]])
             except ValueError as exc:
-                raise ValueError(f"{path}: row {row_no}: {exc}") from None
-    return dists
+                fault = _RowError(row_no, str(exc))
+                break
+    try:
+        atoms = _checked_rows(np.array(rows, dtype=np.float64).reshape(len(rows), 8))
+    except _RowError as exc:
+        fault = exc  # rows stop before a parse fault, so this row comes first
+    if fault is not None:
+        raise ValueError(f"{path}: row {fault.row}: {fault}")
+    return atoms
+
+
+def read_dists_csv(path) -> list[JointDist]:
+    """Read distributions written by :func:`write_dists_csv`, as :func:`read_atoms_csv` does."""
+    return _wrapped(read_atoms_csv(path))

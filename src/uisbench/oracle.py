@@ -82,7 +82,11 @@ class EvidencePair:
 
 @dataclass(frozen=True)
 class EvidenceGrid:
-    """Strictly increasing evidence levels in [0, 1], scanned over both events."""
+    """Strictly increasing evidence levels in [0, 1], scanned over both events.
+
+    The level pairs are built once; equality, hashing, ``repr`` and pickling
+    see only ``levels``.
+    """
 
     levels: tuple[float, ...]
 
@@ -96,10 +100,14 @@ class EvidenceGrid:
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError(f"grid levels must be strictly increasing, got {levels}")
         object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "_pairs", tuple(EvidencePair(a, b) for a in levels for b in levels))
+
+    def __reduce__(self):
+        return EvidenceGrid, (self.levels,)
 
     def pairs(self) -> list[EvidencePair]:
         """All level combinations in row-major order (e1 outer, e2 inner)."""
-        return [EvidencePair(a, b) for a in self.levels for b in self.levels]
+        return list(self._pairs)
 
 
 DEFAULT_GRID = EvidenceGrid((0.001, 0.25, 0.5, 0.75, 0.999))

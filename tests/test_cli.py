@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from uisbench.dist import (
 )
 from uisbench.oracle import EvidencePair, standard_answer
 
-from conftest import planted_zero_atoms
+from conftest import DENORMAL_ROW, planted_zero_atoms
 
 FAST_CFG = {"optim": {"n_starts": 2, "max_iters": 120}}
 
@@ -350,11 +351,6 @@ def _oracle_pairs(seed):
     return corners + half_hard + interior + [(0.001, 0.999)]
 
 
-# P(E1=0) is denormal and its (0, 1) cell empty: iterative fitting overflowed
-# here and left NaN atoms at (0, 0)
-DENORMAL_ROW = [1e-320, 1e-320, 0, 0, 0.25, 0.25, 0.25, 0.25]
-
-
 class TestBatchedOracle:
     """``uisbench oracle`` runs its file as one batch; it prints what a loop of standard_answer would."""
 
@@ -386,6 +382,27 @@ class TestBatchedOracle:
         assert (out, err, code) == (
             "0 0.5\n2 0.5\n", "dist 1: target P(E2)=0.5 unreachable: P(E2) is 0 on the current support\n", 1
         )
+
+
+class TestOracleOneWrite:
+    """``uisbench oracle`` writes its answers to stdout in one write."""
+
+    @pytest.mark.parametrize("bad", [0, 2, 4])
+    def test_one_infeasible_row_and_the_others_answered_in_order(self, tmp_path, capsys, monkeypatch, bad):
+        dists = sample_uniform(5, 5)
+        dists[bad] = new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # P(E1) = 0
+        path = tmp_path / "d.csv"
+        write_dists_csv(path, dists)
+        writes = []
+        real_write = sys.stdout.write
+        monkeypatch.setattr(sys.stdout, "write", lambda text: writes.append(text) or real_write(text))
+        code = main(["oracle", "--dists", str(path), "--e1", "0.5", "--e2", "0.5"])
+        monkeypatch.undo()
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == _oracle_loop(dists, 0.5, 0.5)
+        assert [line.split()[0] for line in captured.out.splitlines()] == [str(i) for i in range(5) if i != bad]
+        assert captured.err == f"dist {bad}: target P(E1)=0.5 unreachable: P(E1) is 0 on the current support\n"
+        assert code == 1 and writes == [captured.out]
 
 
 class TestReport:

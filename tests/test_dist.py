@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DENORMAL_ROW
 from uisbench.dist import (
     CondIndepParams,
     atom_index,
@@ -10,6 +13,7 @@ from uisbench.dist import (
     expand,
     marginal,
     new_joint,
+    read_atoms_csv,
     read_dists_csv,
     sample_cond_indep,
     sample_uniform,
@@ -223,6 +227,21 @@ class TestSampling:
         mean = np.mean([d.atoms for d in dists], axis=0)
         assert np.all(np.abs(mean - 0.125) < 0.01)
 
+    def test_batch_equals_one_joint_per_draw(self):
+        # the samplers check their rows as one batch; each is bit for bit the
+        # JointDist built from its own substream's draw
+        for k, d in enumerate(sample_uniform(8, 40)):
+            g = np.random.default_rng([8, k]).exponential(size=8)
+            assert d.atoms.tobytes() == new_joint(g / g.sum()).atoms.tobytes()
+        for k, d in enumerate(sample_cond_indep(8, 40)):
+            v = np.random.default_rng([8, k]).uniform(0.01, 0.99, size=5)
+            assert d.atoms.tobytes() == expand(CondIndepParams(*v)).atoms.tobytes()
+
+    def test_atoms_frozen(self):
+        for d in sample_uniform(2, 3) + sample_cond_indep(2, 3):
+            with pytest.raises(ValueError):
+                d.atoms[0] = 0.5
+
     def test_cond_indep_params_in_range(self):
         for d in sample_cond_indep(11, 100):
             assert np.all(d.atoms > 0)
@@ -267,3 +286,84 @@ class TestCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="out of order"):
             read_dists_csv(path)
+
+
+HEADER = "id,p000,p001,p010,p011,p100,p101,p110,p111\n"
+_OFF_BY_5E_10 = [0.125 + 5e-10] + [0.125] * 7
+
+
+def _csv_text(rows) -> str:
+    return HEADER + "".join(f"{k}," + ",".join(f"{float(a):.17g}" for a in row) + "\n" for k, row in enumerate(rows))
+
+
+# a fault of one row of 0.125s: its fields' transform and the message naming it
+FAULTS = {
+    "negative": (lambda f: f[:3] + ["-0.125", "0.375"] + f[5:], "atom 2 must be a finite non-negative real, got np.float64(-0.125)"),
+    "unparsable": (lambda f: f[:6] + ["0.125x"] + f[7:], "could not convert string to float: '0.125x'"),
+    "sum": (lambda f: f[:1] + ["0.0625"] * 8, "atoms must sum to 1 within 1e-09, got 0.5"),
+}
+
+
+class TestReadAtomsCsv:
+    def _rows(self):
+        sampled = sample_uniform(4, 3) + sample_cond_indep(4, 3)
+        zeros = [0.5, 0, 0, 0.25, 0, 0, 0.25, 0]
+        return [_OFF_BY_5E_10, zeros, DENORMAL_ROW] + [d.atoms for d in sampled], sampled
+
+    def test_rows_bit_for_bit_those_of_new_joint(self, tmp_path):
+        rows, sampled = self._rows()
+        path = tmp_path / "d.csv"
+        path.write_text(_csv_text(rows))
+        atoms = read_atoms_csv(path)
+        dists = read_dists_csv(path)
+        assert atoms.shape == (len(rows), 8) and len(dists) == len(rows)
+        for k, row in enumerate(rows):
+            parsed = np.array([float(f"{float(a):.17g}") for a in row])
+            total = float(parsed.sum())
+            # JointDist's rule, written out: divide only a row whose sum is off by more than 1e-13
+            want = parsed / total if abs(total - 1.0) > 1e-13 else parsed
+            assert new_joint(parsed).atoms.tobytes() == want.tobytes()
+            assert atoms[k].tobytes() == want.tobytes(), k
+            assert dists[k].atoms.tobytes() == want.tobytes(), k
+        assert atoms[0].tobytes() != np.array(_OFF_BY_5E_10).tobytes()  # renormalised
+        assert (atoms[1:3] == 0.0).sum() == 7 and atoms[2, 0] == 1e-320
+        for k, d in enumerate(sampled, start=3):  # 17 digits round-trip exactly
+            assert atoms[k].tobytes() == d.atoms.tobytes()
+
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("faults", list(itertools.permutations(FAULTS, 2)), ids="-then-".join)
+    def test_first_faulty_row_named(self, tmp_path, first, faults):
+        lines = _csv_text([UNIFORM] * 4).splitlines()
+        for row, fault in enumerate(faults, start=first):
+            fields = lines[1 + row].split(",")
+            lines[1 + row] = ",".join(FAULTS[fault][0](fields))
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        for read in (read_atoms_csv, read_dists_csv):
+            with pytest.raises(ValueError) as exc:
+                read(path)
+            assert str(exc.value) == f"{path}: row {first}: {FAULTS[faults[0]][1]}"
+
+    def test_crlf_file_reads_identically(self, tmp_path):
+        rows, _ = self._rows()
+        path, crlf = tmp_path / "d.csv", tmp_path / "crlf.csv"
+        path.write_text(_csv_text(rows))
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n" in crlf.read_bytes()
+        assert read_atoms_csv(crlf).tobytes() == read_atoms_csv(path).tobytes()
+
+    def test_header_only_gives_no_rows(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_dists_csv(path, [])
+        assert read_atoms_csv(path).shape == (0, 8)
+        assert read_dists_csv(path) == []
+
+    def test_atoms_read_only(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_dists_csv(path, sample_uniform(3, 3))
+        atoms = read_atoms_csv(path)
+        with pytest.raises(ValueError):
+            atoms[1, 0] = 0.5
+        for k in range(3):
+            with pytest.raises(ValueError):
+                read_dists_csv(path)[k].atoms[0] = 0.5

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -45,6 +46,19 @@ class TestEvidenceTypes:
     def test_grid_row_major(self):
         pairs = EvidenceGrid((0.1, 0.9)).pairs()
         assert [(p.e1, p.e2) for p in pairs] == [(0.1, 0.1), (0.1, 0.9), (0.9, 0.1), (0.9, 0.9)]
+
+    def test_grid_pairs_built_once_and_seen_only_through_pairs(self):
+        grid = EvidenceGrid((0.1, 0.9))
+        first = grid.pairs()
+        first.append(EvidencePair(0.5, 0.5))  # a new list each call
+        assert grid.pairs() == first[:4] and grid.pairs() is not grid.pairs()
+        assert all(a is b for a, b in zip(grid.pairs(), grid.pairs()))
+        same = EvidenceGrid([0.1, 0.9])
+        assert same == grid and hash(same) == hash(grid) and repr(grid) == "EvidenceGrid(levels=(0.1, 0.9))"
+        blob = pickle.dumps(grid)
+        assert b"EvidencePair" not in blob and b"_pairs" not in blob
+        back = pickle.loads(blob)
+        assert back == grid and back.pairs() == grid.pairs()
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
