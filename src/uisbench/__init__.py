@@ -35,7 +35,7 @@ from .models import (
     true_params_indp,
     true_params_prsp,
 )
-from .optim import FitResult, OptimSettings, fit, objective, ols_linr
+from .optim import FitResult, OptimSettings, fit, objective
 from .oracle import (
     DEFAULT_GRID,
     ConvergenceError,

@@ -105,10 +105,19 @@ class ModelScore:
     iterations: int = 0  # steps of the winning start; 0 for BST and the closed-form fits
     start_index: int = 0  # the winning start (see ``optim.fit``)
 
+    def __post_init__(self) -> None:
+        for name in ("epsilon", "iterations", "start_index"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)!r}")
+
 
 @dataclass(frozen=True)
 class DistReport:
-    """Per-distribution results; ``error`` is set instead of scores on failure."""
+    """Per-distribution results; ``error`` is set instead of scores on failure.
+
+    Only the oracle fails a distribution, with its error on the first cell it cannot answer;
+    ``optim.fit_batch`` fits every row or raises for the whole run.
+    """
 
     dist_id: int
     scores: tuple[ModelScore, ...]
@@ -187,7 +196,7 @@ def _bench_chunk(
     One ``_batch_answers`` call gives the (n, L²) answer matrix; a
     distribution with an error in any cell fails with its first failing
     cell's error, as ``standard_vector`` would raise. Each model is then one
-    ``fit_batch`` over the distributions not yet failed.
+    ``fit_batch`` over the other distributions, which fits each or raises.
     """
     e1, e2 = np.array([(ev.e1, ev.e2) for ev in grid.pairs()]).T
     n, k = len(dists), len(e1)
@@ -199,17 +208,14 @@ def _bench_chunk(
         if exc is not None:  # recorded, not fatal to the run
             errors[i] = f"{type(exc).__name__}: {exc}"
 
+    ok = [i for i in range(n) if i not in errors]
+    seeds = [_derived_seed(seed, first_id + i) for i in ok]
     fits: dict[ModelKind, dict[int, FitResult]] = {}
     for kind in kinds:
-        ok = [i for i in range(n) if i not in errors]
-        if kind is ModelKind.BST or not ok:
+        if kind is ModelKind.BST:
             continue
         warm = [_prsp_warm_start(dists[i]) if kind is ModelKind.PRSP else None for i in ok]
-        seeds = [_derived_seed(seed, first_id + i) for i in ok]
         fits[kind] = dict(zip(ok, fit_batch(kind, e1, e2, targets[ok], settings, seeds, warm)))
-        for i, result in fits[kind].items():
-            if isinstance(result, Exception):
-                errors[i] = f"{type(result).__name__}: {result}"
 
     reports = []
     for i in range(n):
@@ -359,7 +365,8 @@ def read_report_csv(path) -> list[DistReport]:
 
     Raises ValueError naming the row and field of a bad value, including a
     row without one value per column, a flag other than ``true`` and
-    ``false`` or an empty ``paramN`` before a filled one, and naming the
+    ``false``, a negative or non-finite ``epsilon``, ``iterations`` or
+    ``start_index`` or an empty ``paramN`` before a filled one, and naming the
     distribution whose model list (in row order) differs from the first's.
     """
     by_dist: dict[int, list[ModelScore]] = {}
@@ -383,11 +390,10 @@ def read_report_csv(path) -> list[DistReport]:
                 if "" in values:
                     raise ValueError(f"param{values.index('')} is empty, but a later parameter is set")
                 params = ModelParams(kind, tuple(_read_number(f"param{i}", float, v) for i, v in enumerate(values)))
+                model_score = ModelScore(kind, epsilon, score, params, converged, iterations, start_index)
             except ValueError as exc:
                 raise ValueError(f"{path}: row {row_no}: {exc}") from None
-            by_dist.setdefault(dist_id, []).append(
-                ModelScore(kind, epsilon, score, params, converged, iterations, start_index)
-            )
+            by_dist.setdefault(dist_id, []).append(model_score)
     reports = []
     first = None
     for dist_id in sorted(by_dist):

@@ -58,9 +58,9 @@ class RunConfig:
             raise ValueError(f"out must be a string, got {self.out!r}")
 
 
-def _parse_models(text: str) -> tuple[ModelKind, ...]:
+def _parse_models(names: list[str]) -> tuple[ModelKind, ...]:
     kinds = []
-    for token in text.split(","):
+    for token in names:
         token = token.strip().upper()
         try:
             kind = ModelKind(token)
@@ -112,7 +112,7 @@ def _load_config(path: str | None) -> RunConfig:
         names = raw["models"]
         if type(names) is not list or any(type(v) is not str for v in names):
             raise ValueError(f"models must be a list of model names, got {names!r}")
-        updates["models"] = _parse_models(",".join(names))
+        updates["models"] = _parse_models(names)
     if "optim" in raw:
         if type(raw["optim"]) is not dict:
             raise ValueError(f"optim must be a JSON object of settings, got {raw['optim']!r}")
@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="fit models on a distribution file and summarize eta")
     bench.add_argument("--dists", required=True, help="distribution CSV produced by gen")
-    bench.add_argument("--models", type=_flag_type(_parse_models), default=None, help="comma-separated model list")
+    models = _flag_type(lambda text: _parse_models(text.split(",")))
+    bench.add_argument("--models", type=models, default=None, help="comma-separated model list")
     bench.add_argument("--grid", type=_flag_type(_parse_grid), default=None, help="comma-separated evidence levels")
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--jobs", type=int, default=None, help="parallel workers (output is identical)")

@@ -21,9 +21,9 @@ given a parameter vector:
 * ``BST`` -- the perfect reference (prediction == target); it carries no
   parameters and no predictor.
 
-The scalar :func:`predict` wraps :func:`predict_grid`, the vectorised
-evaluator used in the optimizer hot path, so the two paths are bit-identical
-by construction. All predictors are pure functions.
+The scalar :func:`predict` wraps :func:`predict_grid`, which checks the
+domain and calls ``_predict_rows``, the optimizer's hot path, so the paths
+are bit-identical by construction. All predictors are pure functions.
 """
 
 from __future__ import annotations

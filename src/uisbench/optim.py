@@ -59,7 +59,7 @@ import numpy as np
 
 from .models import PARAM_DIM, ModelKind, ModelParams, _evidence_levels, _predict_rows, logit, predict_grid, sigmoid
 
-__all__ = ["OptimSettings", "FitResult", "objective", "ols_linr", "fit", "fit_batch"]
+__all__ = ["OptimSettings", "FitResult", "objective", "fit", "fit_batch"]
 
 _SEARCH_CLAMP = 30.0
 _BOUNDED_KINDS = (ModelKind.PRSP,)
@@ -152,11 +152,11 @@ def _indp_exact(e1: np.ndarray, e2: np.ndarray, c: np.ndarray) -> np.ndarray:
     Each of the 81 active patterns holds every parameter free, at 0 or at 1.
     The free columns' normal equations give a candidate, kept if its free
     values lie in [0, 1]; the kept candidate with the lowest squared error
-    wins. Patterns sharing their free columns are solved together, one
-    right-hand side each, in one stack of solves over the rows. The problem is
-    convex and on a product grid of two or more levels every column subset has
-    full rank, so that is the global minimum (Lawson & Hanson, *Solving Least
-    Squares Problems*, 1974).
+    wins (the first kept one if every kept error overflows). Patterns sharing
+    their free columns are solved together, one right-hand side each, in one
+    stack of solves over the rows. The problem is convex and on a product grid
+    of two or more levels every column subset has full rank, so that is the
+    global minimum (Lawson & Hanson, *Solving Least Squares Problems*, 1974).
     """
     design = _predict_rows(ModelKind.INDP, np.eye(4), e1, e2).T  # column j: the table with only b_j = 1
     candidates = []
@@ -170,7 +170,9 @@ def _indp_exact(e1: np.ndarray, e2: np.ndarray, c: np.ndarray) -> np.ndarray:
     b = np.concatenate(candidates, axis=1)
     sse = np.sum((c[:, None] - b @ design.T) ** 2, axis=-1)
     feasible = np.all((b >= 0.0) & (b <= 1.0), axis=-1)
-    return b[np.arange(len(c)), np.argmin(np.where(feasible, sse, np.inf), axis=1)]
+    rows, best = np.arange(len(c)), np.argmin(np.where(feasible, sse, np.inf), axis=1)
+    # on a tie at inf, argmin picks index 0: the unconstrained candidate, feasible or not
+    return b[rows, np.where(feasible[rows, best], best, np.argmax(feasible, axis=1))]
 
 
 def _to_model_values(kind: ModelKind, x: np.ndarray) -> np.ndarray:
@@ -357,7 +359,8 @@ def _starts(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, c: np.ndarray, sett
     spread = 2.0 if kind in _BOUNDED_KINDS else 1.0
     drawn = [np.random.default_rng([int(s), _KIND_INDEX[kind]]).uniform(-spread, spread, size=(settings.n_starts, dim))
              for s in seeds]
-    blocks = [_to_search_coords(kind, base)[:, None], _to_search_coords(kind, constant)[:, None], np.array(drawn)]
+    blocks = [_to_search_coords(kind, base)[:, None], _to_search_coords(kind, constant)[:, None],
+              np.reshape(drawn, (len(seeds), settings.n_starts, dim))]
     if kind is ModelKind.PRSP:
         mids = [(levels[:-1] + levels[1:]) / 2.0 for levels in (np.unique(e1), np.unique(e2))]
         kinks = np.repeat(base[:, None], mids[0].size * mids[1].size, axis=1)
@@ -377,18 +380,18 @@ def fit_batch(
     settings: OptimSettings | None,
     seeds,
     warm_starts,
-) -> list[FitResult | Exception]:
+) -> list[FitResult]:
     """Fit ``kind`` to each row of ``targets`` (n, k), the standard answers at the evidence pairs (e1[j], e2[j]).
 
     ``seeds`` and ``warm_starts`` (``None`` for none) give one entry per row.
-    Returns one entry per row: its ``FitResult``, or the exception ``fit``
-    raises on that row alone. Non-finite targets, and evidence on which a
-    closed-form fit is singular (``numpy.linalg.LinAlgError``), raise for the
-    whole call. WRST, LINR and INDP are solved for every row at once by
-    stacked per-row operations, their errors from one residual matrix. For
-    PRSP and PWR the starts of every row run as the rows of one ``_lm`` batch,
-    which pays numpy's per-call cost once per step for all of them. No
-    operation mixes rows, so each result is bit for bit the one ``fit`` returns.
+    Returns one ``FitResult`` per row, or raises for the whole call:
+    ``ValueError`` on non-finite targets or a warm start of another kind in
+    any row, ``numpy.linalg.LinAlgError`` on evidence that makes a closed-form
+    fit singular, and ``RuntimeError`` naming the kind and the first row whose
+    best error is not finite. WRST, LINR and INDP are solved for every row at
+    once by stacked per-row operations. For PRSP and PWR the starts of every
+    row run as the rows of one ``_lm`` batch. No operation mixes rows, so each
+    result is bit for bit the one ``fit`` returns.
     """
     settings = settings or OptimSettings()
     if kind is ModelKind.BST:
@@ -399,11 +402,10 @@ def fit_batch(
                          f"{c.shape}, {len(seeds)} and {len(warm_starts)}")
     if not np.isfinite(c).all():
         raise ValueError("targets must be finite")
-
-    results: list[FitResult | Exception | None] = [None] * len(c)
-    for i, w in enumerate(warm_starts):
+    for w in warm_starts:
         if w is not None and w.kind is not kind:
-            results[i] = ValueError(f"warm start is {w.kind.value}, expected {kind.value}")
+            raise ValueError(f"warm start is {w.kind.value}, expected {kind.value}")
+
     if kind not in (ModelKind.PRSP, ModelKind.PWR):
         if kind is ModelKind.WRST:
             values = np.mean(c, axis=1, keepdims=True)
@@ -412,25 +414,23 @@ def fit_batch(
             values = np.linalg.solve(design.T @ design, design.T @ c[..., None])[..., 0]
         else:
             values = _indp_exact(e1, e2, c)
-        eps = np.sqrt(np.mean((c - _predict_rows(kind, values, e1, e2)) ** 2, axis=1)).tolist()
-        return [r or FitResult(ModelParams(kind, tuple(v)), e, 0, True, 0) for r, v, e in zip(results, values, eps)]
-
-    searched = [i for i, r in enumerate(results) if r is None]
-    if not searched:
-        return results
-    x0, counts = _starts(kind, e1, e2, c[searched], settings, [seeds[i] for i in searched],
-                         [warm_starts[i] for i in searched])
-    model = _search_model(kind, e1, e2, _evidence_levels(e1, e2))
-    x, sse, iters, converged = _lm(model, x0, np.repeat(c[searched], counts, axis=0), settings)
-    for i, lo, hi in zip(searched, np.cumsum(counts) - counts, np.cumsum(counts)):
-        idx = int(np.argmin(sse[lo:hi]))  # the first start on a tie
-        if not np.isfinite(sse[lo + idx]):
-            results[i] = RuntimeError(f"{kind.value} fit failed: no start produced a finite objective")
-            continue
-        params = ModelParams(kind, tuple(_to_model_values(kind, x[lo + idx])))
-        results[i] = FitResult(params, float(np.sqrt(sse[lo + idx] / c.shape[1])), int(iters[lo + idx]),
-                               bool(converged[lo + idx]), idx)
-    return results
+        sse = _sse(c - _predict_rows(kind, values, e1, e2))
+        iters = start = np.zeros(len(c), dtype=int)
+        converged = np.ones(len(c), dtype=bool)
+    else:
+        x0, counts = _starts(kind, e1, e2, c, settings, seeds, warm_starts)
+        model = _search_model(kind, e1, e2, _evidence_levels(e1, e2))
+        x, sse, iters, converged = _lm(model, x0, np.repeat(c, counts, axis=0), settings)
+        first = np.cumsum(counts) - counts
+        start = np.array([np.argmin(sse[lo : lo + n]) for lo, n in zip(first, counts)], dtype=int)  # first on a tie
+        best = first + start
+        values, sse, iters, converged = _to_model_values(kind, x[best]), sse[best], iters[best], converged[best]
+    bad = np.flatnonzero(~np.isfinite(sse))
+    if bad.size:
+        raise RuntimeError(f"{kind.value} fit failed on row {bad[0]}: no start produced a finite error")
+    eps = np.sqrt(sse / c.shape[1])
+    return [FitResult(ModelParams(kind, tuple(v)), e, i, cv, s)
+            for v, e, i, cv, s in zip(values, eps.tolist(), iters.tolist(), converged.tolist(), start.tolist())]
 
 
 def fit(
@@ -456,17 +456,9 @@ def fit(
     with the lowest error wins and reports its steps tried and its
     convergence; when several starts reach the same minimum, which one wins
     is decided at rounding level. Non-convergence within ``max_iters`` is not
-    an error; the best point found is returned with ``converged=False``. A fit error is raised only if no
-    start produces a finite objective. An empty vector, and a warm start of
-    another kind, are rejected for every model. This is ``fit_batch`` on one row.
+    an error; the best point found is returned with ``converged=False``. This
+    is ``fit_batch`` on one row and raises its errors; an empty vector raises
+    ``ValueError`` too.
     """
     e1, e2, c = _target_arrays(targets)
-    result = fit_batch(kind, e1, e2, c[None], settings, [seed], [warm_start])[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-def ols_linr(targets) -> ModelParams:
-    """LINR's exact least-squares fit; raises ``numpy.linalg.LinAlgError`` when the design matrix is singular."""
-    return fit(ModelKind.LINR, targets).params
+    return fit_batch(kind, e1, e2, c[None], settings, [seed], [warm_start])[0]

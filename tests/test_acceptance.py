@@ -17,7 +17,7 @@ from uisbench.bench import run_bench, summarize, write_report_csv, write_summary
 from uisbench.cli import main
 from uisbench.dist import JointDist, condition_c, marginal, sample_cond_indep, sample_uniform
 from uisbench.models import ModelKind, predict, true_params_indp, true_params_prsp
-from uisbench.optim import fit, objective, ols_linr
+from uisbench.optim import fit, objective
 from uisbench.oracle import DEFAULT_GRID, EvidencePair, mce_update, standard_answer, standard_vector
 
 import conftest
@@ -172,7 +172,11 @@ def test_criterion_6_linr_matches_closed_form(uniform_run):
     worst = 0.0
     for d, r in list(zip(dists, reports))[:100]:
         sv = standard_vector(d)
-        ols_eps = objective(ols_linr(sv), sv)
+        # least squares by numpy's SVD-based solver, not the normal equations fit_batch solves
+        design = np.array([[ev.e1, ev.e2, 1.0] for ev, _ in sv])
+        c = np.array([v for _, v in sv])
+        coeffs = np.linalg.lstsq(design, c, rcond=None)[0]
+        ols_eps = float(np.sqrt(np.mean((design @ coeffs - c) ** 2)))
         fitted = next(s.epsilon for s in r.scores if s.kind is ModelKind.LINR)
         worst = max(worst, abs(fitted - ols_eps))
     elapsed = time.perf_counter() - t0

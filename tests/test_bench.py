@@ -438,6 +438,27 @@ class TestArtifacts:
             read_report_csv(path)
         assert str(exc.value) == f"{path}: row 0: {message}"
 
+    @pytest.mark.parametrize(
+        "column, text, message",
+        [
+            (2, "nan", "epsilon must be finite and non-negative, got nan"),
+            (2, "inf", "epsilon must be finite and non-negative, got inf"),
+            (2, "-0.5", "epsilon must be finite and non-negative, got -0.5"),
+            (7, "-3", "iterations must be finite and non-negative, got -3"),
+            (8, "-1", "start_index must be finite and non-negative, got -1"),
+        ],
+    )
+    def test_impossible_error_or_count_named(self, tmp_path, capsys, column, text, message):
+        # each was read, and report exited 0
+        path = _three_model_report_csv(tmp_path)
+        lines = path.read_text().splitlines()
+        row = lines[1].split(",")
+        row[column] = text
+        lines[1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--report", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: row 0: {message}\n"
+
     def test_missing_model_row_rejected_by_report_command(self, tmp_path, capsys):
         path = _three_model_report_csv(tmp_path)
         lines = path.read_text().splitlines()

@@ -205,6 +205,17 @@ class TestBench:
         assert "model LINR is listed more than once" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_comma_in_config_model_name_named(self, tmp_path, capsys):
+        # was joined with commas and split again, so three models ran
+        dists = self.make_dists(tmp_path)
+        capsys.readouterr()
+        cfg = write_cfg(tmp_path, {"models": ["LINR", "WRST,INDP"]})
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--dists", str(dists), "--out", str(tmp_path / "o"), "--config", cfg])
+        assert exc.value.code == 2
+        assert "unknown model 'WRST,INDP'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_optim_key_named(self, tmp_path, capsys):
         dists = self.make_dists(tmp_path)
         cfg = tmp_path / "old.json"

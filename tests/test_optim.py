@@ -12,6 +12,7 @@ from uisbench.optim import (
     FitResult,
     OptimSettings,
     _KIND_INDEX,
+    _indp_exact,
     _lm,
     _search_model,
     _starts,
@@ -20,13 +21,13 @@ from uisbench.optim import (
     fit,
     fit_batch,
     objective,
-    ols_linr,
 )
 from uisbench.oracle import DEFAULT_GRID, EvidencePair, standard_vector
 
 from conftest import assert_batch_calls, counting, reference_lm, sample_marginal_indep
 
 UNIFORM = new_joint([0.125] * 8)
+FITTED_KINDS = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP, ModelKind.PWR)
 
 
 def constant_targets(value, grid=DEFAULT_GRID):
@@ -91,16 +92,16 @@ class TestObjective:
 
 class TestOlsLinr:
     def test_recovers_planted_coefficients(self):
-        p = ols_linr(planted_linear_targets(0.2, 0.3, 0.1))
+        p = fit(ModelKind.LINR, planted_linear_targets(0.2, 0.3, 0.1)).params
         assert np.allclose(p.values, (0.2, 0.3, 0.1), atol=1e-10)
 
     def test_constant_targets(self):
-        p = ols_linr(constant_targets(0.5))
+        p = fit(ModelKind.LINR, constant_targets(0.5)).params
         assert np.allclose(p.values, (0.0, 0.0, 0.5), atol=1e-12)
 
     def test_beats_random_probes(self):
         sv = standard_vector(sample_uniform(42, 1)[0])
-        best = objective(ols_linr(sv), sv)
+        best = objective(fit(ModelKind.LINR, sv).params, sv)
         rng = np.random.default_rng(0)
         for _ in range(100):
             probe = ModelParams(ModelKind.LINR, tuple(rng.uniform(-2, 2, 3)))
@@ -109,7 +110,7 @@ class TestOlsLinr:
     def test_degenerate_grid_is_singular(self):
         targets = [(EvidencePair(0.5, x), x) for x in (0.1, 0.5, 0.9)]  # e1 constant
         with pytest.raises(np.linalg.LinAlgError):
-            ols_linr(targets)
+            fit(ModelKind.LINR, targets)
 
 
 class TestFit:
@@ -141,7 +142,7 @@ class TestFit:
         for d in sample_uniform(44, 5):
             sv = standard_vector(d)
             r = fit(ModelKind.LINR, sv, seed=9)
-            assert abs(r.epsilon - objective(ols_linr(sv), sv)) <= 1e-8
+            assert abs(r.epsilon - objective(fit(ModelKind.LINR, sv).params, sv)) <= 1e-8
 
     def test_indp_reaches_zero_on_marginally_independent_prior(self):
         for d in sample_marginal_indep(45, 3):
@@ -204,6 +205,20 @@ class TestExactFits:
             assert r.epsilon <= bvls_epsilon(sv) + 1e-12
             assert (r.iterations, r.converged, r.start_index) == (0, True, 0)
 
+    def test_indp_stays_in_the_box_when_every_error_overflows(self):
+        # every feasible candidate's squared error is inf, so all tied and the unconstrained one won
+        e1, e2 = grid_arrays()
+        for value in (1e160, -1e160, 1e154):
+            c = np.full((2, e1.size), value)
+            c[0] = np.linspace(0.1, 0.9, e1.size)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                b = _indp_exact(e1, e2, c)
+                assert np.all((b >= 0.0) & (b <= 1.0))
+                assert np.array_equal(b[0], _indp_exact(e1, e2, c[:1])[0])
+                with pytest.raises(RuntimeError, match="^INDP fit failed on row 1: "):
+                    fit_batch(ModelKind.INDP, e1, e2, c, None, [0, 0], [None, None])
+
     def test_indp_finds_tables_on_the_bounds(self):
         # the first two are the constant targets 0 and 1
         for table in ((0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0), (0.0, 1.0, 0.3, 1.0), (1.0, 0.0, 0.0, 0.6)):
@@ -248,24 +263,34 @@ class TestFitBatch:
                     assert got.converged == want.converged
                     assert got.start_index == want.start_index
 
-    def test_failed_vector_gets_its_own_exception(self):
+    def test_bad_row_raises_for_the_whole_call(self):
         (sv, seed, warm), *_ = self.cases()
         e1, e2 = grid_arrays()
         c = [v for _, v in sv]
         wrong = ModelParams(ModelKind.INDP, (0.5, 0.5, 0.5, 0.5))
         settings = OptimSettings(max_iters=20)
-        results = fit_batch(ModelKind.PRSP, e1, e2, [c, c, c], settings, [seed] * 3, [warm, None, wrong])
-        assert results[0] == fit(ModelKind.PRSP, sv, settings, seed, warm)
-        assert results[1] == fit(ModelKind.PRSP, sv, settings, seed)
-        assert isinstance(results[2], ValueError) and "warm start is INDP" in str(results[2])
-        # the exact fits check the warm start row by row too
-        results = fit_batch(ModelKind.LINR, e1, e2, [c, c], settings, [seed] * 2, [wrong, None])
-        assert isinstance(results[0], ValueError) and "warm start is INDP" in str(results[0])
-        assert results[1] == fit(ModelKind.LINR, sv)
+        # a warm start of another kind in any row, also where the exact fits ignore it
+        for kind, warm_starts in ((ModelKind.PRSP, [warm, None, wrong]), (ModelKind.LINR, [None, wrong])):
+            with pytest.raises(ValueError, match=f"warm start is INDP, expected {kind.value}"):
+                fit_batch(kind, e1, e2, [c] * len(warm_starts), settings, [seed] * len(warm_starts), warm_starts)
+        # finite targets whose squared residuals overflow leave no start a finite error
+        overflowing = [1e200 * (-1) ** j for j in range(len(c))]
+        for kind in FITTED_KINDS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with pytest.raises(RuntimeError, match=f"^{kind.value} fit failed on row 1: "):
+                    fit_batch(kind, e1, e2, [c, overflowing, overflowing], settings, [seed] * 3, [None] * 3)
+                with pytest.raises(RuntimeError, match=f"^{kind.value} fit failed on row 0: "):
+                    fit(kind, list(zip(DEFAULT_GRID.pairs(), overflowing)), settings)
         with pytest.raises(ValueError, match="BST"):
             fit_batch(ModelKind.BST, e1, e2, [c], settings, [seed], [None])
         with pytest.raises(ValueError, match=r"need targets of shape \(n, 25\)"):
             fit_batch(ModelKind.PWR, e1, e2, [c[:-1]], settings, [seed], [None])
+
+    def test_no_rows_give_no_results(self):
+        e1, e2 = grid_arrays()
+        for kind in FITTED_KINDS:
+            assert fit_batch(kind, e1, e2, np.empty((0, e1.size)), OptimSettings(max_iters=5), [], []) == []
 
     def test_non_finite_targets_rejected(self):
         sv = constant_targets(0.5)
@@ -285,20 +310,16 @@ class TestFitBatch:
 
         monkeypatch.setattr(optim, "_lm", recorded)
         (sv_u, seed_u, warm_u), (sv_ci, seed_ci, _), (planted, seed_p, _) = self.cases()
-        wrong = ModelParams(ModelKind.INDP, (0.5, 0.5, 0.5, 0.5))
         settings = OptimSettings(n_starts=3, max_iters=5)
         for kind, warm in ((ModelKind.PRSP, warm_u), (ModelKind.PWR, ModelParams(ModelKind.PWR, (0.6, -0.3, 0.2)))):
-            # with and without a warm start, and a warm start of another kind between them
-            rows = [(sv_u, seed_u, warm), (sv_ci, seed_ci, None), (sv_u, 9, wrong), (planted, seed_p, warm)]
+            # with and without a warm start
+            rows = [(sv_u, seed_u, warm), (sv_ci, seed_ci, None), (planted, seed_p, warm)]
             batches.clear()
             results = fit_batch(kind, *grid_arrays(), [[v for _, v in t] for t, _, _ in rows], settings,
                                 [s for _, s, _ in rows], [w for _, _, w in rows])
             (batch,) = batches
-            assert isinstance(results[2], ValueError) and "warm start is INDP" in str(results[2])
             lone_starts = []
             for (targets, seed, w), got in zip(rows, results):
-                if w is wrong:
-                    continue
                 batches.clear()
                 assert got == fit(kind, targets, settings, seed, w)
                 (starts,) = batches

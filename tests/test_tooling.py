@@ -40,3 +40,16 @@ def test_every_program_name_perfbench_uses_exists():
         for part in dotted.split(".")[1:]:
             assert hasattr(obj, part), f"{file}: uis{dotted}"
             obj = getattr(obj, part)
+
+
+def test_every_exported_name_exists():
+    # a name left in __all__ after its definition is deleted fails only on
+    # ``from module import *``, which nothing else runs
+    package = importlib.import_module("uisbench")
+    stems = sorted(path.stem for path in Path(package.__file__).parent.glob("*.py"))
+    # __main__ runs the command line when imported
+    modules = [package] + [importlib.import_module(f"uisbench.{stem}") for stem in stems if not stem.startswith("__")]
+    assert len(modules) == 7 and all(hasattr(module, "__all__") for module in modules[1:])
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
