@@ -360,14 +360,22 @@ def _read_number(field: str, parse, text: str):
         raise ValueError(f"{field}: {exc}") from None
 
 
+def _model_kind(name: str) -> ModelKind:
+    try:
+        return ModelKind(name)
+    except ValueError:
+        raise ValueError(f"unknown model {name!r}; valid models: {','.join(k.value for k in ModelKind)}") from None
+
+
 def read_report_csv(path) -> list[DistReport]:
     """Reconstruct reports from a report CSV (enough to re-run summarize).
 
     Raises ValueError naming the row and field of a bad value, including a
-    row without one value per column, a flag other than ``true`` and
-    ``false``, a negative or non-finite ``epsilon``, ``iterations`` or
-    ``start_index`` or an empty ``paramN`` before a filled one, and naming the
-    distribution whose model list (in row order) differs from the first's.
+    row without one value per column, an unknown model, a flag other than
+    ``true`` and ``false``, a negative or non-finite ``epsilon``,
+    ``iterations`` or ``start_index`` or an empty ``paramN`` before a filled
+    one, and naming the distribution whose model list (in row order) differs
+    from the first's.
     """
     by_dist: dict[int, list[ModelScore]] = {}
     with open(path, newline="") as f:
@@ -380,7 +388,7 @@ def read_report_csv(path) -> list[DistReport]:
                 if len(row) != len(REPORT_CSV_COLUMNS):
                     raise ValueError(f"expected {len(REPORT_CSV_COLUMNS)} columns, got {len(row)}")
                 dist_id = _read_number("dist_id", int, row[0])
-                kind = ModelKind(row[1])
+                kind = _read_number("model", _model_kind, row[1])
                 epsilon = _read_number("epsilon", float, row[2])
                 clamped, degenerate, converged = (_read_flag(REPORT_CSV_COLUMNS[i], row[i]) for i in (4, 5, 6))
                 score = EtaScore(_read_number("eta", float, row[3]), clamped=clamped, degenerate=degenerate)

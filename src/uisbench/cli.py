@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .bench import (
+    _model_kind,
     check_bench_args,
     format_summary_table,
     read_report_csv,
@@ -62,11 +63,7 @@ def _parse_models(names: list[str]) -> tuple[ModelKind, ...]:
     kinds = []
     for token in names:
         token = token.strip().upper()
-        try:
-            kind = ModelKind(token)
-        except ValueError:
-            valid = ",".join(k.value for k in ModelKind)
-            raise ValueError(f"unknown model {token!r}; valid models: {valid}") from None
+        kind = _model_kind(token)
         if kind in kinds:
             raise ValueError(f"model {token} is listed more than once")
         kinds.append(kind)

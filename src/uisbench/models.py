@@ -73,8 +73,10 @@ class ModelParams:
     """A model identifier plus its parameter vector.
 
     Dimension is fixed by the kind. INDP parameters must lie in [0, 1] (every
-    combination then is a valid conditional table); PRSP parameters must lie
-    strictly in (0, 1); LINR and PWR coefficients are unconstrained.
+    combination then is a valid conditional table). PRSP's four conditionals
+    must lie in [0, 1] and pc, pE1 and pE2, by which the prior odds and the
+    rules' kinks divide, strictly in (0, 1). LINR and PWR coefficients are
+    unconstrained.
     """
 
     kind: ModelKind
@@ -89,8 +91,9 @@ class ModelParams:
             raise ValueError(f"{self.kind.value} parameters must be finite, got {values}")
         if self.kind is ModelKind.INDP and not all(0.0 <= v <= 1.0 for v in values):
             raise ValueError(f"INDP parameters must lie in [0, 1], got {values}")
-        if self.kind is ModelKind.PRSP and not all(0.0 < v < 1.0 for v in values):
-            raise ValueError(f"PRSP parameters must lie strictly in (0, 1), got {values}")
+        if self.kind is ModelKind.PRSP and not all(0.0 < v < 1.0 if i in (0, 1, 4) else 0.0 <= v <= 1.0
+                                                   for i, v in enumerate(values)):
+            raise ValueError(f"PRSP needs pc, pE1 and pE2 in (0, 1) and the conditionals in [0, 1], got {values}")
         object.__setattr__(self, "values", values)
 
 

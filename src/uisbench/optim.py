@@ -29,24 +29,25 @@ one start per cell of its kink partition: PRSP is smooth only while each pEj
 stays between two consecutive grid levels, and LM does not cross kinks well.
 
 Every start of PRSP and PWR follows one stop rule (see ``_lm``): it leaves the
-batch at its first stop test or after ``max_iters`` steps, and the batch ends
-with its last start. On the two 109-distribution acceptance runs, each fitted
-as one batch of 2,507 PRSP starts, the median start stops after 13 (uniform)
-or 21 (cond_indep) steps, but 143 and 164 starts creep along a kink or a flat
-valley to ``max_iters``, so the batch takes all 500 steps; 11% (uniform) and
-17% (cond_indep) of its 1,253,500 row-steps are taken. About three in five of
-them are accepted (60% and 56%). Each step makes one ``_predict_rows`` call,
-over the trial points of the rows still in the batch; its forward pass keeps
-what the Jacobian needs, and ``_lm`` completes the Jacobian and normal
-equations from it only for the rows whose error fell, the only points a next
-step starts from. On a 2-vCPU VM the forward pass with its residuals takes
-about 0.04 ms for one row, 0.18 ms for a 14-distribution run's 322 rows and
-2.2 ms for an acceptance run's 2,507; completing the Jacobian and normal
-equations of as many rows takes 0.05–0.08, 1.0 and 7 ms. Which starts creep,
-and for how long, varies between distributions, so a fit's cost depends on
-its data: over ten samples of 14 distributions, perfbench's bench throughput
-(``dists_per_kref``) ranged 69–89 (uniform) and 56–96 (cond_indep). PWR's
-starts all stop within a few dozen steps. ``fit`` and ``fit_batch`` are pure
+batch once its error stops falling or after ``max_iters`` steps, and the batch
+ends with its last start. On the two 109-distribution acceptance runs, each
+fitted as one batch of 2,507 PRSP starts, the median start stops after 13
+(uniform) or 23 (cond_indep) steps, but 156 and 174 starts creep along a kink
+or a flat valley to ``max_iters``, so the batch takes all 500 steps; 143,971
+(11%, uniform) and 224,834 (18%, cond_indep) of its 1,253,500 row-steps are
+taken. About three in five of them are accepted (60% and 56%). Each step makes
+one ``_predict_rows`` call, over the trial points of the rows still in the
+batch; its forward pass keeps what the Jacobian needs, and ``_lm`` completes
+the Jacobian and normal equations from it only for the rows whose error fell,
+the only points a next step starts from. On a 2-vCPU VM the forward pass with
+its residuals takes about 0.04 ms for one row, 0.18 ms for a 14-distribution
+run's 322 rows and 2.2 ms for an acceptance run's 2,507; completing the
+Jacobian and normal equations of as many rows takes 0.05–0.08, 1.0 and 7 ms.
+Which starts creep, and for how long, varies between distributions, so a fit's
+cost depends on its data: over perfbench seeds 0–9, ten samples of 14
+distributions, bench throughput (``dists_per_kref``) ranged 81–94 (uniform) and
+58–139 (cond_indep). PWR's starts stop within 36 steps on the acceptance runs,
+though one held-out start took 324. ``fit`` and ``fit_batch`` are pure
 functions of their arguments; independent fits may run concurrently.
 """
 
@@ -69,9 +70,8 @@ _KIND_INDEX = {kind: i for i, kind in enumerate(ModelKind)}
 # stops a row; and the cap on one step in max-norm of the search coordinates
 _LAMBDA_START, _LAMBDA_MIN, _LAMBDA_MAX = 1e-3, 1e-12, 1e16
 _MAX_STEP = 1.0
-# Stop tests of one start (see ``_lm``): norm of the RMS gradient in search
-# coordinates, and relative drop of the SSE in one accepted step
-_GRAD_TOL, _OBJ_REL_TOL = 1e-8, 1e-12
+# a start's stop test on an accepted step: relative drop of its SSE (see ``_lm``)
+_OBJ_REL_TOL = 1e-12
 
 
 def _indp_groups() -> list[tuple[np.ndarray, np.ndarray]]:
@@ -98,11 +98,11 @@ class OptimSettings:
     """Settings of the Levenberg–Marquardt fit of PRSP and PWR; both are positive integers.
 
     ``n_starts`` seeded random starts join the fixed ones; ``max_iters`` caps
-    the steps tried per start, and a start that reaches it before a stop test
-    is reported as not converged (see ``_lm``). A step costs one model
-    evaluation at the trial point; when the step is accepted, the Jacobian and
-    normal equations are completed from that evaluation. The closed-form fits
-    ignore them.
+    the steps tried per start, and a start that reaches it before its error
+    stops falling is reported as not converged (see ``_lm``). A step costs one
+    model evaluation at the trial point; when the step is accepted, the
+    Jacobian and normal equations are completed from that evaluation. The
+    closed-form fits ignore them.
     """
 
     n_starts: int = 5
@@ -244,13 +244,13 @@ def _lm(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings):
     accepted only if it lowers the row's sum of squared residuals (SSE) and
     the derivatives at the new point are finite. A row stops, and leaves
     the batch, when an accepted step lowers its SSE by a relative amount under
-    ``_OBJ_REL_TOL``, when the norm of its RMS gradient falls under
-    ``_GRAD_TOL``, when its damping passes ``_LAMBDA_MAX`` (no step lowers the
-    SSE) or after ``max_iters`` steps; only the last is reported as not
-    converged. The batch shrinks as its rows stop, and the call ends when the
-    last one does (Moré 1978). Rows interact through no computation, so a
-    start's result does not depend, to the bit, on the other starts in the
-    batch or on its position in it.
+    ``_OBJ_REL_TOL``, when its damping passes ``_LAMBDA_MAX`` (no step lowers
+    the SSE) or after ``max_iters`` steps; only the last is reported as not
+    converged. No gradient test stops a row: along a sloppy direction a tiny
+    gradient can still lead to a lower SSE. The batch shrinks as its rows
+    stop, and the call ends when the last one does (Moré 1978). Rows interact
+    through no computation, so a start's result does not depend, to the bit,
+    on the other starts in the batch or on its position in it.
 
     Each step makes one model evaluation, at the trial points of the rows
     still in the batch, and completes the Jacobian and normal equations only
@@ -274,27 +274,15 @@ def _lm(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings):
     del pred, jac, r
     iters = np.zeros(len(x_end), dtype=int)
     converged = np.zeros(len(x_end), dtype=bool)
-    k = c.shape[1]
     eye = np.eye(x_end.shape[1])
-
-    def flat(sse, jtr):
-        # |grad RMS| = |Jᵀr| / sqrt(k SSE), taken as 0 at an exact fit
-        return (sse == 0.0) | (np.linalg.norm(jtr, axis=-1) < _GRAD_TOL * np.sqrt(k * sse))
 
     # the state of the rows still in the batch; ``live`` is their index in x0
     keep = np.isfinite(sse_end)  # a start with no finite SSE is never moved
     live, x, sse, jtj, jtr, c = (a[keep] for a in (np.arange(len(x_end)), x_end, sse_end, jtj, jtr, c))
     lam = np.full(len(live), _LAMBDA_START)
-    stop = flat(sse, jtr)
-    for it in range(settings.max_iters + 1):
-        if stop.any():  # the stopped rows leave the batch
-            out = live[stop]
-            x_end[out], sse_end[out], iters[out], converged[out] = x[stop], sse[stop], it, True
-            keep = ~stop
-            live, x, sse, jtj, jtr, lam, c = (a[keep] for a in (live, x, sse, jtj, jtr, lam, c))
-        if live.size == 0 or it == settings.max_iters:
+    for it in range(1, settings.max_iters + 1):
+        if live.size == 0:
             break
-
         diag = np.diagonal(jtj, axis1=1, axis2=2)
         scale = np.where(diag > 0.0, diag, 1.0)  # a flat coordinate gets no step
         damped = jtj + (lam[:, None] * scale)[..., None] * eye
@@ -319,11 +307,13 @@ def _lm(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings):
         stop = lam > _LAMBDA_MAX  # a rejected step's stop: no step lowers the SSE
         if accepted.size:
             sse_old, sse_new = sse[accepted], sse_try[accepted]
-            done = sse_old - sse_new < _OBJ_REL_TOL * sse_old
-            if it + 1 < settings.max_iters:  # the next step's gradient test, which the last step has not
-                done |= flat(sse_new, jtr_new)
-            stop[accepted] = done
+            stop[accepted] = sse_old - sse_new < _OBJ_REL_TOL * sse_old
             x[accepted], sse[accepted], jtj[accepted], jtr[accepted] = x_try[accepted], sse_new, jtj_new, jtr_new
+        if stop.any():  # the stopped rows leave the batch
+            out = live[stop]
+            x_end[out], sse_end[out], iters[out], converged[out] = x[stop], sse[stop], it, True
+            keep = ~stop
+            live, x, sse, jtj, jtr, lam, c = (a[keep] for a in (live, x, sse, jtj, jtr, lam, c))
     # the rows still in the batch ran out of steps
     x_end[live], sse_end[live], iters[live] = x, sse, settings.max_iters
     return x_end, sse_end, iters, converged
@@ -450,15 +440,15 @@ def fit(
     the underlying joint), the constant start, ``settings.n_starts`` seeded
     random starts and, for PRSP only, one kink start per cell between
     consecutive grid levels of e1 and e2 (16 on the default grid). Every
-    start steps until its own stop test or ``max_iters`` (see ``_lm``). Every
-    step evaluates the model once at a start's trial point, and completes the
-    Jacobian from that evaluation only where the step is accepted. The start
-    with the lowest error wins and reports its steps tried and its
-    convergence; when several starts reach the same minimum, which one wins
-    is decided at rounding level. Non-convergence within ``max_iters`` is not
-    an error; the best point found is returned with ``converged=False``. This
-    is ``fit_batch`` on one row and raises its errors; an empty vector raises
-    ``ValueError`` too.
+    start steps until its error stops falling or for ``max_iters`` steps (see
+    ``_lm``). Every step evaluates the model once at a start's trial point,
+    and completes the Jacobian from that evaluation only where the step is
+    accepted. The start with the lowest error wins and reports its steps tried
+    and its convergence; when several starts reach the same minimum, which
+    one wins is decided at rounding level. Non-convergence within
+    ``max_iters`` is not an error; the best point found is returned with
+    ``converged=False``. This is ``fit_batch`` on one row and raises its
+    errors; an empty vector raises ``ValueError`` too.
     """
     e1, e2, c = _target_arrays(targets)
     return fit_batch(kind, e1, e2, c[None], settings, [seed], [warm_start])[0]

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.optimize
 
 from uisbench.dist import JointDist, atom_index, new_joint
-from uisbench.optim import _GRAD_TOL, _LAMBDA_MAX, _LAMBDA_MIN, _LAMBDA_START, _MAX_STEP, _OBJ_REL_TOL
+from uisbench.optim import _LAMBDA_MAX, _LAMBDA_MIN, _LAMBDA_START, _MAX_STEP, _OBJ_REL_TOL
 
 GRID_LEVELS = (0.001, 0.25, 0.5, 0.75, 0.999)
 
@@ -122,7 +122,7 @@ def _reference_evaluate(model, x, c):
     sse = np.sum(r * r, axis=-1)
     finite = np.isfinite(sse) & np.all(np.isfinite(jac), axis=(1, 2))
     jt = jac.transpose(0, 2, 1)
-    return np.where(finite, sse, np.inf), jt @ jac, (jt @ r[..., None])[..., 0], r.shape[1]
+    return np.where(finite, sse, np.inf), jt @ jac, (jt @ r[..., None])[..., 0]
 
 
 def reference_lm(model, x0, c, settings):
@@ -134,16 +134,13 @@ def reference_lm(model, x0, c, settings):
     yet stopped by their indices.
     """
     x = np.array(x0, dtype=np.float64)
-    sse, jtj, jtr, k = _reference_evaluate(model, x, c)
+    sse, jtj, jtr = _reference_evaluate(model, x, c)
     lam = np.full(len(x), _LAMBDA_START)
     iters = np.zeros(len(x), dtype=int)
     converged = np.zeros(len(x), dtype=bool)
     n_accepted = 0
     active = np.flatnonzero(np.isfinite(sse))
     for it in range(1, settings.max_iters + 1):
-        flat = (sse[active] == 0.0) | (np.linalg.norm(jtr[active], axis=-1) < _GRAD_TOL * np.sqrt(k * sse[active]))
-        converged[active[flat]] = True
-        active = active[~flat]
         if active.size == 0:
             break
 
@@ -154,7 +151,7 @@ def reference_lm(model, x0, c, settings):
         step = -np.linalg.solve(damped, jtr[active][..., None])[..., 0]
         step *= (_MAX_STEP / np.maximum(np.max(np.abs(step), axis=-1), _MAX_STEP))[:, None]
         x_try = x[active] + step
-        sse_try, jtj_try, jtr_try, _ = _reference_evaluate(model, x_try, c[active])
+        sse_try, jtj_try, jtr_try = _reference_evaluate(model, x_try, c[active])
         iters[active] = it
 
         sse_old = sse[active]

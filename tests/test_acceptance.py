@@ -252,12 +252,12 @@ def test_criterion_9_cli_determinism(tmp_path):
 # sha256 of report.csv and summary.json of the two acceptance runs (BENCH_KINDS, default settings)
 ARTIFACT_SHA256 = {
     "uniform": {
-        "report.csv": "b3fab88f07a2fd9f8e3fda2cd7b95bb649e2ed740a9ca7ef770b44962e8380b0",
-        "summary.json": "eb253399d34c505c410ebe5d45076554b71f5abe73d33cd725f062b2e90d534b",
+        "report.csv": "a8279de4055fb6ecb445e85907e8281c528a22282bd9e2a510c13109a2be2798",
+        "summary.json": "0c71e172a6f3f209035c560546f241789bd1068c613359664cd0b30339a1979c",
     },
     "cond_indep": {
-        "report.csv": "94c63b182688eafebfd9d1010219b97fd085ca3acc65b4c44b72d7403738d0e7",
-        "summary.json": "4c0cdfca2b763bafdd31c064165c7c21a58ae921d4565443d6944e89787ec548",
+        "report.csv": "215966f82fb29bdac6babbacb451352aad2aadf268868dcdfac30917fbc3d547",
+        "summary.json": "15a76e92a5699c111e4e9961f390e2ab63d5d37714fddbae51f9c31e1fbc625c",
     },
 }
 

@@ -345,6 +345,20 @@ class TestArtifacts:
         assert back == reports
         assert any(s.iterations > 0 and s.start_index > 0 for r in back for s in r.scores)
 
+    def test_report_csv_prsp_conditionals_on_the_bounds_roundtrip(self, tmp_path):
+        prsp = ModelParams(ModelKind.PRSP, (0.4, 0.3, 1.0, 0.0, 0.6, 0.0, 0.9))
+        scores = (
+            ModelScore(ModelKind.LINR, 0.1, EtaScore(0.0), ModelParams(ModelKind.LINR, (0.1, 0.2, 0.3)), True),
+            ModelScore(ModelKind.WRST, 0.2, EtaScore(-1.0), ModelParams(ModelKind.WRST, (0.5,)), True),
+            ModelScore(ModelKind.PRSP, 0.05, EtaScore(0.5), prsp, False, 500, 7),
+        )
+        reports = [DistReport(0, scores, 0.1, 0.2)]
+        path = tmp_path / "report.csv"
+        write_report_csv(path, reports)
+        assert path.read_text().splitlines()[-1].endswith(",0.40000000000000002,0.29999999999999999,1,0,"
+                                                          "0.59999999999999998,0,0.90000000000000002")
+        assert read_report_csv(path) == reports
+
     def test_report_csv_header_and_shape(self, tmp_path):
         reports = run_bench(sample_uniform(67, 2), settings=FAST)
         path = tmp_path / "report.csv"
@@ -419,6 +433,7 @@ class TestArtifacts:
         "column, text, message",
         [
             (0, "", "dist_id: invalid literal for int() with base 10: ''"),
+            (1, "LINX", "model: unknown model 'LINX'; valid models: LINR,INDP,PRSP,PWR,WRST,BST"),
             (2, "", "epsilon: could not convert string to float: ''"),
             (3, "high", "eta: could not convert string to float: 'high'"),
             (7, "1.5", "iterations: invalid literal for int() with base 10: '1.5'"),
@@ -427,7 +442,8 @@ class TestArtifacts:
         ],
     )
     def test_unparsable_number_names_its_field(self, tmp_path, column, text, message):
-        # the message named the row alone: "row 0: could not convert string to float: ''"
+        # the message named the row alone: "row 0: could not convert string to float: ''", and an
+        # unknown model read "row 0: 'LINX' is not a valid ModelKind"
         path = _three_model_report_csv(tmp_path)
         lines = path.read_text().splitlines()
         row = lines[1].split(",")

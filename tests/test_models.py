@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -41,8 +43,21 @@ class TestModelParams:
             ModelParams(ModelKind.INDP, (0.0, 1.1, 0.5, 0.5))
 
     def test_prsp_open_range(self):
-        with pytest.raises(ValueError, match="PRSP"):
-            ModelParams(ModelKind.PRSP, (0.5, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5))
+        # pc, pE1 and pE2: the prior odds and each rule's kink divide by them and their complements
+        for index, value in itertools.product((0, 1, 4), (0.0, 1.0)):
+            values = [0.5] * 7
+            values[index] = value
+            with pytest.raises(ValueError, match="PRSP"):
+                ModelParams(ModelKind.PRSP, tuple(values))
+
+    def test_prsp_conditionals_on_the_closed_interval(self):
+        for index, value in itertools.product((2, 3, 5, 6), (0.0, 1.0)):
+            values = [0.5] * 7
+            values[index] = value
+            assert ModelParams(ModelKind.PRSP, tuple(values)).values[index] == value
+            values[index] = 1.1 if value else -0.1
+            with pytest.raises(ValueError, match="PRSP"):
+                ModelParams(ModelKind.PRSP, tuple(values))
 
     def test_linr_unconstrained(self):
         ModelParams(ModelKind.LINR, (-5.0, 12.0, 3.0))
@@ -118,6 +133,24 @@ class TestPrsp:
         # odds = (2/3) * (9/14) * (11/6) = 11/14 -> 11/25
         p = ModelParams(ModelKind.PRSP, (0.4, 0.5, 0.8, 0.2, 0.5, 0.7, 0.3))
         assert predict(p, EvidencePair(0.25, 0.75)) == pytest.approx(0.44, abs=1e-12)
+
+    def test_conditionals_at_0_or_1_predict_inside_the_unit_interval(self):
+        # on grid levels strictly inside (0, 1) each rule's posterior weighs pc, so it stays inside too
+        e1 = np.array([ev.e1 for ev in DEFAULT_GRID.pairs()])
+        e2 = np.array([ev.e2 for ev in DEFAULT_GRID.pairs()])
+        for (q11, q10, q21, q20), (pe1, pe2) in itertools.product(
+            itertools.product((0.0, 1.0), repeat=4), ((0.3, 0.6), (0.001, 0.999), (0.25, 0.5))  # the last two on levels
+        ):
+            values = ModelParams(ModelKind.PRSP, (0.4, pe1, q11, q10, pe2, q21, q20)).values
+            pred = predict_grid(ModelKind.PRSP, values, e1, e2)
+            assert np.all(np.isfinite(pred)) and np.all((pred > 0.0) & (pred < 1.0))
+
+    def test_conditional_at_0_rejected_on_a_hard_level(self):
+        # at level 0 rule 1's posterior is q(C|not E1) itself: 0 leaves its odds multiplier undefined
+        p = ModelParams(ModelKind.PRSP, (0.4, 0.3, 0.8, 0.0, 0.6, 0.7, 0.2))
+        assert 0.0 < predict(p, EvidencePair(0.5, 0.5)) < 1.0
+        with pytest.raises(ValueError, match="hit 0 or 1"):
+            predict(p, EvidencePair(0.0, 0.5))
 
     def test_true_params_exact_at_hard_corners(self):
         assert predict(true_params_prsp(CI_EXAMPLE), EvidencePair(1.0, 1.0)) == pytest.approx(

@@ -25,6 +25,7 @@ from uisbench.optim import (
 from uisbench.oracle import DEFAULT_GRID, EvidencePair, standard_vector
 
 from conftest import assert_batch_calls, counting, reference_lm, sample_marginal_indep
+from prsp_ratchet import RUNS, prsp_epsilons, read_ratchet
 
 UNIFORM = new_joint([0.125] * 8)
 FITTED_KINDS = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP, ModelKind.PWR)
@@ -520,6 +521,20 @@ class TestSearchInternals:
         assert np.array_equal(x[1], x0[1]) and iters[1] == 0 and not converged[1]
         assert np.all(x[[0, 2], 0] <= 0.5) and np.all(iters[[0, 2]] > 0)
 
+    def test_lm_steps_along_a_sloppy_direction(self):
+        # predictions (0, 1e-8 x) against targets (1, 0.1): at x0 = 0 the RMS gradient is under 1e-8,
+        # which once stopped the start there after 0 steps, yet every capped step lowers the SSE
+        def model(x):
+            pred = np.column_stack([np.zeros(len(x)), 1e-8 * x[:, 0]])
+            return pred, lambda rows=slice(None): np.tile([[0.0], [1e-8]], (len(x[rows]), 1, 1))
+
+        c, settings = np.array([[1.0, 0.1]]), OptimSettings(max_iters=50)
+        x, sse, iters, converged = _lm(model, np.zeros((1, 1)), c, settings)
+        assert x[0, 0] == pytest.approx(50.0, rel=1e-12) and iters[0] == 50 and not converged[0]
+        assert sse[0] == pytest.approx(1.0 + (0.1 - 5e-7) ** 2, rel=1e-12) and sse[0] < 1.01
+        for got, want in zip((x, sse, iters, converged), reference_lm(model, np.zeros((1, 1)), c, settings)):
+            assert np.array_equal(got, want)
+
     def test_prsp_fit_steps_each_row_until_its_stop(self, monkeypatch):
         import uisbench.optim as optim
 
@@ -546,7 +561,7 @@ class TestSearchInternals:
             events.clear()
             fit(ModelKind.PRSP, standard_vector(d), settings, warm_start=true_params_prsp(d))
             assert check_calls() == starts
-        for targets in (planted, constant_targets(0.5)):  # exact fits: some start stops at once
+        for targets in (planted, constant_targets(0.5)):  # exact fits
             events.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # zero steps and a zero error divide by nothing
@@ -580,6 +595,14 @@ class TestSearchInternals:
             d = dists[i]
             r = fit(ModelKind.PRSP, standard_vector(d), seed=_derived_seed(11, i), warm_start=true_params_prsp(d))
             assert r.epsilon <= before + 1e-9  # the same fit as the bench's, bit for bit
+
+    def test_prsp_no_worse_than_the_ratchet(self):
+        # PRSP's ε on the two acceptance runs and twelve held-out runs, recorded by tests/prsp_ratchet.py
+        recorded = read_ratchet()
+        assert sorted(recorded) == sorted(RUNS) and sum(map(len, recorded.values())) == 1526
+        worse = [(run, i, got, entry) for run in RUNS for i, (got, entry) in enumerate(zip(prsp_epsilons(*run), recorded[run]))
+                 if got > entry + 1e-9]
+        assert not worse, f"{len(worse)} PRSP fits above their recorded ε, first {worse[:5]}"
 
     def test_bounded_transform_roundtrip(self):
         values = np.array([0.2, 0.5, 0.9, 0.0001, 0.3, 0.7, 0.999])
