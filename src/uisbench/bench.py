@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,7 @@ from .optim import FitResult, OptimSettings, fit, fit_batch  # noqa: F401
 from .oracle import DEFAULT_GRID, EvidenceGrid, _batch_answers, standard_vector  # noqa: F401
 
 __all__ = [
+    "DEFAULT_MODELS",
     "DEGENERATE_EPS",
     "EtaScore",
     "ModelScore",
@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 DEGENERATE_EPS = 1e-12
+DEFAULT_MODELS = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP, ModelKind.PWR)
 # distributions whose PRSP and PWR fits share one Levenberg–Marquardt batch, so
 # that a run of up to 128 (both acceptance runs have 109) pays numpy's per-step
 # overhead once. Stopped starts leave the batch, so its later steps cost little:
@@ -232,10 +233,6 @@ def _bench_chunk(
     return reports
 
 
-def _bench_chunk_star(args) -> list[DistReport]:
-    return _bench_chunk(*args)
-
-
 def check_bench_args(dists: list[JointDist], kinds, grid: EvidenceGrid) -> None:
     """Raise ``ValueError`` naming what ``run_bench`` cannot run on; see there."""
     if not dists:
@@ -256,7 +253,7 @@ def check_bench_args(dists: list[JointDist], kinds, grid: EvidenceGrid) -> None:
 
 def run_bench(
     dists: list[JointDist],
-    kinds: tuple[ModelKind, ...] = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP, ModelKind.PWR),
+    kinds: tuple[ModelKind, ...] = DEFAULT_MODELS,
     grid: EvidenceGrid = DEFAULT_GRID,
     settings: OptimSettings | None = None,
     seed: int = 0,
@@ -281,8 +278,10 @@ def run_bench(
     items = [(dists[lo : lo + size], lo, kinds, grid, settings, seed) for lo in range(0, len(dists), size)]
     workers = min(jobs, len(items))  # the pool starts all its workers at once, busy or not
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so importing uisbench loads no multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_bench_chunk_star, items))
+            chunks = list(pool.map(_bench_chunk, *zip(*items)))
     else:
         chunks = [_bench_chunk(*item) for item in items]
     return [report for chunk in chunks for report in chunk]

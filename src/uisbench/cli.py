@@ -2,9 +2,10 @@
 
 Every command is a pure function of its flags and input files, so reruns with
 identical arguments produce byte-identical artifacts (including under
-different --jobs values). Configuration can also come from a JSON file via
---config; explicit flags override file values. Diagnostics go to stderr, data
-to files or stdout; the exit status is 0 only if nothing went wrong.
+different --jobs values). A run's settings are the ``RunConfig`` defaults,
+then the values of a JSON file given by --config, then the flags given.
+Diagnostics go to stderr, data to files or stdout; the exit status is 0 only
+if nothing went wrong.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .bench import (
+    DEFAULT_MODELS,
     _model_kind,
     check_bench_args,
     format_summary_table,
@@ -33,8 +35,7 @@ from .oracle import DEFAULT_GRID, EvidenceGrid, _batch_answers, standard_answer 
 
 __all__ = ["RunConfig", "main"]
 
-FAMILIES = ("uniform", "cond_indep")
-DEFAULT_MODELS = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP, ModelKind.PWR)
+SAMPLERS = {"uniform": sample_uniform, "cond_indep": sample_cond_indep}  # the families gen draws from
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class RunConfig:
             value = getattr(self, name)
             if type(value) is not int or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        if self.family not in tuple(SAMPLERS):  # a tuple, so an unhashable value is named too
+            raise ValueError(f"family must be one of {tuple(SAMPLERS)}, got {self.family!r}")
         if self.out is not None and type(self.out) is not str:
             raise ValueError(f"out must be a string, got {self.out!r}")
 
@@ -87,56 +88,39 @@ def _flag_type(parse):
     return parse_flag
 
 
-def _load_config(path: str | None) -> RunConfig:
-    config = RunConfig()
-    if path is None:
-        return config
-    with open(path) as f:
-        raw = json.load(f)
-    if type(raw) is not dict:
-        raise ValueError(f"{path}: config must be a JSON object, got {raw!r}")
-    known = {"seed", "n_dists", "family", "grid", "models", "optim", "out", "jobs"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    updates: dict = {k: raw[k] for k in ("seed", "n_dists", "family", "out", "jobs") if k in raw}
-    if "grid" in raw:
-        levels = raw["grid"]
-        if type(levels) is not list or any(type(v) not in (int, float) for v in levels):
-            raise ValueError(f"grid must be a list of numbers, got {levels!r}")
-        updates["grid"] = EvidenceGrid(tuple(float(v) for v in levels))
-    if "models" in raw:
-        names = raw["models"]
-        if type(names) is not list or any(type(v) is not str for v in names):
-            raise ValueError(f"models must be a list of model names, got {names!r}")
-        updates["models"] = _parse_models(names)
-    if "optim" in raw:
-        if type(raw["optim"]) is not dict:
-            raise ValueError(f"optim must be a JSON object of settings, got {raw['optim']!r}")
-        valid = sorted(f.name for f in fields(OptimSettings))
-        unknown = set(raw["optim"]) - set(valid)
-        if unknown:
-            raise ValueError(f"unknown optim config keys: {sorted(unknown)}; valid keys: {valid}")
-        updates["optim"] = OptimSettings(**raw["optim"])
-    return replace(config, **updates)
-
-
-def _merge_flags(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates: dict = {}
-    for key in ("seed", "n_dists", "family", "out", "jobs"):
-        value = getattr(args, key, None)
-        if value is not None:
-            updates[key] = value
-    if getattr(args, "grid", None) is not None:
-        updates["grid"] = args.grid
-    if getattr(args, "models", None) is not None:
-        updates["models"] = args.models
-    return replace(config, **updates)
-
-
 def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
+    """The defaults, then the ``--config`` file's values, then the flags given; every value is checked."""
     try:
-        return _merge_flags(_load_config(getattr(args, "config", None)), args)
+        values = {}
+        if args.config is not None:
+            with open(args.config) as f:
+                values = json.load(f)
+            if type(values) is not dict:
+                raise ValueError(f"{args.config}: config must be a JSON object, got {values!r}")
+        unknown = set(values) - {f.name for f in fields(RunConfig)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        if "grid" in values:
+            levels = values["grid"]
+            if type(levels) is not list or any(type(v) not in (int, float) for v in levels):
+                raise ValueError(f"grid must be a list of numbers, got {levels!r}")
+            values["grid"] = EvidenceGrid(tuple(float(v) for v in levels))
+        if "models" in values:
+            names = values["models"]
+            if type(names) is not list or any(type(v) is not str for v in names):
+                raise ValueError(f"models must be a list of model names, got {names!r}")
+            values["models"] = _parse_models(names)
+        if "optim" in values:
+            if type(values["optim"]) is not dict:
+                raise ValueError(f"optim must be a JSON object of settings, got {values['optim']!r}")
+            valid = sorted(f.name for f in fields(OptimSettings))
+            unknown = set(values["optim"]) - set(valid)
+            if unknown:
+                raise ValueError(f"unknown optim config keys: {sorted(unknown)}; valid keys: {valid}")
+            values["optim"] = OptimSettings(**values["optim"])
+        config = RunConfig(**values)  # checked before the flags, so one given for a bad file value does not hide it
+        flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+        return replace(config, **{name: value for name, value in flags.items() if value is not None})
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         parser.error(str(exc))
         raise AssertionError("unreachable") from exc
@@ -155,8 +139,7 @@ def _write(write, path, data) -> bool:
 def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     config = _resolve_config(args, parser)
     out = Path(config.out or "dists.csv")
-    sampler = sample_uniform if config.family == "uniform" else sample_cond_indep
-    if not _write(write_dists_csv, out, sampler(config.seed, config.n_dists)):
+    if not _write(write_dists_csv, out, SAMPLERS[config.family](config.seed, config.n_dists)):
         return 1
     print(out)
     return 0
@@ -242,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a distribution CSV")
-    gen.add_argument("--family", choices=FAMILIES, default=None)
+    gen.add_argument("--family", choices=SAMPLERS, default=None)
     gen.add_argument("--n", dest="n_dists", type=int, default=None, help="number of distributions")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", default=None, help="output CSV path (default dists.csv)")

@@ -29,15 +29,15 @@ one start per cell of its kink partition: PRSP is smooth only while each pEj
 stays between two consecutive grid levels, and LM does not cross kinks well.
 
 Every start of PRSP and PWR follows one stop rule (see ``_lm``): it leaves the
-batch once its error stops falling or after ``max_iters`` steps, and the batch
-ends with its last start. On the two 109-distribution acceptance runs, each
-fitted as one batch of 2,507 PRSP starts, the median start stops after 13
-(uniform) or 23 (cond_indep) steps, but 156 and 174 starts creep along a kink
-or a flat valley to ``max_iters``, so the batch takes all 500 steps; 143,971
-(11%, uniform) and 224,834 (18%, cond_indep) of its 1,253,500 row-steps are
-taken. About three in five of them are accepted (60% and 56%). Each step makes
-one ``_predict_rows`` call, over the trial points of the rows still in the
-batch; its forward pass keeps what the Jacobian needs, and ``_lm`` completes
+batch once its error stops falling or reaches exactly 0, or after
+``max_iters`` steps, and the batch ends with its last start. On the two
+109-distribution acceptance runs, each fitted as one batch of 2,507 PRSP
+starts, the median start stops after 13 (uniform) or 23 (cond_indep) steps,
+but 156 and 174 starts creep along a kink or a flat valley to ``max_iters``,
+so the batch takes all 500 steps; 143,971 (11%, uniform) and 224,834 (18%,
+cond_indep) of its 1,253,500 row-steps are taken. About three in five of them
+are accepted (60% and 56%). Each step makes one ``_predict_rows`` call, over
+the trial points of the rows still in the batch; its forward pass keeps what the Jacobian needs, and ``_lm`` completes
 the Jacobian and normal equations from it only for the rows whose error fell,
 the only points a next step starts from. On a 2-vCPU VM the forward pass with
 its residuals takes about 0.04 ms for one row, 0.18 ms for a 14-distribution
@@ -99,10 +99,10 @@ class OptimSettings:
 
     ``n_starts`` seeded random starts join the fixed ones; ``max_iters`` caps
     the steps tried per start, and a start that reaches it before its error
-    stops falling is reported as not converged (see ``_lm``). A step costs one
-    model evaluation at the trial point; when the step is accepted, the
-    Jacobian and normal equations are completed from that evaluation. The
-    closed-form fits ignore them.
+    stops falling or reaches exactly 0 is reported as not converged (see
+    ``_lm``). A step costs one model evaluation at the trial point; when the
+    step is accepted, the Jacobian and normal equations are completed from
+    that evaluation. The closed-form fits ignore them.
     """
 
     n_starts: int = 5
@@ -244,11 +244,12 @@ def _lm(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings):
     accepted only if it lowers the row's sum of squared residuals (SSE) and
     the derivatives at the new point are finite. A row stops, and leaves
     the batch, when an accepted step lowers its SSE by a relative amount under
-    ``_OBJ_REL_TOL``, when its damping passes ``_LAMBDA_MAX`` (no step lowers
-    the SSE) or after ``max_iters`` steps; only the last is reported as not
-    converged. No gradient test stops a row: along a sloppy direction a tiny
-    gradient can still lead to a lower SSE. The batch shrinks as its rows
-    stop, and the call ends when the last one does (Moré 1978). Rows interact
+    ``_OBJ_REL_TOL`` or its SSE reaches exactly 0 (a start at 0 takes no
+    step), when its damping passes ``_LAMBDA_MAX`` (no step lowers the SSE) or
+    after ``max_iters`` steps; only the last is reported as not converged. No
+    gradient test stops a row: along a sloppy direction a tiny gradient can
+    still lead to a lower SSE. The batch shrinks as its rows stop, and the
+    call ends when the last one does (Moré 1978). Rows interact
     through no computation, so a start's result does not depend, to the bit,
     on the other starts in the batch or on its position in it.
 
@@ -273,11 +274,11 @@ def _lm(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings):
     sse_end = np.where(finite, _sse(r), np.inf)
     del pred, jac, r
     iters = np.zeros(len(x_end), dtype=int)
-    converged = np.zeros(len(x_end), dtype=bool)
+    converged = sse_end == 0.0  # an exact fit at x0 takes no step
     eye = np.eye(x_end.shape[1])
 
     # the state of the rows still in the batch; ``live`` is their index in x0
-    keep = np.isfinite(sse_end)  # a start with no finite SSE is never moved
+    keep = np.isfinite(sse_end) & ~converged  # a start with no finite SSE is never moved
     live, x, sse, jtj, jtr, c = (a[keep] for a in (np.arange(len(x_end)), x_end, sse_end, jtj, jtr, c))
     lam = np.full(len(live), _LAMBDA_START)
     for it in range(1, settings.max_iters + 1):
@@ -307,7 +308,7 @@ def _lm(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings):
         stop = lam > _LAMBDA_MAX  # a rejected step's stop: no step lowers the SSE
         if accepted.size:
             sse_old, sse_new = sse[accepted], sse_try[accepted]
-            stop[accepted] = sse_old - sse_new < _OBJ_REL_TOL * sse_old
+            stop[accepted] = (sse_old - sse_new < _OBJ_REL_TOL * sse_old) | (sse_new == 0.0)
             x[accepted], sse[accepted], jtj[accepted], jtr[accepted] = x_try[accepted], sse_new, jtj_new, jtr_new
         if stop.any():  # the stopped rows leave the batch
             out = live[stop]
@@ -440,10 +441,10 @@ def fit(
     the underlying joint), the constant start, ``settings.n_starts`` seeded
     random starts and, for PRSP only, one kink start per cell between
     consecutive grid levels of e1 and e2 (16 on the default grid). Every
-    start steps until its error stops falling or for ``max_iters`` steps (see
-    ``_lm``). Every step evaluates the model once at a start's trial point,
-    and completes the Jacobian from that evaluation only where the step is
-    accepted. The start with the lowest error wins and reports its steps tried
+    start steps until its error stops falling or reaches exactly 0, or for
+    ``max_iters`` steps (see ``_lm``). Every step evaluates the model once at
+    a start's trial point, and completes the Jacobian from that evaluation
+    only where the step is accepted. The start with the lowest error wins and reports its steps tried
     and its convergence; when several starts reach the same minimum, which
     one wins is decided at rounding level. Non-convergence within
     ``max_iters`` is not an error; the best point found is returned with

@@ -137,9 +137,9 @@ def reference_lm(model, x0, c, settings):
     sse, jtj, jtr = _reference_evaluate(model, x, c)
     lam = np.full(len(x), _LAMBDA_START)
     iters = np.zeros(len(x), dtype=int)
-    converged = np.zeros(len(x), dtype=bool)
+    converged = sse == 0.0
     n_accepted = 0
-    active = np.flatnonzero(np.isfinite(sse))
+    active = np.flatnonzero(np.isfinite(sse) & ~converged)
     for it in range(1, settings.max_iters + 1):
         if active.size == 0:
             break
@@ -160,7 +160,8 @@ def reference_lm(model, x0, c, settings):
         acc = active[accepted]
         x[acc], sse[acc], jtj[acc], jtr[acc] = x_try[accepted], sse_try[accepted], jtj_try[accepted], jtr_try[accepted]
         lam[active] = np.where(accepted, np.maximum(lam[active] / 10.0, _LAMBDA_MIN), lam[active] * 10.0)
-        done = np.where(accepted, sse_old - sse_try < _OBJ_REL_TOL * sse_old, lam[active] > _LAMBDA_MAX)
+        done = np.where(accepted, (sse_old - sse_try < _OBJ_REL_TOL * sse_old) | (sse_try == 0.0),
+                        lam[active] > _LAMBDA_MAX)
         converged[active[done]] = True
         active = active[~done]
     return x, sse, iters, converged, n_accepted

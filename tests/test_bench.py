@@ -165,7 +165,7 @@ class TestRunBench:
         assert run_bench(dists, settings=FAST, seed=6) == one_chunk
 
     def test_workers_capped_at_the_chunks(self, monkeypatch):
-        import uisbench.bench as bench
+        import concurrent.futures
 
         workers = []
 
@@ -181,10 +181,10 @@ class TestRunBench:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", Serial)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Serial)
         dists = sample_uniform(74, 3)
         serial = run_bench(dists, settings=FAST, seed=2)
         assert run_bench(dists, settings=FAST, seed=2, jobs=500) == serial  # chunks of 1: three workers

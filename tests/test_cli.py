@@ -1,10 +1,12 @@
 import json
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uisbench.cli import main
+from uisbench.cli import RunConfig, main
 from uisbench.dist import (
     CondIndepParams,
     expand,
@@ -14,6 +16,7 @@ from uisbench.dist import (
     sample_uniform,
     write_dists_csv,
 )
+from uisbench.optim import OptimSettings
 from uisbench.oracle import EvidencePair, standard_answer
 
 from conftest import DENORMAL_ROW, planted_zero_atoms
@@ -96,6 +99,33 @@ class TestGen:
         assert len(read_dists_csv(out)) == 3
         main(["gen", "--config", cfg, "--n", "6", "--out", str(out)])
         assert len(read_dists_csv(out)) == 6
+
+    def test_unknown_config_key_named(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"sead": 1})
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--config", cfg, "--out", str(tmp_path / "d.csv")])
+        assert exc.value.code == 2
+        assert "unknown config keys: ['sead']" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_bad_file_value_rejected_under_its_flag(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"seed": -1})
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "d.csv")])
+        assert exc.value.code == 2
+        assert "seed must be" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_readme_full_config_is_every_setting(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("A full config:\n\n```json\n", 1)[1].split("```", 1)[0]
+        full = json.loads(block)
+        assert list(full) == [f.name for f in fields(RunConfig)]
+        assert list(full["optim"]) == [f.name for f in fields(OptimSettings)]
+        cfg = tmp_path / "full.json"
+        cfg.write_text(block)
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 0
+        assert len(read_dists_csv(tmp_path / "d.csv")) == full["n_dists"]
 
 
 class TestBench:

@@ -187,6 +187,12 @@ class TestFit:
                 r = fit(kind, sv, seed=5, warm_start=warm)
                 assert r.epsilon <= objective(warm, sv) + 1e-12
 
+    def test_exact_fit_takes_no_step(self):
+        # the constant start fits 0.5 everywhere exactly; it once spent 20 rejected steps there
+        for kind in (ModelKind.PRSP, ModelKind.PWR):
+            r = fit(kind, constant_targets(0.5))
+            assert (r.iterations, r.converged, r.epsilon) == (0, True, 0.0)
+
     def test_result_invariants(self):
         sv = standard_vector(sample_uniform(50, 1)[0])
         for kind in (ModelKind.LINR, ModelKind.PWR, ModelKind.INDP, ModelKind.PRSP, ModelKind.WRST):
@@ -533,6 +539,18 @@ class TestSearchInternals:
         assert x[0, 0] == pytest.approx(50.0, rel=1e-12) and iters[0] == 50 and not converged[0]
         assert sse[0] == pytest.approx(1.0 + (0.1 - 5e-7) ** 2, rel=1e-12) and sse[0] < 1.01
         for got, want in zip((x, sse, iters, converged), reference_lm(model, np.zeros((1, 1)), c, settings)):
+            assert np.array_equal(got, want)
+
+    def test_lm_stops_a_start_whose_error_reaches_zero(self):
+        # predictions x against the target 1 with a Jacobian of half the slope: the first step, capped
+        # at 1, lands on the target exactly, where no later step could be accepted
+        def model(x):
+            return x.copy(), lambda rows=slice(None): np.full((len(x[rows]), 1, 1), 0.5)
+
+        x0, c, settings = np.zeros((1, 1)), np.ones((1, 1)), OptimSettings()
+        x, sse, iters, converged = _lm(model, x0, c, settings)
+        assert (x[0, 0], sse[0], iters[0], converged[0]) == (1.0, 0.0, 1, True)
+        for got, want in zip((x, sse, iters, converged), reference_lm(model, x0, c, settings)):
             assert np.array_equal(got, want)
 
     def test_prsp_fit_steps_each_row_until_its_stop(self, monkeypatch):

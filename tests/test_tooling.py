@@ -1,6 +1,8 @@
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -53,3 +55,12 @@ def test_every_exported_name_exists():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_import_loads_no_multiprocessing():
+    # only a bench run with more than one worker needs a process pool; the
+    # import of multiprocessing it brings costs every other command
+    code = "import sys, uisbench, uisbench.cli; print('multiprocessing' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
