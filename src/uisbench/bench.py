@@ -194,20 +194,16 @@ def _bench_chunk(
 ) -> list[DistReport]:
     """Reports of consecutive distributions, numbered from ``first_id``.
 
-    One ``_batch_answers`` call gives the (n, L²) answer matrix; a
-    distribution with an error in any cell fails with its first failing
-    cell's error, as ``standard_vector`` would raise. Each model is then one
-    ``fit_batch`` over the other distributions, which fits each or raises.
+    One ``_batch_answers`` call over the distributions and the grid's pairs
+    gives the (n, L²) answer matrix; a distribution with an error in any cell
+    fails with its first failing cell's error, as ``standard_vector`` would
+    raise. Each model is then one ``fit_batch`` over the other distributions,
+    which fits each or raises.
     """
-    e1, e2 = np.array([(ev.e1, ev.e2) for ev in grid.pairs()]).T
-    n, k = len(dists), len(e1)
-    answers, failed = _batch_answers(np.repeat([d.atoms for d in dists], k, axis=0), np.tile(e1, n), np.tile(e2, n))
-    targets = np.reshape(answers, (n, k))
-    errors: dict[int, str] = {}
-    for i in range(n):
-        exc = next(filter(None, failed[i * k : (i + 1) * k]), None)  # the first failing cell's
-        if exc is not None:  # recorded, not fatal to the run
-            errors[i] = f"{type(exc).__name__}: {exc}"
+    n = len(dists)
+    targets, first_errors = _batch_answers([d.atoms for d in dists], grid.e1, grid.e2)
+    # recorded, not fatal to the run
+    errors = {i: f"{type(exc).__name__}: {exc}" for i, exc in enumerate(first_errors) if exc is not None}
 
     ok = [i for i in range(n) if i not in errors]
     seeds = [_derived_seed(seed, first_id + i) for i in ok]
@@ -216,7 +212,7 @@ def _bench_chunk(
         if kind is ModelKind.BST:
             continue
         warm = [_prsp_warm_start(dists[i]) if kind is ModelKind.PRSP else None for i in ok]
-        fits[kind] = dict(zip(ok, fit_batch(kind, e1, e2, targets[ok], settings, seeds, warm)))
+        fits[kind] = dict(zip(ok, fit_batch(kind, grid.e1, grid.e2, targets[ok], settings, seeds, warm)))
 
     reports = []
     for i in range(n):

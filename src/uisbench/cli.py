@@ -193,10 +193,10 @@ def cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    n = len(atoms)
-    if not n:
+    if not len(atoms):
         parser.error("dists must be non-empty")
-    answers, errors = _batch_answers(atoms, [args.e1] * n, [args.e2] * n)
+    answers, errors = _batch_answers(atoms, [args.e1], [args.e2])
+    answers = answers[:, 0].tolist()
     answered = (f"{i} {answer:.12g}\n" for i, (answer, exc) in enumerate(zip(answers, errors)) if exc is None)
     sys.stdout.write("".join(answered))
     failed = "".join(f"dist {i}: {exc}\n" for i, exc in enumerate(errors) if exc is not None)

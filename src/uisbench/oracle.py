@@ -24,12 +24,15 @@ posterior lives on the face's cells, and a target outside the hull raises
 or 1) fixes x too, and the update is then ordinary Bayesian conditioning (or
 Jeffrey's rule when one target is soft).
 
-Every query is a row of one vectorised computation, :func:`_posterior_rows`:
-:func:`mce_update` and :func:`standard_answer` are a batch of one,
-:func:`standard_vector` runs a distribution's grid cells, ``bench`` every grid
-cell of a chunk of distributions and ``uisbench oracle`` every distribution of
-its file at one evidence pair. Rows do not interact, so a query's answer is
-bit for bit the same in any batch.
+One vectorised computation, :func:`_posteriors`, answers every query: it
+takes distributions (n, 8) and evidence pairs (k,) and computes each
+distribution's prior terms once for all its pairs. :func:`mce_update` and
+:func:`standard_answer` are a call of one distribution at one pair,
+:func:`standard_vector` one distribution at its grid's pairs, ``bench`` a chunk
+of distributions at the grid's pairs and ``uisbench oracle`` every
+distribution of its file at its one pair. A query's answer does not depend on
+the other distributions and pairs of its call, so it is bit for bit the same in
+any call.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ __all__ = [
     "standard_vector",
 ]
 
-# a posterior cell within this of 0 counts as 0 (see _posterior_rows)
+# a posterior cell within this of 0 counts as 0 (see _posteriors)
 _CELL_TOL = 1e-15
 
 
@@ -84,8 +87,9 @@ class EvidencePair:
 class EvidenceGrid:
     """Strictly increasing evidence levels in [0, 1], scanned over both events.
 
-    The level pairs are built once; equality, hashing, ``repr`` and pickling
-    see only ``levels``.
+    The level pairs are built once, with their targets as read-only arrays
+    ``e1`` and ``e2`` in the same order; equality, hashing, ``repr`` and
+    pickling see only ``levels``.
     """
 
     levels: tuple[float, ...]
@@ -101,6 +105,10 @@ class EvidenceGrid:
             raise ValueError(f"grid levels must be strictly increasing, got {levels}")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "_pairs", tuple(EvidencePair(a, b) for a in levels for b in levels))
+        for name in ("e1", "e2"):
+            targets = np.array([getattr(ev, name) for ev in self._pairs])
+            targets.flags.writeable = False
+            object.__setattr__(self, name, targets)
 
     def __reduce__(self):
         return EvidenceGrid, (self.levels,)
@@ -119,13 +127,14 @@ def _unreachable(name: str, target: float, value: int) -> InfeasibleEvidenceErro
     )
 
 
-def _infeasible(m: np.ndarray, e1: float, e2: float) -> InfeasibleEvidenceError:
-    """The error of a target outside the hull of the support; ``m`` holds the prior's cell masses (2, 2).
+def _infeasible(atoms: np.ndarray, e1: float, e2: float) -> InfeasibleEvidenceError:
+    """The error of a target outside the hull of the support of the prior ``atoms`` (8,).
 
     A half of E1 or E2 that is empty on the support the hard evidence leaves,
     where the target wants mass, is named as such, E1 first; otherwise the
     empty cells are named.
     """
+    m = atoms.reshape(2, 2, 2).sum(axis=2)  # the cell masses (E1, E2)
     kept = m * np.outer([e1 < 1.0, e1 > 0.0], [e2 < 1.0, e2 > 0.0])
     for name, half, target in (("E1", kept.sum(axis=1), e1), ("E2", kept.sum(axis=0), e2)):
         for value, want in ((1, target), (0, 1.0 - target)):
@@ -137,11 +146,11 @@ def _infeasible(m: np.ndarray, e1: float, e2: float) -> InfeasibleEvidenceError:
     )
 
 
-def _posterior_rows(atoms, e1, e2) -> tuple[np.ndarray, list[Exception | None]]:
-    """:func:`mce_update` on each row of ``atoms`` (n, 8) at ``(e1[k], e2[k])``, in closed form.
+def _posteriors(atoms, e1, e2) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`mce_update` of each row of ``atoms`` (n, 8) at each pair ``(e1[j], e2[j])`` (k,), in closed form.
 
-    Returns the posterior atoms (n, 8) and per row ``None`` or its
-    :class:`InfeasibleEvidenceError`; a failed row's atoms are NaN.
+    Returns the posterior atoms (n, k, 8) and the failed mask (n, k); a
+    failed query's atoms are NaN.
 
     With m_ij the prior mass of the cell (E1=i, E2=j), x = q11 is fixed by,
     in order of precedence:
@@ -161,64 +170,109 @@ def _posterior_rows(atoms, e1, e2) -> tuple[np.ndarray, list[Exception | None]]:
     The table is q11 = x, q10 = e1 - x, q01 = e2 - x and q00 = (1 - e1) - q01,
     exact at hard evidence. **Rounding rule:** the margins fix a table only to
     rounding (1 - 0.7 - 0.3 is 5.6e-17, and 1 + 0.3 - 1 is not 0.3), so a cell
-    within ``_CELL_TOL`` (1e-15) of 0 counts as 0. A row fails when a cell of
+    within ``_CELL_TOL`` (1e-15) of 0 counts as 0. A query fails when a cell of
     its table is below -1e-15, or a cell empty in the prior is above 1e-15;
     otherwise negative cells are clipped to 0 and empty ones set to 0. The
     posterior atoms are q_ij times P(atom | cell (i, j)).
+
+    The terms of the prior alone (m, w, v, A and P(atom | cell)) are computed
+    once per distribution, as (n, 1) columns. A selection that changes nothing
+    is skipped: the empty-cell steps where no cell is empty, the hard-evidence
+    pins where no target is 0 or 1, and each form of the discriminant on the
+    distributions whose A has the other sign. Every element takes the same
+    floating-point operations in any call.
     """
-    p = np.asarray(atoms, dtype=np.float64).reshape(-1, 4, 2)  # (row, cell 2i + j, C)
-    n = len(p)
-    e1 = np.asarray(e1, dtype=np.float64).reshape(n)
-    e2 = np.asarray(e2, dtype=np.float64).reshape(n)
+    p = np.asarray(atoms, dtype=np.float64).reshape(-1, 4, 2)  # (distribution, cell 2i + j, C)
+    e1 = np.asarray(e1, dtype=np.float64).reshape(-1)
+    e2 = np.asarray(e2, dtype=np.float64).reshape(-1)
+    n, k = len(p), len(e1)
     m = p[:, :, 0] + p[:, :, 1]
     empty = m == 0.0
+    some_empty = np.count_nonzero(empty)
     frac, expo = np.frexp(m)
-    shift = expo[:, 1] + expo[:, 2] - expo[:, 0] - expo[:, 3]
-    a = np.ldexp(frac[:, 0] * frac[:, 3], np.minimum(-shift, 0))  # m00 m11 and m01 m10, scaled alike
-    b = np.ldexp(frac[:, 1] * frac[:, 2], np.minimum(shift, 0))
-    # rows with an empty cell divide 0 by 0 here; their x is fixed below
+    # m00 m11 and m01 m10 as mantissa products, the larger one's scale taken out of both
+    pair_expo = expo[:, :2] + expo[:, :1:-1]
+    ab = np.ldexp(frac[:, :2] * frac[:, :1:-1], np.minimum(pair_expo - pair_expo[:, ::-1], 0))
+    # a distribution with an empty cell may divide 0 by 0 here; its x is pinned below
     with np.errstate(divide="ignore", invalid="ignore"):
-        w, v = a / (a + b), b / (a + b)
+        wv = ab / (ab[:, :1] + ab[:, 1:])
+        w, v = wv[:, :1], wv[:, 1:]
         lead = v - w
         lin = v - lead * (e1 + e2)
         const = w * e1 * e2
-        disc = np.where(
-            lead >= 0.0,
-            lin * lin + 4.0 * lead * const,
-            v * v - 2.0 * v * lead * (e1 * (1.0 - e2) + e2 * (1.0 - e1)) + (lead * (e1 - e2)) ** 2,
-        )
+        nonneg = lead[:, 0] >= 0.0
+        n_nonneg = np.count_nonzero(nonneg)
+        if n_nonneg == n:
+            disc = _disc_nonneg(lin, lead, const)
+        elif n_nonneg == 0:
+            disc = _disc_neg(v, lead, e1, e2)
+        else:  # each form on the distributions whose A takes its sign
+            neg = ~nonneg
+            disc = np.empty((n, k))
+            disc[nonneg] = _disc_nonneg(lin[nonneg], lead[nonneg], const[nonneg])
+            disc[neg] = _disc_neg(v[neg], lead[neg], e1, e2)
         root = np.sqrt(disc)
         x = np.where(lin > 0.0, 2.0 * const / (lin + root), (root - lin) / (2.0 * lead))
-    for cell, pin in enumerate((e2 - (1.0 - e1), e2, e1, 0.0)):
-        x = np.where(empty[:, cell], pin, x)
-    x = np.where((e1 == 0.0) | (e2 == 0.0), 0.0, np.where(e1 == 1.0, e2, np.where(e2 == 1.0, e1, x)))
+    if some_empty:
+        for cell, pin in enumerate((e2 - (1.0 - e1), e2, e1, 0.0)):
+            x = np.where(empty[:, cell, None], pin, x)
+    zero, one1, one2 = (e1 == 0.0) | (e2 == 0.0), e1 == 1.0, e2 == 1.0
+    if np.count_nonzero(zero | one1 | one2):
+        x = np.where(zero, 0.0, np.where(one1, e2, np.where(one2, e1, x)))
 
-    q = np.empty((n, 4))
-    q[:, 3], q[:, 2], q[:, 1] = x, e1 - x, e2 - x
-    q[:, 0] = (1.0 - e1) - q[:, 1]
-    failed = (q < -_CELL_TOL).any(axis=1) | (empty & (q > _CELL_TOL)).any(axis=1)
-    q = np.where(empty, 0.0, np.maximum(q, 0.0))
-    given_cell = np.divide(p, m[:, :, None], out=np.zeros_like(p), where=~empty[:, :, None])
-    post = (q[:, :, None] * given_cell).reshape(n, 8)
-    post[failed] = np.nan
-    errors: list[Exception | None] = [None] * n
-    for i in np.flatnonzero(failed):
-        errors[i] = _infeasible(m[i].reshape(2, 2), float(e1[i]), float(e2[i]))
-    return post, errors
+    q = np.empty((n, k, 4))
+    q[:, :, 3], q[:, :, 2], q[:, :, 1] = x, e1 - x, e2 - x
+    q[:, :, 0] = (1.0 - e1) - q[:, :, 1]
+    failed = (q < -_CELL_TOL).any(axis=2)
+    if some_empty:
+        failed |= (empty[:, None] & (q > _CELL_TOL)).any(axis=2)
+        q = np.where(empty[:, None], 0.0, np.maximum(q, 0.0))
+        given_cell = np.divide(p, m[:, :, None], out=np.zeros_like(p), where=~empty[:, :, None])
+    else:
+        q = np.maximum(q, 0.0)
+        given_cell = p / m[:, :, None]
+    post = (q[:, :, :, None] * given_cell[:, None]).reshape(n, k, 8)
+    if np.count_nonzero(failed):
+        post[failed] = np.nan
+    return post, failed
 
 
-def _batch_answers(atoms, e1, e2) -> tuple[list[float], list[Exception | None]]:
-    """:func:`standard_answer` on each row of ``atoms`` (n, 8) at ``(e1[k], e2[k])``.
+def _disc_nonneg(lin, lead, const):
+    """The discriminant B^2 + 4AC, where A >= 0."""
+    return lin * lin + 4.0 * lead * const
 
-    Returns per row the posterior P(C), summed in :func:`~uisbench.dist.marginal`'s
-    order (NaN where the row failed), and ``None`` or the row's error.
+
+def _disc_neg(v, lead, e1, e2):
+    """The discriminant v^2 - 2vA (e1 (1 - e2) + e2 (1 - e1)) + A^2 (e1 - e2)^2, where A < 0."""
+    return v * v - 2.0 * v * lead * (e1 * (1.0 - e2) + e2 * (1.0 - e1)) + (lead * (e1 - e2)) ** 2
+
+
+def _first_errors(atoms: np.ndarray, e1, e2, failed: np.ndarray) -> list[InfeasibleEvidenceError | None]:
+    """Per row of ``atoms`` ``None``, or the error of its first failed pair in ``failed`` (n, k)."""
+    errors: list[InfeasibleEvidenceError | None] = [None] * len(failed)
+    if not np.count_nonzero(failed):
+        return errors
+    for i in np.flatnonzero(failed.any(axis=1)):
+        j = failed[i].argmax()
+        errors[i] = _infeasible(atoms[i], float(e1[j]), float(e2[j]))
+    return errors
+
+
+def _batch_answers(atoms, e1, e2) -> tuple[np.ndarray, list[InfeasibleEvidenceError | None]]:
+    """:func:`standard_answer` of each row of ``atoms`` (n, 8) at each pair ``(e1[j], e2[j])`` (k,).
+
+    Returns the answers (n, k), the posterior P(C) summed in
+    :func:`~uisbench.dist.marginal`'s order (NaN where a query failed), and
+    per distribution ``None`` or the error of its first failed pair, as a loop
+    over the pairs would raise.
     """
-    post, errors = _posterior_rows(atoms, e1, e2)
-    p_c = ((post[:, 1] + post[:, 3]) + post[:, 5]) + post[:, 7]
-    return p_c.tolist(), errors
+    atoms = np.asarray(atoms, dtype=np.float64).reshape(-1, 8)
+    post, failed = _posteriors(atoms, e1, e2)
+    answers = ((post[:, :, 1] + post[:, :, 3]) + post[:, :, 5]) + post[:, :, 7]
+    return answers, _first_errors(atoms, e1, e2, failed)
 
 
-def _raise_first(errors: list[Exception | None]) -> None:
+def _raise_first(errors: list[InfeasibleEvidenceError | None]) -> None:
     for exc in errors:
         if exc is not None:
             raise exc
@@ -231,28 +285,26 @@ def mce_update(d: JointDist, ev: EvidencePair) -> JointDist:
     support of ``d`` has those marginals (e.g. e1 > 0 while P(E1) = 0 under
     ``d``).
     """
-    post, errors = _posterior_rows(d.atoms[None], [ev.e1], [ev.e2])
-    _raise_first(errors)
-    return JointDist(post[0])
+    e1, e2 = [ev.e1], [ev.e2]
+    post, failed = _posteriors(d.atoms[None], e1, e2)
+    _raise_first(_first_errors(d.atoms[None], e1, e2, failed))
+    return JointDist(post[0, 0])
 
 
 def standard_answer(d: JointDist, ev: EvidencePair) -> float:
     """Posterior P(C) after the minimum-cross-entropy update: the target each model is scored against."""
     answers, errors = _batch_answers(d.atoms[None], [ev.e1], [ev.e2])
     _raise_first(errors)
-    return answers[0]
+    return float(answers[0, 0])
 
 
 def standard_vector(d: JointDist, grid: EvidenceGrid = DEFAULT_GRID) -> list[tuple[EvidencePair, float]]:
     """Standard answers over the full evidence grid, row-major (e1 outer).
 
-    The grid cells are the rows of one batch, so each answer is bit for bit
-    that of :func:`standard_answer`, and the error of the first failing cell in
-    row-major order is raised, as a loop over the cells would.
+    The grid's pairs are one call of the oracle, so each answer is bit for bit
+    that of :func:`standard_answer`, and the error of the first failing pair in
+    row-major order is raised, as a loop over the pairs would.
     """
-    pairs = grid.pairs()
-    answers, errors = _batch_answers(
-        np.broadcast_to(d.atoms, (len(pairs), 8)), [ev.e1 for ev in pairs], [ev.e2 for ev in pairs]
-    )
+    answers, errors = _batch_answers(d.atoms[None], grid.e1, grid.e2)
     _raise_first(errors)
-    return list(zip(pairs, answers))
+    return list(zip(grid.pairs(), answers[0].tolist()))

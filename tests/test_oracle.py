@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uisbench.dist import (
     CondIndepParams,
@@ -21,13 +23,14 @@ from uisbench.oracle import (
     EvidenceGrid,
     EvidencePair,
     InfeasibleEvidenceError,
-    _posterior_rows,
+    _batch_answers,
+    _posteriors,
     mce_update,
     standard_answer,
     standard_vector,
 )
 
-from conftest import dual_tilt_posterior, planted_zero_atoms, sample_marginal_indep
+from conftest import DENORMAL_ROW, dual_tilt_posterior, planted_zero_atoms, sample_marginal_indep
 
 UNIFORM = new_joint([0.125] * 8)
 CI_EXAMPLE = expand(CondIndepParams(0.5, 0.8, 0.2, 0.8, 0.2))
@@ -56,9 +59,15 @@ class TestEvidenceTypes:
         same = EvidenceGrid([0.1, 0.9])
         assert same == grid and hash(same) == hash(grid) and repr(grid) == "EvidenceGrid(levels=(0.1, 0.9))"
         blob = pickle.dumps(grid)
-        assert b"EvidencePair" not in blob and b"_pairs" not in blob
+        assert b"EvidencePair" not in blob and b"_pairs" not in blob and b"numpy" not in blob
         back = pickle.loads(blob)
         assert back == grid and back.pairs() == grid.pairs()
+        # the targets as arrays in the order of pairs(), rebuilt on unpickling and read-only
+        for g in (grid, back):
+            assert g.e1.tolist() == [0.1, 0.1, 0.9, 0.9] and g.e2.tolist() == [0.1, 0.9, 0.1, 0.9]
+            for targets in (g.e1, g.e2):
+                with pytest.raises(ValueError, match="read-only"):
+                    targets[0] = 0.5
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -225,39 +234,107 @@ class TestClosedForm:
             assert abs(standard_answer(d, ev) - want) < 1e-12, ev
 
 
-class TestIpfRows:
-    """``_posterior_rows``, the batched I-projection, equals ``mce_update`` row by row, bit for bit."""
+def _odds_side(d: JointDist) -> float:
+    """The sign of m00 m11 - m01 m10: -1 where the prior's odds ratio theta is below 1, +1 above, 0 at 0/0."""
+    m = d.atoms.reshape(4, 2).sum(axis=1)
+    return float(np.sign(m[0] * m[3] - m[1] * m[2]))
 
-    def _assert_rows_match(self, dists, pairs):
-        """Each row's atoms or error equal ``mce_update``'s; returns the number of errors."""
-        cases = [(d, EvidencePair(e1, e2)) for d in dists for e1, e2 in pairs]
-        post, errors = _posterior_rows(
-            np.array([d.atoms for d, _ in cases]), [ev.e1 for _, ev in cases], [ev.e2 for _, ev in cases]
-        )
-        n_errors = 0
-        for (d, ev), atoms, exc in zip(cases, post, errors):
-            want = _outcome(lambda: mce_update(d, ev).atoms.tolist())
-            assert (atoms.tolist() if exc is None else (type(exc), str(exc))) == want, ev
-            # a failed row's atoms are NaN; an answered row's are finite
-            assert np.isnan(atoms).all() if exc is not None else np.isfinite(atoms).all(), ev
-            n_errors += isinstance(want, tuple)
-        return n_errors
+
+def _pool() -> dict[tuple[bool, float], list[JointDist]]:
+    """Joints with planted zero atoms, cells and halves, and two at the limits of floating point,
+    keyed by (some cell empty, odds side); an emptied half leaves no odds ratio (side 0)."""
+    pool: dict[tuple[bool, float], list[JointDist]] = {}
+    for d in [d for seed in (33, 34, 35) for d in planted_zero_atoms(seed, 40)] + [
+        JointDist(np.array(DENORMAL_ROW, dtype=float)),
+        new_joint([0.2, 0.3, 1e-200, 1e-200, 1e-200, 1e-200, 0.4, 0.1]),
+    ]:
+        pool.setdefault((bool((d.atoms.reshape(4, 2).sum(axis=1) == 0.0).any()), _odds_side(d)), []).append(d)
+    return pool
+
+
+_POOL = _pool()
+_SOFT = st.sampled_from(DEFAULT_GRID.levels) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+# pairs on the face e1 + e2 = 1 to rounding, which (1 - e1) - e2 misses by up to 1.1e-16
+_FACES = st.sampled_from([(0.54, 0.46), (0.46, 0.54), (0.07, 0.93), (0.7, 0.3)])
+
+
+@st.composite
+def _queries(draw, some_empty: bool, some_hard: bool, sides: tuple[float, ...]):
+    """Joints and evidence pairs for one call: with or without an empty cell and a hard target,
+    and odds ratios on the given sides of 1, each side other than 0 at least once."""
+    def pool(empty):
+        return [d for (e, side), ds in _POOL.items() if e in empty and side in sides for d in ds]
+
+    allowed = pool((False, True) if some_empty else (False,))
+    dists = [draw(st.sampled_from([d for d in allowed if _odds_side(d) == side])) for side in sides if side]
+    if some_empty:
+        dists.append(draw(st.sampled_from(pool((True,)))))
+    dists = draw(st.permutations(dists + draw(st.lists(st.sampled_from(allowed), max_size=4))))
+    target = _SOFT | st.sampled_from((0.0, 1.0)) if some_hard else _SOFT
+    pairs = draw(st.lists(st.tuples(target, target) | _FACES, min_size=1, max_size=6))
+    if some_hard:
+        hard = draw(st.tuples(st.sampled_from((0.0, 1.0)), target))
+        pairs.insert(draw(st.integers(0, len(pairs))), hard[:: draw(st.sampled_from((1, -1)))])
+    return dists, pairs
+
+
+class TestPosteriors:
+    """``_posteriors``, the oracle over distributions × evidence pairs, equals ``mce_update`` query by query, bit for bit."""
+
+    def _assert_queries_match(self, dists, pairs):
+        """Each (i, j) query of one (n, k) call against ``mce_update`` and ``standard_answer`` at
+        ``dists[i]`` and ``pairs[j]`` alone: the posterior atoms and the answer to the bit, or the
+        error's type and message. Returns the number of failed queries."""
+        atoms = np.array([d.atoms for d in dists]).reshape(-1, 8)
+        e1, e2 = np.array(pairs, dtype=float).reshape(-1, 2).T
+        post, failed = _posteriors(atoms, e1, e2)
+        answers, first_errors = _batch_answers(atoms, e1, e2)
+        assert post.shape == (len(dists), len(pairs), 8) and failed.shape == answers.shape == post.shape[:2]
+        # the error of query (i, j) is the first of the call on the pairs from j on
+        suffix_errors = [_batch_answers(atoms, e1[j:], e2[j:])[1] for j in range(len(pairs))]
+        for i, d in enumerate(dists):
+            first = None
+            for j, ev in enumerate(EvidencePair(a, b) for a, b in pairs):
+                want = _outcome(lambda: mce_update(d, ev).atoms.tobytes())
+                if failed[i, j]:
+                    exc = suffix_errors[j][i]
+                    assert (type(exc), str(exc)) == want, (i, ev)
+                    assert np.isnan(post[i, j]).all() and np.isnan(answers[i, j]), (i, ev)
+                    first = first or want
+                else:
+                    assert post[i, j].tobytes() == want, (i, ev)
+                    assert answers[i, j].tobytes() == np.float64(standard_answer(d, ev)).tobytes(), (i, ev)
+            exc = first_errors[i]
+            assert (exc if exc is None else (type(exc), str(exc))) == first, i
+        return int(failed.sum())
+
+    @pytest.mark.parametrize("sides", [(-1.0,), (1.0,), (-1.0, 0.0, 1.0)], ids=["theta<1", "theta>1", "both"])
+    @pytest.mark.parametrize("some_hard", [False, True], ids=["soft", "hard"])
+    @pytest.mark.parametrize("some_empty", [False, True], ids=["no-empty", "empty"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_each_query_equals_its_single_update(self, some_empty, some_hard, sides, data):
+        # each selection the kernel skips when it changes nothing, taken and
+        # skipped: an empty cell, a hard target, and either form of the
+        # discriminant or both in one call
+        dists, pairs = data.draw(_queries(some_empty, some_hard, sides))
+        self._assert_queries_match(dists, pairs)
 
     def test_planted_zero_atoms(self):
-        # answered and failing rows side by side in one batch, on joints with
-        # emptied atoms, cells and halves: no row's outcome leaks into another's
+        # answered and failing queries side by side in one call, on joints with
+        # emptied atoms, cells and halves: no query's outcome leaks into another's
         dists = planted_zero_atoms(33, 40)
         pairs = [(0.0, 0.0), (0.0, 0.7), (1.0, 0.3), (0.4, 1.0), (0.25, 0.75), (0.9, 0.1), (0.5, 0.5)]
-        n_errors = self._assert_rows_match(dists, pairs)
+        n_errors = self._assert_queries_match(dists, pairs)
         assert 0 < n_errors < len(dists) * len(pairs)
 
     def test_converged_row_with_nan_atoms_fails_as_in_mce_update(self):
         # the (0, 1) cell is empty and the (0, 0) cell holds two denormal atoms;
         # the denormal scale must not turn the half's zero atoms into NaN. P(C | cell)
         # is 0.5 in both non-empty cells, and (0, 0.5) needs mass in (0, 1)
-        d = JointDist(np.array([1e-320, 1e-320, 0, 0, 0.25, 0.25, 0.25, 0.25]))
+        d = JointDist(np.array(DENORMAL_ROW, dtype=float))
         grid = EvidenceGrid((0.0, 0.5))
-        assert self._assert_rows_match([d], [(ev.e1, ev.e2) for ev in grid.pairs()]) == 1
+        assert self._assert_queries_match([d], [(ev.e1, ev.e2) for ev in grid.pairs()]) == 1
         assert [(ev.e1, ev.e2, _outcome(lambda: standard_answer(d, ev))) for ev in grid.pairs()] == [
             (0.0, 0.0, 0.5),
             (0.0, 0.5, (InfeasibleEvidenceError, "target P(E2)=0.5 unreachable: P(E2) is 0 on the current support")),
@@ -268,9 +345,14 @@ class TestIpfRows:
             lambda: [(ev, standard_answer(d, ev)) for ev in grid.pairs()]
         )
 
-    def test_empty_batch(self):
-        post, errors = _posterior_rows(np.zeros((0, 8)), [], [])
-        assert post.shape == (0, 8) and errors == []
+    @pytest.mark.parametrize("n, k", [(0, 0), (0, 3), (3, 0)], ids=["0x0", "0xk", "nx0"])
+    def test_empty_shapes(self, n, k):
+        atoms = np.array([d.atoms for d in planted_zero_atoms(33, n)]).reshape(n, 8)
+        e1, e2 = np.full(k, 0.5), np.full(k, 0.25)
+        post, failed = _posteriors(atoms, e1, e2)
+        assert post.shape == (n, k, 8) and failed.shape == (n, k)
+        answers, first_errors = _batch_answers(atoms, e1, e2)
+        assert answers.shape == (n, k) and first_errors == [None] * n
 
 
 class TestStandardAnswer:
