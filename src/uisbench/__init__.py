@@ -11,7 +11,6 @@ evidence-ignoring constant.
 from .bench import (
     DistReport,
     EtaScore,
-    ModelScore,
     SummaryRow,
     SummaryTable,
     eta,
@@ -38,7 +37,6 @@ from .models import (
 from .optim import FitResult, OptimSettings, fit, objective
 from .oracle import (
     DEFAULT_GRID,
-    ConvergenceError,
     EvidenceGrid,
     EvidencePair,
     InfeasibleEvidenceError,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "DEFAULT_MODELS",
     "DEGENERATE_EPS",
     "EtaScore",
-    "ModelScore",
     "DistReport",
     "SummaryRow",
     "SummaryTable",
@@ -97,38 +96,28 @@ class EtaScore:
 
 
 @dataclass(frozen=True)
-class ModelScore:
-    kind: ModelKind
-    epsilon: float
-    eta: EtaScore
-    params: ModelParams
-    converged: bool
-    iterations: int = 0  # steps of the winning start; 0 for BST and the closed-form fits
-    start_index: int = 0  # the winning start (see ``optim.fit``)
-
-    def __post_init__(self) -> None:
-        for name in ("epsilon", "iterations", "start_index"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)!r}")
-
-
-@dataclass(frozen=True)
 class DistReport:
-    """Per-distribution results; ``error`` is set instead of scores on failure.
+    """Per-distribution fits; ``error`` is set instead of fits on failure.
 
     Only the oracle fails a distribution, with its error on the first cell it cannot answer;
-    ``optim.fit_batch`` fits every row or raises for the whole run.
+    ``optim.fit_batch`` fits every row or raises for the whole run. ``etas``
+    holds :func:`eta` of each fit, computed once from the report's own LINR
+    and WRST fits, which a report that did not fail must hold.
     """
 
     dist_id: int
-    scores: tuple[ModelScore, ...]
-    eps_linr: float | None
-    eps_wrst: float | None
+    scores: tuple[FitResult, ...]
     error: str | None = None
+    etas: tuple[EtaScore, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        eps = {s.kind: s.epsilon for s in self.scores}
+        etas = tuple([eta(s.epsilon, eps[ModelKind.LINR], eps[ModelKind.WRST]) for s in self.scores])
+        object.__setattr__(self, "etas", etas)
 
     @property
     def degenerate(self) -> bool:
-        return self.error is None and self.eps_linr is not None and self.eps_linr < DEGENERATE_EPS
+        return any(e.degenerate for e in self.etas)
 
 
 @dataclass(frozen=True)
@@ -214,19 +203,10 @@ def _bench_chunk(
         warm = [_prsp_warm_start(dists[i]) if kind is ModelKind.PRSP else None for i in ok]
         fits[kind] = dict(zip(ok, fit_batch(kind, grid.e1, grid.e2, targets[ok], settings, seeds, warm)))
 
-    reports = []
-    for i in range(n):
-        if i in errors:
-            reports.append(DistReport(first_id + i, (), None, None, error=errors[i]))
-            continue
-        eps_linr, eps_wrst = fits[ModelKind.LINR][i].epsilon, fits[ModelKind.WRST][i].epsilon
-        scores = []
-        for kind in kinds:
-            r = FitResult(ModelParams(kind, ()), 0.0, 0, True, 0) if kind is ModelKind.BST else fits[kind][i]
-            scores.append(ModelScore(kind, r.epsilon, eta(r.epsilon, eps_linr, eps_wrst), r.params, r.converged,
-                                     r.iterations, r.start_index))
-        reports.append(DistReport(first_id + i, tuple(scores), eps_linr, eps_wrst))
-    return reports
+    bst = FitResult(ModelParams(ModelKind.BST, ()), 0.0, 0, True, 0)
+    return [DistReport(first_id + i, (), errors[i]) if i in errors else
+            DistReport(first_id + i, tuple(bst if kind is ModelKind.BST else fits[kind][i] for kind in kinds))
+            for i in range(n)]
 
 
 def check_bench_args(dists: list[JointDist], kinds, grid: EvidenceGrid) -> None:
@@ -302,7 +282,7 @@ def summarize(reports: list[DistReport]) -> SummaryTable:
     rows = []
     for pos, kind in enumerate(kinds):
         # sorted so aggregates are exactly permutation-invariant over reports
-        values = np.sort([r.scores[pos].eta.value for r in included])
+        values = np.sort([r.etas[pos].value for r in included])
         mu = float(np.mean(values))
         sigma = float(np.std(values, ddof=1))
         ratio = mu / sigma if sigma > 0.0 else math.copysign(math.inf, mu)
@@ -325,16 +305,16 @@ def write_report_csv(path, reports: list[DistReport]) -> None:
         for report in reports:
             if report.error is not None:
                 continue
-            for s in report.scores:
+            for s, e in zip(report.scores, report.etas):
                 padded = [_fmt(v) for v in s.params.values]
                 padded += [""] * (_MAX_PARAMS - len(padded))
                 row = [
                     str(report.dist_id),
                     s.kind.value,
                     _fmt(s.epsilon),
-                    _fmt(s.eta.value),
-                    "true" if s.eta.clamped else "false",
-                    "true" if s.eta.degenerate else "false",
+                    _fmt(e.value),
+                    "true" if e.clamped else "false",
+                    "true" if e.degenerate else "false",
                     "true" if s.converged else "false",
                     str(s.iterations),
                     str(s.start_index),
@@ -368,11 +348,13 @@ def read_report_csv(path) -> list[DistReport]:
     Raises ValueError naming the row and field of a bad value, including a
     row without one value per column, an unknown model, a flag other than
     ``true`` and ``false``, a negative or non-finite ``epsilon``,
-    ``iterations`` or ``start_index`` or an empty ``paramN`` before a filled
-    one, and naming the distribution whose model list (in row order) differs
-    from the first's.
+    ``iterations`` or ``start_index``, an empty ``paramN`` before a filled
+    one, or an ``eta``, ``clamped`` or ``degenerate`` other than :func:`eta`
+    gives from the distribution's ``epsilon`` values (exactly: they are written
+    at 17 digits), and naming the distribution that has no LINR or WRST row or
+    whose model list (in row order) differs from the first's.
     """
-    by_dist: dict[int, list[ModelScore]] = {}
+    by_dist: dict[int, list[tuple[int, FitResult, tuple[float, bool, bool]]]] = {}
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -386,27 +368,36 @@ def read_report_csv(path) -> list[DistReport]:
                 kind = _read_number("model", _model_kind, row[1])
                 epsilon = _read_number("epsilon", float, row[2])
                 clamped, degenerate, converged = (_read_flag(REPORT_CSV_COLUMNS[i], row[i]) for i in (4, 5, 6))
-                score = EtaScore(_read_number("eta", float, row[3]), clamped=clamped, degenerate=degenerate)
+                eta_read = (_read_number("eta", float, row[3]), clamped, degenerate)
                 iterations, start_index = (_read_number(REPORT_CSV_COLUMNS[i], int, row[i]) for i in (7, 8))
                 last = max(i for i, v in enumerate(row) if v)  # the empty fields after it pad the parameters
                 values = row[9 : last + 1]
                 if "" in values:
                     raise ValueError(f"param{values.index('')} is empty, but a later parameter is set")
                 params = ModelParams(kind, tuple(_read_number(f"param{i}", float, v) for i, v in enumerate(values)))
-                model_score = ModelScore(kind, epsilon, score, params, converged, iterations, start_index)
+                fit = FitResult(params, epsilon, iterations, converged, start_index)
             except ValueError as exc:
                 raise ValueError(f"{path}: row {row_no}: {exc}") from None
-            by_dist.setdefault(dist_id, []).append(model_score)
+            by_dist.setdefault(dist_id, []).append((row_no, fit, eta_read))
     reports = []
     first = None
     for dist_id in sorted(by_dist):
+        rows = by_dist[dist_id]
         # summarize pairs scores by position, so every distribution must list the same models in order
-        models = ",".join(s.kind.value for s in by_dist[dist_id])
+        models = ",".join(fit.kind.value for _, fit, _ in rows)
         first = first or (dist_id, models)
         if models != first[1]:
             raise ValueError(f"{path}: dist {dist_id} lists models {models}, but dist {first[0]} lists {first[1]}")
-        eps = {s.kind: s.epsilon for s in by_dist[dist_id]}
-        reports.append(DistReport(dist_id, tuple(by_dist[dist_id]), eps.get(ModelKind.LINR), eps.get(ModelKind.WRST)))
+        for required in ("LINR", "WRST"):
+            if required not in models.split(","):
+                raise ValueError(f"{path}: dist {dist_id} has no {required} row; eta is defined relative to it")
+        report = DistReport(dist_id, tuple(fit for _, fit, _ in rows))
+        for (row_no, _, read), e in zip(rows, report.etas):
+            for name, got, want in zip(("eta", "clamped", "degenerate"), read, (e.value, e.clamped, e.degenerate)):
+                if got != want:
+                    raise ValueError(f"{path}: row {row_no}: {name} is {str(got).lower()}, but the epsilons of "
+                                     f"dist {dist_id} give {str(want).lower()}")
+        reports.append(report)
     return reports
 
 

@@ -25,7 +25,7 @@ which makes generation independent of batch size and execution order.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -192,22 +192,19 @@ def expand(p: CondIndepParams) -> JointDist:
     atom(e1, e2, c) = P(c) * P(e1|c) * P(e2|c), so the result satisfies
     conditional independence of E1 and E2 given C and given not-C exactly.
     """
-    return JointDist(_expanded_atoms(p))
+    return JointDist(_expanded_atoms(np.array([astuple(p)]))[0])
 
 
-def _expanded_atoms(p: CondIndepParams) -> np.ndarray:
-    """The eight atoms of :func:`expand`, unchecked."""
-    atoms = np.empty(8)
-    for e1 in (0, 1):
-        for e2 in (0, 1):
-            for c in (0, 1):
-                pc = p.pc if c else 1.0 - p.pc
-                pe1 = (p.pe1_given_c if c else p.pe1_given_not_c)
-                pe1 = pe1 if e1 else 1.0 - pe1
-                pe2 = (p.pe2_given_c if c else p.pe2_given_not_c)
-                pe2 = pe2 if e2 else 1.0 - pe2
-                atoms[atom_index(e1, e2, c)] = pc * pe1 * pe2
-    return atoms
+def _expanded_atoms(p: np.ndarray) -> np.ndarray:
+    """The atoms (n, 8) of :func:`expand`, unchecked, for each row of ``p`` (n, 5).
+
+    A row holds the fields of :class:`CondIndepParams` in order. Each atom is
+    P(c) * P(e1|c) * P(e2|c), multiplied in that order.
+    """
+    pc = np.column_stack([1.0 - p[:, 0], p[:, 0]])  # (n, c)
+    # P(ej = v | c) (n, v, c), from the columns given not-C, then given C
+    pe1, pe2 = (np.stack([1.0 - q, q], axis=1) for q in (p[:, [2, 1]], p[:, [4, 3]]))
+    return (pc[:, None, None] * pe1[:, :, None] * pe2[:, None]).reshape(len(p), 8)
 
 
 def _substream(seed: int, k: int) -> np.random.Generator:
@@ -238,8 +235,8 @@ def sample_cond_indep(seed: int, n: int) -> list[JointDist]:
     joints are never degenerate.
     """
     _check_count(n)
-    params = (CondIndepParams(*_substream(seed, k).uniform(0.01, 0.99, size=5)) for k in range(n))
-    return _wrapped(_checked_rows(np.array([_expanded_atoms(p) for p in params]).reshape(n, 8)))
+    params = np.array([_substream(seed, k).uniform(0.01, 0.99, size=5) for k in range(n)]).reshape(n, 5)
+    return _wrapped(_checked_rows(_expanded_atoms(params)))
 
 
 # --- CSV interchange -------------------------------------------------------

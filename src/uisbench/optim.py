@@ -119,13 +119,18 @@ class OptimSettings:
 class FitResult:
     params: ModelParams
     epsilon: float
-    iterations: int
+    iterations: int  # steps of the winning start; 0 for BST and the closed-form fits
     converged: bool
-    start_index: int
+    start_index: int  # the winning start (see ``fit``)
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon!r}")
+        for name in ("epsilon", "iterations", "start_index"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)!r}")
+
+    @property
+    def kind(self) -> ModelKind:
+        return self.params.kind
 
 
 def _target_arrays(targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -149,18 +149,19 @@ def test_criterion_5_nesting_and_eta_anchors(uniform_run, cond_indep_run):
         for r in reports:
             assert r.error is None, f"unexpected failure: {r.error}"
             by_kind = {s.kind: s for s in r.scores}
+            etas = {s.kind: e for s, e in zip(r.scores, r.etas)}
             for kind in (ModelKind.LINR, ModelKind.PWR, ModelKind.INDP, ModelKind.PRSP):
-                if by_kind[kind].epsilon > r.eps_wrst + 1e-6:
+                if by_kind[kind].epsilon > by_kind[ModelKind.WRST].epsilon + 1e-6:
                     ok, detail = False, f"dist {r.dist_id}: eps_{kind.value} > eps_WRST + 1e-6"
-            for s in r.scores:
-                if not (-1.0 <= s.eta.value <= 1.0):
+            for e in r.etas:
+                if not (-1.0 <= e.value <= 1.0):
                     ok, detail = False, f"dist {r.dist_id}: eta out of range"
             if not r.degenerate:
-                if by_kind[ModelKind.BST].eta.value != 1.0:
+                if etas[ModelKind.BST].value != 1.0:
                     ok, detail = False, f"dist {r.dist_id}: eta(BST) != +1"
-                if by_kind[ModelKind.WRST].eta.value != -1.0:
+                if etas[ModelKind.WRST].value != -1.0:
                     ok, detail = False, f"dist {r.dist_id}: eta(WRST) != -1"
-                if by_kind[ModelKind.LINR].eta.value != 0.0:
+                if etas[ModelKind.LINR].value != 0.0:
                     ok, detail = False, f"dist {r.dist_id}: eta(LINR) != 0"
             checked += 1
     _criterion(5, ok, detail or f"nesting bound and eta anchors hold on {checked} fitted distributions")

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from uisbench.bench import (
     _BATCH_DISTS,
     DistReport,
     EtaScore,
-    ModelScore,
     SummaryRow,
     SummaryTable,
     eta,
@@ -23,7 +23,7 @@ from uisbench.bench import (
 from uisbench.cli import main
 from uisbench.dist import new_joint, sample_cond_indep, sample_uniform
 from uisbench.models import ModelKind, ModelParams, _predict_rows
-from uisbench.optim import OptimSettings, _lm, fit_batch
+from uisbench.optim import FitResult, OptimSettings, _lm, fit_batch
 from uisbench.oracle import EvidenceGrid
 
 from conftest import assert_batch_calls, counting
@@ -109,7 +109,7 @@ class TestRunBench:
         r = reports[0]
         assert r.error is None
         assert r.degenerate
-        assert all(s.eta.degenerate for s in r.scores)
+        assert all(e.degenerate for e in r.etas)
         with pytest.raises(ValueError, match="non-degenerate"):
             summarize(reports)
 
@@ -117,11 +117,11 @@ class TestRunBench:
         reports = run_bench(sample_uniform(61, 3), kinds=ALL_KINDS, settings=FAST, seed=2)
         for r in reports:
             assert r.error is None and not r.degenerate
-            by_kind = {s.kind: s for s in r.scores}
-            assert by_kind[ModelKind.BST].eta.value == 1.0
-            assert by_kind[ModelKind.BST].epsilon == 0.0
-            assert by_kind[ModelKind.WRST].eta.value == -1.0
-            assert by_kind[ModelKind.LINR].eta.value == 0.0
+            by_kind = {s.kind: (s, e) for s, e in zip(r.scores, r.etas)}
+            assert by_kind[ModelKind.BST][1].value == 1.0
+            assert by_kind[ModelKind.BST][0].epsilon == 0.0
+            assert by_kind[ModelKind.WRST][1].value == -1.0
+            assert by_kind[ModelKind.LINR][1].value == 0.0
 
     def test_deterministic_and_jobs_invariant(self):
         dists = sample_uniform(62, 3)
@@ -259,24 +259,26 @@ class TestRunBench:
         assert with_bad[:3] + with_bad[4:] == without[:3] + without[4:]
 
 
-def _handmade_reports(etas, kind=ModelKind.INDP):
-    reports = []
-    for i, v in enumerate(etas):
-        score = ModelScore(kind, 0.05, EtaScore(v), ModelParams(kind, (0.5, 0.5, 0.5, 0.5)), True)
-        reports.append(DistReport(i, (score,), 0.1, 0.2))
-    return reports
+LINR_FIT = FitResult(ModelParams(ModelKind.LINR, (0.1, 0.2, 0.3)), 0.1, 0, True, 0)
+WRST_FIT = FitResult(ModelParams(ModelKind.WRST, (0.5,)), 0.2, 0, True, 0)
+
+
+def _indp_fit(target_eta, converged=True):
+    """An INDP fit whose ε gives ``target_eta`` against ``LINR_FIT`` and ``WRST_FIT``, to rounding.
+
+    On either side of LINR, eta = 1 - ε / 0.1, so ε = 0.1 (1 - eta).
+    """
+    return FitResult(ModelParams(ModelKind.INDP, (0.5,) * 4), 0.1 * (1.0 - target_eta), 0, converged, 0)
+
+
+def _handmade_reports(etas):
+    """One report per η, listing an INDP fit with that η first (so it is the summary's first row), then LINR and WRST."""
+    return [DistReport(i, (_indp_fit(v), LINR_FIT, WRST_FIT)) for i, v in enumerate(etas)]
 
 
 def _three_model_report_csv(tmp_path):
     """report.csv of three distributions, each listing LINR, WRST and INDP in that order."""
-    reports = []
-    for i in range(3):
-        scores = (
-            ModelScore(ModelKind.LINR, 0.1, EtaScore(0.0), ModelParams(ModelKind.LINR, (0.1, 0.2, 0.3)), True),
-            ModelScore(ModelKind.WRST, 0.2, EtaScore(-1.0), ModelParams(ModelKind.WRST, (0.5,)), True),
-            ModelScore(ModelKind.INDP, 0.05, EtaScore(0.5 + 0.1 * i), ModelParams(ModelKind.INDP, (0.5,) * 4), True),
-        )
-        reports.append(DistReport(i, scores, 0.1, 0.2))
+    reports = [DistReport(i, (LINR_FIT, WRST_FIT, _indp_fit(0.5 + 0.1 * i))) for i in range(3)]
     path = tmp_path / "report.csv"
     write_report_csv(path, reports)
     return path
@@ -313,12 +315,8 @@ class TestSummarize:
 
     def test_degenerate_reports_excluded(self):
         good = _handmade_reports([0.5, -0.5, 0.25])
-        degenerate = DistReport(
-            99,
-            (ModelScore(ModelKind.INDP, 0.0, EtaScore(0.0, degenerate=True), ModelParams(ModelKind.INDP, (0.5,) * 4), True),),
-            1e-14,
-            0.2,
-        )
+        degenerate = DistReport(99, (_indp_fit(1.0), replace(LINR_FIT, epsilon=1e-14), WRST_FIT))
+        assert degenerate.degenerate and degenerate.etas[0] == EtaScore(0.0, degenerate=True)
         table = summarize(good + [degenerate])
         assert table.rows[0].n_included == 3
         assert table.rows[0].n_degenerate == 1
@@ -326,12 +324,9 @@ class TestSummarize:
 
     def test_converged_counted_over_included(self):
         reports = _handmade_reports([0.5, -0.5, 0.25, 0.1])
-        params = ModelParams(ModelKind.INDP, (0.5,) * 4)
-        reports[1] = DistReport(1, (ModelScore(ModelKind.INDP, 0.05, EtaScore(-0.5), params, False),), 0.1, 0.2)
-        degenerate = DistReport(
-            9, (ModelScore(ModelKind.INDP, 0.0, EtaScore(0.0, degenerate=True), params, True),), 1e-14, 0.2
-        )
-        failed = DistReport(10, (), None, None, error="RuntimeError: no finite start")
+        reports[1] = DistReport(1, (_indp_fit(-0.5, converged=False), LINR_FIT, WRST_FIT))
+        degenerate = DistReport(9, (_indp_fit(1.0), replace(LINR_FIT, epsilon=1e-14), WRST_FIT))
+        failed = DistReport(10, (), error="RuntimeError: no finite start")
         assert summarize(reports + [degenerate, failed]).rows[0].n_converged == 3
 
 
@@ -347,12 +342,7 @@ class TestArtifacts:
 
     def test_report_csv_prsp_conditionals_on_the_bounds_roundtrip(self, tmp_path):
         prsp = ModelParams(ModelKind.PRSP, (0.4, 0.3, 1.0, 0.0, 0.6, 0.0, 0.9))
-        scores = (
-            ModelScore(ModelKind.LINR, 0.1, EtaScore(0.0), ModelParams(ModelKind.LINR, (0.1, 0.2, 0.3)), True),
-            ModelScore(ModelKind.WRST, 0.2, EtaScore(-1.0), ModelParams(ModelKind.WRST, (0.5,)), True),
-            ModelScore(ModelKind.PRSP, 0.05, EtaScore(0.5), prsp, False, 500, 7),
-        )
-        reports = [DistReport(0, scores, 0.1, 0.2)]
+        reports = [DistReport(0, (LINR_FIT, WRST_FIT, FitResult(prsp, 0.05, 500, False, 7)))]
         path = tmp_path / "report.csv"
         write_report_csv(path, reports)
         assert path.read_text().splitlines()[-1].endswith(",0.40000000000000002,0.29999999999999999,1,0,"
@@ -482,6 +472,67 @@ class TestArtifacts:
         path.write_text("\n".join(lines) + "\n")
         assert main(["report", "--report", str(path)]) == 1
         assert "dist 1 lists models LINR,INDP" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row_no, column, text, message",
+        [
+            (8, 3, "0.75", "row 8: eta is 0.75, but the epsilons of dist 2 give 0.7000000000000001"),
+            (8, 4, "true", "row 8: clamped is true, but the epsilons of dist 2 give false"),
+            (8, 5, "true", "row 8: degenerate is true, but the epsilons of dist 2 give false"),
+            (8, 2, "0.025", "row 8: eta is 0.7000000000000001, but the epsilons of dist 2 give 0.7500000000000001"),
+            # LINR's own eta stays 0, and WRST's -1: the INDP row's is the one that moves
+            (6, 2, "0.125", "row 8: eta is 0.7000000000000001, but the epsilons of dist 2 give 0.76"),
+        ],
+        ids=["eta", "clamped", "degenerate", "own-epsilon", "linr-epsilon"],
+    )
+    def test_eta_not_from_epsilon_named(self, tmp_path, capsys, row_no, column, text, message):
+        # eta, clamped and degenerate were read as written, and nothing checked them against epsilon
+        path = _three_model_report_csv(tmp_path)
+        lines = path.read_text().splitlines()
+        row = lines[1 + row_no].split(",")
+        row[column] = text
+        lines[1 + row_no] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_report_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+        assert main(["report", "--report", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("kind, line_nos", [(ModelKind.LINR, (1, 4, 7)), (ModelKind.WRST, (2, 5, 8))])
+    def test_distribution_without_linr_or_wrst_named(self, tmp_path, capsys, kind, line_nos):
+        # every distribution lacks the row, so their model lists agree
+        path = _three_model_report_csv(tmp_path)
+        lines = [line for i, line in enumerate(path.read_text().splitlines()) if i not in line_nos]
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}: dist 0 has no {kind.value} row; eta is defined relative to it"
+        with pytest.raises(ValueError) as exc:
+            read_report_csv(path)
+        assert str(exc.value) == message
+        assert main(["report", "--report", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_failed_report_has_no_etas(self):
+        failed = DistReport(4, (), error="InfeasibleEvidenceError: ...")
+        assert failed.etas == () and not failed.degenerate
+
+    def test_eta_computed_once_per_fit(self, tmp_path, monkeypatch):
+        import uisbench.bench as bench
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eta(*args)
+
+        monkeypatch.setattr(bench, "eta", counted)
+        reports = _handmade_reports([0.5, -0.5, 0.25])
+        path = tmp_path / "report.csv"
+        write_report_csv(path, reports)
+        summarize(reports)
+        assert len(calls) == 9  # three reports of three fits
+        summarize(read_report_csv(path))
+        assert len(calls) == 18
 
     def test_summary_json_schema_and_sentinel(self, tmp_path):
         table = summarize(_handmade_reports([1.0, 1.0]))

@@ -164,6 +164,16 @@ class TestExpand:
                 p_1 = (d.atoms[atom_index(0, 1, c)] + d.atoms[atom_index(1, 1, c)]) / pc
                 assert abs(p11 - p1_ * p_1) < 1e-12
 
+    def test_sampled_atoms_are_the_products_in_order(self):
+        # each row is expanded as one array; every atom must still be P(c) * P(e1|c) * P(e2|c),
+        # multiplied left to right, as the acceptance artifacts' digests were made
+        for k, d in enumerate(sample_cond_indep(1986, 50)):
+            pc, e1c, e1n, e2c, e2n = np.random.default_rng([1986, k]).uniform(0.01, 0.99, size=5).tolist()
+            for e1, e2, c in itertools.product((0, 1), repeat=3):
+                pe1, pe2 = (e1c, e2c) if c else (e1n, e2n)
+                want = (pc if c else 1.0 - pc) * (pe1 if e1 else 1.0 - pe1) * (pe2 if e2 else 1.0 - pe2)
+                assert d.atoms[atom_index(e1, e2, c)] == want, (k, e1, e2, c)
+
     def test_roundtrip_recovers_parameters(self):
         rng = np.random.default_rng(7)
         for _ in range(200):

@@ -278,6 +278,36 @@ def _queries(draw, some_empty: bool, some_hard: bool, sides: tuple[float, ...]):
     return dists, pairs
 
 
+def _conditioned(atoms: list[float], e1: float, e2: float) -> list[float] | None:
+    """The posterior atoms at evidence with a target of 0 or 1, by conditioning and Jeffrey's rule.
+
+    The hard side fixes one evidence event, and the other target splits that
+    event's two (E1, E2) cells; each cell keeps the prior's proportions, and
+    an empty cell counts as 0. ``None`` where an empty cell would need more
+    than 1e-15, which the oracle's rounding rule counts as 0.
+    """
+    if e1 == 0.0:
+        q = {(0, 0): 1.0 - e2, (0, 1): e2, (1, 0): 0.0, (1, 1): 0.0}
+    elif e2 == 0.0:
+        q = {(0, 0): 1.0 - e1, (0, 1): 0.0, (1, 0): e1, (1, 1): 0.0}
+    elif e1 == 1.0:
+        q = {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 1.0 - e2, (1, 1): e2}
+    else:
+        assert e2 == 1.0
+        q = {(0, 0): 0.0, (0, 1): 1.0 - e1, (1, 0): 0.0, (1, 1): e1}
+    post = [0.0] * 8
+    for (i, j), mass in q.items():
+        cell = [atom_index(i, j, c) for c in (0, 1)]
+        m = atoms[cell[0]] + atoms[cell[1]]
+        if m == 0.0:
+            if mass > 1e-15:
+                return None
+            continue
+        for a in cell:
+            post[a] = mass * (atoms[a] / m)
+    return post
+
+
 class TestPosteriors:
     """``_posteriors``, the oracle over distributions × evidence pairs, equals ``mce_update`` query by query, bit for bit."""
 
@@ -344,6 +374,32 @@ class TestPosteriors:
         assert _outcome(lambda: standard_vector(d, grid)) == _outcome(
             lambda: [(ev, standard_answer(d, ev)) for ev in grid.pairs()]
         )
+
+    def test_hard_evidence_equals_conditioning_bit_for_bit(self):
+        # a target of 0 or 1 fixes q11 by the pins, not by the quadratic, whose root at a tiny
+        # other target is tiny but not 0; conditioning there puts exactly 0 in the ruled-out cells
+        dists = planted_zero_atoms(33, 40) + [JointDist(np.array(DENORMAL_ROW, dtype=float))] + sample_uniform(34, 10)
+        empty_10 = dists[1]  # the (1, 0) cell is empty
+        assert empty_10.atoms[atom_index(1, 0, 0)] == empty_10.atoms[atom_index(1, 0, 1)] == 0.0
+        others = (0.0, 5e-324, 1e-300, 0.3, 0.999, 1.0 - 2.0**-53, 1.0)
+        pairs = [pair for hard in (0.0, 1.0) for other in others for pair in ((hard, other), (other, hard))]
+        atoms = np.array([d.atoms for d in dists])
+        e1, e2 = np.array(pairs).T
+        post, failed = _posteriors(atoms, e1, e2)
+        answered = 0
+        for i, d in enumerate(dists):
+            for j, pair in enumerate(pairs):
+                want = _conditioned(d.atoms.tolist(), *pair)
+                if want is None:
+                    assert failed[i, j], (i, pair)
+                else:
+                    assert not failed[i, j] and post[i, j].tobytes() == np.array(want).tobytes(), (i, pair)
+                    answered += 1
+        assert answered > len(dists) * len(pairs) // 2
+        for d, pair, emptied in ((empty_10, (5e-324, 0.0), (1, 1)), (empty_10, (1e-300, 0.0), (1, 1)),
+                                 (dists[40], (0.0, 1e-300), (1, 1))):
+            got = _posteriors(d.atoms[None], [pair[0]], [pair[1]])[0][0, 0]
+            assert got[atom_index(*emptied, 0)] == got[atom_index(*emptied, 1)] == 0.0, pair
 
     @pytest.mark.parametrize("n, k", [(0, 0), (0, 3), (3, 0)], ids=["0x0", "0xk", "nx0"])
     def test_empty_shapes(self, n, k):

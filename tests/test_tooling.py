@@ -64,3 +64,21 @@ def test_import_loads_no_multiprocessing():
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_ratchet_check_counts_prsp_row_steps():
+    # tests/prsp_ratchet.py --check reports PRSP's work through this wrapper of optim._lm
+    import uisbench.optim as optim
+    from prsp_ratchet import counted_lm
+    from uisbench.dist import sample_uniform
+    from uisbench.models import ModelKind
+    from uisbench.oracle import DEFAULT_GRID, _batch_answers
+
+    lm = optim._lm
+    targets = _batch_answers([d.atoms for d in sample_uniform(5, 2)], DEFAULT_GRID.e1, DEFAULT_GRID.e2)[0]
+    settings = optim.OptimSettings(n_starts=2, max_iters=1)
+    with counted_lm() as counts:
+        optim.fit_batch(ModelKind.PRSP, DEFAULT_GRID.e1, DEFAULT_GRID.e2, targets, settings, [1, 2], [None, None])
+    assert optim._lm is lm
+    starts = 2 * (1 + 2 + 16)  # per distribution the constant, seeded and kink starts, each stepping once
+    assert counts == {"row_steps": starts, "at_max_iters": starts}
