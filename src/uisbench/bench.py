@@ -102,7 +102,8 @@ class DistReport:
     Only the oracle fails a distribution, with its error on the first cell it cannot answer;
     ``optim.fit_batch`` fits every row or raises for the whole run. ``etas``
     holds :func:`eta` of each fit, computed once from the report's own LINR
-    and WRST fits, which a report that did not fail must hold.
+    and WRST fits. A report that did not fail must hold both and no model
+    twice, or it raises ``ValueError`` naming the distribution and the model.
     """
 
     dist_id: int
@@ -111,6 +112,11 @@ class DistReport:
     etas: tuple[EtaScore, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.error is None:
+            try:
+                _check_models(tuple(s.kind for s in self.scores))
+            except ValueError as exc:
+                raise ValueError(f"dist {self.dist_id}: {exc}") from None
         eps = {s.kind: s.epsilon for s in self.scores}
         etas = tuple([eta(s.epsilon, eps[ModelKind.LINR], eps[ModelKind.WRST]) for s in self.scores])
         object.__setattr__(self, "etas", etas)
@@ -186,39 +192,45 @@ def _bench_chunk(
     One ``_batch_answers`` call over the distributions and the grid's pairs
     gives the (n, L²) answer matrix; a distribution with an error in any cell
     fails with its first failing cell's error, as ``standard_vector`` would
-    raise. Each model is then one ``fit_batch`` over the other distributions,
-    which fits each or raises.
+    raise. Each listed model, BST included, is then one ``fit_batch`` over the
+    others, which fits each or raises; PRSP's rows start warm from their joints.
     """
-    n = len(dists)
     targets, first_errors = _batch_answers([d.atoms for d in dists], grid.e1, grid.e2)
     # recorded, not fatal to the run
     errors = {i: f"{type(exc).__name__}: {exc}" for i, exc in enumerate(first_errors) if exc is not None}
 
-    ok = [i for i in range(n) if i not in errors]
+    ok = [i for i in range(len(dists)) if i not in errors]
     seeds = [_derived_seed(seed, first_id + i) for i in ok]
-    fits: dict[ModelKind, dict[int, FitResult]] = {}
-    for kind in kinds:
-        if kind is ModelKind.BST:
-            continue
-        warm = [_prsp_warm_start(dists[i]) if kind is ModelKind.PRSP else None for i in ok]
-        fits[kind] = dict(zip(ok, fit_batch(kind, grid.e1, grid.e2, targets[ok], settings, seeds, warm)))
-
-    bst = FitResult(ModelParams(ModelKind.BST, ()), 0.0, 0, True, 0)
-    return [DistReport(first_id + i, (), errors[i]) if i in errors else
-            DistReport(first_id + i, tuple(bst if kind is ModelKind.BST else fits[kind][i] for kind in kinds))
-            for i in range(n)]
+    fits = [fit_batch(kind, grid.e1, grid.e2, targets[ok], settings, seeds,
+                      [_prsp_warm_start(dists[i]) if kind is ModelKind.PRSP else None for i in ok])
+            for kind in kinds]
+    scores = dict(zip(ok, zip(*fits)))  # each distribution's fits, in the order of ``kinds``
+    return [DistReport(first_id + i, scores.get(i, ()), errors.get(i)) for i in range(len(dists))]
 
 
-def check_bench_args(dists: list[JointDist], kinds, grid: EvidenceGrid) -> None:
-    """Raise ``ValueError`` naming what ``run_bench`` cannot run on; see there."""
-    if not dists:
-        raise ValueError("dists must be non-empty")
+def _check_models(kinds: tuple[ModelKind, ...]) -> None:
+    """Raise ``ValueError`` naming a model listed twice, or LINR or WRST missing: eta is defined relative to them."""
     for i, kind in enumerate(kinds):
         if kind in kinds[:i]:
             raise ValueError(f"model {kind.value} is listed more than once")
     for required in (ModelKind.LINR, ModelKind.WRST):
         if required not in kinds:
             raise ValueError(f"kinds must include {required.value}; eta is defined relative to it")
+
+
+def _check_same_models(first: tuple[int, tuple[ModelKind, ...]], dist_id: int, kinds: tuple[ModelKind, ...]) -> None:
+    """Raise ``ValueError`` naming both distributions unless ``kinds`` lists the models of ``first``
+    (a distribution and its models) in the same order: ``summarize`` pairs fits by position."""
+    if kinds != first[1]:
+        raise ValueError(f"dist {dist_id} lists models {','.join(k.value for k in kinds)}, "
+                         f"but dist {first[0]} lists {','.join(k.value for k in first[1])}")
+
+
+def check_bench_args(dists: list[JointDist], kinds, grid: EvidenceGrid) -> None:
+    """Raise ``ValueError`` naming what ``run_bench`` cannot run on; see there."""
+    if not dists:
+        raise ValueError("dists must be non-empty")
+    _check_models(kinds)
     if len(grid.levels) < 2:
         raise ValueError(f"grid needs at least 2 levels, got {grid.levels}; a one-level grid makes the fits singular")
     if ModelKind.PWR in kinds:
@@ -268,8 +280,10 @@ def summarize(reports: list[DistReport]) -> SummaryTable:
 
     Also counts, per model, the included distributions whose fit converged.
     Degenerate distributions never contribute; failed reports are skipped.
-    Raises ValueError unless at least two non-degenerate reports remain.
-    A zero sigma is reported as a signed-infinity ratio.
+    Raises ValueError unless at least two non-degenerate reports remain, and
+    naming both distributions where an included report's models differ from
+    the first's or are in another order. A zero sigma is reported as a
+    signed-infinity ratio.
     """
     usable = [r for r in reports if r.error is None]
     included = [r for r in usable if not r.degenerate]
@@ -278,7 +292,9 @@ def summarize(reports: list[DistReport]) -> SummaryTable:
             f"need at least 2 non-degenerate reports to aggregate, got {len(included)}"
         )
     n_degenerate = len(usable) - len(included)
-    kinds = [s.kind for s in included[0].scores]
+    kinds = tuple(s.kind for s in included[0].scores)
+    for r in included[1:]:
+        _check_same_models((included[0].dist_id, kinds), r.dist_id, tuple(s.kind for s in r.scores))
     rows = []
     for pos, kind in enumerate(kinds):
         # sorted so aggregates are exactly permutation-invariant over reports
@@ -351,8 +367,9 @@ def read_report_csv(path) -> list[DistReport]:
     ``iterations`` or ``start_index``, an empty ``paramN`` before a filled
     one, or an ``eta``, ``clamped`` or ``degenerate`` other than :func:`eta`
     gives from the distribution's ``epsilon`` values (exactly: they are written
-    at 17 digits), and naming the distribution that has no LINR or WRST row or
-    whose model list (in row order) differs from the first's.
+    at 17 digits), and naming the distribution that has no LINR or WRST row,
+    lists a model twice or whose model list (in row order) differs from the
+    first's.
     """
     by_dist: dict[int, list[tuple[int, FitResult, tuple[float, bool, bool]]]] = {}
     with open(path, newline="") as f:
@@ -383,20 +400,21 @@ def read_report_csv(path) -> list[DistReport]:
     first = None
     for dist_id in sorted(by_dist):
         rows = by_dist[dist_id]
-        # summarize pairs scores by position, so every distribution must list the same models in order
-        models = ",".join(fit.kind.value for _, fit, _ in rows)
-        first = first or (dist_id, models)
-        if models != first[1]:
-            raise ValueError(f"{path}: dist {dist_id} lists models {models}, but dist {first[0]} lists {first[1]}")
-        for required in ("LINR", "WRST"):
-            if required not in models.split(","):
-                raise ValueError(f"{path}: dist {dist_id} has no {required} row; eta is defined relative to it")
-        report = DistReport(dist_id, tuple(fit for _, fit, _ in rows))
-        for (row_no, _, read), e in zip(rows, report.etas):
-            for name, got, want in zip(("eta", "clamped", "degenerate"), read, (e.value, e.clamped, e.degenerate)):
-                if got != want:
-                    raise ValueError(f"{path}: row {row_no}: {name} is {str(got).lower()}, but the epsilons of "
-                                     f"dist {dist_id} give {str(want).lower()}")
+        kinds = tuple(fit.kind for _, fit, _ in rows)
+        first = first or (dist_id, kinds)
+        try:
+            _check_same_models(first, dist_id, kinds)
+            for required in (ModelKind.LINR, ModelKind.WRST):
+                if required not in kinds:
+                    raise ValueError(f"dist {dist_id} has no {required.value} row; eta is defined relative to it")
+            report = DistReport(dist_id, tuple(fit for _, fit, _ in rows))  # names a model listed twice
+            for (row_no, _, read), e in zip(rows, report.etas):
+                for name, got, want in zip(("eta", "clamped", "degenerate"), read, (e.value, e.clamped, e.degenerate)):
+                    if got != want:
+                        raise ValueError(f"row {row_no}: {name} is {str(got).lower()}, but the epsilons of "
+                                         f"dist {dist_id} give {str(want).lower()}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         reports.append(report)
     return reports
 

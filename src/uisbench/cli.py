@@ -136,6 +136,20 @@ def _write(write, path, data) -> bool:
     return True
 
 
+def _summary(reports, json_path) -> int:
+    """Summarize ``reports``, write ``summary.json`` to ``json_path`` unless it is ``None`` and print the
+    table; returns the exit status, 1 if the summary cannot be made or written."""
+    try:
+        table = summarize(reports)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if json_path is not None and not _write(write_summary_json, json_path, table):
+        return 1
+    print(format_summary_table(table))
+    return 0
+
+
 def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     config = _resolve_config(args, parser)
     out = Path(config.out or "dists.csv")
@@ -172,16 +186,8 @@ def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print(f"dist {r.dist_id}: {r.error}", file=sys.stderr)
     if failed:
         print(f"{len(failed)} of {len(reports)} distributions failed", file=sys.stderr)
-
-    try:
-        table = summarize(reports)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not _write(write_summary_json, out_dir / "summary.json", table):
-        return 1
-    print(format_summary_table(table))
-    return 1 if failed else 0
+    status = _summary(reports, out_dir / "summary.json")
+    return 1 if failed else status
 
 
 def cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -207,14 +213,10 @@ def cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         reports = read_report_csv(args.report)
-        table = summarize(reports)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json is not None and not _write(write_summary_json, args.json, table):
-        return 1
-    print(format_summary_table(table))
-    return 0
+    return _summary(reports, args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:

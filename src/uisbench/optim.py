@@ -3,10 +3,11 @@
 The objective is the root-mean-square error between a model's predictions and
 the oracle's standard answers over the evidence grid. Each model has one fit
 path, ``fit_batch`` over the rows of an answer matrix, and ``fit`` is its
-one-row case. WRST, LINR and INDP are solved exactly, so their fitted error is
-the model's minimum: WRST's constant is the mean of the targets, LINR is
-ordinary least squares, and INDP, whose predictions are linear in its
-parameters, is least squares on the box [0, 1] (see ``_indp_exact``).
+one-row case. BST, WRST, LINR and INDP are solved exactly, so their fitted
+error is the model's minimum: BST predicts the standard answers (error 0),
+WRST's constant is the mean of the targets, LINR is ordinary least squares,
+and INDP, whose predictions are linear in its parameters, is least squares
+on the box [0, 1] (see ``_indp_exact``).
 
 PRSP and PWR are fitted by Levenberg–Marquardt on the vector of grid
 residuals (Levenberg 1944; Marquardt 1963; Moré, "The Levenberg–Marquardt
@@ -384,14 +385,12 @@ def fit_batch(
     ``ValueError`` on non-finite targets or a warm start of another kind in
     any row, ``numpy.linalg.LinAlgError`` on evidence that makes a closed-form
     fit singular, and ``RuntimeError`` naming the kind and the first row whose
-    best error is not finite. WRST, LINR and INDP are solved for every row at
-    once by stacked per-row operations. For PRSP and PWR the starts of every
-    row run as the rows of one ``_lm`` batch. No operation mixes rows, so each
-    result is bit for bit the one ``fit`` returns.
+    best error is not finite. BST, WRST, LINR and INDP are solved for every
+    row at once by stacked per-row operations. For PRSP and PWR the starts of
+    every row run as the rows of one ``_lm`` batch. No operation mixes rows, so
+    each result is bit for bit the one ``fit`` returns.
     """
     settings = settings or OptimSettings()
-    if kind is ModelKind.BST:
-        raise ValueError("BST requires no fit; its error is zero by definition")
     e1, e2, c = (np.asarray(a, dtype=np.float64) for a in (e1, e2, targets))
     if c.ndim != 2 or not c.shape[1] == e1.size == e2.size or not len(seeds) == len(warm_starts) == len(c):
         raise ValueError(f"need targets of shape (n, {e1.size}) and one seed and one warm start per row, got "
@@ -408,9 +407,11 @@ def fit_batch(
         elif kind is ModelKind.LINR:  # one 3×3 solve per row, stacked
             design = np.column_stack([e1, e2, np.ones_like(e1)])
             values = np.linalg.solve(design.T @ design, design.T @ c[..., None])[..., 0]
-        else:
+        elif kind is ModelKind.INDP:
             values = _indp_exact(e1, e2, c)
-        sse = _sse(c - _predict_rows(kind, values, e1, e2))
+        else:  # BST predicts the standard answers themselves
+            values = np.empty((len(c), 0))
+        sse = np.zeros(len(c)) if kind is ModelKind.BST else _sse(c - _predict_rows(kind, values, e1, e2))
         iters = start = np.zeros(len(c), dtype=int)
         converged = np.ones(len(c), dtype=bool)
     else:
@@ -438,20 +439,21 @@ def fit(
 ) -> FitResult:
     """Minimise the RMS objective for ``kind`` over the given standard vector.
 
-    WRST, LINR and INDP are solved exactly: ``settings``, ``seed`` and
+    BST, WRST, LINR and INDP are solved exactly: ``settings``, ``seed`` and
     ``warm_start`` do not affect them, and the result has zero iterations and
-    ``converged=True``. PRSP and PWR run batched Levenberg–Marquardt (see
-    ``_lm``) from these starts, in this order, which ``start_index`` counts:
-    ``warm_start`` when given (callers typically pass the parameters read off
-    the underlying joint), the constant start, ``settings.n_starts`` seeded
-    random starts and, for PRSP only, one kink start per cell between
-    consecutive grid levels of e1 and e2 (16 on the default grid). Every
-    start steps until its error stops falling or reaches exactly 0, or for
-    ``max_iters`` steps (see ``_lm``). Every step evaluates the model once at
-    a start's trial point, and completes the Jacobian from that evaluation
-    only where the step is accepted. The start with the lowest error wins and reports its steps tried
-    and its convergence; when several starts reach the same minimum, which
-    one wins is decided at rounding level. Non-convergence within
+    ``converged=True`` (BST's has no parameters and error 0). PRSP and PWR run
+    batched Levenberg–Marquardt (see ``_lm``) from these starts, in this
+    order, which ``start_index`` counts: ``warm_start`` when given (callers
+    typically pass the parameters read off the underlying joint), the
+    constant start, ``settings.n_starts`` seeded random starts and, for PRSP
+    only, one kink start per cell between consecutive grid levels of e1 and
+    e2 (16 on the default grid). Every start steps until its error stops
+    falling or reaches exactly 0, or for ``max_iters`` steps (see ``_lm``).
+    Every step evaluates the model once at a start's trial point, and
+    completes the Jacobian from that evaluation only where the step is
+    accepted. The start with the lowest error wins and reports its steps
+    tried and its convergence; when several starts reach the same minimum,
+    which one wins is decided at rounding level. Non-convergence within
     ``max_iters`` is not an error; the best point found is returned with
     ``converged=False``. This is ``fit_batch`` on one row and raises its
     errors; an empty vector raises ``ValueError`` too.

@@ -247,8 +247,26 @@ class TestRunBench:
         monkeypatch.setattr(bench, "_BATCH_DISTS", 4)
         infeasible = new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # fails in its chunk's batch, and is not redone
         run_bench(sample_uniform(76, 5) + [infeasible], kinds=ALL_KINDS, settings=FAST, seed=1)
-        fitted = [k for k in ALL_KINDS if k is not ModelKind.BST]
-        assert calls == ["_batch_answers"] + fitted + ["_batch_answers"] + fitted
+        assert calls == ["_batch_answers", *ALL_KINDS, "_batch_answers", *ALL_KINDS]
+
+    def test_bst_rows_do_not_depend_on_where_bst_is_listed(self, tmp_path):
+        # BST was skipped by the chunk's fit loop and spliced back in by hand
+        bad = new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
+        dists = sample_uniform(77, 2) + [bad] + sample_uniform(78, 1)
+        others = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PWR)
+        without = run_bench(dists, kinds=others, settings=FAST, seed=3)
+        bst = FitResult(ModelParams(ModelKind.BST, ()), 0.0, 0, True, 0)
+        for pos in (0, 2, len(others)):
+            kinds = others[:pos] + (ModelKind.BST,) + others[pos:]
+            reports = run_bench(dists, kinds=kinds, settings=FAST, seed=3)
+            assert reports[2] == without[2] and reports[2].error is not None
+            for r, w in zip(reports[:2] + reports[3:], without[:2] + without[3:]):
+                assert r.scores[pos] == bst and r.etas[pos] == EtaScore(1.0)
+                assert r.scores[:pos] + r.scores[pos + 1 :] == w.scores
+            path = tmp_path / f"report{pos}.csv"
+            write_report_csv(path, reports)
+            bst_rows = [line for line in path.read_text().splitlines() if ",BST," in line]
+            assert bst_rows == [f"{i},BST,0,1,false,false,true,0,0" + "," * 7 for i in (0, 1, 3)]
 
     def test_failure_mid_chunk_leaves_the_others_alone(self):
         good = sample_uniform(73, 7)
@@ -321,6 +339,21 @@ class TestSummarize:
         assert table.rows[0].n_included == 3
         assert table.rows[0].n_degenerate == 1
         assert table.rows[0].mu == summarize(good).rows[0].mu
+
+    def test_models_in_another_order_named(self):
+        # fits were paired by position: here LINR's mu read 0.167 and WRST's -0.667, not 0 and -1
+        reports = [DistReport(0, (LINR_FIT, WRST_FIT, _indp_fit(0.5))),
+                   DistReport(1, (_indp_fit(0.25), LINR_FIT, WRST_FIT)),
+                   DistReport(2, (LINR_FIT, WRST_FIT, _indp_fit(-0.5)))]
+        with pytest.raises(ValueError) as exc:
+            summarize(reports)
+        assert str(exc.value) == "dist 1 lists models INDP,LINR,WRST, but dist 0 lists LINR,WRST,INDP"
+        other = DistReport(7, (LINR_FIT, WRST_FIT))  # one model fewer
+        with pytest.raises(ValueError, match="^dist 7 lists models LINR,WRST, but dist 0 lists LINR,WRST,INDP$"):
+            summarize([reports[0], reports[2], other])
+        failed = DistReport(8, (), error="InfeasibleEvidenceError: ...")
+        degenerate = DistReport(9, (replace(LINR_FIT, epsilon=1e-14), WRST_FIT))
+        assert summarize([reports[0], reports[2], failed, degenerate]).rows[0].n_included == 2  # not included
 
     def test_converged_counted_over_included(self):
         reports = _handmade_reports([0.5, -0.5, 0.25, 0.1])
@@ -511,6 +544,40 @@ class TestArtifacts:
         assert str(exc.value) == message
         assert main(["report", "--report", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "scores, message",
+        [
+            ((WRST_FIT, _indp_fit(0.5)), "dist 3: kinds must include LINR; eta is defined relative to it"),
+            ((LINR_FIT, _indp_fit(0.5)), "dist 3: kinds must include WRST; eta is defined relative to it"),
+            ((LINR_FIT, WRST_FIT, _indp_fit(0.5), _indp_fit(0.2)), "dist 3: model INDP is listed more than once"),
+            ((LINR_FIT, WRST_FIT, LINR_FIT), "dist 3: model LINR is listed more than once"),
+        ],
+        ids=["no-linr", "no-wrst", "indp-twice", "linr-twice"],
+    )
+    def test_report_without_linr_or_wrst_or_with_a_model_twice_named(self, scores, message):
+        # a missing LINR raised a bare KeyError, and a model listed twice was accepted
+        with pytest.raises(ValueError) as exc:
+            DistReport(3, scores)
+        assert str(exc.value) == message
+        # the same rule and words as run_bench's check of its arguments
+        with pytest.raises(ValueError) as bench_exc:
+            run_bench(sample_uniform(60, 1), kinds=tuple(s.kind for s in scores))
+        assert f"dist 3: {bench_exc.value}" == message
+
+    def test_model_listed_twice_rejected_by_report_command(self, tmp_path, capsys):
+        # report exited 0, printed two INDP columns and wrote one INDP key to the JSON
+        path = _three_model_report_csv(tmp_path)
+        lines = path.read_text().splitlines()
+        lines = [row for line in lines for row in ([line, line] if ",INDP," in line else [line])]
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}: dist 0: model INDP is listed more than once"
+        with pytest.raises(ValueError) as exc:
+            read_report_csv(path)
+        assert str(exc.value) == message
+        assert main(["report", "--report", str(path), "--json", str(tmp_path / "summary.json")]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "summary.json").exists()
 
     def test_failed_report_has_no_etas(self):
         failed = DistReport(4, (), error="InfeasibleEvidenceError: ...")

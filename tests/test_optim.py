@@ -114,10 +114,24 @@ class TestOlsLinr:
             fit(ModelKind.LINR, targets)
 
 
+BST_FIT = FitResult(ModelParams(ModelKind.BST, ()), 0.0, 0, True, 0)  # what bench built by hand for BST
+
+
 class TestFit:
-    def test_bst_rejected(self):
-        with pytest.raises(ValueError, match="BST"):
-            fit(ModelKind.BST, constant_targets(0.5))
+    def test_bst_fit_is_the_perfect_reference(self):
+        # fit and fit_batch refused BST, and bench built its result by hand
+        e1, e2 = grid_arrays()
+        answers = [[v for _, v in standard_vector(d)] for d in sample_uniform(43, 3)]
+        got = [fit(ModelKind.BST, standard_vector(sample_uniform(42, 1)[0]), OptimSettings(n_starts=1), seed=3)]
+        got += fit_batch(ModelKind.BST, e1, e2, answers, None, [1, 2, 3], [None] * 3)
+        assert len(got) == 4
+        for result in got:
+            assert result.params == BST_FIT.params and result.params.values == ()
+            assert result.epsilon == 0.0 and type(result.epsilon) is float
+            assert result.iterations == 0 and type(result.iterations) is int
+            assert result.converged is True
+            assert result.start_index == 0 and type(result.start_index) is int
+            assert result == BST_FIT
 
     def test_warm_start_kind_checked(self):
         warm = ModelParams(ModelKind.INDP, (0.5, 0.5, 0.5, 0.5))
@@ -277,7 +291,8 @@ class TestFitBatch:
         wrong = ModelParams(ModelKind.INDP, (0.5, 0.5, 0.5, 0.5))
         settings = OptimSettings(max_iters=20)
         # a warm start of another kind in any row, also where the exact fits ignore it
-        for kind, warm_starts in ((ModelKind.PRSP, [warm, None, wrong]), (ModelKind.LINR, [None, wrong])):
+        for kind, warm_starts in ((ModelKind.PRSP, [warm, None, wrong]), (ModelKind.LINR, [None, wrong]),
+                                  (ModelKind.BST, [None, wrong])):
             with pytest.raises(ValueError, match=f"warm start is INDP, expected {kind.value}"):
                 fit_batch(kind, e1, e2, [c] * len(warm_starts), settings, [seed] * len(warm_starts), warm_starts)
         # finite targets whose squared residuals overflow leave no start a finite error
@@ -289,8 +304,8 @@ class TestFitBatch:
                     fit_batch(kind, e1, e2, [c, overflowing, overflowing], settings, [seed] * 3, [None] * 3)
                 with pytest.raises(RuntimeError, match=f"^{kind.value} fit failed on row 0: "):
                     fit(kind, list(zip(DEFAULT_GRID.pairs(), overflowing)), settings)
-        with pytest.raises(ValueError, match="BST"):
-            fit_batch(ModelKind.BST, e1, e2, [c], settings, [seed], [None])
+        # BST predicts the targets themselves, so it fits rows where every other model fails
+        assert fit_batch(ModelKind.BST, e1, e2, [c, overflowing], settings, [seed] * 2, [None] * 2) == [BST_FIT] * 2
         with pytest.raises(ValueError, match=r"need targets of shape \(n, 25\)"):
             fit_batch(ModelKind.PWR, e1, e2, [c[:-1]], settings, [seed], [None])
 
