@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -128,6 +128,8 @@ class DistReport:
 
 @dataclass(frozen=True)
 class SummaryRow:
+    """One model's summary; its fields after ``kind`` are that model's keys in ``summary.json``, in order."""
+
     kind: ModelKind
     mu: float
     sigma: float
@@ -208,11 +210,16 @@ def _bench_chunk(
     return [DistReport(first_id + i, scores.get(i, ()), errors.get(i)) for i in range(len(dists))]
 
 
-def _check_models(kinds: tuple[ModelKind, ...]) -> None:
-    """Raise ``ValueError`` naming a model listed twice, or LINR or WRST missing: eta is defined relative to them."""
+def _check_unique(kinds: tuple[ModelKind, ...]) -> None:
+    """Raise ``ValueError`` naming the first model listed again."""
     for i, kind in enumerate(kinds):
         if kind in kinds[:i]:
             raise ValueError(f"model {kind.value} is listed more than once")
+
+
+def _check_models(kinds: tuple[ModelKind, ...]) -> None:
+    """Raise ``ValueError`` naming a model listed twice, or LINR or WRST missing: eta is defined relative to them."""
+    _check_unique(kinds)
     for required in (ModelKind.LINR, ModelKind.WRST):
         if required not in kinds:
             raise ValueError(f"kinds must include {required.value}; eta is defined relative to it")
@@ -419,24 +426,15 @@ def read_report_csv(path) -> list[DistReport]:
     return reports
 
 
-def _ratio_json(ratio: float):
-    if math.isinf(ratio):
-        return "+inf" if ratio > 0 else "-inf"
-    return ratio
+def _spelled(x, fmt=lambda x: x):
+    """``+inf`` or ``-inf`` where ``x`` is infinite, else ``fmt(x)``: how a ratio is written."""
+    return ("+inf" if x > 0 else "-inf") if math.isinf(x) else fmt(x)
 
 
 def write_summary_json(path, table: SummaryTable) -> None:
-    payload = {
-        row.kind.value: {
-            "mu": row.mu,
-            "sigma": row.sigma,
-            "mu_over_sigma": _ratio_json(row.mu_over_sigma),
-            "n_included": row.n_included,
-            "n_degenerate": row.n_degenerate,
-            "n_converged": row.n_converged,
-        }
-        for row in table.rows
-    }
+    """Per model, under its name, the fields of its ``SummaryRow`` after ``kind``, in declaration order."""
+    names = [f.name for f in fields(SummaryRow)[1:]]
+    payload = {row.kind.value: {name: _spelled(getattr(row, name)) for name in names} for row in table.rows}
     with open(path, "w", newline="") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
@@ -451,14 +449,11 @@ def format_summary_table(table: SummaryTable) -> str:
         # a value wider than its column still keeps one space from its neighbour
         return label.ljust(10) + "".join(" " + v.rjust(width - 1) for v in values)
 
-    def ratio_str(r: float) -> str:
-        return ("+inf" if r > 0 else "-inf") if math.isinf(r) else f"{r:.2f}"
-
     out = [
         line("", names),
         line("mu", [f"{row.mu:.4f}" for row in table.rows]),
         line("sigma", [f"{row.sigma:.4f}" for row in table.rows]),
-        line("mu/sigma", [ratio_str(row.mu_over_sigma) for row in table.rows]),
+        line("mu/sigma", [_spelled(row.mu_over_sigma, "{:.2f}".format) for row in table.rows]),
     ]
     n_inc = table.rows[0].n_included
     n_deg = table.rows[0].n_degenerate

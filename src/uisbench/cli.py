@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .bench import (
     DEFAULT_MODELS,
+    _check_unique,
     _model_kind,
     check_bench_args,
     format_summary_table,
@@ -61,14 +62,11 @@ class RunConfig:
 
 
 def _parse_models(names: list[str]) -> tuple[ModelKind, ...]:
-    kinds = []
+    kinds: tuple[ModelKind, ...] = ()
     for token in names:
-        token = token.strip().upper()
-        kind = _model_kind(token)
-        if kind in kinds:
-            raise ValueError(f"model {token} is listed more than once")
-        kinds.append(kind)
-    return tuple(kinds)
+        kinds += (_model_kind(token.strip().upper()),)
+        _check_unique(kinds)  # before the next name is read, so the first fault in list order is named
+    return kinds
 
 
 def _parse_grid(text: str) -> EvidenceGrid:

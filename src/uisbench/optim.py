@@ -195,14 +195,16 @@ def _to_search_coords(kind: ModelKind, values) -> np.ndarray:
     return x.copy()
 
 
-def _search_model(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, levels=None):
+def _search_model(kind: ModelKind, e1: np.ndarray, e2: np.ndarray):
     """The model as ``_lm`` steps on it: search points ``x`` (m, n) map to ``(pred, jac)``.
 
     ``pred`` (m, k) is the model's prediction at ``_to_model_values(kind, x)``, from one ``_predict_rows``
     call. ``jac(rows)`` completes, from that call's forward pass, the Jacobian in ``x`` of the given rows,
-    (len(rows), k, n), a new array. ``levels`` is ``models._evidence_levels(e1, e2)``, which the caller may
-    compute once for many calls.
+    (len(rows), k, n), a new array. PRSP's ``models._evidence_levels(e1, e2)`` is computed here, once for
+    every call of the map.
     """
+    levels = _evidence_levels(e1, e2) if kind is ModelKind.PRSP else None
+
     def model(x: np.ndarray):
         values = _to_model_values(kind, x)
         pred, jac = _predict_rows(kind, values, e1, e2, jacobian=True, levels=levels)
@@ -227,13 +229,9 @@ def _sse(r: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(sse), sse, np.inf)
 
 
-def _normal_equations(dpred: np.ndarray, r: np.ndarray):
-    """Per row: whether the derivatives are finite, and the normal equations JᵀJ and Jᵀr.
-
-    ``dpred`` is the derivative of the predictions, so J, that of the residuals ``r``, is its negative;
-    it is negated in place, as the batch's largest array is not copied.
-    """
-    jac = np.negative(dpred, out=dpred)
+def _normal_equations(jac: np.ndarray, r: np.ndarray):
+    """Per row: whether the Jacobian J of the residuals ``r = pred - c`` is finite, and the normal equations JᵀJ
+    and Jᵀr. J is the derivative of the predictions."""
     jt = jac.transpose(0, 2, 1)
     return np.all(np.isfinite(jac), axis=(1, 2)), jt @ jac, (jt @ r[..., None])[..., 0]
 
@@ -245,10 +243,11 @@ def _lm(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings):
     to the predictions (m, k) and a function completing the Jacobian of any of
     their rows. ``c`` holds each start's targets, one row per row of ``x0``,
     so the starts of several fits can share a batch (see ``fit_batch``); the
-    residuals are ``c - pred``. Every row keeps its own damping, scaled by the
-    diagonal of JᵀJ. A step is capped at ``_MAX_STEP`` in max-norm and
-    accepted only if it lowers the row's sum of squared residuals (SSE) and
-    the derivatives at the new point are finite. A row stops, and leaves
+    residuals are ``pred - c``, so their Jacobian J is the model's. The step
+    is -(JᵀJ + λD)⁻¹Jᵀr, where every row keeps its own damping λ and D is the
+    diagonal of JᵀJ with 1 where it is 0. A step is capped at ``_MAX_STEP``
+    in max-norm and accepted only if it lowers the row's sum of squared
+    residuals (SSE) and the derivatives at the new point are finite. A row stops, and leaves
     the batch, when an accepted step lowers its SSE by a relative amount under
     ``_OBJ_REL_TOL`` or its SSE reaches exactly 0 (a start at 0 takes no
     step), when its damping passes ``_LAMBDA_MAX`` (no step lowers the SSE) or
@@ -275,7 +274,7 @@ def _lm(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings):
     """
     x_end = np.array(x0, dtype=np.float64)
     pred, jac = model(x_end)
-    r = c - pred
+    r = pred - c
     finite, jtj, jtr = _normal_equations(jac(), r)
     sse_end = np.where(finite, _sse(r), np.inf)
     del pred, jac, r
@@ -297,7 +296,7 @@ def _lm(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings):
         step *= (_MAX_STEP / np.maximum(np.max(np.abs(step), axis=-1), _MAX_STEP))[:, None]
         x_try = x + step
         pred, jac = model(x_try)
-        r = c - pred
+        r = pred - c
         sse_try = _sse(r)
 
         # only a point whose SSE fell can be accepted, so only there are derivatives needed; one
@@ -416,8 +415,7 @@ def fit_batch(
         converged = np.ones(len(c), dtype=bool)
     else:
         x0, counts = _starts(kind, e1, e2, c, settings, seeds, warm_starts)
-        model = _search_model(kind, e1, e2, _evidence_levels(e1, e2))
-        x, sse, iters, converged = _lm(model, x0, np.repeat(c, counts, axis=0), settings)
+        x, sse, iters, converged = _lm(_search_model(kind, e1, e2), x0, np.repeat(c, counts, axis=0), settings)
         first = np.cumsum(counts) - counts
         start = np.array([np.argmin(sse[lo : lo + n]) for lo, n in zip(first, counts)], dtype=int)  # first on a tie
         best = first + start

@@ -178,9 +178,10 @@ def _posteriors(atoms, e1, e2) -> tuple[np.ndarray, np.ndarray]:
     The terms of the prior alone (m, w, v, A and P(atom | cell)) are computed
     once per distribution, as (n, 1) columns. A selection that changes nothing
     is skipped: the empty-cell steps where no cell is empty, the hard-evidence
-    pins where no target is 0 or 1, and each form of the discriminant on the
-    distributions whose A has the other sign. Every element takes the same
-    floating-point operations in any call.
+    pins where no target is 0 or 1, and one form of the discriminant where
+    every distribution's A has the other sign; with both signs, both forms
+    are computed for all and each distribution takes its own. Every element
+    takes the same floating-point operations in any call.
     """
     p = np.asarray(atoms, dtype=np.float64).reshape(-1, 4, 2)  # (distribution, cell 2i + j, C)
     e1 = np.asarray(e1, dtype=np.float64).reshape(-1)
@@ -206,11 +207,8 @@ def _posteriors(atoms, e1, e2) -> tuple[np.ndarray, np.ndarray]:
             disc = _disc_nonneg(lin, lead, const)
         elif n_nonneg == 0:
             disc = _disc_neg(v, lead, e1, e2)
-        else:  # each form on the distributions whose A takes its sign
-            neg = ~nonneg
-            disc = np.empty((n, k))
-            disc[nonneg] = _disc_nonneg(lin[nonneg], lead[nonneg], const[nonneg])
-            disc[neg] = _disc_neg(v[neg], lead[neg], e1, e2)
+        else:  # each form where A takes its sign
+            disc = np.where(nonneg[:, None], _disc_nonneg(lin, lead, const), _disc_neg(v, lead, e1, e2))
         root = np.sqrt(disc)
         x = np.where(lin > 0.0, 2.0 * const / (lin + root), (root - lin) / (2.0 * lead))
     if some_empty:

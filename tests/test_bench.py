@@ -609,6 +609,22 @@ class TestArtifacts:
         assert data["INDP"]["mu_over_sigma"] == "+inf"
         assert set(data["INDP"]) == {"mu", "sigma", "mu_over_sigma", "n_included", "n_degenerate", "n_converged"}
 
+    def test_summary_json_bytes(self, tmp_path):
+        # keys in SummaryRow's order after kind, and an infinite ratio spelled with its sign
+        rows = (
+            SummaryRow(ModelKind.WRST, -1.0, 0.0, -math.inf, 3, 1, 2),
+            SummaryRow(ModelKind.BST, 1.0, 0.0, math.inf, 3, 1, 3),
+            SummaryRow(ModelKind.PRSP, 0.125, 0.5, 0.25, 3, 1, 0),
+        )
+        path = tmp_path / "summary.json"
+        write_summary_json(path, SummaryTable(rows))
+        body = ",\n".join(
+            f'  "{name}": {{\n    "mu": {mu},\n    "sigma": {sigma},\n    "mu_over_sigma": {ratio},\n'
+            f'    "n_included": 3,\n    "n_degenerate": 1,\n    "n_converged": {conv}\n  }}'
+            for name, mu, sigma, ratio, conv in (("WRST", "-1.0", "0.0", '"-inf"', 2), ("BST", "1.0", "0.0", '"+inf"', 3),
+                                                 ("PRSP", "0.125", "0.5", "0.25", 0)))
+        assert path.read_bytes() == ("{\n" + body + "\n}\n").encode()
+
     def test_format_summary_table(self):
         reports = run_bench(sample_uniform(69, 2), settings=FAST)
         text = format_summary_table(summarize(reports))

@@ -116,6 +116,18 @@ class TestGen:
         assert "seed must be" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
 
+    def test_config_models_checked_as_bench_checks_them(self, tmp_path, capsys):
+        # gen reads no model, but rejects a list that names one twice and takes one without LINR or WRST
+        cfg = write_cfg(tmp_path, {"models": ["LINR", "LINR"]})
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--config", cfg, "--out", str(tmp_path / "d.csv")])
+        assert exc.value.code == 2
+        assert "error: model LINR is listed more than once" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+        cfg = write_cfg(tmp_path, {"models": ["PRSP"], "n_dists": 2})
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "d.csv")]) == 0
+        assert len(read_dists_csv(tmp_path / "d.csv")) == 2
+
     def test_readme_full_config_is_every_setting(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         block = readme.split("A full config:\n\n```json\n", 1)[1].split("```", 1)[0]
@@ -186,6 +198,8 @@ class TestBench:
         "flag, value, message",
         [
             ("--models", "LINR,WRST,linr", "model LINR is listed more than once"),
+            ("--models", "LINR,LINR,NOPE", "model LINR is listed more than once"),  # the first fault in list order
+            ("--models", "NOPE,LINR,LINR", "unknown model 'NOPE'"),
             ("--grid", "0.5,0.2", "grid levels must be strictly increasing"),
         ],
     )

@@ -14,6 +14,7 @@ from uisbench.optim import (
     _KIND_INDEX,
     _indp_exact,
     _lm,
+    _normal_equations,
     _search_model,
     _starts,
     _to_model_values,
@@ -459,6 +460,17 @@ class TestSearchInternals:
             assert not np.isfinite(jac[2]).all() and not np.isfinite(pass_values[1]()[6]).all()
             if kind is ModelKind.PRSP:
                 assert not np.any(jac[1, :, 0]) and np.all(np.isfinite(jac[1]))
+
+    def test_normal_equations_leave_their_inputs_unchanged(self):
+        jac = np.random.default_rng(4).normal(size=(3, 25, 7))
+        r = np.random.default_rng(5).normal(size=(3, 25))
+        jac[1, 2, 3] = np.nan
+        given, given_r = jac.copy(), r.copy()
+        finite, jtj, jtr = _normal_equations(jac, r)
+        assert np.array_equal(jac, given, equal_nan=True) and np.array_equal(r, given_r)
+        assert finite.tolist() == [True, False, True]
+        assert np.allclose(jtj[0], given[0].T @ given[0], rtol=1e-13, atol=0)
+        assert np.allclose(jtr[2], given[2].T @ r[2], rtol=1e-13, atol=1e-13)  # J is the one given, not its negative
 
     def test_closed_form_kinds_have_no_jacobian(self):
         e1, e2 = grid_arrays()
