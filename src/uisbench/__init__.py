@@ -12,7 +12,6 @@ from .bench import (
     DistReport,
     EtaScore,
     SummaryRow,
-    SummaryTable,
     eta,
     run_bench,
     summarize,

@@ -45,7 +45,6 @@ __all__ = [
     "EtaScore",
     "DistReport",
     "SummaryRow",
-    "SummaryTable",
     "eta",
     "check_bench_args",
     "run_bench",
@@ -137,11 +136,6 @@ class SummaryRow:
     n_included: int
     n_degenerate: int
     n_converged: int
-
-
-@dataclass(frozen=True)
-class SummaryTable:
-    rows: tuple[SummaryRow, ...]
 
 
 def eta(eps_x: float, eps_linr: float, eps_wrst: float) -> EtaScore:
@@ -282,15 +276,15 @@ def run_bench(
     return [report for chunk in chunks for report in chunk]
 
 
-def summarize(reports: list[DistReport]) -> SummaryTable:
+def summarize(reports: list[DistReport]) -> tuple[SummaryRow, ...]:
     """Mean, sample standard deviation and their ratio of eta per model.
 
     Also counts, per model, the included distributions whose fit converged.
     Degenerate distributions never contribute; failed reports are skipped.
     Raises ValueError unless at least two non-degenerate reports remain, and
     naming both distributions where an included report's models differ from
-    the first's or are in another order. A zero sigma is reported as a
-    signed-infinity ratio.
+    the first's or are in another order. A zero sigma gives a signed-infinity
+    ratio, or 0 where mu is 0 too.
     """
     usable = [r for r in reports if r.error is None]
     included = [r for r in usable if not r.degenerate]
@@ -308,10 +302,10 @@ def summarize(reports: list[DistReport]) -> SummaryTable:
         values = np.sort([r.etas[pos].value for r in included])
         mu = float(np.mean(values))
         sigma = float(np.std(values, ddof=1))
-        ratio = mu / sigma if sigma > 0.0 else math.copysign(math.inf, mu)
+        ratio = mu / sigma if sigma > 0.0 else math.copysign(math.inf, mu) if mu else 0.0  # LINR's 0/0 is 0
         n_converged = sum(r.scores[pos].converged for r in included)
         rows.append(SummaryRow(kind, mu, sigma, ratio, len(included), n_degenerate, n_converged))
-    return SummaryTable(tuple(rows))
+    return tuple(rows)
 
 
 # --- artifacts ---------------------------------------------------------------
@@ -374,9 +368,8 @@ def read_report_csv(path) -> list[DistReport]:
     ``iterations`` or ``start_index``, an empty ``paramN`` before a filled
     one, or an ``eta``, ``clamped`` or ``degenerate`` other than :func:`eta`
     gives from the distribution's ``epsilon`` values (exactly: they are written
-    at 17 digits), and naming the distribution that has no LINR or WRST row,
-    lists a model twice or whose model list (in row order) differs from the
-    first's.
+    at 17 digits), and naming the distribution whose model list (in row order)
+    differs from the first's, or that :class:`DistReport` rejects.
     """
     by_dist: dict[int, list[tuple[int, FitResult, tuple[float, bool, bool]]]] = {}
     with open(path, newline="") as f:
@@ -411,10 +404,8 @@ def read_report_csv(path) -> list[DistReport]:
         first = first or (dist_id, kinds)
         try:
             _check_same_models(first, dist_id, kinds)
-            for required in (ModelKind.LINR, ModelKind.WRST):
-                if required not in kinds:
-                    raise ValueError(f"dist {dist_id} has no {required.value} row; eta is defined relative to it")
-            report = DistReport(dist_id, tuple(fit for _, fit, _ in rows))  # names a model listed twice
+            # DistReport names a model listed twice, or LINR or WRST missing
+            report = DistReport(dist_id, tuple(fit for _, fit, _ in rows))
             for (row_no, _, read), e in zip(rows, report.etas):
                 for name, got, want in zip(("eta", "clamped", "degenerate"), read, (e.value, e.clamped, e.degenerate)):
                     if got != want:
@@ -431,18 +422,18 @@ def _spelled(x, fmt=lambda x: x):
     return ("+inf" if x > 0 else "-inf") if math.isinf(x) else fmt(x)
 
 
-def write_summary_json(path, table: SummaryTable) -> None:
+def write_summary_json(path, rows: tuple[SummaryRow, ...]) -> None:
     """Per model, under its name, the fields of its ``SummaryRow`` after ``kind``, in declaration order."""
     names = [f.name for f in fields(SummaryRow)[1:]]
-    payload = {row.kind.value: {name: _spelled(getattr(row, name)) for name in names} for row in table.rows}
+    payload = {row.kind.value: {name: _spelled(getattr(row, name)) for name in names} for row in rows}
     with open(path, "w", newline="") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
 
 
-def format_summary_table(table: SummaryTable) -> str:
+def format_summary_table(rows: tuple[SummaryRow, ...]) -> str:
     """Render the summary in the two-row mu/sigma layout (plus their ratio)."""
-    names = [row.kind.value for row in table.rows]
+    names = [row.kind.value for row in rows]
     width = max(8, *(len(n) for n in names)) + 2
 
     def line(label: str, values: list[str]) -> str:
@@ -451,11 +442,11 @@ def format_summary_table(table: SummaryTable) -> str:
 
     out = [
         line("", names),
-        line("mu", [f"{row.mu:.4f}" for row in table.rows]),
-        line("sigma", [f"{row.sigma:.4f}" for row in table.rows]),
-        line("mu/sigma", [_spelled(row.mu_over_sigma, "{:.2f}".format) for row in table.rows]),
+        line("mu", [f"{row.mu:.4f}" for row in rows]),
+        line("sigma", [f"{row.sigma:.4f}" for row in rows]),
+        line("mu/sigma", [_spelled(row.mu_over_sigma, "{:.2f}".format) for row in rows]),
     ]
-    n_inc = table.rows[0].n_included
-    n_deg = table.rows[0].n_degenerate
+    n_inc = rows[0].n_included
+    n_deg = rows[0].n_degenerate
     out.append(f"n_included={n_inc} n_degenerate={n_deg}")
     return "\n".join(out)

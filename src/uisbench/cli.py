@@ -138,13 +138,13 @@ def _summary(reports, json_path) -> int:
     """Summarize ``reports``, write ``summary.json`` to ``json_path`` unless it is ``None`` and print the
     table; returns the exit status, 1 if the summary cannot be made or written."""
     try:
-        table = summarize(reports)
+        rows = summarize(reports)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if json_path is not None and not _write(write_summary_json, json_path, table):
+    if json_path is not None and not _write(write_summary_json, json_path, rows):
         return 1
-    print(format_summary_table(table))
+    print(format_summary_table(rows))
     return 0
 
 

@@ -25,7 +25,7 @@ which makes generation independent of batch size and execution order.
 from __future__ import annotations
 
 import csv
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -153,15 +153,10 @@ class CondIndepParams:
     pe2_given_not_c: float
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("pc", self.pc),
-            ("pe1_given_c", self.pe1_given_c),
-            ("pe1_given_not_c", self.pe1_given_not_c),
-            ("pe2_given_c", self.pe2_given_c),
-            ("pe2_given_not_c", self.pe2_given_not_c),
-        ):
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (0.0 < value < 1.0):
-                raise ValueError(f"{name} must lie strictly in (0, 1), got {value!r}")
+                raise ValueError(f"{f.name} must lie strictly in (0, 1), got {value!r}")
 
 
 def marginal(d: JointDist, event: str) -> float:

@@ -64,7 +64,6 @@ from .models import PARAM_DIM, ModelKind, ModelParams, _evidence_levels, _predic
 __all__ = ["OptimSettings", "FitResult", "objective", "fit", "fit_batch"]
 
 _SEARCH_CLAMP = 30.0
-_BOUNDED_KINDS = (ModelKind.PRSP,)
 _KIND_INDEX = {kind: i for i, kind in enumerate(ModelKind)}
 # Levenberg–Marquardt damping: starting value, floor (keeps the damped system
 # positive definite after a long run of accepted steps) and the overflow that
@@ -182,14 +181,14 @@ def _indp_exact(e1: np.ndarray, e2: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _to_model_values(kind: ModelKind, x: np.ndarray) -> np.ndarray:
-    if kind in _BOUNDED_KINDS:
+    if kind is ModelKind.PRSP:
         return sigmoid(np.clip(x, -_SEARCH_CLAMP, _SEARCH_CLAMP))
     return x
 
 
 def _to_search_coords(kind: ModelKind, values) -> np.ndarray:
     x = np.asarray(values, dtype=np.float64)
-    if kind in _BOUNDED_KINDS:
+    if kind is ModelKind.PRSP:
         lo, hi = float(sigmoid(-_SEARCH_CLAMP)), float(sigmoid(_SEARCH_CLAMP))
         return np.asarray(logit(np.clip(x, lo, hi)), dtype=np.float64)
     return x.copy()
@@ -208,7 +207,7 @@ def _search_model(kind: ModelKind, e1: np.ndarray, e2: np.ndarray):
     def model(x: np.ndarray):
         values = _to_model_values(kind, x)
         pred, jac = _predict_rows(kind, values, e1, e2, jacobian=True, levels=levels)
-        if kind not in _BOUNDED_KINDS:
+        if kind is not ModelKind.PRSP:
             return pred, jac
         # chain rule through the sigmoid; the clamp makes a coordinate beyond it flat
         chain = np.where(np.abs(x) < _SEARCH_CLAMP, values * (1.0 - values), 0.0)
@@ -352,7 +351,7 @@ def _starts(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, c: np.ndarray, sett
     base = constant.copy()
     if has_warm.any():
         base[has_warm] = [w.values for w in warm_starts if w is not None]
-    spread = 2.0 if kind in _BOUNDED_KINDS else 1.0
+    spread = 2.0 if kind is ModelKind.PRSP else 1.0
     drawn = [np.random.default_rng([int(s), _KIND_INDEX[kind]]).uniform(-spread, spread, size=(settings.n_starts, dim))
              for s in seeds]
     blocks = [_to_search_coords(kind, base)[:, None], _to_search_coords(kind, constant)[:, None],

@@ -59,8 +59,7 @@ def cond_indep_run():
 
 
 def _mean_eta(reports, kind):
-    table = summarize(reports)
-    return next(row.mu for row in table.rows if row.kind is kind)
+    return next(row.mu for row in summarize(reports) if row.kind is kind)
 
 
 def test_criterion_1_oracle_equals_conditioning_at_corners():
@@ -254,11 +253,11 @@ def test_criterion_9_cli_determinism(tmp_path):
 ARTIFACT_SHA256 = {
     "uniform": {
         "report.csv": "a8279de4055fb6ecb445e85907e8281c528a22282bd9e2a510c13109a2be2798",
-        "summary.json": "0c71e172a6f3f209035c560546f241789bd1068c613359664cd0b30339a1979c",
+        "summary.json": "dd2ce5a88236200daae37e44afd47e54136fb17cd54823c6ea15d54703164eba",
     },
     "cond_indep": {
         "report.csv": "215966f82fb29bdac6babbacb451352aad2aadf268868dcdfac30917fbc3d547",
-        "summary.json": "15a76e92a5699c111e4e9961f390e2ab63d5d37714fddbae51f9c31e1fbc625c",
+        "summary.json": "87cb26c19308cb5d17e230e3269677b8f7a96e1cb14875366b8fe8265d2eacba",
     },
 }
 

@@ -11,7 +11,6 @@ from uisbench.bench import (
     DistReport,
     EtaScore,
     SummaryRow,
-    SummaryTable,
     eta,
     format_summary_table,
     read_report_csv,
@@ -137,8 +136,8 @@ class TestRunBench:
         assert reports[0].error is not None
         assert "E1" in reports[0].error
         assert reports[1].error is None and reports[2].error is None
-        table = summarize(reports)
-        assert table.rows[0].n_included == 2
+        rows = summarize(reports)
+        assert rows[0].n_included == 2
 
     def test_reports_ordered_by_dist_id(self):
         reports = run_bench(sample_uniform(64, 4), settings=FAST, jobs=2)
@@ -304,15 +303,25 @@ def _three_model_report_csv(tmp_path):
 
 class TestSummarize:
     def test_constant_etas_give_inf_ratio(self):
-        table = summarize(_handmade_reports([1.0, 1.0, 1.0]))
-        row = table.rows[0]
+        row = summarize(_handmade_reports([1.0, 1.0, 1.0]))[0]
         assert row.mu == 1.0
         assert row.sigma == 0.0
         assert math.isinf(row.mu_over_sigma) and row.mu_over_sigma > 0
 
+    def test_linr_ratio_is_zero_and_the_other_anchors_keep_their_sign(self):
+        # LINR's eta is 0 on every distribution, and its 0/0 read +inf
+        bst = FitResult(ModelParams(ModelKind.BST, ()), 0.0, 0, True, 0)
+        reports = [DistReport(i, (LINR_FIT, WRST_FIT, bst, _indp_fit(v))) for i, v in enumerate((0.5, -0.5))]
+        rows = summarize(reports)
+        assert [(r.kind, r.mu, r.sigma, r.mu_over_sigma) for r in rows[:3]] == [
+            (ModelKind.LINR, 0.0, 0.0, 0.0),
+            (ModelKind.WRST, -1.0, 0.0, -math.inf),
+            (ModelKind.BST, 1.0, 0.0, math.inf),
+        ]
+        assert math.copysign(1.0, rows[0].mu_over_sigma) == 1.0
+
     def test_hand_arithmetic(self):
-        table = summarize(_handmade_reports([0.5, -0.5]))
-        row = table.rows[0]
+        row = summarize(_handmade_reports([0.5, -0.5]))[0]
         assert row.mu == pytest.approx(0.0, abs=1e-15)
         assert row.sigma == pytest.approx(math.sqrt(0.5), abs=1e-12)
         assert row.mu_over_sigma == pytest.approx(0.0, abs=1e-15)
@@ -323,7 +332,7 @@ class TestSummarize:
 
     def test_column_count_matches_models(self):
         reports = run_bench(sample_uniform(65, 2), kinds=ALL_KINDS, settings=FAST)
-        assert len(summarize(reports).rows) == len(ALL_KINDS)
+        assert len(summarize(reports)) == len(ALL_KINDS)
 
     def test_permutation_invariant(self):
         reports = _handmade_reports([0.9, -0.3, 0.2, 0.7, -0.8, 0.1])
@@ -335,10 +344,10 @@ class TestSummarize:
         good = _handmade_reports([0.5, -0.5, 0.25])
         degenerate = DistReport(99, (_indp_fit(1.0), replace(LINR_FIT, epsilon=1e-14), WRST_FIT))
         assert degenerate.degenerate and degenerate.etas[0] == EtaScore(0.0, degenerate=True)
-        table = summarize(good + [degenerate])
-        assert table.rows[0].n_included == 3
-        assert table.rows[0].n_degenerate == 1
-        assert table.rows[0].mu == summarize(good).rows[0].mu
+        rows = summarize(good + [degenerate])
+        assert rows[0].n_included == 3
+        assert rows[0].n_degenerate == 1
+        assert rows[0].mu == summarize(good)[0].mu
 
     def test_models_in_another_order_named(self):
         # fits were paired by position: here LINR's mu read 0.167 and WRST's -0.667, not 0 and -1
@@ -353,14 +362,14 @@ class TestSummarize:
             summarize([reports[0], reports[2], other])
         failed = DistReport(8, (), error="InfeasibleEvidenceError: ...")
         degenerate = DistReport(9, (replace(LINR_FIT, epsilon=1e-14), WRST_FIT))
-        assert summarize([reports[0], reports[2], failed, degenerate]).rows[0].n_included == 2  # not included
+        assert summarize([reports[0], reports[2], failed, degenerate])[0].n_included == 2  # not included
 
     def test_converged_counted_over_included(self):
         reports = _handmade_reports([0.5, -0.5, 0.25, 0.1])
         reports[1] = DistReport(1, (_indp_fit(-0.5, converged=False), LINR_FIT, WRST_FIT))
         degenerate = DistReport(9, (_indp_fit(1.0), replace(LINR_FIT, epsilon=1e-14), WRST_FIT))
         failed = DistReport(10, (), error="RuntimeError: no finite start")
-        assert summarize(reports + [degenerate, failed]).rows[0].n_converged == 3
+        assert summarize(reports + [degenerate, failed])[0].n_converged == 3
 
 
 class TestArtifacts:
@@ -538,7 +547,7 @@ class TestArtifacts:
         path = _three_model_report_csv(tmp_path)
         lines = [line for i, line in enumerate(path.read_text().splitlines()) if i not in line_nos]
         path.write_text("\n".join(lines) + "\n")
-        message = f"{path}: dist 0 has no {kind.value} row; eta is defined relative to it"
+        message = f"{path}: dist 0: kinds must include {kind.value}; eta is defined relative to it"
         with pytest.raises(ValueError) as exc:
             read_report_csv(path)
         assert str(exc.value) == message
@@ -602,9 +611,9 @@ class TestArtifacts:
         assert len(calls) == 18
 
     def test_summary_json_schema_and_sentinel(self, tmp_path):
-        table = summarize(_handmade_reports([1.0, 1.0]))
+        rows = summarize(_handmade_reports([1.0, 1.0]))
         path = tmp_path / "summary.json"
-        write_summary_json(path, table)
+        write_summary_json(path, rows)
         data = json.loads(path.read_text())
         assert data["INDP"]["mu_over_sigma"] == "+inf"
         assert set(data["INDP"]) == {"mu", "sigma", "mu_over_sigma", "n_included", "n_degenerate", "n_converged"}
@@ -617,7 +626,7 @@ class TestArtifacts:
             SummaryRow(ModelKind.PRSP, 0.125, 0.5, 0.25, 3, 1, 0),
         )
         path = tmp_path / "summary.json"
-        write_summary_json(path, SummaryTable(rows))
+        write_summary_json(path, rows)
         body = ",\n".join(
             f'  "{name}": {{\n    "mu": {mu},\n    "sigma": {sigma},\n    "mu_over_sigma": {ratio},\n'
             f'    "n_included": 3,\n    "n_degenerate": 1,\n    "n_converged": {conv}\n  }}'
@@ -637,6 +646,6 @@ class TestArtifacts:
             SummaryRow(ModelKind.WRST, -1.0, 0.0, -math.inf, 3, 0, 3),
             SummaryRow(ModelKind.PRSP, 0.37, 1e-15, 370037376181768.12, 3, 0, 3),
         )
-        lines = format_summary_table(SummaryTable(rows)).splitlines()
+        lines = format_summary_table(rows).splitlines()
         assert lines[3].split() == ["mu/sigma", "-inf", "370037376181768.12"]
         assert lines[0].split() == ["WRST", "PRSP"]

@@ -1,4 +1,6 @@
 import itertools
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -153,6 +155,13 @@ class TestExpand:
             CondIndepParams(0.5, 1.0, 0.2, 0.8, 0.2)
         with pytest.raises(ValueError, match="pc"):
             CondIndepParams(0.0, 0.8, 0.2, 0.8, 0.2)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(CondIndepParams)])
+    def test_each_field_out_of_range_named(self, name):
+        for bad in (0.0, 1.0, -0.25, 1.5, math.nan):
+            with pytest.raises(ValueError) as exc:
+                replace(CI_EXAMPLE, **{name: bad})
+            assert str(exc.value) == f"{name} must lie strictly in (0, 1), got {bad!r}"
 
     def test_conditional_independence_exact(self):
         for d in sample_cond_indep(3, 50):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 RUN_PY = PERFBENCH / "run.py"
 
@@ -82,3 +84,15 @@ def test_ratchet_check_counts_prsp_row_steps():
     assert optim._lm is lm
     starts = 2 * (1 + 2 + 16)  # per distribution the constant, seeded and kink starts, each stepping once
     assert counts == {"row_steps": starts, "at_max_iters": starts}
+
+
+def test_timing_rejects_a_repeat_below_one(monkeypatch, capsys):
+    # --repeat 0 built both acceptance runs, then died in best_ms on min() of no rounds
+    import timing
+
+    for value in ("0", "-1"):
+        monkeypatch.setattr(sys, "argv", ["timing.py", "--repeat", value])
+        with pytest.raises(SystemExit) as exc:
+            timing.main()
+        assert exc.value.code == 2
+        assert f"argument --repeat: must be at least 1, got {value}" in capsys.readouterr().err

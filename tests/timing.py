@@ -51,6 +51,14 @@ def best_ms(fn, repeat: int) -> float:
     return min(timer.repeat(repeat=repeat, number=max(1, number))) / max(1, number) * 1e3
 
 
+def positive_int(text: str) -> int:
+    """``--repeat``'s type: an integer of at least 1, since ``best_ms`` takes the best of that many rounds."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def acceptance_rows(family: str, gen_seed: int, bench_seed: int) -> tuple[list, str]:
     """The timed calls of one acceptance run, and a line with PRSP's LM work."""
     dists = cli.SAMPLERS[family](gen_seed, N_DISTS)
@@ -76,7 +84,7 @@ def acceptance_rows(family: str, gen_seed: int, bench_seed: int) -> tuple[list, 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=7, help="rounds per figure; the best is printed")
+    parser.add_argument("--repeat", type=positive_int, default=7, help="rounds per figure; the best is printed")
     args = parser.parse_args()
 
     d = sample_uniform(1987, 1)[0]
