@@ -22,7 +22,6 @@ from .dist import (
     condition_c,
     expand,
     marginal,
-    new_joint,
     sample_cond_indep,
     sample_uniform,
 )

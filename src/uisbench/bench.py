@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dist import JointDist
-from .models import PARAM_DIM, _PWR_EVIDENCE_ERROR, ModelKind, ModelParams, true_params_prsp
+from .models import PARAM_DIM, _PWR_EVIDENCE_ERROR, ModelKind, ModelParams, _check_kind, true_params_prsp
 # fit and standard_vector are not called here, but perfbench's tracer wraps them
 # (test_every_traced_attribute_exists; ROADMAP item 1)
 from .optim import FitResult, OptimSettings, fit, fit_batch  # noqa: F401
@@ -59,12 +59,10 @@ DEGENERATE_EPS = 1e-12
 DEFAULT_MODELS = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP, ModelKind.PWR)
 # distributions whose PRSP and PWR fits share one Levenberg–Marquardt batch, so
 # that a run of up to 128 (both acceptance runs have 109) pays numpy's per-step
-# overhead once. Stopped starts leave the batch, so its later steps cost little:
-# on a 2-vCPU VM 128 uniform distributions (gen seed 1987, bench seed 11) took
-# 0.7–0.9 s in one chunk and 2.6–3.2 s in chunks of 8. Memory grows with the
-# chunk: that run peaked at 57 MB resident (42 MB in chunks of 8, 37 MB before
-# the run), mostly the first Jacobian of its 2,944 PRSP starts with its
-# temporaries
+# overhead once. Stopped starts leave the batch, so its later steps cost little.
+# Memory grows with the chunk, mostly the first Jacobian of its PRSP starts with
+# its temporaries. README's Library section gives the measured time and memory
+# against smaller chunks
 _BATCH_DISTS = 128
 _MAX_PARAMS = max(PARAM_DIM.values())
 
@@ -102,7 +100,8 @@ class DistReport:
     ``optim.fit_batch`` fits every row or raises for the whole run. ``etas``
     holds :func:`eta` of each fit, computed once from the report's own LINR
     and WRST fits. A report that did not fail must hold both and no model
-    twice, or it raises ``ValueError`` naming the distribution and the model.
+    twice, and one that failed holds no fits, or it raises ``ValueError``
+    naming the distribution (and the model).
     """
 
     dist_id: int
@@ -111,11 +110,13 @@ class DistReport:
     etas: tuple[EtaScore, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.error is None:
-            try:
+        try:
+            if self.error is None:
                 _check_models(tuple(s.kind for s in self.scores))
-            except ValueError as exc:
-                raise ValueError(f"dist {self.dist_id}: {exc}") from None
+            elif self.scores:
+                raise ValueError(f"failed with {self.error!r}, but holds fits")
+        except ValueError as exc:
+            raise ValueError(f"dist {self.dist_id}: {exc}") from None
         eps = {s.kind: s.epsilon for s in self.scores}
         etas = tuple([eta(s.epsilon, eps[ModelKind.LINR], eps[ModelKind.WRST]) for s in self.scores])
         object.__setattr__(self, "etas", etas)
@@ -212,7 +213,10 @@ def _check_unique(kinds: tuple[ModelKind, ...]) -> None:
 
 
 def _check_models(kinds: tuple[ModelKind, ...]) -> None:
-    """Raise ``ValueError`` naming a model listed twice, or LINR or WRST missing: eta is defined relative to them."""
+    """Raise ``ValueError`` naming a model that is not a ``ModelKind`` or is listed twice, or LINR or WRST missing:
+    eta is defined relative to them."""
+    for kind in kinds:
+        _check_kind(kind)
     _check_unique(kinds)
     for required in (ModelKind.LINR, ModelKind.WRST):
         if required not in kinds:
@@ -244,7 +248,7 @@ def run_bench(
     dists: list[JointDist],
     kinds: tuple[ModelKind, ...] = DEFAULT_MODELS,
     grid: EvidenceGrid = DEFAULT_GRID,
-    settings: OptimSettings | None = None,
+    settings: OptimSettings = OptimSettings(),
     seed: int = 0,
     jobs: int = 1,
 ) -> list[DistReport]:
@@ -262,7 +266,6 @@ def run_bench(
     """
     kinds = tuple(kinds)
     check_bench_args(dists, kinds, grid)
-    settings = settings or OptimSettings()
     size = _BATCH_DISTS if jobs <= 1 else min(_BATCH_DISTS, math.ceil(len(dists) / jobs))
     items = [(dists[lo : lo + size], lo, kinds, grid, settings, seed) for lo in range(0, len(dists), size)]
     workers = min(jobs, len(items))  # the pool starts all its workers at once, busy or not

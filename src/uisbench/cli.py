@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", default=None, help="output CSV path (default dists.csv)")
     gen.add_argument("--config", default=None, help="JSON run-config file; flags override it")
-    gen.set_defaults(func=cmd_gen)
+    gen.set_defaults(func=cmd_gen, parser=gen)
 
     bench = sub.add_parser("bench", help="fit models on a distribution file and summarize eta")
     bench.add_argument("--dists", required=True, help="distribution CSV produced by gen")
@@ -241,25 +241,25 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--jobs", type=int, default=None, help="parallel workers (output is identical)")
     bench.add_argument("--out", default=None, help="output directory (default .)")
     bench.add_argument("--config", default=None, help="JSON run-config file; flags override it")
-    bench.set_defaults(func=cmd_bench)
+    bench.set_defaults(func=cmd_bench, parser=bench)
 
     oracle = sub.add_parser("oracle", help="print the oracle posterior of C per distribution")
     oracle.add_argument("--dists", required=True)
     oracle.add_argument("--e1", type=float, required=True)
     oracle.add_argument("--e2", type=float, required=True)
-    oracle.set_defaults(func=cmd_oracle)
+    oracle.set_defaults(func=cmd_oracle, parser=oracle)
 
     report = sub.add_parser("report", help="re-summarize a report CSV")
     report.add_argument("--report", required=True, help="report CSV produced by bench")
     report.add_argument("--json", default=None, help="also write the summary JSON here")
-    report.set_defaults(func=cmd_report)
+    report.set_defaults(func=cmd_report, parser=report)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    return args.func(args, args.parser)  # the command's own parser, so a usage error found later names it
 
 
 if __name__ == "__main__":

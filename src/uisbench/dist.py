@@ -35,7 +35,6 @@ __all__ = [
     "JointDist",
     "CondIndepParams",
     "atom_index",
-    "new_joint",
     "marginal",
     "condition_c",
     "expand",
@@ -117,10 +116,6 @@ class JointDist:
             raise ValueError(f"expected 8 atoms, got shape {atoms.shape}")
         object.__setattr__(self, "atoms", _checked_rows(atoms[None])[0])
 
-    def atom(self, e1: bool, e2: bool, c: bool) -> float:
-        """Probability mass of the single outcome (E1=e1, E2=e2, C=c)."""
-        return float(self.atoms[atom_index(e1, e2, c)])
-
 
 def _wrapped(checked: np.ndarray) -> list[JointDist]:
     """One :class:`JointDist` per row of an array from :func:`_checked_rows`, without checking it again."""
@@ -130,11 +125,6 @@ def _wrapped(checked: np.ndarray) -> list[JointDist]:
         object.__setattr__(d, "atoms", row)  # a view of a read-only array, so read-only too
         out.append(d)
     return out
-
-
-def new_joint(atoms) -> JointDist:
-    """Build a validated :class:`JointDist` from eight probability masses."""
-    return JointDist(np.asarray(atoms, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -256,7 +246,7 @@ def read_atoms_csv(path) -> np.ndarray:
 
     Returns one read-only (n, 8) array whose rows are checked and renormalised
     as :class:`JointDist` does it, row ``k`` being bit for bit
-    ``new_joint(...).atoms`` of the file's row ``k``. Rows must carry
+    ``JointDist(...).atoms`` of the file's row ``k``. Rows must carry
     consecutive ids starting at 0. The first faulty row in file order is
     named, whether it fails to parse or to validate.
     """

@@ -68,21 +68,33 @@ PARAM_DIM = {
 _PWR_EVIDENCE_ERROR = "PWR needs evidence strictly inside (0, 1); logit is infinite at 0 and 1"
 
 
+def _check_kind(kind) -> None:
+    """Raise ``ValueError`` naming ``kind`` unless it is a :class:`ModelKind` member.
+
+    ``ModelKind`` is a ``str`` enum, so a plain string such as ``'LINR'`` would
+    pass ``in`` tests and dict lookups but not the ``kind is ModelKind.X`` tests
+    of the model rules; it is refused, not converted.
+    """
+    if not isinstance(kind, ModelKind):
+        raise ValueError(f"model {kind!r} is not a ModelKind; valid models: {','.join(k.value for k in ModelKind)}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """A model identifier plus its parameter vector.
 
-    Dimension is fixed by the kind. INDP parameters must lie in [0, 1] (every
-    combination then is a valid conditional table). PRSP's four conditionals
-    must lie in [0, 1] and pc, pE1 and pE2, by which the prior odds and the
-    rules' kinks divide, strictly in (0, 1). LINR and PWR coefficients are
-    unconstrained.
+    ``kind`` must be a :class:`ModelKind` member, and it fixes the dimension.
+    INDP parameters must lie in [0, 1] (every combination then is a valid
+    conditional table). PRSP's four conditionals must lie in [0, 1] and pc,
+    pE1 and pE2, by which the prior odds and the rules' kinks divide, strictly
+    in (0, 1). LINR and PWR coefficients are unconstrained.
     """
 
     kind: ModelKind
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _check_kind(self.kind)
         values = tuple(float(v) for v in self.values)
         expected = PARAM_DIM[self.kind]
         if len(values) != expected:
@@ -217,7 +229,7 @@ def _predict_rows(kind: ModelKind, values: np.ndarray, e1: np.ndarray, e2: np.nd
             return pred, pwr_jac
         if kind is ModelKind.WRST:
             return values[:, 0:1] + np.zeros_like(e1)
-    raise ValueError(f"{kind.value} has no predictor")
+    raise ValueError(f"{kind.value} has no predictor; it is scored as prediction == target")  # BST, the only kind left
 
 
 def _prsp_jacobian(lev, cells, pc, rule_values, p, pred):
@@ -265,8 +277,6 @@ def predict_grid(kind: ModelKind, values, e1, e2):
 
 def predict(params: ModelParams, ev) -> float:
     """The model's predicted posterior of C for one evidence pair."""
-    if params.kind is ModelKind.BST:
-        raise ValueError("BST has no predictor; it is scored as prediction == target")
     return float(predict_grid(params.kind, params.values, ev.e1, ev.e2))
 
 
@@ -294,16 +304,16 @@ def true_params_prsp(d: JointDist) -> ModelParams:
     warm start for fitting and in exactness checks. Requires the marginals of
     E1, E2 and C to lie strictly inside (0, 1).
     """
-    for event in ("E1", "E2", "C"):
-        m = marginal(d, event)
+    p = {event: marginal(d, event) for event in ("E1", "E2", "C")}
+    for event, m in p.items():
         if not (0.0 < m < 1.0):
             raise ValueError(f"P({event})={m!r} is on the boundary; parameters undefined")
     values = (
-        marginal(d, "C"),
-        marginal(d, "E1"),
+        p["C"],
+        p["E1"],
         _cond_given(d, "E1", True),
         _cond_given(d, "E1", False),
-        marginal(d, "E2"),
+        p["E2"],
         _cond_given(d, "E2", True),
         _cond_given(d, "E2", False),
     )

@@ -31,25 +31,18 @@ stays between two consecutive grid levels, and LM does not cross kinks well.
 
 Every start of PRSP and PWR follows one stop rule (see ``_lm``): it leaves the
 batch once its error stops falling or reaches exactly 0, or after
-``max_iters`` steps, and the batch ends with its last start. On the two
-109-distribution acceptance runs, each fitted as one batch of 2,507 PRSP
-starts, the median start stops after 13 (uniform) or 23 (cond_indep) steps,
-but 156 and 174 starts creep along a kink or a flat valley to ``max_iters``,
-so the batch takes all 500 steps; 143,971 (11%, uniform) and 224,834 (18%,
-cond_indep) of its 1,253,500 row-steps are taken. About three in five of them
-are accepted (60% and 56%). Each step makes one ``_predict_rows`` call, over
-the trial points of the rows still in the batch; its forward pass keeps what the Jacobian needs, and ``_lm`` completes
-the Jacobian and normal equations from it only for the rows whose error fell,
-the only points a next step starts from. On a 2-vCPU VM the forward pass with
-its residuals takes about 0.04 ms for one row, 0.18 ms for a 14-distribution
-run's 322 rows and 2.2 ms for an acceptance run's 2,507; completing the
-Jacobian and normal equations of as many rows takes 0.05–0.08, 1.0 and 7 ms.
-Which starts creep, and for how long, varies between distributions, so a fit's
-cost depends on its data: over perfbench seeds 0–9, ten samples of 14
-distributions, bench throughput (``dists_per_kref``) ranged 81–94 (uniform) and
-58–139 (cond_indep). PWR's starts stop within 36 steps on the acceptance runs,
-though one held-out start took 324. ``fit`` and ``fit_batch`` are pure
-functions of their arguments; independent fits may run concurrently.
+``max_iters`` steps, and the batch ends with its last start. Most starts stop
+early, but a few creep along a kink or a flat valley to ``max_iters``, so the
+batch takes all its steps while most of its row-steps are never taken. Each
+step makes one ``_predict_rows`` call, over the trial points of the rows still
+in the batch; its forward pass keeps what the Jacobian needs, and ``_lm``
+completes the Jacobian and normal equations from it only for the rows whose
+error fell, the only points a next step starts from. Which starts creep, and
+for how long, varies between distributions, so a fit's cost depends on its
+data. README's Library section gives the measured figures: steps per start,
+starts at ``max_iters``, row-steps taken and accepted, per-row costs and
+throughput. ``fit`` and ``fit_batch`` are pure functions of their arguments;
+independent fits may run concurrently.
 """
 
 from __future__ import annotations
@@ -59,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import PARAM_DIM, ModelKind, ModelParams, _evidence_levels, _predict_rows, logit, predict_grid, sigmoid
+from .models import (PARAM_DIM, ModelKind, ModelParams, _check_kind, _evidence_levels, _predict_rows, logit,
+                     predict_grid, sigmoid)
 
 __all__ = ["OptimSettings", "FitResult", "objective", "fit", "fit_batch"]
 
@@ -372,7 +366,7 @@ def fit_batch(
     e1,
     e2,
     targets,
-    settings: OptimSettings | None,
+    settings: OptimSettings,
     seeds,
     warm_starts,
 ) -> list[FitResult]:
@@ -380,15 +374,18 @@ def fit_batch(
 
     ``seeds`` and ``warm_starts`` (``None`` for none) give one entry per row.
     Returns one ``FitResult`` per row, or raises for the whole call:
-    ``ValueError`` on non-finite targets or a warm start of another kind in
-    any row, ``numpy.linalg.LinAlgError`` on evidence that makes a closed-form
-    fit singular, and ``RuntimeError`` naming the kind and the first row whose
-    best error is not finite. BST, WRST, LINR and INDP are solved for every
+    ``ValueError`` on a ``kind`` that is not a ``ModelKind``, ``settings``
+    that are not an ``OptimSettings``, non-finite targets or a warm start of
+    another kind in any row, ``numpy.linalg.LinAlgError`` on evidence that
+    makes a closed-form fit singular, and ``RuntimeError`` naming the kind and
+    the first row whose best error is not finite. BST, WRST, LINR and INDP are solved for every
     row at once by stacked per-row operations. For PRSP and PWR the starts of
     every row run as the rows of one ``_lm`` batch. No operation mixes rows, so
     each result is bit for bit the one ``fit`` returns.
     """
-    settings = settings or OptimSettings()
+    _check_kind(kind)
+    if not isinstance(settings, OptimSettings):  # the closed-form fits would ignore a None
+        raise ValueError(f"settings must be an OptimSettings, got {settings!r}")
     e1, e2, c = (np.asarray(a, dtype=np.float64) for a in (e1, e2, targets))
     if c.ndim != 2 or not c.shape[1] == e1.size == e2.size or not len(seeds) == len(warm_starts) == len(c):
         raise ValueError(f"need targets of shape (n, {e1.size}) and one seed and one warm start per row, got "
@@ -430,7 +427,7 @@ def fit_batch(
 def fit(
     kind: ModelKind,
     targets,
-    settings: OptimSettings | None = None,
+    settings: OptimSettings = OptimSettings(),
     seed: int = 0,
     warm_start: ModelParams | None = None,
 ) -> FitResult:

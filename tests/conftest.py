@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.optimize
 
-from uisbench.dist import JointDist, atom_index, new_joint
+from uisbench.dist import JointDist, atom_index
 from uisbench.optim import _LAMBDA_MAX, _LAMBDA_MIN, _LAMBDA_START, _MAX_STEP, _OBJ_REL_TOL
 
 GRID_LEVELS = (0.001, 0.25, 0.5, 0.75, 0.999)
@@ -53,7 +53,7 @@ def sample_marginal_indep(seed: int, n: int) -> list[JointDist]:
                 bij = b[2 * e1 + e2]
                 atoms[atom_index(e1, e2, 1)] = w * bij
                 atoms[atom_index(e1, e2, 0)] = w * (1.0 - bij)
-        out.append(new_joint(atoms))
+        out.append(JointDist(atoms))
     return out
 
 
@@ -84,7 +84,7 @@ def planted_zero_atoms(seed: int, n: int) -> list:
         else:
             atoms.reshape(2, 2, 2).swapaxes(0, rng.integers(2))[rng.integers(2)] = 0.0
             atoms[atom_index(*rng.permutation(_CELLS)[0], rng.integers(2))] = 0.0
-        out.append(new_joint(atoms / atoms.sum()))
+        out.append(JointDist(atoms / atoms.sum()))
     return out
 
 

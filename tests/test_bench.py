@@ -20,14 +20,14 @@ from uisbench.bench import (
     write_summary_json,
 )
 from uisbench.cli import main
-from uisbench.dist import new_joint, sample_cond_indep, sample_uniform
+from uisbench.dist import JointDist, sample_cond_indep, sample_uniform
 from uisbench.models import ModelKind, ModelParams, _predict_rows
 from uisbench.optim import FitResult, OptimSettings, _lm, fit_batch
 from uisbench.oracle import EvidenceGrid
 
 from conftest import assert_batch_calls, counting
 
-UNIFORM = new_joint([0.125] * 8)
+UNIFORM = JointDist([0.125] * 8)
 ALL_KINDS = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP, ModelKind.PWR, ModelKind.BST)
 FAST = OptimSettings(n_starts=2, max_iters=120)
 
@@ -93,6 +93,18 @@ class TestRunBench:
         with pytest.raises(ValueError, match="non-empty"):
             run_bench([])
 
+    def test_plain_string_kinds_refused_before_the_oracle_batch(self, monkeypatch):
+        # ModelKind is a str enum: the strings passed the checks and died in fit_batch with an AttributeError
+        import uisbench.bench as bench
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("the oracle batch ran")
+
+        monkeypatch.setattr(bench, "_batch_answers", no_batch)
+        for kinds, name in ((("LINR", "WRST", "PRSP"), "'LINR'"), ((ModelKind.LINR, ModelKind.WRST, "PRSP"), "'PRSP'")):
+            with pytest.raises(ValueError, match=f"^model {name} is not a ModelKind; valid models: LINR,INDP,"):
+                run_bench(sample_uniform(60, 1), kinds=kinds)
+
     def test_pwr_rejects_hard_evidence_levels(self):
         d = sample_uniform(59, 2)
         for levels, hard in (((0.0, 0.5), 0.0), ((0.5, 1.0), 1.0)):
@@ -130,7 +142,7 @@ class TestRunBench:
         assert a == b == c
 
     def test_failed_distribution_recorded_not_fatal(self):
-        bad = new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # P(E1)=0: grid evidence infeasible
+        bad = JointDist([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # P(E1)=0: grid evidence infeasible
         dists = [bad] + sample_uniform(63, 2)
         reports = run_bench(dists, settings=FAST, seed=1)
         assert reports[0].error is not None
@@ -244,13 +256,13 @@ class TestRunBench:
         for name in ("_batch_answers", "fit_batch", "fit", "standard_vector"):
             counted(name, getattr(bench, name))
         monkeypatch.setattr(bench, "_BATCH_DISTS", 4)
-        infeasible = new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # fails in its chunk's batch, and is not redone
+        infeasible = JointDist([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # fails in its chunk's batch, and is not redone
         run_bench(sample_uniform(76, 5) + [infeasible], kinds=ALL_KINDS, settings=FAST, seed=1)
         assert calls == ["_batch_answers", *ALL_KINDS, "_batch_answers", *ALL_KINDS]
 
     def test_bst_rows_do_not_depend_on_where_bst_is_listed(self, tmp_path):
         # BST was skipped by the chunk's fit loop and spliced back in by hand
-        bad = new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
+        bad = JointDist([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
         dists = sample_uniform(77, 2) + [bad] + sample_uniform(78, 1)
         others = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PWR)
         without = run_bench(dists, kinds=others, settings=FAST, seed=3)
@@ -269,7 +281,7 @@ class TestRunBench:
 
     def test_failure_mid_chunk_leaves_the_others_alone(self):
         good = sample_uniform(73, 7)
-        bad = new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # P(E1)=0: the oracle raises
+        bad = JointDist([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # P(E1)=0: the oracle raises
         with_bad = run_bench(good[:3] + [bad] + good[4:], settings=FAST, seed=8)
         without = run_bench(good, settings=FAST, seed=8)
         assert with_bad[3].error == "InfeasibleEvidenceError: target P(E1)=0.001 unreachable: P(E1) is 0 on the current support"
@@ -412,7 +424,7 @@ class TestArtifacts:
                     assert int(row[7]) > 0
 
     def test_failed_reports_carry_no_rows(self, tmp_path):
-        bad = new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
+        bad = JointDist([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
         reports = run_bench([bad] + sample_uniform(68, 2), settings=FAST)
         path = tmp_path / "report.csv"
         write_report_csv(path, reports)
@@ -591,6 +603,13 @@ class TestArtifacts:
     def test_failed_report_has_no_etas(self):
         failed = DistReport(4, (), error="InfeasibleEvidenceError: ...")
         assert failed.etas == () and not failed.degenerate
+
+    @pytest.mark.parametrize("scores", [(_indp_fit(0.5),), (LINR_FIT, WRST_FIT)], ids=["no-anchors", "anchors"])
+    def test_failed_report_with_fits_rejected(self, scores):
+        # the first raised a bare KeyError; the second was accepted, and its fits were dropped from the artifacts
+        with pytest.raises(ValueError) as exc:
+            DistReport(3, scores, error="boom")
+        assert str(exc.value) == "dist 3: failed with 'boom', but holds fits"
 
     def test_eta_computed_once_per_fit(self, tmp_path, monkeypatch):
         import uisbench.bench as bench

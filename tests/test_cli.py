@@ -9,8 +9,8 @@ import pytest
 from uisbench.cli import RunConfig, main
 from uisbench.dist import (
     CondIndepParams,
+    JointDist,
     expand,
-    new_joint,
     read_dists_csv,
     sample_cond_indep,
     sample_uniform,
@@ -169,7 +169,7 @@ class TestBench:
 
     def test_degenerate_distribution_excluded(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
-        write_dists_csv(path, [new_joint([0.125] * 8)])
+        write_dists_csv(path, [JointDist([0.125] * 8)])
         cfg = write_cfg(tmp_path)
         code = main(["bench", "--dists", str(path), "--out", str(tmp_path / "o"), "--config", cfg])
         assert code == 1
@@ -318,7 +318,7 @@ class TestBench:
 
     def test_failed_distribution_reported_inline(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
-        bad = new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
+        bad = JointDist([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
         good = read_dists_csv(self.make_dists(tmp_path, n=2, seed=8))
         write_dists_csv(path, [bad] + good)
         cfg = write_cfg(tmp_path)
@@ -346,13 +346,13 @@ class TestOracle:
 
     def test_uniform_value(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
-        write_dists_csv(path, [new_joint([0.125] * 8)])
+        write_dists_csv(path, [JointDist([0.125] * 8)])
         main(["oracle", "--dists", str(path), "--e1", "0.75", "--e2", "0.25"])
         assert capsys.readouterr().out.strip() == "0 0.5"
 
     def test_out_of_range_evidence_is_usage_error(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_dists_csv(path, [new_joint([0.125] * 8)])
+        write_dists_csv(path, [JointDist([0.125] * 8)])
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--dists", str(path), "--e1", "1.5", "--e2", "0.5"])
         assert exc.value.code == 2
@@ -367,7 +367,7 @@ class TestOracle:
 
     def test_infeasible_evidence_named(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
-        write_dists_csv(path, [new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])])
+        write_dists_csv(path, [JointDist([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])])
         assert main(["oracle", "--dists", str(path), "--e1", "0.5", "--e2", "0.5"]) == 1
         assert "E1" in capsys.readouterr().err
 
@@ -418,7 +418,7 @@ class TestBatchedOracle:
     def test_equals_a_per_distribution_loop(self, tmp_path, capsys, seed):
         uniform, cond_indep = sample_uniform(1987 + seed, 128), sample_cond_indep(1986 + seed, 128)
         dists = [d for pair in zip(uniform, cond_indep) for d in pair] + planted_zero_atoms(40 + seed, 24)
-        dists.append(new_joint(DENORMAL_ROW))
+        dists.append(JointDist(DENORMAL_ROW))
         path = tmp_path / "d.csv"
         write_dists_csv(path, dists)
         dists = read_dists_csv(path)
@@ -431,7 +431,7 @@ class TestBatchedOracle:
 
     def test_nan_posterior_named_and_later_dists_answered(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
-        write_dists_csv(path, [new_joint([0.125] * 8), new_joint(DENORMAL_ROW), new_joint([0.125] * 8)])
+        write_dists_csv(path, [JointDist([0.125] * 8), JointDist(DENORMAL_ROW), JointDist([0.125] * 8)])
         assert self._run(capsys, path, 0.0, 0.0) == ("0 0.5\n1 0.5\n2 0.5\n", "", 0)
         out, err, code = self._run(capsys, path, 0.0, 0.5)
         assert (out, err, code) == (
@@ -445,7 +445,7 @@ class TestOracleOneWrite:
     @pytest.mark.parametrize("bad", [0, 2, 4])
     def test_one_infeasible_row_and_the_others_answered_in_order(self, tmp_path, capsys, monkeypatch, bad):
         dists = sample_uniform(5, 5)
-        dists[bad] = new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # P(E1) = 0
+        dists[bad] = JointDist([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # P(E1) = 0
         path = tmp_path / "d.csv"
         write_dists_csv(path, dists)
         writes = []
@@ -487,3 +487,24 @@ class TestReport:
     def test_missing_report_is_error(self, tmp_path, capsys):
         assert main(["report", "--report", str(tmp_path / "nope.csv")]) == 1
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, args, message",
+    [
+        ("gen", ["--n", "0"], "n_dists must be an integer >= 1, got 0"),
+        ("bench", ["--models", "PRSP"], "kinds must include LINR; eta is defined relative to it"),
+        ("oracle", ["--e1", "nan", "--e2", "0.5"], "--e1 must lie in [0, 1], got nan"),
+    ],
+)
+def test_usage_error_found_after_parsing_names_the_command(tmp_path, capsys, command, args, message):
+    # printed the root parser's usage and "uisbench: error: ..."
+    path = tmp_path / "d.csv"
+    write_dists_csv(path, [JointDist([0.125] * 8)])
+    dists = [] if command == "gen" else ["--dists", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *dists, *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: uisbench {command} [-h] ")
+    assert err.endswith(f"\nuisbench {command}: error: {message}\n")

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from conftest import DENORMAL_ROW
 from uisbench.dist import (
     CondIndepParams,
+    JointDist,
     atom_index,
     condition_c,
     expand,
     marginal,
-    new_joint,
     read_atoms_csv,
     read_dists_csv,
     sample_cond_indep,
@@ -28,22 +28,22 @@ CI_EXAMPLE = CondIndepParams(0.5, 0.8, 0.2, 0.8, 0.2)
 
 class TestNewJoint:
     def test_uniform_is_valid(self):
-        d = new_joint(UNIFORM)
+        d = JointDist(UNIFORM)
         assert np.allclose(d.atoms, 0.125)
 
     def test_point_mass_is_valid(self):
-        d = new_joint([1, 0, 0, 0, 0, 0, 0, 0])
+        d = JointDist([1, 0, 0, 0, 0, 0, 0, 0])
         assert d.atoms[0] == 1.0
         assert d.atoms[1:].sum() == 0.0
 
     def test_half_mass_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            new_joint([0.0625] * 8)
+            JointDist([0.0625] * 8)
 
     def test_negative_atom_rejected_naming_index(self):
         atoms = [0.25, 0.25, 0.25, 0.35, -0.1, 0, 0, 0]
         with pytest.raises(ValueError, match="atom 4"):
-            new_joint(atoms)
+            JointDist(atoms)
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -61,21 +61,21 @@ class TestNewJoint:
         for i, value in bad.items():
             atoms[i] = value
         with pytest.raises(ValueError) as exc:
-            new_joint(atoms)
+            JointDist(atoms)
         assert str(exc.value) == message
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="8 atoms"):
-            new_joint([0.5, 0.5])
+            JointDist([0.5, 0.5])
 
     def test_tiny_deviation_renormalized(self):
         atoms = np.full(8, 0.125)
         atoms[0] += 5e-10
-        d = new_joint(atoms)
+        d = JointDist(atoms)
         assert abs(d.atoms.sum() - 1.0) <= 1e-12
 
     def test_atoms_frozen(self):
-        d = new_joint(UNIFORM)
+        d = JointDist(UNIFORM)
         with pytest.raises(ValueError):
             d.atoms[0] = 0.5
 
@@ -83,21 +83,21 @@ class TestNewJoint:
     @settings(max_examples=50)
     def test_normalized_vectors_always_valid(self, raw):
         v = np.array(raw)
-        d = new_joint(v / v.sum())
+        d = JointDist(v / v.sum())
         assert np.all(d.atoms >= 0)
         assert abs(d.atoms.sum() - 1.0) <= 1e-12
 
 
 class TestMarginal:
     def test_uniform(self):
-        d = new_joint(UNIFORM)
+        d = JointDist(UNIFORM)
         for event in ("E1", "E2", "C"):
             assert marginal(d, event) == pytest.approx(0.5, abs=1e-15)
 
     def test_point_mass(self):
         atoms = np.zeros(8)
         atoms[atom_index(1, 0, 0)] = 1.0
-        d = new_joint(atoms)
+        d = JointDist(atoms)
         assert marginal(d, "E1") == 1.0
         assert marginal(d, "E2") == 0.0
         assert marginal(d, "C") == 0.0
@@ -108,12 +108,12 @@ class TestMarginal:
 
     def test_unknown_event(self):
         with pytest.raises(ValueError, match="unknown event"):
-            marginal(new_joint(UNIFORM), "E3")
+            marginal(JointDist(UNIFORM), "E3")
 
 
 class TestConditionC:
     def test_uniform(self):
-        assert condition_c(new_joint(UNIFORM), True, True) == pytest.approx(0.5, abs=1e-15)
+        assert condition_c(JointDist(UNIFORM), True, True) == pytest.approx(0.5, abs=1e-15)
 
     def test_expanded_example(self):
         # Bayes by hand: 0.5*0.64 / (0.5*0.64 + 0.5*0.04) = 16/17
@@ -123,14 +123,14 @@ class TestConditionC:
     def test_point_mass(self):
         atoms = np.zeros(8)
         atoms[atom_index(1, 1, 1)] = 1.0
-        d = new_joint(atoms)
+        d = JointDist(atoms)
         assert condition_c(d, True, True) == 1.0
 
     def test_zero_cell_rejected(self):
         atoms = np.zeros(8)
         atoms[atom_index(1, 1, 1)] = 1.0
         with pytest.raises(ValueError, match="zero-probability"):
-            condition_c(new_joint(atoms), False, False)
+            condition_c(JointDist(atoms), False, False)
 
     def test_matches_brute_force_on_random_dists(self):
         for k, d in enumerate(sample_uniform(101, 1000)):
@@ -144,7 +144,7 @@ class TestConditionC:
 
 class TestExpand:
     def test_product_atom(self):
-        assert expand(CI_EXAMPLE).atom(1, 1, 1) == pytest.approx(0.32, abs=1e-15)
+        assert expand(CI_EXAMPLE).atoms[atom_index(1, 1, 1)] == pytest.approx(0.32, abs=1e-15)
 
     def test_symmetric_params_give_uniform(self):
         d = expand(CondIndepParams(0.5, 0.5, 0.5, 0.5, 0.5))
@@ -251,7 +251,7 @@ class TestSampling:
         # JointDist built from its own substream's draw
         for k, d in enumerate(sample_uniform(8, 40)):
             g = np.random.default_rng([8, k]).exponential(size=8)
-            assert d.atoms.tobytes() == new_joint(g / g.sum()).atoms.tobytes()
+            assert d.atoms.tobytes() == JointDist(g / g.sum()).atoms.tobytes()
         for k, d in enumerate(sample_cond_indep(8, 40)):
             v = np.random.default_rng([8, k]).uniform(0.01, 0.99, size=5)
             assert d.atoms.tobytes() == expand(CondIndepParams(*v)).atoms.tobytes()
@@ -329,7 +329,7 @@ class TestReadAtomsCsv:
         zeros = [0.5, 0, 0, 0.25, 0, 0, 0.25, 0]
         return [_OFF_BY_5E_10, zeros, DENORMAL_ROW] + [d.atoms for d in sampled], sampled
 
-    def test_rows_bit_for_bit_those_of_new_joint(self, tmp_path):
+    def test_rows_bit_for_bit_those_of_joint_dist(self, tmp_path):
         rows, sampled = self._rows()
         path = tmp_path / "d.csv"
         path.write_text(_csv_text(rows))
@@ -341,7 +341,7 @@ class TestReadAtomsCsv:
             total = float(parsed.sum())
             # JointDist's rule, written out: divide only a row whose sum is off by more than 1e-13
             want = parsed / total if abs(total - 1.0) > 1e-13 else parsed
-            assert new_joint(parsed).atoms.tobytes() == want.tobytes()
+            assert JointDist(parsed).atoms.tobytes() == want.tobytes()
             assert atoms[k].tobytes() == want.tobytes(), k
             assert dists[k].atoms.tobytes() == want.tobytes(), k
         assert atoms[0].tobytes() != np.array(_OFF_BY_5E_10).tobytes()  # renormalised

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from uisbench.dist import CondIndepParams, condition_c, expand, new_joint, sample_cond_indep, sample_uniform
+from uisbench.dist import CondIndepParams, JointDist, condition_c, expand, sample_cond_indep, sample_uniform
 from uisbench.models import (
     ModelKind,
     ModelParams,
@@ -22,7 +22,7 @@ from uisbench.oracle import DEFAULT_GRID, EvidencePair, standard_answer
 
 from conftest import sample_marginal_indep
 
-UNIFORM = new_joint([0.125] * 8)
+UNIFORM = JointDist([0.125] * 8)
 CI_EXAMPLE = expand(CondIndepParams(0.5, 0.8, 0.2, 0.8, 0.2))
 
 
@@ -65,6 +65,12 @@ class TestModelParams:
 
     def test_bst_empty(self):
         ModelParams(ModelKind.BST, ())
+
+    @pytest.mark.parametrize("kind, values", [("INDP", (5.0,) * 4), ("PRSP", (2.0,) * 7), ("LINR", (0.0,) * 3), (3, ())])
+    def test_kind_must_be_a_model_kind(self, kind, values):
+        # ModelKind is a str enum, so a plain string passed the PARAM_DIM lookup and skipped the box checks
+        with pytest.raises(ValueError, match=f"^model {kind!r} is not a ModelKind; valid models: LINR,INDP,PRSP,PWR,WRST,BST$"):
+            ModelParams(kind, values)
 
 
 class TestLogitSigmoid:
@@ -270,8 +276,10 @@ class TestWrstAndDispatch:
             assert predict(p, ev) == predict_grid(p.kind, p.values, ev.e1, ev.e2)
 
     def test_bst_has_no_predictor(self):
-        with pytest.raises(ValueError, match="BST"):
-            predict(ModelParams(ModelKind.BST, ()), EvidencePair(0.5, 0.5))
+        for call in (lambda: predict(ModelParams(ModelKind.BST, ()), EvidencePair(0.5, 0.5)),
+                     lambda: predict_grid(ModelKind.BST, (), 0.5, 0.5)):
+            with pytest.raises(ValueError, match="^BST has no predictor; it is scored as prediction == target$"):
+                call()
 
 
 class TestTrueParams:
@@ -286,7 +294,7 @@ class TestTrueParams:
             assert all(0.0 <= v <= 1.0 for v in true_params_indp(d).values)
 
     def test_indp_zero_cell_rejected(self):
-        d = new_joint([0.5, 0.5, 0, 0, 0, 0, 0, 0])
+        d = JointDist([0.5, 0.5, 0, 0, 0, 0, 0, 0])
         with pytest.raises(ValueError, match="zero-probability"):
             true_params_indp(d)
 
@@ -299,9 +307,11 @@ class TestTrueParams:
         assert v[2] == pytest.approx(0.8, abs=1e-12)  # P(C|E1) = 0.5*0.8/0.5
 
     def test_prsp_boundary_marginal_rejected(self):
-        d = new_joint([0.5, 0.5, 0, 0, 0, 0, 0, 0])  # P(E1) = 0
-        with pytest.raises(ValueError, match="boundary"):
-            true_params_prsp(d)
+        # checked in the order E1, E2, C: each case names the first marginal on the boundary, not the later ones
+        for atoms, message in (([0.5, 0.5, 0, 0, 0, 0, 0, 0], r"P\(E1\)=0\.0"), ([0, 0, 0, 0, 0.5, 0.5, 0, 0], r"P\(E1\)=1\.0"),
+                               ([0.5, 0, 0, 0, 0.5, 0, 0, 0], r"P\(E2\)=0\.0"), ([0.5, 0, 0, 0, 0, 0, 0.5, 0], r"P\(C\)=0\.0")):
+            with pytest.raises(ValueError, match=f"^{message} is on the boundary; parameters undefined$"):
+                true_params_prsp(JointDist(atoms))
 
     def test_prsp_values_strictly_inside(self):
         for d in sample_cond_indep(34, 100):

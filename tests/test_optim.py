@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import lsq_linear
 
 from uisbench.bench import _derived_seed, run_bench
-from uisbench.dist import new_joint, sample_cond_indep, sample_uniform
+from uisbench.dist import JointDist, sample_cond_indep, sample_uniform
 from uisbench.models import ModelKind, ModelParams, _predict_rows, predict_grid, true_params_indp, true_params_prsp
 from uisbench.optim import (
     FitResult,
@@ -28,7 +28,7 @@ from uisbench.oracle import DEFAULT_GRID, EvidencePair, standard_vector
 from conftest import assert_batch_calls, counting, reference_lm, sample_marginal_indep
 from prsp_ratchet import RUNS, prsp_epsilons, read_ratchet
 
-UNIFORM = new_joint([0.125] * 8)
+UNIFORM = JointDist([0.125] * 8)
 FITTED_KINDS = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP, ModelKind.PWR)
 
 
@@ -124,7 +124,7 @@ class TestFit:
         e1, e2 = grid_arrays()
         answers = [[v for _, v in standard_vector(d)] for d in sample_uniform(43, 3)]
         got = [fit(ModelKind.BST, standard_vector(sample_uniform(42, 1)[0]), OptimSettings(n_starts=1), seed=3)]
-        got += fit_batch(ModelKind.BST, e1, e2, answers, None, [1, 2, 3], [None] * 3)
+        got += fit_batch(ModelKind.BST, e1, e2, answers, OptimSettings(), [1, 2, 3], [None] * 3)
         assert len(got) == 4
         for result in got:
             assert result.params == BST_FIT.params and result.params.values == ()
@@ -208,6 +208,17 @@ class TestFit:
             r = fit(kind, constant_targets(0.5))
             assert (r.iterations, r.converged, r.epsilon) == (0, True, 0.0)
 
+    def test_epsilon_is_the_objective_of_its_parameters_exactly(self):
+        # fit_batch takes ε from its own batch's residuals; the reported parameters give the same bits again.
+        # The first distributions of both acceptance runs, with their bench seeds and warm starts
+        for sample, gen_seed, bench_seed in ((sample_uniform, 1987, 11), (sample_cond_indep, 1986, 13)):
+            dists = sample(gen_seed, 4)
+            reports = run_bench(dists, kinds=(*FITTED_KINDS, ModelKind.BST), seed=bench_seed)
+            for d, report in zip(dists, reports):
+                sv = standard_vector(d)
+                for s in report.scores:
+                    assert objective(s.params, sv) == s.epsilon, (sample.__name__, report.dist_id, s.kind)
+
     def test_result_invariants(self):
         sv = standard_vector(sample_uniform(50, 1)[0])
         for kind in (ModelKind.LINR, ModelKind.PWR, ModelKind.INDP, ModelKind.PRSP, ModelKind.WRST):
@@ -239,7 +250,7 @@ class TestExactFits:
                 assert np.all((b >= 0.0) & (b <= 1.0))
                 assert np.array_equal(b[0], _indp_exact(e1, e2, c[:1])[0])
                 with pytest.raises(RuntimeError, match="^INDP fit failed on row 1: "):
-                    fit_batch(ModelKind.INDP, e1, e2, c, None, [0, 0], [None, None])
+                    fit_batch(ModelKind.INDP, e1, e2, c, OptimSettings(), [0, 0], [None, None])
 
     def test_indp_finds_tables_on_the_bounds(self):
         # the first two are the constant targets 0 and 1
@@ -357,6 +368,26 @@ class TestFitBatch:
             assert len(lone_starts[0]) == len(lone_starts[1]) + 1 == len(lone_starts[2])
             assert len(lone_starts[0]) == 2 + 3 + (16 if kind is ModelKind.PRSP else 0)
             assert np.array_equal(batch, np.concatenate(lone_starts))
+
+    def test_plain_string_kind_refused(self):
+        # ModelKind is a str enum: fit('LINR', sv) died with an AttributeError
+        sv = constant_targets(0.5)
+        e1, e2 = grid_arrays()
+        warm = ModelParams(ModelKind.PRSP, (0.5,) * 7)
+        for kind in ("LINR", "PRSP", "BST"):
+            with pytest.raises(ValueError, match=f"^model '{kind}' is not a ModelKind; valid models: "):
+                fit(kind, sv)
+            with pytest.raises(ValueError, match=f"^model '{kind}' is not a ModelKind; valid models: "):
+                fit_batch(kind, e1, e2, [[v for _, v in sv]], OptimSettings(), [0], [warm])
+
+    def test_none_settings_refused(self):
+        # the closed-form fits ignored a None, and PRSP and PWR died with an AttributeError
+        sv = constant_targets(0.5)
+        for kind in (*FITTED_KINDS, ModelKind.BST):
+            with pytest.raises(ValueError, match="^settings must be an OptimSettings, got None$"):
+                fit(kind, sv, None)
+        with pytest.raises(ValueError, match="^settings must be an OptimSettings, got None$"):
+            run_bench(sample_uniform(60, 2), kinds=(ModelKind.LINR, ModelKind.WRST), settings=None)
 
     def test_empty_vector_rejected_by_fit(self):
         for kind in (ModelKind.PRSP, ModelKind.LINR):

@@ -13,7 +13,6 @@ from uisbench.dist import (
     condition_c,
     expand,
     marginal,
-    new_joint,
     sample_cond_indep,
     sample_uniform,
 )
@@ -32,7 +31,7 @@ from uisbench.oracle import (
 
 from conftest import DENORMAL_ROW, dual_tilt_posterior, planted_zero_atoms, sample_marginal_indep
 
-UNIFORM = new_joint([0.125] * 8)
+UNIFORM = JointDist([0.125] * 8)
 CI_EXAMPLE = expand(CondIndepParams(0.5, 0.8, 0.2, 0.8, 0.2))
 class TestEvidenceTypes:
     def test_pair_range(self):
@@ -97,7 +96,7 @@ class TestMceUpdate:
         assert marginal(post, "C") == pytest.approx(16 / 17, abs=1e-12)
 
     def test_infeasible_zero_marginal(self):
-        d = new_joint([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # P(E1)=0
+        d = JointDist([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # P(E1)=0
         with pytest.raises(InfeasibleEvidenceError, match=r"P\(E1\) is 0"):
             mce_update(d, EvidencePair(0.5, 0.5))
         mce_update(d, EvidencePair(0.0, 0.5))  # reachable: target matches support
@@ -106,7 +105,7 @@ class TestMceUpdate:
         atoms = np.zeros(8)
         atoms[atom_index(1, 0, 0)] = 0.5
         atoms[atom_index(1, 1, 0)] = 0.5
-        d = new_joint(atoms)  # P(E1)=1
+        d = JointDist(atoms)  # P(E1)=1
         with pytest.raises(InfeasibleEvidenceError, match=r"P\(E1\) is 1"):
             mce_update(d, EvidencePair(0.25, 0.5))
 
@@ -116,14 +115,14 @@ class TestMceUpdate:
         atoms[atom_index(0, 0, 0)] = 0.4
         atoms[atom_index(0, 1, 0)] = 0.3
         atoms[atom_index(1, 1, 0)] = 0.3
-        d = new_joint(atoms)
+        d = JointDist(atoms)
         with pytest.raises(InfeasibleEvidenceError):
             mce_update(d, EvidencePair(0.5, 0.0))
 
     def test_zero_atoms_stay_zero(self):
         atoms = np.array(sample_uniform(9, 1)[0].atoms)
         atoms[3] = 0.0
-        d = new_joint(atoms / atoms.sum())
+        d = JointDist(atoms / atoms.sum())
         post = mce_update(d, EvidencePair(0.7, 0.2))
         assert post.atoms[3] == 0.0
 
@@ -211,7 +210,7 @@ class TestClosedForm:
         # with the (0, 0) cell empty, 1 + 0.3 - 1 is not 0.3; the target is Jeffrey's rule in E1 = 1
         atoms = np.array(sample_uniform(20, 1)[0].atoms)
         atoms[:2] = 0.0
-        d = new_joint(atoms / atoms.sum())
+        d = JointDist(atoms / atoms.sum())
         want = 0.3 * condition_c(d, True, True) + 0.7 * condition_c(d, True, False)
         assert abs(standard_answer(d, EvidencePair(1.0, 0.3)) - want) < 1e-15
 
@@ -220,14 +219,14 @@ class TestClosedForm:
         # denormal scale answers as at a normal one; m00 * m11 alone would round
         # to 11 units of the last denormal place, 2% off
         half0, half1 = np.array([3.0, 1.0, 2.0, 4.0]), np.array([0.1, 0.2, 0.3, 0.4])
-        tiny = new_joint(np.concatenate([half0 * 2.0**-1070, half1]))
-        normal = new_joint(np.concatenate([half0 / 20, half1 / 2]))
+        tiny = JointDist(np.concatenate([half0 * 2.0**-1070, half1]))
+        normal = JointDist(np.concatenate([half0 / 20, half1 / 2]))
         for ev in DEFAULT_GRID.pairs():
             assert abs(standard_answer(tiny, ev) - standard_answer(normal, ev)) < 1e-12, ev
         # cells (0, 1) and (1, 0) at 1e-200: the odds ratio is about 1e400, past
         # a double, and the table is at its limit q11 = min(e1, e2)
         atoms = np.array([0.2, 0.3, 1e-200, 1e-200, 1e-200, 1e-200, 0.4, 0.1])
-        d = new_joint(atoms)
+        d = JointDist(atoms)
         for ev in DEFAULT_GRID.pairs():
             x = min(ev.e1, ev.e2)
             want = _cells_answer(d, [[1.0 - max(ev.e1, ev.e2), ev.e2 - x], [ev.e1 - x, x]])
@@ -246,7 +245,7 @@ def _pool() -> dict[tuple[bool, float], list[JointDist]]:
     pool: dict[tuple[bool, float], list[JointDist]] = {}
     for d in [d for seed in (33, 34, 35) for d in planted_zero_atoms(seed, 40)] + [
         JointDist(np.array(DENORMAL_ROW, dtype=float)),
-        new_joint([0.2, 0.3, 1e-200, 1e-200, 1e-200, 1e-200, 0.4, 0.1]),
+        JointDist([0.2, 0.3, 1e-200, 1e-200, 1e-200, 1e-200, 0.4, 0.1]),
     ]:
         pool.setdefault((bool((d.atoms.reshape(4, 2).sum(axis=1) == 0.0).any()), _odds_side(d)), []).append(d)
     return pool

@@ -36,7 +36,7 @@ from uisbench import cli
 from uisbench.bench import DEFAULT_MODELS, _derived_seed, _prsp_warm_start, run_bench
 from uisbench.dist import sample_cond_indep, sample_uniform, write_dists_csv
 from uisbench.models import ModelKind
-from uisbench.optim import fit_batch
+from uisbench.optim import OptimSettings, fit_batch
 from uisbench.oracle import DEFAULT_GRID, EvidencePair, _batch_answers, standard_answer, standard_vector
 
 from prsp_ratchet import N_DISTS, RUNS, counted_lm
@@ -70,7 +70,7 @@ def acceptance_rows(family: str, gen_seed: int, bench_seed: int) -> tuple[list, 
 
     def fit_call(kind):
         warm = prsp_warm if kind is ModelKind.PRSP else [None] * len(dists)
-        return lambda: fit_batch(kind, DEFAULT_GRID.e1, DEFAULT_GRID.e2, targets, None, seeds, warm)
+        return lambda: fit_batch(kind, DEFAULT_GRID.e1, DEFAULT_GRID.e2, targets, OptimSettings(), seeds, warm)
 
     rows = [(f"{family}: oracle batch (109 x 25)", lambda: _batch_answers(atoms, DEFAULT_GRID.e1, DEFAULT_GRID.e2))]
     rows += [(f"{family}: fit_batch {kind.value}", fit_call(kind)) for kind in DEFAULT_MODELS]
