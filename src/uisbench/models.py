@@ -257,6 +257,7 @@ def predict_grid(kind: ModelKind, values, e1, e2):
     evidence values at exactly 0 or 1, and PRSP rejects parameters whose
     single-rule posterior reaches 0 or 1 (odds multiplier undefined).
     """
+    _check_kind(kind)
     e1a = np.asarray(e1, dtype=np.float64)
     e2a = np.asarray(e2, dtype=np.float64)
     shape = np.broadcast_shapes(e1a.shape, e2a.shape)

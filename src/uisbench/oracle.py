@@ -162,9 +162,9 @@ def _posteriors(atoms, e1, e2) -> tuple[np.ndarray, np.ndarray]:
       A x^2 + B x - C = 0 with w = theta / (1 + theta), v = 1 / (1 + theta),
       A = v - w, B = v - A (e1 + e2) and C = w e1 e2. w and v are formed from
       the masses' mantissas and exponents, so theta cannot under- or
-      overflow on denormal or tiny cells. The discriminant is summed as
-      B^2 + 4AC when A >= 0 and as v^2 - 2vA (e1 (1 - e2) + e2 (1 - e1)) +
-      A^2 (e1 - e2)^2 when A < 0, and x as 2C / (B + sqrt D) when B > 0 and
+      overflow on denormal or tiny cells. The discriminant B^2 + 4AC is summed
+      as (B - 2w e2)^2 + 4vw e2 (1 - e2), two terms that are non-negative for
+      either sign of A, and x as 2C / (B + sqrt D) when B > 0 and
       (sqrt D - B) / 2A otherwise (where A > 0): no term cancels.
 
     The table is q11 = x, q10 = e1 - x, q01 = e2 - x and q00 = (1 - e1) - q01,
@@ -177,11 +177,9 @@ def _posteriors(atoms, e1, e2) -> tuple[np.ndarray, np.ndarray]:
 
     The terms of the prior alone (m, w, v, A and P(atom | cell)) are computed
     once per distribution, as (n, 1) columns. A selection that changes nothing
-    is skipped: the empty-cell steps where no cell is empty, the hard-evidence
-    pins where no target is 0 or 1, and one form of the discriminant where
-    every distribution's A has the other sign; with both signs, both forms
-    are computed for all and each distribution takes its own. Every element
-    takes the same floating-point operations in any call.
+    is skipped: the empty-cell steps where no cell is empty and the
+    hard-evidence pins where no target is 0 or 1. Every element takes the
+    same floating-point operations in any call.
     """
     p = np.asarray(atoms, dtype=np.float64).reshape(-1, 4, 2)  # (distribution, cell 2i + j, C)
     e1 = np.asarray(e1, dtype=np.float64).reshape(-1)
@@ -201,15 +199,7 @@ def _posteriors(atoms, e1, e2) -> tuple[np.ndarray, np.ndarray]:
         lead = v - w
         lin = v - lead * (e1 + e2)
         const = w * e1 * e2
-        nonneg = lead[:, 0] >= 0.0
-        n_nonneg = np.count_nonzero(nonneg)
-        if n_nonneg == n:
-            disc = _disc_nonneg(lin, lead, const)
-        elif n_nonneg == 0:
-            disc = _disc_neg(v, lead, e1, e2)
-        else:  # each form where A takes its sign
-            disc = np.where(nonneg[:, None], _disc_nonneg(lin, lead, const), _disc_neg(v, lead, e1, e2))
-        root = np.sqrt(disc)
+        root = np.sqrt((lin - 2.0 * w * e2) ** 2 + 4.0 * v * w * e2 * (1.0 - e2))
         x = np.where(lin > 0.0, 2.0 * const / (lin + root), (root - lin) / (2.0 * lead))
     if some_empty:
         for cell, pin in enumerate((e2 - (1.0 - e1), e2, e1, 0.0)):
@@ -233,16 +223,6 @@ def _posteriors(atoms, e1, e2) -> tuple[np.ndarray, np.ndarray]:
     if np.count_nonzero(failed):
         post[failed] = np.nan
     return post, failed
-
-
-def _disc_nonneg(lin, lead, const):
-    """The discriminant B^2 + 4AC, where A >= 0."""
-    return lin * lin + 4.0 * lead * const
-
-
-def _disc_neg(v, lead, e1, e2):
-    """The discriminant v^2 - 2vA (e1 (1 - e2) + e2 (1 - e1)) + A^2 (e1 - e2)^2, where A < 0."""
-    return v * v - 2.0 * v * lead * (e1 * (1.0 - e2) + e2 * (1.0 - e1)) + (lead * (e1 - e2)) ** 2
 
 
 def _first_errors(atoms: np.ndarray, e1, e2, failed: np.ndarray) -> list[InfeasibleEvidenceError | None]:

@@ -252,12 +252,12 @@ def test_criterion_9_cli_determinism(tmp_path):
 # sha256 of report.csv and summary.json of the two acceptance runs (BENCH_KINDS, default settings)
 ARTIFACT_SHA256 = {
     "uniform": {
-        "report.csv": "a8279de4055fb6ecb445e85907e8281c528a22282bd9e2a510c13109a2be2798",
-        "summary.json": "dd2ce5a88236200daae37e44afd47e54136fb17cd54823c6ea15d54703164eba",
+        "report.csv": "f1b3ba83ddf014c43cd9c0154b0c35445bb8475f886dc32db12c00d21ff4fbcd",
+        "summary.json": "3c320ba4f6cf73b2a07674ec84ff87f94e173d7fb26069edb4fdcc565e0438fe",
     },
     "cond_indep": {
-        "report.csv": "215966f82fb29bdac6babbacb451352aad2aadf268868dcdfac30917fbc3d547",
-        "summary.json": "87cb26c19308cb5d17e230e3269677b8f7a96e1cb14875366b8fe8265d2eacba",
+        "report.csv": "0d4fee9f59dd8489f2a6c16637c574cfd576370e0f8c2b6885337e768a7b2a37",
+        "summary.json": "d32624b012455d1cf31ddda41efb68a7ad8c2c746cdc9e2b510130c702d442b0",
     },
 }
 

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from uisbench.bench import (
     _BATCH_DISTS,
+    DEFAULT_MODELS,
+    _bench_chunk,
+    _prsp_warm_start,
     DistReport,
     EtaScore,
     SummaryRow,
@@ -23,7 +26,7 @@ from uisbench.cli import main
 from uisbench.dist import JointDist, sample_cond_indep, sample_uniform
 from uisbench.models import ModelKind, ModelParams, _predict_rows
 from uisbench.optim import FitResult, OptimSettings, _lm, fit_batch
-from uisbench.oracle import EvidenceGrid
+from uisbench.oracle import DEFAULT_GRID, EvidenceGrid
 
 from conftest import assert_batch_calls, counting
 
@@ -286,6 +289,27 @@ class TestRunBench:
         without = run_bench(good, settings=FAST, seed=8)
         assert with_bad[3].error == "InfeasibleEvidenceError: target P(E1)=0.001 unreachable: P(E1) is 0 on the current support"
         assert with_bad[:3] + with_bad[4:] == without[:3] + without[4:]
+
+    def test_prsp_warm_start_fallback_shares_a_chunk(self):
+        # P(C) = 0 and, with C swapped, P(C) = 1: the oracle answers both, but true_params_prsp
+        # refuses them, so their PRSP rows start cold in the batch of the warm-started rows
+        no_c = JointDist([0.1, 0, 0.2, 0, 0.3, 0, 0.4, 0])
+        all_c = JointDist(no_c.atoms.reshape(4, 2)[:, ::-1].reshape(8))
+        dists = sample_uniform(79, 3) + [no_c, all_c]
+        assert [_prsp_warm_start(d) is None for d in dists] == [False] * 3 + [True] * 2
+        reports = run_bench(dists, settings=FAST, seed=4)
+        assert all(r.error is None for r in reports)
+        assert [r.degenerate for r in reports] == [False] * 3 + [True] * 2
+        for i, d in enumerate(dists):
+            # the same distribution in a chunk of its own, under its own id and so its own seed
+            alone = _bench_chunk([d], i, DEFAULT_MODELS, DEFAULT_GRID, FAST, 4)[0]
+            assert _fit_bits(reports[i]) == _fit_bits(alone), i
+
+
+def _fit_bits(report: DistReport) -> list[tuple]:
+    """Each fit of ``report`` with its floats as hex, so -0.0 and 0.0 differ."""
+    return [(s.kind, [v.hex() for v in s.params.values], s.epsilon.hex(), s.iterations, s.converged, s.start_index)
+            for s in report.scores]
 
 
 LINR_FIT = FitResult(ModelParams(ModelKind.LINR, (0.1, 0.2, 0.3)), 0.1, 0, True, 0)

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -67,6 +69,15 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--family", "nope", "--n", "2", "--out", str(tmp_path / "d.csv")])
         assert exc.value.code == 2
+
+    def test_bad_config_family_named(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"family": "nope"})
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--config", cfg, "--out", str(tmp_path / "d.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "\nuisbench gen: error: family must be one of ('uniform', 'cond_indep'), got 'nope'\n")
+        assert not (tmp_path / "d.csv").exists()
 
     def test_bad_n_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -508,3 +519,54 @@ def test_usage_error_found_after_parsing_names_the_command(tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.startswith(f"usage: uisbench {command} [-h] ")
     assert err.endswith(f"\nuisbench {command}: error: {message}\n")
+
+
+def _no_such_file(path) -> str:
+    return f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{path}'"
+
+
+def _bad_report_header(tmp_path):
+    (tmp_path / "bad.csv").write_text("a,b\n")
+    return ["report", "--report", "bad.csv"], (
+        "error: bad.csv: bad header, expected dist_id,model,epsilon,eta,clamped,degenerate,converged,"
+        "iterations,start_index,param0,param1,param2,param3,param4,param5,param6\n")
+
+
+def _gen_into_missing_dir(tmp_path):
+    return ["gen", "--n", "2", "--out", "missing/x.csv"], (
+        f"error: cannot write missing/x.csv: {_no_such_file('missing/x.csv')}\n")
+
+
+def _bench_report_is_a_dir(tmp_path):
+    write_dists_csv(tmp_path / "d.csv", sample_uniform(3, 2))
+    (tmp_path / "o" / "report.csv").mkdir(parents=True)
+    cfg = write_cfg(tmp_path, {"models": ["LINR", "WRST"]})
+    return ["bench", "--dists", "d.csv", "--out", "o", "--config", cfg], (
+        f"error: cannot write o/report.csv: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'o/report.csv'\n")
+
+
+def _oracle_missing_dists(tmp_path):
+    return ["oracle", "--dists", "missing.csv", "--e1", "0.5", "--e2", "0.5"], f"error: {_no_such_file('missing.csv')}\n"
+
+
+def _oracle_short_row(tmp_path):
+    write_dists_csv(tmp_path / "d.csv", [JointDist([0.125] * 8)])
+    text = (tmp_path / "d.csv").read_text()
+    (tmp_path / "short.csv").write_text(text[: text.rindex(",")] + "\n")
+    return ["oracle", "--dists", "short.csv", "--e1", "0.5", "--e2", "0.5"], (
+        "error: short.csv: row 0: expected 9 columns, got 8\n")
+
+
+@pytest.mark.parametrize(
+    "case", [_bad_report_header, _gen_into_missing_dir, _bench_report_is_a_dir, _oracle_missing_dists, _oracle_short_row],
+    ids=["report-bad-header", "gen-out-in-missing-dir", "bench-report-is-a-dir", "oracle-missing-dists",
+         "oracle-row-of-8"],
+)
+def test_runtime_error_named_with_exit_1(tmp_path, capsys, monkeypatch, case):
+    # each an error the command catches and prints as one line, with no traceback and no stdout
+    monkeypatch.chdir(tmp_path)
+    args, message = case(tmp_path)
+    capsys.readouterr()
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""

@@ -72,6 +72,15 @@ class TestModelParams:
         with pytest.raises(ValueError, match=f"^model {kind!r} is not a ModelKind; valid models: LINR,INDP,PRSP,PWR,WRST,BST$"):
             ModelParams(kind, values)
 
+    def test_predict_grid_kind_must_be_a_model_kind(self):
+        # a plain string reached the last raise of _predict_rows, an AttributeError on kind.value
+        with pytest.raises(ValueError, match="^model 'LINR' is not a ModelKind; valid models: LINR,INDP,PRSP,PWR,WRST,BST$"):
+            predict_grid("LINR", (1.0, 2.0, 3.0), 0.5, 0.5)
+
+    def test_parameters_must_be_finite(self):
+        with pytest.raises(ValueError, match=r"^LINR parameters must be finite, got \(1\.0, nan, 0\.0\)$"):
+            ModelParams(ModelKind.LINR, (1.0, float("nan"), 0.0))
+
 
 class TestLogitSigmoid:
     def test_roundtrip(self):

@@ -1,5 +1,8 @@
+import itertools
+import math
 import pickle
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -233,6 +236,55 @@ class TestClosedForm:
             assert abs(standard_answer(d, ev) - want) < 1e-12, ev
 
 
+def _reference_q11(atoms, e1: float, e2: float) -> Decimal:
+    """q11 of the posterior at 50 digits, from the float ``atoms`` (8,) and targets taken exactly:
+    the root in [max(0, e1 + e2 - 1), min(e1, e2)] of the module's quadratic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = [Decimal(float(t)) for t in atoms]
+        m00, m01, m10, m11 = (a[2 * cell] + a[2 * cell + 1] for cell in range(4))
+        theta = m00 * m11 / (m01 * m10)
+        e1, e2 = Decimal(float(e1)), Decimal(float(e2))
+        lead, lin, const = 1 - theta, 1 + (theta - 1) * (e1 + e2), theta * e1 * e2
+        root = (lin * lin + 4 * lead * const).sqrt()
+        x = 2 * const / (lin + root) if lin > 0 else (root - lin) / (2 * lead)
+        assert max(0, e1 + e2 - 1) <= x <= min(e1, e2)
+        return x
+
+
+class TestRootAccuracy:
+    def test_q11_against_a_50_digit_reference(self):
+        # theta on both sides of 1 and at it (A = v - w of either sign and near 0), and pushed
+        # to 1e-3 .. 1e-12 and their inverses by scaling one cell; pairs on the face e1 + e2 = 1
+        # and on the diagonal e1 = e2, where the discriminant's terms are smallest
+        scaled = []
+        for d in sample_uniform(40, 4):
+            for cell, scale in itertools.product(range(4), (1e-3, 1e-6, 1e-9, 1e-12)):
+                atoms = np.array(d.atoms)
+                atoms[2 * cell : 2 * cell + 2] *= scale
+                scaled.append(JointDist(atoms / atoms.sum()))
+        dists = sample_uniform(41, 20) + sample_marginal_indep(42, 10) + [UNIFORM] + scaled
+        pairs = [(ev.e1, ev.e2) for ev in DEFAULT_GRID.pairs()] + [
+            (0.54, 0.46), (0.07, 0.93), (0.7, 0.3), (0.3, 0.3), (0.9, 0.9), (0.123, 0.123)]
+        atoms = np.array([d.atoms for d in dists])
+        e1, e2 = np.array(pairs).T
+        post, failed = _posteriors(atoms, e1, e2)
+        assert not failed.any()
+        q11 = post[:, :, atom_index(1, 1, 0)] + post[:, :, atom_index(1, 1, 1)]
+        ulps = []
+        for i, j in itertools.product(range(len(dists)), range(len(pairs))):
+            want = _reference_q11(atoms[i], e1[j], e2[j])
+            error = abs(Decimal(float(q11[i, j])) - want)
+            ulp_error = float(error / Decimal(math.ulp(float(want))))
+            ulps.append(ulp_error)
+            # on the face e1 + e2 = 1 with theta well below 1, q11 is near sqrt(theta e1 e2)
+            # and B = v - A (e1 + e2) a difference of two numbers near 1, so B's rounding
+            # leaves q11 an absolute error near 2^-53 there, not a relative one
+            on_face = abs((1.0 - e1[j]) - e2[j]) <= 1e-15
+            assert ulp_error <= 128.0 or (on_face and error <= 2.0**-52), (i, pairs[j], ulp_error)
+        assert np.median(ulps) < 1.0
+
+
 def _odds_side(d: JointDist) -> float:
     """The sign of m00 m11 - m01 m10: -1 where the prior's odds ratio theta is below 1, +1 above, 0 at 0/0."""
     m = d.atoms.reshape(4, 2).sum(axis=1)
@@ -344,8 +396,8 @@ class TestPosteriors:
     @given(data=st.data())
     def test_each_query_equals_its_single_update(self, some_empty, some_hard, sides, data):
         # each selection the kernel skips when it changes nothing, taken and
-        # skipped: an empty cell, a hard target, and either form of the
-        # discriminant or both in one call
+        # skipped: an empty cell and a hard target; and A of either sign or
+        # both in one call
         dists, pairs = data.draw(_queries(some_empty, some_hard, sides))
         self._assert_queries_match(dists, pairs)
 
@@ -442,7 +494,7 @@ class TestStandardVector:
             0.71139834588024209, 0.66133016657312482, 0.61391393984287013, 0.57019340584258005, 0.53122721153958286,
             0.47562621483939155, 0.43915716414633732, 0.4074232420837266, 0.3807651170152398, 0.35907568876572116,
             0.23987213908909039, 0.22067985444951443, 0.20600834131870707, 0.19503252091786444, 0.18694222128240859,
-            0.0050907945383923837, 0.0076559115527706769, 0.010261164475441672, 0.012884472688661941, 0.015508951237150514,
+            0.0050907945383923837, 0.0076559115527706769, 0.010261164475441644, 0.012884472688661941, 0.015508951237150514,
         ]
         assert [c for _, c in standard_vector(sample_uniform(1987, 1)[0])] == pinned
 

@@ -68,6 +68,20 @@ def test_import_loads_no_multiprocessing():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("module", ["uisbench", "uisbench.cli"])
+def test_module_entry_point_runs_the_command_line(module, tmp_path):
+    # python -m uisbench runs __main__.py, and python -m uisbench.cli the cli module's own guard
+    from uisbench.cli import main
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    args = ["gen", "--n", "2", "--seed", "1", "--out"]
+    out = tmp_path / "module.csv"
+    run = subprocess.run([sys.executable, "-m", module, *args, str(out)], cwd=src, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, f"{out}\n"), run.stderr
+    assert main([*args, str(tmp_path / "main.csv")]) == 0
+    assert out.read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
 def test_ratchet_check_counts_prsp_row_steps():
     # tests/prsp_ratchet.py --check reports PRSP's work through this wrapper of optim._lm
     import uisbench.optim as optim
