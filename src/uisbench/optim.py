@@ -37,12 +37,24 @@ batch takes all its steps while most of its row-steps are never taken. Each
 step makes one ``_predict_rows`` call, over the trial points of the rows still
 in the batch; its forward pass keeps what the Jacobian needs, and ``_lm``
 completes the Jacobian and normal equations from it only for the rows whose
-error fell, the only points a next step starts from. Which starts creep, and
-for how long, varies between distributions, so a fit's cost depends on its
-data. README's Library section gives the measured figures: steps per start,
-starts at ``max_iters``, row-steps taken and accepted, per-row costs and
-throughput. ``fit`` and ``fit_batch`` are pure functions of their arguments;
-independent fits may run concurrently.
+error fell, the only points a next step starts from.
+
+The starts that creep mostly head for a minimum on a bound: a pEj just inside
+the lowest or highest grid level, with the conditional whose weight vanishes
+there at 0 or 1, which the logistic search coordinates put at infinity. So
+the search stops at ``max_iters`` and each fit's winning start is finished by
+the polish (see ``_polish``): one more batch, one row per fitted vector, that
+steps in model coordinates inside a box, the search's range with each pEj in
+the cell between grid levels that holds it, where such a bound is a face that
+a step reaches directly. It shares the search's damping, acceptance and stop
+rules and its ``max_iters``, starts at the winner's values with the winner's
+error, and accepts only steps that lower it, so a fit never ends above its
+search. Which starts creep, and for how long, varies between distributions,
+so a fit's cost depends on its data. README's Library section gives the
+measured figures: steps per start, starts at ``max_iters``, row-steps taken
+and accepted, polish steps, per-row costs and throughput. ``fit`` and
+``fit_batch`` are pure functions of their arguments; independent fits may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -66,6 +78,8 @@ _LAMBDA_START, _LAMBDA_MIN, _LAMBDA_MAX = 1e-3, 1e-12, 1e16
 _MAX_STEP = 1.0
 # a start's stop test on an accepted step: relative drop of its SSE (see ``_lm``)
 _OBJ_REL_TOL = 1e-12
+# the multiples of its damped step at which the polish tries each row (see ``_polish``)
+_POLISH_ALPHAS = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0, 1024.0])
 
 
 def _indp_groups() -> list[tuple[np.ndarray, np.ndarray]]:
@@ -92,15 +106,18 @@ class OptimSettings:
     """Settings of the Levenberg–Marquardt fit of PRSP and PWR; both are positive integers.
 
     ``n_starts`` seeded random starts join the fixed ones; ``max_iters`` caps
-    the steps tried per start, and a start that reaches it before its error
-    stops falling or reaches exactly 0 is reported as not converged (see
-    ``_lm``). A step costs one model evaluation at the trial point; when the
-    step is accepted, the Jacobian and normal equations are completed from
-    that evaluation. The closed-form fits ignore them.
+    the steps tried per start of the search, and again the steps of the
+    polish of each fit's winner (see ``_lm`` and ``_polish``). A fit whose
+    polish reaches it before its error stops falling or reaches exactly 0 is
+    reported as not converged. A search step costs one model evaluation at
+    the trial point, and a polish step one at each of its
+    ``len(_POLISH_ALPHAS)`` trial points; when a step is accepted, the
+    Jacobian and normal equations are completed from that evaluation. The
+    closed-form fits ignore them.
     """
 
     n_starts: int = 5
-    max_iters: int = 500
+    max_iters: int = 200
 
     def __post_init__(self) -> None:
         for name in ("n_starts", "max_iters"):
@@ -113,7 +130,7 @@ class OptimSettings:
 class FitResult:
     params: ModelParams
     epsilon: float
-    iterations: int  # steps of the winning start; 0 for BST and the closed-form fits
+    iterations: int  # search steps of the winning start plus polish steps; 0 for BST and the closed-form fits
     converged: bool
     start_index: int  # the winning start (see ``fit``)
 
@@ -188,21 +205,28 @@ def _to_search_coords(kind: ModelKind, values) -> np.ndarray:
     return x.copy()
 
 
+def _model(kind: ModelKind, e1: np.ndarray, e2: np.ndarray):
+    """The model as ``_polish`` steps on it: points (m, n) in model coordinates map to ``_predict_rows``'
+    ``(pred, jac)``. PRSP's ``models._evidence_levels(e1, e2)`` is computed here, once for every call of the map.
+    """
+    levels = _evidence_levels(e1, e2) if kind is ModelKind.PRSP else None
+    return lambda values: _predict_rows(kind, values, e1, e2, jacobian=True, levels=levels)
+
+
 def _search_model(kind: ModelKind, e1: np.ndarray, e2: np.ndarray):
     """The model as ``_lm`` steps on it: search points ``x`` (m, n) map to ``(pred, jac)``.
 
     ``pred`` (m, k) is the model's prediction at ``_to_model_values(kind, x)``, from one ``_predict_rows``
     call. ``jac(rows)`` completes, from that call's forward pass, the Jacobian in ``x`` of the given rows,
-    (len(rows), k, n), a new array. PRSP's ``models._evidence_levels(e1, e2)`` is computed here, once for
-    every call of the map.
+    (len(rows), k, n), a new array. PWR's search coordinates are its model coordinates (see ``_model``).
     """
-    levels = _evidence_levels(e1, e2) if kind is ModelKind.PRSP else None
+    model = _model(kind, e1, e2)
+    if kind is not ModelKind.PRSP:
+        return model
 
-    def model(x: np.ndarray):
+    def search_model(x: np.ndarray):
         values = _to_model_values(kind, x)
-        pred, jac = _predict_rows(kind, values, e1, e2, jacobian=True, levels=levels)
-        if kind is not ModelKind.PRSP:
-            return pred, jac
+        pred, jac = model(values)
         # chain rule through the sigmoid; the clamp makes a coordinate beyond it flat
         chain = np.where(np.abs(x) < _SEARCH_CLAMP, values * (1.0 - values), 0.0)
 
@@ -213,7 +237,7 @@ def _search_model(kind: ModelKind, e1: np.ndarray, e2: np.ndarray):
 
         return pred, search_jac
 
-    return model
+    return search_model
 
 
 def _sse(r: np.ndarray) -> np.ndarray:
@@ -229,8 +253,82 @@ def _normal_equations(jac: np.ndarray, r: np.ndarray):
     return np.all(np.isfinite(jac), axis=(1, 2)), jt @ jac, (jt @ r[..., None])[..., 0]
 
 
+def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Per row, the step -(JᵀJ + λD)⁻¹Jᵀr, capped at ``_MAX_STEP`` in max-norm; D is the diagonal of JᵀJ with 1
+    where it is 0."""
+    diag = np.diagonal(jtj, axis1=1, axis2=2)
+    scale = np.where(diag > 0.0, diag, 1.0)  # a flat coordinate gets no step
+    damped = jtj + (lam[:, None] * scale)[..., None] * np.eye(jtj.shape[1])
+    step = -np.linalg.solve(damped, jtr[..., None])[..., 0]
+    step *= (_MAX_STEP / np.maximum(np.max(np.abs(step), axis=-1), _MAX_STEP))[:, None]
+    return step
+
+
+def _search_trial(model, live, x, jtj, jtr, lam, c):
+    """The search's trial point of each row: its damped step from ``x``, evaluated in one model call."""
+    x_try = x + _damped_step(jtj, jtr, lam)
+    pred, jac = model(x_try)
+    r = pred - c
+    return x_try, r, _sse(r), jac
+
+
+def _descend(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings, trial):
+    """The Levenberg–Marquardt loop of the search and the polish: damping, acceptance and stop rule.
+
+    ``model`` maps an (m, n) batch of points to their predictions (m, k) and a
+    function completing the Jacobian of any of their rows. ``trial(model,
+    live, x, jtj, jtr, lam, c)`` gives, for the rows ``live`` of ``x0`` still
+    in the batch, at points ``x`` with normal equations (JᵀJ, Jᵀr), damping
+    ``lam`` and targets ``c``, each row's trial point, its residuals and SSE,
+    and the function completing their Jacobian, all from one model call. See
+    ``_lm`` for the rules and the returned arrays.
+    """
+    x_end = np.array(x0, dtype=np.float64)
+    pred, jac = model(x_end)
+    r = pred - c
+    finite, jtj, jtr = _normal_equations(jac(), r)
+    sse_end = np.where(finite, _sse(r), np.inf)
+    del pred, jac, r
+    iters = np.zeros(len(x_end), dtype=int)
+    converged = sse_end == 0.0  # an exact fit at x0 takes no step
+
+    # the state of the rows still in the batch; ``live`` is their index in x0
+    keep = np.isfinite(sse_end) & ~converged  # a start with no finite SSE is never moved
+    live, x, sse, jtj, jtr, c = (a[keep] for a in (np.arange(len(x_end)), x_end, sse_end, jtj, jtr, c))
+    lam = np.full(len(live), _LAMBDA_START)
+    for it in range(1, settings.max_iters + 1):
+        if live.size == 0:
+            break
+        x_try, r, sse_try, jac = trial(model, live, x, jtj, jtr, lam, c)
+
+        # only a point whose SSE fell can be accepted, so only there are derivatives needed; one
+        # whose derivatives are not finite is rejected
+        accepted = np.flatnonzero(sse_try < sse)
+        if accepted.size:
+            finite, jtj_new, jtr_new = _normal_equations(jac(accepted), r[accepted])
+            if not finite.all():
+                accepted, jtj_new, jtr_new = accepted[finite], jtj_new[finite], jtr_new[finite]
+        del jac, r
+        lam_accepted = np.maximum(lam[accepted] / 10.0, _LAMBDA_MIN)
+        lam *= 10.0
+        lam[accepted] = lam_accepted
+        stop = lam > _LAMBDA_MAX  # a rejected step's stop: no step lowers the SSE
+        if accepted.size:
+            sse_old, sse_new = sse[accepted], sse_try[accepted]
+            stop[accepted] = (sse_old - sse_new < _OBJ_REL_TOL * sse_old) | (sse_new == 0.0)
+            x[accepted], sse[accepted], jtj[accepted], jtr[accepted] = x_try[accepted], sse_new, jtj_new, jtr_new
+        if stop.any():  # the stopped rows leave the batch
+            out = live[stop]
+            x_end[out], sse_end[out], iters[out], converged[out] = x[stop], sse[stop], it, True
+            keep = ~stop
+            live, x, sse, jtj, jtr, lam, c = (a[keep] for a in (live, x, sse, jtj, jtr, lam, c))
+    # the rows still in the batch ran out of steps
+    x_end[live], sse_end[live], iters[live] = x, sse, settings.max_iters
+    return x_end, sse_end, iters, converged
+
+
 def _lm(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings):
-    """Levenberg–Marquardt on every row of ``x0`` at once; each row is one start.
+    """Levenberg–Marquardt on every row of ``x0`` at once; each row is one start of the search.
 
     ``model`` is a map as ``_search_model`` returns: an (m, n) batch of points
     to the predictions (m, k) and a function completing the Jacobian of any of
@@ -249,7 +347,8 @@ def _lm(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings):
     still lead to a lower SSE. The batch shrinks as its rows stop, and the
     call ends when the last one does (Moré 1978). Rows interact
     through no computation, so a start's result does not depend, to the bit,
-    on the other starts in the batch or on its position in it.
+    on the other starts in the batch or on its position in it. ``_descend``
+    runs these rules, which the polish shares (see ``_polish``).
 
     Each step makes one model evaluation, at the trial points of the rows
     still in the batch, and completes the Jacobian and normal equations only
@@ -265,57 +364,60 @@ def _lm(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings):
     Returns the final points, their SSE, the steps tried and the converged
     flags.
     """
-    x_end = np.array(x0, dtype=np.float64)
-    pred, jac = model(x_end)
-    r = pred - c
-    finite, jtj, jtr = _normal_equations(jac(), r)
-    sse_end = np.where(finite, _sse(r), np.inf)
-    del pred, jac, r
-    iters = np.zeros(len(x_end), dtype=int)
-    converged = sse_end == 0.0  # an exact fit at x0 takes no step
-    eye = np.eye(x_end.shape[1])
+    return _descend(model, x0, c, settings, _search_trial)
 
-    # the state of the rows still in the batch; ``live`` is their index in x0
-    keep = np.isfinite(sse_end) & ~converged  # a start with no finite SSE is never moved
-    live, x, sse, jtj, jtr, c = (a[keep] for a in (np.arange(len(x_end)), x_end, sse_end, jtj, jtr, c))
-    lam = np.full(len(live), _LAMBDA_START)
-    for it in range(1, settings.max_iters + 1):
-        if live.size == 0:
-            break
-        diag = np.diagonal(jtj, axis1=1, axis2=2)
-        scale = np.where(diag > 0.0, diag, 1.0)  # a flat coordinate gets no step
-        damped = jtj + (lam[:, None] * scale)[..., None] * eye
-        step = -np.linalg.solve(damped, jtr[..., None])[..., 0]
-        step *= (_MAX_STEP / np.maximum(np.max(np.abs(step), axis=-1), _MAX_STEP))[:, None]
-        x_try = x + step
-        pred, jac = model(x_try)
-        r = pred - c
-        sse_try = _sse(r)
 
-        # only a point whose SSE fell can be accepted, so only there are derivatives needed; one
-        # whose derivatives are not finite is rejected
-        accepted = np.flatnonzero(sse_try < sse)
-        if accepted.size:
-            finite, jtj_new, jtr_new = _normal_equations(jac(accepted), r[accepted])
-            if not finite.all():
-                accepted, jtj_new, jtr_new = accepted[finite], jtj_new[finite], jtr_new[finite]
-        del pred, jac, r
-        lam_accepted = np.maximum(lam[accepted] / 10.0, _LAMBDA_MIN)
-        lam *= 10.0
-        lam[accepted] = lam_accepted
-        stop = lam > _LAMBDA_MAX  # a rejected step's stop: no step lowers the SSE
-        if accepted.size:
-            sse_old, sse_new = sse[accepted], sse_try[accepted]
-            stop[accepted] = (sse_old - sse_new < _OBJ_REL_TOL * sse_old) | (sse_new == 0.0)
-            x[accepted], sse[accepted], jtj[accepted], jtr[accepted] = x_try[accepted], sse_new, jtj_new, jtr_new
-        if stop.any():  # the stopped rows leave the batch
-            out = live[stop]
-            x_end[out], sse_end[out], iters[out], converged[out] = x[stop], sse[stop], it, True
-            keep = ~stop
-            live, x, sse, jtj, jtr, lam, c = (a[keep] for a in (live, x, sse, jtj, jtr, lam, c))
-    # the rows still in the batch ran out of steps
-    x_end[live], sse_end[live], iters[live] = x, sse, settings.max_iters
-    return x_end, sse_end, iters, converged
+def _polish_box(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The polish's lower and upper bound of each coordinate of each row of ``values``, in model coordinates.
+
+    PRSP's are the range the search reaches, [sigmoid(-30), sigmoid(30)], and
+    each pEj is further held to the closed cell that holds it between
+    consecutive grid levels of ej and the ends of that range; a pEj on a level
+    gets the cell above it, where the Jacobian's one-sided branch is the
+    cell's (see ``models._rule_posterior_jac``). PWR's are unbounded.
+    """
+    if kind is ModelKind.PWR:
+        return np.full_like(values, -np.inf), np.full_like(values, np.inf)
+    box = _to_model_values(kind, np.array([-_SEARCH_CLAMP, _SEARCH_CLAMP]))
+    lo, hi = np.full_like(values, box[0]), np.full_like(values, box[1])
+    for col, e in ((1, e1), (4, e2)):
+        edges = np.unique(np.clip(np.concatenate([e, box]), *box))
+        cell = np.clip(np.searchsorted(edges, values[:, col], side="right"), 1, edges.size - 1)
+        lo[:, col], hi[:, col] = edges[cell - 1], edges[cell]
+    return lo, hi
+
+
+def _polish(model, x0: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray, settings: OptimSettings):
+    """Levenberg–Marquardt on every row of ``x0`` at once, each row boxed to [``lo``, ``hi``]: the polish.
+
+    The arguments are those of ``_lm``, with ``model`` in model coordinates
+    (``_model``), plus per row and coordinate the bounds of the box that holds
+    ``x0`` (``_polish_box``). The rows share the search's damping, acceptance
+    and stop rules and its ``max_iters`` (``_descend``). A coordinate at a
+    bound whose descent direction -Jᵀr leaves the box is held there, and the
+    damped step d is taken on the free coordinates (Bertsekas, "Projected
+    Newton methods for optimization problems with simple constraints", 1982).
+    The trial points are clip(x + α·d) along the projected path, α in
+    ``_POLISH_ALPHAS``, those of every row in one model call; a row's lowest
+    is its trial point, the shortest on a tie. So a row reaches a face that
+    the search's logistic coordinates put at infinity, and it never ends above
+    ``x0``. Returns what ``_lm`` returns.
+    """
+    n_alphas = len(_POLISH_ALPHAS)
+
+    def trial(model, live, x, jtj, jtr, lam, c):
+        row_lo, row_hi = lo[live], hi[live]
+        free = ~(((x <= row_lo) & (jtr > 0.0)) | ((x >= row_hi) & (jtr < 0.0)))
+        d = _damped_step(jtj * (free[:, :, None] & free[:, None, :]), jtr * free, lam)
+        points = np.clip(x[:, None] + _POLISH_ALPHAS[:, None] * d[:, None], row_lo[:, None], row_hi[:, None])
+        points = points.reshape(-1, x.shape[1])
+        pred, jac = model(points)
+        r = pred - np.repeat(c, n_alphas, axis=0)
+        sse = _sse(r)
+        pick = np.arange(len(x)) * n_alphas + np.argmin(sse.reshape(len(x), n_alphas), axis=1)  # the first on a tie
+        return points[pick], r[pick], sse[pick], lambda rows: jac(pick[rows])
+
+    return _descend(model, x0, c, settings, trial)
 
 
 def _starts(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, c: np.ndarray, settings: OptimSettings,
@@ -380,8 +482,9 @@ def fit_batch(
     makes a closed-form fit singular, and ``RuntimeError`` naming the kind and
     the first row whose best error is not finite. BST, WRST, LINR and INDP are solved for every
     row at once by stacked per-row operations. For PRSP and PWR the starts of
-    every row run as the rows of one ``_lm`` batch. No operation mixes rows, so
-    each result is bit for bit the one ``fit`` returns.
+    every row run as the rows of one ``_lm`` batch, and then each row's
+    winning start as one row of one ``_polish`` batch. No operation mixes
+    rows, so each result is bit for bit the one ``fit`` returns.
     """
     _check_kind(kind)
     if not isinstance(settings, OptimSettings):  # the closed-form fits would ignore a None
@@ -415,7 +518,10 @@ def fit_batch(
         first = np.cumsum(counts) - counts
         start = np.array([np.argmin(sse[lo : lo + n]) for lo, n in zip(first, counts)], dtype=int)  # first on a tie
         best = first + start
-        values, sse, iters, converged = _to_model_values(kind, x[best]), sse[best], iters[best], converged[best]
+        values = _to_model_values(kind, x[best])
+        values, sse, polish_iters, converged = _polish(_model(kind, e1, e2), values, c,
+                                                       *_polish_box(kind, e1, e2, values), settings)
+        iters = iters[best] + polish_iters
     bad = np.flatnonzero(~np.isfinite(sse))
     if bad.size:
         raise RuntimeError(f"{kind.value} fit failed on row {bad[0]}: no start produced a finite error")
@@ -445,12 +551,16 @@ def fit(
     falling or reaches exactly 0, or for ``max_iters`` steps (see ``_lm``).
     Every step evaluates the model once at a start's trial point, and
     completes the Jacobian from that evaluation only where the step is
-    accepted. The start with the lowest error wins and reports its steps
-    tried and its convergence; when several starts reach the same minimum,
-    which one wins is decided at rounding level. Non-convergence within
-    ``max_iters`` is not an error; the best point found is returned with
-    ``converged=False``. This is ``fit_batch`` on one row and raises its
-    errors; an empty vector raises ``ValueError`` too.
+    accepted. The start with the lowest error wins; when several starts
+    reach the same minimum, which one wins is decided at rounding level. The
+    polish then steps from the winner, inside a box that holds each of
+    PRSP's pEj in its cell between grid levels, under the same rules and
+    ``max_iters`` (see ``_polish``), and its point is the result:
+    ``iterations`` counts the winner's search steps plus the polish's, and
+    ``converged`` is whether the polish stopped on its own rule before
+    ``max_iters``. Non-convergence is not an error; the best point found is
+    returned with ``converged=False``. This is ``fit_batch`` on one row and
+    raises its errors; an empty vector raises ``ValueError`` too.
     """
     e1, e2, c = _target_arrays(targets)
     return fit_batch(kind, e1, e2, c[None], settings, [seed], [warm_start])[0]

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.optimize
 
 from uisbench.dist import JointDist, atom_index
-from uisbench.optim import _LAMBDA_MAX, _LAMBDA_MIN, _LAMBDA_START, _MAX_STEP, _OBJ_REL_TOL
+from uisbench.optim import _LAMBDA_MAX, _LAMBDA_MIN, _LAMBDA_START, _MAX_STEP, _OBJ_REL_TOL, _POLISH_ALPHAS
 
 GRID_LEVELS = (0.001, 0.25, 0.5, 0.75, 0.999)
 
@@ -203,3 +203,25 @@ def assert_batch_calls(calls, model, x0, c, settings):
         int(np.count_nonzero(iters >= it)) for it in range(1, iters.max() + 1)
     ]
     assert sum(rows for event, rows in calls if event == "jacobian") == len(x0) + n_accepted
+
+
+def assert_polish_calls(calls, n_rows, iters):
+    """Check one polish batch's evaluations, given as ("forward" or "jacobian", rows) per event.
+
+    The first call evaluates the ``n_rows`` winners, whose Jacobian is
+    completed for every row. Then step ``it`` makes exactly one call, over the
+    trial points of the rows not yet stopped, one per multiple in
+    ``_POLISH_ALPHAS`` of each row whose polish ``iters`` reach ``it``, and
+    completes the Jacobian of at most that many rows, those whose SSE fell.
+    """
+    calls = list(calls)
+    assert calls[:2] == [("forward", n_rows), ("jacobian", n_rows)]
+    steps = []  # per step, its rows evaluated and Jacobian rows completed
+    for event, rows in calls[2:]:
+        if event == "forward":
+            steps.append([rows, 0])
+        else:
+            steps[-1][1] += rows
+    live = [int(np.count_nonzero(iters >= it)) for it in range(1, iters.max(initial=0) + 1)]
+    assert [rows for rows, _ in steps] == [len(_POLISH_ALPHAS) * n for n in live]
+    assert all(completed <= n for (_, completed), n in zip(steps, live))

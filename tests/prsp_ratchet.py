@@ -13,13 +13,15 @@ without rewriting it; it exits 1 if any fit is above its entry::
     PYTHONPATH=src python tests/prsp_ratchet.py --check
 
 Per run it prints the fits above and below their entry by more than 1e-9,
-the largest rise and drop, and the work of PRSP's Levenberg–Marquardt batch:
-its row-steps (the steps tried, summed over its starts) and the starts that
-reach ``max_iters``. Without ``--check`` it rewrites the file from the
-current code.
+the largest rise and drop, and two lines of PRSP's Levenberg–Marquardt work:
+the search's row-steps (the steps tried, summed over its starts) and the
+starts that reach ``max_iters``, then the polish's steps (summed over its
+rows, one per distribution) and the rows that reach ``max_iters``. Without
+``--check`` it rewrites the file from the current code, keeping each entry
+that is lower than the current ε, and prints each entry it lowers.
 
 An entry may only go down, when a change finds a lower minimum: raising one
-loosens the check. An entry is the ε the search reached when it was
+loosens the check. An entry is the ε the fit reached when it was
 recorded, not the minimum, so the ratchet bounds regressions and says
 nothing of the gap to the minimum. Variants of the search have found PRSP ε
 up to 1.06e-3 below the entries of held-out uniform run gen seed 301987 and
@@ -70,21 +72,39 @@ def read_ratchet(path=RATCHET_CSV) -> dict[tuple[str, int, int], list[float]]:
 
 @contextmanager
 def counted_lm():
-    """Wraps ``optim._lm`` while open; the yielded dict sums its row-steps and the rows that reach ``max_iters``."""
-    counts = {"row_steps": 0, "at_max_iters": 0}
-    lm = optim._lm
+    """Wraps ``optim._lm`` and ``optim._polish`` while open.
 
-    def counted(model, x0, c, settings):
-        x, sse, iters, converged = lm(model, x0, c, settings)
-        counts["row_steps"] += int(iters.sum())
-        counts["at_max_iters"] += int(np.count_nonzero(iters == settings.max_iters))
-        return x, sse, iters, converged
+    The yielded dict sums the search's row-steps and its starts that reach
+    ``max_iters``, and the polish's steps and its rows that reach ``max_iters``.
+    """
+    keys = {"_lm": ("row_steps", "at_max_iters"), "_polish": ("polish_steps", "polish_at_max_iters")}
+    counts = dict.fromkeys(sum(keys.values(), ()), 0)
+    originals = {name: getattr(optim, name) for name in keys}
 
-    optim._lm = counted
+    def counted(name):
+        def wrapper(*args):
+            out = originals[name](*args)
+            iters, settings = out[2], args[-1]
+            steps, at_max = keys[name]
+            counts[steps] += int(iters.sum())
+            counts[at_max] += int(np.count_nonzero(iters == settings.max_iters))
+            return out
+
+        return wrapper
+
+    for name in keys:
+        setattr(optim, name, counted(name))
     try:
         yield counts
     finally:
-        optim._lm = lm
+        for name, fn in originals.items():
+            setattr(optim, name, fn)
+
+
+def work_lines(counts: dict[str, int]) -> tuple[str, str]:
+    """The search's and the polish's figures in ``counted_lm``'s counts, one line each."""
+    return (f"search: {counts['row_steps']:,} row-steps, {counts['at_max_iters']} starts at max_iters",
+            f"polish: {counts['polish_steps']:,} steps, {counts['polish_at_max_iters']} rows at max_iters")
 
 
 def check() -> int:
@@ -92,14 +112,15 @@ def check() -> int:
     recorded = read_ratchet()
     n_above = 0
     for run in RUNS:
-        with counted_lm() as counts:  # the runs fit LINR, WRST and PRSP, so every _lm call is PRSP's
+        with counted_lm() as counts:  # the runs fit LINR, WRST and PRSP, so every _lm and _polish call is PRSP's
             diff = np.array(prsp_epsilons(*run)) - recorded[run]
         above, below = np.flatnonzero(diff > TOL), np.flatnonzero(diff < -TOL)
         n_above += above.size
         rise, drop = int(np.argmax(diff)), int(np.argmin(diff))
         print(f"{run[0]} gen {run[1]} bench {run[2]}: {above.size} above, {below.size} below; "
-              f"largest rise {diff[rise]:.3g} (dist {rise}), largest drop {-diff[drop]:.3g} (dist {drop}); "
-              f"{counts['row_steps']:,} row-steps, {counts['at_max_iters']} starts at max_iters")
+              f"largest rise {diff[rise]:.3g} (dist {rise}), largest drop {-diff[drop]:.3g} (dist {drop})")
+        for line in work_lines(counts):
+            print(f"  {line}")
         for name, ids in (("above", above), ("below", below)):
             if ids.size:
                 print(f"  {name}: " + ", ".join(f"dist {i} {diff[i]:+.3g}" for i in ids))
@@ -108,12 +129,19 @@ def check() -> int:
 
 
 def write() -> None:
+    """Rewrite the file with the lower of each entry and the current ε, printing each entry that goes down."""
+    recorded = read_ratchet(RATCHET_CSV)
+    rows = []
+    for run in RUNS:
+        current = prsp_epsilons(*run)
+        for i, (entry, eps) in enumerate(zip(recorded.get(run, current), current)):
+            if eps < entry:
+                print(f"{run[0]} gen {run[1]} bench {run[2]} dist {i}: {entry:.17g} -> {eps:.17g}")
+            rows.append((*run, i, f"{min(entry, eps):.17g}"))
     with open(RATCHET_CSV, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(("family", "gen_seed", "bench_seed", "dist_id", "epsilon"))
-        for run in RUNS:
-            for i, eps in enumerate(prsp_epsilons(*run)):
-                writer.writerow((*run, i, f"{eps:.17g}"))
+        writer.writerows(rows)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -252,12 +252,12 @@ def test_criterion_9_cli_determinism(tmp_path):
 # sha256 of report.csv and summary.json of the two acceptance runs (BENCH_KINDS, default settings)
 ARTIFACT_SHA256 = {
     "uniform": {
-        "report.csv": "f1b3ba83ddf014c43cd9c0154b0c35445bb8475f886dc32db12c00d21ff4fbcd",
-        "summary.json": "3c320ba4f6cf73b2a07674ec84ff87f94e173d7fb26069edb4fdcc565e0438fe",
+        "report.csv": "7dfd7bd2d7a8db78e365356b3ccf43a1ed5702f9a5817edb1301484bd2b12914",
+        "summary.json": "05c0d886f53342e2fe57a04c1e7f077fc9ca21f594b3b06a56099a0d8b48735c",
     },
     "cond_indep": {
-        "report.csv": "0d4fee9f59dd8489f2a6c16637c574cfd576370e0f8c2b6885337e768a7b2a37",
-        "summary.json": "d32624b012455d1cf31ddda41efb68a7ad8c2c746cdc9e2b510130c702d442b0",
+        "report.csv": "cf31bb49cd4c3581cc7be481dfa3a6e5867f0a78ae8fcab80947a7496c4ac0a9",
+        "summary.json": "6b88fd142e2a4a61fa88432d4a3d5ab896e7f7f3e328980d6a08353f3a2e1b6b",
     },
 }
 

@@ -25,10 +25,10 @@ from uisbench.bench import (
 from uisbench.cli import main
 from uisbench.dist import JointDist, sample_cond_indep, sample_uniform
 from uisbench.models import ModelKind, ModelParams, _predict_rows
-from uisbench.optim import FitResult, OptimSettings, _lm, fit_batch
+from uisbench.optim import FitResult, OptimSettings, _lm, _polish, fit_batch
 from uisbench.oracle import DEFAULT_GRID, EvidenceGrid
 
-from conftest import assert_batch_calls, counting
+from conftest import assert_batch_calls, assert_polish_calls, counting
 
 UNIFORM = JointDist([0.125] * 8)
 ALL_KINDS = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP, ModelKind.PWR, ModelKind.BST)
@@ -212,6 +212,7 @@ class TestRunBench:
 
         events = []  # fit_batch calls, and the _predict_rows calls and Jacobian completions within them
         lm_args = []  # per PRSP batch, the arguments of its _lm call
+        polish_iters = []  # per PRSP polish, its steps
 
         def batched(kind, *args):
             events.append((kind, "fit_batch", 0))
@@ -222,27 +223,39 @@ class TestRunBench:
                 lm_args.append((model, x0, c, settings))
             return _lm(model, x0, c, settings)
 
+        def recorded_polish(model, x0, *args):
+            if x0.shape[1] != 7:  # PWR's polish
+                return _polish(model, x0, *args)
+            events.append((ModelKind.PRSP, "polish", 0))
+            out = _polish(model, x0, *args)
+            polish_iters.append(out[2])
+            return out
+
         monkeypatch.setattr(bench, "fit_batch", batched)
         monkeypatch.setattr(optim, "_predict_rows", counting(_predict_rows, events))
         monkeypatch.setattr(optim, "_lm", recorded)
+        monkeypatch.setattr(optim, "_polish", recorded_polish)
         starts = 2 + FAST.n_starts + 16  # warm and constant start, seeded and kink starts
         for chunk, sizes in ((_BATCH_DISTS, [14]), (8, [8, 6])):  # the whole run is one chunk by default
             monkeypatch.setattr(bench, "_BATCH_DISTS", chunk)
             events.clear()
             lm_args.clear()
+            polish_iters.clear()
             run_bench(sample_uniform(72, 14), settings=FAST, seed=1)
-            batches = []  # per PRSP batch, (event, rows) of its evaluations
+            batches = []  # per PRSP batch, (event, rows) of the search's evaluations, then of the polish's
             for kind, event, rows in list(events):  # before the reference adds its own events
                 if kind is ModelKind.PRSP:
-                    if event == "fit_batch":
+                    if event in ("fit_batch", "polish"):
                         batches.append([])
                     else:
                         batches[-1].append((event, rows))
-            # one batch per chunk, which evaluates its rows not yet stopped once per step
-            assert len(batches) == len(lm_args) == len(sizes)
-            for calls, n, (model, x0, c, settings) in zip(batches, sizes, lm_args):
+            # one search and one polish per chunk, each evaluating its rows not yet stopped once per step
+            assert len(batches) == 2 * len(lm_args) == 2 * len(polish_iters) == 2 * len(sizes)
+            for calls, polish_calls, n, (model, x0, c, settings), iters in zip(
+                    batches[::2], batches[1::2], sizes, lm_args, polish_iters):
                 assert len(x0) == n * starts
                 assert_batch_calls(calls, model, x0, c, settings)
+                assert_polish_calls(polish_calls, n, iters)
 
     def test_one_oracle_batch_and_one_fit_batch_per_model_per_chunk(self, monkeypatch):
         import uisbench.bench as bench

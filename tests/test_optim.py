@@ -15,6 +15,7 @@ from uisbench.optim import (
     _indp_exact,
     _lm,
     _normal_equations,
+    _polish,
     _search_model,
     _starts,
     _to_model_values,
@@ -25,7 +26,7 @@ from uisbench.optim import (
 )
 from uisbench.oracle import DEFAULT_GRID, EvidencePair, standard_vector
 
-from conftest import assert_batch_calls, counting, reference_lm, sample_marginal_indep
+from conftest import assert_batch_calls, assert_polish_calls, counting, reference_lm, sample_marginal_indep
 from prsp_ratchet import RUNS, prsp_epsilons, read_ratchet
 
 UNIFORM = JointDist([0.125] * 8)
@@ -63,7 +64,7 @@ def bvls_epsilon(targets):
 class TestSettings:
     def test_defaults(self):
         s = OptimSettings()
-        assert (s.n_starts, s.max_iters) == (5, 500)
+        assert (s.n_starts, s.max_iters) == (5, 200)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n_starts"):
@@ -611,24 +612,108 @@ class TestSearchInternals:
         for got, want in zip((x, sse, iters, converged), reference_lm(model, x0, c, settings)):
             assert np.array_equal(got, want)
 
+    def test_polish_reaches_a_face_along_a_sloppy_direction(self):
+        # the case of test_lm_steps_along_a_sloppy_direction: the polish tries each capped step at up to 1024
+        # times its length, so unbounded it moves 1024 per step where the search moves 1. Boxed, it reaches
+        # the face, where the descent direction leaves the box, and holds the coordinate there until the
+        # damping passes its cap
+        def model(x):
+            pred = np.column_stack([np.zeros(len(x)), 1e-8 * x[:, 0]])
+            return pred, lambda rows=slice(None): np.tile([[0.0], [1e-8]], (len(x[rows]), 1, 1))
+
+        x0, c, settings = np.zeros((1, 1)), np.array([[1.0, 0.1]]), OptimSettings(max_iters=50)
+        x, sse, iters, converged = _polish(model, x0, c, np.full((1, 1), -np.inf), np.full((1, 1), np.inf), settings)
+        assert (x[0, 0], iters[0], converged[0]) == (50 * 1024.0, 50, False)
+        x, sse, iters, converged = _polish(model, x0, c, np.zeros((1, 1)), np.full((1, 1), 2000.0), settings)
+        lam, rejected = 1e-3 / 10.0 / 10.0, 0  # two accepted steps: to 1024, then to 2048 clipped to 2000
+        while lam <= 1e16:
+            lam, rejected = lam * 10.0, rejected + 1
+        assert (x[0, 0], iters[0], converged[0]) == (2000.0, 2 + rejected, True)
+        assert sse[0] == pytest.approx(1.0 + (0.1 - 2e-5) ** 2, rel=1e-15)
+
+    def test_polish_stays_in_its_box_and_never_ends_above_the_search(self, monkeypatch):
+        # uniform acceptance distributions 9, 73 and 81, fitted in one batch and alone: 73's polish takes
+        # q(C|not E1) to its lower bound and 81's q(C|not E2) to its upper one; 9's and 81's run to max_iters
+        import uisbench.optim as optim
+
+        searched, polished = [], []
+
+        def recorded_lm(*args):
+            searched.append(_lm(*args))
+            return searched[-1]
+
+        def recorded_polish(model, x0, c, lo, hi, settings):
+            polished.append((x0, lo, hi, np.sum((model(x0)[0] - c) ** 2, axis=-1), _polish(model, x0, c, lo, hi, settings)))
+            return polished[-1][-1]
+
+        monkeypatch.setattr(optim, "_lm", recorded_lm)
+        monkeypatch.setattr(optim, "_polish", recorded_polish)
+        dists, ids, settings = sample_uniform(1987, 109), (9, 73, 81), OptimSettings()
+        seeds, warm = [_derived_seed(11, i) for i in ids], [true_params_prsp(dists[i]) for i in ids]
+        batch = fit_batch(ModelKind.PRSP, *grid_arrays(), [[v for _, v in standard_vector(dists[i])] for i in ids],
+                          settings, seeds, warm)
+        ((search_x, search_sse, search_iters, _),) = searched
+        ((x0, lo, hi, start_sse, (x, sse, iters, converged)),) = polished
+        # each row starts at its fit's winner, with the search's SSE bits
+        best = np.arange(len(ids)) * (2 + settings.n_starts + 16) + [r.start_index for r in batch]
+        assert np.array_equal(x0, _to_model_values(ModelKind.PRSP, search_x[best]))
+        assert np.array_equal(start_sse, search_sse[best])
+        assert np.all(sse <= start_sse)
+        # the box is the range the search reaches, with each pEj in its starting cell between grid levels
+        box = _to_model_values(ModelKind.PRSP, np.array([-30.0, 30.0])).tolist()
+        edges = [box[0], *DEFAULT_GRID.levels, box[1]]
+        for j in range(7):
+            if j in (1, 4):
+                cell = [edges.index(v) for v in lo[:, j]]
+                assert hi[:, j].tolist() == [edges[i + 1] for i in cell]
+            else:
+                assert lo[:, j].tolist() == [box[0]] * len(ids) and hi[:, j].tolist() == [box[1]] * len(ids)
+        assert np.all((lo <= x0) & (x0 <= hi)) and np.all((lo <= x) & (x <= hi))
+        assert x[1, 3] == lo[1, 3] and x[2, 6] == hi[2, 6]
+        assert converged.tolist() == [False, True, False] and iters[~converged].tolist() == [settings.max_iters] * 2
+        # the fit reports the polished point, the steps of both and the polish's convergence
+        for i, r in enumerate(batch):
+            assert r.params.values == tuple(x[i]) and r.epsilon == np.sqrt(sse[i] / len(DEFAULT_GRID.e1))
+            assert (r.iterations, r.converged) == (search_iters[best[i]] + iters[i], converged[i])
+            assert fit(ModelKind.PRSP, standard_vector(dists[ids[i]]), settings, seeds[i], warm[i]) == r
+
+    def test_pwr_no_worse_after_the_step_cap_fell(self):
+        # the PRSP ratchet cannot see PWR. At max_iters 500 this held-out fit's winner took 322 steps to
+        # this ε; at 200 steps without the polish it ended 4.9e-10 higher (cond_indep gen seed 301986,
+        # bench seed 13, dist 85)
+        d = sample_cond_indep(301986, 86)[85]
+        assert fit(ModelKind.PWR, standard_vector(d), seed=_derived_seed(13, 85)).epsilon <= 0.06650993287440232 + 1e-12
+
     def test_prsp_fit_steps_each_row_until_its_stop(self, monkeypatch):
         import uisbench.optim as optim
 
         events = []  # (kind, event, rows) per _predict_rows call and Jacobian completion
         batches = []  # the arguments of each _lm call
+        polished = []  # per polish, the events before it and its steps
 
         def recorded(*args):
             batches.append(args)
             return _lm(*args)
 
+        def recorded_polish(*args):
+            at = len(events)
+            out = _polish(*args)
+            polished.append((at, out[2]))
+            return out
+
         def check_calls():
-            """The batch's calls follow its rows not yet stopped; its completed Jacobian rows its accepted steps."""
+            """The search's calls follow its rows not yet stopped, its completed Jacobian rows its accepted
+            steps; then the polish's calls follow its row's steps."""
             model, x0, c, settings = batches.pop()
-            assert_batch_calls([(event, rows) for _, event, rows in events], model, x0, c, settings)
+            at, polish_iters = polished.pop()
+            calls = [(event, rows) for _, event, rows in events]
+            assert_batch_calls(calls[:at], model, x0, c, settings)
+            assert_polish_calls(calls[at:], 1, polish_iters)
             return len(x0)
 
         monkeypatch.setattr(optim, "_predict_rows", counting(_predict_rows, events))
         monkeypatch.setattr(optim, "_lm", recorded)
+        monkeypatch.setattr(optim, "_polish", recorded_polish)
         e1, e2 = grid_arrays()
         planted = list(zip(DEFAULT_GRID.pairs(), predict_grid(ModelKind.PRSP, (0.4, 0.3, 0.8, 0.2, 0.6, 0.7, 0.25), e1, e2)))
         settings = OptimSettings(max_iters=40)

@@ -83,21 +83,40 @@ def test_module_entry_point_runs_the_command_line(module, tmp_path):
 
 
 def test_ratchet_check_counts_prsp_row_steps():
-    # tests/prsp_ratchet.py --check reports PRSP's work through this wrapper of optim._lm
+    # tests/prsp_ratchet.py --check reports PRSP's work through this wrapper of optim._lm and optim._polish
     import uisbench.optim as optim
-    from prsp_ratchet import counted_lm
+    from prsp_ratchet import counted_lm, work_lines
     from uisbench.dist import sample_uniform
     from uisbench.models import ModelKind
     from uisbench.oracle import DEFAULT_GRID, _batch_answers
 
-    lm = optim._lm
+    lm, polish = optim._lm, optim._polish
     targets = _batch_answers([d.atoms for d in sample_uniform(5, 2)], DEFAULT_GRID.e1, DEFAULT_GRID.e2)[0]
     settings = optim.OptimSettings(n_starts=2, max_iters=1)
     with counted_lm() as counts:
         optim.fit_batch(ModelKind.PRSP, DEFAULT_GRID.e1, DEFAULT_GRID.e2, targets, settings, [1, 2], [None, None])
-    assert optim._lm is lm
+    assert optim._lm is lm and optim._polish is polish
     starts = 2 * (1 + 2 + 16)  # per distribution the constant, seeded and kink starts, each stepping once
-    assert counts == {"row_steps": starts, "at_max_iters": starts}
+    # then one polish row per distribution, stepping once
+    assert counts == {"row_steps": starts, "at_max_iters": starts, "polish_steps": 2, "polish_at_max_iters": 2}
+    assert work_lines(counts) == ("search: 38 row-steps, 38 starts at max_iters", "polish: 2 steps, 2 rows at max_iters")
+
+
+def test_ratchet_rewrite_only_lowers_entries(tmp_path, monkeypatch, capsys):
+    # the rewrite overwrote every entry with the current ε, so it could raise one and loosen the check
+    import prsp_ratchet
+
+    runs = (("uniform", 1, 2), ("cond_indep", 3, 4))
+    path = tmp_path / "ratchet.csv"
+    path.write_text("family,gen_seed,bench_seed,dist_id,epsilon\n"
+                    "uniform,1,2,0,0.5\nuniform,1,2,1,0.25\ncond_indep,3,4,0,0.125\n")
+    current = {runs[0]: [0.75, 0.125], runs[1]: [0.125]}
+    monkeypatch.setattr(prsp_ratchet, "RATCHET_CSV", path)
+    monkeypatch.setattr(prsp_ratchet, "RUNS", runs)
+    monkeypatch.setattr(prsp_ratchet, "prsp_epsilons", lambda *run: current[run])
+    prsp_ratchet.write()
+    assert prsp_ratchet.read_ratchet(path) == {runs[0]: [0.5, 0.125], runs[1]: [0.125]}
+    assert capsys.readouterr().out == "uniform gen 1 bench 2 dist 1: 0.25 -> 0.125\n"
 
 
 def test_timing_rejects_a_repeat_below_one(monkeypatch, capsys):

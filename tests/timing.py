@@ -11,8 +11,10 @@ distributions on the default grid, default models and settings, one
 * ``fit_batch`` of each default model on the run's answer matrix, with the
   seeds and, for PRSP, the warm starts that ``bench`` passes;
 * the whole ``run_bench`` call;
-* PRSP's Levenberg–Marquardt work: its row-steps (the steps tried, summed
-  over its starts) and the starts that reach ``max_iters``.
+* PRSP's Levenberg–Marquardt work, in two lines: the search's row-steps
+  (the steps tried, summed over its starts) and the starts that reach
+  ``max_iters``, then the polish's steps (summed over its rows, one per
+  distribution) and the rows that reach ``max_iters``.
 
 Run from the repository root::
 
@@ -39,7 +41,7 @@ from uisbench.models import ModelKind
 from uisbench.optim import OptimSettings, fit_batch
 from uisbench.oracle import DEFAULT_GRID, EvidencePair, _batch_answers, standard_answer, standard_vector
 
-from prsp_ratchet import N_DISTS, RUNS, counted_lm
+from prsp_ratchet import N_DISTS, RUNS, counted_lm, work_lines
 
 ACCEPTANCE_RUNS = tuple(run for run in RUNS if run[1] in (1987, 1986))
 
@@ -59,8 +61,8 @@ def positive_int(text: str) -> int:
     return value
 
 
-def acceptance_rows(family: str, gen_seed: int, bench_seed: int) -> tuple[list, str]:
-    """The timed calls of one acceptance run, and a line with PRSP's LM work."""
+def acceptance_rows(family: str, gen_seed: int, bench_seed: int) -> tuple[list, list[str]]:
+    """The timed calls of one acceptance run, and the lines of PRSP's search and polish work."""
     dists = cli.SAMPLERS[family](gen_seed, N_DISTS)
     atoms = [d.atoms for d in dists]
     targets, errors = _batch_answers(atoms, DEFAULT_GRID.e1, DEFAULT_GRID.e2)
@@ -77,9 +79,7 @@ def acceptance_rows(family: str, gen_seed: int, bench_seed: int) -> tuple[list, 
     rows.append((f"{family}: run_bench", lambda: run_bench(dists, seed=bench_seed)))
     with counted_lm() as counts:
         fit_call(ModelKind.PRSP)()
-    work = (f"{family}: PRSP _lm {counts['row_steps']:,} row-steps, "
-            f"{counts['at_max_iters']} starts at max_iters")
-    return rows, work
+    return rows, [f"{family}: PRSP {line}" for line in work_lines(counts)]
 
 
 def main() -> None:
@@ -108,7 +108,7 @@ def main() -> None:
         for run in ACCEPTANCE_RUNS:
             run_rows, work = acceptance_rows(*run)
             rows += run_rows
-            works.append(work)
+            works += work
         for name, fn in rows:
             print(f"{name:50s} {best_ms(fn, args.repeat):10.3f} ms")
     for work in works:
