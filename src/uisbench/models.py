@@ -253,17 +253,17 @@ def _prsp_jacobian(lev, cells, pc, rule_values, p, pred):
 def predict_grid(kind: ModelKind, values, e1, e2):
     """Evaluate a model over evidence arrays; shapes broadcast.
 
-    Unlike the raw row evaluator, this validates the domain: PWR rejects
-    evidence values at exactly 0 or 1, and PRSP rejects parameters whose
-    single-rule posterior reaches 0 or 1 (odds multiplier undefined).
+    Unlike the raw row evaluator, this validates the domain: ``values`` must
+    be those of a ``ModelParams(kind, values)``, PWR rejects evidence values
+    at exactly 0 or 1, and PRSP rejects parameters whose single-rule
+    posterior reaches 0 or 1 (odds multiplier undefined).
     """
-    _check_kind(kind)
+    row = np.array([ModelParams(kind, values).values])
     e1a = np.asarray(e1, dtype=np.float64)
     e2a = np.asarray(e2, dtype=np.float64)
     shape = np.broadcast_shapes(e1a.shape, e2a.shape)
     e1f = np.broadcast_to(e1a, shape).reshape(-1)
     e2f = np.broadcast_to(e2a, shape).reshape(-1)
-    row = np.asarray(values, dtype=np.float64).reshape(1, -1)
     if kind is ModelKind.PWR and (
         np.any(e1f <= 0.0) or np.any(e1f >= 1.0) or np.any(e2f <= 0.0) or np.any(e2f >= 1.0)
     ):

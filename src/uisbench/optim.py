@@ -44,15 +44,18 @@ the lowest or highest grid level, with the conditional whose weight vanishes
 there at 0 or 1, which the logistic search coordinates put at infinity. So
 the search stops at ``max_iters`` and each fit's winning start is finished by
 the polish (see ``_polish``): one more batch, one row per fitted vector, that
-steps in model coordinates inside a box, the search's range with each pEj in
-the cell between grid levels that holds it, where such a bound is a face that
-a step reaches directly. It shares the search's damping, acceptance and stop
-rules and its ``max_iters``, starts at the winner's values with the winner's
-error, and accepts only steps that lower it, so a fit never ends above its
-search. Which starts creep, and for how long, varies between distributions,
-so a fit's cost depends on its data. README's Library section gives the
-measured figures: steps per start, starts at ``max_iters``, row-steps taken
-and accepted, polish steps, per-row costs and throughput. ``fit`` and
+steps in model coordinates inside the search's range (``_search_range``),
+where such a bound is a face that a step reaches directly, and whose pEj
+cross their kinks freely. An earlier polish also held each pEj in its cell
+between grid levels; that hold changed 2 of the 1,526 fits of PRSP's
+ratchet (``tests/prsp_ratchet.py``), one by 2.8e-8 and one by 3.7e-11. The
+polish shares the search's damping, acceptance and stop rules and its
+``max_iters``, starts at the winner's values with the winner's error, and
+accepts only steps that lower it, so a fit never ends above its search.
+Which starts creep, and for how long, varies between distributions, so a
+fit's cost depends on its data. README's Library section gives the measured
+figures: steps per start, starts at ``max_iters``, row-steps taken and
+accepted, polish steps, per-row costs and throughput. ``fit`` and
 ``fit_batch`` are pure functions of their arguments; independent fits may run
 concurrently.
 """
@@ -64,8 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (PARAM_DIM, ModelKind, ModelParams, _check_kind, _evidence_levels, _predict_rows, logit,
-                     predict_grid, sigmoid)
+from .models import (PARAM_DIM, _PWR_EVIDENCE_ERROR, ModelKind, ModelParams, _check_kind, _evidence_levels,
+                     _predict_rows, logit, predict_grid, sigmoid)
 
 __all__ = ["OptimSettings", "FitResult", "objective", "fit", "fit_batch"]
 
@@ -197,12 +200,15 @@ def _to_model_values(kind: ModelKind, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _search_range(kind: ModelKind) -> np.ndarray:
+    """The lowest and highest value the search reaches in each model coordinate: [sigmoid(-30), sigmoid(30)]
+    for PRSP, unbounded for PWR. It is the box of the search's starts and of the polish."""
+    return _to_model_values(kind, np.array([-np.inf, np.inf]))
+
+
 def _to_search_coords(kind: ModelKind, values) -> np.ndarray:
-    x = np.asarray(values, dtype=np.float64)
-    if kind is ModelKind.PRSP:
-        lo, hi = float(sigmoid(-_SEARCH_CLAMP)), float(sigmoid(_SEARCH_CLAMP))
-        return np.asarray(logit(np.clip(x, lo, hi)), dtype=np.float64)
-    return x.copy()
+    x = np.clip(np.asarray(values, dtype=np.float64), *_search_range(kind))
+    return logit(x) if kind is ModelKind.PRSP else x
 
 
 def _model(kind: ModelKind, e1: np.ndarray, e2: np.ndarray):
@@ -264,7 +270,7 @@ def _damped_step(jtj: np.ndarray, jtr: np.ndarray, lam: np.ndarray) -> np.ndarra
     return step
 
 
-def _search_trial(model, live, x, jtj, jtr, lam, c):
+def _search_trial(model, x, jtj, jtr, lam, c):
     """The search's trial point of each row: its damped step from ``x``, evaluated in one model call."""
     x_try = x + _damped_step(jtj, jtr, lam)
     pred, jac = model(x_try)
@@ -276,12 +282,12 @@ def _descend(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings, tria
     """The Levenberg–Marquardt loop of the search and the polish: damping, acceptance and stop rule.
 
     ``model`` maps an (m, n) batch of points to their predictions (m, k) and a
-    function completing the Jacobian of any of their rows. ``trial(model,
-    live, x, jtj, jtr, lam, c)`` gives, for the rows ``live`` of ``x0`` still
-    in the batch, at points ``x`` with normal equations (JᵀJ, Jᵀr), damping
-    ``lam`` and targets ``c``, each row's trial point, its residuals and SSE,
-    and the function completing their Jacobian, all from one model call. See
-    ``_lm`` for the rules and the returned arrays.
+    function completing the Jacobian of any of their rows. ``trial(model, x,
+    jtj, jtr, lam, c)`` gives, for the rows still in the batch, at points
+    ``x`` with normal equations (JᵀJ, Jᵀr), damping ``lam`` and targets ``c``,
+    each row's trial point, its residuals and SSE, and the function completing
+    their Jacobian, all from one model call. See ``_lm`` for the rules and the
+    returned arrays.
     """
     x_end = np.array(x0, dtype=np.float64)
     pred, jac = model(x_end)
@@ -299,7 +305,7 @@ def _descend(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings, tria
     for it in range(1, settings.max_iters + 1):
         if live.size == 0:
             break
-        x_try, r, sse_try, jac = trial(model, live, x, jtj, jtr, lam, c)
+        x_try, r, sse_try, jac = trial(model, x, jtj, jtr, lam, c)
 
         # only a point whose SSE fell can be accepted, so only there are derivatives needed; one
         # whose derivatives are not finite is rejected
@@ -367,50 +373,29 @@ def _lm(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings):
     return _descend(model, x0, c, settings, _search_trial)
 
 
-def _polish_box(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The polish's lower and upper bound of each coordinate of each row of ``values``, in model coordinates.
-
-    PRSP's are the range the search reaches, [sigmoid(-30), sigmoid(30)], and
-    each pEj is further held to the closed cell that holds it between
-    consecutive grid levels of ej and the ends of that range; a pEj on a level
-    gets the cell above it, where the Jacobian's one-sided branch is the
-    cell's (see ``models._rule_posterior_jac``). PWR's are unbounded.
-    """
-    if kind is ModelKind.PWR:
-        return np.full_like(values, -np.inf), np.full_like(values, np.inf)
-    box = _to_model_values(kind, np.array([-_SEARCH_CLAMP, _SEARCH_CLAMP]))
-    lo, hi = np.full_like(values, box[0]), np.full_like(values, box[1])
-    for col, e in ((1, e1), (4, e2)):
-        edges = np.unique(np.clip(np.concatenate([e, box]), *box))
-        cell = np.clip(np.searchsorted(edges, values[:, col], side="right"), 1, edges.size - 1)
-        lo[:, col], hi[:, col] = edges[cell - 1], edges[cell]
-    return lo, hi
-
-
-def _polish(model, x0: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray, settings: OptimSettings):
-    """Levenberg–Marquardt on every row of ``x0`` at once, each row boxed to [``lo``, ``hi``]: the polish.
+def _polish(model, x0: np.ndarray, c: np.ndarray, lo: float, hi: float, settings: OptimSettings):
+    """Levenberg–Marquardt on every row of ``x0`` at once, every coordinate boxed to [``lo``, ``hi``]: the polish.
 
     The arguments are those of ``_lm``, with ``model`` in model coordinates
-    (``_model``), plus per row and coordinate the bounds of the box that holds
-    ``x0`` (``_polish_box``). The rows share the search's damping, acceptance
-    and stop rules and its ``max_iters`` (``_descend``). A coordinate at a
-    bound whose descent direction -Jᵀr leaves the box is held there, and the
-    damped step d is taken on the free coordinates (Bertsekas, "Projected
-    Newton methods for optimization problems with simple constraints", 1982).
-    The trial points are clip(x + α·d) along the projected path, α in
-    ``_POLISH_ALPHAS``, those of every row in one model call; a row's lowest
-    is its trial point, the shortest on a tie. So a row reaches a face that
-    the search's logistic coordinates put at infinity, and it never ends above
-    ``x0``. Returns what ``_lm`` returns.
+    (``_model``), plus the bounds of the box, which holds ``x0``;
+    ``fit_batch`` passes ``_search_range(kind)``. The rows share the search's
+    damping, acceptance and stop rules and its ``max_iters`` (``_descend``).
+    A coordinate at a bound whose descent direction -Jᵀr leaves the box is
+    held there, and the damped step d is taken on the free coordinates
+    (Bertsekas, "Projected Newton methods for optimization problems with
+    simple constraints", 1982). The trial points are clip(x + α·d) along the
+    projected path, α in ``_POLISH_ALPHAS``, those of every row in one model
+    call; a row's lowest is its trial point, the shortest on a tie. So a row
+    reaches a face that the search's logistic coordinates put at infinity,
+    crosses PRSP's kinks, and never ends above ``x0``. Returns what ``_lm``
+    returns.
     """
     n_alphas = len(_POLISH_ALPHAS)
 
-    def trial(model, live, x, jtj, jtr, lam, c):
-        row_lo, row_hi = lo[live], hi[live]
-        free = ~(((x <= row_lo) & (jtr > 0.0)) | ((x >= row_hi) & (jtr < 0.0)))
+    def trial(model, x, jtj, jtr, lam, c):
+        free = ~(((x <= lo) & (jtr > 0.0)) | ((x >= hi) & (jtr < 0.0)))
         d = _damped_step(jtj * (free[:, :, None] & free[:, None, :]), jtr * free, lam)
-        points = np.clip(x[:, None] + _POLISH_ALPHAS[:, None] * d[:, None], row_lo[:, None], row_hi[:, None])
-        points = points.reshape(-1, x.shape[1])
+        points = np.clip(x[:, None] + _POLISH_ALPHAS[:, None] * d[:, None], lo, hi).reshape(-1, x.shape[1])
         pred, jac = model(points)
         r = pred - np.repeat(c, n_alphas, axis=0)
         sse = _sse(r)
@@ -477,14 +462,16 @@ def fit_batch(
     ``seeds`` and ``warm_starts`` (``None`` for none) give one entry per row.
     Returns one ``FitResult`` per row, or raises for the whole call:
     ``ValueError`` on a ``kind`` that is not a ``ModelKind``, ``settings``
-    that are not an ``OptimSettings``, non-finite targets or a warm start of
-    another kind in any row, ``numpy.linalg.LinAlgError`` on evidence that
-    makes a closed-form fit singular, and ``RuntimeError`` naming the kind and
-    the first row whose best error is not finite. BST, WRST, LINR and INDP are solved for every
-    row at once by stacked per-row operations. For PRSP and PWR the starts of
-    every row run as the rows of one ``_lm`` batch, and then each row's
-    winning start as one row of one ``_polish`` batch. No operation mixes
-    rows, so each result is bit for bit the one ``fit`` returns.
+    that are not an ``OptimSettings``, an ``e1`` or ``e2`` value that is not
+    finite or lies outside [0, 1], PWR evidence at 0 or 1, non-finite targets
+    or a warm start of another kind in any row; ``numpy.linalg.LinAlgError``
+    on evidence that makes a closed-form fit singular; and ``RuntimeError``
+    naming the kind and the first row whose best error is not finite. BST,
+    WRST, LINR and INDP are solved for every row at once by stacked per-row
+    operations. For PRSP and PWR the starts of every row run as the rows of
+    one ``_lm`` batch, and then each row's winning start as one row of one
+    ``_polish`` batch. No operation mixes rows, so each result is bit for bit
+    the one ``fit`` returns.
     """
     _check_kind(kind)
     if not isinstance(settings, OptimSettings):  # the closed-form fits would ignore a None
@@ -493,6 +480,11 @@ def fit_batch(
     if c.ndim != 2 or not c.shape[1] == e1.size == e2.size or not len(seeds) == len(warm_starts) == len(c):
         raise ValueError(f"need targets of shape (n, {e1.size}) and one seed and one warm start per row, got "
                          f"{c.shape}, {len(seeds)} and {len(warm_starts)}")
+    for name, e in (("e1", e1), ("e2", e2)):
+        if not np.all((e >= 0.0) & (e <= 1.0)):
+            raise ValueError(f"{name} must be finite and in [0, 1], got {e.tolist()}")
+    if kind is ModelKind.PWR and not np.all((e1 > 0.0) & (e1 < 1.0) & (e2 > 0.0) & (e2 < 1.0)):
+        raise ValueError(_PWR_EVIDENCE_ERROR)
     if not np.isfinite(c).all():
         raise ValueError("targets must be finite")
     for w in warm_starts:
@@ -519,8 +511,7 @@ def fit_batch(
         start = np.array([np.argmin(sse[lo : lo + n]) for lo, n in zip(first, counts)], dtype=int)  # first on a tie
         best = first + start
         values = _to_model_values(kind, x[best])
-        values, sse, polish_iters, converged = _polish(_model(kind, e1, e2), values, c,
-                                                       *_polish_box(kind, e1, e2, values), settings)
+        values, sse, polish_iters, converged = _polish(_model(kind, e1, e2), values, c, *_search_range(kind), settings)
         iters = iters[best] + polish_iters
     bad = np.flatnonzero(~np.isfinite(sse))
     if bad.size:
@@ -553,9 +544,9 @@ def fit(
     completes the Jacobian from that evaluation only where the step is
     accepted. The start with the lowest error wins; when several starts
     reach the same minimum, which one wins is decided at rounding level. The
-    polish then steps from the winner, inside a box that holds each of
-    PRSP's pEj in its cell between grid levels, under the same rules and
-    ``max_iters`` (see ``_polish``), and its point is the result:
+    polish then steps from the winner, inside the range the search reaches,
+    under the same rules and ``max_iters`` (see ``_polish``), and its point
+    is the result:
     ``iterations`` counts the winner's search steps plus the polish's, and
     ``converged`` is whether the polish stopped on its own rule before
     ``max_iters``. Non-convergence is not an error; the best point found is

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -179,9 +180,20 @@ class TestPrsp:
                     assert abs(predict(p, EvidencePair(e1, e2)) - want) < 1e-9
 
     def test_degenerate_rule_posterior_rejected(self):
-        # raw values bypass ModelParams validation; the predictor must still object
+        # values inside ModelParams' domain whose rule posterior is q(C|not E1) = 0 at level 0
         with pytest.raises(ValueError, match="0 or 1"):
             predict_grid(ModelKind.PRSP, (0.5, 0.5, 0.8, 0.0, 0.5, 0.8, 0.2), 0.0, 0.5)
+        # pc or a pEj at 0 or 1 makes a posterior NaN, as does any NaN value, and NaN passes that
+        # check; ModelParams' domain refuses them, before any RuntimeWarning
+        base = (0.5,) * 7
+        for i, v in itertools.product(range(7), (0.0, 1.0, np.nan)):
+            if i not in (0, 1, 4) and not np.isnan(v):
+                continue  # a conditional may be 0 or 1
+            values = base[:i] + (v,) + base[i + 1:]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^PRSP (needs|parameters must be finite)"):
+                    predict_grid(ModelKind.PRSP, values, [0.0, 0.3, 1.0], [0.3, 0.3, 0.3])
 
 
 def prsp_per_cell(values, e1, e2):

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ from scipy.optimize import lsq_linear
 
 from uisbench.bench import _derived_seed, run_bench
 from uisbench.dist import JointDist, sample_cond_indep, sample_uniform
-from uisbench.models import ModelKind, ModelParams, _predict_rows, predict_grid, true_params_indp, true_params_prsp
+from uisbench.models import (_PWR_EVIDENCE_ERROR, ModelKind, ModelParams, _predict_rows, predict_grid, true_params_indp,
+                             true_params_prsp)
 from uisbench.optim import (
     FitResult,
     OptimSettings,
@@ -17,6 +19,7 @@ from uisbench.optim import (
     _normal_equations,
     _polish,
     _search_model,
+    _search_range,
     _starts,
     _to_model_values,
     _to_search_coords,
@@ -321,6 +324,19 @@ class TestFitBatch:
         assert fit_batch(ModelKind.BST, e1, e2, [c, overflowing], settings, [seed] * 2, [None] * 2) == [BST_FIT] * 2
         with pytest.raises(ValueError, match=r"need targets of shape \(n, 25\)"):
             fit_batch(ModelKind.PWR, e1, e2, [c[:-1]], settings, [seed], [None])
+        # evidence that is not finite or lies outside [0, 1], in either array, for every kind
+        for name, value, kind in itertools.product(("e1", "e2"), (1.5, -0.1, np.nan, np.inf), ModelKind):
+            evidence = {"e1": e1.copy(), "e2": e2.copy()}
+            evidence[name][3] = value
+            with pytest.raises(ValueError, match=rf"^{name} must be finite and in \[0, 1\], got "):
+                fit_batch(kind, evidence["e1"], evidence["e2"], [c], settings, [seed], [None])
+        # PWR's logit is infinite at evidence 0 or 1, where the other models fit
+        for name, value in itertools.product(("e1", "e2"), (0.0, 1.0)):
+            evidence = {"e1": e1.copy(), "e2": e2.copy()}
+            evidence[name][3] = value
+            with pytest.raises(ValueError, match=f"^{re.escape(_PWR_EVIDENCE_ERROR)}$"):
+                fit_batch(ModelKind.PWR, evidence["e1"], evidence["e2"], [c], settings, [seed], [None])
+            assert len(fit_batch(ModelKind.LINR, evidence["e1"], evidence["e2"], [c], settings, [seed], [None])) == 1
 
     def test_no_rows_give_no_results(self):
         e1, e2 = grid_arrays()
@@ -622,9 +638,9 @@ class TestSearchInternals:
             return pred, lambda rows=slice(None): np.tile([[0.0], [1e-8]], (len(x[rows]), 1, 1))
 
         x0, c, settings = np.zeros((1, 1)), np.array([[1.0, 0.1]]), OptimSettings(max_iters=50)
-        x, sse, iters, converged = _polish(model, x0, c, np.full((1, 1), -np.inf), np.full((1, 1), np.inf), settings)
+        x, sse, iters, converged = _polish(model, x0, c, -np.inf, np.inf, settings)
         assert (x[0, 0], iters[0], converged[0]) == (50 * 1024.0, 50, False)
-        x, sse, iters, converged = _polish(model, x0, c, np.zeros((1, 1)), np.full((1, 1), 2000.0), settings)
+        x, sse, iters, converged = _polish(model, x0, c, 0.0, 2000.0, settings)
         lam, rejected = 1e-3 / 10.0 / 10.0, 0  # two accepted steps: to 1024, then to 2048 clipped to 2000
         while lam <= 1e16:
             lam, rejected = lam * 10.0, rejected + 1
@@ -650,8 +666,8 @@ class TestSearchInternals:
         monkeypatch.setattr(optim, "_polish", recorded_polish)
         dists, ids, settings = sample_uniform(1987, 109), (9, 73, 81), OptimSettings()
         seeds, warm = [_derived_seed(11, i) for i in ids], [true_params_prsp(dists[i]) for i in ids]
-        batch = fit_batch(ModelKind.PRSP, *grid_arrays(), [[v for _, v in standard_vector(dists[i])] for i in ids],
-                          settings, seeds, warm)
+        targets = [[v for _, v in standard_vector(dists[i])] for i in ids]
+        batch = fit_batch(ModelKind.PRSP, *grid_arrays(), targets, settings, seeds, warm)
         ((search_x, search_sse, search_iters, _),) = searched
         ((x0, lo, hi, start_sse, (x, sse, iters, converged)),) = polished
         # each row starts at its fit's winner, with the search's SSE bits
@@ -659,23 +675,32 @@ class TestSearchInternals:
         assert np.array_equal(x0, _to_model_values(ModelKind.PRSP, search_x[best]))
         assert np.array_equal(start_sse, search_sse[best])
         assert np.all(sse <= start_sse)
-        # the box is the range the search reaches, with each pEj in its starting cell between grid levels
+        # the box is the range the search reaches, two bounds shared by every coordinate of every row
+        assert np.ndim(lo) == np.ndim(hi) == 0
         box = _to_model_values(ModelKind.PRSP, np.array([-30.0, 30.0])).tolist()
-        edges = [box[0], *DEFAULT_GRID.levels, box[1]]
-        for j in range(7):
-            if j in (1, 4):
-                cell = [edges.index(v) for v in lo[:, j]]
-                assert hi[:, j].tolist() == [edges[i + 1] for i in cell]
-            else:
-                assert lo[:, j].tolist() == [box[0]] * len(ids) and hi[:, j].tolist() == [box[1]] * len(ids)
+        assert [lo, hi] == _search_range(ModelKind.PRSP).tolist() == box
         assert np.all((lo <= x0) & (x0 <= hi)) and np.all((lo <= x) & (x <= hi))
-        assert x[1, 3] == lo[1, 3] and x[2, 6] == hi[2, 6]
+        assert x[1, 3] == lo and x[2, 6] == hi
         assert converged.tolist() == [False, True, False] and iters[~converged].tolist() == [settings.max_iters] * 2
         # the fit reports the polished point, the steps of both and the polish's convergence
         for i, r in enumerate(batch):
             assert r.params.values == tuple(x[i]) and r.epsilon == np.sqrt(sse[i] / len(DEFAULT_GRID.e1))
             assert (r.iterations, r.converged) == (search_iters[best[i]] + iters[i], converged[i])
             assert fit(ModelKind.PRSP, standard_vector(dists[ids[i]]), settings, seeds[i], warm[i]) == r
+        # PWR's box, the range its search reaches, is unbounded
+        polished.clear()
+        fit_batch(ModelKind.PWR, *grid_arrays(), targets, settings, seeds, [None] * len(ids))
+        ((_, lo, hi, _, _),) = polished
+        assert [lo, hi] == _search_range(ModelKind.PWR).tolist() == [-np.inf, np.inf]
+
+    def test_polish_crosses_a_grid_level(self):
+        # held-out uniform gen seed 501987, bench seed 11, dist 37: the winner's pE1, 0.766, lies above the
+        # 0.75 level and the polish takes it across, to about 0.7395. A polish that held each pEj in its
+        # cell between grid levels stopped it at 0.75, 2.8e-8 higher
+        d = sample_uniform(501987, 38)[37]
+        r = fit(ModelKind.PRSP, standard_vector(d), seed=_derived_seed(11, 37), warm_start=true_params_prsp(d))
+        assert r.params.values[1] < 0.75
+        assert r.epsilon <= 0.06229573893817757 + 1e-12
 
     def test_pwr_no_worse_after_the_step_cap_fell(self):
         # the PRSP ratchet cannot see PWR. At max_iters 500 this held-out fit's winner took 322 steps to
