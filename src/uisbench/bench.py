@@ -144,8 +144,10 @@ def eta(eps_x: float, eps_linr: float, eps_wrst: float) -> EtaScore:
 
     All inputs must be non-negative; the perfect reference error is exactly 0.
     When the model is worse than the linear baseline the denominator is
-    floored in magnitude at 1e-12, and the result is clamped to [-1, 1] with
-    the ``clamped`` flag set.
+    eps_linr - eps_wrst capped at -1e-12: LINR nests WRST, so it is negative
+    but where rounding leaves LINR's fit at or above WRST's, and a model
+    worse than LINR never scores above 0. The result is clamped to [-1, 1]
+    with the ``clamped`` flag set.
     """
     for name, value in (("eps_x", eps_x), ("eps_linr", eps_linr), ("eps_wrst", eps_wrst)):
         if value < 0.0:
@@ -155,10 +157,7 @@ def eta(eps_x: float, eps_linr: float, eps_wrst: float) -> EtaScore:
     if eps_x <= eps_linr:
         value = (eps_x - eps_linr) / (0.0 - eps_linr)
     else:
-        denom = eps_linr - eps_wrst
-        if abs(denom) < 1e-12:
-            denom = math.copysign(1e-12, denom if denom != 0.0 else -1.0)
-        value = (eps_x - eps_linr) / denom
+        value = (eps_x - eps_linr) / min(eps_linr - eps_wrst, -1e-12)
     clamped = value < -1.0 or value > 1.0
     # + 0.0 folds the -0.0 produced at the LINR anchor into +0.0
     return EtaScore(min(1.0, max(-1.0, value)) + 0.0, clamped=clamped, degenerate=False)

@@ -68,6 +68,15 @@ PARAM_DIM = {
 _PWR_EVIDENCE_ERROR = "PWR needs evidence strictly inside (0, 1); logit is infinite at 0 and 1"
 
 
+def _check_evidence(kind: ModelKind, e1: np.ndarray, e2: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every evidence value is finite and in [0, 1], and strictly inside for PWR."""
+    for name, e in (("e1", e1), ("e2", e2)):
+        if not np.all((e >= 0.0) & (e <= 1.0)):
+            raise ValueError(f"{name} must be finite and in [0, 1], got {e.tolist()}")
+    if kind is ModelKind.PWR and not np.all((e1 > 0.0) & (e1 < 1.0) & (e2 > 0.0) & (e2 < 1.0)):
+        raise ValueError(_PWR_EVIDENCE_ERROR)
+
+
 def _check_kind(kind) -> None:
     """Raise ``ValueError`` naming ``kind`` unless it is a :class:`ModelKind` member.
 
@@ -254,9 +263,10 @@ def predict_grid(kind: ModelKind, values, e1, e2):
     """Evaluate a model over evidence arrays; shapes broadcast.
 
     Unlike the raw row evaluator, this validates the domain: ``values`` must
-    be those of a ``ModelParams(kind, values)``, PWR rejects evidence values
-    at exactly 0 or 1, and PRSP rejects parameters whose single-rule
-    posterior reaches 0 or 1 (odds multiplier undefined).
+    be those of a ``ModelParams(kind, values)``, the evidence must pass
+    ``_check_evidence`` (finite and in [0, 1], strictly inside for PWR), and
+    PRSP rejects parameters whose single-rule posterior reaches 0 or 1 (odds
+    multiplier undefined).
     """
     row = np.array([ModelParams(kind, values).values])
     e1a = np.asarray(e1, dtype=np.float64)
@@ -264,10 +274,7 @@ def predict_grid(kind: ModelKind, values, e1, e2):
     shape = np.broadcast_shapes(e1a.shape, e2a.shape)
     e1f = np.broadcast_to(e1a, shape).reshape(-1)
     e2f = np.broadcast_to(e2a, shape).reshape(-1)
-    if kind is ModelKind.PWR and (
-        np.any(e1f <= 0.0) or np.any(e1f >= 1.0) or np.any(e2f <= 0.0) or np.any(e2f >= 1.0)
-    ):
-        raise ValueError(_PWR_EVIDENCE_ERROR)
+    _check_evidence(kind, e1f, e2f)
     if kind is ModelKind.PRSP:
         pc, pe1, q11, q10, pe2, q21, q20 = row[0]
         for p in (_rule_posterior(e1f, pe1, q11, q10, pc), _rule_posterior(e2f, pe2, q21, q20, pc)):

@@ -6,8 +6,9 @@ path, ``fit_batch`` over the rows of an answer matrix, and ``fit`` is its
 one-row case. BST, WRST, LINR and INDP are solved exactly, so their fitted
 error is the model's minimum: BST predicts the standard answers (error 0),
 WRST's constant is the mean of the targets, LINR is ordinary least squares,
-and INDP, whose predictions are linear in its parameters, is least squares
-on the box [0, 1] (see ``_indp_exact``).
+and INDP is least squares on the box [0, 1] (see ``_indp_exact``). LINR's and
+INDP's predictions are linear in their parameters, so one function,
+``_least_squares``, solves both on the design their own formula gives.
 
 PRSP and PWR are fitted by Levenberg–Marquardt on the vector of grid
 residuals (Levenberg 1944; Marquardt 1963; Moré, "The Levenberg–Marquardt
@@ -67,8 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (PARAM_DIM, _PWR_EVIDENCE_ERROR, ModelKind, ModelParams, _check_kind, _evidence_levels,
-                     _predict_rows, logit, predict_grid, sigmoid)
+from .models import (PARAM_DIM, ModelKind, ModelParams, _check_evidence, _check_kind, _evidence_levels, _predict_rows,
+                     logit, predict_grid, sigmoid)
 
 __all__ = ["OptimSettings", "FitResult", "objective", "fit", "fit_batch"]
 
@@ -83,25 +84,6 @@ _MAX_STEP = 1.0
 _OBJ_REL_TOL = 1e-12
 # the multiples of its damped step at which the polish tries each row (see ``_polish``)
 _POLISH_ALPHAS = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0, 1024.0])
-
-
-def _indp_groups() -> list[tuple[np.ndarray, np.ndarray]]:
-    """INDP's 81 active patterns grouped by free columns.
-
-    Per free mask, one row per way to hold the other parameters at 0 or 1; the
-    free entries are left at 0.
-    """
-    groups = []
-    for free in itertools.product((True, False), repeat=4):
-        free = np.array(free)
-        n_held = int((~free).sum())
-        held = np.zeros((2**n_held, 4))
-        held[:, ~free] = list(itertools.product((0.0, 1.0), repeat=n_held))
-        groups.append((free, held))
-    return groups
-
-
-_INDP_GROUPS = _indp_groups()
 
 
 @dataclass(frozen=True)
@@ -165,28 +147,35 @@ def objective(params: ModelParams, targets) -> float:
     return float(np.sqrt(np.mean((c - pred) ** 2)))
 
 
+def _least_squares(design: np.ndarray, c: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """Least squares of each row of ``c`` (n, k) on the columns of ``design`` (k, p), once per row of ``held`` (h, p).
+
+    A row of ``held`` holds each coefficient where it is not NaN at that value
+    and leaves the others free. In each of the n·h systems a free coefficient's
+    row is its row of the normal equations DᵀD b = Dᵀc, and a held one's a unit
+    row; all go through one stacked solve. The held coefficients are then set
+    to their held values exactly, which the solve leaves an ulp or so away.
+    Returns the coefficients, (n, h, p).
+    """
+    free = np.isnan(held)
+    lhs = np.where(free[..., None], design.T @ design, np.eye(design.shape[1]))
+    rhs = np.where(free[..., None], (design.T @ c[..., None])[:, None], held[..., None])
+    return np.where(free, np.linalg.solve(lhs, rhs)[..., 0], held)
+
+
 def _indp_exact(e1: np.ndarray, e2: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Exact INDP fit of each row of ``c`` (n, k): least squares on the bilinear design with every parameter in [0, 1].
 
-    Each of the 81 active patterns holds every parameter free, at 0 or at 1.
-    The free columns' normal equations give a candidate, kept if its free
-    values lie in [0, 1]; the kept candidate with the lowest squared error
-    wins (the first kept one if every kept error overflows). Patterns sharing
-    their free columns are solved together, one right-hand side each, in one
-    stack of solves over the rows. The problem is convex and on a product grid
-    of two or more levels every column subset has full rank, so that is the
-    global minimum (Lawson & Hanson, *Solving Least Squares Problems*, 1974).
+    Each of the 81 active patterns holds every parameter free, at 0 or at 1,
+    and is one row of ``_least_squares``' ``held``, the unconstrained pattern
+    first. Its candidate is kept if its free values lie in [0, 1]; the kept
+    candidate with the lowest squared error wins (the first kept one if every
+    kept error overflows). The problem is convex and on a product grid of two
+    or more levels every column subset has full rank, so that is the global
+    minimum (Lawson & Hanson, *Solving Least Squares Problems*, 1974).
     """
     design = _predict_rows(ModelKind.INDP, np.eye(4), e1, e2).T  # column j: the table with only b_j = 1
-    candidates = []
-    for free, held in _INDP_GROUPS:
-        b = np.repeat(held[None], len(c), axis=0)
-        if free.any():
-            cols = design[:, free]
-            rhs = cols.T @ (c[..., None] - design @ held.T)
-            b[..., free] = np.linalg.solve(cols.T @ cols, rhs).transpose(0, 2, 1)
-        candidates.append(b)
-    b = np.concatenate(candidates, axis=1)
+    b = _least_squares(design, c, np.array(list(itertools.product((np.nan, 0.0, 1.0), repeat=4))))
     sse = np.sum((c[:, None] - b @ design.T) ** 2, axis=-1)
     feasible = np.all((b >= 0.0) & (b <= 1.0), axis=-1)
     rows, best = np.arange(len(c)), np.argmin(np.where(feasible, sse, np.inf), axis=1)
@@ -462,16 +451,17 @@ def fit_batch(
     ``seeds`` and ``warm_starts`` (``None`` for none) give one entry per row.
     Returns one ``FitResult`` per row, or raises for the whole call:
     ``ValueError`` on a ``kind`` that is not a ``ModelKind``, ``settings``
-    that are not an ``OptimSettings``, an ``e1`` or ``e2`` value that is not
-    finite or lies outside [0, 1], PWR evidence at 0 or 1, non-finite targets
+    that are not an ``OptimSettings``, evidence that ``models._check_evidence``
+    refuses (not finite, outside [0, 1], or PWR's at 0 or 1), non-finite targets
     or a warm start of another kind in any row; ``numpy.linalg.LinAlgError``
     on evidence that makes a closed-form fit singular; and ``RuntimeError``
     naming the kind and the first row whose best error is not finite. BST,
     WRST, LINR and INDP are solved for every row at once by stacked per-row
-    operations. For PRSP and PWR the starts of every row run as the rows of
-    one ``_lm`` batch, and then each row's winning start as one row of one
-    ``_polish`` batch. No operation mixes rows, so each result is bit for bit
-    the one ``fit`` returns.
+    operations, LINR's and INDP's systems in one stacked solve each (see
+    ``_least_squares``). For PRSP and PWR the starts of every row run as the
+    rows of one ``_lm`` batch, and then each row's winning start as one row
+    of one ``_polish`` batch. No operation mixes rows, so each result is bit
+    for bit the one ``fit`` returns.
     """
     _check_kind(kind)
     if not isinstance(settings, OptimSettings):  # the closed-form fits would ignore a None
@@ -480,11 +470,7 @@ def fit_batch(
     if c.ndim != 2 or not c.shape[1] == e1.size == e2.size or not len(seeds) == len(warm_starts) == len(c):
         raise ValueError(f"need targets of shape (n, {e1.size}) and one seed and one warm start per row, got "
                          f"{c.shape}, {len(seeds)} and {len(warm_starts)}")
-    for name, e in (("e1", e1), ("e2", e2)):
-        if not np.all((e >= 0.0) & (e <= 1.0)):
-            raise ValueError(f"{name} must be finite and in [0, 1], got {e.tolist()}")
-    if kind is ModelKind.PWR and not np.all((e1 > 0.0) & (e1 < 1.0) & (e2 > 0.0) & (e2 < 1.0)):
-        raise ValueError(_PWR_EVIDENCE_ERROR)
+    _check_evidence(kind, e1, e2)
     if not np.isfinite(c).all():
         raise ValueError("targets must be finite")
     for w in warm_starts:
@@ -494,9 +480,11 @@ def fit_batch(
     if kind not in (ModelKind.PRSP, ModelKind.PWR):
         if kind is ModelKind.WRST:
             values = np.mean(c, axis=1, keepdims=True)
-        elif kind is ModelKind.LINR:  # one 3×3 solve per row, stacked
-            design = np.column_stack([e1, e2, np.ones_like(e1)])
-            values = np.linalg.solve(design.T @ design, design.T @ c[..., None])[..., 0]
+        elif kind is ModelKind.LINR:  # ordinary least squares: every coefficient free
+            # a design's memory layout fixes the order of the sums in Dᵀc, so the fit's last bits; LINR's is
+            # in C order and INDP's in Fortran order, the layouts the pinned acceptance artifacts were made with
+            design = np.ascontiguousarray(_predict_rows(kind, np.eye(3), e1, e2).T)
+            values = _least_squares(design, c, np.full((1, 3), np.nan))[:, 0]
         elif kind is ModelKind.INDP:
             values = _indp_exact(e1, e2, c)
         else:  # BST predicts the standard answers themselves

@@ -13,12 +13,13 @@ without rewriting it; it exits 1 if any fit is above its entry::
     PYTHONPATH=src python tests/prsp_ratchet.py --check
 
 Per run it prints the fits above and below their entry by more than 1e-9,
-the largest rise and drop, and two lines of PRSP's Levenberg–Marquardt work:
-the search's row-steps (the steps tried, summed over its starts) and the
-starts that reach ``max_iters``, then the polish's steps (summed over its
-rows, one per distribution) and the rows that reach ``max_iters``. Without
-``--check`` it rewrites the file from the current code, keeping each entry
-that is lower than the current ε, and prints each entry it lowers.
+the largest rise and drop (``none`` where no fit moved that way), and two
+lines of PRSP's Levenberg–Marquardt work: the search's row-steps (the steps
+tried, summed over its starts) and the starts that reach ``max_iters``, then
+the polish's steps (summed over its rows, one per distribution) and the rows
+that reach ``max_iters``. Without ``--check`` it rewrites the file from the
+current code, keeping each entry that is lower than the current ε, and prints
+each entry it lowers.
 
 An entry may only go down, when a change finds a lower minimum: raising one
 loosens the check. An entry is the ε the fit reached when it was
@@ -107,18 +108,23 @@ def work_lines(counts: dict[str, int]) -> tuple[str, str]:
             f"polish: {counts['polish_steps']:,} steps, {counts['polish_at_max_iters']} rows at max_iters")
 
 
+def largest(diff: np.ndarray) -> str:
+    """The largest positive entry of ``diff`` and its index, or ``none`` if no entry is positive."""
+    i = int(np.argmax(diff))
+    return f"{diff[i]:.3g} (dist {i})" if diff[i] > 0.0 else "none"
+
+
 def check() -> int:
     """Print each run's comparison with the file; 1 if any fit is above its entry by more than ``TOL``."""
-    recorded = read_ratchet()
+    recorded = read_ratchet(RATCHET_CSV)
     n_above = 0
     for run in RUNS:
         with counted_lm() as counts:  # the runs fit LINR, WRST and PRSP, so every _lm and _polish call is PRSP's
             diff = np.array(prsp_epsilons(*run)) - recorded[run]
         above, below = np.flatnonzero(diff > TOL), np.flatnonzero(diff < -TOL)
         n_above += above.size
-        rise, drop = int(np.argmax(diff)), int(np.argmin(diff))
         print(f"{run[0]} gen {run[1]} bench {run[2]}: {above.size} above, {below.size} below; "
-              f"largest rise {diff[rise]:.3g} (dist {rise}), largest drop {-diff[drop]:.3g} (dist {drop})")
+              f"largest rise {largest(diff)}, largest drop {largest(-diff)}")
         for line in work_lines(counts):
             print(f"  {line}")
         for name, ids in (("above", above), ("below", below)):

@@ -252,7 +252,7 @@ def test_criterion_9_cli_determinism(tmp_path):
 # sha256 of report.csv and summary.json of the two acceptance runs (BENCH_KINDS, default settings)
 ARTIFACT_SHA256 = {
     "uniform": {
-        "report.csv": "7dfd7bd2d7a8db78e365356b3ccf43a1ed5702f9a5817edb1301484bd2b12914",
+        "report.csv": "3ad23a31c31f9ea3bb07a54663dc7ab6b7ce01600ddc788fa074eb6fc8d3e28d",
         "summary.json": "05c0d886f53342e2fe57a04c1e7f077fc9ca21f594b3b06a56099a0d8b48735c",
     },
     "cond_indep": {

@@ -57,6 +57,11 @@ class TestEta:
         assert s.value == -1.0
         assert s.clamped
 
+    def test_worse_than_linr_never_scores_above_zero(self):
+        # rounding can leave LINR's ε above WRST's, though LINR nests WRST; a positive denominator gave +1
+        s = eta(0.2, math.nextafter(0.1, 1), 0.1)
+        assert (s.value, s.clamped) == (-1.0, True)
+
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError, match="eps_x"):
             eta(-0.1, 0.1, 0.2)

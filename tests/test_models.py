@@ -296,6 +296,17 @@ class TestWrstAndDispatch:
         for p in cases:
             assert predict(p, ev) == predict_grid(p.kind, p.values, ev.e1, ev.e2)
 
+    def test_evidence_outside_the_domain_rejected(self):
+        # the rule fit_batch applies: predict_grid gave NaN at NaN evidence and a value outside [0, 1]
+        cases = [ModelParams(ModelKind.LINR, (0.1, 0.2, 0.3)), ModelParams(ModelKind.INDP, (0.1, 0.2, 0.3, 0.4)),
+                 ModelParams(ModelKind.PRSP, (0.5, 0.4, 0.8, 0.2, 0.6, 0.7, 0.3)),
+                 ModelParams(ModelKind.PWR, (1.0, -1.0, 0.5)), ModelParams(ModelKind.WRST, (0.42,))]
+        for p, name, value in itertools.product(cases, ("e1", "e2"), (np.nan, np.inf, -0.2, 1.5)):
+            evidence = {"e1": [0.3, 0.5], "e2": [0.3, 0.5]}
+            evidence[name][1] = value
+            with pytest.raises(ValueError, match=rf"^{name} must be finite and in \[0, 1\], got "):
+                predict_grid(p.kind, p.values, evidence["e1"], evidence["e2"])
+
     def test_bst_has_no_predictor(self):
         for call in (lambda: predict(ModelParams(ModelKind.BST, ()), EvidencePair(0.5, 0.5)),
                      lambda: predict_grid(ModelKind.BST, (), 0.5, 0.5)):

@@ -237,6 +237,11 @@ class TestExactFits:
         dists = sample_uniform(60, 15) + sample_cond_indep(61, 15)
         cases = [standard_vector(d) for d in dists]
         cases += [planted_indp_targets(t) for t in ((-0.2, 1.3, 0.5, 0.4), (1.5, -0.5, 2.0, 0.2))]
+        # uniform distributions whose minimum lies on a bound that is only weakly active: a held parameter
+        # left an ulp off its bound there marks the right pattern infeasible
+        weak = ((101987, 25), (201987, 77), (301987, 74), (301987, 84), (401987, 16), (401987, 48), (501987, 107),
+                (601987, 2))
+        cases += [standard_vector(sample_uniform(gen, i + 1)[i]) for gen, i in weak]
         for sv in cases:
             r = fit(ModelKind.INDP, sv)
             assert r.epsilon <= bvls_epsilon(sv) + 1e-12

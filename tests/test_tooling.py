@@ -119,6 +119,25 @@ def test_ratchet_rewrite_only_lowers_entries(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "uniform gen 1 bench 2 dist 1: 0.25 -> 0.125\n"
 
 
+def test_ratchet_check_names_no_entry_for_a_direction_none_moved(tmp_path, monkeypatch, capsys):
+    # with no fit below its entry, check printed "largest drop -0 (dist 0)"
+    import prsp_ratchet
+
+    runs = (("uniform", 1, 2), ("cond_indep", 3, 4))
+    path = tmp_path / "ratchet.csv"
+    path.write_text("family,gen_seed,bench_seed,dist_id,epsilon\n"
+                    "uniform,1,2,0,0.5\nuniform,1,2,1,0.25\ncond_indep,3,4,0,0.125\ncond_indep,3,4,1,0.5\n")
+    current = {runs[0]: [0.5, 0.25], runs[1]: [0.25, 0.25]}
+    monkeypatch.setattr(prsp_ratchet, "RATCHET_CSV", path)
+    monkeypatch.setattr(prsp_ratchet, "RUNS", runs)
+    monkeypatch.setattr(prsp_ratchet, "prsp_epsilons", lambda *run: current[run])
+    assert prsp_ratchet.check() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "uniform gen 1 bench 2: 0 above, 0 below; largest rise none, largest drop none"
+    assert lines[3] == "cond_indep gen 3 bench 4: 1 above, 1 below; largest rise 0.125 (dist 0), largest drop 0.25 (dist 1)"
+    assert lines[6:] == ["  above: dist 0 +0.125", "  below: dist 1 -0.25", "1 fits above their entry by more than 1e-09"]
+
+
 def test_timing_rejects_a_repeat_below_one(monkeypatch, capsys):
     # --repeat 0 built both acceptance runs, then died in best_ms on min() of no rounds
     import timing
