@@ -32,7 +32,7 @@ from .models import (
     true_params_indp,
     true_params_prsp,
 )
-from .optim import FitResult, OptimSettings, fit, objective
+from .optim import FitResult, fit, objective
 from .oracle import (
     DEFAULT_GRID,
     EvidenceGrid,

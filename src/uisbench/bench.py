@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -36,7 +37,7 @@ from .dist import JointDist
 from .models import PARAM_DIM, _PWR_EVIDENCE_ERROR, ModelKind, ModelParams, _check_kind, true_params_prsp
 # fit and standard_vector are not called here, but perfbench's tracer wraps them
 # (test_every_traced_attribute_exists; ROADMAP item 1)
-from .optim import FitResult, OptimSettings, fit, fit_batch  # noqa: F401
+from .optim import FitResult, fit, fit_batch  # noqa: F401
 from .oracle import DEFAULT_GRID, EvidenceGrid, _batch_answers, standard_vector  # noqa: F401
 
 __all__ = [
@@ -180,7 +181,6 @@ def _bench_chunk(
     first_id: int,
     kinds: tuple[ModelKind, ...],
     grid: EvidenceGrid,
-    settings: OptimSettings,
     seed: int,
 ) -> list[DistReport]:
     """Reports of consecutive distributions, numbered from ``first_id``.
@@ -197,7 +197,7 @@ def _bench_chunk(
 
     ok = [i for i in range(len(dists)) if i not in errors]
     seeds = [_derived_seed(seed, first_id + i) for i in ok]
-    fits = [fit_batch(kind, grid.e1, grid.e2, targets[ok], settings, seeds,
+    fits = [fit_batch(kind, grid.e1, grid.e2, targets[ok], seeds,
                       [_prsp_warm_start(dists[i]) if kind is ModelKind.PRSP else None for i in ok])
             for kind in kinds]
     scores = dict(zip(ok, zip(*fits)))  # each distribution's fits, in the order of ``kinds``
@@ -247,7 +247,6 @@ def run_bench(
     dists: list[JointDist],
     kinds: tuple[ModelKind, ...] = DEFAULT_MODELS,
     grid: EvidenceGrid = DEFAULT_GRID,
-    settings: OptimSettings = OptimSettings(),
     seed: int = 0,
     jobs: int = 1,
 ) -> list[DistReport]:
@@ -258,15 +257,17 @@ def run_bench(
     squares are singular. With PWR no level may be 0 or 1, where its logit is
     infinite. A model may be listed once. Distributions are processed in
     consecutive chunks of at most ``_BATCH_DISTS``, each one oracle batch and
-    one ``fit_batch`` call per model. With ``jobs > 1`` chunks are processed in
-    parallel, at most ``ceil(len(dists) / jobs)`` distributions each so that
-    every worker gets one, by at most one worker per chunk; reports are
-    returned ordered by distribution index and are identical to a serial run.
+    one ``fit_batch`` call per model. ``jobs`` is first capped at the CPU
+    count. With ``jobs > 1`` chunks are then processed in parallel, at most
+    ``ceil(len(dists) / jobs)`` distributions each so that every worker gets
+    one, by at most one worker per chunk; reports are returned ordered by
+    distribution index and are identical to a serial run.
     """
     kinds = tuple(kinds)
     check_bench_args(dists, kinds, grid)
+    jobs = min(jobs, os.cpu_count() or 1)  # a worker beyond the CPUs only waits for one
     size = _BATCH_DISTS if jobs <= 1 else min(_BATCH_DISTS, math.ceil(len(dists) / jobs))
-    items = [(dists[lo : lo + size], lo, kinds, grid, settings, seed) for lo in range(0, len(dists), size)]
+    items = [(dists[lo : lo + size], lo, kinds, grid, seed) for lo in range(0, len(dists), size)]
     workers = min(jobs, len(items))  # the pool starts all its workers at once, busy or not
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, so importing uisbench loads no multiprocessing

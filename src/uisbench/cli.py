@@ -30,7 +30,6 @@ from .bench import (
 )
 from .dist import read_atoms_csv, read_dists_csv, sample_cond_indep, sample_uniform, write_dists_csv
 from .models import ModelKind
-from .optim import OptimSettings
 # standard_answer is not called here, but perfbench's tracer wraps it (test_every_traced_attribute_exists)
 from .oracle import DEFAULT_GRID, EvidenceGrid, _batch_answers, standard_answer  # noqa: F401
 
@@ -46,7 +45,6 @@ class RunConfig:
     family: str = "uniform"
     grid: EvidenceGrid = DEFAULT_GRID
     models: tuple[ModelKind, ...] = DEFAULT_MODELS
-    optim: OptimSettings = OptimSettings()
     out: str | None = None
     jobs: int = 1
 
@@ -108,14 +106,6 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
             if type(names) is not list or any(type(v) is not str for v in names):
                 raise ValueError(f"models must be a list of model names, got {names!r}")
             values["models"] = _parse_models(names)
-        if "optim" in values:
-            if type(values["optim"]) is not dict:
-                raise ValueError(f"optim must be a JSON object of settings, got {values['optim']!r}")
-            valid = sorted(f.name for f in fields(OptimSettings))
-            unknown = set(values["optim"]) - set(valid)
-            if unknown:
-                raise ValueError(f"unknown optim config keys: {sorted(unknown)}; valid keys: {valid}")
-            values["optim"] = OptimSettings(**values["optim"])
         config = RunConfig(**values)  # checked before the flags, so one given for a bad file value does not hide it
         flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
         return replace(config, **{name: value for name, value in flags.items() if value is not None})
@@ -175,7 +165,7 @@ def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print(f"error: cannot write {out_dir}: {exc}", file=sys.stderr)
         return 1
 
-    reports = run_bench(dists, config.models, config.grid, config.optim, config.seed, config.jobs)
+    reports = run_bench(dists, config.models, config.grid, config.seed, config.jobs)
     if not _write(write_report_csv, out_dir / "report.csv", reports):
         return 1
 
@@ -238,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--models", type=models, default=None, help="comma-separated model list")
     bench.add_argument("--grid", type=_flag_type(_parse_grid), default=None, help="comma-separated evidence levels")
     bench.add_argument("--seed", type=int, default=None)
-    bench.add_argument("--jobs", type=int, default=None, help="parallel workers (output is identical)")
+    bench.add_argument("--jobs", type=int, default=None,
+                       help="parallel workers, at most the CPU count (output is identical)")
     bench.add_argument("--out", default=None, help="output directory (default .)")
     bench.add_argument("--config", default=None, help="JSON run-config file; flags override it")
     bench.set_defaults(func=cmd_bench, parser=bench)

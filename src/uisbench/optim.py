@@ -26,39 +26,38 @@ overhead once per step for all of them; rows do not interact, so each vector
 gets bit for bit the result ``fit`` gives it alone. The starts are the
 caller-supplied warm start when there is one, a constant-baseline start at the
 mean of the targets (every model can represent a constant, which guarantees a
-fit is never worse than WRST), ``n_starts`` seeded random starts and, for PRSP,
-one start per cell of its kink partition: PRSP is smooth only while each pEj
-stays between two consecutive grid levels, and LM does not cross kinks well.
+fit is never worse than WRST), ``_N_STARTS`` seeded random starts and, for
+PRSP, one start per cell of its kink partition: PRSP is smooth only while each
+pEj stays between two consecutive grid levels, and LM does not cross kinks
+well. This budget, ``_N_STARTS`` and the step cap ``_MAX_ITERS``, is part of
+the method, since it moves PRSP's and PWR's fitted errors, so it is fixed here
+and no caller sets it.
 
 Every start of PRSP and PWR follows one stop rule (see ``_lm``): it leaves the
 batch once its error stops falling or reaches exactly 0, or after
-``max_iters`` steps, and the batch ends with its last start. Most starts stop
-early, but a few creep along a kink or a flat valley to ``max_iters``, so the
-batch takes all its steps while most of its row-steps are never taken. Each
-step makes one ``_predict_rows`` call, over the trial points of the rows still
-in the batch; its forward pass keeps what the Jacobian needs, and ``_lm``
-completes the Jacobian and normal equations from it only for the rows whose
-error fell, the only points a next step starts from.
+``_MAX_ITERS`` steps, and the batch ends with its last start. Most
+starts stop early, but a few creep along a kink or a flat valley to the cap,
+so the batch takes all its steps while most of its row-steps are never taken.
+Each step makes one ``_predict_rows`` call, over the trial points of the rows
+still in the batch; its forward pass keeps what the Jacobian needs, and
+``_lm`` completes the Jacobian and normal equations from it only for the rows
+whose error fell, the only points a next step starts from.
 
 The starts that creep mostly head for a minimum on a bound: a pEj just inside
 the lowest or highest grid level, with the conditional whose weight vanishes
 there at 0 or 1, which the logistic search coordinates put at infinity. So
-the search stops at ``max_iters`` and each fit's winning start is finished by
-the polish (see ``_polish``): one more batch, one row per fitted vector, that
-steps in model coordinates inside the search's range (``_search_range``),
-where such a bound is a face that a step reaches directly, and whose pEj
-cross their kinks freely. An earlier polish also held each pEj in its cell
-between grid levels; that hold changed 2 of the 1,526 fits of PRSP's
-ratchet (``tests/prsp_ratchet.py``), one by 2.8e-8 and one by 3.7e-11. The
-polish shares the search's damping, acceptance and stop rules and its
-``max_iters``, starts at the winner's values with the winner's error, and
-accepts only steps that lower it, so a fit never ends above its search.
-Which starts creep, and for how long, varies between distributions, so a
-fit's cost depends on its data. README's Library section gives the measured
-figures: steps per start, starts at ``max_iters``, row-steps taken and
-accepted, polish steps, per-row costs and throughput. ``fit`` and
-``fit_batch`` are pure functions of their arguments; independent fits may run
-concurrently.
+each fit's winning start is finished by the polish (see ``_polish``): one more
+batch, one row per fitted vector, that steps in model coordinates inside the
+search's range (``_search_range``), where such a bound is a face that a step
+reaches directly, and whose pEj cross their kinks freely. The polish shares
+the search's damping, acceptance and stop rules and its step cap, starts at
+the winner's values with the winner's error, and accepts only steps that lower
+it, so a fit never ends above its search. Which starts creep, and for how
+long, varies between distributions, so a fit's cost depends on its data.
+README's Library section gives the measured figures: steps per start, starts
+at the cap, row-steps taken and accepted, polish steps, per-row costs and
+throughput. ``fit`` and ``fit_batch`` are pure functions of their arguments;
+independent fits may run concurrently.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ import numpy as np
 from .models import (PARAM_DIM, ModelKind, ModelParams, _check_evidence, _check_kind, _evidence_levels, _predict_rows,
                      logit, predict_grid, sigmoid)
 
-__all__ = ["OptimSettings", "FitResult", "objective", "fit", "fit_batch"]
+__all__ = ["FitResult", "objective", "fit", "fit_batch"]
 
 _SEARCH_CLAMP = 30.0
 _KIND_INDEX = {kind: i for i, kind in enumerate(ModelKind)}
@@ -84,31 +83,10 @@ _MAX_STEP = 1.0
 _OBJ_REL_TOL = 1e-12
 # the multiples of its damped step at which the polish tries each row (see ``_polish``)
 _POLISH_ALPHAS = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0, 1024.0])
-
-
-@dataclass(frozen=True)
-class OptimSettings:
-    """Settings of the Levenberg–Marquardt fit of PRSP and PWR; both are positive integers.
-
-    ``n_starts`` seeded random starts join the fixed ones; ``max_iters`` caps
-    the steps tried per start of the search, and again the steps of the
-    polish of each fit's winner (see ``_lm`` and ``_polish``). A fit whose
-    polish reaches it before its error stops falling or reaches exactly 0 is
-    reported as not converged. A search step costs one model evaluation at
-    the trial point, and a polish step one at each of its
-    ``len(_POLISH_ALPHAS)`` trial points; when a step is accepted, the
-    Jacobian and normal equations are completed from that evaluation. The
-    closed-form fits ignore them.
-    """
-
-    n_starts: int = 5
-    max_iters: int = 200
-
-    def __post_init__(self) -> None:
-        for name in ("n_starts", "max_iters"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+# PRSP's and PWR's fit budget: the seeded random starts of each fit, and the cap on the steps of each
+# start of the search and of each row of the polish (see ``_starts``, ``_lm`` and ``_polish``)
+_N_STARTS = 5
+_MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -267,7 +245,7 @@ def _search_trial(model, x, jtj, jtr, lam, c):
     return x_try, r, _sse(r), jac
 
 
-def _descend(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings, trial):
+def _descend(model, x0: np.ndarray, c: np.ndarray, max_iters: int, trial):
     """The Levenberg–Marquardt loop of the search and the polish: damping, acceptance and stop rule.
 
     ``model`` maps an (m, n) batch of points to their predictions (m, k) and a
@@ -291,7 +269,7 @@ def _descend(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings, tria
     keep = np.isfinite(sse_end) & ~converged  # a start with no finite SSE is never moved
     live, x, sse, jtj, jtr, c = (a[keep] for a in (np.arange(len(x_end)), x_end, sse_end, jtj, jtr, c))
     lam = np.full(len(live), _LAMBDA_START)
-    for it in range(1, settings.max_iters + 1):
+    for it in range(1, max_iters + 1):
         if live.size == 0:
             break
         x_try, r, sse_try, jac = trial(model, x, jtj, jtr, lam, c)
@@ -318,11 +296,11 @@ def _descend(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings, tria
             keep = ~stop
             live, x, sse, jtj, jtr, lam, c = (a[keep] for a in (live, x, sse, jtj, jtr, lam, c))
     # the rows still in the batch ran out of steps
-    x_end[live], sse_end[live], iters[live] = x, sse, settings.max_iters
+    x_end[live], sse_end[live], iters[live] = x, sse, max_iters
     return x_end, sse_end, iters, converged
 
 
-def _lm(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings):
+def _lm(model, x0: np.ndarray, c: np.ndarray, max_iters: int):
     """Levenberg–Marquardt on every row of ``x0`` at once; each row is one start of the search.
 
     ``model`` is a map as ``_search_model`` returns: an (m, n) batch of points
@@ -359,10 +337,10 @@ def _lm(model, x0: np.ndarray, c: np.ndarray, settings: OptimSettings):
     Returns the final points, their SSE, the steps tried and the converged
     flags.
     """
-    return _descend(model, x0, c, settings, _search_trial)
+    return _descend(model, x0, c, max_iters, _search_trial)
 
 
-def _polish(model, x0: np.ndarray, c: np.ndarray, lo: float, hi: float, settings: OptimSettings):
+def _polish(model, x0: np.ndarray, c: np.ndarray, lo: float, hi: float, max_iters: int):
     """Levenberg–Marquardt on every row of ``x0`` at once, every coordinate boxed to [``lo``, ``hi``]: the polish.
 
     The arguments are those of ``_lm``, with ``model`` in model coordinates
@@ -391,17 +369,17 @@ def _polish(model, x0: np.ndarray, c: np.ndarray, lo: float, hi: float, settings
         pick = np.arange(len(x)) * n_alphas + np.argmin(sse.reshape(len(x), n_alphas), axis=1)  # the first on a tie
         return points[pick], r[pick], sse[pick], lambda rows: jac(pick[rows])
 
-    return _descend(model, x0, c, settings, trial)
+    return _descend(model, x0, c, max_iters, trial)
 
 
-def _starts(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, c: np.ndarray, settings: OptimSettings,
-            seeds, warm_starts) -> tuple[np.ndarray, np.ndarray]:
+def _starts(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, c: np.ndarray, seeds,
+            warm_starts) -> tuple[np.ndarray, np.ndarray]:
     """The starts of every row of ``c`` in search coordinates, and how many each row has.
 
     Row i of ``c`` gets a block of consecutive starts in ``start_index`` order
     (see ``fit``): ``warm_starts[i]`` when it is not ``None``; the constant
     start, at which the model predicts the mean of the row's targets (clipped
-    to [1e-6, 1 - 1e-6]) everywhere; ``n_starts`` uniform draws from the row's
+    to [1e-6, 1 - 1e-6]) everywhere; ``_N_STARTS`` uniform draws from the row's
     own stream ``default_rng([seeds[i], kind])``, so a row's starts do not
     depend on the other rows; and, for PRSP, one kink start per cell of the
     kink partition. A rule's posterior has its kink at pEj, so PRSP's fit is
@@ -422,10 +400,10 @@ def _starts(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, c: np.ndarray, sett
     if has_warm.any():
         base[has_warm] = [w.values for w in warm_starts if w is not None]
     spread = 2.0 if kind is ModelKind.PRSP else 1.0
-    drawn = [np.random.default_rng([int(s), _KIND_INDEX[kind]]).uniform(-spread, spread, size=(settings.n_starts, dim))
+    drawn = [np.random.default_rng([int(s), _KIND_INDEX[kind]]).uniform(-spread, spread, size=(_N_STARTS, dim))
              for s in seeds]
     blocks = [_to_search_coords(kind, base)[:, None], _to_search_coords(kind, constant)[:, None],
-              np.reshape(drawn, (len(seeds), settings.n_starts, dim))]
+              np.reshape(drawn, (len(seeds), _N_STARTS, dim))]
     if kind is ModelKind.PRSP:
         mids = [(levels[:-1] + levels[1:]) / 2.0 for levels in (np.unique(e1), np.unique(e2))]
         kinks = np.repeat(base[:, None], mids[0].size * mids[1].size, axis=1)
@@ -437,45 +415,42 @@ def _starts(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, c: np.ndarray, sett
     return starts[used], used.sum(axis=1)
 
 
-def fit_batch(
-    kind: ModelKind,
-    e1,
-    e2,
-    targets,
-    settings: OptimSettings,
-    seeds,
-    warm_starts,
-) -> list[FitResult]:
+def fit_batch(kind: ModelKind, e1, e2, targets, seeds, warm_starts) -> list[FitResult]:
     """Fit ``kind`` to each row of ``targets`` (n, k), the standard answers at the evidence pairs (e1[j], e2[j]).
 
-    ``seeds`` and ``warm_starts`` (``None`` for none) give one entry per row.
-    Returns one ``FitResult`` per row, or raises for the whole call:
-    ``ValueError`` on a ``kind`` that is not a ``ModelKind``, ``settings``
-    that are not an ``OptimSettings``, evidence that ``models._check_evidence``
-    refuses (not finite, outside [0, 1], or PWR's at 0 or 1), non-finite targets
-    or a warm start of another kind in any row; ``numpy.linalg.LinAlgError``
-    on evidence that makes a closed-form fit singular; and ``RuntimeError``
-    naming the kind and the first row whose best error is not finite. BST,
-    WRST, LINR and INDP are solved for every row at once by stacked per-row
-    operations, LINR's and INDP's systems in one stacked solve each (see
+    ``seeds`` (non-negative integers, Python's or numpy's) and ``warm_starts``
+    (``None`` for none) give one entry per row. Returns one ``FitResult`` per
+    row, or raises for the whole call: ``ValueError`` on a ``kind`` that is
+    not a ``ModelKind``, ``e1`` or ``e2`` that is not 1-D, evidence that
+    ``models._check_evidence`` refuses (not finite, outside [0, 1], or PWR's
+    at 0 or 1), non-finite targets, or a seed or a warm start of another kind
+    in any row, naming the row; ``numpy.linalg.LinAlgError`` on evidence that
+    makes a closed-form fit singular; and ``RuntimeError`` naming the kind
+    and the first row whose best error is not finite. BST, WRST, LINR and
+    INDP are solved for every row at once by stacked per-row operations,
+    LINR's and INDP's systems in one stacked solve each (see
     ``_least_squares``). For PRSP and PWR the starts of every row run as the
     rows of one ``_lm`` batch, and then each row's winning start as one row
-    of one ``_polish`` batch. No operation mixes rows, so each result is bit
-    for bit the one ``fit`` returns.
+    of one ``_polish`` batch, both at the budget ``_N_STARTS`` and
+    ``_MAX_ITERS``. No operation mixes rows, so each result is bit for bit
+    the one ``fit`` returns.
     """
     _check_kind(kind)
-    if not isinstance(settings, OptimSettings):  # the closed-form fits would ignore a None
-        raise ValueError(f"settings must be an OptimSettings, got {settings!r}")
     e1, e2, c = (np.asarray(a, dtype=np.float64) for a in (e1, e2, targets))
+    for name, evidence in (("e1", e1), ("e2", e2)):
+        if evidence.ndim != 1:
+            raise ValueError(f"{name} must be 1-D, got shape {evidence.shape}")
     if c.ndim != 2 or not c.shape[1] == e1.size == e2.size or not len(seeds) == len(warm_starts) == len(c):
         raise ValueError(f"need targets of shape (n, {e1.size}) and one seed and one warm start per row, got "
                          f"{c.shape}, {len(seeds)} and {len(warm_starts)}")
     _check_evidence(kind, e1, e2)
     if not np.isfinite(c).all():
         raise ValueError("targets must be finite")
-    for w in warm_starts:
+    for i, (seed, w) in enumerate(zip(seeds, warm_starts)):
+        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"row {i}: seed must be a non-negative integer, got {seed!r}")
         if w is not None and w.kind is not kind:
-            raise ValueError(f"warm start is {w.kind.value}, expected {kind.value}")
+            raise ValueError(f"row {i}: warm start is {w.kind.value}, expected {kind.value}")
 
     if kind not in (ModelKind.PRSP, ModelKind.PWR):
         if kind is ModelKind.WRST:
@@ -493,13 +468,13 @@ def fit_batch(
         iters = start = np.zeros(len(c), dtype=int)
         converged = np.ones(len(c), dtype=bool)
     else:
-        x0, counts = _starts(kind, e1, e2, c, settings, seeds, warm_starts)
-        x, sse, iters, converged = _lm(_search_model(kind, e1, e2), x0, np.repeat(c, counts, axis=0), settings)
+        x0, counts = _starts(kind, e1, e2, c, seeds, warm_starts)
+        x, sse, iters, converged = _lm(_search_model(kind, e1, e2), x0, np.repeat(c, counts, axis=0), _MAX_ITERS)
         first = np.cumsum(counts) - counts
         start = np.array([np.argmin(sse[lo : lo + n]) for lo, n in zip(first, counts)], dtype=int)  # first on a tie
         best = first + start
         values = _to_model_values(kind, x[best])
-        values, sse, polish_iters, converged = _polish(_model(kind, e1, e2), values, c, *_search_range(kind), settings)
+        values, sse, polish_iters, converged = _polish(_model(kind, e1, e2), values, c, *_search_range(kind), _MAX_ITERS)
         iters = iters[best] + polish_iters
     bad = np.flatnonzero(~np.isfinite(sse))
     if bad.size:
@@ -509,37 +484,30 @@ def fit_batch(
             for v, e, i, cv, s in zip(values, eps.tolist(), iters.tolist(), converged.tolist(), start.tolist())]
 
 
-def fit(
-    kind: ModelKind,
-    targets,
-    settings: OptimSettings = OptimSettings(),
-    seed: int = 0,
-    warm_start: ModelParams | None = None,
-) -> FitResult:
+def fit(kind: ModelKind, targets, seed: int = 0, warm_start: ModelParams | None = None) -> FitResult:
     """Minimise the RMS objective for ``kind`` over the given standard vector.
 
-    BST, WRST, LINR and INDP are solved exactly: ``settings``, ``seed`` and
-    ``warm_start`` do not affect them, and the result has zero iterations and
+    BST, WRST, LINR and INDP are solved exactly: ``seed`` and ``warm_start``
+    do not affect them, and the result has zero iterations and
     ``converged=True`` (BST's has no parameters and error 0). PRSP and PWR run
     batched Levenberg–Marquardt (see ``_lm``) from these starts, in this
     order, which ``start_index`` counts: ``warm_start`` when given (callers
     typically pass the parameters read off the underlying joint), the
-    constant start, ``settings.n_starts`` seeded random starts and, for PRSP
-    only, one kink start per cell between consecutive grid levels of e1 and
-    e2 (16 on the default grid). Every start steps until its error stops
-    falling or reaches exactly 0, or for ``max_iters`` steps (see ``_lm``).
-    Every step evaluates the model once at a start's trial point, and
-    completes the Jacobian from that evaluation only where the step is
-    accepted. The start with the lowest error wins; when several starts
-    reach the same minimum, which one wins is decided at rounding level. The
-    polish then steps from the winner, inside the range the search reaches,
-    under the same rules and ``max_iters`` (see ``_polish``), and its point
-    is the result:
+    constant start, ``_N_STARTS`` seeded random starts and, for PRSP only,
+    one kink start per cell between consecutive grid levels of e1 and e2 (16
+    on the default grid). Every start steps until its error stops falling or
+    reaches exactly 0, or for ``_MAX_ITERS`` steps (see ``_lm``). Every step
+    evaluates the model once at a start's trial point, and completes the
+    Jacobian from that evaluation only where the step is accepted. The start
+    with the lowest error wins; when several starts reach the same minimum,
+    which one wins is decided at rounding level. The polish then steps from
+    the winner, inside the range the search reaches, under the same rules
+    and step cap (see ``_polish``), and its point is the result:
     ``iterations`` counts the winner's search steps plus the polish's, and
     ``converged`` is whether the polish stopped on its own rule before
-    ``max_iters``. Non-convergence is not an error; the best point found is
+    ``_MAX_ITERS``. Non-convergence is not an error; the best point found is
     returned with ``converged=False``. This is ``fit_batch`` on one row and
     raises its errors; an empty vector raises ``ValueError`` too.
     """
     e1, e2, c = _target_arrays(targets)
-    return fit_batch(kind, e1, e2, c[None], settings, [seed], [warm_start])[0]
+    return fit_batch(kind, e1, e2, c[None], [seed], [warm_start])[0]

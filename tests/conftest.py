@@ -125,7 +125,7 @@ def _reference_evaluate(model, x, c):
     return np.where(finite, sse, np.inf), jt @ jac, (jt @ r[..., None])[..., 0]
 
 
-def reference_lm(model, x0, c, settings):
+def reference_lm(model, x0, c, max_iters):
     """``optim._lm`` with the whole Jacobian and normal equations taken at every trial point.
 
     Takes the same arguments and returns the same four arrays, plus the number
@@ -140,7 +140,7 @@ def reference_lm(model, x0, c, settings):
     converged = sse == 0.0
     n_accepted = 0
     active = np.flatnonzero(np.isfinite(sse) & ~converged)
-    for it in range(1, settings.max_iters + 1):
+    for it in range(1, max_iters + 1):
         if active.size == 0:
             break
 
@@ -187,7 +187,7 @@ def counting(predict_rows, events):
     return counted
 
 
-def assert_batch_calls(calls, model, x0, c, settings):
+def assert_batch_calls(calls, model, x0, c, max_iters):
     """Check one ``_lm`` batch's evaluations, given as ("forward" or "jacobian", rows) per event.
 
     The first call evaluates every row of ``x0``, whose Jacobian is completed
@@ -197,7 +197,7 @@ def assert_batch_calls(calls, model, x0, c, settings):
     the batch plus its accepted row-steps.
     """
     calls = list(calls)  # before the reference adds its own
-    *_, iters, _, n_accepted = reference_lm(model, x0, c, settings)
+    *_, iters, _, n_accepted = reference_lm(model, x0, c, max_iters)
     assert calls[:2] == [("forward", len(x0)), ("jacobian", len(x0))]
     assert [rows for event, rows in calls[2:] if event == "forward"] == [
         int(np.count_nonzero(iters >= it)) for it in range(1, iters.max() + 1)

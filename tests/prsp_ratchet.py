@@ -3,8 +3,8 @@
 The runs are the two acceptance runs (``uniform`` at gen seed 1987, bench
 seed 11; ``cond_indep`` at gen seed 1986, bench seed 13) and six held-out
 runs per family, at each acceptance gen seed plus 100,000·j for j = 1…6 with
-the same bench seeds: 14 runs of 109 distributions, default grid and
-settings. ``test_optim.py::test_prsp_no_worse_than_the_ratchet`` fails when
+the same bench seeds: 14 runs of 109 distributions on the default grid.
+``test_optim.py::test_prsp_no_worse_than_the_ratchet`` fails when
 any PRSP ε rises above its entry by more than 1e-9.
 
 Run from the repository root to compare the current code with the file,
@@ -12,7 +12,9 @@ without rewriting it; it exits 1 if any fit is above its entry::
 
     PYTHONPATH=src python tests/prsp_ratchet.py --check
 
-Per run it prints the fits above and below their entry by more than 1e-9,
+Its first line is the fit budget it ran at, ``optim._N_STARTS`` and
+``optim._MAX_ITERS``, so a run with an edited constant is labelled. Per run it
+prints the fits above and below their entry by more than 1e-9,
 the largest rise and drop (``none`` where no fit moved that way), and two
 lines of PRSP's Levenberg–Marquardt work: the search's row-steps (the steps
 tried, summed over its starts) and the starts that reach ``max_iters``, then
@@ -85,10 +87,10 @@ def counted_lm():
     def counted(name):
         def wrapper(*args):
             out = originals[name](*args)
-            iters, settings = out[2], args[-1]
+            iters, max_iters = out[2], args[-1]
             steps, at_max = keys[name]
             counts[steps] += int(iters.sum())
-            counts[at_max] += int(np.count_nonzero(iters == settings.max_iters))
+            counts[at_max] += int(np.count_nonzero(iters == max_iters))
             return out
 
         return wrapper
@@ -108,6 +110,11 @@ def work_lines(counts: dict[str, int]) -> tuple[str, str]:
             f"polish: {counts['polish_steps']:,} steps, {counts['polish_at_max_iters']} rows at max_iters")
 
 
+def budget_line() -> str:
+    """The fit budget of PRSP and PWR that a run uses, as the scripts print it first."""
+    return f"budget: {optim._N_STARTS} random starts, {optim._MAX_ITERS} steps per start and per polish row"
+
+
 def largest(diff: np.ndarray) -> str:
     """The largest positive entry of ``diff`` and its index, or ``none`` if no entry is positive."""
     i = int(np.argmax(diff))
@@ -117,6 +124,7 @@ def largest(diff: np.ndarray) -> str:
 def check() -> int:
     """Print each run's comparison with the file; 1 if any fit is above its entry by more than ``TOL``."""
     recorded = read_ratchet(RATCHET_CSV)
+    print(budget_line())
     n_above = 0
     for run in RUNS:
         with counted_lm() as counts:  # the runs fit LINR, WRST and PRSP, so every _lm and _polish call is PRSP's

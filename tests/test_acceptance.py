@@ -2,8 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings. The two 109-distribution runs use the default grid and
-optimizer settings and are shared across criteria through module-scoped
-fixtures.
+are shared across criteria through module-scoped fixtures.
 """
 
 import hashlib
@@ -218,7 +217,7 @@ def test_criterion_8_cond_indep_family_reproduction(cond_indep_run):
 
 def test_criterion_9_cli_determinism(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"optim": {"n_starts": 2, "max_iters": 120}}))
+    cfg.write_text(json.dumps({"seed": 5}))
 
     gen_a = tmp_path / "a.csv"
     gen_b = tmp_path / "b.csv"
@@ -229,7 +228,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     outs = []
     for name, jobs in (("o1", "1"), ("o2", "2"), ("o3", "1")):
         code = main([
-            "bench", "--dists", str(gen_a), "--seed", "5", "--jobs", jobs,
+            "bench", "--dists", str(gen_a), "--jobs", jobs,
             "--out", str(tmp_path / name), "--config", str(cfg),
         ])
         assert code == 0
@@ -249,7 +248,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     )
 
 
-# sha256 of report.csv and summary.json of the two acceptance runs (BENCH_KINDS, default settings)
+# sha256 of report.csv and summary.json of the two acceptance runs (BENCH_KINDS, default grid)
 ARTIFACT_SHA256 = {
     "uniform": {
         "report.csv": "3ad23a31c31f9ea3bb07a54663dc7ab6b7ce01600ddc788fa074eb6fc8d3e28d",

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from dataclasses import replace
 
 import pytest
@@ -25,14 +26,13 @@ from uisbench.bench import (
 from uisbench.cli import main
 from uisbench.dist import JointDist, sample_cond_indep, sample_uniform
 from uisbench.models import ModelKind, ModelParams, _predict_rows
-from uisbench.optim import FitResult, OptimSettings, _lm, _polish, fit_batch
+from uisbench.optim import FitResult, _lm, _polish, fit_batch
 from uisbench.oracle import DEFAULT_GRID, EvidenceGrid
 
 from conftest import assert_batch_calls, assert_polish_calls, counting
 
 UNIFORM = JointDist([0.125] * 8)
 ALL_KINDS = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP, ModelKind.PWR, ModelKind.BST)
-FAST = OptimSettings(n_starts=2, max_iters=120)
 
 
 class TestEta:
@@ -119,11 +119,11 @@ class TestRunBench:
             with pytest.raises(ValueError, match=f"grid level {hard} cannot be used with PWR"):
                 run_bench(d, grid=EvidenceGrid(levels))
         no_pwr = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP)
-        reports = run_bench(d, kinds=no_pwr, grid=EvidenceGrid((0.0, 0.5, 1.0)), settings=FAST)
+        reports = run_bench(d, kinds=no_pwr, grid=EvidenceGrid((0.0, 0.5, 1.0)))
         assert all(r.error is None for r in reports)
 
     def test_uniform_prior_is_degenerate(self):
-        reports = run_bench([UNIFORM], kinds=(ModelKind.LINR, ModelKind.WRST), settings=FAST)
+        reports = run_bench([UNIFORM], kinds=(ModelKind.LINR, ModelKind.WRST))
         assert len(reports) == 1
         r = reports[0]
         assert r.error is None
@@ -133,7 +133,7 @@ class TestRunBench:
             summarize(reports)
 
     def test_anchor_models_score_exactly(self):
-        reports = run_bench(sample_uniform(61, 3), kinds=ALL_KINDS, settings=FAST, seed=2)
+        reports = run_bench(sample_uniform(61, 3), kinds=ALL_KINDS, seed=2)
         for r in reports:
             assert r.error is None and not r.degenerate
             by_kind = {s.kind: (s, e) for s, e in zip(r.scores, r.etas)}
@@ -144,15 +144,15 @@ class TestRunBench:
 
     def test_deterministic_and_jobs_invariant(self):
         dists = sample_uniform(62, 3)
-        a = run_bench(dists, settings=FAST, seed=5)
-        b = run_bench(dists, settings=FAST, seed=5)
-        c = run_bench(dists, settings=FAST, seed=5, jobs=2)
+        a = run_bench(dists, seed=5)
+        b = run_bench(dists, seed=5)
+        c = run_bench(dists, seed=5, jobs=2)
         assert a == b == c
 
     def test_failed_distribution_recorded_not_fatal(self):
         bad = JointDist([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # P(E1)=0: grid evidence infeasible
         dists = [bad] + sample_uniform(63, 2)
-        reports = run_bench(dists, settings=FAST, seed=1)
+        reports = run_bench(dists, seed=1)
         assert reports[0].error is not None
         assert "E1" in reports[0].error
         assert reports[1].error is None and reports[2].error is None
@@ -160,37 +160,38 @@ class TestRunBench:
         assert rows[0].n_included == 2
 
     def test_reports_ordered_by_dist_id(self):
-        reports = run_bench(sample_uniform(64, 4), settings=FAST, jobs=2)
+        reports = run_bench(sample_uniform(64, 4), jobs=2)
         assert [r.dist_id for r in reports] == [0, 1, 2, 3]
 
     def uneven_dists(self):
         return sample_uniform(70, 6) + sample_cond_indep(71, 5)
 
-    def test_uneven_chunks_jobs_invariant(self):
+    def test_uneven_chunks_jobs_invariant(self, monkeypatch):
         # 11 distributions: one chunk of 11 for jobs 1, and chunks of 6+5 and 4+4+3 for jobs 2 and 3
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # so jobs 3 is not capped on a smaller host
         dists = self.uneven_dists()
-        serial = run_bench(dists, settings=FAST, seed=6)
+        serial = run_bench(dists, seed=6)
         assert [r.dist_id for r in serial] == list(range(11))
         assert all(r.error is None for r in serial)
         for jobs in (2, 3):
-            assert run_bench(dists, settings=FAST, seed=6, jobs=jobs) == serial
+            assert run_bench(dists, seed=6, jobs=jobs) == serial
 
     def test_serial_chunks_match_one_chunk(self, monkeypatch):
         import uisbench.bench as bench
 
         dists = self.uneven_dists()
-        one_chunk = run_bench(dists, settings=FAST, seed=6)
+        one_chunk = run_bench(dists, seed=6)
         monkeypatch.setattr(bench, "_BATCH_DISTS", 4)  # serial chunks of 4+4+3
-        assert run_bench(dists, settings=FAST, seed=6) == one_chunk
+        assert run_bench(dists, seed=6) == one_chunk
 
-    def test_workers_capped_at_the_chunks(self, monkeypatch):
+    @pytest.fixture
+    def pool_workers(self, monkeypatch):
+        """The workers each process pool is asked for; the pool maps in this process, so no worker starts."""
         import concurrent.futures
 
         workers = []
 
         class Serial:
-            """Records the requested workers and maps in this process, so no worker starts."""
-
             def __init__(self, max_workers):
                 workers.append(max_workers)
 
@@ -204,12 +205,26 @@ class TestRunBench:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Serial)
+        return workers
+
+    def test_workers_capped_at_the_chunks(self, monkeypatch, pool_workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         dists = sample_uniform(74, 3)
-        serial = run_bench(dists, settings=FAST, seed=2)
-        assert run_bench(dists, settings=FAST, seed=2, jobs=500) == serial  # chunks of 1: three workers
-        assert run_bench(dists, settings=FAST, seed=2, jobs=2) == serial  # chunks of 2+1
-        assert run_bench(dists[:1], settings=FAST, seed=2, jobs=4) == serial[:1]  # one chunk: no pool
-        assert workers == [3, 2]
+        serial = run_bench(dists, seed=2)
+        assert run_bench(dists, seed=2, jobs=500) == serial  # 8 jobs, chunks of 1: three workers
+        assert run_bench(dists, seed=2, jobs=2) == serial  # chunks of 2+1
+        assert run_bench(dists[:1], seed=2, jobs=4) == serial[:1]  # one chunk: no pool
+        assert pool_workers == [3, 2]
+
+    def test_jobs_capped_at_the_cpus(self, monkeypatch, pool_workers):
+        # --jobs 1000 on 109 distributions started 109 workers at once
+        dists = sample_uniform(74, 3)
+        serial = run_bench(dists, seed=2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert run_bench(dists, seed=2, jobs=1000) == serial  # 2 jobs: chunks of 2+1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # an unknown count: one chunk, no pool
+        assert run_bench(dists, seed=2, jobs=1000) == serial
+        assert pool_workers == [2]
 
     def test_prsp_steps_once_per_chunk(self, monkeypatch):
         import uisbench.bench as bench
@@ -223,10 +238,10 @@ class TestRunBench:
             events.append((kind, "fit_batch", 0))
             return fit_batch(kind, *args)
 
-        def recorded(model, x0, c, settings):
+        def recorded(model, x0, c, max_iters):
             if x0.shape[1] == 7:  # PRSP's batch
-                lm_args.append((model, x0, c, settings))
-            return _lm(model, x0, c, settings)
+                lm_args.append((model, x0, c, max_iters))
+            return _lm(model, x0, c, max_iters)
 
         def recorded_polish(model, x0, *args):
             if x0.shape[1] != 7:  # PWR's polish
@@ -240,13 +255,13 @@ class TestRunBench:
         monkeypatch.setattr(optim, "_predict_rows", counting(_predict_rows, events))
         monkeypatch.setattr(optim, "_lm", recorded)
         monkeypatch.setattr(optim, "_polish", recorded_polish)
-        starts = 2 + FAST.n_starts + 16  # warm and constant start, seeded and kink starts
+        starts = 2 + optim._N_STARTS + 16  # warm and constant start, seeded and kink starts
         for chunk, sizes in ((_BATCH_DISTS, [14]), (8, [8, 6])):  # the whole run is one chunk by default
             monkeypatch.setattr(bench, "_BATCH_DISTS", chunk)
             events.clear()
             lm_args.clear()
             polish_iters.clear()
-            run_bench(sample_uniform(72, 14), settings=FAST, seed=1)
+            run_bench(sample_uniform(72, 14), seed=1)
             batches = []  # per PRSP batch, (event, rows) of the search's evaluations, then of the polish's
             for kind, event, rows in list(events):  # before the reference adds its own events
                 if kind is ModelKind.PRSP:
@@ -256,10 +271,10 @@ class TestRunBench:
                         batches[-1].append((event, rows))
             # one search and one polish per chunk, each evaluating its rows not yet stopped once per step
             assert len(batches) == 2 * len(lm_args) == 2 * len(polish_iters) == 2 * len(sizes)
-            for calls, polish_calls, n, (model, x0, c, settings), iters in zip(
+            for calls, polish_calls, n, (model, x0, c, max_iters), iters in zip(
                     batches[::2], batches[1::2], sizes, lm_args, polish_iters):
                 assert len(x0) == n * starts
-                assert_batch_calls(calls, model, x0, c, settings)
+                assert_batch_calls(calls, model, x0, c, max_iters)
                 assert_polish_calls(polish_calls, n, iters)
 
     def test_one_oracle_batch_and_one_fit_batch_per_model_per_chunk(self, monkeypatch):
@@ -278,7 +293,7 @@ class TestRunBench:
             counted(name, getattr(bench, name))
         monkeypatch.setattr(bench, "_BATCH_DISTS", 4)
         infeasible = JointDist([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # fails in its chunk's batch, and is not redone
-        run_bench(sample_uniform(76, 5) + [infeasible], kinds=ALL_KINDS, settings=FAST, seed=1)
+        run_bench(sample_uniform(76, 5) + [infeasible], kinds=ALL_KINDS, seed=1)
         assert calls == ["_batch_answers", *ALL_KINDS, "_batch_answers", *ALL_KINDS]
 
     def test_bst_rows_do_not_depend_on_where_bst_is_listed(self, tmp_path):
@@ -286,11 +301,11 @@ class TestRunBench:
         bad = JointDist([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
         dists = sample_uniform(77, 2) + [bad] + sample_uniform(78, 1)
         others = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PWR)
-        without = run_bench(dists, kinds=others, settings=FAST, seed=3)
+        without = run_bench(dists, kinds=others, seed=3)
         bst = FitResult(ModelParams(ModelKind.BST, ()), 0.0, 0, True, 0)
         for pos in (0, 2, len(others)):
             kinds = others[:pos] + (ModelKind.BST,) + others[pos:]
-            reports = run_bench(dists, kinds=kinds, settings=FAST, seed=3)
+            reports = run_bench(dists, kinds=kinds, seed=3)
             assert reports[2] == without[2] and reports[2].error is not None
             for r, w in zip(reports[:2] + reports[3:], without[:2] + without[3:]):
                 assert r.scores[pos] == bst and r.etas[pos] == EtaScore(1.0)
@@ -303,8 +318,8 @@ class TestRunBench:
     def test_failure_mid_chunk_leaves_the_others_alone(self):
         good = sample_uniform(73, 7)
         bad = JointDist([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])  # P(E1)=0: the oracle raises
-        with_bad = run_bench(good[:3] + [bad] + good[4:], settings=FAST, seed=8)
-        without = run_bench(good, settings=FAST, seed=8)
+        with_bad = run_bench(good[:3] + [bad] + good[4:], seed=8)
+        without = run_bench(good, seed=8)
         assert with_bad[3].error == "InfeasibleEvidenceError: target P(E1)=0.001 unreachable: P(E1) is 0 on the current support"
         assert with_bad[:3] + with_bad[4:] == without[:3] + without[4:]
 
@@ -315,12 +330,12 @@ class TestRunBench:
         all_c = JointDist(no_c.atoms.reshape(4, 2)[:, ::-1].reshape(8))
         dists = sample_uniform(79, 3) + [no_c, all_c]
         assert [_prsp_warm_start(d) is None for d in dists] == [False] * 3 + [True] * 2
-        reports = run_bench(dists, settings=FAST, seed=4)
+        reports = run_bench(dists, seed=4)
         assert all(r.error is None for r in reports)
         assert [r.degenerate for r in reports] == [False] * 3 + [True] * 2
         for i, d in enumerate(dists):
             # the same distribution in a chunk of its own, under its own id and so its own seed
-            alone = _bench_chunk([d], i, DEFAULT_MODELS, DEFAULT_GRID, FAST, 4)[0]
+            alone = _bench_chunk([d], i, DEFAULT_MODELS, DEFAULT_GRID, 4)[0]
             assert _fit_bits(reports[i]) == _fit_bits(alone), i
 
 
@@ -385,7 +400,7 @@ class TestSummarize:
             summarize(_handmade_reports([0.5]))
 
     def test_column_count_matches_models(self):
-        reports = run_bench(sample_uniform(65, 2), kinds=ALL_KINDS, settings=FAST)
+        reports = run_bench(sample_uniform(65, 2), kinds=ALL_KINDS)
         assert len(summarize(reports)) == len(ALL_KINDS)
 
     def test_permutation_invariant(self):
@@ -428,7 +443,7 @@ class TestSummarize:
 
 class TestArtifacts:
     def test_report_csv_roundtrip(self, tmp_path):
-        reports = run_bench(sample_uniform(66, 3), kinds=ALL_KINDS, settings=FAST, seed=4)
+        reports = run_bench(sample_uniform(66, 3), kinds=ALL_KINDS, seed=4)
         path = tmp_path / "report.csv"
         write_report_csv(path, reports)
         back = read_report_csv(path)
@@ -446,7 +461,7 @@ class TestArtifacts:
         assert read_report_csv(path) == reports
 
     def test_report_csv_header_and_shape(self, tmp_path):
-        reports = run_bench(sample_uniform(67, 2), settings=FAST)
+        reports = run_bench(sample_uniform(67, 2))
         path = tmp_path / "report.csv"
         write_report_csv(path, reports)
         lines = path.read_text().splitlines()
@@ -467,7 +482,7 @@ class TestArtifacts:
 
     def test_failed_reports_carry_no_rows(self, tmp_path):
         bad = JointDist([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
-        reports = run_bench([bad] + sample_uniform(68, 2), settings=FAST)
+        reports = run_bench([bad] + sample_uniform(68, 2))
         path = tmp_path / "report.csv"
         write_report_csv(path, reports)
         assert not any(line.startswith("0,") for line in path.read_text().splitlines()[1:])
@@ -696,7 +711,7 @@ class TestArtifacts:
         assert path.read_bytes() == ("{\n" + body + "\n}\n").encode()
 
     def test_format_summary_table(self):
-        reports = run_bench(sample_uniform(69, 2), settings=FAST)
+        reports = run_bench(sample_uniform(69, 2))
         text = format_summary_table(summarize(reports))
         assert "LINR" in text and "mu" in text and "sigma" in text
         assert "n_included=2" in text

@@ -18,18 +18,11 @@ from uisbench.dist import (
     sample_uniform,
     write_dists_csv,
 )
-from uisbench.optim import OptimSettings
 from uisbench.oracle import EvidencePair, standard_answer
 
 from conftest import DENORMAL_ROW, planted_zero_atoms
 
-FAST_CFG = {"optim": {"n_starts": 2, "max_iters": 120}}
-
-
-def write_cfg(tmp_path, extra=None):
-    cfg = dict(FAST_CFG)
-    if extra:
-        cfg.update(extra)
+def write_cfg(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -90,8 +83,6 @@ class TestGen:
             ("n_dists", {"n_dists": 5.0}),
             ("seed", {"seed": 1.5}),
             ("jobs", {"jobs": True}),
-            ("n_starts", {"optim": {"n_starts": 2.5}}),
-            ("max_iters", {"optim": {"max_iters": "500"}}),
         ],
     )
     def test_non_integer_setting_named(self, tmp_path, capsys, key, raw):
@@ -144,7 +135,6 @@ class TestGen:
         block = readme.split("A full config:\n\n```json\n", 1)[1].split("```", 1)[0]
         full = json.loads(block)
         assert list(full) == [f.name for f in fields(RunConfig)]
-        assert list(full["optim"]) == [f.name for f in fields(OptimSettings)]
         cfg = tmp_path / "full.json"
         cfg.write_text(block)
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 0
@@ -159,8 +149,7 @@ class TestBench:
 
     def test_writes_artifacts_and_prints_table(self, tmp_path, capsys):
         dists = self.make_dists(tmp_path)
-        cfg = write_cfg(tmp_path)
-        code = main(["bench", "--dists", str(dists), "--seed", "3", "--out", str(tmp_path / "o"), "--config", cfg])
+        code = main(["bench", "--dists", str(dists), "--seed", "3", "--out", str(tmp_path / "o")])
         assert code == 0
         out = capsys.readouterr().out
         assert "mu" in out and "INDP" in out
@@ -171,8 +160,7 @@ class TestBench:
 
     def test_single_distribution_reports_but_cannot_aggregate(self, tmp_path, capsys):
         dists = self.make_dists(tmp_path, n=1)
-        cfg = write_cfg(tmp_path)
-        code = main(["bench", "--dists", str(dists), "--out", str(tmp_path / "o"), "--config", cfg])
+        code = main(["bench", "--dists", str(dists), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "at least 2" in capsys.readouterr().err
         report = (tmp_path / "o" / "report.csv").read_text().splitlines()
@@ -181,17 +169,15 @@ class TestBench:
     def test_degenerate_distribution_excluded(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
         write_dists_csv(path, [JointDist([0.125] * 8)])
-        cfg = write_cfg(tmp_path)
-        code = main(["bench", "--dists", str(path), "--out", str(tmp_path / "o"), "--config", cfg])
+        code = main(["bench", "--dists", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "non-degenerate" in capsys.readouterr().err
 
     def test_model_subset_flag(self, tmp_path):
         dists = self.make_dists(tmp_path)
-        cfg = write_cfg(tmp_path)
         main([
             "bench", "--dists", str(dists), "--models", "LINR,WRST,BST",
-            "--out", str(tmp_path / "o"), "--config", cfg,
+            "--out", str(tmp_path / "o"),
         ])
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert set(summary) == {"LINR", "WRST", "BST"}
@@ -247,7 +233,7 @@ class TestBench:
         err = capsys.readouterr().err
         assert "grid level 0.0 cannot be used with PWR: PWR needs evidence strictly inside (0, 1)" in err
         assert not (tmp_path / "o").exists()
-        without_pwr = ["--models", "LINR,WRST,INDP,PRSP", "--config", write_cfg(tmp_path)]
+        without_pwr = ["--models", "LINR,WRST,INDP,PRSP"]
         assert main(["bench", "--dists", str(dists), "--out", str(tmp_path / "o"), "--grid", "0,0.5,1"] + without_pwr) == 0
 
     def test_repeated_model_in_config_named(self, tmp_path, capsys):
@@ -272,14 +258,14 @@ class TestBench:
         assert not (tmp_path / "o").exists()
 
     def test_unknown_optim_key_named(self, tmp_path, capsys):
+        # the fit budget is fixed in optim, so a config's optim object is an unknown key like any other
         dists = self.make_dists(tmp_path)
         cfg = tmp_path / "old.json"
-        cfg.write_text(json.dumps({"optim": {"fd_step": 1e-6}}))
+        cfg.write_text(json.dumps({"optim": {"n_starts": 5, "max_iters": 200}}))
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--dists", str(dists), "--out", str(tmp_path / "o"), "--config", str(cfg)])
-        assert exc.value.code != 0
-        err = capsys.readouterr().err
-        assert "fd_step" in err and "max_iters" in err
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("\nuisbench bench: error: unknown config keys: ['optim']\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -289,7 +275,6 @@ class TestBench:
             ("models", {"models": "LINR,WRST"}),  # was split into letters: unknown model 'L'
             ("grid", {"grid": [0.25, True]}),  # was run with the levels (0.25, 1.0)
             ("config", 5),  # was "'int' object is not iterable"
-            ("optim", {"optim": ["n_starts"]}),  # was "argument after ** must be a mapping, not list"
         ],
     )
     def test_mistyped_config_value_named(self, tmp_path, capsys, key, raw):
@@ -332,18 +317,16 @@ class TestBench:
         bad = JointDist([0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0])
         good = read_dists_csv(self.make_dists(tmp_path, n=2, seed=8))
         write_dists_csv(path, [bad] + good)
-        cfg = write_cfg(tmp_path)
-        code = main(["bench", "--dists", str(path), "--out", str(tmp_path / "o"), "--config", cfg])
+        code = main(["bench", "--dists", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
         assert "dist 0" in err and "1 of 3" in err
 
     def test_custom_grid_flag(self, tmp_path):
         dists = self.make_dists(tmp_path)
-        cfg = write_cfg(tmp_path)
         code = main([
             "bench", "--dists", str(dists), "--grid", "0.1,0.5,0.9",
-            "--out", str(tmp_path / "o"), "--config", cfg,
+            "--out", str(tmp_path / "o"),
         ])
         assert code == 0
 
@@ -475,9 +458,8 @@ class TestReport:
     def test_resummarizes_report_csv(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
         main(["gen", "--family", "uniform", "--n", "3", "--seed", "2", "--out", str(out)])
-        cfg = write_cfg(tmp_path)
         capsys.readouterr()
-        main(["bench", "--dists", str(out), "--out", str(tmp_path / "o"), "--config", cfg])
+        main(["bench", "--dists", str(out), "--out", str(tmp_path / "o")])
         bench_out = capsys.readouterr().out
         code = main(["report", "--report", str(tmp_path / "o" / "report.csv"),
                      "--json", str(tmp_path / "s2.json")])
@@ -488,7 +470,7 @@ class TestReport:
     def test_unwritable_json_is_error(self, tmp_path, capsys):
         path = tmp_path / "report.csv"
         main(["gen", "--family", "uniform", "--n", "3", "--seed", "2", "--out", str(tmp_path / "d.csv")])
-        main(["bench", "--dists", str(tmp_path / "d.csv"), "--out", str(tmp_path), "--config", write_cfg(tmp_path)])
+        main(["bench", "--dists", str(tmp_path / "d.csv"), "--out", str(tmp_path)])
         capsys.readouterr()
         target = tmp_path / "missing" / "s.json"  # was a FileNotFoundError traceback
         assert main(["report", "--report", str(path), "--json", str(target)]) == 1

@@ -12,8 +12,9 @@ from uisbench.models import (_PWR_EVIDENCE_ERROR, ModelKind, ModelParams, _predi
                              true_params_prsp)
 from uisbench.optim import (
     FitResult,
-    OptimSettings,
     _KIND_INDEX,
+    _MAX_ITERS,
+    _N_STARTS,
     _indp_exact,
     _lm,
     _normal_equations,
@@ -66,14 +67,8 @@ def bvls_epsilon(targets):
 
 class TestSettings:
     def test_defaults(self):
-        s = OptimSettings()
-        assert (s.n_starts, s.max_iters) == (5, 200)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="n_starts"):
-            OptimSettings(n_starts=0)
-        with pytest.raises(ValueError, match="max_iters"):
-            OptimSettings(max_iters=2.0)
+        # PRSP's and PWR's fit budget is part of the method, since it moves their ε and η: two constants
+        assert (_N_STARTS, _MAX_ITERS) == (5, 200)
 
 
 class TestObjective:
@@ -127,8 +122,8 @@ class TestFit:
         # fit and fit_batch refused BST, and bench built its result by hand
         e1, e2 = grid_arrays()
         answers = [[v for _, v in standard_vector(d)] for d in sample_uniform(43, 3)]
-        got = [fit(ModelKind.BST, standard_vector(sample_uniform(42, 1)[0]), OptimSettings(n_starts=1), seed=3)]
-        got += fit_batch(ModelKind.BST, e1, e2, answers, OptimSettings(), [1, 2, 3], [None] * 3)
+        got = [fit(ModelKind.BST, standard_vector(sample_uniform(42, 1)[0]), seed=3)]
+        got += fit_batch(ModelKind.BST, e1, e2, answers, [1, 2, 3], [None] * 3)
         assert len(got) == 4
         for result in got:
             assert result.params == BST_FIT.params and result.params.values == ()
@@ -259,7 +254,7 @@ class TestExactFits:
                 assert np.all((b >= 0.0) & (b <= 1.0))
                 assert np.array_equal(b[0], _indp_exact(e1, e2, c[:1])[0])
                 with pytest.raises(RuntimeError, match="^INDP fit failed on row 1: "):
-                    fit_batch(ModelKind.INDP, e1, e2, c, OptimSettings(), [0, 0], [None, None])
+                    fit_batch(ModelKind.INDP, e1, e2, c, [0, 0], [None, None])
 
     def test_indp_finds_tables_on_the_bounds(self):
         # the first two are the constant targets 0 and 1
@@ -269,11 +264,17 @@ class TestExactFits:
             assert r.epsilon <= bvls_epsilon(sv) + 1e-12
             assert np.allclose(r.params.values, table, atol=1e-9)
 
-    def test_exact_fits_ignore_settings_seed_and_warm_start(self):
+    def test_exact_fits_ignore_settings_seed_and_warm_start(self, monkeypatch):
+        import uisbench.optim as optim
+
         for d in sample_uniform(62, 2) + sample_cond_indep(63, 2):
             sv = standard_vector(d)
             for kind in (ModelKind.LINR, ModelKind.INDP):
-                assert fit(kind, sv, OptimSettings(max_iters=1)) == fit(kind, sv)
+                with monkeypatch.context() as budget:
+                    budget.setattr(optim, "_N_STARTS", 1)
+                    budget.setattr(optim, "_MAX_ITERS", 1)
+                    small = fit(kind, sv)
+                assert small == fit(kind, sv)
                 assert fit(kind, sv, seed=5) == fit(kind, sv)
             assert fit(ModelKind.INDP, sv, warm_start=true_params_indp(d)) == fit(ModelKind.INDP, sv)
 
@@ -288,15 +289,12 @@ class TestFitBatch:
 
     def test_equals_lone_fits_in_any_order(self):
         cases = self.cases()
-        settings = OptimSettings(max_iters=200)
         for kind in (ModelKind.PRSP, ModelKind.PWR, ModelKind.INDP, ModelKind.LINR, ModelKind.WRST):
             warm = [w if kind is ModelKind.PRSP else None for _, _, w in cases]
-            lone = [fit(kind, t, settings, s, w) for (t, s, _), w in zip(cases, warm)]
+            lone = [fit(kind, t, s, w) for (t, s, _), w in zip(cases, warm)]
             for order in ((0, 1, 2), (2, 0, 1)):
                 answers = [[v for _, v in cases[i][0]] for i in order]
-                batch = fit_batch(
-                    kind, *grid_arrays(), answers, settings, [cases[i][1] for i in order], [warm[i] for i in order]
-                )
+                batch = fit_batch(kind, *grid_arrays(), answers, [cases[i][1] for i in order], [warm[i] for i in order])
                 for i, got in zip(order, batch):
                     want = lone[i]
                     assert got.params == want.params
@@ -310,43 +308,42 @@ class TestFitBatch:
         e1, e2 = grid_arrays()
         c = [v for _, v in sv]
         wrong = ModelParams(ModelKind.INDP, (0.5, 0.5, 0.5, 0.5))
-        settings = OptimSettings(max_iters=20)
         # a warm start of another kind in any row, also where the exact fits ignore it
         for kind, warm_starts in ((ModelKind.PRSP, [warm, None, wrong]), (ModelKind.LINR, [None, wrong]),
                                   (ModelKind.BST, [None, wrong])):
-            with pytest.raises(ValueError, match=f"warm start is INDP, expected {kind.value}"):
-                fit_batch(kind, e1, e2, [c] * len(warm_starts), settings, [seed] * len(warm_starts), warm_starts)
+            with pytest.raises(ValueError, match=f"^row {len(warm_starts) - 1}: warm start is INDP, expected {kind.value}$"):
+                fit_batch(kind, e1, e2, [c] * len(warm_starts), [seed] * len(warm_starts), warm_starts)
         # finite targets whose squared residuals overflow leave no start a finite error
         overflowing = [1e200 * (-1) ** j for j in range(len(c))]
         for kind in FITTED_KINDS:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 with pytest.raises(RuntimeError, match=f"^{kind.value} fit failed on row 1: "):
-                    fit_batch(kind, e1, e2, [c, overflowing, overflowing], settings, [seed] * 3, [None] * 3)
+                    fit_batch(kind, e1, e2, [c, overflowing, overflowing], [seed] * 3, [None] * 3)
                 with pytest.raises(RuntimeError, match=f"^{kind.value} fit failed on row 0: "):
-                    fit(kind, list(zip(DEFAULT_GRID.pairs(), overflowing)), settings)
+                    fit(kind, list(zip(DEFAULT_GRID.pairs(), overflowing)))
         # BST predicts the targets themselves, so it fits rows where every other model fails
-        assert fit_batch(ModelKind.BST, e1, e2, [c, overflowing], settings, [seed] * 2, [None] * 2) == [BST_FIT] * 2
+        assert fit_batch(ModelKind.BST, e1, e2, [c, overflowing], [seed] * 2, [None] * 2) == [BST_FIT] * 2
         with pytest.raises(ValueError, match=r"need targets of shape \(n, 25\)"):
-            fit_batch(ModelKind.PWR, e1, e2, [c[:-1]], settings, [seed], [None])
+            fit_batch(ModelKind.PWR, e1, e2, [c[:-1]], [seed], [None])
         # evidence that is not finite or lies outside [0, 1], in either array, for every kind
         for name, value, kind in itertools.product(("e1", "e2"), (1.5, -0.1, np.nan, np.inf), ModelKind):
             evidence = {"e1": e1.copy(), "e2": e2.copy()}
             evidence[name][3] = value
             with pytest.raises(ValueError, match=rf"^{name} must be finite and in \[0, 1\], got "):
-                fit_batch(kind, evidence["e1"], evidence["e2"], [c], settings, [seed], [None])
+                fit_batch(kind, evidence["e1"], evidence["e2"], [c], [seed], [None])
         # PWR's logit is infinite at evidence 0 or 1, where the other models fit
         for name, value in itertools.product(("e1", "e2"), (0.0, 1.0)):
             evidence = {"e1": e1.copy(), "e2": e2.copy()}
             evidence[name][3] = value
             with pytest.raises(ValueError, match=f"^{re.escape(_PWR_EVIDENCE_ERROR)}$"):
-                fit_batch(ModelKind.PWR, evidence["e1"], evidence["e2"], [c], settings, [seed], [None])
-            assert len(fit_batch(ModelKind.LINR, evidence["e1"], evidence["e2"], [c], settings, [seed], [None])) == 1
+                fit_batch(ModelKind.PWR, evidence["e1"], evidence["e2"], [c], [seed], [None])
+            assert len(fit_batch(ModelKind.LINR, evidence["e1"], evidence["e2"], [c], [seed], [None])) == 1
 
     def test_no_rows_give_no_results(self):
         e1, e2 = grid_arrays()
         for kind in FITTED_KINDS:
-            assert fit_batch(kind, e1, e2, np.empty((0, e1.size)), OptimSettings(max_iters=5), [], []) == []
+            assert fit_batch(kind, e1, e2, np.empty((0, e1.size)), [], []) == []
 
     def test_non_finite_targets_rejected(self):
         sv = constant_targets(0.5)
@@ -360,35 +357,35 @@ class TestFitBatch:
 
         batches = []  # the starts of each _lm call
 
-        def recorded(model, x0, c, settings):
+        def recorded(model, x0, c, max_iters):
             batches.append(x0)
-            return _lm(model, x0, c, settings)
+            return _lm(model, x0, c, max_iters)
 
         monkeypatch.setattr(optim, "_lm", recorded)
         (sv_u, seed_u, warm_u), (sv_ci, seed_ci, _), (planted, seed_p, _) = self.cases()
-        settings = OptimSettings(n_starts=3, max_iters=5)
         for kind, warm in ((ModelKind.PRSP, warm_u), (ModelKind.PWR, ModelParams(ModelKind.PWR, (0.6, -0.3, 0.2)))):
             # with and without a warm start
             rows = [(sv_u, seed_u, warm), (sv_ci, seed_ci, None), (planted, seed_p, warm)]
             batches.clear()
-            results = fit_batch(kind, *grid_arrays(), [[v for _, v in t] for t, _, _ in rows], settings,
-                                [s for _, s, _ in rows], [w for _, _, w in rows])
+            results = fit_batch(kind, *grid_arrays(), [[v for _, v in t] for t, _, _ in rows], [s for _, s, _ in rows],
+                                [w for _, _, w in rows])
             (batch,) = batches
             lone_starts = []
             for (targets, seed, w), got in zip(rows, results):
                 batches.clear()
-                assert got == fit(kind, targets, settings, seed, w)
+                assert got == fit(kind, targets, seed, w)
                 (starts,) = batches
                 lone_starts.append(starts)
                 # start_index order: the warm start if any, the constant start, then the row's own seeded draws
                 spread = 2.0 if kind is ModelKind.PRSP else 1.0
-                draws = np.random.default_rng([seed, _KIND_INDEX[kind]]).uniform(-spread, spread, (3, starts.shape[1]))
+                draws = np.random.default_rng([seed, _KIND_INDEX[kind]]).uniform(-spread, spread,
+                                                                                  (_N_STARTS, starts.shape[1]))
                 first = 1 if w is None else 2
-                assert np.array_equal(starts[first : first + 3], draws)
+                assert np.array_equal(starts[first : first + _N_STARTS], draws)
                 if w is not None:
                     assert np.array_equal(starts[0], _to_search_coords(kind, w.values))
             assert len(lone_starts[0]) == len(lone_starts[1]) + 1 == len(lone_starts[2])
-            assert len(lone_starts[0]) == 2 + 3 + (16 if kind is ModelKind.PRSP else 0)
+            assert len(lone_starts[0]) == 2 + _N_STARTS + (16 if kind is ModelKind.PRSP else 0)
             assert np.array_equal(batch, np.concatenate(lone_starts))
 
     def test_plain_string_kind_refused(self):
@@ -400,16 +397,33 @@ class TestFitBatch:
             with pytest.raises(ValueError, match=f"^model '{kind}' is not a ModelKind; valid models: "):
                 fit(kind, sv)
             with pytest.raises(ValueError, match=f"^model '{kind}' is not a ModelKind; valid models: "):
-                fit_batch(kind, e1, e2, [[v for _, v in sv]], OptimSettings(), [0], [warm])
+                fit_batch(kind, e1, e2, [[v for _, v in sv]], [0], [warm])
 
-    def test_none_settings_refused(self):
-        # the closed-form fits ignored a None, and PRSP and PWR died with an AttributeError
+    def test_bad_seed_refused_naming_its_row(self):
+        # 1.5 and "1" fitted as seed 1, and -1 fitted LINR but made PRSP raise numpy's own error
         sv = constant_targets(0.5)
+        e1, e2 = grid_arrays()
+        c = [v for _, v in sv]
+        for seed in (1.5, "1", -1, np.int64(-1), True, None):
+            for kind in (*FITTED_KINDS, ModelKind.BST):
+                with pytest.raises(ValueError, match=rf"^row 1: seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
+                    fit_batch(kind, e1, e2, [c, c], [0, seed], [None, None])
+            with pytest.raises(ValueError, match="^row 0: seed must be a non-negative integer, got "):
+                fit(ModelKind.PRSP, sv, seed)
+        for seed in (0, np.int64(3), np.uint64(2**63), 2**70):  # Python and numpy integers of any size
+            assert fit(ModelKind.PWR, sv, seed).epsilon == 0.0
+
+    def test_evidence_must_be_one_dimensional(self):
+        # a 2-D e1 or e2 died with "operands could not be broadcast together with shapes (3,1) (5,5)"
+        e1, e2 = grid_arrays()
+        c = [[0.5] * e1.size]
         for kind in (*FITTED_KINDS, ModelKind.BST):
-            with pytest.raises(ValueError, match="^settings must be an OptimSettings, got None$"):
-                fit(kind, sv, None)
-        with pytest.raises(ValueError, match="^settings must be an OptimSettings, got None$"):
-            run_bench(sample_uniform(60, 2), kinds=(ModelKind.LINR, ModelKind.WRST), settings=None)
+            with pytest.raises(ValueError, match=r"^e1 must be 1-D, got shape \(5, 5\)$"):
+                fit_batch(kind, e1.reshape(5, 5), e2, c, [0], [None])
+            with pytest.raises(ValueError, match=r"^e2 must be 1-D, got shape \(25, 1\)$"):
+                fit_batch(kind, e1, e2[:, None], c, [0], [None])
+            with pytest.raises(ValueError, match=r"^e1 must be 1-D, got shape \(\)$"):
+                fit_batch(kind, 0.5, 0.5, [[0.5]], [0], [None])
 
     def test_empty_vector_rejected_by_fit(self):
         for kind in (ModelKind.PRSP, ModelKind.LINR):
@@ -542,10 +556,10 @@ class TestSearchInternals:
             (ModelKind.PWR, rng.uniform(-1, 1, (5, 3))),
         ):
             model, c_rows = _search_model(kind, e1, e2), np.tile(c, (len(x0), 1))
-            batch = _lm(model, x0, c_rows, OptimSettings())
-            reverse = _lm(model, x0[::-1], c_rows, OptimSettings())
+            batch = _lm(model, x0, c_rows, _MAX_ITERS)
+            reverse = _lm(model, x0[::-1], c_rows, _MAX_ITERS)
             for i in range(len(x0)):
-                alone = _lm(model, x0[i : i + 1], c[None], OptimSettings())
+                alone = _lm(model, x0[i : i + 1], c[None], _MAX_ITERS)
                 for together in ((out[i] for out in batch), (out[len(x0) - 1 - i] for out in reverse)):
                     x, sse, iters, converged = together
                     assert np.array_equal(x, alone[0][0])
@@ -558,7 +572,7 @@ class TestSearchInternals:
         c = np.array([v for _, v in sv])
         x0 = np.random.default_rng(3).uniform(-2, 2, (8, 7))
         model = _search_model(ModelKind.PRSP, e1, e2)
-        x, sse, iters, _ = _lm(model, x0, np.tile(c, (len(x0), 1)), OptimSettings(max_iters=30))
+        x, sse, iters, _ = _lm(model, x0, np.tile(c, (len(x0), 1)), 30)
         start_sse = np.sum((c - model(x0)[0]) ** 2, axis=-1)
         assert np.all(sse <= start_sse) and np.all(iters <= 30)
         assert np.allclose(np.sum((c - model(x)[0]) ** 2, axis=-1), sse, rtol=0, atol=0)
@@ -568,22 +582,22 @@ class TestSearchInternals:
         e1, e2 = grid_arrays()
         dists = (sample_uniform(64, 1)[0], sample_cond_indep(65, 1)[0])
         c = [np.array([v for _, v in standard_vector(d)]) for d in dists]
-        budgets = (OptimSettings(max_iters=150), OptimSettings())  # one PRSP row steps to the end of each
-        for kind, settings in itertools.product((ModelKind.PRSP, ModelKind.PWR), budgets):
+        budgets = (150, _MAX_ITERS)  # one PRSP row steps to the end of each
+        for kind, max_iters in itertools.product((ModelKind.PRSP, ModelKind.PWR), budgets):
             warm = [true_params_prsp(d) if kind is ModelKind.PRSP else None for d in dists]
-            x0, counts = _starts(kind, e1, e2, np.stack(c), settings, [7, 7], warm)
+            x0, counts = _starts(kind, e1, e2, np.stack(c), [7, 7], warm)
             c_rows = np.repeat(np.stack(c), counts, axis=0)
             with_nan = x0.copy()
             with_nan[3] = np.nan
             model = _search_model(kind, e1, e2)
             for starts in (x0, with_nan):
-                got = _lm(model, starts, c_rows, settings)
-                *want, _ = reference_lm(model, starts, c_rows, settings)
+                got = _lm(model, starts, c_rows, max_iters)
+                *want, _ = reference_lm(model, starts, c_rows, max_iters)
                 for a, b in zip(got, want):
                     assert np.array_equal(a, b, equal_nan=True)
             assert got[2][3] == 0 and np.isnan(got[0][3]).all()  # never moved
             if kind is ModelKind.PRSP:  # rows leave at their stops, and the batch ends with its last row
-                assert got[2].max() == settings.max_iters and 0 < np.count_nonzero(got[3]) < len(x0) - 1
+                assert got[2].max() == max_iters and 0 < np.count_nonzero(got[3]) < len(x0) - 1
 
     def test_lm_rejects_a_point_with_non_finite_derivatives(self):
         # predictions x against targets (1, -1), whose Jacobian is not finite where x0 > 0.5: steps
@@ -599,10 +613,9 @@ class TestSearchInternals:
             return x.copy(), jac
 
         x0 = np.array([[0.0, 0.0], [2.0, 0.0], [0.4, -0.5]])  # the second has no finite SSE: never moved
-        settings = OptimSettings(max_iters=80)
-        x, sse, iters, converged = _lm(model, x0, c, settings)
+        x, sse, iters, converged = _lm(model, x0, c, 80)
         assert sum(past_wall[1:]) > 0  # after the starts, only trial points whose SSE fell get a Jacobian
-        for got, want in zip((x, sse, iters, converged), reference_lm(model, x0, c, settings)):
+        for got, want in zip((x, sse, iters, converged), reference_lm(model, x0, c, 80)):
             assert np.array_equal(got, want)
         assert np.array_equal(x[1], x0[1]) and iters[1] == 0 and not converged[1]
         assert np.all(x[[0, 2], 0] <= 0.5) and np.all(iters[[0, 2]] > 0)
@@ -614,11 +627,11 @@ class TestSearchInternals:
             pred = np.column_stack([np.zeros(len(x)), 1e-8 * x[:, 0]])
             return pred, lambda rows=slice(None): np.tile([[0.0], [1e-8]], (len(x[rows]), 1, 1))
 
-        c, settings = np.array([[1.0, 0.1]]), OptimSettings(max_iters=50)
-        x, sse, iters, converged = _lm(model, np.zeros((1, 1)), c, settings)
+        c = np.array([[1.0, 0.1]])
+        x, sse, iters, converged = _lm(model, np.zeros((1, 1)), c, 50)
         assert x[0, 0] == pytest.approx(50.0, rel=1e-12) and iters[0] == 50 and not converged[0]
         assert sse[0] == pytest.approx(1.0 + (0.1 - 5e-7) ** 2, rel=1e-12) and sse[0] < 1.01
-        for got, want in zip((x, sse, iters, converged), reference_lm(model, np.zeros((1, 1)), c, settings)):
+        for got, want in zip((x, sse, iters, converged), reference_lm(model, np.zeros((1, 1)), c, 50)):
             assert np.array_equal(got, want)
 
     def test_lm_stops_a_start_whose_error_reaches_zero(self):
@@ -627,10 +640,10 @@ class TestSearchInternals:
         def model(x):
             return x.copy(), lambda rows=slice(None): np.full((len(x[rows]), 1, 1), 0.5)
 
-        x0, c, settings = np.zeros((1, 1)), np.ones((1, 1)), OptimSettings()
-        x, sse, iters, converged = _lm(model, x0, c, settings)
+        x0, c = np.zeros((1, 1)), np.ones((1, 1))
+        x, sse, iters, converged = _lm(model, x0, c, _MAX_ITERS)
         assert (x[0, 0], sse[0], iters[0], converged[0]) == (1.0, 0.0, 1, True)
-        for got, want in zip((x, sse, iters, converged), reference_lm(model, x0, c, settings)):
+        for got, want in zip((x, sse, iters, converged), reference_lm(model, x0, c, _MAX_ITERS)):
             assert np.array_equal(got, want)
 
     def test_polish_reaches_a_face_along_a_sloppy_direction(self):
@@ -642,10 +655,10 @@ class TestSearchInternals:
             pred = np.column_stack([np.zeros(len(x)), 1e-8 * x[:, 0]])
             return pred, lambda rows=slice(None): np.tile([[0.0], [1e-8]], (len(x[rows]), 1, 1))
 
-        x0, c, settings = np.zeros((1, 1)), np.array([[1.0, 0.1]]), OptimSettings(max_iters=50)
-        x, sse, iters, converged = _polish(model, x0, c, -np.inf, np.inf, settings)
+        x0, c = np.zeros((1, 1)), np.array([[1.0, 0.1]])
+        x, sse, iters, converged = _polish(model, x0, c, -np.inf, np.inf, 50)
         assert (x[0, 0], iters[0], converged[0]) == (50 * 1024.0, 50, False)
-        x, sse, iters, converged = _polish(model, x0, c, 0.0, 2000.0, settings)
+        x, sse, iters, converged = _polish(model, x0, c, 0.0, 2000.0, 50)
         lam, rejected = 1e-3 / 10.0 / 10.0, 0  # two accepted steps: to 1024, then to 2048 clipped to 2000
         while lam <= 1e16:
             lam, rejected = lam * 10.0, rejected + 1
@@ -663,20 +676,20 @@ class TestSearchInternals:
             searched.append(_lm(*args))
             return searched[-1]
 
-        def recorded_polish(model, x0, c, lo, hi, settings):
-            polished.append((x0, lo, hi, np.sum((model(x0)[0] - c) ** 2, axis=-1), _polish(model, x0, c, lo, hi, settings)))
+        def recorded_polish(model, x0, c, lo, hi, max_iters):
+            polished.append((x0, lo, hi, np.sum((model(x0)[0] - c) ** 2, axis=-1), _polish(model, x0, c, lo, hi, max_iters)))
             return polished[-1][-1]
 
         monkeypatch.setattr(optim, "_lm", recorded_lm)
         monkeypatch.setattr(optim, "_polish", recorded_polish)
-        dists, ids, settings = sample_uniform(1987, 109), (9, 73, 81), OptimSettings()
+        dists, ids = sample_uniform(1987, 109), (9, 73, 81)
         seeds, warm = [_derived_seed(11, i) for i in ids], [true_params_prsp(dists[i]) for i in ids]
         targets = [[v for _, v in standard_vector(dists[i])] for i in ids]
-        batch = fit_batch(ModelKind.PRSP, *grid_arrays(), targets, settings, seeds, warm)
+        batch = fit_batch(ModelKind.PRSP, *grid_arrays(), targets, seeds, warm)
         ((search_x, search_sse, search_iters, _),) = searched
         ((x0, lo, hi, start_sse, (x, sse, iters, converged)),) = polished
         # each row starts at its fit's winner, with the search's SSE bits
-        best = np.arange(len(ids)) * (2 + settings.n_starts + 16) + [r.start_index for r in batch]
+        best = np.arange(len(ids)) * (2 + _N_STARTS + 16) + [r.start_index for r in batch]
         assert np.array_equal(x0, _to_model_values(ModelKind.PRSP, search_x[best]))
         assert np.array_equal(start_sse, search_sse[best])
         assert np.all(sse <= start_sse)
@@ -686,15 +699,15 @@ class TestSearchInternals:
         assert [lo, hi] == _search_range(ModelKind.PRSP).tolist() == box
         assert np.all((lo <= x0) & (x0 <= hi)) and np.all((lo <= x) & (x <= hi))
         assert x[1, 3] == lo and x[2, 6] == hi
-        assert converged.tolist() == [False, True, False] and iters[~converged].tolist() == [settings.max_iters] * 2
+        assert converged.tolist() == [False, True, False] and iters[~converged].tolist() == [_MAX_ITERS] * 2
         # the fit reports the polished point, the steps of both and the polish's convergence
         for i, r in enumerate(batch):
             assert r.params.values == tuple(x[i]) and r.epsilon == np.sqrt(sse[i] / len(DEFAULT_GRID.e1))
             assert (r.iterations, r.converged) == (search_iters[best[i]] + iters[i], converged[i])
-            assert fit(ModelKind.PRSP, standard_vector(dists[ids[i]]), settings, seeds[i], warm[i]) == r
+            assert fit(ModelKind.PRSP, standard_vector(dists[ids[i]]), seeds[i], warm[i]) == r
         # PWR's box, the range its search reaches, is unbounded
         polished.clear()
-        fit_batch(ModelKind.PWR, *grid_arrays(), targets, settings, seeds, [None] * len(ids))
+        fit_batch(ModelKind.PWR, *grid_arrays(), targets, seeds, [None] * len(ids))
         ((_, lo, hi, _, _),) = polished
         assert [lo, hi] == _search_range(ModelKind.PWR).tolist() == [-np.inf, np.inf]
 
@@ -734,29 +747,29 @@ class TestSearchInternals:
         def check_calls():
             """The search's calls follow its rows not yet stopped, its completed Jacobian rows its accepted
             steps; then the polish's calls follow its row's steps."""
-            model, x0, c, settings = batches.pop()
+            model, x0, c, max_iters = batches.pop()
             at, polish_iters = polished.pop()
             calls = [(event, rows) for _, event, rows in events]
-            assert_batch_calls(calls[:at], model, x0, c, settings)
+            assert_batch_calls(calls[:at], model, x0, c, max_iters)
             assert_polish_calls(calls[at:], 1, polish_iters)
             return len(x0)
 
         monkeypatch.setattr(optim, "_predict_rows", counting(_predict_rows, events))
         monkeypatch.setattr(optim, "_lm", recorded)
         monkeypatch.setattr(optim, "_polish", recorded_polish)
+        monkeypatch.setattr(optim, "_MAX_ITERS", 40)
         e1, e2 = grid_arrays()
         planted = list(zip(DEFAULT_GRID.pairs(), predict_grid(ModelKind.PRSP, (0.4, 0.3, 0.8, 0.2, 0.6, 0.7, 0.25), e1, e2)))
-        settings = OptimSettings(max_iters=40)
-        starts = 2 + settings.n_starts + 16  # warm or constant start, seeded and kink starts
+        starts = 2 + _N_STARTS + 16  # warm or constant start, seeded and kink starts
         for d in (sample_uniform(54, 1)[0], sample_cond_indep(55, 1)[0]):
             events.clear()
-            fit(ModelKind.PRSP, standard_vector(d), settings, warm_start=true_params_prsp(d))
+            fit(ModelKind.PRSP, standard_vector(d), warm_start=true_params_prsp(d))
             assert check_calls() == starts
         for targets in (planted, constant_targets(0.5)):  # exact fits
             events.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # zero steps and a zero error divide by nothing
-                r = fit(ModelKind.PRSP, targets, settings)
+                r = fit(ModelKind.PRSP, targets)
             assert check_calls() == starts - 1
             assert r.epsilon < 1e-10 and r.converged
 

@@ -82,24 +82,26 @@ def test_module_entry_point_runs_the_command_line(module, tmp_path):
     assert out.read_bytes() == (tmp_path / "main.csv").read_bytes()
 
 
-def test_ratchet_check_counts_prsp_row_steps():
+def test_ratchet_check_counts_prsp_row_steps(monkeypatch):
     # tests/prsp_ratchet.py --check reports PRSP's work through this wrapper of optim._lm and optim._polish
     import uisbench.optim as optim
-    from prsp_ratchet import counted_lm, work_lines
+    from prsp_ratchet import budget_line, counted_lm, work_lines
     from uisbench.dist import sample_uniform
     from uisbench.models import ModelKind
     from uisbench.oracle import DEFAULT_GRID, _batch_answers
 
     lm, polish = optim._lm, optim._polish
     targets = _batch_answers([d.atoms for d in sample_uniform(5, 2)], DEFAULT_GRID.e1, DEFAULT_GRID.e2)[0]
-    settings = optim.OptimSettings(n_starts=2, max_iters=1)
+    monkeypatch.setattr(optim, "_N_STARTS", 2)
+    monkeypatch.setattr(optim, "_MAX_ITERS", 1)
     with counted_lm() as counts:
-        optim.fit_batch(ModelKind.PRSP, DEFAULT_GRID.e1, DEFAULT_GRID.e2, targets, settings, [1, 2], [None, None])
+        optim.fit_batch(ModelKind.PRSP, DEFAULT_GRID.e1, DEFAULT_GRID.e2, targets, [1, 2], [None, None])
     assert optim._lm is lm and optim._polish is polish
     starts = 2 * (1 + 2 + 16)  # per distribution the constant, seeded and kink starts, each stepping once
     # then one polish row per distribution, stepping once
     assert counts == {"row_steps": starts, "at_max_iters": starts, "polish_steps": 2, "polish_at_max_iters": 2}
     assert work_lines(counts) == ("search: 38 row-steps, 38 starts at max_iters", "polish: 2 steps, 2 rows at max_iters")
+    assert budget_line() == "budget: 2 random starts, 1 steps per start and per polish row"
 
 
 def test_ratchet_rewrite_only_lowers_entries(tmp_path, monkeypatch, capsys):
@@ -133,9 +135,10 @@ def test_ratchet_check_names_no_entry_for_a_direction_none_moved(tmp_path, monke
     monkeypatch.setattr(prsp_ratchet, "prsp_epsilons", lambda *run: current[run])
     assert prsp_ratchet.check() == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "uniform gen 1 bench 2: 0 above, 0 below; largest rise none, largest drop none"
-    assert lines[3] == "cond_indep gen 3 bench 4: 1 above, 1 below; largest rise 0.125 (dist 0), largest drop 0.25 (dist 1)"
-    assert lines[6:] == ["  above: dist 0 +0.125", "  below: dist 1 -0.25", "1 fits above their entry by more than 1e-09"]
+    assert lines[0] == "budget: 5 random starts, 200 steps per start and per polish row"  # labels the run
+    assert lines[1] == "uniform gen 1 bench 2: 0 above, 0 below; largest rise none, largest drop none"
+    assert lines[4] == "cond_indep gen 3 bench 4: 1 above, 1 below; largest rise 0.125 (dist 0), largest drop 0.25 (dist 1)"
+    assert lines[7:] == ["  above: dist 0 +0.125", "  below: dist 1 -0.25", "1 fits above their entry by more than 1e-09"]
 
 
 def test_timing_rejects_a_repeat_below_one(monkeypatch, capsys):

@@ -4,8 +4,7 @@ Prints one line each for ``standard_vector`` on the default grid, a single
 ``standard_answer``, an in-process ``uisbench oracle`` call on a
 256-distribution file and, for each acceptance run (``uniform`` at gen seed
 1987, bench seed 11; ``cond_indep`` at gen seed 1986, bench seed 13; 109
-distributions on the default grid, default models and settings, one
-``bench`` chunk):
+distributions on the default grid and default models, one ``bench`` chunk):
 
 * the oracle batch (109 x 25), as the chunk asks for it;
 * ``fit_batch`` of each default model on the run's answer matrix, with the
@@ -16,7 +15,8 @@ distributions on the default grid, default models and settings, one
   ``max_iters``, then the polish's steps (summed over its rows, one per
   distribution) and the rows that reach ``max_iters``.
 
-Run from the repository root::
+The first line is the fit budget the run used (``optim._N_STARTS`` and
+``optim._MAX_ITERS``). Run from the repository root::
 
     PYTHONPATH=src python tests/timing.py [--repeat 7]
 
@@ -38,10 +38,10 @@ from uisbench import cli
 from uisbench.bench import DEFAULT_MODELS, _derived_seed, _prsp_warm_start, run_bench
 from uisbench.dist import sample_cond_indep, sample_uniform, write_dists_csv
 from uisbench.models import ModelKind
-from uisbench.optim import OptimSettings, fit_batch
+from uisbench.optim import fit_batch
 from uisbench.oracle import DEFAULT_GRID, EvidencePair, _batch_answers, standard_answer, standard_vector
 
-from prsp_ratchet import N_DISTS, RUNS, counted_lm, work_lines
+from prsp_ratchet import N_DISTS, RUNS, budget_line, counted_lm, work_lines
 
 ACCEPTANCE_RUNS = tuple(run for run in RUNS if run[1] in (1987, 1986))
 
@@ -72,7 +72,7 @@ def acceptance_rows(family: str, gen_seed: int, bench_seed: int) -> tuple[list, 
 
     def fit_call(kind):
         warm = prsp_warm if kind is ModelKind.PRSP else [None] * len(dists)
-        return lambda: fit_batch(kind, DEFAULT_GRID.e1, DEFAULT_GRID.e2, targets, OptimSettings(), seeds, warm)
+        return lambda: fit_batch(kind, DEFAULT_GRID.e1, DEFAULT_GRID.e2, targets, seeds, warm)
 
     rows = [(f"{family}: oracle batch (109 x 25)", lambda: _batch_answers(atoms, DEFAULT_GRID.e1, DEFAULT_GRID.e2))]
     rows += [(f"{family}: fit_batch {kind.value}", fit_call(kind)) for kind in DEFAULT_MODELS]
@@ -86,6 +86,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=positive_int, default=7, help="rounds per figure; the best is printed")
     args = parser.parse_args()
+    print(budget_line())
 
     d = sample_uniform(1987, 1)[0]
     ev = EvidencePair(0.3, 0.7)
