@@ -160,12 +160,16 @@ def _posteriors(atoms, e1, e2) -> tuple[np.ndarray, np.ndarray]:
       e1 for (1, 0), e2 for (0, 1) and e2 - (1 - e1) for (0, 0);
     * otherwise the root of the module's quadratic, divided by 1 + theta:
       A x^2 + B x - C = 0 with w = theta / (1 + theta), v = 1 / (1 + theta),
-      A = v - w, B = v - A (e1 + e2) and C = w e1 e2. w and v are formed from
-      the masses' mantissas and exponents, so theta cannot under- or
-      overflow on denormal or tiny cells. The discriminant B^2 + 4AC is summed
-      as (B - 2w e2)^2 + 4vw e2 (1 - e2), two terms that are non-negative for
-      either sign of A, and x as 2C / (B + sqrt D) when B > 0 and
-      (sqrt D - B) / 2A otherwise (where A > 0): no term cancels.
+      A = v - w, B = v (1 - e1 - e2) + w (e1 + e2) and C = w e1 e2. w and v
+      are formed from the masses' mantissas and exponents, so theta cannot
+      under- or overflow on denormal or tiny cells. 1 - e1 - e2 is rounded
+      once near the face e1 + e2 = 1, so where e1 + e2 <= 1 B is a sum of two
+      non-negative terms and keeps its relative accuracy on the face, where
+      it is about w and v - A (e1 + e2) would cancel two numbers near 1. The
+      discriminant B^2 + 4AC is summed as (B - 2w e2)^2 + 4vw e2 (1 - e2),
+      two terms that are non-negative for either sign of A, and x as
+      2C / (B + sqrt D) when B > 0 and (sqrt D - B) / 2A otherwise (where
+      A > 0): no term cancels.
 
     The table is q11 = x, q10 = e1 - x, q01 = e2 - x and q00 = (1 - e1) - q01,
     exact at hard evidence. **Rounding rule:** the margins fix a table only to
@@ -185,6 +189,11 @@ def _posteriors(atoms, e1, e2) -> tuple[np.ndarray, np.ndarray]:
     e1 = np.asarray(e1, dtype=np.float64).reshape(-1)
     e2 = np.asarray(e2, dtype=np.float64).reshape(-1)
     n, k = len(p), len(e1)
+    # t = 1 - e1 - e2 as (h - e2) + h_lo, where h + h_lo = 1 - e1 exactly (Dekker's fast two-sum, as 1 >= e1);
+    # h - e2 is exact where e2 lies in [h / 2, 2h] (Sterbenz), so t is correctly rounded near the face e1 + e2 = 1
+    h = 1.0 - e1
+    t = (h - e2) + ((1.0 - h) - e1)
+    s = e1 + e2
     m = p[:, :, 0] + p[:, :, 1]
     empty = m == 0.0
     some_empty = np.count_nonzero(empty)
@@ -197,12 +206,12 @@ def _posteriors(atoms, e1, e2) -> tuple[np.ndarray, np.ndarray]:
         wv = ab / (ab[:, :1] + ab[:, 1:])
         w, v = wv[:, :1], wv[:, 1:]
         lead = v - w
-        lin = v - lead * (e1 + e2)
+        lin = v * t + w * s
         const = w * e1 * e2
         root = np.sqrt((lin - 2.0 * w * e2) ** 2 + 4.0 * v * w * e2 * (1.0 - e2))
         x = np.where(lin > 0.0, 2.0 * const / (lin + root), (root - lin) / (2.0 * lead))
     if some_empty:
-        for cell, pin in enumerate((e2 - (1.0 - e1), e2, e1, 0.0)):
+        for cell, pin in enumerate((e2 - h, e2, e1, 0.0)):
             x = np.where(empty[:, cell, None], pin, x)
     zero, one1, one2 = (e1 == 0.0) | (e2 == 0.0), e1 == 1.0, e2 == 1.0
     if np.count_nonzero(zero | one1 | one2):
@@ -210,7 +219,7 @@ def _posteriors(atoms, e1, e2) -> tuple[np.ndarray, np.ndarray]:
 
     q = np.empty((n, k, 4))
     q[:, :, 3], q[:, :, 2], q[:, :, 1] = x, e1 - x, e2 - x
-    q[:, :, 0] = (1.0 - e1) - q[:, :, 1]
+    q[:, :, 0] = h - q[:, :, 1]
     failed = (q < -_CELL_TOL).any(axis=2)
     if some_empty:
         failed |= (empty[:, None] & (q > _CELL_TOL)).any(axis=2)

@@ -251,12 +251,12 @@ def test_criterion_9_cli_determinism(tmp_path):
 # sha256 of report.csv and summary.json of the two acceptance runs (BENCH_KINDS, default grid)
 ARTIFACT_SHA256 = {
     "uniform": {
-        "report.csv": "3ad23a31c31f9ea3bb07a54663dc7ab6b7ce01600ddc788fa074eb6fc8d3e28d",
-        "summary.json": "05c0d886f53342e2fe57a04c1e7f077fc9ca21f594b3b06a56099a0d8b48735c",
+        "report.csv": "50e621c4f0313ea783c7e35502aff57226098c74f5cf76dfc269fef722626604",
+        "summary.json": "537cfef54f54cf030e685776d5261c66a4a1b9ff972a5d2452c815801f6581db",
     },
     "cond_indep": {
-        "report.csv": "cf31bb49cd4c3581cc7be481dfa3a6e5867f0a78ae8fcab80947a7496c4ac0a9",
-        "summary.json": "6b88fd142e2a4a61fa88432d4a3d5ab896e7f7f3e328980d6a08353f3a2e1b6b",
+        "report.csv": "e9284d5d8825169e73006972390d04a7145bb54db4c40291076e1ed2b9ab6e19",
+        "summary.json": "1ebe0c460192b641d34ceed4de56ba51a781507593c4d68853be34d44373c102",
     },
 }
 

@@ -277,11 +277,9 @@ class TestRootAccuracy:
             error = abs(Decimal(float(q11[i, j])) - want)
             ulp_error = float(error / Decimal(math.ulp(float(want))))
             ulps.append(ulp_error)
-            # on the face e1 + e2 = 1 with theta well below 1, q11 is near sqrt(theta e1 e2)
-            # and B = v - A (e1 + e2) a difference of two numbers near 1, so B's rounding
-            # leaves q11 an absolute error near 2^-53 there, not a relative one
-            on_face = abs((1.0 - e1[j]) - e2[j]) <= 1e-15
-            assert ulp_error <= 128.0 or (on_face and error <= 2.0**-52), (i, pairs[j], ulp_error)
+            # on the face e1 + e2 = 1 with theta well below 1, q11 is near sqrt(theta e1 e2); B formed
+            # as v - A (e1 + e2), a difference of two numbers near 1, left it 1e7 ulps off there
+            assert ulp_error <= 8.0, (i, pairs[j], ulp_error)
         assert np.median(ulps) < 1.0
 
 
@@ -493,8 +491,8 @@ class TestStandardVector:
             0.94623905196505043, 0.88545609447398876, 0.82444073912967109, 0.76344343907590273, 0.7027198431189513,
             0.71139834588024209, 0.66133016657312482, 0.61391393984287013, 0.57019340584258005, 0.53122721153958286,
             0.47562621483939155, 0.43915716414633732, 0.4074232420837266, 0.3807651170152398, 0.35907568876572116,
-            0.23987213908909039, 0.22067985444951443, 0.20600834131870707, 0.19503252091786444, 0.18694222128240859,
-            0.0050907945383923837, 0.0076559115527706769, 0.010261164475441644, 0.012884472688661941, 0.015508951237150514,
+            0.23987213908909039, 0.22067985444951443, 0.20600834131870707, 0.19503252091786444, 0.18694222128240853,
+            0.0050907945383923837, 0.0076559115527706691, 0.010261164475441644, 0.012884472688661915, 0.015508951237150514,
         ]
         assert [c for _, c in standard_vector(sample_uniform(1987, 1)[0])] == pinned
 
