@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dist import JointDist
+from .dist import JointDist, _utf8_text
 from .models import PARAM_DIM, _PWR_EVIDENCE_ERROR, ModelKind, ModelParams, _check_kind, true_params_prsp
 # fit and standard_vector are not called here, but perfbench's tracer wraps them
 # (test_every_traced_attribute_exists; ROADMAP item 1)
@@ -320,7 +320,7 @@ def _fmt(x: float) -> str:
 
 def write_report_csv(path, reports: list[DistReport]) -> None:
     """One row per (distribution, model); failed distributions carry no rows."""
-    with open(path, "w", newline="") as f:
+    with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(REPORT_CSV_COLUMNS) + "\n")
         for report in reports:
             if report.error is not None:
@@ -375,7 +375,7 @@ def read_report_csv(path) -> list[DistReport]:
     differs from the first's, or that :class:`DistReport` rejects.
     """
     by_dist: dict[int, list[tuple[int, FitResult, tuple[float, bool, bool]]]] = {}
-    with open(path, newline="") as f:
+    with _utf8_text(path, csv=True, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None or tuple(header) != REPORT_CSV_COLUMNS:
@@ -429,7 +429,7 @@ def write_summary_json(path, rows: tuple[SummaryRow, ...]) -> None:
     """Per model, under its name, the fields of its ``SummaryRow`` after ``kind``, in declaration order."""
     names = [f.name for f in fields(SummaryRow)[1:]]
     payload = {row.kind.value: {name: _spelled(getattr(row, name)) for name in names} for row in rows}
-    with open(path, "w", newline="") as f:
+    with open(path, "w", encoding="utf-8", newline="") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
 

@@ -28,7 +28,7 @@ from .bench import (
     write_report_csv,
     write_summary_json,
 )
-from .dist import read_atoms_csv, read_dists_csv, sample_cond_indep, sample_uniform, write_dists_csv
+from .dist import _utf8_text, read_atoms_csv, read_dists_csv, sample_cond_indep, sample_uniform, write_dists_csv
 from .models import ModelKind
 # standard_answer is not called here, but perfbench's tracer wraps it (test_every_traced_attribute_exists)
 from .oracle import DEFAULT_GRID, EvidenceGrid, _batch_answers, standard_answer  # noqa: F401
@@ -89,7 +89,7 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     try:
         values = {}
         if args.config is not None:
-            with open(args.config) as f:
+            with _utf8_text(args.config, csv=False) as f:
                 values = json.load(f)
             if type(values) is not dict:
                 raise ValueError(f"{args.config}: config must be a JSON object, got {values!r}")

@@ -24,8 +24,10 @@ which makes generation independent of batch size and execution order.
 
 from __future__ import annotations
 
-import csv
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields
+from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -235,10 +237,91 @@ def write_dists_csv(path, dists: list[JointDist]) -> None:
     Column bits are (E1, E2, C) per the atom index convention; probabilities
     are printed with 17 significant digits so the file round-trips exactly.
     """
-    with open(path, "w", newline="") as f:
+    with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(DIST_CSV_COLUMNS) + "\n")
         for k, d in enumerate(dists):
             f.write(str(k) + "," + ",".join(f"{a:.17g}" for a in d.atoms) + "\n")
+
+
+_BLOCK_HINT = 1 << 16  # bytes of lines read and parsed at once: a 256-row file is one block
+
+
+@contextmanager
+def _utf8_text(path, csv: bool, newline: str | None = None):
+    """File ``path`` opened to read as UTF-8 text, bytes that do not decode raising a ValueError.
+
+    The error names the file, the place and the byte. The place is the row
+    of a CSV file whose first line is its header (``csv``), else the line,
+    counted from 1.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as f:
+            yield f
+    except UnicodeDecodeError as exc:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:  # exc's position is within one decoded chunk, whole's in the file
+            head = data[: whole.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")  # universal newlines
+            place = ("header" if line == 0 else f"row {line - 1}") if csv else f"line {line + 1}"
+            byte = f"byte {data[whole.start]:#04x} at offset {whole.start}"
+            raise ValueError(f"{path}: {place}: {byte} is not UTF-8 ({whole.reason})") from None
+        raise ValueError(f"{path}: {exc}") from None  # the file changed since
+
+
+def _fields(line: str) -> list[str]:
+    """The fields of one line of a distribution file, none for a blank line."""
+    line = line.removesuffix("\n")
+    return line.split(",") if line else []
+
+
+def _row_atoms(line: str, row_no: int) -> list[float]:
+    """The eight atoms of file row ``row_no``, or a ValueError saying why the line does not parse."""
+    fields = _fields(line)
+    quoted = [f for f in fields if f.startswith('"')]
+    if quoted:
+        raise ValueError(f"quoted field {quoted[0]!r}; fields must be unquoted")
+    if len(fields) != 9:
+        raise ValueError(f"expected 9 columns, got {len(fields)}")
+    if int(fields[0]) != row_no:
+        raise ValueError(f"id {fields[0]!r} out of order, expected {row_no}")
+    return [float(x) for x in fields[1:]]
+
+
+def _block_atoms(lines: list[str], first: int) -> np.ndarray:
+    """The unchecked atoms (n, 8) of ``lines``, rows ``first`` on; a ValueError if any row does not parse.
+
+    Accepts exactly the blocks whose every line :func:`_row_atoms` parses,
+    with the same ``int`` and ``float``, but splits and converts the whole
+    block at once.
+    """
+    n = len(lines)
+    if set(map(str.count, lines, repeat(","))) != {8}:
+        raise ValueError("a row without 9 columns")
+    fields = "".join(lines).replace("\n", ",").split(",")  # only line ends hold a newline
+    del fields[9 * n :]  # the empty field after the last line end, if the file has one
+    if list(map(int, fields[::9])) != list(range(first, first + n)):
+        raise ValueError("an id out of order")
+    del fields[::9]
+    return np.fromiter(map(float, fields), np.float64, 8 * n).reshape(n, 8)
+
+
+def _first_fault(path, blocks: list[np.ndarray], lines: list[str], first: int) -> ValueError:
+    """The error naming the first faulty row of a file whose block ``lines`` (rows ``first`` on) does not
+    parse; ``blocks`` holds the atoms of every row before it."""
+    rows: list[list[float]] = []
+    for row_no, line in enumerate(lines, start=first):
+        try:
+            rows.append(_row_atoms(line, row_no))
+        except ValueError as exc:
+            fault = _RowError(row_no, str(exc))
+            break
+    try:
+        _checked_rows(np.concatenate([*blocks, np.array(rows, dtype=np.float64).reshape(len(rows), 8)]))
+    except _RowError as exc:
+        fault = exc  # rows stop before the parse fault, so this row comes first
+    return ValueError(f"{path}: row {fault.row}: {fault}")
 
 
 def read_atoms_csv(path) -> np.ndarray:
@@ -246,34 +329,32 @@ def read_atoms_csv(path) -> np.ndarray:
 
     Returns one read-only (n, 8) array whose rows are checked and renormalised
     as :class:`JointDist` does it, row ``k`` being bit for bit
-    ``JointDist(...).atoms`` of the file's row ``k``. Rows must carry
-    consecutive ids starting at 0. The first faulty row in file order is
-    named, whether it fails to parse or to validate.
+    ``JointDist(...).atoms`` of the file's row ``k``. The file is UTF-8 text
+    with LF or CRLF line ends and unquoted fields; atoms take Python
+    ``float`` syntax. Rows must carry consecutive ids starting at 0. The first
+    faulty row in file order is named, whether it fails to parse or to
+    validate; a blank line or a quoted field fails to parse. Bytes that do not
+    decode are named with their row.
     """
-    rows: list[list[float]] = []
-    fault = None
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or tuple(header) != DIST_CSV_COLUMNS:
+    blocks = [np.empty((0, 8))]
+    n = 0
+    with _utf8_text(path, csv=True) as f:
+        line = f.readline()
+        header = _fields(line) if line else None
+        if header != list(DIST_CSV_COLUMNS):
             raise ValueError(f"{path}: bad header {header!r}, expected {','.join(DIST_CSV_COLUMNS)}")
-        for row_no, row in enumerate(reader):
+        while lines := f.readlines(_BLOCK_HINT):
             try:
-                if len(row) != 9:
-                    raise ValueError(f"expected 9 columns, got {len(row)}")
-                if int(row[0]) != row_no:
-                    raise ValueError(f"id {row[0]!r} out of order, expected {row_no}")
-                rows.append([float(x) for x in row[1:]])
-            except ValueError as exc:
-                fault = _RowError(row_no, str(exc))
-                break
+                blocks.append(_block_atoms(lines, n))
+            except ValueError:
+                raise _first_fault(path, blocks, lines, n) from None
+            n += len(lines)
+    atoms = np.concatenate(blocks)
+    del blocks  # before _checked_rows copies atoms, so the file's atoms are held twice at most
     try:
-        atoms = _checked_rows(np.array(rows, dtype=np.float64).reshape(len(rows), 8))
+        return _checked_rows(atoms)
     except _RowError as exc:
-        fault = exc  # rows stop before a parse fault, so this row comes first
-    if fault is not None:
-        raise ValueError(f"{path}: row {fault.row}: {fault}")
-    return atoms
+        raise ValueError(f"{path}: row {exc.row}: {exc}") from None
 
 
 def read_dists_csv(path) -> list[JointDist]:

@@ -508,6 +508,16 @@ class TestArtifacts:
             read_report_csv(path)
         assert str(exc.value) == f"{path}: row 0: param0 is empty, but a later parameter is set"
 
+    def test_undecodable_byte_names_file_and_row(self, tmp_path):
+        # was "'utf-8' codec can't decode byte 0xff in position ...", naming neither
+        path = _three_model_report_csv(tmp_path)
+        data = path.read_bytes().replace(b"\n1,WRST,", b"\n1,WRST,\xff")
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as exc:
+            read_report_csv(path)
+        offset = data.index(b"\xff")
+        assert str(exc.value) == f"{path}: row 4: byte 0xff at offset {offset} is not UTF-8 (invalid start byte)"
+
     @pytest.mark.parametrize(
         "edit, message",
         [

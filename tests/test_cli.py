@@ -482,6 +482,40 @@ class TestReport:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, place, code", [
+    ("oracle", "row 1", 1),
+    ("bench", "row 1", 1),
+    ("report", "row 1", 1),
+    ("gen", "line 3", 2),
+])
+def test_undecodable_input_names_file_and_place(tmp_path, capsys, command, place, code):
+    # was "error: 'utf-8' codec can't decode byte 0xff in position ...", naming no file
+    dists = tmp_path / "d.csv"
+    write_dists_csv(dists, sample_uniform(3, 3))
+    assert main(["bench", "--dists", str(dists), "--out", str(tmp_path / "o")]) == 0
+    path, flags = {
+        "oracle": (dists, ["--dists", str(dists), "--e1", "0.5", "--e2", "0.5"]),
+        "bench": (dists, ["--dists", str(dists), "--out", str(tmp_path / "o2")]),
+        "report": (tmp_path / "o" / "report.csv", ["--report", str(tmp_path / "o" / "report.csv")]),
+        "gen": (tmp_path / "cfg.json", ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "g.csv")]),
+    }[command]
+    if command == "gen":
+        path.write_text('{\n  "seed": 1\n}\n')
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flags])
+        assert exc.value.code == 2
+    else:
+        assert main([command, *flags]) == 1
+    offset = path.read_bytes().index(b"\xff")
+    message = f"{path}: {place}: byte 0xff at offset {offset} is not UTF-8 (invalid start byte)"
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "command, args, message",
     [

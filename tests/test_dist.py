@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import DENORMAL_ROW
 from uisbench.dist import (
+    _BLOCK_HINT,
     CondIndepParams,
     JointDist,
     atom_index,
@@ -315,11 +317,14 @@ def _csv_text(rows) -> str:
     return HEADER + "".join(f"{k}," + ",".join(f"{float(a):.17g}" for a in row) + "\n" for k, row in enumerate(rows))
 
 
-# a fault of one row of 0.125s: its fields' transform and the message naming it
+# a fault of one row of 0.125s: its fields' transform and the message naming it, given the row
 FAULTS = {
     "negative": (lambda f: f[:3] + ["-0.125", "0.375"] + f[5:], "atom 2 must be a finite non-negative real, got np.float64(-0.125)"),
     "unparsable": (lambda f: f[:6] + ["0.125x"] + f[7:], "could not convert string to float: '0.125x'"),
     "sum": (lambda f: f[:1] + ["0.0625"] * 8, "atoms must sum to 1 within 1e-09, got 0.5"),
+    "short": (lambda f: f[:8], "expected 9 columns, got 8"),
+    "id": (lambda f: ["7"] + f[1:], "id '7' out of order, expected {row}"),
+    "blank": (lambda f: [], "expected 9 columns, got 0"),
 }
 
 
@@ -361,7 +366,7 @@ class TestReadAtomsCsv:
         for read in (read_atoms_csv, read_dists_csv):
             with pytest.raises(ValueError) as exc:
                 read(path)
-            assert str(exc.value) == f"{path}: row {first}: {FAULTS[faults[0]][1]}"
+            assert str(exc.value) == f"{path}: row {first}: {FAULTS[faults[0]][1].format(row=first)}"
 
     def test_crlf_file_reads_identically(self, tmp_path):
         rows, _ = self._rows()
@@ -386,3 +391,77 @@ class TestReadAtomsCsv:
         for k in range(3):
             with pytest.raises(ValueError):
                 read_dists_csv(path)[k].atoms[0] = 0.5
+
+    def test_first_faulty_row_named_across_blocks(self, tmp_path):
+        lines = _csv_text([UNIFORM] * 3000).splitlines(keepends=True)
+        assert sum(map(len, lines[:2900])) > 2 * _BLOCK_HINT  # row 2899 is in the third block at least
+        path = tmp_path / "d.csv"
+        for early, late, message in [
+            ("sum", "unparsable", FAULTS["sum"][1]),
+            ("unparsable", "sum", FAULTS["unparsable"][1]),
+            ("negative", "short", FAULTS["negative"][1]),
+        ]:
+            faulty = list(lines)
+            for row, fault in ((5, early), (2899, late)):
+                faulty[1 + row] = ",".join(FAULTS[fault][0](lines[1 + row].rstrip("\n").split(","))) + "\n"
+            path.write_text("".join(faulty))
+            with pytest.raises(ValueError) as exc:
+                read_atoms_csv(path)
+            assert str(exc.value) == f"{path}: row 5: {message}"
+        path.write_text("".join(lines[:2900]) + "2899,0.125\n" + "".join(lines[2901:]))
+        with pytest.raises(ValueError) as exc:
+            read_atoms_csv(path)
+        assert str(exc.value) == f"{path}: row 2899: expected 9 columns, got 2"
+
+    def test_last_line_without_newline_reads_the_same(self, tmp_path):
+        rows, _ = self._rows()
+        path, bare = tmp_path / "d.csv", tmp_path / "bare.csv"
+        for text in (_csv_text(rows), _csv_text(rows[:1]), HEADER):
+            path.write_text(text)
+            bare.write_text(text.removesuffix("\n"))
+            assert read_atoms_csv(bare).tobytes() == read_atoms_csv(path).tobytes()
+        bare.write_text(_csv_text([UNIFORM] * 3).removesuffix("\n") + "x")
+        with pytest.raises(ValueError) as exc:
+            read_atoms_csv(bare)
+        assert str(exc.value) == f"{bare}: row 2: could not convert string to float: '0.125x'"
+
+    @pytest.mark.parametrize("column", [0, 4, 8])
+    def test_quoted_field_refused_naming_its_row(self, tmp_path, column):
+        lines = _csv_text([UNIFORM] * 3).splitlines()
+        fields = lines[2].split(",")
+        fields[column] = f'"{fields[column]}"'
+        lines[2] = ",".join(fields)
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_atoms_csv(path)
+        assert str(exc.value) == f"{path}: row 1: quoted field {fields[column]!r}; fields must be unquoted"
+
+    def test_undecodable_byte_names_file_and_row(self, tmp_path):
+        text = _csv_text([UNIFORM] * 3).encode()
+        path = tmp_path / "d.csv"
+        for data, place, byte, reason in [
+            (text.replace(b"\n1,0.125", b"\n1,0.1\xff25"), "row 1", b"\xff", "invalid start byte"),
+            (text.replace(b"\n", b"\r\n").replace(b"\r\n2,", b"\r\n2,\xc3"), "row 2", b"\xc3", "invalid continuation byte"),
+            (text.replace(b"p000", b"p\xe9000"), "header", b"\xe9", "invalid continuation byte"),
+        ]:
+            path.write_bytes(data)
+            with pytest.raises(ValueError) as exc:
+                read_atoms_csv(path)
+            offset = data.index(byte)
+            assert str(exc.value) == f"{path}: {place}: byte {byte[0]:#04x} at offset {offset} is not UTF-8 ({reason})"
+
+    def test_peak_memory_below_twice_the_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        dists = sample_cond_indep(7, 20_000)
+        write_dists_csv(path, dists)
+        read_atoms_csv(path)  # first-call allocations are not the reader's
+        tracemalloc.start()
+        try:
+            atoms = read_atoms_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak < 2 * size, (peak, size)
+        assert atoms.tobytes() == np.array([d.atoms for d in dists]).tobytes()

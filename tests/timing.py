@@ -2,9 +2,10 @@
 
 Prints one line each for ``standard_vector`` on the default grid, a single
 ``standard_answer``, an in-process ``uisbench oracle`` call on a
-256-distribution file and, for each acceptance run (``uniform`` at gen seed
-1987, bench seed 11; ``cond_indep`` at gen seed 1986, bench seed 13; 109
-distributions on the default grid and default models, one ``bench`` chunk):
+256-distribution file, ``read_atoms_csv`` on that file (the call's read) and,
+for each acceptance run (``uniform`` at gen seed 1987, bench seed 11;
+``cond_indep`` at gen seed 1986, bench seed 13; 109 distributions on the
+default grid and default models, one ``bench`` chunk):
 
 * the oracle batch (109 x 25), as the chunk asks for it;
 * ``fit_batch`` of each default model on the run's answer matrix, with the
@@ -36,7 +37,7 @@ from pathlib import Path
 
 from uisbench import cli
 from uisbench.bench import DEFAULT_MODELS, _derived_seed, _prsp_warm_start, run_bench
-from uisbench.dist import sample_cond_indep, sample_uniform, write_dists_csv
+from uisbench.dist import read_atoms_csv, sample_cond_indep, sample_uniform, write_dists_csv
 from uisbench.models import ModelKind
 from uisbench.optim import fit_batch
 from uisbench.oracle import DEFAULT_GRID, EvidencePair, _batch_answers, standard_answer, standard_vector
@@ -106,6 +107,7 @@ def main() -> None:
                 assert cli.main(argv) == 0
 
         rows.append(("uisbench oracle, 256 distributions, in process", oracle_call))
+        rows.append(("read_atoms_csv, 256 distributions", lambda: read_atoms_csv(path)))
         for run in ACCEPTANCE_RUNS:
             run_rows, work = acceptance_rows(*run)
             rows += run_rows
