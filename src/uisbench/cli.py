@@ -90,7 +90,10 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         values = {}
         if args.config is not None:
             with _utf8_text(args.config, csv=False) as f:
-                values = json.load(f)
+                try:
+                    values = json.load(f)
+                except json.JSONDecodeError as exc:  # named as the decode error names its place
+                    raise ValueError(f"{args.config}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
             if type(values) is not dict:
                 raise ValueError(f"{args.config}: config must be a JSON object, got {values!r}")
         unknown = set(values) - {f.name for f in fields(RunConfig)}
@@ -109,7 +112,7 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         config = RunConfig(**values)  # checked before the flags, so one given for a bad file value does not hide it
         flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
         return replace(config, **{name: value for name, value in flags.items() if value is not None})
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         parser.error(str(exc))
         raise AssertionError("unreachable") from exc
 
@@ -207,22 +210,15 @@ def cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return _summary(reports, args.json)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="uisbench",
-        description="Benchmark evidence-combination models against the minimum-cross-entropy oracle.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate a distribution CSV")
+def _gen_arguments(gen: argparse.ArgumentParser) -> None:
     gen.add_argument("--family", choices=SAMPLERS, default=None)
     gen.add_argument("--n", dest="n_dists", type=int, default=None, help="number of distributions")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", default=None, help="output CSV path (default dists.csv)")
     gen.add_argument("--config", default=None, help="JSON run-config file; flags override it")
-    gen.set_defaults(func=cmd_gen, parser=gen)
 
-    bench = sub.add_parser("bench", help="fit models on a distribution file and summarize eta")
+
+def _bench_arguments(bench: argparse.ArgumentParser) -> None:
     bench.add_argument("--dists", required=True, help="distribution CSV produced by gen")
     models = _flag_type(lambda text: _parse_models(text.split(",")))
     bench.add_argument("--models", type=models, default=None, help="comma-separated model list")
@@ -232,25 +228,64 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parallel workers, at most the CPU count (output is identical)")
     bench.add_argument("--out", default=None, help="output directory (default .)")
     bench.add_argument("--config", default=None, help="JSON run-config file; flags override it")
-    bench.set_defaults(func=cmd_bench, parser=bench)
 
-    oracle = sub.add_parser("oracle", help="print the oracle posterior of C per distribution")
+
+def _oracle_arguments(oracle: argparse.ArgumentParser) -> None:
     oracle.add_argument("--dists", required=True)
     oracle.add_argument("--e1", type=float, required=True)
     oracle.add_argument("--e2", type=float, required=True)
-    oracle.set_defaults(func=cmd_oracle, parser=oracle)
 
-    report = sub.add_parser("report", help="re-summarize a report CSV")
+
+def _report_arguments(report: argparse.ArgumentParser) -> None:
     report.add_argument("--report", required=True, help="report CSV produced by bench")
     report.add_argument("--json", default=None, help="also write the summary JSON here")
-    report.set_defaults(func=cmd_report, parser=report)
+
+
+# name -> (help, the function that adds the command's arguments to its parser, the command)
+COMMANDS = {
+    "gen": ("generate a distribution CSV", _gen_arguments, cmd_gen),
+    "bench": ("fit models on a distribution file and summarize eta", _bench_arguments, cmd_bench),
+    "oracle": ("print the oracle posterior of C per distribution", _oracle_arguments, cmd_oracle),
+    "report": ("re-summarize a report CSV", _report_arguments, cmd_report),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="uisbench",
+        description="Benchmark evidence-combination models against the minimum-cross-entropy oracle.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_arguments, command) in COMMANDS.items():
+        command_parser = sub.add_parser(name, help=summary)
+        add_arguments(command_parser)
+        command_parser.set_defaults(func=command, parser=command_parser)
     return parser
 
 
+def _parse_argv(argv: list[str]):
+    """The command that ``argv`` runs, its arguments and its parser, which a usage error found later names.
+
+    When ``argv`` starts with a command's name, only that command's parser is
+    built: it is the parser ``build_parser`` adds for the command, so it
+    prints the same help and errors. Arguments it does not know are reported
+    by the full parser, with the full usage, as are an argv that names no
+    command, ``-h`` and ``--``.
+    """
+    if argv and argv[0] in COMMANDS:
+        _, add_arguments, command = COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"uisbench {argv[0]}")
+        add_arguments(parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return command, args, parser
+    args = build_parser().parse_args(argv)
+    return args.func, args, args.parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args, args.parser)  # the command's own parser, so a usage error found later names it
+    command, args, parser = _parse_argv(sys.argv[1:] if argv is None else argv)
+    return command(args, parser)
 
 
 if __name__ == "__main__":

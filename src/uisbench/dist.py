@@ -24,6 +24,7 @@ which makes generation independent of batch size and execution order.
 
 from __future__ import annotations
 
+import io
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields
 from itertools import repeat
@@ -246,9 +247,17 @@ def write_dists_csv(path, dists: list[JointDist]) -> None:
 _BLOCK_HINT = 1 << 16  # bytes of lines read and parsed at once: a 256-row file is one block
 
 
+class _DecodeError(ValueError):
+    """Bytes of a file that do not decode as UTF-8; ``head`` holds the file's lines before the one that holds them."""
+
+    def __init__(self, message: str, head: bytes) -> None:
+        super().__init__(message)
+        self.head = head
+
+
 @contextmanager
 def _utf8_text(path, csv: bool, newline: str | None = None):
-    """File ``path`` opened to read as UTF-8 text, bytes that do not decode raising a ValueError.
+    """File ``path`` opened to read as UTF-8 text, bytes that do not decode raising a :class:`_DecodeError`.
 
     The error names the file, the place and the byte. The place is the row
     of a CSV file whose first line is its header (``csv``), else the line,
@@ -266,7 +275,8 @@ def _utf8_text(path, csv: bool, newline: str | None = None):
             line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")  # universal newlines
             place = ("header" if line == 0 else f"row {line - 1}") if csv else f"line {line + 1}"
             byte = f"byte {data[whole.start]:#04x} at offset {whole.start}"
-            raise ValueError(f"{path}: {place}: {byte} is not UTF-8 ({whole.reason})") from None
+            head = head[: max(head.rfind(b"\n"), head.rfind(b"\r")) + 1]  # a line end is one byte, never in a character
+            raise _DecodeError(f"{path}: {place}: {byte} is not UTF-8 ({whole.reason})", head) from None
         raise ValueError(f"{path}: {exc}") from None  # the file changed since
 
 
@@ -332,23 +342,33 @@ def read_atoms_csv(path) -> np.ndarray:
     ``JointDist(...).atoms`` of the file's row ``k``. The file is UTF-8 text
     with LF or CRLF line ends and unquoted fields; atoms take Python
     ``float`` syntax. Rows must carry consecutive ids starting at 0. The first
-    faulty row in file order is named, whether it fails to parse or to
-    validate; a blank line or a quoted field fails to parse. Bytes that do not
-    decode are named with their row.
+    faulty row in file order is named, whether it fails to parse, to validate
+    or to decode; a blank line or a quoted field fails to parse. Bytes that do
+    not decode are named with their row.
     """
+    try:
+        with _utf8_text(path, csv=True) as f:
+            return _file_atoms(path, f)
+    except _DecodeError as exc:
+        if exc.head:  # the lines before the undecodable one come first in file order
+            _file_atoms(path, io.StringIO(exc.head.decode("utf-8"), newline=None))  # universal newlines, as open's
+        raise
+
+
+def _file_atoms(path, f) -> np.ndarray:
+    """The checked atoms of distribution file ``path``, read from text stream ``f``."""
     blocks = [np.empty((0, 8))]
     n = 0
-    with _utf8_text(path, csv=True) as f:
-        line = f.readline()
-        header = _fields(line) if line else None
-        if header != list(DIST_CSV_COLUMNS):
-            raise ValueError(f"{path}: bad header {header!r}, expected {','.join(DIST_CSV_COLUMNS)}")
-        while lines := f.readlines(_BLOCK_HINT):
-            try:
-                blocks.append(_block_atoms(lines, n))
-            except ValueError:
-                raise _first_fault(path, blocks, lines, n) from None
-            n += len(lines)
+    line = f.readline()
+    header = _fields(line) if line else None
+    if header != list(DIST_CSV_COLUMNS):
+        raise ValueError(f"{path}: bad header {header!r}, expected {','.join(DIST_CSV_COLUMNS)}")
+    while lines := f.readlines(_BLOCK_HINT):
+        try:
+            blocks.append(_block_atoms(lines, n))
+        except ValueError:
+            raise _first_fault(path, blocks, lines, n) from None
+        n += len(lines)
     atoms = np.concatenate(blocks)
     del blocks  # before _checked_rows copies atoms, so the file's atoms are held twice at most
     try:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uisbench.cli import RunConfig, main
+from uisbench.cli import COMMANDS, RunConfig, build_parser, main
 from uisbench.dist import (
     CondIndepParams,
     JointDist,
@@ -535,6 +535,90 @@ def test_usage_error_found_after_parsing_names_the_command(tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.startswith(f"usage: uisbench {command} [-h] ")
     assert err.endswith(f"\nuisbench {command}: error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["gen", "bench"])
+@pytest.mark.parametrize("text, place", [
+    ('{"seed": 1,}', "line 1 column 12: Expecting property name enclosed in double quotes"),
+    ('{\r\n  "seed": 1\r\n  "n_dists": 2\r\n}\r\n', "line 3 column 3: Expecting ',' delimiter"),
+    ("", "line 1 column 1: Expecting value"),
+], ids=["trailing-comma", "crlf-missing-comma", "empty"])
+def test_config_that_is_not_json_names_its_path(tmp_path, capsys, command, text, place):
+    # was "Expecting property name enclosed in double quotes: line 1 column 12 (char 11)", naming no file
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(text.encode())
+    write_dists_csv(tmp_path / "d.csv", sample_uniform(3, 3))
+    flags = {"gen": ["--out", str(tmp_path / "g.csv")], "bench": ["--dists", str(tmp_path / "d.csv")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flags, "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"\nuisbench {command}: error: {cfg}: {place}\n")
+
+
+def _full_parser_main(argv):
+    """The reference for ``main``: the full parser parses all of argv, then the command runs."""
+    args = build_parser().parse_args(argv)
+    return args.func(args, args.parser)
+
+
+def _outcome(run, argv, capsys):
+    """The exit code, stdout and stderr of ``run(argv)``."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+ORACLE_ARGS = ["--dists", "d.csv", "--e1", "0.5", "--e2", "0.25"]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate"],
+    ["ORACLE"],
+    *([name, "-h"] for name in COMMANDS),
+    *([name, "--help", "--bogus"] for name in COMMANDS),
+    # a missing required flag, or a flag without its value where a command has no required flag
+    ["gen", "--n"],
+    ["bench"],
+    ["oracle", "--dists", "d.csv", "--e1", "0.5"],
+    ["report"],
+    ["report", "--report"],
+    # a bad type= value; report's flags have none
+    ["gen", "--n", "x"],
+    ["gen", "--seed", "1.5"],
+    ["bench", "--dists", "d.csv", "--jobs", "x"],
+    ["oracle", "--dists", "d.csv", "--e1", "x", "--e2", "0.5"],
+    ["oracle", "--he"],
+    ["oracle", *ORACLE_ARGS, "--bogus"],
+    ["oracle", "--bogus", *ORACLE_ARGS],
+    ["oracle", *ORACLE_ARGS, "extra"],
+    ["oracle", "--bogus"],
+    ["oracle", *ORACLE_ARGS, "--e1", "2", "--bogus"],
+    ["report", "--report", "r.csv", "--json", "s.json", "--bogus=1"],
+    ["gen", "--family", "zzz"],
+    ["bench", "--models", "FOO"],
+    ["bench", "--dists", "d.csv", "--grid", "0.5,a"],
+    ["--", "oracle", *ORACLE_ARGS],
+    ["oracle", "--", *ORACLE_ARGS],
+    # commands that run, so their output and a usage error found after parsing are compared too
+    ["oracle", *ORACLE_ARGS],
+    ["oracle", "--di=d.csv", "--e1=0.5", "--e2", "-0.25"],
+    ["gen", "--n", "2", "--out", "g.csv"],
+    ["bench", "--dists", "d.csv", "--models", "LINR,WRST", "--out", "o"],
+], ids=lambda argv: " ".join(argv) or "no-args")
+def test_messages_and_exit_code_those_of_the_full_parser(tmp_path, capsys, monkeypatch, argv):
+    # every help, usage and error message of a command parsed alone is the one the full parser prints
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    write_dists_csv(tmp_path / "d.csv", sample_uniform(5, 3))
+    capsys.readouterr()
+    expected = _outcome(_full_parser_main, argv, capsys)
+    assert _outcome(main, argv, capsys) == expected
 
 
 def _no_such_file(path) -> str:

@@ -451,6 +451,33 @@ class TestReadAtomsCsv:
             offset = data.index(byte)
             assert str(exc.value) == f"{path}: {place}: byte {byte[0]:#04x} at offset {offset} is not UTF-8 ({reason})"
 
+    @pytest.mark.parametrize("fault", ["unparsable", "sum", "negative", "blank"])
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_faulty_row_before_an_undecodable_one_named(self, tmp_path, fault, line_end):
+        # named row 14's byte, read in the same decoded chunk as row 3
+        lines = _csv_text([UNIFORM] * 20).splitlines()
+        lines[1 + 3] = ",".join(FAULTS[fault][0](lines[1 + 3].split(",")))
+        lines[1 + 14] = lines[1 + 14].replace(",0.125", ",0.1\xff25", 1)
+        path = tmp_path / "d.csv"
+        path.write_bytes(line_end.join(line.encode("latin-1") for line in lines) + line_end)
+        with pytest.raises(ValueError) as exc:
+            read_atoms_csv(path)
+        assert str(exc.value) == f"{path}: row 3: {FAULTS[fault][1]}"
+
+    def test_undecodable_row_named_after_a_sound_one_or_a_bad_header(self, tmp_path):
+        lines = _csv_text([UNIFORM] * 20).encode().splitlines(keepends=True)
+        lines[1 + 14] = lines[1 + 14].replace(b",0.125", b",0.1\xff25", 1)
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"".join(lines))
+        offset = path.read_bytes().index(b"\xff")
+        with pytest.raises(ValueError) as exc:
+            read_atoms_csv(path)
+        assert str(exc.value) == f"{path}: row 14: byte 0xff at offset {offset} is not UTF-8 (invalid start byte)"
+        path.write_bytes(b"".join(lines).replace(b"p000", b"q000"))
+        with pytest.raises(ValueError) as exc:
+            read_atoms_csv(path)
+        assert str(exc.value).startswith(f"{path}: bad header ")
+
     def test_peak_memory_below_twice_the_file(self, tmp_path):
         path = tmp_path / "d.csv"
         dists = sample_cond_indep(7, 20_000)

@@ -2,7 +2,9 @@
 
 Prints one line each for ``standard_vector`` on the default grid, a single
 ``standard_answer``, an in-process ``uisbench oracle`` call on a
-256-distribution file, ``read_atoms_csv`` on that file (the call's read) and,
+256-distribution file, the call's argument parsing (the parser of ``oracle``
+alone, as the call builds it), ``read_atoms_csv`` on that file (the call's
+read) and,
 for each acceptance run (``uniform`` at gen seed 1987, bench seed 11;
 ``cond_indep`` at gen seed 1986, bench seed 13; 109 distributions on the
 default grid and default models, one ``bench`` chunk):
@@ -107,6 +109,7 @@ def main() -> None:
                 assert cli.main(argv) == 0
 
         rows.append(("uisbench oracle, 256 distributions, in process", oracle_call))
+        rows.append(("uisbench oracle, argument parsing", lambda: cli._parse_argv(argv)))
         rows.append(("read_atoms_csv, 256 distributions", lambda: read_atoms_csv(path)))
         for run in ACCEPTANCE_RUNS:
             run_rows, work = acceptance_rows(*run)
