@@ -26,6 +26,7 @@ reports do not depend on the chunking, execution order or worker count.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -33,10 +34,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dist import JointDist, _utf8_text
+from .dist import JointDist, _DecodeError, _utf8_text
 from .models import PARAM_DIM, _PWR_EVIDENCE_ERROR, ModelKind, ModelParams, _check_kind, true_params_prsp
 # fit and standard_vector are not called here, but perfbench's tracer wraps them
-# (test_every_traced_attribute_exists; ROADMAP item 1)
+# (test_every_traced_attribute_exists; ROADMAP item 2)
 from .optim import FitResult, fit, fit_batch  # noqa: F401
 from .oracle import DEFAULT_GRID, EvidenceGrid, _batch_answers, standard_vector  # noqa: F401
 
@@ -191,7 +192,7 @@ def _bench_chunk(
     raise. Each listed model, BST included, is then one ``fit_batch`` over the
     others, which fits each or raises; PRSP's rows start warm from their joints.
     """
-    targets, first_errors = _batch_answers([d.atoms for d in dists], grid.e1, grid.e2)
+    targets, first_errors = _batch_answers([d.atoms for d in dists], grid.evidence)
     # recorded, not fatal to the run
     errors = {i: f"{type(exc).__name__}: {exc}" for i, exc in enumerate(first_errors) if exc is not None}
 
@@ -362,6 +363,36 @@ def _model_kind(name: str) -> ModelKind:
         raise ValueError(f"unknown model {name!r}; valid models: {','.join(k.value for k in ModelKind)}") from None
 
 
+def _report_rows(path, f) -> dict[int, list[tuple[int, FitResult, tuple[float, bool, bool]]]]:
+    """The rows of report file ``path``, read from text stream ``f``, by distribution: (row, fit, (eta, clamped,
+    degenerate)) each, in file order. Raises ValueError naming the first row or field that does not parse."""
+    by_dist: dict[int, list[tuple[int, FitResult, tuple[float, bool, bool]]]] = {}
+    reader = csv.reader(f)
+    header = next(reader, None)
+    if header is None or tuple(header) != REPORT_CSV_COLUMNS:
+        raise ValueError(f"{path}: bad header, expected {','.join(REPORT_CSV_COLUMNS)}")
+    for row_no, row in enumerate(reader):
+        try:
+            if len(row) != len(REPORT_CSV_COLUMNS):
+                raise ValueError(f"expected {len(REPORT_CSV_COLUMNS)} columns, got {len(row)}")
+            dist_id = _read_number("dist_id", int, row[0])
+            kind = _read_number("model", _model_kind, row[1])
+            epsilon = _read_number("epsilon", float, row[2])
+            clamped, degenerate, converged = (_read_flag(REPORT_CSV_COLUMNS[i], row[i]) for i in (4, 5, 6))
+            eta_read = (_read_number("eta", float, row[3]), clamped, degenerate)
+            iterations, start_index = (_read_number(REPORT_CSV_COLUMNS[i], int, row[i]) for i in (7, 8))
+            last = max(i for i, v in enumerate(row) if v)  # the empty fields after it pad the parameters
+            values = row[9 : last + 1]
+            if "" in values:
+                raise ValueError(f"param{values.index('')} is empty, but a later parameter is set")
+            params = ModelParams(kind, tuple(_read_number(f"param{i}", float, v) for i, v in enumerate(values)))
+            fit = FitResult(params, epsilon, iterations, converged, start_index)
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {row_no}: {exc}") from None
+        by_dist.setdefault(dist_id, []).append((row_no, fit, eta_read))
+    return by_dist
+
+
 def read_report_csv(path) -> list[DistReport]:
     """Reconstruct reports from a report CSV (enough to re-run summarize).
 
@@ -372,33 +403,16 @@ def read_report_csv(path) -> list[DistReport]:
     one, or an ``eta``, ``clamped`` or ``degenerate`` other than :func:`eta`
     gives from the distribution's ``epsilon`` values (exactly: they are written
     at 17 digits), and naming the distribution whose model list (in row order)
-    differs from the first's, or that :class:`DistReport` rejects.
+    differs from the first's, or that :class:`DistReport` rejects. Bytes that
+    do not decode are named with their row, unless an earlier row is faulty.
     """
-    by_dist: dict[int, list[tuple[int, FitResult, tuple[float, bool, bool]]]] = {}
-    with _utf8_text(path, csv=True, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or tuple(header) != REPORT_CSV_COLUMNS:
-            raise ValueError(f"{path}: bad header, expected {','.join(REPORT_CSV_COLUMNS)}")
-        for row_no, row in enumerate(reader):
-            try:
-                if len(row) != len(REPORT_CSV_COLUMNS):
-                    raise ValueError(f"expected {len(REPORT_CSV_COLUMNS)} columns, got {len(row)}")
-                dist_id = _read_number("dist_id", int, row[0])
-                kind = _read_number("model", _model_kind, row[1])
-                epsilon = _read_number("epsilon", float, row[2])
-                clamped, degenerate, converged = (_read_flag(REPORT_CSV_COLUMNS[i], row[i]) for i in (4, 5, 6))
-                eta_read = (_read_number("eta", float, row[3]), clamped, degenerate)
-                iterations, start_index = (_read_number(REPORT_CSV_COLUMNS[i], int, row[i]) for i in (7, 8))
-                last = max(i for i, v in enumerate(row) if v)  # the empty fields after it pad the parameters
-                values = row[9 : last + 1]
-                if "" in values:
-                    raise ValueError(f"param{values.index('')} is empty, but a later parameter is set")
-                params = ModelParams(kind, tuple(_read_number(f"param{i}", float, v) for i, v in enumerate(values)))
-                fit = FitResult(params, epsilon, iterations, converged, start_index)
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {row_no}: {exc}") from None
-            by_dist.setdefault(dist_id, []).append((row_no, fit, eta_read))
+    try:
+        with _utf8_text(path, csv=True, newline="") as f:
+            by_dist = _report_rows(path, f)
+    except _DecodeError as exc:
+        if exc.head:  # the lines before the undecodable one come first in file order
+            _report_rows(path, io.StringIO(exc.head.decode("utf-8"), newline=""))
+        raise
     reports = []
     first = None
     for dist_id in sorted(by_dist):

@@ -31,7 +31,7 @@ from .bench import (
 from .dist import _utf8_text, read_atoms_csv, read_dists_csv, sample_cond_indep, sample_uniform, write_dists_csv
 from .models import ModelKind
 # standard_answer is not called here, but perfbench's tracer wraps it (test_every_traced_attribute_exists)
-from .oracle import DEFAULT_GRID, EvidenceGrid, _batch_answers, standard_answer  # noqa: F401
+from .oracle import DEFAULT_GRID, EvidenceGrid, _batch_answers, _evidence, standard_answer  # noqa: F401
 
 __all__ = ["RunConfig", "main"]
 
@@ -192,7 +192,7 @@ def cmd_oracle(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         return 1
     if not len(atoms):
         parser.error("dists must be non-empty")
-    answers, errors = _batch_answers(atoms, [args.e1], [args.e2])
+    answers, errors = _batch_answers(atoms, _evidence([args.e1], [args.e2]))
     answers = answers[:, 0].tolist()
     answered = (f"{i} {answer:.12g}\n" for i, (answer, exc) in enumerate(zip(answers, errors)) if exc is None)
     sys.stdout.write("".join(answered))

@@ -24,15 +24,21 @@ posterior lives on the face's cells, and a target outside the hull raises
 or 1) fixes x too, and the update is then ordinary Bayesian conditioning (or
 Jeffrey's rule when one target is soft).
 
-One vectorised computation, :func:`_posteriors`, answers every query: it
-takes distributions (n, 8) and evidence pairs (k,) and computes each
-distribution's prior terms once for all its pairs. :func:`mce_update` and
-:func:`standard_answer` are a call of one distribution at one pair,
-:func:`standard_vector` one distribution at its grid's pairs, ``bench`` a chunk
-of distributions at the grid's pairs and ``uisbench oracle`` every
-distribution of its file at its one pair. A query's answer does not depend on
-the other distributions and pairs of its call, so it is bit for bit the same in
-any call.
+One vectorised computation, :func:`_posteriors`, solves every query: it
+takes distributions (n, 8) and the evidence terms of pairs (k,), and returns
+each query's posterior cell table q with each distribution's P(atom | cell).
+The terms of the pairs alone (1 - e1, 1 - e1 - e2, e1 + e2, 1 - e2 and the
+hard-evidence masks) are built by :func:`_evidence`; an :class:`EvidenceGrid`
+builds its own once, for every call at its pairs. The prior's terms are
+computed once per distribution for all its pairs. An answer, P(C), is summed
+straight from the cell table as q_ij P(C | cell (i, j)) over the four cells;
+only :func:`mce_update` multiplies the table out into posterior atoms.
+:func:`mce_update` and :func:`standard_answer` are a call of one distribution
+at one pair, :func:`standard_vector` one distribution at its grid's pairs,
+``bench`` a chunk of distributions at the grid's pairs and ``uisbench oracle``
+every distribution of its file at its one pair. A query's answer does not
+depend on the other distributions and pairs of its call, so it is bit for bit
+the same in any call.
 """
 
 from __future__ import annotations
@@ -83,13 +89,47 @@ class EvidencePair:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class _Evidence:
+    """The terms of evidence pairs (k,) that do not depend on the prior, as read-only arrays.
+
+    ``t`` is 1 - e1 - e2 formed by a two-sum (see :func:`_evidence`);
+    ``hard`` is the masks (e1 or e2 is 0, e1 is 1, e2 is 1), or ``None`` when
+    no target is 0 or 1.
+    """
+
+    e1: np.ndarray
+    e2: np.ndarray
+    h1: np.ndarray  # 1 - e1
+    t: np.ndarray
+    s: np.ndarray  # e1 + e2
+    h2: np.ndarray  # 1 - e2
+    hard: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+
+
+def _evidence(e1, e2) -> _Evidence:
+    """The :class:`_Evidence` of the pairs ``(e1[j], e2[j])``, on copies of the targets."""
+    e1 = np.array(e1, dtype=np.float64).reshape(-1)
+    e2 = np.array(e2, dtype=np.float64).reshape(-1)
+    h1, h2 = 1.0 - e1, 1.0 - e2
+    # t = 1 - e1 - e2 as (h1 - e2) + h1_lo, where h1 + h1_lo = 1 - e1 exactly (Dekker's fast two-sum, as 1 >= e1);
+    # h1 - e2 is exact where e2 lies in [h1 / 2, 2 h1] (Sterbenz), so t is correctly rounded near the face e1 + e2 = 1
+    t = (h1 - e2) + ((1.0 - h1) - e1)
+    s = e1 + e2
+    masks = ((e1 == 0.0) | (e2 == 0.0), e1 == 1.0, e2 == 1.0)
+    for array in (e1, e2, h1, h2, t, s, *masks):
+        array.setflags(write=False)
+    hard = masks if any(np.count_nonzero(mask) for mask in masks) else None
+    return _Evidence(e1, e2, h1, t, s, h2, hard)
+
+
 @dataclass(frozen=True)
 class EvidenceGrid:
     """Strictly increasing evidence levels in [0, 1], scanned over both events.
 
     The level pairs are built once, with their targets as read-only arrays
-    ``e1`` and ``e2`` in the same order; equality, hashing, ``repr`` and
-    pickling see only ``levels``.
+    ``e1`` and ``e2`` in the same order and their :class:`_Evidence` as
+    ``evidence``; equality, hashing, ``repr`` and pickling see only ``levels``.
     """
 
     levels: tuple[float, ...]
@@ -105,10 +145,10 @@ class EvidenceGrid:
             raise ValueError(f"grid levels must be strictly increasing, got {levels}")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "_pairs", tuple(EvidencePair(a, b) for a in levels for b in levels))
-        for name in ("e1", "e2"):
-            targets = np.array([getattr(ev, name) for ev in self._pairs])
-            targets.flags.writeable = False
-            object.__setattr__(self, name, targets)
+        evidence = _evidence([ev.e1 for ev in self._pairs], [ev.e2 for ev in self._pairs])
+        object.__setattr__(self, "evidence", evidence)
+        object.__setattr__(self, "e1", evidence.e1)
+        object.__setattr__(self, "e2", evidence.e2)
 
     def __reduce__(self):
         return EvidenceGrid, (self.levels,)
@@ -146,11 +186,14 @@ def _infeasible(atoms: np.ndarray, e1: float, e2: float) -> InfeasibleEvidenceEr
     )
 
 
-def _posteriors(atoms, e1, e2) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`mce_update` of each row of ``atoms`` (n, 8) at each pair ``(e1[j], e2[j])`` (k,), in closed form.
+def _posteriors(atoms, evidence: _Evidence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`mce_update` of each row of ``atoms`` (n, 8) at each pair of ``evidence`` (k,), in closed form.
 
-    Returns the posterior atoms (n, k, 8) and the failed mask (n, k); a
-    failed query's atoms are NaN.
+    Returns the posterior cell table q (n, k, 4), indexed by cell 2i + j,
+    P(atom | cell) (n, 4, 2), indexed by cell and C, and the failed mask
+    (n, k); a failed query's cells are NaN. The posterior atoms are q_ij times
+    P(atom | cell (i, j)), and only :func:`mce_update` forms them; an answer
+    is summed from q and P(C | cell) (see :func:`_batch_answers`).
 
     With m_ij the prior mass of the cell (E1=i, E2=j), x = q11 is fixed by,
     in order of precedence:
@@ -176,24 +219,18 @@ def _posteriors(atoms, e1, e2) -> tuple[np.ndarray, np.ndarray]:
     rounding (1 - 0.7 - 0.3 is 5.6e-17, and 1 + 0.3 - 1 is not 0.3), so a cell
     within ``_CELL_TOL`` (1e-15) of 0 counts as 0. A query fails when a cell of
     its table is below -1e-15, or a cell empty in the prior is above 1e-15;
-    otherwise negative cells are clipped to 0 and empty ones set to 0. The
-    posterior atoms are q_ij times P(atom | cell (i, j)).
+    otherwise negative cells are clipped to 0 and empty ones set to 0.
 
-    The terms of the prior alone (m, w, v, A and P(atom | cell)) are computed
-    once per distribution, as (n, 1) columns. A selection that changes nothing
-    is skipped: the empty-cell steps where no cell is empty and the
-    hard-evidence pins where no target is 0 or 1. Every element takes the
-    same floating-point operations in any call.
+    The terms of the pairs alone come built in ``evidence``, and those of the
+    prior alone (m, w, v, A and P(atom | cell)) are computed once per
+    distribution, as (n, 1) columns. A selection that changes nothing is
+    skipped: the empty-cell steps where no cell is empty and the hard-evidence
+    pins where no target is 0 or 1. Every element takes the same
+    floating-point operations in any call.
     """
     p = np.asarray(atoms, dtype=np.float64).reshape(-1, 4, 2)  # (distribution, cell 2i + j, C)
-    e1 = np.asarray(e1, dtype=np.float64).reshape(-1)
-    e2 = np.asarray(e2, dtype=np.float64).reshape(-1)
+    e1, e2 = evidence.e1, evidence.e2
     n, k = len(p), len(e1)
-    # t = 1 - e1 - e2 as (h - e2) + h_lo, where h + h_lo = 1 - e1 exactly (Dekker's fast two-sum, as 1 >= e1);
-    # h - e2 is exact where e2 lies in [h / 2, 2h] (Sterbenz), so t is correctly rounded near the face e1 + e2 = 1
-    h = 1.0 - e1
-    t = (h - e2) + ((1.0 - h) - e1)
-    s = e1 + e2
     m = p[:, :, 0] + p[:, :, 1]
     empty = m == 0.0
     some_empty = np.count_nonzero(empty)
@@ -206,20 +243,20 @@ def _posteriors(atoms, e1, e2) -> tuple[np.ndarray, np.ndarray]:
         wv = ab / (ab[:, :1] + ab[:, 1:])
         w, v = wv[:, :1], wv[:, 1:]
         lead = v - w
-        lin = v * t + w * s
+        lin = v * evidence.t + w * evidence.s
         const = w * e1 * e2
-        root = np.sqrt((lin - 2.0 * w * e2) ** 2 + 4.0 * v * w * e2 * (1.0 - e2))
+        root = np.sqrt((lin - 2.0 * w * e2) ** 2 + 4.0 * v * w * e2 * evidence.h2)
         x = np.where(lin > 0.0, 2.0 * const / (lin + root), (root - lin) / (2.0 * lead))
     if some_empty:
-        for cell, pin in enumerate((e2 - h, e2, e1, 0.0)):
+        for cell, pin in enumerate((e2 - evidence.h1, e2, e1, 0.0)):
             x = np.where(empty[:, cell, None], pin, x)
-    zero, one1, one2 = (e1 == 0.0) | (e2 == 0.0), e1 == 1.0, e2 == 1.0
-    if np.count_nonzero(zero | one1 | one2):
+    if evidence.hard is not None:
+        zero, one1, one2 = evidence.hard
         x = np.where(zero, 0.0, np.where(one1, e2, np.where(one2, e1, x)))
 
     q = np.empty((n, k, 4))
     q[:, :, 3], q[:, :, 2], q[:, :, 1] = x, e1 - x, e2 - x
-    q[:, :, 0] = h - q[:, :, 1]
+    q[:, :, 0] = evidence.h1 - q[:, :, 1]
     failed = (q < -_CELL_TOL).any(axis=2)
     if some_empty:
         failed |= (empty[:, None] & (q > _CELL_TOL)).any(axis=2)
@@ -228,35 +265,36 @@ def _posteriors(atoms, e1, e2) -> tuple[np.ndarray, np.ndarray]:
     else:
         q = np.maximum(q, 0.0)
         given_cell = p / m[:, :, None]
-    post = (q[:, :, :, None] * given_cell[:, None]).reshape(n, k, 8)
     if np.count_nonzero(failed):
-        post[failed] = np.nan
-    return post, failed
+        q[failed] = np.nan
+    return q, given_cell, failed
 
 
-def _first_errors(atoms: np.ndarray, e1, e2, failed: np.ndarray) -> list[InfeasibleEvidenceError | None]:
-    """Per row of ``atoms`` ``None``, or the error of its first failed pair in ``failed`` (n, k)."""
+def _first_errors(atoms: np.ndarray, evidence: _Evidence, failed: np.ndarray) -> list[InfeasibleEvidenceError | None]:
+    """Per row of ``atoms`` ``None``, or the error of its first failed pair of ``evidence`` in ``failed`` (n, k)."""
     errors: list[InfeasibleEvidenceError | None] = [None] * len(failed)
     if not np.count_nonzero(failed):
         return errors
     for i in np.flatnonzero(failed.any(axis=1)):
         j = failed[i].argmax()
-        errors[i] = _infeasible(atoms[i], float(e1[j]), float(e2[j]))
+        errors[i] = _infeasible(atoms[i], float(evidence.e1[j]), float(evidence.e2[j]))
     return errors
 
 
-def _batch_answers(atoms, e1, e2) -> tuple[np.ndarray, list[InfeasibleEvidenceError | None]]:
-    """:func:`standard_answer` of each row of ``atoms`` (n, 8) at each pair ``(e1[j], e2[j])`` (k,).
+def _batch_answers(atoms, evidence: _Evidence) -> tuple[np.ndarray, list[InfeasibleEvidenceError | None]]:
+    """:func:`standard_answer` of each row of ``atoms`` (n, 8) at each pair of ``evidence`` (k,).
 
-    Returns the answers (n, k), the posterior P(C) summed in
-    :func:`~uisbench.dist.marginal`'s order (NaN where a query failed), and
-    per distribution ``None`` or the error of its first failed pair, as a loop
-    over the pairs would raise.
+    Returns the answers (n, k) and per distribution ``None`` or the error of
+    its first failed pair, as a loop over the pairs would raise. An answer is
+    ((q00 g00 + q01 g01) + q10 g10) + q11 g11 with g = P(C | cell): the
+    posterior atoms with C summed in :func:`~uisbench.dist.marginal`'s order,
+    bit for bit, without forming them (NaN where a query failed).
     """
     atoms = np.asarray(atoms, dtype=np.float64).reshape(-1, 8)
-    post, failed = _posteriors(atoms, e1, e2)
-    answers = ((post[:, :, 1] + post[:, :, 3]) + post[:, :, 5]) + post[:, :, 7]
-    return answers, _first_errors(atoms, e1, e2, failed)
+    q, given_cell, failed = _posteriors(atoms, evidence)
+    terms = q * given_cell[:, None, :, 1]
+    answers = ((terms[:, :, 0] + terms[:, :, 1]) + terms[:, :, 2]) + terms[:, :, 3]
+    return answers, _first_errors(atoms, evidence, failed)
 
 
 def _raise_first(errors: list[InfeasibleEvidenceError | None]) -> None:
@@ -272,15 +310,15 @@ def mce_update(d: JointDist, ev: EvidencePair) -> JointDist:
     support of ``d`` has those marginals (e.g. e1 > 0 while P(E1) = 0 under
     ``d``).
     """
-    e1, e2 = [ev.e1], [ev.e2]
-    post, failed = _posteriors(d.atoms[None], e1, e2)
-    _raise_first(_first_errors(d.atoms[None], e1, e2, failed))
-    return JointDist(post[0, 0])
+    evidence = _evidence([ev.e1], [ev.e2])
+    q, given_cell, failed = _posteriors(d.atoms[None], evidence)
+    _raise_first(_first_errors(d.atoms[None], evidence, failed))
+    return JointDist((q[0, 0, :, None] * given_cell[0]).reshape(8))
 
 
 def standard_answer(d: JointDist, ev: EvidencePair) -> float:
     """Posterior P(C) after the minimum-cross-entropy update: the target each model is scored against."""
-    answers, errors = _batch_answers(d.atoms[None], [ev.e1], [ev.e2])
+    answers, errors = _batch_answers(d.atoms[None], _evidence([ev.e1], [ev.e2]))
     _raise_first(errors)
     return float(answers[0, 0])
 
@@ -292,6 +330,6 @@ def standard_vector(d: JointDist, grid: EvidenceGrid = DEFAULT_GRID) -> list[tup
     that of :func:`standard_answer`, and the error of the first failing pair in
     row-major order is raised, as a loop over the pairs would.
     """
-    answers, errors = _batch_answers(d.atoms[None], grid.e1, grid.e2)
+    answers, errors = _batch_answers(d.atoms[None], grid.evidence)
     _raise_first(errors)
-    return list(zip(grid.pairs(), answers[0].tolist()))
+    return list(zip(grid._pairs, answers[0].tolist()))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from uisbench.bench import (
     _BATCH_DISTS,
     DEFAULT_MODELS,
+    REPORT_CSV_COLUMNS,
     _bench_chunk,
     _prsp_warm_start,
     DistReport,
@@ -517,6 +518,27 @@ class TestArtifacts:
             read_report_csv(path)
         offset = data.index(b"\xff")
         assert str(exc.value) == f"{path}: row 4: byte 0xff at offset {offset} is not UTF-8 (invalid start byte)"
+
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_faulty_row_before_an_undecodable_one_named(self, tmp_path, capsys, line_end):
+        # named row 5's byte, read in the same decoded chunk as row 1 or the header
+        reports = [DistReport(i, (LINR_FIT, WRST_FIT, _indp_fit(0.5 + 0.1 * i))) for i in range(4)]
+        path = tmp_path / "report.csv"
+        write_report_csv(path, reports)
+        lines = path.read_bytes().splitlines()
+        lines[1 + 1] = lines[1 + 1].replace(b",WRST,", b",xWRST,")
+        lines[1 + 5] = b"\xff" + lines[1 + 5]
+        models = "LINR,INDP,PRSP,PWR,WRST,BST"
+        for edit, message in (
+            (lambda data: data, f"row 1: model: unknown model 'xWRST'; valid models: {models}"),
+            (lambda data: data.replace(b"dist_id", b"dist"), "bad header, expected " + ",".join(REPORT_CSV_COLUMNS)),
+        ):
+            path.write_bytes(edit(line_end.join(lines) + line_end))
+            with pytest.raises(ValueError) as exc:
+                read_report_csv(path)
+            assert str(exc.value) == f"{path}: {message}"
+            assert main(["report", "--report", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize(
         "edit, message",

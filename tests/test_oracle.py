@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import pickle
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uisbench.oracle as oracle
 from uisbench.dist import (
     CondIndepParams,
     JointDist,
@@ -26,6 +28,7 @@ from uisbench.oracle import (
     EvidencePair,
     InfeasibleEvidenceError,
     _batch_answers,
+    _evidence,
     _posteriors,
     mce_update,
     standard_answer,
@@ -52,7 +55,7 @@ class TestEvidenceTypes:
         pairs = EvidenceGrid((0.1, 0.9)).pairs()
         assert [(p.e1, p.e2) for p in pairs] == [(0.1, 0.1), (0.1, 0.9), (0.9, 0.1), (0.9, 0.9)]
 
-    def test_grid_pairs_built_once_and_seen_only_through_pairs(self):
+    def test_grid_pairs_built_once_and_seen_only_through_pairs(self, monkeypatch):
         grid = EvidenceGrid((0.1, 0.9))
         first = grid.pairs()
         first.append(EvidencePair(0.5, 0.5))  # a new list each call
@@ -70,6 +73,36 @@ class TestEvidenceTypes:
             for targets in (g.e1, g.e2):
                 with pytest.raises(ValueError, match="read-only"):
                     targets[0] = 0.5
+        # the pairs' evidence terms: built once per grid, read-only, and seen by no comparison
+        built = []
+        monkeypatch.setattr(oracle, "_evidence", lambda e1, e2: built.append(1) or _evidence(e1, e2))
+        grid = EvidenceGrid((0.0, 0.5, 1.0))
+        d = sample_uniform(5, 1)[0]
+        record = grid.evidence
+        first = standard_vector(d, grid)
+        assert standard_vector(d, grid) == first and grid.evidence is record and len(built) == 1
+        # the grid's terms are those of its targets, and every array of the record is read-only
+        fresh = _evidence(grid.e1, grid.e2)
+        assert _evidence_fields(record) == _evidence_fields(fresh) and record.e1 is grid.e1 and record.e2 is grid.e2
+        soft = EvidenceGrid((0.1, 0.9)).evidence
+        assert soft.hard is None and record.hard is not None
+        for terms in (record, soft):
+            arrays = [a for f in dataclasses.fields(terms) for a in _arrays(getattr(terms, f.name))]
+            assert len(arrays) == (9 if terms is record else 6)
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[1]
+        # equality, hashing and repr see levels only, even against a grid holding another record
+        other = EvidenceGrid([0.0, 0.5, 1.0])
+        object.__setattr__(other, "evidence", soft)
+        assert other == grid and hash(other) == hash(grid)
+        assert repr(other) == repr(grid) == "EvidenceGrid(levels=(0.0, 0.5, 1.0))"
+        # pickling carries levels only, and unpickling rebuilds an equal record
+        blob = pickle.dumps(grid)
+        assert b"_Evidence" not in blob and b"numpy" not in blob
+        back = pickle.loads(blob)
+        assert back.evidence is not record and _evidence_fields(back.evidence) == _evidence_fields(record)
+        assert back.e1 is back.evidence.e1 and back.e2 is back.evidence.e2
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -160,6 +193,27 @@ class TestMceUpdate:
 def _swap_events(d: JointDist) -> JointDist:
     """``d`` with the roles of E1 and E2 exchanged."""
     return JointDist(d.atoms.reshape(2, 2, 2).swapaxes(0, 1).reshape(8))
+
+
+def _posterior_atoms(atoms, e1, e2):
+    """``_posteriors`` at the pairs ``(e1[j], e2[j])``, its cell table multiplied out into posterior
+    atoms (n, k, 8) as :func:`mce_update` forms them, and the failed mask (n, k)."""
+    q, given_cell, failed = _posteriors(atoms, _evidence(e1, e2))
+    assert q.shape == (*failed.shape, 4) and given_cell.shape == (len(q), 4, 2)
+    return (q[:, :, :, None] * given_cell[:, None]).reshape(*failed.shape, 8), failed
+
+
+def _arrays(value) -> list:
+    """The arrays of one field of an ``_Evidence``: an array, or the hard masks (none when ``None``)."""
+    return [] if value is None else list(value) if isinstance(value, tuple) else [value]
+
+
+def _evidence_fields(terms) -> list:
+    """Each field of an ``_Evidence`` as (name, [(dtype, bytes) per array], read-only flags), to compare records."""
+    return [
+        (f.name, [(a.dtype.str, a.tobytes(), a.flags.writeable) for a in _arrays(getattr(terms, f.name))])
+        for f in dataclasses.fields(terms)
+    ]
 
 
 def _outcome(fn):
@@ -268,7 +322,7 @@ class TestRootAccuracy:
             (0.54, 0.46), (0.07, 0.93), (0.7, 0.3), (0.3, 0.3), (0.9, 0.9), (0.123, 0.123)]
         atoms = np.array([d.atoms for d in dists])
         e1, e2 = np.array(pairs).T
-        post, failed = _posteriors(atoms, e1, e2)
+        post, failed = _posterior_atoms(atoms, e1, e2)
         assert not failed.any()
         q11 = post[:, :, atom_index(1, 1, 0)] + post[:, :, atom_index(1, 1, 1)]
         ulps = []
@@ -363,14 +417,15 @@ class TestPosteriors:
     def _assert_queries_match(self, dists, pairs):
         """Each (i, j) query of one (n, k) call against ``mce_update`` and ``standard_answer`` at
         ``dists[i]`` and ``pairs[j]`` alone: the posterior atoms and the answer to the bit, or the
-        error's type and message. Returns the number of failed queries."""
+        error's type and message. The answer, summed from the cell table, is also P(C) of
+        ``mce_update``'s atoms to the bit. Returns the number of failed queries."""
         atoms = np.array([d.atoms for d in dists]).reshape(-1, 8)
         e1, e2 = np.array(pairs, dtype=float).reshape(-1, 2).T
-        post, failed = _posteriors(atoms, e1, e2)
-        answers, first_errors = _batch_answers(atoms, e1, e2)
+        post, failed = _posterior_atoms(atoms, e1, e2)
+        answers, first_errors = _batch_answers(atoms, _evidence(e1, e2))
         assert post.shape == (len(dists), len(pairs), 8) and failed.shape == answers.shape == post.shape[:2]
         # the error of query (i, j) is the first of the call on the pairs from j on
-        suffix_errors = [_batch_answers(atoms, e1[j:], e2[j:])[1] for j in range(len(pairs))]
+        suffix_errors = [_batch_answers(atoms, _evidence(e1[j:], e2[j:]))[1] for j in range(len(pairs))]
         for i, d in enumerate(dists):
             first = None
             for j, ev in enumerate(EvidencePair(a, b) for a, b in pairs):
@@ -379,10 +434,12 @@ class TestPosteriors:
                     exc = suffix_errors[j][i]
                     assert (type(exc), str(exc)) == want, (i, ev)
                     assert np.isnan(post[i, j]).all() and np.isnan(answers[i, j]), (i, ev)
+                    assert _outcome(lambda: standard_answer(d, ev)) == want, (i, ev)
                     first = first or want
                 else:
                     assert post[i, j].tobytes() == want, (i, ev)
                     assert answers[i, j].tobytes() == np.float64(standard_answer(d, ev)).tobytes(), (i, ev)
+                    assert answers[i, j].tobytes() == np.float64(marginal(mce_update(d, ev), "C")).tobytes(), (i, ev)
             exc = first_errors[i]
             assert (exc if exc is None else (type(exc), str(exc))) == first, i
         return int(failed.sum())
@@ -434,7 +491,7 @@ class TestPosteriors:
         pairs = [pair for hard in (0.0, 1.0) for other in others for pair in ((hard, other), (other, hard))]
         atoms = np.array([d.atoms for d in dists])
         e1, e2 = np.array(pairs).T
-        post, failed = _posteriors(atoms, e1, e2)
+        post, failed = _posterior_atoms(atoms, e1, e2)
         answered = 0
         for i, d in enumerate(dists):
             for j, pair in enumerate(pairs):
@@ -447,16 +504,16 @@ class TestPosteriors:
         assert answered > len(dists) * len(pairs) // 2
         for d, pair, emptied in ((empty_10, (5e-324, 0.0), (1, 1)), (empty_10, (1e-300, 0.0), (1, 1)),
                                  (dists[40], (0.0, 1e-300), (1, 1))):
-            got = _posteriors(d.atoms[None], [pair[0]], [pair[1]])[0][0, 0]
+            got = _posterior_atoms(d.atoms[None], [pair[0]], [pair[1]])[0][0, 0]
             assert got[atom_index(*emptied, 0)] == got[atom_index(*emptied, 1)] == 0.0, pair
 
     @pytest.mark.parametrize("n, k", [(0, 0), (0, 3), (3, 0)], ids=["0x0", "0xk", "nx0"])
     def test_empty_shapes(self, n, k):
         atoms = np.array([d.atoms for d in planted_zero_atoms(33, n)]).reshape(n, 8)
         e1, e2 = np.full(k, 0.5), np.full(k, 0.25)
-        post, failed = _posteriors(atoms, e1, e2)
+        post, failed = _posterior_atoms(atoms, e1, e2)
         assert post.shape == (n, k, 8) and failed.shape == (n, k)
-        answers, first_errors = _batch_answers(atoms, e1, e2)
+        answers, first_errors = _batch_answers(atoms, _evidence(e1, e2))
         assert answers.shape == (n, k) and first_errors == [None] * n
 
 

@@ -91,7 +91,7 @@ def test_ratchet_check_counts_prsp_row_steps(monkeypatch):
     from uisbench.oracle import DEFAULT_GRID, _batch_answers
 
     lm, polish = optim._lm, optim._polish
-    targets = _batch_answers([d.atoms for d in sample_uniform(5, 2)], DEFAULT_GRID.e1, DEFAULT_GRID.e2)[0]
+    targets = _batch_answers([d.atoms for d in sample_uniform(5, 2)], DEFAULT_GRID.evidence)[0]
     monkeypatch.setattr(optim, "_N_STARTS", 2)
     monkeypatch.setattr(optim, "_MAX_ITERS", 1)
     with counted_lm() as counts:

@@ -68,7 +68,7 @@ def acceptance_rows(family: str, gen_seed: int, bench_seed: int) -> tuple[list, 
     """The timed calls of one acceptance run, and the lines of PRSP's search and polish work."""
     dists = cli.SAMPLERS[family](gen_seed, N_DISTS)
     atoms = [d.atoms for d in dists]
-    targets, errors = _batch_answers(atoms, DEFAULT_GRID.e1, DEFAULT_GRID.e2)
+    targets, errors = _batch_answers(atoms, DEFAULT_GRID.evidence)
     assert not any(errors), f"{family}: the acceptance run has a failing distribution"
     seeds = [_derived_seed(bench_seed, i) for i in range(len(dists))]
     prsp_warm = [_prsp_warm_start(d) for d in dists]
@@ -77,7 +77,7 @@ def acceptance_rows(family: str, gen_seed: int, bench_seed: int) -> tuple[list, 
         warm = prsp_warm if kind is ModelKind.PRSP else [None] * len(dists)
         return lambda: fit_batch(kind, DEFAULT_GRID.e1, DEFAULT_GRID.e2, targets, seeds, warm)
 
-    rows = [(f"{family}: oracle batch (109 x 25)", lambda: _batch_answers(atoms, DEFAULT_GRID.e1, DEFAULT_GRID.e2))]
+    rows = [(f"{family}: oracle batch (109 x 25)", lambda: _batch_answers(atoms, DEFAULT_GRID.evidence))]
     rows += [(f"{family}: fit_batch {kind.value}", fit_call(kind)) for kind in DEFAULT_MODELS]
     rows.append((f"{family}: run_bench", lambda: run_bench(dists, seed=bench_seed)))
     with counted_lm() as counts:
