@@ -19,8 +19,9 @@ ratio per model. Distributions are processed in consecutive chunks of at most
 chunk; a chunk is one oracle batch and then one ``optim.fit_batch`` call per
 model over the rows of its answer matrix, in which the PRSP (and PWR) starts
 run as the rows of one Levenberg–Marquardt batch. Rows do not interact and
-model fits use RNG substreams derived from (seed, distribution index), so
-reports do not depend on the chunking, execution order or worker count.
+PRSP's random starts use RNG substreams derived from (seed, distribution
+index), so reports do not depend on the chunking, execution order or worker
+count.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .dist import JointDist, _DecodeError, _utf8_text
 from .models import PARAM_DIM, _PWR_EVIDENCE_ERROR, ModelKind, ModelParams, _check_kind, true_params_prsp
 # fit and standard_vector are not called here, but perfbench's tracer wraps them
 # (test_every_traced_attribute_exists; ROADMAP item 2)
-from .optim import FitResult, fit, fit_batch  # noqa: F401
+from .optim import FitResult, _check_integer, fit, fit_batch  # noqa: F401
 from .oracle import DEFAULT_GRID, EvidenceGrid, _batch_answers, standard_vector  # noqa: F401
 
 __all__ = [
@@ -174,7 +175,7 @@ def _prsp_warm_start(d: JointDist) -> ModelParams | None:
     try:
         return true_params_prsp(d)
     except ValueError:
-        return None  # boundary joint: fall back to seeded starts only
+        return None  # boundary joint: no warm start
 
 
 def _bench_chunk(
@@ -256,16 +257,20 @@ def run_bench(
     ``kinds`` must include LINR and WRST (eta is defined relative to them),
     and ``grid`` needs at least two levels: on one, LINR's and INDP's least
     squares are singular. With PWR no level may be 0 or 1, where its logit is
-    infinite. A model may be listed once. Distributions are processed in
-    consecutive chunks of at most ``_BATCH_DISTS``, each one oracle batch and
-    one ``fit_batch`` call per model. ``jobs`` is first capped at the CPU
-    count. With ``jobs > 1`` chunks are then processed in parallel, at most
-    ``ceil(len(dists) / jobs)`` distributions each so that every worker gets
-    one, by at most one worker per chunk; reports are returned ordered by
-    distribution index and are identical to a serial run.
+    infinite. A model may be listed once. ``seed`` must be a non-negative
+    integer and ``jobs`` a positive one, Python's or numpy's but not a
+    ``bool``; ``ValueError`` names either otherwise. Distributions are
+    processed in consecutive chunks of at most ``_BATCH_DISTS``, each one
+    oracle batch and one ``fit_batch`` call per model. ``jobs`` is first
+    capped at the CPU count. With ``jobs > 1`` chunks are then processed in
+    parallel, at most ``ceil(len(dists) / jobs)`` distributions each so that
+    every worker gets one, by at most one worker per chunk; reports are
+    returned ordered by distribution index and are identical to a serial run.
     """
     kinds = tuple(kinds)
     check_bench_args(dists, kinds, grid)
+    _check_integer("seed", seed)
+    _check_integer("jobs", jobs, 1)
     jobs = min(jobs, os.cpu_count() or 1)  # a worker beyond the CPUs only waits for one
     size = _BATCH_DISTS if jobs <= 1 else min(_BATCH_DISTS, math.ceil(len(dists) / jobs))
     items = [(dists[lo : lo + size], lo, kinds, grid, seed) for lo in range(0, len(dists), size)]

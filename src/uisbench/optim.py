@@ -26,12 +26,12 @@ overhead once per step for all of them; rows do not interact, so each vector
 gets bit for bit the result ``fit`` gives it alone. The starts are the
 caller-supplied warm start when there is one, a constant-baseline start at the
 mean of the targets (every model can represent a constant, which guarantees a
-fit is never worse than WRST), ``_N_STARTS`` seeded random starts and, for
-PRSP, one start per cell of its kink partition: PRSP is smooth only while each
-pEj stays between two consecutive grid levels, and LM does not cross kinks
-well. This budget, ``_N_STARTS`` and the step cap ``_MAX_ITERS``, is part of
-the method, since it moves PRSP's and PWR's fitted errors, so it is fixed here
-and no caller sets it.
+fit is never worse than WRST) and, for PRSP only, ``_N_STARTS`` seeded random
+starts and one start per cell of its kink partition: PRSP is smooth only while
+each pEj stays between two consecutive grid levels, and LM does not cross kinks
+well. PWR needs no more, since random starts found it no lower minimum. This
+budget, ``_N_STARTS`` and the step cap ``_MAX_ITERS``, is part of the method,
+since it moves the fitted errors, so it is fixed here and no caller sets it.
 
 Every start of PRSP and PWR follows one stop rule (see ``_lm``): it leaves the
 batch once its error stops falling or reaches exactly 0, or after
@@ -54,10 +54,9 @@ the search's damping, acceptance and stop rules and its step cap, starts at
 the winner's values with the winner's error, and accepts only steps that lower
 it, so a fit never ends above its search. Which starts creep, and for how
 long, varies between distributions, so a fit's cost depends on its data.
-README's Library section gives the measured figures: steps per start, starts
-at the cap, row-steps taken and accepted, polish steps, per-row costs and
-throughput. ``fit`` and ``fit_batch`` are pure functions of their arguments;
-independent fits may run concurrently.
+README's Library section gives the measured figures. ``fit`` and
+``fit_batch`` are pure functions of their arguments; independent fits may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -83,8 +82,8 @@ _MAX_STEP = 1.0
 _OBJ_REL_TOL = 1e-12
 # the multiples of its damped step at which the polish tries each row (see ``_polish``)
 _POLISH_ALPHAS = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0, 1024.0])
-# PRSP's and PWR's fit budget: the seeded random starts of each fit, and the cap on the steps of each
-# start of the search and of each row of the polish (see ``_starts``, ``_lm`` and ``_polish``)
+# the fit budget: the seeded random starts of each PRSP fit, and the cap on the steps of each start of
+# PRSP's and PWR's search and of each row of their polish (see ``_starts``, ``_lm`` and ``_polish``)
 _N_STARTS = 5
 _MAX_ITERS = 200
 
@@ -379,16 +378,15 @@ def _starts(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, c: np.ndarray, seed
     Row i of ``c`` gets a block of consecutive starts in ``start_index`` order
     (see ``fit``): ``warm_starts[i]`` when it is not ``None``; the constant
     start, at which the model predicts the mean of the row's targets (clipped
-    to [1e-6, 1 - 1e-6]) everywhere; ``_N_STARTS`` uniform draws from the row's
-    own stream ``default_rng([seeds[i], kind])``, so a row's starts do not
-    depend on the other rows; and, for PRSP, one kink start per cell of the
-    kink partition. A rule's posterior has its kink at pEj, so PRSP's fit is
-    smooth only while pEj stays between two consecutive grid levels of ej;
-    the kink starts are the warm start, or else the constant start, with
-    (pE1, pE2) moved to the midpoints of every pair of such intervals,
-    row-major.
+    to [1e-6, 1 - 1e-6]) everywhere; and, for PRSP only, ``_N_STARTS`` uniform
+    draws on [-2, 2] from the row's own stream ``default_rng([seeds[i],
+    kind])``, so a row's starts do not depend on the other rows, and one kink
+    start per cell of the kink partition. A rule's posterior has its kink at
+    pEj, so PRSP's fit is smooth only while pEj stays between two consecutive
+    grid levels of ej; the kink starts are the warm start, or else the
+    constant start, with (pE1, pE2) moved to the midpoints of every pair of
+    such intervals, row-major.
     """
-    dim = PARAM_DIM[kind]
     m = np.clip(np.mean(c, axis=1), 1e-6, 1.0 - 1e-6)
     if kind is ModelKind.PWR:
         constant = np.column_stack([np.zeros_like(m), np.zeros_like(m), logit(m)])
@@ -396,15 +394,12 @@ def _starts(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, c: np.ndarray, seed
         half = np.full_like(m, 0.5)
         constant = np.column_stack([m, half, m, m, half, m, m])
     has_warm = np.array([w is not None for w in warm_starts])
-    base = constant.copy()
-    if has_warm.any():
-        base[has_warm] = [w.values for w in warm_starts if w is not None]
-    spread = 2.0 if kind is ModelKind.PRSP else 1.0
-    drawn = [np.random.default_rng([int(s), _KIND_INDEX[kind]]).uniform(-spread, spread, size=(_N_STARTS, dim))
-             for s in seeds]
-    blocks = [_to_search_coords(kind, base)[:, None], _to_search_coords(kind, constant)[:, None],
-              np.reshape(drawn, (len(seeds), _N_STARTS, dim))]
+    base = np.array([row if w is None else w.values for w, row in zip(warm_starts, constant)]).reshape(constant.shape)
+    blocks = [_to_search_coords(kind, base)[:, None], _to_search_coords(kind, constant)[:, None]]
     if kind is ModelKind.PRSP:
+        shape = (_N_STARTS, PARAM_DIM[kind])
+        drawn = [np.random.default_rng([int(s), _KIND_INDEX[kind]]).uniform(-2.0, 2.0, shape) for s in seeds]
+        blocks.append(np.reshape(drawn, (len(seeds), *shape)))
         mids = [(levels[:-1] + levels[1:]) / 2.0 for levels in (np.unique(e1), np.unique(e2))]
         kinks = np.repeat(base[:, None], mids[0].size * mids[1].size, axis=1)
         kinks[..., 1], kinks[..., 4] = (g.reshape(-1) for g in np.meshgrid(*mids, indexing="ij"))
@@ -413,6 +408,12 @@ def _starts(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, c: np.ndarray, seed
     used = np.ones(starts.shape[:2], dtype=bool)
     used[:, 0] = has_warm  # the first column is the warm start, where there is one
     return starts[used], used.sum(axis=1)
+
+
+def _check_integer(name: str, value, low: int = 0) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``low`` (0 or 1), but not a ``bool``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be a {('non-negative', 'positive')[low]} integer, got {value!r}")
 
 
 def fit_batch(kind: ModelKind, e1, e2, targets, seeds, warm_starts) -> list[FitResult]:
@@ -431,9 +432,9 @@ def fit_batch(kind: ModelKind, e1, e2, targets, seeds, warm_starts) -> list[FitR
     LINR's and INDP's systems in one stacked solve each (see
     ``_least_squares``). For PRSP and PWR the starts of every row run as the
     rows of one ``_lm`` batch, and then each row's winning start as one row
-    of one ``_polish`` batch, both at the budget ``_N_STARTS`` and
-    ``_MAX_ITERS``. No operation mixes rows, so each result is bit for bit
-    the one ``fit`` returns.
+    of one ``_polish`` batch, both at the budget ``_N_STARTS`` (PRSP only)
+    and ``_MAX_ITERS``. No operation mixes rows, so each result is bit for
+    bit the one ``fit`` returns; PWR's results do not depend on ``seeds``.
     """
     _check_kind(kind)
     e1, e2, c = (np.asarray(a, dtype=np.float64) for a in (e1, e2, targets))
@@ -447,8 +448,7 @@ def fit_batch(kind: ModelKind, e1, e2, targets, seeds, warm_starts) -> list[FitR
     if not np.isfinite(c).all():
         raise ValueError("targets must be finite")
     for i, (seed, w) in enumerate(zip(seeds, warm_starts)):
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-            raise ValueError(f"row {i}: seed must be a non-negative integer, got {seed!r}")
+        _check_integer(f"row {i}: seed", seed)
         if w is not None and w.kind is not kind:
             raise ValueError(f"row {i}: warm start is {w.kind.value}, expected {kind.value}")
 
@@ -492,17 +492,17 @@ def fit(kind: ModelKind, targets, seed: int = 0, warm_start: ModelParams | None 
     ``converged=True`` (BST's has no parameters and error 0). PRSP and PWR run
     batched Levenberg–Marquardt (see ``_lm``) from these starts, in this
     order, which ``start_index`` counts: ``warm_start`` when given (callers
-    typically pass the parameters read off the underlying joint), the
-    constant start, ``_N_STARTS`` seeded random starts and, for PRSP only,
-    one kink start per cell between consecutive grid levels of e1 and e2 (16
-    on the default grid). Every start steps until its error stops falling or
-    reaches exactly 0, or for ``_MAX_ITERS`` steps (see ``_lm``). Every step
-    evaluates the model once at a start's trial point, and completes the
-    Jacobian from that evaluation only where the step is accepted. The start
-    with the lowest error wins; when several starts reach the same minimum,
-    which one wins is decided at rounding level. The polish then steps from
-    the winner, inside the range the search reaches, under the same rules
-    and step cap (see ``_polish``), and its point is the result:
+    typically pass the parameters read off the underlying joint), the constant
+    start and, for PRSP only, ``_N_STARTS`` seeded random starts and one kink
+    start per cell between consecutive grid levels of e1 and e2 (16 on the
+    default grid), so ``seed`` moves no other model's fit. Every start steps
+    until its error stops falling or reaches exactly 0, or for ``_MAX_ITERS``
+    steps (see ``_lm``). Every step evaluates the model once at a start's
+    trial point, and completes the Jacobian from it only where the step is
+    accepted. The start with the lowest error wins; when several starts reach
+    the same minimum, which one wins is decided at rounding level. The polish
+    then steps from the winner, inside the range the search reaches, under the
+    same rules and step cap (see ``_polish``), and its point is the result:
     ``iterations`` counts the winner's search steps plus the polish's, and
     ``converged`` is whether the polish stopped on its own rule before
     ``_MAX_ITERS``. Non-convergence is not an error; the best point found is

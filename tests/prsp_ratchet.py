@@ -12,16 +12,16 @@ without rewriting it; it exits 1 if any fit is above its entry::
 
     PYTHONPATH=src python tests/prsp_ratchet.py --check
 
-Its first line is the fit budget it ran at, ``optim._N_STARTS`` and
-``optim._MAX_ITERS``, so a run with an edited constant is labelled. Per run it
-prints the fits above and below their entry by more than 1e-9,
-the largest rise and drop (``none`` where no fit moved that way), and two
-lines of PRSP's Levenberg–Marquardt work: the search's row-steps (the steps
-tried, summed over its starts) and the starts that reach ``max_iters``, then
-the polish's steps (summed over its rows, one per distribution) and the rows
-that reach ``max_iters``. Without ``--check`` it rewrites the file from the
-current code, keeping each entry that is lower than the current ε, and prints
-each entry it lowers.
+Its first line is the fit budget it ran at, ``optim._N_STARTS`` (PRSP's
+random starts) and ``optim._MAX_ITERS``, so a run with an edited constant is
+labelled. Per run it prints the fits above and below their entry by more
+than 1e-9, the largest rise and drop (``none`` where no fit moved that way),
+and two lines of PRSP's Levenberg–Marquardt work: the search's row-steps
+(the steps tried, summed over its starts) and the starts that reach
+``max_iters``, then the polish's steps (summed over its rows, one per
+distribution) and the rows that reach ``max_iters``. Without ``--check`` it
+rewrites the file from the current code, keeping each entry that is lower
+than the current ε, and prints each entry it lowers.
 
 An entry may only go down, when a change finds a lower minimum: raising one
 loosens the check. An entry is the ε the fit reached when it was
@@ -111,8 +111,9 @@ def work_lines(counts: dict[str, int]) -> tuple[str, str]:
 
 
 def budget_line() -> str:
-    """The fit budget of PRSP and PWR that a run uses, as the scripts print it first."""
-    return f"budget: {optim._N_STARTS} random starts, {optim._MAX_ITERS} steps per start and per polish row"
+    """The fit budget a run uses, as the scripts print it first: PRSP's random starts per fit, and the step cap of
+    each start of PRSP's and PWR's search and of each row of their polish (PWR has no random starts)."""
+    return f"budget: {optim._N_STARTS} random starts per PRSP fit, {optim._MAX_ITERS} steps per start and per polish row"
 
 
 def largest(diff: np.ndarray) -> str:

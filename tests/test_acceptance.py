@@ -251,12 +251,12 @@ def test_criterion_9_cli_determinism(tmp_path):
 # sha256 of report.csv and summary.json of the two acceptance runs (BENCH_KINDS, default grid)
 ARTIFACT_SHA256 = {
     "uniform": {
-        "report.csv": "50e621c4f0313ea783c7e35502aff57226098c74f5cf76dfc269fef722626604",
-        "summary.json": "537cfef54f54cf030e685776d5261c66a4a1b9ff972a5d2452c815801f6581db",
+        "report.csv": "22f4704d04aac3bb93f4730377d228b141fa957723a115012d07af96b39531c5",
+        "summary.json": "1f3b456f47f1867d7f298ff7f5f5685d6d5bf85e5ff21222d809e8f20a9434ec",
     },
     "cond_indep": {
-        "report.csv": "e9284d5d8825169e73006972390d04a7145bb54db4c40291076e1ed2b9ab6e19",
-        "summary.json": "1ebe0c460192b641d34ceed4de56ba51a781507593c4d68853be34d44373c102",
+        "report.csv": "bae3e5d971caeffb25f60292b5a404adc1e8ef188ba09262d4802f52c1237858",
+        "summary.json": "5cff4d8b0d64011fa43d1e2278840f36b253402cff6bd597277963fb8ff4fe9d",
     },
 }
 

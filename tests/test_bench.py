@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +103,25 @@ class TestRunBench:
     def test_requires_dists(self):
         with pytest.raises(ValueError, match="non-empty"):
             run_bench([])
+
+    def test_bad_seed_or_jobs_refused_before_the_oracle_batch(self, monkeypatch):
+        # seed 1.5 and True ran as seed 1, -1 raised numpy's error naming no argument, and jobs 0 and -3 ran serially
+        import uisbench.bench as bench
+
+        dists = sample_uniform(58, 2)
+        serial = run_bench(dists, seed=3)
+        assert run_bench(dists, seed=np.uint64(3), jobs=np.int64(1)) == serial  # numpy's integers are integers
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("the oracle batch ran")
+
+        monkeypatch.setattr(bench, "_batch_answers", no_batch)
+        for bad in (1.5, True, -1, np.int64(-1), "1", None):
+            with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {re.escape(repr(bad))}$"):
+                run_bench(dists, seed=bad)
+        for bad in (0, -3, True, np.int64(0), 2.0, "2", None):
+            with pytest.raises(ValueError, match=rf"^jobs must be a positive integer, got {re.escape(repr(bad))}$"):
+                run_bench(dists, jobs=bad)
 
     def test_plain_string_kinds_refused_before_the_oracle_batch(self, monkeypatch):
         # ModelKind is a str enum: the strings passed the checks and died in fit_batch with an AttributeError

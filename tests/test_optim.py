@@ -8,8 +8,8 @@ from scipy.optimize import lsq_linear
 
 from uisbench.bench import _derived_seed, run_bench
 from uisbench.dist import JointDist, sample_cond_indep, sample_uniform
-from uisbench.models import (_PWR_EVIDENCE_ERROR, ModelKind, ModelParams, _predict_rows, predict_grid, true_params_indp,
-                             true_params_prsp)
+from uisbench.models import (_PWR_EVIDENCE_ERROR, ModelKind, ModelParams, _predict_rows, logit, predict_grid,
+                             true_params_indp, true_params_prsp)
 from uisbench.optim import (
     FitResult,
     _KIND_INDEX,
@@ -67,7 +67,8 @@ def bvls_epsilon(targets):
 
 class TestSettings:
     def test_defaults(self):
-        # PRSP's and PWR's fit budget is part of the method, since it moves their ε and η: two constants
+        # the fit budget is part of the method, since it moves ε and η: two constants, PRSP's random starts
+        # and the step cap of PRSP's and PWR's search and polish
         assert (_N_STARTS, _MAX_ITERS) == (5, 200)
 
 
@@ -171,13 +172,19 @@ class TestFit:
         b = fit(ModelKind.PRSP, sv, seed=17)
         assert a == b
 
-    def test_seed_changes_random_starts(self):
+    def test_pwr_does_not_depend_on_the_seed(self):
+        # PWR starts from its constant start alone; with random starts these seeds won at starts 4, 0 and 0
         sv = standard_vector(sample_uniform(47, 1)[0])
-        a = fit(ModelKind.PWR, sv, seed=1)
-        b = fit(ModelKind.PWR, sv, seed=2)
-        # same optimum is fine; the search itself must still be seed-driven
-        assert isinstance(a, FitResult) and isinstance(b, FitResult)
-        assert abs(a.epsilon - b.epsilon) < 1e-4
+        a, b, c = (fit(ModelKind.PWR, sv, seed=s) for s in (1, 2, 7))
+        assert a == b == c and a.start_index == 0
+        # PRSP still draws its random starts from the seed, and only those differ
+        e1, e2 = grid_arrays()
+        x0, counts = _starts(ModelKind.PRSP, e1, e2, np.tile([v for _, v in sv], (2, 1)), [1, 2], [None, None])
+        assert counts.tolist() == [1 + _N_STARTS + 16] * 2
+        first, second = np.split(x0, 2)
+        drawn = np.zeros(len(first), dtype=bool)
+        drawn[1 : 1 + _N_STARTS] = True  # after the constant start
+        assert not np.array_equal(first[drawn], second[drawn]) and np.array_equal(first[~drawn], second[~drawn])
 
     def test_nesting_bound(self):
         for d in sample_uniform(48, 3):
@@ -376,16 +383,19 @@ class TestFitBatch:
                 assert got == fit(kind, targets, seed, w)
                 (starts,) = batches
                 lone_starts.append(starts)
-                # start_index order: the warm start if any, the constant start, then the row's own seeded draws
-                spread = 2.0 if kind is ModelKind.PRSP else 1.0
-                draws = np.random.default_rng([seed, _KIND_INDEX[kind]]).uniform(-spread, spread,
-                                                                                  (_N_STARTS, starts.shape[1]))
+                # start_index order: the warm start if any, the constant start, then for PRSP the row's own
+                # seeded draws and its kink starts; PWR has no more
                 first = 1 if w is None else 2
-                assert np.array_equal(starts[first : first + _N_STARTS], draws)
+                if kind is ModelKind.PRSP:
+                    draws = np.random.default_rng([seed, _KIND_INDEX[kind]]).uniform(-2.0, 2.0, (_N_STARTS, 7))
+                    assert np.array_equal(starts[first : first + _N_STARTS], draws)
+                else:
+                    mean = np.clip(np.mean([v for _, v in targets]), 1e-6, 1.0 - 1e-6)
+                    assert np.array_equal(starts[first - 1 :], [[0.0, 0.0, logit(mean)]])
                 if w is not None:
                     assert np.array_equal(starts[0], _to_search_coords(kind, w.values))
             assert len(lone_starts[0]) == len(lone_starts[1]) + 1 == len(lone_starts[2])
-            assert len(lone_starts[0]) == 2 + _N_STARTS + (16 if kind is ModelKind.PRSP else 0)
+            assert len(lone_starts[0]) == 2 + (_N_STARTS + 16 if kind is ModelKind.PRSP else 0)
             assert np.array_equal(batch, np.concatenate(lone_starts))
 
     def test_plain_string_kind_refused(self):
@@ -588,14 +598,14 @@ class TestSearchInternals:
             x0, counts = _starts(kind, e1, e2, np.stack(c), [7, 7], warm)
             c_rows = np.repeat(np.stack(c), counts, axis=0)
             with_nan = x0.copy()
-            with_nan[3] = np.nan
+            with_nan[1] = np.nan  # a start of each kind: PRSP's first fit's constant start, PWR's second fit's
             model = _search_model(kind, e1, e2)
             for starts in (x0, with_nan):
                 got = _lm(model, starts, c_rows, max_iters)
                 *want, _ = reference_lm(model, starts, c_rows, max_iters)
                 for a, b in zip(got, want):
                     assert np.array_equal(a, b, equal_nan=True)
-            assert got[2][3] == 0 and np.isnan(got[0][3]).all()  # never moved
+            assert got[2][1] == 0 and np.isnan(got[0][1]).all()  # never moved
             if kind is ModelKind.PRSP:  # rows leave at their stops, and the batch ends with its last row
                 assert got[2].max() == max_iters and 0 < np.count_nonzero(got[3]) < len(x0) - 1
 

@@ -101,7 +101,7 @@ def test_ratchet_check_counts_prsp_row_steps(monkeypatch):
     # then one polish row per distribution, stepping once
     assert counts == {"row_steps": starts, "at_max_iters": starts, "polish_steps": 2, "polish_at_max_iters": 2}
     assert work_lines(counts) == ("search: 38 row-steps, 38 starts at max_iters", "polish: 2 steps, 2 rows at max_iters")
-    assert budget_line() == "budget: 2 random starts, 1 steps per start and per polish row"
+    assert budget_line() == "budget: 2 random starts per PRSP fit, 1 steps per start and per polish row"
 
 
 def test_ratchet_rewrite_only_lowers_entries(tmp_path, monkeypatch, capsys):
@@ -135,7 +135,7 @@ def test_ratchet_check_names_no_entry_for_a_direction_none_moved(tmp_path, monke
     monkeypatch.setattr(prsp_ratchet, "prsp_epsilons", lambda *run: current[run])
     assert prsp_ratchet.check() == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "budget: 5 random starts, 200 steps per start and per polish row"  # labels the run
+    assert lines[0] == "budget: 5 random starts per PRSP fit, 200 steps per start and per polish row"  # labels the run
     assert lines[1] == "uniform gen 1 bench 2: 0 above, 0 below; largest rise none, largest drop none"
     assert lines[4] == "cond_indep gen 3 bench 4: 1 above, 1 below; largest rise 0.125 (dist 0), largest drop 0.25 (dist 1)"
     assert lines[7:] == ["  above: dist 0 +0.125", "  below: dist 1 -0.25", "1 fits above their entry by more than 1e-09"]
