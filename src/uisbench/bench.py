@@ -17,8 +17,9 @@ Aggregation reports the mean, the sample (n-1) standard deviation and their
 ratio per model. Distributions are processed in consecutive chunks of at most
 ``_BATCH_DISTS`` (128), so a serial run of up to 128 distributions is one
 chunk; a chunk is one oracle batch and then one ``optim.fit_batch`` call per
-model over the rows of its answer matrix, in which the PRSP (and PWR) starts
-run as the rows of one Levenberg–Marquardt batch. Rows do not interact and
+model over the rows of its answer matrix, in which the PRSP starts run as the
+rows of one Levenberg–Marquardt batch, and the PWR fits, one descent each, as
+the rows of another. Rows do not interact and
 PRSP's random starts use RNG substreams derived from (seed, distribution
 index), so reports do not depend on the chunking, execution order or worker
 count.
@@ -35,11 +36,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dist import JointDist, _DecodeError, _utf8_text
+from .dist import JointDist, _check_integer, _DecodeError, _utf8_text
 from .models import PARAM_DIM, _PWR_EVIDENCE_ERROR, ModelKind, ModelParams, _check_kind, true_params_prsp
 # fit and standard_vector are not called here, but perfbench's tracer wraps them
 # (test_every_traced_attribute_exists; ROADMAP item 2)
-from .optim import FitResult, _check_integer, fit, fit_batch  # noqa: F401
+from .optim import FitResult, fit, fit_batch  # noqa: F401
 from .oracle import DEFAULT_GRID, EvidenceGrid, _batch_answers, standard_vector  # noqa: F401
 
 __all__ = [
@@ -60,9 +61,10 @@ __all__ = [
 
 DEGENERATE_EPS = 1e-12
 DEFAULT_MODELS = (ModelKind.LINR, ModelKind.WRST, ModelKind.INDP, ModelKind.PRSP, ModelKind.PWR)
-# distributions whose PRSP and PWR fits share one Levenberg–Marquardt batch, so
-# that a run of up to 128 (both acceptance runs have 109) pays numpy's per-step
-# overhead once. Stopped starts leave the batch, so its later steps cost little.
+# distributions whose PRSP starts share one Levenberg–Marquardt batch, and whose
+# PWR descents another, so that a run of up to 128 (both acceptance runs have
+# 109) pays numpy's per-step overhead once. Stopped rows leave the batch, so its
+# later steps cost little.
 # Memory grows with the chunk, mostly the first Jacobian of its PRSP starts with
 # its temporaries. README's Library section gives the measured time and memory
 # against smaller chunks

@@ -199,18 +199,22 @@ def _substream(seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(k)])
 
 
-def _check_count(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n!r}")
+def _check_integer(name: str, value, low: int = 0) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``low`` (0 or 1), but not a ``bool``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be a {('non-negative', 'positive')[low]} integer, got {value!r}")
 
 
 def sample_uniform(seed: int, n: int) -> list[JointDist]:
     """Draw ``n`` joints uniformly from the 7-simplex of 8-atom distributions.
 
     Uses the standard flat-Dirichlet construction: eight independent
-    unit-exponential draws, normalised to sum 1.
+    unit-exponential draws, normalised to sum 1. ``seed`` and ``n`` must be
+    non-negative integers, Python's or numpy's but not a ``bool``;
+    ``ValueError`` names either otherwise.
     """
-    _check_count(n)
+    _check_integer("seed", seed)
+    _check_integer("n", n)
     g = np.array([_substream(seed, k).exponential(size=8) for k in range(n)]).reshape(n, 8)
     return _wrapped(_checked_rows(g / g.sum(axis=1, keepdims=True)))
 
@@ -220,9 +224,11 @@ def sample_cond_indep(seed: int, n: int) -> list[JointDist]:
 
     The five parameters are drawn independently and uniformly from
     [0.01, 0.99]; the interval is kept away from {0, 1} so the expanded
-    joints are never degenerate.
+    joints are never degenerate. ``seed`` and ``n`` are checked as
+    :func:`sample_uniform` checks them.
     """
-    _check_count(n)
+    _check_integer("seed", seed)
+    _check_integer("n", n)
     params = np.array([_substream(seed, k).uniform(0.01, 0.99, size=5) for k in range(n)]).reshape(n, 5)
     return _wrapped(_checked_rows(_expanded_atoms(params)))
 

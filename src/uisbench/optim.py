@@ -12,49 +12,52 @@ INDP's predictions are linear in their parameters, so one function,
 
 PRSP and PWR are fitted by Levenberg–Marquardt on the vector of grid
 residuals (Levenberg 1944; Marquardt 1963; Moré, "The Levenberg–Marquardt
-algorithm: implementation and theory", 1978). Their Jacobians are analytic and
-come from the models' own formulas (``_predict_rows(..., jacobian=True)``);
-PRSP's is one-sided where a rule's kink pEj sits on a grid level. PRSP's
-parameters must lie in (0, 1), so they are searched through a logistic
-reparameterisation with search coordinates clamped to |x| <= 30; the chain
-rule through the sigmoid gives a clamped coordinate zero derivative.
+algorithm: implementation and theory", 1978), with analytic Jacobians from the
+models' own formulas (``_predict_rows(..., jacobian=True)``); PRSP's is
+one-sided where a rule's kink pEj sits on a grid level. PWR has no bounds and
+no kinks, and random starts found it no lower minimum, so its fit is one
+descent, the polish (below) with an unbounded box, from its constant start.
 
-Every start is one row of a single batch, so one ``_predict_rows`` call
-evaluates all their trial points (see ``_lm``). ``fit_batch`` puts the starts
-of every row of its answer matrix into one batch, which pays numpy's per-call
-overhead once per step for all of them; rows do not interact, so each vector
-gets bit for bit the result ``fit`` gives it alone. The starts are the
-caller-supplied warm start when there is one, a constant-baseline start at the
-mean of the targets (every model can represent a constant, which guarantees a
-fit is never worse than WRST) and, for PRSP only, ``_N_STARTS`` seeded random
-starts and one start per cell of its kink partition: PRSP is smooth only while
-each pEj stays between two consecutive grid levels, and LM does not cross kinks
-well. PWR needs no more, since random starts found it no lower minimum. This
-budget, ``_N_STARTS`` and the step cap ``_MAX_ITERS``, is part of the method,
-since it moves the fitted errors, so it is fixed here and no caller sets it.
+Only PRSP runs the multi-start search. Its parameters lie in (0, 1), so they
+are searched through a logistic reparameterisation with search coordinates
+clamped to |x| <= 30; the chain rule through the sigmoid gives a clamped
+coordinate zero derivative. Every start is one row of a single batch, so one
+``_predict_rows`` call evaluates all their trial points (see ``_lm``).
+``fit_batch`` puts the starts of every row of its answer matrix into one
+batch, which pays numpy's per-call overhead once per step for all of them;
+rows do not interact, so each vector gets bit for bit the result ``fit``
+gives it alone. The starts are the caller-supplied warm start when there is
+one, a constant start at which the model predicts the mean of the targets
+(every model can represent a constant, which guarantees a fit is never worse
+than WRST), ``_N_STARTS`` seeded random starts and one start per cell of its
+kink partition: PRSP is smooth only while each pEj stays between two
+consecutive grid levels, and LM does not cross kinks well. This budget,
+``_N_STARTS`` and the step cap ``_MAX_ITERS``, is part of the method, since it
+moves the fitted errors, so it is fixed here and no caller sets it.
 
-Every start of PRSP and PWR follows one stop rule (see ``_lm``): it leaves the
-batch once its error stops falling or reaches exactly 0, or after
-``_MAX_ITERS`` steps, and the batch ends with its last start. Most
-starts stop early, but a few creep along a kink or a flat valley to the cap,
-so the batch takes all its steps while most of its row-steps are never taken.
-Each step makes one ``_predict_rows`` call, over the trial points of the rows
-still in the batch; its forward pass keeps what the Jacobian needs, and
-``_lm`` completes the Jacobian and normal equations from it only for the rows
-whose error fell, the only points a next step starts from.
+Every start of the search and every row of the polish follows one stop rule
+(see ``_lm``): it leaves the batch once its error stops falling or reaches
+exactly 0, or after ``_MAX_ITERS`` steps, and the batch ends with its last
+row. Most starts stop early, but a few creep along a kink or a flat valley
+to the cap, so the batch takes all its steps while most of its row-steps are
+never taken. Each step makes one ``_predict_rows`` call, over the trial
+points of the rows still in the batch; its forward pass keeps what the
+Jacobian needs, and ``_lm`` completes the Jacobian and normal equations from
+it only for the rows whose error fell, the only points a next step starts
+from.
 
 The starts that creep mostly head for a minimum on a bound: a pEj just inside
 the lowest or highest grid level, with the conditional whose weight vanishes
 there at 0 or 1, which the logistic search coordinates put at infinity. So
-each fit's winning start is finished by the polish (see ``_polish``): one more
-batch, one row per fitted vector, that steps in model coordinates inside the
-search's range (``_search_range``), where such a bound is a face that a step
-reaches directly, and whose pEj cross their kinks freely. The polish shares
-the search's damping, acceptance and stop rules and its step cap, starts at
-the winner's values with the winner's error, and accepts only steps that lower
-it, so a fit never ends above its search. Which starts creep, and for how
-long, varies between distributions, so a fit's cost depends on its data.
-README's Library section gives the measured figures. ``fit`` and
+each PRSP fit's winning start is finished by the polish (see ``_polish``): one
+more batch, one row per fitted vector, that steps in model coordinates inside
+the search's range (``_SEARCH_RANGE``), where such a bound is a face that a
+step reaches directly, and whose pEj cross their kinks freely. The polish
+shares the search's damping, acceptance and stop rules and its step cap,
+starts at the winner's values with the winner's error, and accepts only steps
+that lower it, so a fit never ends above its search. Which starts creep, and
+for how long, varies between distributions, so a fit's cost depends on its
+data. README's Library section gives the measured figures. ``fit`` and
 ``fit_batch`` are pure functions of their arguments; independent fits may run
 concurrently.
 """
@@ -66,13 +69,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dist import _check_integer
 from .models import (PARAM_DIM, ModelKind, ModelParams, _check_evidence, _check_kind, _evidence_levels, _predict_rows,
                      logit, predict_grid, sigmoid)
 
 __all__ = ["FitResult", "objective", "fit", "fit_batch"]
 
 _SEARCH_CLAMP = 30.0
-_KIND_INDEX = {kind: i for i, kind in enumerate(ModelKind)}
+# the lowest and highest value PRSP's search reaches in each model coordinate, [sigmoid(-30), sigmoid(30)]:
+# the box of its starts and of its polish
+_SEARCH_RANGE = sigmoid(np.array([-_SEARCH_CLAMP, _SEARCH_CLAMP]))
+_PRSP_STREAM = 2  # the second key of each PRSP fit's random stream (see ``_starts``)
 # Levenberg–Marquardt damping: starting value, floor (keeps the damped system
 # positive definite after a long run of accepted steps) and the overflow that
 # stops a row; and the cap on one step in max-norm of the search coordinates
@@ -83,7 +90,7 @@ _OBJ_REL_TOL = 1e-12
 # the multiples of its damped step at which the polish tries each row (see ``_polish``)
 _POLISH_ALPHAS = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0, 1024.0])
 # the fit budget: the seeded random starts of each PRSP fit, and the cap on the steps of each start of
-# PRSP's and PWR's search and of each row of their polish (see ``_starts``, ``_lm`` and ``_polish``)
+# PRSP's search and of each row of the polish, PRSP's and PWR's (see ``_starts``, ``_lm`` and ``_polish``)
 _N_STARTS = 5
 _MAX_ITERS = 200
 
@@ -92,7 +99,7 @@ _MAX_ITERS = 200
 class FitResult:
     params: ModelParams
     epsilon: float
-    iterations: int  # search steps of the winning start plus polish steps; 0 for BST and the closed-form fits
+    iterations: int  # PRSP's winning start's search steps plus its polish steps, PWR's polish steps; else 0
     converged: bool
     start_index: int  # the winning start (see ``fit``)
 
@@ -160,21 +167,12 @@ def _indp_exact(e1: np.ndarray, e2: np.ndarray, c: np.ndarray) -> np.ndarray:
     return b[rows, np.where(feasible[rows, best], best, np.argmax(feasible, axis=1))]
 
 
-def _to_model_values(kind: ModelKind, x: np.ndarray) -> np.ndarray:
-    if kind is ModelKind.PRSP:
-        return sigmoid(np.clip(x, -_SEARCH_CLAMP, _SEARCH_CLAMP))
-    return x
+def _to_model_values(x: np.ndarray) -> np.ndarray:
+    return sigmoid(np.clip(x, -_SEARCH_CLAMP, _SEARCH_CLAMP))
 
 
-def _search_range(kind: ModelKind) -> np.ndarray:
-    """The lowest and highest value the search reaches in each model coordinate: [sigmoid(-30), sigmoid(30)]
-    for PRSP, unbounded for PWR. It is the box of the search's starts and of the polish."""
-    return _to_model_values(kind, np.array([-np.inf, np.inf]))
-
-
-def _to_search_coords(kind: ModelKind, values) -> np.ndarray:
-    x = np.clip(np.asarray(values, dtype=np.float64), *_search_range(kind))
-    return logit(x) if kind is ModelKind.PRSP else x
+def _to_search_coords(values) -> np.ndarray:
+    return logit(np.clip(np.asarray(values, dtype=np.float64), *_SEARCH_RANGE))
 
 
 def _model(kind: ModelKind, e1: np.ndarray, e2: np.ndarray):
@@ -185,19 +183,17 @@ def _model(kind: ModelKind, e1: np.ndarray, e2: np.ndarray):
     return lambda values: _predict_rows(kind, values, e1, e2, jacobian=True, levels=levels)
 
 
-def _search_model(kind: ModelKind, e1: np.ndarray, e2: np.ndarray):
-    """The model as ``_lm`` steps on it: search points ``x`` (m, n) map to ``(pred, jac)``.
+def _search_model(e1: np.ndarray, e2: np.ndarray):
+    """PRSP as ``_lm`` steps on it: search points ``x`` (m, 7) map to ``(pred, jac)``.
 
-    ``pred`` (m, k) is the model's prediction at ``_to_model_values(kind, x)``, from one ``_predict_rows``
-    call. ``jac(rows)`` completes, from that call's forward pass, the Jacobian in ``x`` of the given rows,
-    (len(rows), k, n), a new array. PWR's search coordinates are its model coordinates (see ``_model``).
+    ``pred`` (m, k) is the model's prediction at ``_to_model_values(x)``, from one ``_predict_rows`` call.
+    ``jac(rows)`` completes, from that call's forward pass, the Jacobian in ``x`` of the given rows,
+    (len(rows), k, 7), a new array.
     """
-    model = _model(kind, e1, e2)
-    if kind is not ModelKind.PRSP:
-        return model
+    model = _model(ModelKind.PRSP, e1, e2)
 
     def search_model(x: np.ndarray):
-        values = _to_model_values(kind, x)
+        values = _to_model_values(x)
         pred, jac = model(values)
         # chain rule through the sigmoid; the clamp makes a coordinate beyond it flat
         chain = np.where(np.abs(x) < _SEARCH_CLAMP, values * (1.0 - values), 0.0)
@@ -344,7 +340,8 @@ def _polish(model, x0: np.ndarray, c: np.ndarray, lo: float, hi: float, max_iter
 
     The arguments are those of ``_lm``, with ``model`` in model coordinates
     (``_model``), plus the bounds of the box, which holds ``x0``;
-    ``fit_batch`` passes ``_search_range(kind)``. The rows share the search's
+    ``fit_batch`` passes ``_SEARCH_RANGE`` for PRSP and (-inf, inf) for PWR,
+    whose whole fit this is. The rows share the search's
     damping, acceptance and stop rules and its ``max_iters`` (``_descend``).
     A coordinate at a bound whose descent direction -Jᵀr leaves the box is
     held there, and the damped step d is taken on the free coordinates
@@ -371,49 +368,40 @@ def _polish(model, x0: np.ndarray, c: np.ndarray, lo: float, hi: float, max_iter
     return _descend(model, x0, c, max_iters, trial)
 
 
-def _starts(kind: ModelKind, e1: np.ndarray, e2: np.ndarray, c: np.ndarray, seeds,
-            warm_starts) -> tuple[np.ndarray, np.ndarray]:
-    """The starts of every row of ``c`` in search coordinates, and how many each row has.
+def _target_mean(c: np.ndarray) -> np.ndarray:
+    """The mean of each row of ``c``, clipped to [1e-6, 1 - 1e-6]: what PRSP's and PWR's constant starts predict."""
+    return np.clip(np.mean(c, axis=1), 1e-6, 1.0 - 1e-6)
+
+
+def _starts(e1: np.ndarray, e2: np.ndarray, c: np.ndarray, seeds, warm_starts) -> tuple[np.ndarray, np.ndarray]:
+    """The PRSP starts of every row of ``c`` in search coordinates, and how many each row has.
 
     Row i of ``c`` gets a block of consecutive starts in ``start_index`` order
     (see ``fit``): ``warm_starts[i]`` when it is not ``None``; the constant
-    start, at which the model predicts the mean of the row's targets (clipped
-    to [1e-6, 1 - 1e-6]) everywhere; and, for PRSP only, ``_N_STARTS`` uniform
-    draws on [-2, 2] from the row's own stream ``default_rng([seeds[i],
-    kind])``, so a row's starts do not depend on the other rows, and one kink
-    start per cell of the kink partition. A rule's posterior has its kink at
-    pEj, so PRSP's fit is smooth only while pEj stays between two consecutive
-    grid levels of ej; the kink starts are the warm start, or else the
-    constant start, with (pE1, pE2) moved to the midpoints of every pair of
-    such intervals, row-major.
+    start, at which PRSP predicts ``_target_mean`` everywhere; ``_N_STARTS``
+    uniform draws on [-2, 2] from the row's own stream
+    ``default_rng([seeds[i], _PRSP_STREAM])``, so a row's starts do not depend
+    on the other rows; and one kink start per cell of the kink partition. A
+    rule's posterior has its kink at pEj, so PRSP's fit is smooth only while
+    pEj stays between two consecutive grid levels of ej; the kink starts are
+    the warm start, or else the constant start, with (pE1, pE2) moved to the
+    midpoints of every pair of such intervals, row-major.
     """
-    m = np.clip(np.mean(c, axis=1), 1e-6, 1.0 - 1e-6)
-    if kind is ModelKind.PWR:
-        constant = np.column_stack([np.zeros_like(m), np.zeros_like(m), logit(m)])
-    else:
-        half = np.full_like(m, 0.5)
-        constant = np.column_stack([m, half, m, m, half, m, m])
+    m = _target_mean(c)
+    half = np.full_like(m, 0.5)
+    constant = np.column_stack([m, half, m, m, half, m, m])
     has_warm = np.array([w is not None for w in warm_starts])
     base = np.array([row if w is None else w.values for w, row in zip(warm_starts, constant)]).reshape(constant.shape)
-    blocks = [_to_search_coords(kind, base)[:, None], _to_search_coords(kind, constant)[:, None]]
-    if kind is ModelKind.PRSP:
-        shape = (_N_STARTS, PARAM_DIM[kind])
-        drawn = [np.random.default_rng([int(s), _KIND_INDEX[kind]]).uniform(-2.0, 2.0, shape) for s in seeds]
-        blocks.append(np.reshape(drawn, (len(seeds), *shape)))
-        mids = [(levels[:-1] + levels[1:]) / 2.0 for levels in (np.unique(e1), np.unique(e2))]
-        kinks = np.repeat(base[:, None], mids[0].size * mids[1].size, axis=1)
-        kinks[..., 1], kinks[..., 4] = (g.reshape(-1) for g in np.meshgrid(*mids, indexing="ij"))
-        blocks.append(_to_search_coords(kind, kinks))
-    starts = np.concatenate(blocks, axis=1)
+    shape = (_N_STARTS, PARAM_DIM[ModelKind.PRSP])
+    drawn = [np.random.default_rng([int(s), _PRSP_STREAM]).uniform(-2.0, 2.0, shape) for s in seeds]
+    mids = [(levels[:-1] + levels[1:]) / 2.0 for levels in (np.unique(e1), np.unique(e2))]
+    kinks = np.repeat(base[:, None], mids[0].size * mids[1].size, axis=1)
+    kinks[..., 1], kinks[..., 4] = (g.reshape(-1) for g in np.meshgrid(*mids, indexing="ij"))
+    starts = np.concatenate([_to_search_coords(base)[:, None], _to_search_coords(constant)[:, None],
+                             np.reshape(drawn, (len(seeds), *shape)), _to_search_coords(kinks)], axis=1)
     used = np.ones(starts.shape[:2], dtype=bool)
     used[:, 0] = has_warm  # the first column is the warm start, where there is one
     return starts[used], used.sum(axis=1)
-
-
-def _check_integer(name: str, value, low: int = 0) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``low`` (0 or 1), but not a ``bool``."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
-        raise ValueError(f"{name} must be a {('non-negative', 'positive')[low]} integer, got {value!r}")
 
 
 def fit_batch(kind: ModelKind, e1, e2, targets, seeds, warm_starts) -> list[FitResult]:
@@ -430,11 +418,13 @@ def fit_batch(kind: ModelKind, e1, e2, targets, seeds, warm_starts) -> list[FitR
     and the first row whose best error is not finite. BST, WRST, LINR and
     INDP are solved for every row at once by stacked per-row operations,
     LINR's and INDP's systems in one stacked solve each (see
-    ``_least_squares``). For PRSP and PWR the starts of every row run as the
-    rows of one ``_lm`` batch, and then each row's winning start as one row
-    of one ``_polish`` batch, both at the budget ``_N_STARTS`` (PRSP only)
-    and ``_MAX_ITERS``. No operation mixes rows, so each result is bit for
-    bit the one ``fit`` returns; PWR's results do not depend on ``seeds``.
+    ``_least_squares``). PWR's rows run as the rows of one ``_polish`` batch
+    from their constant starts, unbounded. PRSP's starts of every row run as
+    the rows of one ``_lm`` batch, and then each row's winning start as one
+    row of one ``_polish`` batch, at the budget ``_N_STARTS`` and
+    ``_MAX_ITERS``. Only PRSP reads ``seeds`` and ``warm_starts``. No
+    operation mixes rows, so each result is bit for bit the one ``fit``
+    returns.
     """
     _check_kind(kind)
     e1, e2, c = (np.asarray(a, dtype=np.float64) for a in (e1, e2, targets))
@@ -467,14 +457,19 @@ def fit_batch(kind: ModelKind, e1, e2, targets, seeds, warm_starts) -> list[FitR
         sse = np.zeros(len(c)) if kind is ModelKind.BST else _sse(c - _predict_rows(kind, values, e1, e2))
         iters = start = np.zeros(len(c), dtype=int)
         converged = np.ones(len(c), dtype=bool)
+    elif kind is ModelKind.PWR:  # one descent from the constant start, where PWR predicts _target_mean everywhere
+        m = _target_mean(c)
+        x0 = np.column_stack([np.zeros_like(m), np.zeros_like(m), logit(m)])
+        values, sse, iters, converged = _polish(_model(kind, e1, e2), x0, c, -np.inf, np.inf, _MAX_ITERS)
+        start = np.zeros(len(c), dtype=int)
     else:
-        x0, counts = _starts(kind, e1, e2, c, seeds, warm_starts)
-        x, sse, iters, converged = _lm(_search_model(kind, e1, e2), x0, np.repeat(c, counts, axis=0), _MAX_ITERS)
+        x0, counts = _starts(e1, e2, c, seeds, warm_starts)
+        x, sse, iters, converged = _lm(_search_model(e1, e2), x0, np.repeat(c, counts, axis=0), _MAX_ITERS)
         first = np.cumsum(counts) - counts
         start = np.array([np.argmin(sse[lo : lo + n]) for lo, n in zip(first, counts)], dtype=int)  # first on a tie
         best = first + start
-        values = _to_model_values(kind, x[best])
-        values, sse, polish_iters, converged = _polish(_model(kind, e1, e2), values, c, *_search_range(kind), _MAX_ITERS)
+        values = _to_model_values(x[best])
+        values, sse, polish_iters, converged = _polish(_model(kind, e1, e2), values, c, *_SEARCH_RANGE, _MAX_ITERS)
         iters = iters[best] + polish_iters
     bad = np.flatnonzero(~np.isfinite(sse))
     if bad.size:
@@ -487,27 +482,29 @@ def fit_batch(kind: ModelKind, e1, e2, targets, seeds, warm_starts) -> list[FitR
 def fit(kind: ModelKind, targets, seed: int = 0, warm_start: ModelParams | None = None) -> FitResult:
     """Minimise the RMS objective for ``kind`` over the given standard vector.
 
-    BST, WRST, LINR and INDP are solved exactly: ``seed`` and ``warm_start``
-    do not affect them, and the result has zero iterations and
-    ``converged=True`` (BST's has no parameters and error 0). PRSP and PWR run
-    batched Levenberg–Marquardt (see ``_lm``) from these starts, in this
-    order, which ``start_index`` counts: ``warm_start`` when given (callers
-    typically pass the parameters read off the underlying joint), the constant
-    start and, for PRSP only, ``_N_STARTS`` seeded random starts and one kink
-    start per cell between consecutive grid levels of e1 and e2 (16 on the
-    default grid), so ``seed`` moves no other model's fit. Every start steps
-    until its error stops falling or reaches exactly 0, or for ``_MAX_ITERS``
-    steps (see ``_lm``). Every step evaluates the model once at a start's
-    trial point, and completes the Jacobian from it only where the step is
-    accepted. The start with the lowest error wins; when several starts reach
-    the same minimum, which one wins is decided at rounding level. The polish
-    then steps from the winner, inside the range the search reaches, under the
-    same rules and step cap (see ``_polish``), and its point is the result:
-    ``iterations`` counts the winner's search steps plus the polish's, and
-    ``converged`` is whether the polish stopped on its own rule before
-    ``_MAX_ITERS``. Non-convergence is not an error; the best point found is
-    returned with ``converged=False``. This is ``fit_batch`` on one row and
-    raises its errors; an empty vector raises ``ValueError`` too.
+    BST, WRST, LINR and INDP are solved exactly, and the result has zero
+    iterations and ``converged=True`` (BST's has no parameters and error 0).
+    Only PRSP reads ``seed`` and ``warm_start``. PWR runs one
+    Levenberg–Marquardt descent, the polish with an unbounded box (see
+    ``_polish``), from its constant start, at which it predicts the mean of
+    the targets everywhere: ``start_index`` is 0 and ``iterations`` counts the
+    descent's steps. PRSP runs batched Levenberg–Marquardt (see ``_lm``) from
+    these starts, in this order, which ``start_index`` counts: ``warm_start``
+    when given (callers typically pass the parameters read off the underlying
+    joint), the constant start, ``_N_STARTS`` seeded random starts and one
+    kink start per cell between consecutive grid levels of e1 and e2 (16 on
+    the default grid). Every start steps until its error stops falling or
+    reaches exactly 0, or for ``_MAX_ITERS`` steps (see ``_lm``), evaluating
+    the model once per step at its trial point and completing the Jacobian
+    there only where the step is accepted. The start with the lowest error
+    wins; when several starts reach the same minimum, which one wins is
+    decided at rounding level. The polish then steps from the winner, inside
+    the range the search reaches, under the same rules and step cap, and its
+    point is the result: ``iterations`` counts the winner's search steps plus
+    the polish's. For both, ``converged`` is whether the polish stopped on its
+    own rule before ``_MAX_ITERS``. Non-convergence is not an error; the best
+    point found is returned with ``converged=False``. This is ``fit_batch`` on
+    one row and raises its errors; an empty vector raises ``ValueError`` too.
     """
     e1, e2, c = _target_arrays(targets)
     return fit_batch(kind, e1, e2, c[None], [seed], [warm_start])[0]

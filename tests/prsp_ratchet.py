@@ -112,7 +112,7 @@ def work_lines(counts: dict[str, int]) -> tuple[str, str]:
 
 def budget_line() -> str:
     """The fit budget a run uses, as the scripts print it first: PRSP's random starts per fit, and the step cap of
-    each start of PRSP's and PWR's search and of each row of their polish (PWR has no random starts)."""
+    each start of PRSP's search and of each row of the polish, PRSP's and PWR's (a PWR fit is its polish alone)."""
     return f"budget: {optim._N_STARTS} random starts per PRSP fit, {optim._MAX_ITERS} steps per start and per polish row"
 
 

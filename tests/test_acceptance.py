@@ -251,12 +251,12 @@ def test_criterion_9_cli_determinism(tmp_path):
 # sha256 of report.csv and summary.json of the two acceptance runs (BENCH_KINDS, default grid)
 ARTIFACT_SHA256 = {
     "uniform": {
-        "report.csv": "22f4704d04aac3bb93f4730377d228b141fa957723a115012d07af96b39531c5",
-        "summary.json": "1f3b456f47f1867d7f298ff7f5f5685d6d5bf85e5ff21222d809e8f20a9434ec",
+        "report.csv": "306942ba14cc2f43966398630eb230a7916602d1f315a2312a804faf5bfbe7a5",
+        "summary.json": "8a16440d85eb262cea788348941b60cba1467233cec57fc8024ed09d95bd5596",
     },
     "cond_indep": {
-        "report.csv": "bae3e5d971caeffb25f60292b5a404adc1e8ef188ba09262d4802f52c1237858",
-        "summary.json": "5cff4d8b0d64011fa43d1e2278840f36b253402cff6bd597277963fb8ff4fe9d",
+        "report.csv": "cf6635a10f650caa8626de316d70626229b8083c6eead28a1170e198e1eacd19",
+        "summary.json": "c3cdda1a122bbd9962e912c00b4c7fbe313e714847a5e504e9bf9a06fe945f49",
     },
 }
 

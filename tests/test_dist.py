@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -212,8 +213,23 @@ class TestSampling:
 
     def test_negative_count_rejected(self):
         for sampler in (sample_uniform, sample_cond_indep):
-            with pytest.raises(ValueError, match="n must be non-negative, got -1"):
+            with pytest.raises(ValueError, match="^n must be a non-negative integer, got -1$"):
                 sampler(1, -1)
+
+    def test_bad_seed_or_count_refused(self):
+        # seeds 1.5 and True ran as seed 1 and "7" as seed 7, seed -1 raised numpy's own error, which did
+        # not name the seed, and n=True a TypeError
+        for sampler in (sample_uniform, sample_cond_indep):
+            for seed in (1.5, True, "7", -1, np.int64(-1), None):
+                with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
+                    sampler(seed, 2)
+            for n in (True, 2.0, "2", np.int64(-3)):
+                with pytest.raises(ValueError, match=rf"^n must be a non-negative integer, got {re.escape(repr(n))}$"):
+                    sampler(1, n)
+            # Python's and numpy's integers of any size
+            for seed, n in ((np.int64(7), np.int32(2)), (np.uint64(2**63), 1), (2**70, 1)):
+                want = sampler(int(seed), int(n))
+                assert [d.atoms.tolist() for d in sampler(seed, n)] == [d.atoms.tolist() for d in want]
 
     def test_deterministic(self):
         a = sample_uniform(42, 20)

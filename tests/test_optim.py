@@ -12,15 +12,15 @@ from uisbench.models import (_PWR_EVIDENCE_ERROR, ModelKind, ModelParams, _predi
                              true_params_indp, true_params_prsp)
 from uisbench.optim import (
     FitResult,
-    _KIND_INDEX,
     _MAX_ITERS,
     _N_STARTS,
+    _SEARCH_RANGE,
     _indp_exact,
     _lm,
+    _model,
     _normal_equations,
     _polish,
     _search_model,
-    _search_range,
     _starts,
     _to_model_values,
     _to_search_coords,
@@ -173,13 +173,15 @@ class TestFit:
         assert a == b
 
     def test_pwr_does_not_depend_on_the_seed(self):
-        # PWR starts from its constant start alone; with random starts these seeds won at starts 4, 0 and 0
+        # PWR is one descent from its constant start; with random starts these seeds won at starts 4, 0 and 0
         sv = standard_vector(sample_uniform(47, 1)[0])
         a, b, c = (fit(ModelKind.PWR, sv, seed=s) for s in (1, 2, 7))
         assert a == b == c and a.start_index == 0
+        # nor on a warm start, which the search once started from
+        assert fit(ModelKind.PWR, sv, warm_start=ModelParams(ModelKind.PWR, (0.6, -0.3, 0.2))) == fit(ModelKind.PWR, sv)
         # PRSP still draws its random starts from the seed, and only those differ
         e1, e2 = grid_arrays()
-        x0, counts = _starts(ModelKind.PRSP, e1, e2, np.tile([v for _, v in sv], (2, 1)), [1, 2], [None, None])
+        x0, counts = _starts(e1, e2, np.tile([v for _, v in sv], (2, 1)), [1, 2], [None, None])
         assert counts.tolist() == [1 + _N_STARTS + 16] * 2
         first, second = np.split(x0, 2)
         drawn = np.zeros(len(first), dtype=bool)
@@ -376,26 +378,19 @@ class TestFitBatch:
             batches.clear()
             results = fit_batch(kind, *grid_arrays(), [[v for _, v in t] for t, _, _ in rows], [s for _, s, _ in rows],
                                 [w for _, _, w in rows])
-            (batch,) = batches
-            lone_starts = []
-            for (targets, seed, w), got in zip(rows, results):
-                batches.clear()
-                assert got == fit(kind, targets, seed, w)
-                (starts,) = batches
-                lone_starts.append(starts)
-                # start_index order: the warm start if any, the constant start, then for PRSP the row's own
-                # seeded draws and its kink starts; PWR has no more
+            assert results == [fit(kind, targets, seed, w) for targets, seed, w in rows]
+            if kind is ModelKind.PWR:  # no search, so no starts to lay out
+                continue
+            batch, *lone_starts = batches
+            for (targets, seed, w), starts in zip(rows, lone_starts):
+                # start_index order: the warm start if any, the constant start, the row's own seeded draws
+                # from the stream [seed, 2], then its kink starts
                 first = 1 if w is None else 2
-                if kind is ModelKind.PRSP:
-                    draws = np.random.default_rng([seed, _KIND_INDEX[kind]]).uniform(-2.0, 2.0, (_N_STARTS, 7))
-                    assert np.array_equal(starts[first : first + _N_STARTS], draws)
-                else:
-                    mean = np.clip(np.mean([v for _, v in targets]), 1e-6, 1.0 - 1e-6)
-                    assert np.array_equal(starts[first - 1 :], [[0.0, 0.0, logit(mean)]])
+                draws = np.random.default_rng([seed, 2]).uniform(-2.0, 2.0, (_N_STARTS, 7))
+                assert np.array_equal(starts[first : first + _N_STARTS], draws)
                 if w is not None:
-                    assert np.array_equal(starts[0], _to_search_coords(kind, w.values))
-            assert len(lone_starts[0]) == len(lone_starts[1]) + 1 == len(lone_starts[2])
-            assert len(lone_starts[0]) == 2 + (_N_STARTS + 16 if kind is ModelKind.PRSP else 0)
+                    assert np.array_equal(starts[0], _to_search_coords(w.values))
+            assert len(lone_starts[0]) == len(lone_starts[1]) + 1 == len(lone_starts[2]) == 2 + _N_STARTS + 16
             assert np.array_equal(batch, np.concatenate(lone_starts))
 
     def test_plain_string_kind_refused(self):
@@ -480,11 +475,11 @@ class TestSearchInternals:
             x = rng.uniform(-2.5, 2.5, (40, dim))
             if kind is ModelKind.PRSP:
                 x[:4, 0], x[4:8, 2], x[8:12, 3] = 35.0, -31.0, 29.0  # two clamped, one just inside
-                values = _to_model_values(kind, x)
+                values = _to_model_values(x)
                 for pe, e in ((values[:, 1:2], e1), (values[:, 4:5], e2)):  # both segments of both rules
                     assert np.any(e < pe) and np.any(e > pe)
                     assert np.min(np.abs(e - pe)) > 1e-3  # no kink inside the difference stencil
-            model = _search_model(kind, e1, e2)
+            model = _search_model(e1, e2) if kind is ModelKind.PRSP else _model(kind, e1, e2)
             jac = model(x)[1]()
             fd = central_difference(lambda pts: model(pts)[0], x, 1e-6)
             assert np.allclose(jac, fd, rtol=1e-6, atol=1e-8)
@@ -523,7 +518,7 @@ class TestSearchInternals:
                 x[4, 1] = x[5, 4] = 0.0  # pE1 and pE2 at 0.5, a grid level
             values[6] = np.nan
             values[7, 0] = np.inf
-            model = _search_model(kind, e1, e2)
+            model = _search_model(e1, e2) if kind is ModelKind.PRSP else _model(kind, e1, e2)
             pass_values = _predict_rows(kind, values, e1, e2, jacobian=True)
             pass_x = model(x)
             for rows in (np.arange(9), np.arange(9)[::-1], np.array([6, 0, 4]), np.array([5]), np.array([3, 7, 2, 1])):
@@ -560,12 +555,11 @@ class TestSearchInternals:
         e1, e2 = grid_arrays()
         c = np.array([v for _, v in sv])
         rng = np.random.default_rng(8)
-        for kind, x0 in (
-            (ModelKind.PRSP, np.vstack([_to_search_coords(ModelKind.PRSP, true_params_prsp(d).values),
-                                        rng.uniform(-2, 2, (5, 7))])),
-            (ModelKind.PWR, rng.uniform(-1, 1, (5, 3))),
+        for model, x0 in (
+            (_search_model(e1, e2), np.vstack([_to_search_coords(true_params_prsp(d).values), rng.uniform(-2, 2, (5, 7))])),
+            (_model(ModelKind.PWR, e1, e2), rng.uniform(-1, 1, (5, 3))),
         ):
-            model, c_rows = _search_model(kind, e1, e2), np.tile(c, (len(x0), 1))
+            c_rows = np.tile(c, (len(x0), 1))
             batch = _lm(model, x0, c_rows, _MAX_ITERS)
             reverse = _lm(model, x0[::-1], c_rows, _MAX_ITERS)
             for i in range(len(x0)):
@@ -581,7 +575,7 @@ class TestSearchInternals:
         e1, e2 = grid_arrays()
         c = np.array([v for _, v in sv])
         x0 = np.random.default_rng(3).uniform(-2, 2, (8, 7))
-        model = _search_model(ModelKind.PRSP, e1, e2)
+        model = _search_model(e1, e2)
         x, sse, iters, _ = _lm(model, x0, np.tile(c, (len(x0), 1)), 30)
         start_sse = np.sum((c - model(x0)[0]) ** 2, axis=-1)
         assert np.all(sse <= start_sse) and np.all(iters <= 30)
@@ -594,12 +588,16 @@ class TestSearchInternals:
         c = [np.array([v for _, v in standard_vector(d)]) for d in dists]
         budgets = (150, _MAX_ITERS)  # one PRSP row steps to the end of each
         for kind, max_iters in itertools.product((ModelKind.PRSP, ModelKind.PWR), budgets):
-            warm = [true_params_prsp(d) if kind is ModelKind.PRSP else None for d in dists]
-            x0, counts = _starts(kind, e1, e2, np.stack(c), [7, 7], warm)
+            if kind is ModelKind.PRSP:
+                x0, counts = _starts(e1, e2, np.stack(c), [7, 7], [true_params_prsp(d) for d in dists])
+                model = _search_model(e1, e2)
+            else:  # each fit's constant start
+                logit_mean = logit(np.clip(np.mean(c, axis=1), 1e-6, 1.0 - 1e-6))
+                x0, counts = np.column_stack([np.zeros(2), np.zeros(2), logit_mean]), [1, 1]
+                model = _model(kind, e1, e2)
             c_rows = np.repeat(np.stack(c), counts, axis=0)
             with_nan = x0.copy()
             with_nan[1] = np.nan  # a start of each kind: PRSP's first fit's constant start, PWR's second fit's
-            model = _search_model(kind, e1, e2)
             for starts in (x0, with_nan):
                 got = _lm(model, starts, c_rows, max_iters)
                 *want, _ = reference_lm(model, starts, c_rows, max_iters)
@@ -700,13 +698,13 @@ class TestSearchInternals:
         ((x0, lo, hi, start_sse, (x, sse, iters, converged)),) = polished
         # each row starts at its fit's winner, with the search's SSE bits
         best = np.arange(len(ids)) * (2 + _N_STARTS + 16) + [r.start_index for r in batch]
-        assert np.array_equal(x0, _to_model_values(ModelKind.PRSP, search_x[best]))
+        assert np.array_equal(x0, _to_model_values(search_x[best]))
         assert np.array_equal(start_sse, search_sse[best])
         assert np.all(sse <= start_sse)
         # the box is the range the search reaches, two bounds shared by every coordinate of every row
         assert np.ndim(lo) == np.ndim(hi) == 0
-        box = _to_model_values(ModelKind.PRSP, np.array([-30.0, 30.0])).tolist()
-        assert [lo, hi] == _search_range(ModelKind.PRSP).tolist() == box
+        box = _to_model_values(np.array([-30.0, 30.0])).tolist()
+        assert [lo, hi] == _SEARCH_RANGE.tolist() == box
         assert np.all((lo <= x0) & (x0 <= hi)) and np.all((lo <= x) & (x <= hi))
         assert x[1, 3] == lo and x[2, 6] == hi
         assert converged.tolist() == [False, True, False] and iters[~converged].tolist() == [_MAX_ITERS] * 2
@@ -715,11 +713,18 @@ class TestSearchInternals:
             assert r.params.values == tuple(x[i]) and r.epsilon == np.sqrt(sse[i] / len(DEFAULT_GRID.e1))
             assert (r.iterations, r.converged) == (search_iters[best[i]] + iters[i], converged[i])
             assert fit(ModelKind.PRSP, standard_vector(dists[ids[i]]), seeds[i], warm[i]) == r
-        # PWR's box, the range its search reaches, is unbounded
+        # PWR runs no search: its fit is one unbounded polish from each row's constant start, and reports its steps
+        searched.clear()
         polished.clear()
-        fit_batch(ModelKind.PWR, *grid_arrays(), targets, seeds, [None] * len(ids))
-        ((_, lo, hi, _, _),) = polished
-        assert [lo, hi] == _search_range(ModelKind.PWR).tolist() == [-np.inf, np.inf]
+        pwr = fit_batch(ModelKind.PWR, *grid_arrays(), targets, seeds, [None] * len(ids))
+        assert searched == []
+        ((x0, lo, hi, _, (x, sse, iters, converged)),) = polished
+        mean = np.clip(np.mean(targets, axis=1), 1e-6, 1.0 - 1e-6)
+        assert np.array_equal(x0, np.column_stack([np.zeros(len(ids)), np.zeros(len(ids)), logit(mean)]))
+        assert [lo, hi] == [-np.inf, np.inf]
+        for i, r in enumerate(pwr):
+            assert r.params.values == tuple(x[i]) and r.epsilon == np.sqrt(sse[i] / len(DEFAULT_GRID.e1))
+            assert (r.iterations, r.converged, r.start_index) == (iters[i], converged[i], 0)
 
     def test_polish_crosses_a_grid_level(self):
         # held-out uniform gen seed 501987, bench seed 11, dist 37: the winner's pE1, 0.766, lies above the
@@ -731,9 +736,10 @@ class TestSearchInternals:
         assert r.epsilon <= 0.06229573893817757 + 1e-12
 
     def test_pwr_no_worse_after_the_step_cap_fell(self):
-        # the PRSP ratchet cannot see PWR. At max_iters 500 this held-out fit's winner took 322 steps to
+        # the PRSP ratchet cannot see PWR. At max_iters 500 this held-out fit's search took 322 steps to
         # this ε; at 200 steps without the polish it ended 4.9e-10 higher (cond_indep gen seed 301986,
-        # bench seed 13, dist 85)
+        # bench seed 13, dist 85). The fit is now one descent from the constant start: 35 steps, 3.8e-13
+        # below it, and 5.4e-14 above the search and polish it replaced
         d = sample_cond_indep(301986, 86)[85]
         assert fit(ModelKind.PWR, standard_vector(d), seed=_derived_seed(13, 85)).epsilon <= 0.06650993287440232 + 1e-12
 
@@ -820,6 +826,6 @@ class TestSearchInternals:
 
     def test_bounded_transform_roundtrip(self):
         values = np.array([0.2, 0.5, 0.9, 0.0001, 0.3, 0.7, 0.999])
-        x = _to_search_coords(ModelKind.PRSP, values)
-        assert np.allclose(_to_model_values(ModelKind.PRSP, x), values, atol=1e-12)
+        x = _to_search_coords(values)
+        assert np.allclose(_to_model_values(x), values, atol=1e-12)
         assert np.all(np.abs(x) <= 30.0)

@@ -16,7 +16,9 @@ default grid and default models, one ``bench`` chunk):
 * PRSP's Levenberg–Marquardt work, in two lines: the search's row-steps
   (the steps tried, summed over its starts) and the starts that reach
   ``max_iters``, then the polish's steps (summed over its rows, one per
-  distribution) and the rows that reach ``max_iters``.
+  distribution) and the rows that reach ``max_iters``;
+* PWR's, in one line: the steps and rows at ``max_iters`` of its polish,
+  the one descent of each of its fits.
 
 The first line is the fit budget the run used (``optim._N_STARTS`` and
 ``optim._MAX_ITERS``). Run from the repository root::
@@ -65,7 +67,7 @@ def positive_int(text: str) -> int:
 
 
 def acceptance_rows(family: str, gen_seed: int, bench_seed: int) -> tuple[list, list[str]]:
-    """The timed calls of one acceptance run, and the lines of PRSP's search and polish work."""
+    """The timed calls of one acceptance run, and the lines of PRSP's search and polish work and of PWR's polish."""
     dists = cli.SAMPLERS[family](gen_seed, N_DISTS)
     atoms = [d.atoms for d in dists]
     targets, errors = _batch_answers(atoms, DEFAULT_GRID.evidence)
@@ -80,9 +82,11 @@ def acceptance_rows(family: str, gen_seed: int, bench_seed: int) -> tuple[list, 
     rows = [(f"{family}: oracle batch (109 x 25)", lambda: _batch_answers(atoms, DEFAULT_GRID.evidence))]
     rows += [(f"{family}: fit_batch {kind.value}", fit_call(kind)) for kind in DEFAULT_MODELS]
     rows.append((f"{family}: run_bench", lambda: run_bench(dists, seed=bench_seed)))
-    with counted_lm() as counts:
+    with counted_lm() as prsp:
         fit_call(ModelKind.PRSP)()
-    return rows, [f"{family}: PRSP {line}" for line in work_lines(counts)]
+    with counted_lm() as pwr:
+        fit_call(ModelKind.PWR)()
+    return rows, [*(f"{family}: PRSP {line}" for line in work_lines(prsp)), f"{family}: PWR {work_lines(pwr)[1]}"]
 
 
 def main() -> None:
